@@ -1,9 +1,10 @@
 """Command-line front end: weight tables, verification, Gauss-sum tables.
 
-Exit codes: 0 success, 1 route disagreement or failed verification,
-2 bad input, 3 enumeration/size cap exceeded.  Output for a fixed
-configuration and seed is byte-stable; timing fields are only emitted
-under --timings (bench is inherently timing output and exempt).
+Exit codes: 0 success, 1 route disagreement, failed verification or a
+failed internal cross-check, 2 bad input, 3 enumeration/size cap
+exceeded.  Output for a fixed configuration and seed is byte-stable;
+timing fields are only emitted under --timings (bench is inherently
+timing output and exempt).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
-from .errors import BAD_INPUT_ERRORS, CAP_ERRORS, RangeError, RghwError
+from .errors import BAD_INPUT_ERRORS, CAP_ERRORS, DISAGREE_ERRORS, RangeError, RghwError
 from .gf import field_for_size
 from .verify import SUITES, run_suites
 from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
@@ -404,6 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BAD_INPUT_ERRORS as exc:
         sys.stderr.write(_error_payload(exc))
         return EXIT_BAD_INPUT
+    except DISAGREE_ERRORS as exc:
+        sys.stderr.write(_error_payload(exc))
+        return EXIT_DISAGREE
     except RghwError as exc:
         sys.stderr.write(_error_payload(exc))
         return EXIT_BAD_INPUT

@@ -22,6 +22,7 @@ from .errors import (
     ConjugateNonzeros,
     DegenerateOrder,
     FieldMismatch,
+    InvariantViolated,
     LengthMismatch,
     NotAFieldGenerator,
     RangeError,
@@ -79,8 +80,10 @@ class CodeSpec:
         self.gamma2 = self._select_gamma2()
         self.alpha1 = self.gamma1**e1
         self.alpha2 = self.gamma2**e2
-        assert element_order(self.alpha1) == self.n1
-        assert element_order(self.alpha2) == self.n2
+        for label, alpha, order in (("alpha1", self.alpha1, self.n1),
+                                    ("alpha2", self.alpha2, self.n2)):
+            if element_order(alpha) != order:
+                raise InvariantViolated(f"{label} does not have order {order}")
 
         if frobenius_orbit_size(self.alpha1, self.field_q) != k1:
             raise NotAFieldGenerator(f"alpha1 generates a proper subfield of GF({self.Q1})")
@@ -144,7 +147,8 @@ class CodeSpec:
             for t, a in enumerate(vec):
                 code = field.add(code, field.mul(emb.apply_code(a), gpows[t]))
             table[code] = vec
-        assert (table >= 0).all(), "polynomial basis failed to span the extension"
+        if (table < 0).any():
+            raise InvariantViolated("polynomial basis failed to span the extension")
         return table
 
     def _build_functionals(self) -> np.ndarray:

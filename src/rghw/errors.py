@@ -73,7 +73,14 @@ class PrecisionFailure(RghwError):
     code = "PrecisionFailure"
 
 
-# CLI exit codes: 0 ok, 1 route disagreement, 2 bad input, 3 cap exceeded.
+class InvariantViolated(RghwError):
+    """Two computations that must agree did not: a defect, not bad input."""
+
+    code = "InvariantViolated"
+
+
+# CLI exit codes: 0 ok, 1 route disagreement or failed cross-check, 2 bad
+# input, 3 cap exceeded.
 BAD_INPUT_ERRORS = (
     NonPrime,
     NotASubfield,
@@ -90,3 +97,4 @@ BAD_INPUT_ERRORS = (
     HypothesisViolated,
 )
 CAP_ERRORS = (SizeCapExceeded, CapExceeded)
+DISAGREE_ERRORS = (InvariantViolated,)

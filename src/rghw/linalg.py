@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import LengthMismatch
 from .gf import FieldTable
 
 _OPS_CACHE: dict[tuple[int, int], "TableOps"] = {}
@@ -46,7 +47,8 @@ class TableOps:
         """(r x k) @ (k x c) over the field."""
         r, k = a.shape
         k2, c = b.shape
-        assert k == k2
+        if k != k2:
+            raise LengthMismatch(f"cannot multiply ({r} x {k}) by ({k2} x {c})")
         if self.prime:
             prod = a.astype(np.int64) @ b.astype(np.int64)
             return (prod % self.q).astype(np.int16)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import InvariantViolated, RangeError
 from .gf import FieldTable, build_field, factor_prime_power
 from .linalg import TableOps, table_ops
 
@@ -40,10 +40,6 @@ class SubspaceBasis:
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
 
-    @property
-    def fingerprint(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
-
     def matrix(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int16).reshape(self.dim, self.ambient_dim)
 
@@ -57,7 +53,8 @@ def gaussian_binomial(k: int, j: int, q: int) -> int:
     for i in range(j):
         num *= q ** (k - i) - 1
         den *= q ** (j - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolated(f"[{k},{j}]_{q}: {num} is not divisible by {den}")
     return num // den
 
 
@@ -157,7 +154,10 @@ def project(
     kernel = subspace_from_rows(
         basis.q, basis.ambient_dim, kernel_rows, basis.ambient
     )
-    assert image.dim + kernel.dim == basis.dim
+    if image.dim + kernel.dim != basis.dim:
+        raise InvariantViolated(
+            f"rank-nullity fails: {image.dim} + {kernel.dim} != {basis.dim}"
+        )
     return image, kernel
 
 

@@ -17,26 +17,38 @@ worker processes with a deterministic merge.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .closed_forms import detect_family, evaluate_closed_form
 from .codes import CodeSpec, build_code
-from .errors import CapExceeded, HypothesisViolated, RangeError
+from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
 from .subspaces import (
     SubspaceBasis,
+    count_for_pivots,
     dual_subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
+    free_positions,
     intersect_with_cyclic_group,
     pivot_sets,
+    subspace_from_rows,
 )
 
 DEFAULT_ENUM_CAP = 10**8
+# Bound on the packed lookup tables one scan holds (the support table is
+# q^K rows of ceil(n/8) bytes).
+TABLE_CAP_BYTES = 1 << 26
+# Subspaces scored per numpy batch and vectors per lookup-table block; both
+# keep each temporary array to about 100 KiB, since every byte of it adds
+# to the peak memory of a run that keeps its reports.
+BATCH = 512
+TABLE_BLOCK = 16
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
@@ -56,85 +68,222 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
     direct = spec.n - subspace_support_size(spec, basis)
     via_dual = intersect_with_cyclic_group(dual_subspace(basis, spec), spec)
     if direct != via_dual:
-        raise AssertionError(
+        raise InvariantViolated(
             f"zero-coordinate count mismatch: {direct} != {via_dual} for {basis.rows}"
         )
     return direct
 
 
-# -- partitioned scans -----------------------------------------------------
+# -- pivot-set scan kernel ---------------------------------------------------
+#
+# A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
+# by the pivot set alone, so rejected subspaces are never generated.  Within
+# a pivot set the t-th basis in enumeration order has the base-q digits of t
+# (most significant first) as its free entries in row-major order; a batch
+# of t values is scored at once by combining rows of packed n-bit masks.
+# A plan (weights, base, tables, combine) says which rows: column k of
+# digits @ weights + base indexes tables[k], and the looked-up masks are
+# folded with the ufunc combine before the bits are counted.
 
 
-def _scan_chunk(args) -> tuple[Optional[int], Optional[tuple], int]:
-    """Scan one pivot-set chunk; returns (best value, best rows, chunk id).
+def _column_order(k1: int, k2: int, mode: str) -> list[int]:
+    """Original column of each working column: the dual scan puts the
+    second factor first, so that its admissibility is a pivot condition."""
+    if mode == "max_group":
+        return list(range(k1, k1 + k2)) + list(range(k1))
+    return list(range(k1 + k2))
 
-    mode "min_support" filters to injective-first-projection subspaces and
-    minimizes support; "max_group" filters to onto-second-projection
-    subspaces and maximizes the cyclic-group count; "min_support_all"
-    drops the filter (plain GHW).
+
+def admissible_pivot_sets(k1: int, k2: int, dim: int, mode: str
+                          ) -> list[tuple[int, ...]]:
+    """Pivot sets (working column order) of the subspaces a scan visits.
+
+    min_support: first projection injective <=> every pivot < k1.
+    max_group: second projection onto <=> pivots include 0..k2-1.
+    min_support_all: every pivot set.
     """
-    (params, dim, mode, chunk, chunk_id) = args
-    spec = build_code(*params)
-    ops = spec.ops
-    k1, k2 = spec.k1, spec.k2
-    best_val: Optional[int] = None
-    best_rows: Optional[tuple] = None
-    for basis in enumerate_subspaces(spec.ambient_dim, dim, spec.q, chunk):
-        mat = basis.matrix()
-        if mode == "min_support":
-            if ops.rank(mat[:, :k1]) != dim:
-                continue
-            val = subspace_support_size(spec, basis)
-            better = best_val is None or val < best_val
-        elif mode == "max_group":
-            if ops.rank(mat[:, k1:]) != k2:
-                continue
-            mask = ops.rows_in_rowspace(mat, basis.pivots, spec.group_vectors)
-            val = int(mask.sum())
-            better = best_val is None or val > best_val
-        else:  # min_support_all
-            val = subspace_support_size(spec, basis)
-            better = best_val is None or val < best_val
-        if better:
-            best_val = val
-            best_rows = basis.rows
-    return best_val, best_rows, chunk_id
+    if mode == "min_support":
+        return pivot_sets(k1, dim)
+    if mode == "max_group":
+        head = tuple(range(k2))
+        return [head + tuple(k2 + p for p in rest)
+                for rest in pivot_sets(k1, dim - k2)] if dim >= k2 else []
+    return pivot_sets(k1 + k2, dim)
+
+
+def _digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Base-q digits of each value, most significant first: (len, width)."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (values[:, None] // powers) % q
+
+
+def _fill_packed(out: np.ndarray, first: int,
+                 rows: Callable[[np.ndarray], np.ndarray]) -> None:
+    """out[i] = np.packbits of the boolean n-vector rows(codes) gives for
+    code first+i; built TABLE_BLOCK codes at a time."""
+    for lo in range(0, len(out), TABLE_BLOCK):
+        codes = np.arange(first + lo, first + min(lo + TABLE_BLOCK, len(out)))
+        out[lo: lo + len(codes)] = np.packbits(rows(codes), axis=1)
+
+
+class _SupportTable:
+    """Packed support of the codeword of every vector of F_q^K, indexed by
+    its base-q code (column 0 most significant).
+
+    An RREF row with pivot p has its code in [q^(K-1-p), 2 q^(K-1-p)), so
+    that range is built the first time a pivot set containing p is scanned;
+    the rest of the table is never written.
+    """
+
+    def __init__(self, spec: CodeSpec):
+        self.spec = spec
+        self.masks = np.empty((spec.q**spec.ambient_dim, -(-spec.n // 8)), dtype=np.uint8)
+        self.built: set[int] = set()
+
+    def require(self, pivots) -> None:
+        spec = self.spec
+        K, q = spec.ambient_dim, spec.q
+        funcs = spec.coordinate_functionals.T
+        for p in set(pivots) - self.built:
+            lo = q ** (K - 1 - p)
+            _fill_packed(self.masks[lo: 2 * lo], lo, lambda codes: spec.ops.matmul(
+                _digits(codes, K, q).astype(np.int16), funcs) != 0)
+            self.built.add(p)
+
+
+def _support_plan(table: _SupportTable, pivots, positions):
+    """Row r of a basis is looked up by its code: q^(K-1-p_r) for the pivot
+    plus its free entries; the span's support is the union of the rows'."""
+    K, q = table.spec.ambient_dim, table.spec.q
+    table.require(pivots)
+    weights = np.zeros((len(positions), len(pivots)), dtype=np.int64)
+    for i, (r, c) in enumerate(positions):
+        weights[i, r] = q ** (K - 1 - c)
+    base = np.array([q ** (K - 1 - p) for p in pivots], dtype=np.int64)
+    return weights, base, [table.masks] * len(pivots), np.bitwise_or
+
+
+def _group_plan(spec: CodeSpec, group: np.ndarray, pivots, positions):
+    """A group point g is in the row space iff, for every non-pivot column
+    c, g_c = sum_r a_{r,c} g_{p_r}; one table per c marks the points that
+    pass, for every assignment of the column's free entries a_{r,c}."""
+    K, q = spec.ambient_dim, spec.q
+    cols = [c for c in range(K) if c not in pivots]
+    weights = np.zeros((len(positions), len(cols)), dtype=np.int64)
+    tables = []
+    for k, c in enumerate(cols):
+        rows = [r for r, p in enumerate(pivots) if p < c]
+        for t, r in enumerate(rows):
+            weights[positions.index((r, c)), k] = q ** (len(rows) - 1 - t)
+        coeffs = group[:, [pivots[r] for r in rows]].T
+        target = group[:, c]
+        table = np.empty((q ** len(rows), -(-spec.n // 8)), dtype=np.uint8)
+        _fill_packed(table, 0, lambda a: spec.ops.matmul(
+            _digits(a, len(rows), q).astype(np.int16), coeffs) == target)
+        tables.append(table)
+    return weights, 0, tables, np.bitwise_and
+
+
+def _scan_chunk(spec: CodeSpec, dim: int, mode: str, chunk
+                ) -> tuple[Optional[int], Optional[np.ndarray]]:
+    """Best value over the subspaces of the given pivot sets, and the basis
+    (working column order) of the first subspace attaining it.
+
+    mode "min_support" minimizes support over injective-first-projection
+    subspaces, "max_group" maximizes the cyclic-group count over
+    onto-second-projection subspaces, "min_support_all" minimizes support
+    over every subspace (plain GHW).
+    """
+    K, q = spec.ambient_dim, spec.q
+    maximize = mode == "max_group"
+    if maximize:
+        group = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)]
+        plan = functools.partial(_group_plan, spec, group)
+    else:
+        plan = functools.partial(_support_plan, _SupportTable(spec))
+    best: Optional[tuple] = None  # (value, pivots, positions, digits)
+    for pivots in chunk:
+        positions = free_positions(pivots, K)
+        weights, base, tables, combine = plan(pivots, positions)
+        total = q ** len(positions)
+        for lo in range(0, total, BATCH):
+            digits = _digits(np.arange(lo, min(lo + BATCH, total)), len(positions), q)
+            index = digits @ weights + base
+            acc = tables[0][index[:, 0]]
+            for k in range(1, len(tables)):
+                combine(acc, tables[k][index[:, k]], out=acc)
+            values = _POPCOUNT[acc].sum(axis=1)
+            i = int(values.argmax() if maximize else values.argmin())
+            val = int(values[i])
+            if best is None or (val > best[0] if maximize else val < best[0]):
+                best = (val, pivots, positions, digits[i])
+    if best is None:
+        return None, None
+    val, pivots, positions, digits = best
+    rows = np.zeros((dim, K), dtype=np.int16)
+    rows[range(dim), pivots] = 1
+    for (r, c), v in zip(positions, digits):
+        rows[r, c] = v
+    return val, rows
+
+
+def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
+    """_scan_chunk inside a pool worker, which rebuilds the spec."""
+    params, dim, mode, chunk = args
+    return _scan_chunk(build_code(*params), dim, mode, chunk)
+
+
+def _table_bytes(spec: CodeSpec, mode: str, sets) -> int:
+    """Largest lookup-table footprint of one scan (per pivot set for the
+    dual route, which frees its tables between pivot sets)."""
+    width = -(-spec.n // 8)
+    if mode != "max_group":
+        return spec.q ** spec.ambient_dim * width
+    return max((sum(spec.q ** sum(p < c for p in ps)
+                    for c in range(spec.ambient_dim) if c not in ps) * width
+                for ps in sets), default=0)
 
 
 def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
           ) -> tuple[int, SubspaceBasis]:
-    total = gaussian_binomial(spec.ambient_dim, dim, spec.q)
+    K = spec.ambient_dim
+    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+    total = sum(count_for_pivots(ps, K, spec.q) for ps in sets)
     if total > cap:
         raise CapExceeded(
-            f"{total} subspaces of dimension {dim} exceed the cap {cap}"
+            f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
-    params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-    sets = pivot_sets(spec.ambient_dim, dim)
-    workers = max(1, workers)
-    if workers == 1 or len(sets) <= 1:
-        results = [_scan_chunk((params, dim, mode, sets, 0))]
+    table_bytes = _table_bytes(spec, mode, sets)
+    if table_bytes > TABLE_CAP_BYTES:
+        raise CapExceeded(
+            f"lookup tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
+        )
+    if workers <= 1 or len(sets) <= 1:
+        results = [_scan_chunk(spec, dim, mode, sets)]
     else:
+        params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
         nchunks = min(len(sets), workers * 4)
         bounds = np.linspace(0, len(sets), nchunks + 1).astype(int)
         tasks = [
-            (params, dim, mode, sets[bounds[i]: bounds[i + 1]], i)
-            for i in range(nchunks)
-            if bounds[i] < bounds[i + 1]
+            (params, dim, mode, sets[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if lo < hi
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
+            results = list(pool.map(_pool_chunk, tasks))
     prefer_max = mode == "max_group"
     best_val: Optional[int] = None
-    best_rows: Optional[tuple] = None
-    for val, rows, _cid in sorted(results, key=lambda r: r[2]):
+    best_rows: Optional[np.ndarray] = None
+    for val, rows in results:  # chunk order = enumeration order
         if val is None:
             continue
         if best_val is None or (val > best_val if prefer_max else val < best_val):
             best_val, best_rows = val, rows
     if best_val is None:
         raise RangeError(f"no qualifying subspace of dimension {dim}")
-    argbest = SubspaceBasis(spec.q, spec.ambient_dim, best_rows, "product")
-    return best_val, argbest
+    original = np.empty_like(best_rows)
+    original[:, _column_order(spec.k1, spec.k2, mode)] = best_rows
+    return best_val, subspace_from_rows(spec.q, K, original, "product")
 
 
 # -- public routes ----------------------------------------------------------
@@ -182,29 +331,46 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
 # -- per-j reports -----------------------------------------------------------
 
 
-@dataclass
+# Callers keep many reports (a table, a benchmark run), so the report
+# classes use slots, hold the argmax basis as one array and keep the route
+# outcomes in fields rather than in a dict per report.
+@dataclass(slots=True)
 class RouteOutcome:
     m: int
     millis: float
     n_j: Optional[int] = None
-    argmax_rows: Optional[tuple] = None
+    argmax_rows: Optional[np.ndarray] = dc_field(default=None, compare=False)
 
     def as_dict(self, include_millis: bool = False) -> dict:
         out: dict = {"m": self.m}
         if self.n_j is not None:
             out["n_j"] = self.n_j
         if self.argmax_rows is not None:
-            out["argmax"] = [list(r) for r in self.argmax_rows]
+            out["argmax"] = self.argmax_rows.tolist()
         if include_millis:
             out["millis"] = round(self.millis, 3)
         return out
 
 
-@dataclass
+ROUTE_NAMES = ("bruteforce", "dual_count", "closed_form")
+
+
+@dataclass(slots=True)
 class RghwReport:
-    spec_summary: dict
+    """The outcomes for one j: one field per route, plus the order in which
+    the routes were requested (a shared tuple, not a per-report dict)."""
+
     j: int
-    routes: dict[str, RouteOutcome] = dc_field(default_factory=dict)
+    order: tuple[str, ...] = ROUTE_NAMES
+    bruteforce: Optional[RouteOutcome] = None
+    dual_count: Optional[RouteOutcome] = None
+    closed_form: Optional[RouteOutcome] = None
+
+    @property
+    def routes(self) -> Mapping[str, RouteOutcome]:
+        """Read-only name -> outcome for the routes that ran, in request order."""
+        return MappingProxyType({name: getattr(self, name) for name in self.order
+                                 if getattr(self, name) is not None})
 
     @property
     def agree(self) -> bool:
@@ -228,9 +394,6 @@ class RghwReport:
         return out
 
 
-ROUTE_NAMES = ("bruteforce", "dual_count", "closed_form")
-
-
 def compute_report(spec: CodeSpec, j: int,
                    routes: Sequence[str] = ROUTE_NAMES,
                    cap: int = DEFAULT_ENUM_CAP,
@@ -241,17 +404,18 @@ def compute_report(spec: CodeSpec, j: int,
     With strict_routes a closed-form request on a spec outside all three
     families raises; otherwise that route is quietly skipped.
     """
-    report = RghwReport(spec.summary(), j)
+    report = RghwReport(j, tuple(routes))
     for name in routes:
         if name == "bruteforce":
             t0 = time.perf_counter()
             m = rghw_bruteforce(spec, j, cap, workers)
-            report.routes[name] = RouteOutcome(m, (time.perf_counter() - t0) * 1e3)
+            outcome = RouteOutcome(m, (time.perf_counter() - t0) * 1e3)
         elif name == "dual_count":
             t0 = time.perf_counter()
             res = mj_dual_count(spec, j, cap, workers)
-            report.routes[name] = RouteOutcome(
-                res.m, (time.perf_counter() - t0) * 1e3, res.n_j, res.argmax.rows
+            outcome = RouteOutcome(
+                res.m, (time.perf_counter() - t0) * 1e3, res.n_j,
+                np.array(res.argmax.rows, dtype=np.int16)
             )
         elif name == "closed_form":
             family = detect_family(spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
@@ -265,9 +429,10 @@ def compute_report(spec: CodeSpec, j: int,
             n_j, m = evaluate_closed_form(
                 spec.q, spec.k1, spec.k2, spec.e1, spec.e2, j
             )
-            report.routes[name] = RouteOutcome(
+            outcome = RouteOutcome(
                 m, (time.perf_counter() - t0) * 1e3, n_j
             )
         else:
             raise RangeError(f"unknown route {name!r}")
+        setattr(report, name, outcome)
     return report

@@ -1,10 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import rghw
+import rghw.cli
 from rghw.cli import main
+from rghw.errors import InvariantViolated
+
+SRC = Path(rghw.__file__).resolve().parent
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +196,33 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["spec"]["n"] == 21
+
+
+def test_invariant_violation_exits_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolated("two counts differ")
+
+    monkeypatch.setattr(rghw.cli, "compute_report", broken)
+    code, _, err = run_cli(capsys, *TABLE_ARGS)
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "InvariantViolated"
+
+
+def test_table_under_optimize_flag():
+    # python -O strips assert statements: the package must carry none, and
+    # a table computed without them must still be right
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "rghw.cli", *TABLE_ARGS, "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    doc = json.loads(child.stdout)
+    got = [(r["j"], {name: p["m"] for name, p in r["routes"].items()}, r["agree"])
+           for r in doc["results"]]
+    both = {"bruteforce": 10, "dual_count": 10, "closed_form": 10}
+    assert got == [(1, both, True), (2, {k: 15 for k in both}, True)]
+    assert [r["routes"]["dual_count"]["n_j"] for r in doc["results"]] == [11, 6]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rghw.codes import build_code, codeword, subcode_codeword
-from rghw.errors import CapExceeded, RangeError
+from rghw import weights
+from rghw.errors import CapExceeded, InvariantViolated, RangeError
 from rghw.subspaces import (
     dual_subspace,
     enumerate_subspaces,
@@ -138,6 +139,14 @@ def test_nj_of_subspace_identities():
         assert direct == via_dual == nj_of_subspace(spec, d)
 
 
+def test_nj_of_subspace_mismatch_is_typed(monkeypatch):
+    spec = build_code(2, 2, 3, 1, 1)
+    line = subspace_from_rows(2, spec.ambient_dim, [(1, 0, 0, 0, 0)], "product")
+    monkeypatch.setattr(weights, "intersect_with_cyclic_group", lambda basis, spec: -1)
+    with pytest.raises(InvariantViolated):
+        nj_of_subspace(spec, line)
+
+
 def test_mj_dual_count_examples():
     spec = build_code(2, 2, 3, 1, 1)
     res = mj_dual_count(spec, 1)
@@ -210,3 +219,12 @@ def test_compute_report():
 
     with pytest.raises(HypothesisViolated):
         compute_report(odd, 1, routes=("closed_form",), strict_routes=True)
+
+
+def test_report_routes_keep_request_order():
+    spec = build_code(2, 2, 3, 1, 1)
+    report = compute_report(spec, 1, routes=("dual_count", "closed_form", "bruteforce"))
+    assert list(report.routes) == ["dual_count", "closed_form", "bruteforce"]
+    assert list(report.as_dict()["routes"]) == list(report.routes)
+    with pytest.raises(TypeError):
+        report.routes["bruteforce"] = report.routes["dual_count"]
