@@ -29,7 +29,7 @@ from .errors import (
     PrecisionFailure,
     ZeroArgument,
 )
-from .gf import FieldElement, FieldTable
+from .gf import FieldElement, FieldTable, build_field, trace_table
 from .subspaces import SubspaceBasis, member_matrix
 
 IMAG_TOL = 1e-6
@@ -41,32 +41,14 @@ def unit_roots(order: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(order) / order)
 
 
-_EXP_NP: dict[tuple[int, int], np.ndarray] = {}
-_PRIME_TRACE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _exp_np(field: FieldTable) -> np.ndarray:
-    key = (field.p, field.m)
-    if key not in _EXP_NP:
-        _EXP_NP[key] = np.array(field.exp_table, dtype=np.int64)
-    return _EXP_NP[key]
-
-
-def prime_trace_table(field: FieldTable) -> np.ndarray:
-    """code -> absolute trace down to GF(p), as a residue in [0, p)."""
-    key = (field.p, field.m)
-    if key not in _PRIME_TRACE:
-        out = np.zeros(field.size, dtype=np.int64)
-        p = field.p
-        for log in range(field.order):
-            acc = 0
-            exponent = 1
-            for _ in range(field.m):
-                acc = field.add(acc, field.exp_table[(log * exponent) % field.order])
-                exponent = (exponent * p) % field.order
-            out[field.exp_table[log]] = acc  # GF(p) codes are residues
-        _PRIME_TRACE[key] = out
-    return _PRIME_TRACE[key]
+@lru_cache(maxsize=None)
+def additive_character(field: FieldTable) -> np.ndarray:
+    """zeta_p^tr(g^t) for t in [0, order): the canonical additive character
+    by discrete log, tr being the absolute trace down to GF(p)."""
+    traces = trace_table(field, build_field(field.p, 1))[field.exp_table]
+    table = unit_roots(field.p)[traces]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,7 @@ def gauss_sum(chi: CharacterHandle, beta) -> complex:
     if beta_code == 0:
         return complex(chi_vals.sum())
     beta_log = field.log_table[beta_code]
-    traces = prime_trace_table(field)[_exp_np(field)[(t + beta_log) % order]]
-    return complex((chi_vals * unit_roots(field.p)[traces]).sum())
+    return complex((chi_vals * additive_character(field)[(t + beta_log) % order]).sum())
 
 
 def orthogonality_sum(x, alpha, e: int) -> complex:

@@ -16,12 +16,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
-from .errors import BAD_INPUT_ERRORS, CAP_ERRORS, DISAGREE_ERRORS, RangeError, RghwError
+from .errors import CAP_ERRORS, DISAGREE_ERRORS, OutputError, RangeError, RghwError
 from .gf import field_for_size
 from .verify import SUITES, run_suites
 from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
@@ -32,57 +31,45 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from flags and RGHW_CAP."""
-
-    command: str
-    q: int = 0
-    k1: int = 0
-    k2: int = 0
-    e1: int = 1
-    e2: int = 1
-    j_spec: str = "all"
-    routes: tuple[str, ...] = ROUTE_NAMES
-    routes_explicit: bool = False
-    fmt: str = "pretty"
-    out: Optional[str] = None
-    seed: int = 2024
-    samples: int = 100
-    workers: int = 1
-    cap: int = DEFAULT_ENUM_CAP
-    timings: bool = False
-    size: int = 0
-    lam: str = "all"
-    beta: int = 1
-    suites: tuple[str, ...] = ()
-    repeat: int = 3
-
-    def j_values(self, k1: int) -> list[int]:
-        if self.j_spec == "all":
-            return list(range(1, k1 + 1))
-        if ":" in self.j_spec:
-            lo, hi = self.j_spec.split(":", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(self.j_spec)]
-        for j in values:
-            if not 1 <= j <= k1:
-                raise RangeError(f"j={j} outside 1..{k1}")
-        return values
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise RangeError(f"{what} {text!r} is not an integer") from None
 
 
-def _default_cap() -> int:
-    env = os.environ.get("RGHW_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
+def _j_values(j_spec: str, k1: int) -> list[int]:
+    """The j of a --j value: "all", one value, or an inclusive lo:hi."""
+    if j_spec == "all":
+        return list(range(1, k1 + 1))
+    lo, sep, hi = j_spec.partition(":")
+    first = _parse_int(lo, "--j")
+    last = _parse_int(hi, "--j") if sep else first
+    if first > last:
+        raise RangeError(f"--j {j_spec} is an empty range")
+    for j in (first, last):  # checked before a range of any size is built
+        if not 1 <= j <= k1:
+            raise RangeError(f"j={j} outside 1..{k1}")
+    return list(range(first, last + 1))
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out}: {exc.strerror}") from None
+
+
+def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _error_payload(exc: RghwError) -> str:
@@ -92,29 +79,29 @@ def _error_payload(exc: RghwError) -> str:
 # -- table --------------------------------------------------------------------
 
 
-def cmd_table(config: RunConfig) -> int:
-    spec = build_code(config.q, config.k1, config.k2, config.e1, config.e2)
+def cmd_table(args: argparse.Namespace) -> int:
+    spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
     reports = [
         compute_report(
             spec,
             j,
-            routes=config.routes,
-            cap=config.cap,
-            workers=config.workers,
-            strict_routes=config.routes_explicit,
+            routes=args.routes,
+            cap=args.cap,
+            workers=args.workers,
+            strict_routes=args.routes_explicit,
         )
-        for j in config.j_values(spec.k1)
+        for j in _j_values(args.j, spec.k1)
     ]
     document = {
         "spec": spec.summary(),
-        "results": [r.as_dict(config.timings) for r in reports],
+        "results": [r.as_dict(args.timings) for r in reports],
     }
-    if config.fmt == "json":
-        _emit(config, json.dumps(document, indent=2) + "\n")
-    elif config.fmt == "csv":
-        _emit(config, _table_csv(document))
+    if args.format == "json":
+        _emit(args, json.dumps(document, indent=2) + "\n")
+    elif args.format == "csv":
+        _emit(args, _table_csv(document))
     else:
-        _emit(config, _table_pretty(document))
+        _emit(args, _table_pretty(document))
     return EXIT_OK if all(r.agree for r in reports) else EXIT_DISAGREE
 
 
@@ -122,23 +109,12 @@ _CSV_SPEC_COLS = ("q", "k1", "k2", "e1", "e2", "n1", "n2", "n")
 
 
 def _table_csv(document: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_SPEC_COLS + ("j", "route", "m", "n_j", "agree"))
     spec_cols = [document["spec"][c] for c in _CSV_SPEC_COLS]
-    for row in document["results"]:
-        for route, payload in row["routes"].items():
-            writer.writerow(
-                spec_cols
-                + [
-                    row["j"],
-                    route,
-                    payload["m"],
-                    payload.get("n_j", ""),
-                    row["agree"],
-                ]
-            )
-    return buf.getvalue()
+    return _csv_text(
+        _CSV_SPEC_COLS + ("j", "route", "m", "n_j", "agree"),
+        (spec_cols + [row["j"], route, payload["m"], payload.get("n_j", ""), row["agree"]]
+         for row in document["results"] for route, payload in row["routes"].items()),
+    )
 
 
 def _table_pretty(document: dict) -> str:
@@ -161,40 +137,36 @@ def _table_pretty(document: dict) -> str:
 # -- gauss ---------------------------------------------------------------------
 
 
-def cmd_gauss(config: RunConfig) -> int:
-    field = field_for_size(config.size)
+def cmd_gauss(args: argparse.Namespace) -> int:
+    field = field_for_size(args.size)
     order = field.size - 1
-    if config.lam == "all":
+    if args.lam == "all":
         lams = list(range(order)) or [0]
     else:
-        lams = [int(config.lam) % max(order, 1)]
-    if not 0 <= config.beta < field.size:
-        raise RangeError(f"beta code {config.beta} outside GF({field.size})")
+        lams = [_parse_int(args.lam, "--lam") % max(order, 1)]
+    if not 0 <= args.beta < field.size:
+        raise RangeError(f"beta code {args.beta} outside GF({field.size})")
     rows = []
     for lam in lams:
         chi = CharacterHandle(field, max(order, 1), lam if order else 0)
-        value = gauss_sum(chi, config.beta)
+        value = gauss_sum(chi, args.beta)
         rows.append(
             {
                 "lam": lam,
-                "beta": config.beta,
+                "beta": args.beta,
                 "re": round(value.real, 12),
                 "im": round(value.imag, 12),
                 "modulus": round(abs(value), 12),
             }
         )
     document = {"field": {"size": field.size, "p": field.p, "m": field.m}, "rows": rows}
-    if config.fmt == "json":
-        _emit(config, json.dumps(document, indent=2) + "\n")
-    elif config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("size", "lam", "beta", "re", "im", "modulus"))
-        for r in rows:
-            writer.writerow(
-                (field.size, r["lam"], r["beta"], r["re"], r["im"], r["modulus"])
-            )
-        _emit(config, buf.getvalue())
+    if args.format == "json":
+        _emit(args, json.dumps(document, indent=2) + "\n")
+    elif args.format == "csv":
+        _emit(args, _csv_text(
+            ("size", "lam", "beta", "re", "im", "modulus"),
+            ((field.size, r["lam"], r["beta"], r["re"], r["im"], r["modulus"]) for r in rows),
+        ))
     else:
         lines = [f"Gauss sums over GF({field.size})"]
         for r in rows:
@@ -202,26 +174,25 @@ def cmd_gauss(config: RunConfig) -> int:
                 f"lam={r['lam']:>3} beta={r['beta']:>3}  "
                 f"{r['re']:+.9f}{r['im']:+.9f}i  |G|={r['modulus']:.9f}"
             )
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig) -> int:
-    names = list(config.suites) if config.suites else list(SUITES)
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suites(
-        names, seed=config.seed, samples=config.samples, workers=config.workers
+        args.suite, seed=args.seed, samples=args.samples, workers=args.workers
     )
     document = {
-        "seed": config.seed,
-        "samples": config.samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "suites": [r.as_dict() for r in results],
         "passed": all(r.passed for r in results),
     }
-    if config.fmt == "json":
-        _emit(config, json.dumps(document, indent=2) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps(document, indent=2) + "\n")
     else:
         lines = []
         for r in results:
@@ -233,25 +204,25 @@ def cmd_verify(config: RunConfig) -> int:
             for message in r.failures[:5]:
                 lines.append(f"    {message}")
         lines.append("all suites passed" if document["passed"] else "FAILURES present")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if document["passed"] else EXIT_DISAGREE
 
 
 # -- bench ------------------------------------------------------------------------
 
 
-def cmd_bench(config: RunConfig) -> int:
-    spec = build_code(config.q, config.k1, config.k2, config.e1, config.e2)
+def cmd_bench(args: argparse.Namespace) -> int:
+    spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
     rows = []
-    for j in config.j_values(spec.k1):
-        for route in config.routes:
+    for j in _j_values(args.j, spec.k1):
+        for route in args.routes:
             timings = []
             m_value = None
-            for _ in range(config.repeat):
+            for _ in range(args.repeat):
                 t0 = time.perf_counter()
                 report = compute_report(
-                    spec, j, routes=(route,), cap=config.cap,
-                    workers=config.workers, strict_routes=False,
+                    spec, j, routes=(route,), cap=args.cap,
+                    workers=args.workers, strict_routes=False,
                 )
                 timings.append((time.perf_counter() - t0) * 1e3)
                 if route in report.routes:
@@ -267,24 +238,22 @@ def cmd_bench(config: RunConfig) -> int:
                     "mean_ms": round(sum(timings) / len(timings), 3),
                 }
             )
-    document = {"spec": spec.summary(), "repeat": config.repeat, "rows": rows}
-    if config.fmt == "json":
-        _emit(config, json.dumps(document, indent=2) + "\n")
-    elif config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("j", "route", "m", "best_ms", "mean_ms"))
-        for r in rows:
-            writer.writerow((r["j"], r["route"], r["m"], r["best_ms"], r["mean_ms"]))
-        _emit(config, buf.getvalue())
+    document = {"spec": spec.summary(), "repeat": args.repeat, "rows": rows}
+    if args.format == "json":
+        _emit(args, json.dumps(document, indent=2) + "\n")
+    elif args.format == "csv":
+        _emit(args, _csv_text(
+            ("j", "route", "m", "best_ms", "mean_ms"),
+            ((r["j"], r["route"], r["m"], r["best_ms"], r["mean_ms"]) for r in rows),
+        ))
     else:
-        lines = [f"bench {spec!r} repeat={config.repeat}"]
+        lines = [f"bench {spec!r} repeat={args.repeat}"]
         for r in rows:
             lines.append(
                 f"j={r['j']} {r['route']:<12} M={r['m']:<6} "
                 f"best={r['best_ms']:.1f}ms mean={r['mean_ms']:.1f}ms"
             )
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -351,38 +320,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.fmt = args.format
-    config.out = args.out
-    config.seed = args.seed
-    config.workers = max(1, args.workers)
-    config.cap = args.cap if args.cap is not None else _default_cap()
-    config.timings = getattr(args, "timings", False)
-    if args.command in ("table", "bench"):
-        config.q, config.k1, config.k2 = args.q, args.k1, args.k2
-        config.e1, config.e2 = args.e1, args.e2
-        config.j_spec = args.j
-        if args.routes == "all":
-            config.routes = ROUTE_NAMES
-            config.routes_explicit = False
-        else:
-            requested = tuple(r.strip() for r in args.routes.split(",") if r.strip())
-            for r in requested:
-                if r not in ROUTE_NAMES:
-                    raise RangeError(f"unknown route {r!r}")
-            config.routes = requested
-            config.routes_explicit = True
-    if args.command == "gauss":
-        config.size = args.size
-        config.lam = args.lam
-        config.beta = args.beta
-    if args.command == "verify":
-        config.suites = tuple(args.suite) if args.suite else ()
-        config.samples = args.samples
-    if args.command == "bench":
-        config.repeat = args.repeat
-    return config
+def _resolve_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range flags and fill in the derived values: the route
+    tuple and whether it was explicit, the cap (RGHW_CAP when --cap is
+    absent) and a worker count of at least 1."""
+    if args.cap is None:
+        env = os.environ.get("RGHW_CAP")
+        args.cap = _parse_int(env, "RGHW_CAP") if env else DEFAULT_ENUM_CAP
+    args.workers = max(1, args.workers)
+    routes = getattr(args, "routes", "all")
+    args.routes_explicit = routes != "all"
+    if args.routes_explicit:
+        args.routes = tuple(r.strip() for r in routes.split(",") if r.strip())
+        for r in args.routes:
+            if r not in ROUTE_NAMES:
+                raise RangeError(f"unknown route {r!r}")
+    else:
+        args.routes = ROUTE_NAMES
+    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1)):
+        value = getattr(args, name, low)
+        if value < low:
+            raise RangeError(f"{name}={value} must be >= {low}")
 
 
 COMMANDS = {
@@ -397,20 +355,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return COMMANDS[args.command](config)
-    except CAP_ERRORS as exc:
-        sys.stderr.write(_error_payload(exc))
-        return EXIT_CAP
-    except BAD_INPUT_ERRORS as exc:
-        sys.stderr.write(_error_payload(exc))
-        return EXIT_BAD_INPUT
-    except DISAGREE_ERRORS as exc:
-        sys.stderr.write(_error_payload(exc))
-        return EXIT_DISAGREE
+        _resolve_args(args)
+        return COMMANDS[args.command](args)
     except RghwError as exc:
         sys.stderr.write(_error_payload(exc))
-        return EXIT_BAD_INPUT
+        if isinstance(exc, CAP_ERRORS):
+            return EXIT_CAP
+        return EXIT_DISAGREE if isinstance(exc, DISAGREE_ERRORS) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

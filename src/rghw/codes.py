@@ -39,6 +39,7 @@ from .gf import (
     factor_prime_power,
     frobenius_orbit_size,
     minimal_polynomial,
+    trace_table,
 )
 from .linalg import TableOps, table_ops
 from .subspaces import SubspaceBasis, subspace_from_rows
@@ -52,6 +53,8 @@ class CodeSpec:
 
     def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int,
                  size_cap: int = DEFAULT_SIZE_CAP):
+        if k1 < 1 or k2 < 1:
+            raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
         p, s = factor_prime_power(q)
         self.q = q
         self.p = p
@@ -102,8 +105,8 @@ class CodeSpec:
         self.ambient_dim = k1 + k2
 
         self.ops: TableOps = table_ops(self.field_q)
-        self.trace1_table = _trace_table(self.field_q1, self.field_q, self.embed1)
-        self.trace2_table = _trace_table(self.field_q2, self.field_q, self.embed2)
+        self.trace1_table = trace_table(self.field_q1, self.field_q)
+        self.trace2_table = trace_table(self.field_q2, self.field_q)
         self.alpha1_powers = _power_cycle(self.alpha1, self.n1)
         self.alpha2_powers = _power_cycle(self.alpha2, self.n2)
         self._gamma1_powers = _power_cycle(self.gamma1, k1)
@@ -219,21 +222,6 @@ class CodeSpec:
             f"CodeSpec(q={self.q}, k1={self.k1}, k2={self.k2}, "
             f"e1={self.e1}, e2={self.e2}, n={self.n})"
         )
-
-
-def _trace_table(sup: FieldTable, sub: FieldTable, emb: Embedding) -> np.ndarray:
-    """Absolute trace from sup to sub for every element code."""
-    q = sub.size
-    steps = sup.m // sub.m
-    out = np.zeros(sup.size, dtype=np.int16)
-    for log in range(sup.order):
-        acc = 0
-        exponent = 1
-        for _ in range(steps):
-            acc = sup.add(acc, sup.exp_table[(log * exponent) % sup.order])
-            exponent = (exponent * q) % sup.order
-        out[sup.exp_table[log]] = emb.preimage_code(acc)
-    return out
 
 
 def _power_cycle(a: FieldElement, count: int) -> list[int]:

@@ -73,6 +73,10 @@ class PrecisionFailure(RghwError):
     code = "PrecisionFailure"
 
 
+class OutputError(RghwError):
+    code = "OutputError"
+
+
 class InvariantViolated(RghwError):
     """Two computations that must agree did not: a defect, not bad input."""
 
@@ -80,21 +84,6 @@ class InvariantViolated(RghwError):
 
 
 # CLI exit codes: 0 ok, 1 route disagreement or failed cross-check, 2 bad
-# input, 3 cap exceeded.
-BAD_INPUT_ERRORS = (
-    NonPrime,
-    NotASubfield,
-    FieldMismatch,
-    ZeroElement,
-    ZeroArgument,
-    ConjugateNonzeros,
-    DegenerateOrder,
-    NotAFieldGenerator,
-    BadIndex,
-    LengthMismatch,
-    RangeError,
-    NonCoprimeOrders,
-    HypothesisViolated,
-)
+# input (every RghwError not listed here), 3 cap exceeded.
 CAP_ERRORS = (SizeCapExceeded, CapExceeded)
-DISAGREE_ERRORS = (InvariantViolated,)
+DISAGREE_ERRORS = (InvariantViolated, PrecisionFailure)

@@ -10,14 +10,18 @@ arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import (
     FieldMismatch,
+    InvariantViolated,
     NonPrime,
     NotASubfield,
     SizeCapExceeded,
@@ -108,16 +112,16 @@ class FieldTable:
 
     # -- code-level arithmetic ------------------------------------------
 
-    def add_codes_digitwise(self, a: int, b: int) -> int:
-        """Base-p digitwise addition; used to bootstrap the Zech table."""
+    def add_codes_digitwise(self, a, b):
+        """Base-p digitwise addition of codes, or elementwise of integer
+        arrays of codes; it needs no Zech table."""
         if self.p == 2:
             return a ^ b
         out = 0
         mult = 1
         for _ in range(self.m):
             out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
+            a, b = a // self.p, b // self.p
             mult *= self.p
         return out
 
@@ -152,9 +156,6 @@ class FieldTable:
         if a == 0:
             raise ZeroElement("zero has no inverse")
         return self.exp_table[(-self.log_table[a]) % self.order]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -494,17 +495,9 @@ class Embedding:
         t = (log // self.ratio) * self._twist_inv % max(self.sub.order, 1)
         return self.sub.from_log(t)
 
-    def preimage_code(self, code: int) -> int:
-        if code == 0:
-            return 0
-        return self.sub.exp_table[self.preimage(self.sup.element(code)).log]
-
     @property
     def _twist_inv(self) -> int:
         return pow(self.twist, -1, self.sub.order) if self.sub.order > 1 else 0
-
-    def contains(self, b: FieldElement) -> bool:
-        return b.is_zero or b.log % self.ratio == 0
 
 
 def _is_field_hom(sub: FieldTable, sup: FieldTable, gen_log: int) -> bool:
@@ -551,23 +544,39 @@ def embed_subfield(sub: FieldTable, sup: FieldTable) -> Embedding:
 # -- traces, orders, minimal polynomials -----------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def trace_table(sup: FieldTable, sub: FieldTable) -> np.ndarray:
+    """Trace from sup down to sub for every element: entry c is the sub code
+    of the sum of the sub-conjugates of the element with code c.
+
+    Read-only and cached per field pair; every trace in the package is read
+    from this one table.
+    """
+    emb = embed_subfield(sub, sup)
+    exp = np.array(sup.exp_table, dtype=np.int64)
+    logs = np.arange(sup.order, dtype=np.int64)
+    acc = np.zeros(sup.order, dtype=np.int64)
+    exponent = 1
+    for _ in range(sup.m // sub.m):
+        acc = sup.add_codes_digitwise(acc, exp[logs * exponent % sup.order])
+        exponent = exponent * sub.size % sup.order
+    preimage = np.full(sup.size, -1, dtype=np.int64)
+    preimage[[emb.apply_code(c) for c in range(sub.size)]] = range(sub.size)
+    out = np.zeros(sup.size, dtype=np.int64)
+    out[exp] = preimage[acc]
+    if (out < 0).any():
+        raise InvariantViolated(f"a trace GF({sup.size}) -> GF({sub.size}) left the subfield")
+    out.setflags(write=False)
+    return out
+
+
 def trace(sup: FieldTable, sub: FieldTable, a: FieldElement) -> FieldElement:
     """Trace from sup down to sub: sum of the sub-conjugates of a."""
     if a.field is not sup:
         raise FieldMismatch("element does not live in the source field")
     if sub.p != sup.p or sup.m % sub.m:
         raise FieldMismatch(f"GF({sub.size}) is not a subfield of GF({sup.size})")
-    emb = embed_subfield(sub, sup)
-    if a.is_zero:
-        return sub.zero
-    q = sub.size
-    steps = sup.m // sub.m
-    acc = 0
-    exponent = 1
-    for _ in range(steps):
-        acc = sup.add(acc, sup.exp_table[(a.log * exponent) % sup.order])
-        exponent = (exponent * q) % sup.order if sup.order else exponent
-    return emb.preimage(sup.element(acc))
+    return sub.element(int(trace_table(sup, sub)[a.code]))
 
 
 def element_order(a: FieldElement) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, SizeCapExceeded
 from .gf import FieldTable
 
 _OPS_CACHE: dict[tuple[int, int], "TableOps"] = {}
@@ -26,7 +26,7 @@ class TableOps:
     def __init__(self, field: FieldTable):
         q = field.size
         if q > 4096:
-            raise ValueError(f"lookup tables for GF({q}) would be too large")
+            raise SizeCapExceeded(f"lookup tables for GF({q}) would be too large")
         self.field = field
         self.q = q
         self.prime = field.m == 1  # codes are plain residues: modular fast path

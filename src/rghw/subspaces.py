@@ -15,12 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolated, RangeError
-from .gf import FieldTable, build_field, factor_prime_power
+from .gf import field_for_size
 from .linalg import TableOps, table_ops
-
-
-def base_field(q: int) -> FieldTable:
-    return build_field(*factor_prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def subspace_from_rows(
     q: int, ambient_dim: int, rows: Iterable[Sequence[int]], ambient: str = ""
 ) -> SubspaceBasis:
     """Canonicalize arbitrary spanning rows into an RREF basis."""
-    ops = table_ops(base_field(q))
+    ops = table_ops(field_for_size(q))
     mat = np.array(list(rows), dtype=np.int16).reshape(-1, ambient_dim)
     red, _ = ops.rref(mat)
     return SubspaceBasis(q, ambient_dim, tuple(tuple(int(v) for v in r) for r in red), ambient)
@@ -111,7 +107,7 @@ def subspace_from_rows(
 
 def member_matrix(basis: SubspaceBasis) -> np.ndarray:
     """All q^dim member vectors, one per row (the zero vector included)."""
-    ops = table_ops(base_field(basis.q))
+    ops = table_ops(field_for_size(basis.q))
     j = basis.dim
     combos = np.array(
         list(itertools.product(range(basis.q), repeat=j)), dtype=np.int16
@@ -120,7 +116,7 @@ def member_matrix(basis: SubspaceBasis) -> np.ndarray:
 
 
 def in_rowspace(basis: SubspaceBasis, vec: Sequence[int]) -> bool:
-    ops = table_ops(base_field(basis.q))
+    ops = table_ops(field_for_size(basis.q))
     v = np.array(vec, dtype=np.int16).reshape(1, basis.ambient_dim)
     return bool(ops.rows_in_rowspace(basis.matrix(), basis.pivots, v)[0])
 
@@ -137,7 +133,7 @@ def project(
         raise RangeError("basis is not in the product ambient")
     if side not in (1, 2):
         raise RangeError("side must be 1 or 2")
-    ops = table_ops(base_field(basis.q))
+    ops = table_ops(field_for_size(basis.q))
     mat = basis.matrix()
     cols = slice(0, k1) if side == 1 else slice(k1, k1 + k2)
     block = mat[:, cols]

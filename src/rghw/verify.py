@@ -16,11 +16,10 @@ import numpy as np
 
 from .charsum import (
     CharacterHandle,
-    _exp_np,
+    additive_character,
     gauss_sum,
     nj_via_charsum,
     orthogonality_sum,
-    prime_trace_table,
     unit_roots,
 )
 from .closed_forms import detect_family, evaluate_closed_form
@@ -31,7 +30,16 @@ from .codes import (
     parity_check_polynomial,
     subcode_codeword,
 )
-from .gf import FieldTable, build_field, element_order, embed_subfield, minimal_polynomial, trace
+from .gf import (
+    FieldTable,
+    build_field,
+    element_order,
+    embed_subfield,
+    field_for_size,
+    is_prime,
+    minimal_polynomial,
+    trace,
+)
 from .subspaces import (
     dual_subspace,
     enumerate_subspaces,
@@ -72,24 +80,6 @@ class SuiteResult:
             "failures": self.failures[:20],
             "notes": self.notes,
         }
-
-
-def _prime_powers(limit: int) -> list[int]:
-    out = []
-    for s in range(2, limit + 1):
-        p = 2
-        while p * p <= s:
-            if s % p == 0:
-                break
-            p += 1
-        else:
-            p = s
-        v = s
-        while v % p == 0:
-            v //= p
-        if v == 1:
-            out.append(s)
-    return out
 
 
 # -- gf ---------------------------------------------------------------------
@@ -357,8 +347,7 @@ def gauss_value_table(field: FieldTable) -> np.ndarray:
     t = np.arange(order)
     roots = unit_roots(order)
     w = roots[np.outer(t, t) % order]
-    additive = unit_roots(field.p)[prime_trace_table(field)[_exp_np(field)[t]]]
-    shifted = additive[(t[:, None] + t[None, :]) % order]
+    shifted = additive_character(field)[(t[:, None] + t[None, :]) % order]
     return w @ shifted
 
 
@@ -366,9 +355,10 @@ def gauss_suite(max_size: int = GAUSS_MAX_FIELD, seed: int = 2024) -> SuiteResul
     res = SuiteResult("gauss")
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
-    for size in _prime_powers(max_size):
-        p, m = _factor(size)
-        field = build_field(p, m)
+    sizes = sorted(p**m for p in range(2, max_size + 1) if is_prime(p)
+                   for m in range(1, max_size.bit_length()) if p**m <= max_size)
+    for size in sizes:
+        field = field_for_size(size)
         order = size - 1
         table = gauss_value_table(field)
         t = np.arange(order)
@@ -437,22 +427,6 @@ def gauss_suite(max_size: int = GAUSS_MAX_FIELD, seed: int = 2024) -> SuiteResul
                 )
     res.notes["max_residual"] = worst
     return res
-
-
-def _factor(size: int) -> tuple[int, int]:
-    p = 2
-    while p * p <= size:
-        if size % p == 0:
-            break
-        p += 1
-    else:
-        p = size
-    m = 0
-    v = size
-    while v % p == 0:
-        v //= p
-        m += 1
-    return p, m
 
 
 def _divisors(n: int) -> list[int]:
@@ -538,23 +512,24 @@ SUITES = {
 }
 
 
+# The keyword arguments of run_suites that each suite takes.
+_SUITE_ARGS = {
+    "gf": (),
+    "codes": (),
+    "subspaces": ("seed",),
+    "weights": ("seed", "workers"),
+    "gauss": ("seed",),
+    "charsum": ("seed", "samples"),
+    "closed_forms": ("workers",),
+}
+
+
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
-    chosen = list(names) if names else list(SUITES)
+    given = {"seed": seed, "samples": samples, "workers": workers}
     out = []
-    for name in chosen:
+    for name in list(names) if names else list(SUITES):
         if name not in SUITES:
             raise KeyError(name)
-        if name == "charsum":
-            out.append(charsum_suite(seed=seed, samples=samples))
-        elif name == "subspaces":
-            out.append(subspaces_suite(seed=seed))
-        elif name == "weights":
-            out.append(weights_suite(seed=seed, workers=workers))
-        elif name == "gauss":
-            out.append(gauss_suite(seed=seed))
-        elif name == "closed_forms":
-            out.append(closed_forms_suite(workers=workers))
-        else:
-            out.append(SUITES[name]())
+        out.append(SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}))
     return out

@@ -352,7 +352,33 @@ class RouteOutcome:
         return out
 
 
-ROUTE_NAMES = ("bruteforce", "dual_count", "closed_form")
+# Each route maps (spec, j, cap, workers) to (m, n_j, argmax rows), or to
+# None when it does not apply to the spec.
+
+
+def _bruteforce_route(spec: CodeSpec, j: int, cap: int, workers: int):
+    return rghw_bruteforce(spec, j, cap, workers), None, None
+
+
+def _dual_count_route(spec: CodeSpec, j: int, cap: int, workers: int):
+    res = mj_dual_count(spec, j, cap, workers)
+    return res.m, res.n_j, np.array(res.argmax.rows, dtype=np.int16)
+
+
+def _closed_form_route(spec: CodeSpec, j: int, cap: int, workers: int):
+    params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
+    if detect_family(*params) is None:
+        return None
+    n_j, m = evaluate_closed_form(*params, j)
+    return m, n_j, None
+
+
+_ROUTES = {
+    "bruteforce": _bruteforce_route,
+    "dual_count": _dual_count_route,
+    "closed_form": _closed_form_route,
+}
+ROUTE_NAMES = tuple(_ROUTES)
 
 
 @dataclass(slots=True)
@@ -406,33 +432,15 @@ def compute_report(spec: CodeSpec, j: int,
     """
     report = RghwReport(j, tuple(routes))
     for name in routes:
-        if name == "bruteforce":
-            t0 = time.perf_counter()
-            m = rghw_bruteforce(spec, j, cap, workers)
-            outcome = RouteOutcome(m, (time.perf_counter() - t0) * 1e3)
-        elif name == "dual_count":
-            t0 = time.perf_counter()
-            res = mj_dual_count(spec, j, cap, workers)
-            outcome = RouteOutcome(
-                res.m, (time.perf_counter() - t0) * 1e3, res.n_j,
-                np.array(res.argmax.rows, dtype=np.int16)
-            )
-        elif name == "closed_form":
-            family = detect_family(spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-            if family is None:
-                if strict_routes:
-                    raise HypothesisViolated(
-                        "spec parameters match no closed-form family"
-                    )
-                continue
-            t0 = time.perf_counter()
-            n_j, m = evaluate_closed_form(
-                spec.q, spec.k1, spec.k2, spec.e1, spec.e2, j
-            )
-            outcome = RouteOutcome(
-                m, (time.perf_counter() - t0) * 1e3, n_j
-            )
-        else:
+        if name not in _ROUTES:
             raise RangeError(f"unknown route {name!r}")
-        setattr(report, name, outcome)
+        t0 = time.perf_counter()
+        result = _ROUTES[name](spec, j, cap, workers)
+        if result is None:
+            if strict_routes:
+                raise HypothesisViolated("spec parameters match no closed-form family")
+            continue
+        m, n_j, argmax_rows = result
+        setattr(report, name,
+                RouteOutcome(m, (time.perf_counter() - t0) * 1e3, n_j, argmax_rows))
     return report

@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rghw
 import rghw.cli
 from rghw.cli import main
-from rghw.errors import InvariantViolated
+from rghw.errors import InvariantViolated, PrecisionFailure
 
 SRC = Path(rghw.__file__).resolve().parent
 
@@ -226,3 +228,93 @@ def test_table_under_optimize_flag():
     both = {"bruteforce": 10, "dual_count": 10, "closed_form": 10}
     assert got == [(1, both, True), (2, {k: 15 for k in both}, True)]
     assert [r["routes"]["dual_count"]["n_j"] for r in doc["results"]] == [11, 6]
+
+
+MISSING_DIR = Path(__file__).resolve().with_name("no-such-directory")
+SPEC_ARGS = ("--q", "2", "--k1", "2", "--k2", "3")
+
+# name, argv (run with --workers 1), exit code, JSON error code
+BAD_INPUTS = [
+    ("j-not-an-integer", ("table", *SPEC_ARGS, "--j", "x"), 2, "RangeError"),
+    ("j-empty-range", ("table", *SPEC_ARGS, "--j", "3:1"), 2, "RangeError"),
+    ("j-open-range", ("table", *SPEC_ARGS, "--j", "1:"), 2, "RangeError"),
+    ("j-range-beyond-k1", ("table", *SPEC_ARGS, "--j", "1:" + "9" * 20), 2, "RangeError"),
+    ("k1-zero", ("table", "--q", "2", "--k1", "0", "--k2", "3"), 2, "RangeError"),
+    ("k2-zero", ("table", "--q", "2", "--k1", "2", "--k2", "0"), 2, "RangeError"),
+    ("cap-negative", ("table", *SPEC_ARGS, "--cap", "-1"), 2, "RangeError"),
+    ("samples-zero", ("verify", "--samples", "0"), 2, "RangeError"),
+    ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),
+    ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
+    ("lam-not-an-integer", ("gauss", "--size", "5", "--lam", "x"), 2, "RangeError"),
+    ("out-in-missing-directory",
+     ("table", *SPEC_ARGS, "--out", str(MISSING_DIR / "table.json")), 2, "OutputError"),
+    ("q-beyond-table-ops",
+     ("table", "--q", "4099", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,error_code",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exit_codes(capsys, argv, exit_code, error_code):
+    code, out, err = run_cli(capsys, *argv, "--workers", "1")
+    assert (code, json.loads(err)["error"]["code"]) == (exit_code, error_code)
+    assert out == "" and err.count("\n") == 1
+
+
+def test_bad_cap_in_environment_exits_2(capsys, monkeypatch):
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("RGHW_CAP", value)
+        code, _, err = run_cli(capsys, *TABLE_ARGS)
+        assert (code, json.loads(err)["error"]["code"]) == (2, "RangeError")
+
+
+def _precision_failure(*args, **kwargs):
+    raise PrecisionFailure("imaginary residue 0.5 exceeds 1e-06")
+
+
+def test_precision_failure_exits_1(capsys, monkeypatch):
+    # a failed internal cross-check, like InvariantViolated
+    monkeypatch.setattr(rghw.cli, "run_suites", _precision_failure)
+    code, _, err = run_cli(capsys, "verify", "--workers", "1")
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "PrecisionFailure"
+
+
+OPTIMIZED_RUNNER = """
+import contextlib, io, json, sys
+import rghw.cli
+from rghw.errors import PrecisionFailure
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = rghw.cli.main(argv)
+    return [code, err.getvalue()]
+
+def precision_failure(*args, **kwargs):
+    raise PrecisionFailure("imaginary residue 0.5 exceeds 1e-06")
+
+cases = json.loads(sys.argv[1])
+results = [run(argv) for argv in cases[:-1]]
+rghw.cli.run_suites = precision_failure  # the last case meets a failed check
+results.append(run(cases[-1]))
+print(json.dumps([sys.flags.optimize, results]))
+"""
+
+
+def test_bad_inputs_under_optimize_flag():
+    # the same exit codes with assert statements stripped
+    cases = [[*argv, "--workers", "1"] for _, argv, _, _ in BAD_INPUTS]
+    cases.append(["verify", "--workers", "1"])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUNNER, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0 and "Traceback" not in child.stderr, child.stderr
+    optimize, results = json.loads(child.stdout)
+    assert optimize == 1
+    want = [(code, error) for _, _, code, error in BAD_INPUTS] + [(1, "PrecisionFailure")]
+    got = [(code, json.loads(err)["error"]["code"]) for code, err in results]
+    assert got == want

@@ -20,8 +20,10 @@ from rghw.gf import (
     embed_subfield,
     field_for_size,
     frobenius_orbit_size,
+    is_prime,
     minimal_polynomial,
     trace,
+    trace_table,
 )
 
 
@@ -185,6 +187,36 @@ def test_trace_properties(p, m, sm):
     # surjectivity onto the subfield
     images = {trace(sup, sub, a) for a in els}
     assert images == set(sub.elements())
+
+
+def _subfield_pairs(limit):
+    """Every (p, s, t) with GF(p^s) inside GF(p^(s*t)) and p^(s*t) <= limit."""
+    return [(p, s, m // s) for p in range(2, limit + 1) if is_prime(p)
+            for m in range(1, limit.bit_length()) if p**m <= limit
+            for s in range(1, m + 1) if m % s == 0]
+
+
+def test_trace_table_is_the_sum_of_conjugates():
+    pairs = _subfield_pairs(256)
+    assert len(pairs) == 92
+    for p, s, t in pairs:
+        sup, sub = build_field(p, s * t), build_field(p, s)
+        emb = embed_subfield(sub, sup)
+        table = trace_table(sup, sub)
+        assert table.shape == (sup.size,) and not table.flags.writeable
+        for a in sup.elements():
+            conjugates = sup.zero
+            for i in range(t):
+                conjugates = conjugates + a ** (sub.size**i)
+            assert table[a.code] == emb.preimage(conjugates).code, (p, s, t, a)
+        assert trace_table(sup, sub) is table  # cached
+
+
+def test_trace_table_rejects_non_subfields():
+    with pytest.raises(NotASubfield):
+        trace_table(build_field(2, 3), build_field(2, 2))
+    with pytest.raises(NotASubfield):
+        trace_table(build_field(3, 2), build_field(2, 1))
 
 
 def test_trace_field_mismatch():

@@ -9,8 +9,8 @@ from rghw import weights
 from rghw.closed_forms import binary_pair_nj
 from rghw.codes import build_code
 from rghw.errors import CapExceeded, RghwError
+from rghw.gf import field_for_size
 from rghw.subspaces import (
-    base_field,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
@@ -30,7 +30,7 @@ GRID_LIMIT = 81  # q^(k1+k2) bound of the exhaustive grid
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
 def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
-    ops = table_ops(base_field(q))
+    ops = table_ops(field_for_size(q))
     K = k1 + k2
     for mode in ("min_support", "max_group"):
         # the scan enumerates in its working column order

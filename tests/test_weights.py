@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code, codeword, subcode_codeword
 from rghw import weights
-from rghw.errors import CapExceeded, InvariantViolated, RangeError
+from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
 from rghw.subspaces import (
     dual_subspace,
     enumerate_subspaces,
@@ -228,3 +231,38 @@ def test_report_routes_keep_request_order():
     assert list(report.as_dict()["routes"]) == list(report.routes)
     with pytest.raises(TypeError):
         report.routes["bruteforce"] = report.routes["dual_count"]
+
+
+PROPERTY_LIMIT = 243  # bound on q^(k1+k2) for the random specs
+PROPERTY_CAP = 20_000  # work cap of every scan; the largest such scan is ~10k
+
+
+@st.composite
+def small_specs(draw):
+    """(q, k1, k2, e1, e2) with q^(k1+k2) <= PROPERTY_LIMIT and e_i | q^k_i - 1."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]))
+    total = 2
+    while q ** (total + 1) <= PROPERTY_LIMIT:
+        total += 1
+    k1 = draw(st.integers(1, total - 1))
+    k2 = draw(st.integers(1, total - k1))
+    e1, e2 = (draw(st.sampled_from([e for e in range(1, q**k) if (q**k - 1) % e == 0]))
+              for k in (k1, k2))
+    return q, k1, k2, e1, e2
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_routes_agree_on_random_specs(params):
+    try:
+        spec = build_code(*params)
+    except RghwError:
+        assume(False)
+    family = detect_family(*params)
+    for j in range(1, spec.k1 + 1):
+        brute = rghw_bruteforce(spec, j, cap=PROPERTY_CAP)
+        dual = mj_dual_count(spec, j, cap=PROPERTY_CAP)
+        assert brute == dual.m, (params, j)
+        assert intersect_with_cyclic_group(dual.argmax, spec) == dual.n_j, (params, j)
+        if family is not None:
+            assert evaluate_closed_form(*params, j) == (dual.n_j, dual.m), (params, j)
