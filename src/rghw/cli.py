@@ -1,10 +1,10 @@
 """Command-line front end: weight tables, verification, Gauss-sum tables.
 
 Exit codes: 0 success, 1 route disagreement, failed verification or a
-failed internal cross-check, 2 bad input, 3 enumeration/size cap
-exceeded.  Output for a fixed configuration and seed is byte-stable;
-timing fields are only emitted under --timings (bench is inherently
-timing output and exempt).
+failed internal cross-check, 2 bad input (a command line the parser
+rejects included), 3 enumeration/size cap exceeded.  Output for a fixed
+configuration and seed is byte-stable; timing fields are only emitted
+under --timings (bench is inherently timing output and exempt).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from typing import Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
-from .errors import CAP_ERRORS, DISAGREE_ERRORS, OutputError, RangeError, RghwError
+from .errors import (
+    CAP_ERRORS, DISAGREE_ERRORS, OutputError, RangeError, RghwError, UsageError,
+)
 from .gf import field_for_size
 from .verify import SUITES, run_suites
 from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
@@ -260,7 +262,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise UsageError, so they reach the JSON error object;
+    subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+_FORMATS = ("json", "csv", "pretty")
+
+
+def _add_output_args(parser: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+    parser.add_argument("--format", choices=formats, default="pretty")
+    parser.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="scan processes, at most the CPU count")
+
+
+def _add_scan_args(parser: argparse.ArgumentParser) -> None:
+    """The code pair, the j and routes to compute, and the scan limits."""
     parser.add_argument("--q", type=int, required=True, help="base field size")
     parser.add_argument("--k1", type=int, required=True)
     parser.add_argument("--k2", type=int, required=True)
@@ -272,35 +296,29 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         default="all",
         help='comma list of %s or "all"' % (",".join(ROUTE_NAMES)),
     )
-
-
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    _add_workers_arg(parser)
     parser.add_argument("--cap", type=int, default=None,
                         help="enumeration cap (env RGHW_CAP overrides the default)")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock fields in table output")
+    _add_output_args(parser, _FORMATS)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rghw",
         description="Weight hierarchies of cyclic codes with two nonzeros",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="compute the M_j table by several routes")
-    _add_spec_args(p_table)
-    _add_common_args(p_table)
+    _add_scan_args(p_table)
+    p_table.add_argument("--timings", action="store_true",
+                         help="include wall-clock fields in table output")
 
     p_gauss = sub.add_parser("gauss", help="list Gauss sums over one field")
     p_gauss.add_argument("--size", type=int, required=True, help="field size (prime power)")
     p_gauss.add_argument("--lam", default="all", help='character exponent or "all"')
     p_gauss.add_argument("--beta", type=int, default=1, help="element code for beta")
-    _add_common_args(p_gauss)
+    _add_output_args(p_gauss, _FORMATS)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")
     p_verify.add_argument(
@@ -311,23 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--samples", type=int, default=100,
                           help="random subspaces per instance for the oracle")
-    _add_common_args(p_verify)
+    p_verify.add_argument("--seed", type=int, default=2024)
+    _add_workers_arg(p_verify)
+    _add_output_args(p_verify, ("json", "pretty"))
 
     p_bench = sub.add_parser("bench", help="time the computation routes")
-    _add_spec_args(p_bench)
+    _add_scan_args(p_bench)
     p_bench.add_argument("--repeat", type=int, default=3)
-    _add_common_args(p_bench)
     return parser
 
 
 def _resolve_args(args: argparse.Namespace) -> None:
     """Reject out-of-range flags and fill in the derived values: the route
-    tuple and whether it was explicit, the cap (RGHW_CAP when --cap is
-    absent) and a worker count of at least 1."""
-    if args.cap is None:
+    tuple and whether it was explicit, and the cap (RGHW_CAP when --cap is
+    absent)."""
+    if "cap" in args and args.cap is None:
         env = os.environ.get("RGHW_CAP")
         args.cap = _parse_int(env, "RGHW_CAP") if env else DEFAULT_ENUM_CAP
-    args.workers = max(1, args.workers)
     routes = getattr(args, "routes", "all")
     args.routes_explicit = routes != "all"
     if args.routes_explicit:
@@ -352,9 +370,9 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code."""
     try:
+        args = build_parser().parse_args(argv)
         _resolve_args(args)
         return COMMANDS[args.command](args)
     except RghwError as exc:

@@ -1,22 +1,28 @@
-"""Closed-form weight evaluators for three parameter families.
+"""Closed-form weights for three parameter families.
 
-Each evaluator returns the exact pair (N_j, M_j): the maximal number of
-common-zero coordinates over admissible j-dimensional subspaces, and the
-resulting weight M_j = n - N_j.  Arithmetic is unbounded-integer; empty
-geometric sums contribute 0.  Families:
+``evaluate_closed_form`` returns the exact pair (N_j, M_j): the maximal
+number of common-zero coordinates over admissible j-dimensional subspaces,
+and the resulting weight M_j = n - N_j with n = (q^k1-1)(q^k2-1)/(q-1).
+Arithmetic is unbounded-integer; empty geometric sums contribute 0.
 
-* binary_pair_nj:          q = 2, e1 = e2 = 1 (both nonzeros primitive).
-* index_one_qminus1_nj:    e1 = 1, e2 = q - 1.
-* index_qminus1_one_nj:    e1 = q - 1, e2 = 1.
+The three families share one N_j formula, the printed case split (k1 <= k2;
+j <= k2 < k1; k2 < j <= k1) with no extrapolation beyond it.  They differ
+only in their hypotheses, each on top of gcd(k1, k2) = 1:
 
-Branch selection follows the printed case split (k1 <= k2; j <= k2 < k1;
-k2 < j <= k1) with no extrapolation beyond it.
+* binary_pair:        q = 2, e1 = e2 = 1 (both nonzeros primitive), k1, k2 >= 2.
+* index_one_qminus1:  e1 = 1, e2 = q - 1; k2 odd and > 1, gcd(q-1, k2) = 1.
+* index_qminus1_one:  e1 = q - 1, e2 = 1; k1 odd and > 1, gcd(q-1, k1) = 1.
+
+The gcd(q-1, k) = 1 condition goes beyond the printed hypotheses: it is
+what makes the two nonzero orders coprime and collapses the double
+character sum (k odd only covers it when q - 1 is a power of two; q=4,
+k2=3 already breaks without it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DegenerateOrder, HypothesisViolated, RangeError
 
@@ -44,100 +50,38 @@ def _guard_positive(n_j: int, m_j: int) -> None:
         )
 
 
-def binary_pair_nj(k1: int, k2: int, j: int) -> tuple[int, int]:
-    """Both nonzeros primitive over GF(2); needs coprime k1, k2 >= 2."""
-    if math.gcd(k1, k2) != 1 or k1 < 2 or k2 < 2:
-        raise HypothesisViolated("need gcd(k1,k2)=1 and k1,k2 >= 2")
-    if not 1 <= j <= k1:
-        raise RangeError(f"j={j} outside 1..{k1}")
-    if k1 <= k2 or j <= k2:
-        n_j = 2 ** (k1 + k2 - j) - 2 ** (k1 - j) - 2 ** (k2 - j) + 1
-    else:
-        n_j = 2 ** (k1 + k2 - j) - 2 ** (k1 - j)
-    m_j = (2**k1 - 1) * (2**k2 - 1) - n_j
-    _guard_positive(n_j, m_j)
-    return n_j, m_j
+def _odd_index_side(q: int, k: int) -> bool:
+    """Hypotheses on the degree k of the nonzero of index q - 1."""
+    return k > 1 and k % 2 == 1 and math.gcd(q - 1, k) == 1
 
 
-def index_one_qminus1_nj(q: int, k1: int, k2: int, j: int) -> tuple[int, int]:
-    """First nonzero primitive (e1=1), second of index q-1; k2 odd.
-
-    Beyond the printed hypotheses, gcd(q-1, k2) = 1 is required: it is what
-    makes the two nonzero orders coprime and collapses the double character
-    sum (k2 odd only covers it when q - 1 is a power of two; q=4, k2=3
-    already breaks without it).
-    """
-    if math.gcd(k1, k2) != 1 or k2 % 2 == 0:
-        raise HypothesisViolated("need gcd(k1,k2)=1 and k2 odd")
-    if math.gcd(q - 1, k2) != 1:
-        raise HypothesisViolated("need gcd(q-1, k2)=1 for coprime nonzero orders")
-    if k2 == 1:
-        raise DegenerateOrder("k2=1 makes the second nonzero trivial")
-    if not 1 <= j <= k1:
-        raise RangeError(f"j={j} outside 1..{k1}")
-    n = (q**k1 - 1) * (q**k2 - 1) // (q - 1)
-    n_j = _branch_nj(q, k1, k2, j)
-    m_j = n - n_j
-    _guard_positive(n_j, m_j)
-    return n_j, m_j
-
-
-def index_qminus1_one_nj(q: int, k1: int, k2: int, j: int) -> tuple[int, int]:
-    """Mirrored family: e1 = q-1, e2 = 1; k1 odd.  Same displays.
-
-    gcd(q-1, k1) = 1 required for the same reason as in the mirrored
-    evaluator.
-    """
-    if math.gcd(k1, k2) != 1 or k1 % 2 == 0:
-        raise HypothesisViolated("need gcd(k1,k2)=1 and k1 odd")
-    if math.gcd(q - 1, k1) != 1:
-        raise HypothesisViolated("need gcd(q-1, k1)=1 for coprime nonzero orders")
-    if k1 == 1:
-        raise DegenerateOrder("k1=1 makes the first nonzero trivial")
-    if not 1 <= j <= k1:
-        raise RangeError(f"j={j} outside 1..{k1}")
-    n = (q**k1 - 1) * (q**k2 - 1) // (q - 1)
-    n_j = _branch_nj(q, k1, k2, j)
-    m_j = n - n_j
-    _guard_positive(n_j, m_j)
-    return n_j, m_j
-
-
-FAMILIES = ("binary_pair", "index_one_qminus1", "index_qminus1_one")
+# Each family's hypotheses beyond gcd(k1, k2) = 1, in priority order.
+_FAMILIES: dict[str, Callable[..., bool]] = {
+    "binary_pair": lambda q, k1, k2, e1, e2: (
+        q == 2 and e1 == e2 == 1 and min(k1, k2) >= 2),
+    "index_one_qminus1": lambda q, k1, k2, e1, e2: (
+        (e1, e2) == (1, q - 1) and _odd_index_side(q, k2)),
+    "index_qminus1_one": lambda q, k1, k2, e1, e2: (
+        (e1, e2) == (q - 1, 1) and _odd_index_side(q, k1)),
+}
 
 
 def detect_family(q: int, k1: int, k2: int, e1: int, e2: int) -> Optional[str]:
-    """Which closed-form family covers these parameters, if any."""
-    if q == 2 and e1 == 1 and e2 == 1 and math.gcd(k1, k2) == 1 and k1 >= 2 and k2 >= 2:
-        return "binary_pair"
-    if (
-        e1 == 1
-        and e2 == q - 1
-        and math.gcd(k1, k2) == 1
-        and k2 % 2 == 1
-        and math.gcd(q - 1, k2) == 1
-        and k2 > 1
-    ):
-        return "index_one_qminus1"
-    if (
-        e1 == q - 1
-        and e2 == 1
-        and math.gcd(k1, k2) == 1
-        and k1 % 2 == 1
-        and math.gcd(q - 1, k1) == 1
-        and k1 > 1
-    ):
-        return "index_qminus1_one"
-    return None
+    """The first closed-form family whose hypotheses hold, or None."""
+    if math.gcd(k1, k2) != 1:
+        return None
+    return next((name for name, holds in _FAMILIES.items()
+                 if holds(q, k1, k2, e1, e2)), None)
 
 
 def evaluate_closed_form(q: int, k1: int, k2: int, e1: int, e2: int,
                          j: int) -> tuple[int, int]:
-    family = detect_family(q, k1, k2, e1, e2)
-    if family == "binary_pair":
-        return binary_pair_nj(k1, k2, j)
-    if family == "index_one_qminus1":
-        return index_one_qminus1_nj(q, k1, k2, j)
-    if family == "index_qminus1_one":
-        return index_qminus1_one_nj(q, k1, k2, j)
-    raise HypothesisViolated("parameters match no closed-form family")
+    """(N_j, M_j) for parameters that some closed-form family covers."""
+    if detect_family(q, k1, k2, e1, e2) is None:
+        raise HypothesisViolated("parameters match no closed-form family")
+    if not 1 <= j <= k1:
+        raise RangeError(f"j={j} outside 1..{k1}")
+    n_j = _branch_nj(q, k1, k2, j)
+    m_j = (q**k1 - 1) * (q**k2 - 1) // (q - 1) - n_j
+    _guard_positive(n_j, m_j)
+    return n_j, m_j

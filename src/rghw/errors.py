@@ -77,6 +77,12 @@ class OutputError(RghwError):
     code = "OutputError"
 
 
+class UsageError(RghwError):
+    """A command line the argument parser rejects."""
+
+    code = "UsageError"
+
+
 class InvariantViolated(RghwError):
     """Two computations that must agree did not: a defect, not bad input."""
 

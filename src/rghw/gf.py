@@ -35,38 +35,17 @@ ZECH_NONE = -1
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def factor_prime_power(size: int) -> tuple[int, int]:
     """Split size = p^s with p prime; raises NonPrime otherwise."""
-    if size < 2:
+    factors = _prime_factors(size)
+    if len(factors) != 1:
         raise NonPrime(f"{size} is not a prime power")
-    p = 2
-    while p * p <= size:
-        if size % p == 0:
-            break
-        p += 1
-    else:
-        p = size
-    s = 0
-    rest = size
-    while rest % p == 0:
-        rest //= p
+    p, s = factors[0], 1
+    while p**s < size:
         s += 1
-    if rest != 1:
-        raise NonPrime(f"{size} is not a prime power")
     return p, s
 
 
@@ -308,6 +287,7 @@ def field_for_size(size: int, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n in increasing order; [] for n < 2."""
     out = []
     f = 2
     while f * f <= n:

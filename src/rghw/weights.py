@@ -8,8 +8,7 @@ Three routes are wired together here:
 * mj_dual_count maximizes, over (k1+k2-j)-dimensional subspaces whose
   second projection is onto, the number of cyclic-group points inside;
   the weight is n minus that maximum.
-* closed-form evaluators (closed_forms module) cover three parameter
-  families.
+* the closed form (closed_forms module) covers three parameter families.
 
 Both scans walk subspaces by pivot set, so they partition cleanly across
 worker processes with a deterministic merge.
@@ -18,6 +17,7 @@ worker processes with a deterministic merge.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -258,6 +258,7 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         raise CapExceeded(
             f"lookup tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
+    workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     if workers <= 1 or len(sets) <= 1:
         results = [_scan_chunk(spec, dim, mode, sets)]
     else:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rghw.charsum import nj_via_charsum
-from rghw.closed_forms import binary_pair_nj, index_one_qminus1_nj
+from rghw.closed_forms import evaluate_closed_form
 from rghw.codes import build_code, codeword, parity_check_polynomial
 from rghw.subspaces import (
     dual_subspace,
@@ -53,12 +53,12 @@ def test_criterion_1_route_identity_across_grid():
 
 def test_criterion_2_binary_closed_form_reproduction():
     spec23 = build_code(2, 2, 3, 1, 1)
-    values23 = [binary_pair_nj(2, 3, j)[1] for j in (1, 2)]
+    values23 = [evaluate_closed_form(2, 2, 3, 1, 1, j)[1] for j in (1, 2)]
     assert values23 == [10, 15]
     assert values23 == [rghw_bruteforce(spec23, j) for j in (1, 2)]
 
     spec32 = build_code(2, 3, 2, 1, 1)
-    values32 = [binary_pair_nj(3, 2, j)[1] for j in (1, 2, 3)]
+    values32 = [evaluate_closed_form(2, 3, 2, 1, 1, j)[1] for j in (1, 2, 3)]
     assert values32 == [10, 15, 18]
     assert values32 == [rghw_bruteforce(spec32, j) for j in (1, 2, 3)]
     _announce(
@@ -71,7 +71,7 @@ def test_criterion_3_ternary_closed_form_reproduction():
     spec = build_code(3, 2, 3, 1, 2)
     assert spec.n == 104
     for j, expected in ((1, 69), (2, 92)):
-        closed = index_one_qminus1_nj(3, 2, 3, j)[1]
+        closed = evaluate_closed_form(3, 2, 3, 1, 2, j)[1]
         brute = rghw_bruteforce(spec, j)
         dual = mj_dual_count(spec, j).m
         assert closed == brute == dual == expected

@@ -78,8 +78,8 @@ def test_csv_and_json_carry_identical_numbers(capsys):
 
 
 def test_output_byte_stable(capsys):
-    _, first, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json", "--seed", "7")
-    _, second, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json", "--seed", "7")
+    _, first, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json")
+    _, second, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json")
     assert first == second
     _, v1, _ = run_cli(capsys, "verify", "--suite", "charsum", "--samples", "5",
                        "--seed", "3", "--format", "json", "--workers", "1")
@@ -233,7 +233,8 @@ def test_table_under_optimize_flag():
 MISSING_DIR = Path(__file__).resolve().with_name("no-such-directory")
 SPEC_ARGS = ("--q", "2", "--k1", "2", "--k2", "3")
 
-# name, argv (run with --workers 1), exit code, JSON error code
+# name, argv (run with --workers 1 where the subcommand takes it), exit
+# code, JSON error code
 BAD_INPUTS = [
     ("j-not-an-integer", ("table", *SPEC_ARGS, "--j", "x"), 2, "RangeError"),
     ("j-empty-range", ("table", *SPEC_ARGS, "--j", "3:1"), 2, "RangeError"),
@@ -250,16 +251,35 @@ BAD_INPUTS = [
      ("table", *SPEC_ARGS, "--out", str(MISSING_DIR / "table.json")), 2, "OutputError"),
     ("q-beyond-table-ops",
      ("table", "--q", "4099", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
+    ("k1-not-an-integer", ("table", "--q", "2", "--k1", "x", "--k2", "3"), 2, "UsageError"),
+    ("k1-missing", ("table", "--q", "2", "--k2", "3"), 2, "UsageError"),
+    ("format-unknown", ("table", *SPEC_ARGS, "--format", "xml"), 2, "UsageError"),
+    ("subcommand-unknown", ("frobnicate",), 2, "UsageError"),
+    ("gauss-takes-no-workers", ("gauss", "--size", "5", "--workers", "1"), 2, "UsageError"),
+    ("verify-has-no-csv", ("verify", "--format", "csv"), 2, "UsageError"),
 ]
+
+WORKER_COMMANDS = {"table", "verify", "bench"}
+
+
+def _with_workers(argv):
+    return [*argv, "--workers", "1"] if argv[0] in WORKER_COMMANDS else list(argv)
 
 
 @pytest.mark.parametrize("argv,exit_code,error_code",
                          [case[1:] for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_exit_codes(capsys, argv, exit_code, error_code):
-    code, out, err = run_cli(capsys, *argv, "--workers", "1")
+    code, out, err = run_cli(capsys, *_with_workers(argv))
     assert (code, json.loads(err)["error"]["code"]) == (exit_code, error_code)
     assert out == "" and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert "--workers" in capsys.readouterr().out
 
 
 def test_bad_cap_in_environment_exits_2(capsys, monkeypatch):
@@ -305,7 +325,7 @@ print(json.dumps([sys.flags.optimize, results]))
 
 def test_bad_inputs_under_optimize_flag():
     # the same exit codes with assert statements stripped
-    cases = [[*argv, "--workers", "1"] for _, argv, _, _ in BAD_INPUTS]
+    cases = [_with_workers(argv) for _, argv, _, _ in BAD_INPUTS]
     cases.append(["verify", "--workers", "1"])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     child = subprocess.run(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rghw import weights
-from rghw.closed_forms import binary_pair_nj
+from rghw.closed_forms import evaluate_closed_form
 from rghw.codes import build_code
 from rghw.errors import CapExceeded, RghwError
 from rghw.gf import field_for_size
@@ -109,7 +109,7 @@ def test_grid_routes_match_the_definition():
 def test_frontier_instances():
     spec = build_code(2, 4, 5, 1, 1)
     for j in (1, 2, 3):
-        n_j, m_j = binary_pair_nj(4, 5, j)
+        n_j, m_j = evaluate_closed_form(2, 4, 5, 1, 1, j)
         dual = mj_dual_count(spec, j)
         assert rghw_bruteforce(spec, j) == dual.m == m_j
         assert dual.n_j == n_j
