@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     PrecisionFailure,
     ZeroArgument,
 )
-from .gf import FieldElement, FieldTable, build_field, trace_table
+from .gf import FieldTable, build_field, trace_table
 from .subspaces import SubspaceBasis, member_matrix
 
 IMAG_TOL = 1e-6
@@ -69,10 +69,6 @@ class CharacterHandle:
                 f"character order {self.order} does not divide {self.field.size - 1}"
             )
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.exponent % self.order == 0
-
     def power(self, t: int) -> "CharacterHandle":
         return CharacterHandle(self.field, self.order, (self.exponent * t) % self.order)
 
@@ -85,74 +81,55 @@ class CharacterHandle:
         return (self.exponent * step) % self.order == 0
 
 
-def _element_log(chi: CharacterHandle, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.field is not chi.field:
-            raise FieldMismatch("element does not live in the character's field")
-        if x.is_zero:
-            raise ZeroArgument("characters are undefined at zero")
-        return x.log
-    code = int(x)
-    if code == 0:
+def _unit_log(field: FieldTable, x: int) -> int:
+    """Discrete log of the code x; characters are undefined at zero."""
+    x = field.check(x)
+    if x == 0:
         raise ZeroArgument("characters are undefined at zero")
-    return chi.field.log_table[code]
+    return field.log_table[x]
 
 
-def char_eval(chi: CharacterHandle, x) -> complex:
-    t = _element_log(chi, x)
+def char_eval(chi: CharacterHandle, x: int) -> complex:
+    t = _unit_log(chi.field, x)
     return complex(unit_roots(chi.order)[(chi.exponent * t) % chi.order])
 
 
-def gauss_sum(chi: CharacterHandle, beta) -> complex:
+def gauss_sum(chi: CharacterHandle, beta: int) -> complex:
     """Sum over x != 0 of chi(x) * zeta_p^(trace(beta * x))."""
     field = chi.field
     order = field.order
     t = np.arange(order)
     chi_vals = unit_roots(chi.order)[(chi.exponent * t) % chi.order]
-    if isinstance(beta, FieldElement):
-        if beta.field is not field:
-            raise FieldMismatch("beta does not live in the character's field")
-        beta_code = beta.code
-    else:
-        beta_code = int(beta)
-    if beta_code == 0:
+    beta = field.check(beta)
+    if beta == 0:
         return complex(chi_vals.sum())
-    beta_log = field.log_table[beta_code]
+    beta_log = field.log_table[beta]
     return complex((chi_vals * additive_character(field)[(t + beta_log) % order]).sum())
 
 
-def orthogonality_sum(x, alpha, e: int) -> complex:
-    """Sum over lam < e of chi^lam(x) for chi of order e at the generator.
+def orthogonality_sum(field: FieldTable, x: int, alpha: int, e: int) -> complex:
+    """Sum over lam < e of chi^lam(x) for chi of order e at the generator,
+    for codes x and alpha of field.
 
     Evaluates to e when x is an e-th power (x in <alpha> for alpha = g^e)
     and to 0 otherwise, up to float error.
     """
-    if isinstance(x, FieldElement):
-        field = x.field
-    elif isinstance(alpha, FieldElement):
-        field = alpha.field
-    else:
-        raise FieldMismatch("pass field elements, not bare codes")
     if (field.size - 1) % e:
         raise BadIndex(f"e={e} does not divide {field.size - 1}")
-    alpha_el = alpha if isinstance(alpha, FieldElement) else field.element(int(alpha))
-    if alpha_el != field.generator**e:
+    if field.check(alpha) != field.exp_table[e % field.order]:
         raise BadIndex("alpha must be the e-th power of the canonical generator")
-    chi = CharacterHandle(field, e, 1)
-    t = _element_log(chi, x)
+    t = _unit_log(field, x)
     lam = np.arange(e)
     return complex(unit_roots(e)[(lam * t) % e].sum())
 
 
-def incomplete_character_sum(chi: CharacterHandle,
-                             elements: Iterable[Union[FieldElement, int]]) -> complex:
-    """Sum of chi over a subset of the field, with chi(0) taken as 0."""
+def incomplete_character_sum(chi: CharacterHandle, elements: Iterable[int]) -> complex:
+    """Sum of chi over a set of codes of the field, with chi(0) taken as 0."""
     total = 0j
     for x in elements:
-        code = x.code if isinstance(x, FieldElement) else int(x)
-        if code == 0:
+        if x == 0:
             continue
-        total += char_eval(chi, code)
+        total += char_eval(chi, x)
     return complex(total)
 
 
@@ -171,7 +148,7 @@ def _one_sided_term(spec: CodeSpec, side: int, member_codes: list[int]) -> compl
     total = 0j
     for tau in range(e_prime):
         psi = CharacterHandle(field, e_prime, tau)
-        weight = gauss_sum(psi, field.one)
+        weight = gauss_sum(psi, 1)
         inner = np.conj(incomplete_character_sum(psi, member_codes))
         total += weight * inner
     return total * spec.n / (e * n_side)
@@ -213,7 +190,7 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
     e1, e2 = spec.e1, spec.e2
     step1 = (spec.Q1 - 1) // (spec.q - 1)
     step2 = (spec.Q2 - 1) // (spec.q - 1)
-    u2 = pow(spec.gamma2.log, -1, e2) if e2 > 1 else 0
+    u2 = pow(spec.field_q2.log_table[spec.gamma2], -1, e2) if e2 > 1 else 0
     b_total = 0j
     for lam1 in range(e1):
         chi1 = CharacterHandle(spec.field_q1, e1, lam1)
@@ -222,9 +199,9 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
             if (lam1 * e2 * step1 + lam2 * e1 * step2) % (e1 * e2):
                 continue
             if g1 is None:
-                g1 = gauss_sum(chi1, spec.field_q1.one)
+                g1 = gauss_sum(chi1, 1)
             chi2 = CharacterHandle(spec.field_q2, e2, (lam2 * u2) % e2)
-            g2 = gauss_sum(chi2, spec.field_q2.one)
+            g2 = gauss_sum(chi2, 1)
             inner = sum(
                 np.conj(char_eval(chi1, c1)) * np.conj(char_eval(chi2, c2))
                 for c1, c2 in both

@@ -279,8 +279,8 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: Sequence[str]) ->
 
 
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="scan processes, at most the CPU count")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="scan processes, at most the CPU count (default 1)")
 
 
 def _add_scan_args(parser: argparse.ArgumentParser) -> None:

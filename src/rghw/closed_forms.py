@@ -67,11 +67,18 @@ _FAMILIES: dict[str, Callable[..., bool]] = {
 
 
 def detect_family(q: int, k1: int, k2: int, e1: int, e2: int) -> Optional[str]:
-    """The first closed-form family whose hypotheses hold, or None."""
+    """The first closed-form family whose hypotheses hold, or None.
+
+    Both nonzero orders (q^k - 1)/e must exceed 1: a nonzero of order 1
+    gives a degenerate code (q = 2 with k = 1 in the index families).
+    """
     if math.gcd(k1, k2) != 1:
         return None
-    return next((name for name, holds in _FAMILIES.items()
-                 if holds(q, k1, k2, e1, e2)), None)
+    family = next((name for name, holds in _FAMILIES.items()
+                   if holds(q, k1, k2, e1, e2)), None)
+    if family is None or (q**k1 - 1) // e1 <= 1 or (q**k2 - 1) // e2 <= 1:
+        return None
+    return family
 
 
 def evaluate_closed_form(q: int, k1: int, k2: int, e1: int, e2: int,

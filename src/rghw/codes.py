@@ -30,7 +30,6 @@ from .errors import (
 from .gf import (
     DEFAULT_SIZE_CAP,
     Embedding,
-    FieldElement,
     FieldTable,
     Polynomial,
     build_field,
@@ -42,7 +41,7 @@ from .gf import (
     trace_table,
 )
 from .linalg import TableOps, table_ops
-from .subspaces import SubspaceBasis, subspace_from_rows
+from .subspaces import SubspaceBasis
 
 
 class CodeSpec:
@@ -78,26 +77,28 @@ class CodeSpec:
         if self.n1 == 1 or self.n2 == 1:
             raise DegenerateOrder("a nonzero of order 1 gives a degenerate code")
 
-        self.gamma1 = self.field_q1.generator
-        self.delta = self.embed1.preimage(self.gamma1 ** ((self.Q1 - 1) // (q - 1)))
+        # gamma1, gamma2, alpha1, alpha2 and delta are element codes
+        f1, f2 = self.field_q1, self.field_q2
+        self.gamma1 = f1.exp_table[1]
+        self.delta = self.embed1.preimage(f1.pow(self.gamma1, (self.Q1 - 1) // (q - 1)))
         self.gamma2 = self._select_gamma2()
-        self.alpha1 = self.gamma1**e1
-        self.alpha2 = self.gamma2**e2
-        for label, alpha, order in (("alpha1", self.alpha1, self.n1),
-                                    ("alpha2", self.alpha2, self.n2)):
-            if element_order(alpha) != order:
+        self.alpha1 = f1.pow(self.gamma1, e1)
+        self.alpha2 = f2.pow(self.gamma2, e2)
+        for label, field, alpha, order in (("alpha1", f1, self.alpha1, self.n1),
+                                           ("alpha2", f2, self.alpha2, self.n2)):
+            if element_order(field, alpha) != order:
                 raise InvariantViolated(f"{label} does not have order {order}")
 
-        if frobenius_orbit_size(self.alpha1, self.field_q) != k1:
+        if frobenius_orbit_size(f1, self.alpha1, self.field_q) != k1:
             raise NotAFieldGenerator(f"alpha1 generates a proper subfield of GF({self.Q1})")
-        if frobenius_orbit_size(self.alpha2, self.field_q) != k2:
+        if frobenius_orbit_size(f2, self.alpha2, self.field_q) != k2:
             raise NotAFieldGenerator(f"alpha2 generates a proper subfield of GF({self.Q2})")
         if k1 == k2:
             conj = self.alpha1
             for _ in range(k1):
                 if conj == self.alpha2:
                     raise ConjugateNonzeros("alpha1 and alpha2 share an orbit over GF(q)")
-                conj = conj**q
+                conj = f1.pow(conj, q)
 
         self.d = math.gcd(self.n1, self.n2)
         self.n = self.n1 * self.n2 // self.d
@@ -107,10 +108,10 @@ class CodeSpec:
         self.ops: TableOps = table_ops(self.field_q)
         self.trace1_table = trace_table(self.field_q1, self.field_q)
         self.trace2_table = trace_table(self.field_q2, self.field_q)
-        self.alpha1_powers = _power_cycle(self.alpha1, self.n1)
-        self.alpha2_powers = _power_cycle(self.alpha2, self.n2)
-        self._gamma1_powers = _power_cycle(self.gamma1, k1)
-        self._gamma2_powers = _power_cycle(self.gamma2, k2)
+        self.alpha1_powers = _power_cycle(f1, self.alpha1, self.n1)
+        self.alpha2_powers = _power_cycle(f2, self.alpha2, self.n2)
+        self._gamma1_powers = _power_cycle(f1, self.gamma1, k1)
+        self._gamma2_powers = _power_cycle(f2, self.gamma2, k2)
         self.decompose1 = self._decompose_table(1)
         self.decompose2 = self._decompose_table(2)
         self.coordinate_functionals = self._build_functionals()
@@ -121,7 +122,7 @@ class CodeSpec:
 
     # -- construction helpers -------------------------------------------
 
-    def _select_gamma2(self) -> FieldElement:
+    def _select_gamma2(self) -> int:
         """Smallest-log primitive element of GF(Q2) compatible with delta.
 
         Compatibility pins g2^((Q2-1)/(q-1)) to the same GF(q) element that
@@ -129,13 +130,12 @@ class CodeSpec:
         coherently to GF(q)*.
         """
         Q2 = self.Q2
-        target = self.embed2.apply(self.delta)
-        target_log = target.log % (Q2 - 1)
+        target_log = self.field_q2.log_table[self.embed2.apply_code(self.delta)]
         step = (Q2 - 1) // (self.q - 1)
         t = 1
         while True:
             if math.gcd(t, Q2 - 1) == 1 and (t * step) % (Q2 - 1) == target_log:
-                return self.field_q2.from_log(t)
+                return self.field_q2.exp_table[t % (Q2 - 1)]
             t += 1
 
     def _decompose_table(self, side: int) -> np.ndarray:
@@ -224,13 +224,10 @@ class CodeSpec:
         )
 
 
-def _power_cycle(a: FieldElement, count: int) -> list[int]:
-    out = []
-    x = a.field.one
-    for _ in range(count):
-        out.append(x.code)
-        x = x * a
-    return out
+def _power_cycle(field: FieldTable, a: int, count: int) -> list[int]:
+    """The codes of a^0, ..., a^(count-1) for a nonzero code a."""
+    log = field.log_table[a]
+    return [field.exp_table[log * i % field.order] for i in range(count)]
 
 
 def build_code(q: int, k1: int, k2: int, e1: int, e2: int,
@@ -255,22 +252,10 @@ class Codeword:
         return len(self.coords)
 
 
-def _coerce_code(spec: CodeSpec, beta, side: int) -> int:
-    field = spec.field_q1 if side == 1 else spec.field_q2
-    if isinstance(beta, FieldElement):
-        if beta.field is not field:
-            raise FieldMismatch(f"beta{side} does not live in GF({field.size})")
-        return beta.code
-    beta = int(beta)
-    if not 0 <= beta < field.size:
-        raise FieldMismatch(f"code {beta} outside GF({field.size})")
-    return beta
-
-
 def codeword(spec: CodeSpec, beta1, beta2) -> Codeword:
     """The word whose coordinate i is tr1(b1*a1^i) + tr2(b2*a2^i)."""
-    b1 = _coerce_code(spec, beta1, 1)
-    b2 = _coerce_code(spec, beta2, 2)
+    b1 = spec.field_q1.check(beta1)
+    b2 = spec.field_q2.check(beta2)
     u = np.concatenate([spec.decompose1[b1], spec.decompose2[b2]])
     coords = spec.ops.matmul(spec.coordinate_functionals, u[:, None])[:, 0]
     return Codeword(tuple(int(v) for v in coords), b1, b2)
@@ -287,12 +272,6 @@ def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
     if basis.dim == 0:
         return np.zeros((0, spec.n), dtype=np.int16)
     return spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)
-
-
-def to_codeword_basis(spec: CodeSpec, basis: SubspaceBasis) -> SubspaceBasis:
-    """Image of a product-space subspace inside F_q^n, canonicalized."""
-    words = basis_codewords(spec, basis)
-    return subspace_from_rows(spec.q, spec.n, words, "codeword")
 
 
 def support(words: Union[Iterable[Codeword], SubspaceBasis],
@@ -322,8 +301,8 @@ def support(words: Union[Iterable[Codeword], SubspaceBasis],
 
 def parity_check_polynomial(spec: CodeSpec) -> Polynomial:
     """Product of the minimal polynomials of the inverse nonzeros."""
-    h1 = minimal_polynomial(spec.alpha1 ** (-1), spec.field_q)
-    h2 = minimal_polynomial(spec.alpha2 ** (-1), spec.field_q)
+    h1 = minimal_polynomial(spec.field_q1, spec.field_q1.inv(spec.alpha1), spec.field_q)
+    h2 = minimal_polynomial(spec.field_q2, spec.field_q2.inv(spec.alpha2), spec.field_q)
     return h1 * h2
 
 

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -143,31 +142,12 @@ class FieldTable:
             return 0 if k else 1
         return self.exp_table[(self.log_table[a] * k) % self.order]
 
-    # -- element handles ------------------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
+    def check(self, code: int) -> int:
+        """code as an int; FieldMismatch when it names no element of this field."""
+        code = int(code)
         if not 0 <= code < self.size:
             raise FieldMismatch(f"code {code} outside GF({self.size})")
-        return FieldElement(self, None if code == 0 else self.log_table[code])
-
-    def from_log(self, log: int) -> "FieldElement":
-        return FieldElement(self, log % self.order)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, None)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, 1 % max(self.order, 1))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for code in range(self.size):
-            yield self.element(code)
+        return code
 
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.m}))"
@@ -185,76 +165,6 @@ class FieldTable:
                 "zech_table": list(self.zech_table),
             }
         )
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element held as a discrete log; log None encodes zero."""
-
-    field: FieldTable
-    log: Optional[int]
-
-    @property
-    def code(self) -> int:
-        return 0 if self.log is None else self.field.exp_table[self.log]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log is None
-
-    def _coerce(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise FieldMismatch(f"cannot combine a field element with {type(other)}")
-        if other.field is not self.field:
-            raise FieldMismatch("elements of different fields")
-        return other
-
-    def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return self.field.element(self.field.add(self.code, other.code))
-
-    def __sub__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return self.field.element(self.field.sub(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return self.field.element(self.field.neg(self.code))
-
-    def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return self.field.zero
-        return self.field.from_log(self.log + other.log)
-
-    def __truediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroElement("division by zero")
-        if self.is_zero:
-            return self
-        return self.field.from_log(self.log - other.log)
-
-    def __pow__(self, k: int) -> "FieldElement":
-        if self.is_zero:
-            if k < 0:
-                raise ZeroElement("zero has no inverse")
-            return self if k else self.field.one
-        return self.field.from_log(self.log * k)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.log == self.log
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.log))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"0@GF({self.field.size})"
-        return f"g^{self.log}@GF({self.field.size})"
 
 
 # -- construction ---------------------------------------------------------
@@ -451,29 +361,21 @@ class Embedding:
     def generator_log(self) -> int:
         return (self.ratio * self.twist) % self.sup.order
 
-    def apply(self, a: FieldElement) -> FieldElement:
-        if a.field is not self.sub:
-            raise FieldMismatch("element not in the subfield")
-        if a.is_zero:
-            return self.sup.zero
-        return self.sup.from_log(a.log * self.generator_log)
-
     def apply_code(self, code: int) -> int:
         if code == 0:
             return 0
         log = self.sub.log_table[code]
         return self.sup.exp_table[(log * self.generator_log) % self.sup.order]
 
-    def preimage(self, b: FieldElement) -> FieldElement:
-        if b.field is not self.sup:
-            raise FieldMismatch("element not in the extension")
-        if b.is_zero:
-            return self.sub.zero
-        log = b.log % self.sup.order
+    def preimage(self, code: int) -> int:
+        """The subfield code that apply_code maps to code."""
+        code = self.sup.check(code)
+        if code == 0:
+            return 0
+        log = self.sup.log_table[code]
         if log % self.ratio:
             raise FieldMismatch("element lies outside the embedded subfield")
-        t = (log // self.ratio) * self._twist_inv % max(self.sub.order, 1)
-        return self.sub.from_log(t)
+        return self.sub.exp_table[(log // self.ratio) * self._twist_inv % self.sub.order]
 
     @property
     def _twist_inv(self) -> int:
@@ -550,31 +452,21 @@ def trace_table(sup: FieldTable, sub: FieldTable) -> np.ndarray:
     return out
 
 
-def trace(sup: FieldTable, sub: FieldTable, a: FieldElement) -> FieldElement:
-    """Trace from sup down to sub: sum of the sub-conjugates of a."""
-    if a.field is not sup:
-        raise FieldMismatch("element does not live in the source field")
-    if sub.p != sup.p or sup.m % sub.m:
-        raise FieldMismatch(f"GF({sub.size}) is not a subfield of GF({sup.size})")
-    return sub.element(int(trace_table(sup, sub)[a.code]))
-
-
-def element_order(a: FieldElement) -> int:
-    if a.is_zero:
+def element_order(field: FieldTable, a: int) -> int:
+    """Multiplicative order of the code a in field."""
+    a = field.check(a)
+    if a == 0:
         raise ZeroElement("order of zero is undefined")
-    order = a.field.order
-    if order == 0:
-        return 1
-    return order // math.gcd(order, a.log % order)
+    return field.order // math.gcd(field.order, field.log_table[a])
 
 
-def frobenius_orbit_size(a: FieldElement, base: FieldTable) -> int:
-    """Length of {a, a^Q, a^(Q^2), ...} for Q = base.size."""
-    if a.field.p != base.p or a.field.m % base.m:
+def frobenius_orbit_size(field: FieldTable, a: int, base: FieldTable) -> int:
+    """Length of {a, a^Q, a^(Q^2), ...} for the code a of field, Q = base.size."""
+    if field.p != base.p or field.m % base.m:
         raise FieldMismatch("base is not a subfield")
-    if a.is_zero:
+    if field.check(a) == 0:
         return 1
-    n = element_order(a)
+    n = element_order(field, a)
     q = base.size
     r = 1
     acc = q % n
@@ -601,10 +493,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if other.field is not self.field:
             raise FieldMismatch("polynomials over different fields")
@@ -619,36 +507,15 @@ class Polynomial:
                 out[i + k] = f.add(out[i + k], f.mul(a, b))
         return Polynomial(self.field, tuple(out))
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        """Horner evaluation; x may live in an extension of the field."""
-        target = x.field
-        if target is self.field:
-            lift = lambda c: target.element(c)
-        else:
-            emb = embed_subfield(self.field, target)
-            lift = lambda c: emb.apply(self.field.element(c))
-        acc = target.zero
+    def evaluate(self, field: FieldTable, x: int) -> int:
+        """Horner evaluation at the code x of field, the coefficient field
+        or an extension of it."""
+        x = field.check(x)
+        lift = embed_subfield(self.field, field).apply_code
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + lift(c)
+            acc = field.add(field.mul(acc, x), lift(c))
         return acc
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.field is not self.field:
-            raise FieldMismatch("polynomials over different fields")
-        if not other.coeffs:
-            raise ZeroElement("division by the zero polynomial")
-        f = self.field
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = f.inv(other.coeffs[-1])
-        for i in range(len(rem) - len(other.coeffs), -1, -1):
-            c = f.mul(rem[i + other.degree], inv_lead)
-            if c == 0:
-                continue
-            quot[i] = c
-            for k, b in enumerate(other.coeffs):
-                rem[i + k] = f.sub(rem[i + k], f.mul(c, b))
-        return Polynomial(f, tuple(quot)), Polynomial(f, tuple(rem))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -663,26 +530,27 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def minimal_polynomial(a: FieldElement, base: FieldTable) -> Polynomial:
-    """Monic minimal polynomial of a over base: product over its orbit."""
-    sup = a.field
-    if base.p != sup.p or sup.m % base.m:
-        raise FieldMismatch(f"GF({base.size}) is not a subfield of GF({sup.size})")
-    if a.is_zero:
+def minimal_polynomial(field: FieldTable, a: int, base: FieldTable) -> Polynomial:
+    """Monic minimal polynomial over base of the code a of field: product
+    over its orbit."""
+    if base.p != field.p or field.m % base.m:
+        raise FieldMismatch(f"GF({base.size}) is not a subfield of GF({field.size})")
+    a = field.check(a)
+    if a == 0:
         raise ZeroElement("minimal polynomial of zero not supported")
-    emb = embed_subfield(base, sup)
+    emb = embed_subfield(base, field)
     q = base.size
     orbit = [a]
-    nxt = a ** q
+    nxt = field.pow(a, q)
     while nxt != a:
         orbit.append(nxt)
-        nxt = nxt ** q
+        nxt = field.pow(nxt, q)
     # expand prod (x - c) with coefficients in the big field
-    coeffs = [sup.one]
+    coeffs = [1]
     for c in orbit:
-        nxt_coeffs = [sup.zero] * (len(coeffs) + 1)
+        nxt_coeffs = [0] * (len(coeffs) + 1)
         for i, k in enumerate(coeffs):
-            nxt_coeffs[i + 1] = nxt_coeffs[i + 1] + k
-            nxt_coeffs[i] = nxt_coeffs[i] - k * c
+            nxt_coeffs[i + 1] = field.add(nxt_coeffs[i + 1], k)
+            nxt_coeffs[i] = field.sub(nxt_coeffs[i], field.mul(k, c))
         coeffs = nxt_coeffs
-    return Polynomial(base, tuple(emb.preimage(c).code for c in coeffs))
+    return Polynomial(base, tuple(emb.preimage(c) for c in coeffs))

@@ -115,12 +115,6 @@ def member_matrix(basis: SubspaceBasis) -> np.ndarray:
     return ops.matmul(combos, basis.matrix())
 
 
-def in_rowspace(basis: SubspaceBasis, vec: Sequence[int]) -> bool:
-    ops = table_ops(field_for_size(basis.q))
-    v = np.array(vec, dtype=np.int16).reshape(1, basis.ambient_dim)
-    return bool(ops.rows_in_rowspace(basis.matrix(), basis.pivots, v)[0])
-
-
 def project(
     basis: SubspaceBasis, k1: int, k2: int, side: int
 ) -> tuple[SubspaceBasis, SubspaceBasis]:

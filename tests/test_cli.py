@@ -47,6 +47,15 @@ def test_table_json_document(capsys):
     assert all("millis" not in row for row in doc["results"])
 
 
+def test_table_without_workers_starts_no_pool(capsys, monkeypatch, recording_pool):
+    # three CPUs, so a default of the CPU count would construct a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out, _ = run_cli(capsys, "table", "--q", "2", "--k1", "3", "--k2", "2",
+                           "--format", "json")
+    assert code == 0 and all(row["agree"] for row in json.loads(out)["results"])
+    assert recording_pool == []
+
+
 def test_table_timings_flag(capsys):
     code, out, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json", "--timings")
     doc = json.loads(out)

@@ -6,7 +6,7 @@ from collections import Counter
 
 from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code
-from rghw.errors import HypothesisViolated, RangeError
+from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError
 from rghw.weights import mj_dual_count, rghw_bruteforce
 
 
@@ -106,6 +106,13 @@ def test_detect_family_priorities():
     assert detect_family(3, 3, 2, 2, 1) == "index_qminus1_one"
     assert detect_family(3, 2, 2, 1, 2) is None
     assert detect_family(3, 2, 3, 2, 2) is None
+    # q = 2 with k = 1 makes a nonzero of order 1, which build_code rejects
+    assert detect_family(2, 3, 1, 1, 1) is None
+    assert detect_family(2, 1, 3, 1, 1) is None
+    with pytest.raises(DegenerateOrder):
+        build_code(2, 1, 3, 1, 1)
+    with pytest.raises(HypothesisViolated):
+        evaluate_closed_form(2, 1, 3, 1, 1, 1)
     with pytest.raises(HypothesisViolated):
         evaluate_closed_form(3, 2, 2, 1, 2, 1)
 
@@ -119,8 +126,8 @@ def test_family_counts_over_a_parameter_box():
                 for e1 in indices:
                     for e2 in indices:
                         counts[detect_family(q, k1, k2, e1, e2)] += 1
-    assert counts == {"binary_pair": 44, "index_one_qminus1": 202,
-                      "index_qminus1_one": 202, None: 13452}
+    assert counts == {"binary_pair": 44, "index_one_qminus1": 198,
+                      "index_qminus1_one": 198, None: 13460}
 
 
 @pytest.mark.parametrize(

@@ -203,28 +203,12 @@ def test_workers_do_not_change_results():
         assert (a.m, a.n_j, a.argmax.rows) == (b.m, b.n_j, b.argmax.rows)
 
 
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # an in-process pool, so a missing bound cannot start a single process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(weights, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 3)
     spec = build_code(2, 3, 2, 1, 1)
     assert rghw_bruteforce(spec, 1, workers=10**6) == rghw_bruteforce(spec, 1)
-    assert sizes == [3]
+    assert recording_pool == [3]
 
 
 def test_compute_report():
