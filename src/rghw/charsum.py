@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import CodeSpec
+from .codes import CodeSpec, Factor
 from .errors import (
     BadIndex,
     FieldMismatch,
@@ -136,22 +136,21 @@ def incomplete_character_sum(chi: CharacterHandle, elements: Iterable[int]) -> c
 # -- the subspace oracle -----------------------------------------------------
 
 
-def _one_sided_term(spec: CodeSpec, side: int, member_codes: list[int]) -> complex:
+@lru_cache(maxsize=None)
+def _gauss_at_one(chi: CharacterHandle) -> complex:
+    """G(chi; 1), computed once per field and character."""
+    return gauss_sum(chi, 1)
+
+
+def _one_sided_term(spec: CodeSpec, factor: Factor, member_codes: list[int]) -> complex:
     """Gauss-sum expansion of the members supported on one factor only."""
-    if side == 1:
-        field, e, n_side = spec.field_q1, spec.e1, spec.n1
-        Q = spec.Q1
-    else:
-        field, e, n_side = spec.field_q2, spec.e2, spec.n2
-        Q = spec.Q2
-    e_prime = math.gcd(e, (Q - 1) // (spec.q - 1))
+    e_prime = math.gcd(factor.e, factor.field.order // (spec.q - 1))
     total = 0j
     for tau in range(e_prime):
-        psi = CharacterHandle(field, e_prime, tau)
-        weight = gauss_sum(psi, 1)
+        psi = CharacterHandle(factor.field, e_prime, tau)
         inner = np.conj(incomplete_character_sum(psi, member_codes))
-        total += weight * inner
-    return total * spec.n / (e * n_side)
+        total += _gauss_at_one(psi) * inner
+    return total * spec.n / (factor.e * factor.n)
 
 
 def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
@@ -181,8 +180,9 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
         elif c2:
             only2.append(c2)
 
-    a1 = _one_sided_term(spec, 1, only1)
-    a2 = _one_sided_term(spec, 2, only2)
+    f1, f2 = spec.factors
+    a1 = _one_sided_term(spec, f1, only1)
+    a2 = _one_sided_term(spec, f2, only2)
 
     # doubly-nonzero block: double Gauss-sum expansion over character pairs
     # whose product restricts trivially to GF(q)*, tested by the integer
@@ -190,23 +190,19 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
     e1, e2 = spec.e1, spec.e2
     step1 = (spec.Q1 - 1) // (spec.q - 1)
     step2 = (spec.Q2 - 1) // (spec.q - 1)
-    u2 = pow(spec.field_q2.log_table[spec.gamma2], -1, e2) if e2 > 1 else 0
+    u2 = pow(f2.field.log_table[f2.gamma], -1, e2) if e2 > 1 else 0
     b_total = 0j
     for lam1 in range(e1):
-        chi1 = CharacterHandle(spec.field_q1, e1, lam1)
-        g1 = None
+        chi1 = CharacterHandle(f1.field, e1, lam1)
         for lam2 in range(e2):
             if (lam1 * e2 * step1 + lam2 * e1 * step2) % (e1 * e2):
                 continue
-            if g1 is None:
-                g1 = gauss_sum(chi1, 1)
-            chi2 = CharacterHandle(spec.field_q2, e2, (lam2 * u2) % e2)
-            g2 = gauss_sum(chi2, 1)
+            chi2 = CharacterHandle(f2.field, e2, (lam2 * u2) % e2)
             inner = sum(
                 np.conj(char_eval(chi1, c1)) * np.conj(char_eval(chi2, c2))
                 for c1, c2 in both
             )
-            b_total += g1 * g2 * inner
+            b_total += _gauss_at_one(chi1) * _gauss_at_one(chi2) * inner
     b_total /= e1 * e2
 
     total = (spec.n + a1 + a2 + b_total) / spec.q**j

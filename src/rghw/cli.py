@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -302,7 +303,10 @@ def _add_scan_args(parser: argparse.ArgumentParser) -> None:
     _add_output_args(parser, _FORMATS)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = _Parser(
         prog="rghw",
         description="Weight hierarchies of cyclic codes with two nonzeros",

@@ -1,8 +1,8 @@
 """Cyclic codes with two nonzeros, built from a pair of trace maps.
 
-A CodeSpec fixes the base field GF(q), the two extensions GF(Q1), GF(Q2),
-the nonzero generators a1 = g1^e1 and a2 = g2^e2, and precomputes the
-flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): per-coordinate evaluation
+A CodeSpec fixes the base field GF(q), the two extensions GF(Q1), GF(Q2)
+(one Factor each), the nonzero generators a1 = g1^e1 and a2 = g2^e2, and
+precomputes the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): per-coordinate evaluation
 functionals, the cyclic-group point list, and the Gram matrix of the
 paired-trace inner product.  Everything downstream works on those tables.
 """
@@ -44,10 +44,80 @@ from .linalg import TableOps, table_ops
 from .subspaces import SubspaceBasis
 
 
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One extension GF(Q) = GF(q^k) of the pair, flattened over GF(q).
+
+    gamma is the primitive element whose powers {1, gamma, ..., gamma^(k-1)}
+    are the coordinate basis, and alpha = gamma^e is the nonzero, of order
+    n.  decompose maps an element code to its coordinate row; compose maps
+    the base-q index of a row (first coordinate most significant) back to
+    the code.  All elements are codes of field; trace is Tr down to GF(q).
+    """
+
+    field: FieldTable
+    embed: Embedding
+    k: int
+    e: int
+    n: int
+    gamma: int
+    alpha: int
+    gamma_powers: list[int]
+    alpha_powers: list[int]
+    trace: np.ndarray
+    decompose: np.ndarray
+    compose: np.ndarray
+
+    def code_of(self, row) -> int:
+        """The element code whose coordinate row is row."""
+        q = self.embed.sub.size
+        index = 0
+        for a in row:
+            index = index * q + int(a)
+        return int(self.compose[index])
+
+
+def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
+                  delta: int) -> Factor:
+    """The factor GF(q^k) with gamma the smallest-log primitive element whose
+    norm gamma^((Q-1)/(q-1)) is delta, so that characters of the two
+    extensions restrict coherently to GF(q)*."""
+    q, order = base.size, field.order
+    n = order // e
+    embed = embed_subfield(base, field)
+    target_log = field.log_table[embed.apply_code(delta)]
+    step = order // (q - 1)
+    t = 1
+    while math.gcd(t, order) != 1 or (t * step) % order != target_log:
+        t += 1
+    gamma = field.exp_table[t % order]
+    alpha = field.pow(gamma, e)
+    if element_order(field, alpha) != n:
+        raise InvariantViolated(f"gamma^{e} in GF({field.size}) does not have order {n}")
+    if frobenius_orbit_size(field, alpha, base) != k:
+        raise NotAFieldGenerator(f"gamma^{e} generates a proper subfield of GF({field.size})")
+
+    gamma_powers = _power_cycle(field, gamma, k)
+    decompose = np.full((field.size, k), -1, dtype=np.int16)
+    compose = np.empty(field.size, dtype=np.int64)
+    for index, row in enumerate(itertools.product(range(q), repeat=k)):
+        code = 0
+        for a, g in zip(row, gamma_powers):
+            code = field.add(code, field.mul(embed.apply_code(a), g))
+        decompose[code] = row
+        compose[index] = code
+    if (decompose < 0).any():
+        raise InvariantViolated("polynomial basis failed to span the extension")
+    return Factor(field, embed, k, e, n, gamma, alpha, gamma_powers,
+                  _power_cycle(field, alpha, n), trace_table(field, base),
+                  decompose, compose)
+
+
 class CodeSpec:
     """Immutable parameter bundle for the code pair (C, C').
 
-    Built by build_code; treat all attributes as read-only.
+    Built by build_code; treat all attributes as read-only.  factors holds
+    the two extensions GF(Q1), GF(Q2); the scalars repeat their parameters.
     """
 
     def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int,
@@ -56,7 +126,6 @@ class CodeSpec:
             raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
         p, s = factor_prime_power(q)
         self.q = q
-        self.p = p
         self.k1 = k1
         self.k2 = k2
         self.e1 = e1
@@ -64,10 +133,7 @@ class CodeSpec:
         self.Q1 = q**k1
         self.Q2 = q**k2
         self.field_q = build_field(p, s, size_cap)
-        self.field_q1 = build_field(p, s * k1, size_cap)
-        self.field_q2 = build_field(p, s * k2, size_cap)
-        self.embed1 = embed_subfield(self.field_q, self.field_q1)
-        self.embed2 = embed_subfield(self.field_q, self.field_q2)
+        fields = (build_field(p, s * k1, size_cap), build_field(p, s * k2, size_cap))
 
         for e, Q, label in ((e1, self.Q1, "e1"), (e2, self.Q2, "e2")):
             if e < 1 or (Q - 1) % e:
@@ -77,28 +143,19 @@ class CodeSpec:
         if self.n1 == 1 or self.n2 == 1:
             raise DegenerateOrder("a nonzero of order 1 gives a degenerate code")
 
-        # gamma1, gamma2, alpha1, alpha2 and delta are element codes
-        f1, f2 = self.field_q1, self.field_q2
-        self.gamma1 = f1.exp_table[1]
-        self.delta = self.embed1.preimage(f1.pow(self.gamma1, (self.Q1 - 1) // (q - 1)))
-        self.gamma2 = self._select_gamma2()
-        self.alpha1 = f1.pow(self.gamma1, e1)
-        self.alpha2 = f2.pow(self.gamma2, e2)
-        for label, field, alpha, order in (("alpha1", f1, self.alpha1, self.n1),
-                                           ("alpha2", f2, self.alpha2, self.n2)):
-            if element_order(field, alpha) != order:
-                raise InvariantViolated(f"{label} does not have order {order}")
-
-        if frobenius_orbit_size(f1, self.alpha1, self.field_q) != k1:
-            raise NotAFieldGenerator(f"alpha1 generates a proper subfield of GF({self.Q1})")
-        if frobenius_orbit_size(f2, self.alpha2, self.field_q) != k2:
-            raise NotAFieldGenerator(f"alpha2 generates a proper subfield of GF({self.Q2})")
+        # delta, the norm of the table generator of GF(Q1), is a GF(q) code
+        g1 = fields[0].exp_table[1]
+        self.delta = embed_subfield(self.field_q, fields[0]).preimage(
+            fields[0].pow(g1, (self.Q1 - 1) // (q - 1)))
+        self.factors = tuple(_build_factor(self.field_q, field, k, e, self.delta)
+                             for field, k, e in zip(fields, (k1, k2), (e1, e2)))
+        f1, f2 = self.factors
         if k1 == k2:
-            conj = self.alpha1
+            conj = f1.alpha
             for _ in range(k1):
-                if conj == self.alpha2:
-                    raise ConjugateNonzeros("alpha1 and alpha2 share an orbit over GF(q)")
-                conj = f1.pow(conj, q)
+                if conj == f2.alpha:
+                    raise ConjugateNonzeros("a1 and a2 share an orbit over GF(q)")
+                conj = f1.field.pow(conj, q)
 
         self.d = math.gcd(self.n1, self.n2)
         self.n = self.n1 * self.n2 // self.d
@@ -106,14 +163,6 @@ class CodeSpec:
         self.ambient_dim = k1 + k2
 
         self.ops: TableOps = table_ops(self.field_q)
-        self.trace1_table = trace_table(self.field_q1, self.field_q)
-        self.trace2_table = trace_table(self.field_q2, self.field_q)
-        self.alpha1_powers = _power_cycle(f1, self.alpha1, self.n1)
-        self.alpha2_powers = _power_cycle(f2, self.alpha2, self.n2)
-        self._gamma1_powers = _power_cycle(f1, self.gamma1, k1)
-        self._gamma2_powers = _power_cycle(f2, self.gamma2, k2)
-        self.decompose1 = self._decompose_table(1)
-        self.decompose2 = self._decompose_table(2)
         self.coordinate_functionals = self._build_functionals()
         self.group_vectors = self._build_group_vectors()
         self.gram = self._build_gram()
@@ -121,89 +170,41 @@ class CodeSpec:
             raise FieldMismatch("paired-trace form is degenerate")  # pragma: no cover
 
     # -- construction helpers -------------------------------------------
-
-    def _select_gamma2(self) -> int:
-        """Smallest-log primitive element of GF(Q2) compatible with delta.
-
-        Compatibility pins g2^((Q2-1)/(q-1)) to the same GF(q) element that
-        gamma1 produces, so characters of the two extensions restrict
-        coherently to GF(q)*.
-        """
-        Q2 = self.Q2
-        target_log = self.field_q2.log_table[self.embed2.apply_code(self.delta)]
-        step = (Q2 - 1) // (self.q - 1)
-        t = 1
-        while True:
-            if math.gcd(t, Q2 - 1) == 1 and (t * step) % (Q2 - 1) == target_log:
-                return self.field_q2.exp_table[t % (Q2 - 1)]
-            t += 1
-
-    def _decompose_table(self, side: int) -> np.ndarray:
-        """code -> coordinate row over GF(q) in the basis {1, g, ..., g^(k-1)}."""
-        field = self.field_q1 if side == 1 else self.field_q2
-        emb = self.embed1 if side == 1 else self.embed2
-        gpows = self._gamma1_powers if side == 1 else self._gamma2_powers
-        k = self.k1 if side == 1 else self.k2
-        table = np.full((field.size, k), -1, dtype=np.int16)
-        for vec in itertools.product(range(self.q), repeat=k):
-            code = 0
-            for t, a in enumerate(vec):
-                code = field.add(code, field.mul(emb.apply_code(a), gpows[t]))
-            table[code] = vec
-        if (table < 0).any():
-            raise InvariantViolated("polynomial basis failed to span the extension")
-        return table
+    #
+    # Each table puts the columns of factor 1 before those of factor 2, and
+    # row i of a factor's block depends on i only modulo its order n.
 
     def _build_functionals(self) -> np.ndarray:
-        """Row i evaluates coordinate i of a codeword on flattened inputs."""
-        out = np.empty((self.n, self.ambient_dim), dtype=np.int16)
-        f1, f2 = self.field_q1, self.field_q2
-        for i in range(self.n):
-            a1 = self.alpha1_powers[i % self.n1]
-            a2 = self.alpha2_powers[i % self.n2]
-            for t in range(self.k1):
-                out[i, t] = self.trace1_table[f1.mul(self._gamma1_powers[t], a1)]
-            for t in range(self.k2):
-                out[i, self.k1 + t] = self.trace2_table[f2.mul(self._gamma2_powers[t], a2)]
-        return out
+        """Row i evaluates coordinate i of a codeword on flattened inputs:
+        tr(gamma^t * alpha^i) in column t of each factor's block."""
+        rows = np.arange(self.n)
+        return np.hstack([
+            np.array([[f.trace[f.field.mul(g, a)] for g in f.gamma_powers]
+                      for a in f.alpha_powers], dtype=np.int16)[rows % f.n]
+            for f in self.factors
+        ])
 
     def _build_group_vectors(self) -> np.ndarray:
-        out = np.empty((self.n, self.ambient_dim), dtype=np.int16)
-        for i in range(self.n):
-            out[i, : self.k1] = self.decompose1[self.alpha1_powers[i % self.n1]]
-            out[i, self.k1 :] = self.decompose2[self.alpha2_powers[i % self.n2]]
-        return out
+        """Row i is the flattened point (a1^i, a2^i)."""
+        rows = np.arange(self.n)
+        return np.hstack([f.decompose[f.alpha_powers][rows % f.n] for f in self.factors])
 
     def _build_gram(self) -> np.ndarray:
+        """Block diagonal: tr(gamma^s * gamma^t) within each factor."""
         K = self.ambient_dim
         gram = np.zeros((K, K), dtype=np.int16)
-        for s in range(self.k1):
-            for t in range(self.k1):
-                prod = self.field_q1.mul(self._gamma1_powers[s], self._gamma1_powers[t])
-                gram[s, t] = self.trace1_table[prod]
-        for s in range(self.k2):
-            for t in range(self.k2):
-                prod = self.field_q2.mul(self._gamma2_powers[s], self._gamma2_powers[t])
-                gram[self.k1 + s, self.k1 + t] = self.trace2_table[prod]
+        offset = 0
+        for f in self.factors:
+            gram[offset : offset + f.k, offset : offset + f.k] = [
+                [f.trace[f.field.mul(gs, gt)] for gt in f.gamma_powers]
+                for gs in f.gamma_powers
+            ]
+            offset += f.k
         return gram
 
-    # -- flattening helpers ----------------------------------------------
-
-    def compose1(self, vec) -> int:
-        return self._compose(vec, self.field_q1, self.embed1, self._gamma1_powers)
-
-    def compose2(self, vec) -> int:
-        return self._compose(vec, self.field_q2, self.embed2, self._gamma2_powers)
-
-    @staticmethod
-    def _compose(vec, field: FieldTable, emb: Embedding, gpows) -> int:
-        code = 0
-        for t, a in enumerate(vec):
-            code = field.add(code, field.mul(emb.apply_code(int(a)), gpows[t]))
-        return code
-
     def pair_from_vector(self, vec) -> tuple[int, int]:
-        return self.compose1(vec[: self.k1]), self.compose2(vec[self.k1 :])
+        f1, f2 = self.factors
+        return f1.code_of(vec[: self.k1]), f2.code_of(vec[self.k1 :])
 
     def summary(self) -> dict:
         return {
@@ -254,9 +255,10 @@ class Codeword:
 
 def codeword(spec: CodeSpec, beta1, beta2) -> Codeword:
     """The word whose coordinate i is tr1(b1*a1^i) + tr2(b2*a2^i)."""
-    b1 = spec.field_q1.check(beta1)
-    b2 = spec.field_q2.check(beta2)
-    u = np.concatenate([spec.decompose1[b1], spec.decompose2[b2]])
+    f1, f2 = spec.factors
+    b1 = f1.field.check(beta1)
+    b2 = f2.field.check(beta2)
+    u = np.concatenate([f1.decompose[b1], f2.decompose[b2]])
     coords = spec.ops.matmul(spec.coordinate_functionals, u[:, None])[:, 0]
     return Codeword(tuple(int(v) for v in coords), b1, b2)
 
@@ -301,8 +303,8 @@ def support(words: Union[Iterable[Codeword], SubspaceBasis],
 
 def parity_check_polynomial(spec: CodeSpec) -> Polynomial:
     """Product of the minimal polynomials of the inverse nonzeros."""
-    h1 = minimal_polynomial(spec.field_q1, spec.field_q1.inv(spec.alpha1), spec.field_q)
-    h2 = minimal_polynomial(spec.field_q2, spec.field_q2.inv(spec.alpha2), spec.field_q)
+    h1, h2 = (minimal_polynomial(f.field, f.field.inv(f.alpha), spec.field_q)
+              for f in spec.factors)
     return h1 * h2
 
 

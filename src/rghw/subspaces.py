@@ -129,7 +129,7 @@ def project(
         raise RangeError("side must be 1 or 2")
     ops = table_ops(field_for_size(basis.q))
     mat = basis.matrix()
-    cols = slice(0, k1) if side == 1 else slice(k1, k1 + k2)
+    cols = (slice(0, k1), slice(k1, k1 + k2))[side - 1]
     block = mat[:, cols]
     image_rows, _ = ops.rref(block)
     image = SubspaceBasis(

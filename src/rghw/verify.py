@@ -171,10 +171,9 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
         res.check(
             spec.n * spec.d == spec.n1 * spec.n2, f"{label}: length identity broken"
         )
-        step1, step2 = (spec.Q1 - 1) // (spec.q - 1), (spec.Q2 - 1) // (spec.q - 1)
-        delta1 = spec.embed1.preimage(spec.field_q1.pow(spec.gamma1, step1))
-        delta2 = spec.embed2.preimage(spec.field_q2.pow(spec.gamma2, step2))
-        res.check(delta1 == delta2 == spec.delta, f"{label}: delta compatibility broken")
+        norms = {f.embed.preimage(f.field.pow(f.gamma, f.field.order // (spec.q - 1)))
+                 for f in spec.factors}
+        res.check(norms == {spec.delta}, f"{label}: delta compatibility broken")
         words = _all_codewords(spec)
         res.check(
             len(words) == spec.Q1 * spec.Q2, f"{label}: codeword map is not injective"

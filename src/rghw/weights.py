@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .closed_forms import detect_family, evaluate_closed_form
-from .codes import CodeSpec, build_code
+from .codes import CodeSpec, basis_codewords, build_code
 from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
 from .subspaces import (
     SubspaceBasis,
@@ -53,10 +53,7 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
     """|Supp| of the codeword space spanned by a product-space subspace."""
-    if basis.dim == 0:
-        return 0
-    words = spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)
-    return int(words.any(axis=0).sum())
+    return int(basis_codewords(spec, basis).any(axis=0).sum())
 
 
 def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:

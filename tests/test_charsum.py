@@ -174,16 +174,16 @@ def test_trivial_on_subfield_matches_congruence():
     spec = build_code(3, 2, 3, 1, 2)
     step1 = (spec.Q1 - 1) // (spec.q - 1)
     step2 = (spec.Q2 - 1) // (spec.q - 1)
-    u2 = pow(spec.field_q2.log_table[spec.gamma2], -1, spec.e2) if spec.e2 > 1 else 0
-    delta1 = spec.embed1.apply_code(spec.delta)
-    delta2 = spec.embed2.apply_code(spec.delta)
+    u2 = pow(spec.factors[1].field.log_table[spec.factors[1].gamma], -1, spec.e2) if spec.e2 > 1 else 0
+    delta1 = spec.factors[0].embed.apply_code(spec.delta)
+    delta2 = spec.factors[1].embed.apply_code(spec.delta)
     for lam1 in range(spec.e1):
         for lam2 in range(spec.e2):
             congruent = (
                 lam1 * spec.e2 * step1 + lam2 * spec.e1 * step2
             ) % (spec.e1 * spec.e2) == 0
-            chi1 = CharacterHandle(spec.field_q1, spec.e1, lam1)
-            chi2 = CharacterHandle(spec.field_q2, spec.e2, (lam2 * u2) % spec.e2)
+            chi1 = CharacterHandle(spec.factors[0].field, spec.e1, lam1)
+            chi2 = CharacterHandle(spec.factors[1].field, spec.e2, (lam2 * u2) % spec.e2)
             value = char_eval(chi1, delta1) * char_eval(chi2, delta2)
             assert congruent == (abs(value - 1) < 1e-9)
 
@@ -192,13 +192,13 @@ def test_nj_via_charsum_examples():
     spec = build_code(2, 2, 3, 1, 1)
     K = spec.ambient_dim
     line = subspace_from_rows(
-        2, K, [np.concatenate([spec.decompose1[1], spec.decompose2[1]])], "product"
+        2, K, [np.concatenate([spec.factors[0].decompose[1], spec.factors[1].decompose[1]])], "product"
     )
     assert abs(nj_via_charsum(spec, line) - 11.0) < 1e-6
 
     # subspaces violating the trivial-intersection condition still match
     second_only = subspace_from_rows(
-        2, K, [np.concatenate([spec.decompose1[0], spec.decompose2[1]])], "product"
+        2, K, [np.concatenate([spec.factors[0].decompose[0], spec.factors[1].decompose[1]])], "product"
     )
     assert abs(nj_via_charsum(spec, second_only) - nj_of_subspace(spec, second_only)) < 1e-6
 
@@ -232,7 +232,7 @@ def test_nj_via_charsum_general_index_second_side():
     assert spec.coprime_orders
     rng = np.random.default_rng(37)
     for i in range(30):
-        rows = [np.concatenate([spec.decompose1[0], spec.decompose2[1 + i % 15]])]
+        rows = [np.concatenate([spec.factors[0].decompose[0], spec.factors[1].decompose[1 + i % 15]])]
         if i % 2:
             rows.append(rng.integers(0, 2, size=spec.ambient_dim))
         d = subspace_from_rows(2, spec.ambient_dim, rows, "product")

@@ -1,5 +1,9 @@
 """Code construction, codewords, supports, parity checks."""
 
+import itertools
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,12 +31,12 @@ from rghw.subspaces import subspace_from_rows
 def direct_codeword(spec, b1_code, b2_code):
     """Oracle: coordinates via field arithmetic and the trace table, none of
     the spec's precomputed functionals."""
-    f1, f2, fq = spec.field_q1, spec.field_q2, spec.field_q
+    f1, f2, fq = spec.factors[0].field, spec.factors[1].field, spec.field_q
     tr1, tr2 = trace_table(f1, fq), trace_table(f2, fq)
     out = []
     for i in range(spec.n):
-        t1 = tr1[f1.mul(b1_code, f1.pow(spec.alpha1, i))]
-        t2 = tr2[f2.mul(b2_code, f2.pow(spec.alpha2, i))]
+        t1 = tr1[f1.mul(b1_code, f1.pow(spec.factors[0].alpha, i))]
+        t2 = tr2[f2.mul(b2_code, f2.pow(spec.factors[1].alpha, i))]
         out.append(fq.add(int(t1), int(t2)))
     return tuple(out)
 
@@ -45,8 +49,8 @@ def test_build_code_examples():
     spec3 = build_code(3, 2, 3, 1, 2)
     assert (spec3.n1, spec3.n2, spec3.n) == (8, 13, 104)
     # oracle: orders recomputed from the elements themselves
-    assert element_order(spec3.field_q1, spec3.alpha1) == 8
-    assert element_order(spec3.field_q2, spec3.alpha2) == 13
+    assert element_order(spec3.factors[0].field, spec3.factors[0].alpha) == 8
+    assert element_order(spec3.factors[1].field, spec3.factors[1].alpha) == 13
 
 
 def test_build_code_rejections():
@@ -78,8 +82,8 @@ def test_same_degree_pair_can_be_valid():
 )
 def test_delta_compatibility(params):
     spec = build_code(*params)
-    lhs = spec.embed1.preimage(spec.field_q1.pow(spec.gamma1, (spec.Q1 - 1) // (spec.q - 1)))
-    rhs = spec.embed2.preimage(spec.field_q2.pow(spec.gamma2, (spec.Q2 - 1) // (spec.q - 1)))
+    lhs = spec.factors[0].embed.preimage(spec.factors[0].field.pow(spec.factors[0].gamma, (spec.Q1 - 1) // (spec.q - 1)))
+    rhs = spec.factors[1].embed.preimage(spec.factors[1].field.pow(spec.factors[1].gamma, (spec.Q2 - 1) // (spec.q - 1)))
     assert lhs == rhs == spec.delta
     assert element_order(spec.field_q, spec.delta) == spec.q - 1
     assert (spec.Q1 - 1) == spec.e1 * spec.n1
@@ -92,13 +96,13 @@ def test_codeword_zero_and_linearity():
     assert zero.weight == 0 and len(zero) == spec.n
 
     rng = np.random.default_rng(5)
-    f1, f2, fq = spec.field_q1, spec.field_q2, spec.field_q
+    f1, f2, fq = spec.factors[0].field, spec.factors[1].field, spec.field_q
     for _ in range(20):
         a = int(rng.integers(0, spec.q))
         u1, v1 = (int(c) for c in rng.integers(0, spec.Q1, 2))
         u2, v2 = (int(c) for c in rng.integers(0, spec.Q2, 2))
-        lift_a1 = spec.embed1.apply_code(a)
-        lift_a2 = spec.embed2.apply_code(a)
+        lift_a1 = spec.factors[0].embed.apply_code(a)
+        lift_a2 = spec.factors[1].embed.apply_code(a)
         lhs = codeword(spec, f1.add(f1.mul(lift_a1, u1), v1), f2.add(f2.mul(lift_a2, u2), v2))
         wu = codeword(spec, u1, u2)
         wv = codeword(spec, v1, v2)
@@ -123,8 +127,8 @@ def test_weight_ten_example():
     # oracle: count zero coordinates from trace-zero counts: in GF(4) one
     # nonzero element per period has zero trace (1 of 3), in GF(8) three of
     # seven; over 21 coordinates the zero count is 1*3 + 2*4 = 11
-    zeros4 = int((trace_table(spec.field_q1, spec.field_q)[1:] == 0).sum())
-    zeros8 = int((trace_table(spec.field_q2, spec.field_q)[1:] == 0).sum())
+    zeros4 = int((trace_table(spec.factors[0].field, spec.field_q)[1:] == 0).sum())
+    zeros8 = int((trace_table(spec.factors[1].field, spec.field_q)[1:] == 0).sum())
     assert (zeros4, zeros8) == (1, 3)
     for b1 in range(1, spec.Q1):
         for b2 in range(1, spec.Q2):
@@ -133,17 +137,17 @@ def test_weight_ten_example():
 
 def test_one_sided_word_is_repetition():
     spec = build_code(2, 2, 3, 1, 1)
-    f1, tr1 = spec.field_q1, trace_table(spec.field_q1, spec.field_q)
+    f1, tr1 = spec.factors[0].field, trace_table(spec.factors[0].field, spec.field_q)
     for b1 in range(1, spec.Q1):
         w = codeword(spec, b1, 0)
-        base = [int(tr1[f1.mul(b1, f1.pow(spec.alpha1, i))]) for i in range(spec.n1)]
+        base = [int(tr1[f1.mul(b1, f1.pow(spec.factors[0].alpha, i))]) for i in range(spec.n1)]
         assert w.coords == tuple(base * (spec.n // spec.n1))
 
 
 def test_subcode_examples():
     spec = build_code(2, 2, 3, 1, 1)
     assert subcode_codeword(spec, 0).weight == 0
-    ones8 = int((trace_table(spec.field_q2, spec.field_q)[1:] == 1).sum())
+    ones8 = int((trace_table(spec.factors[1].field, spec.field_q)[1:] == 1).sum())
     assert ones8 == 4  # oracle for the weight computation below
     for b2 in range(1, spec.Q2):
         w = subcode_codeword(spec, b2)
@@ -213,9 +217,9 @@ def test_parity_check_polynomial():
     h = parity_check_polynomial(spec)
     assert h.degree == spec.k1 + spec.k2 == 5
     # oracle: vanishes at both inverse nonzeros
-    f1, f2 = spec.field_q1, spec.field_q2
-    assert h.evaluate(f1, f1.inv(spec.alpha1)) == 0
-    assert h.evaluate(f2, f2.inv(spec.alpha2)) == 0
+    f1, f2 = spec.factors[0].field, spec.factors[1].field
+    assert h.evaluate(f1, f1.inv(spec.factors[0].alpha)) == 0
+    assert h.evaluate(f2, f2.inv(spec.factors[1].alpha)) == 0
 
     spec3 = build_code(3, 2, 3, 1, 2)
     assert parity_check_polynomial(spec3).degree == 5
@@ -272,3 +276,26 @@ def test_basis_codewords_shape():
     for row, vec in zip(words, basis.matrix()):
         c1, c2 = spec.pair_from_vector(vec)
         assert tuple(int(v) for v in row) == codeword(spec, c1, c2).coords
+
+
+def _small_grid():
+    """The benchmark's small grid: every valid spec with q^(k1+k2) <= 81."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["small_grid"]()
+
+
+def test_factor_tables_invert_each_other_on_the_small_grid():
+    grid = _small_grid()
+    assert len(grid) == 34
+    for params in grid:
+        spec = build_code(*params)
+        for f in spec.factors:
+            codes = np.arange(f.field.size)
+            # base-q index of each coordinate row, first coordinate most significant
+            index = f.decompose.astype(np.int64) @ spec.q ** np.arange(f.k - 1, -1, -1)
+            assert (f.compose[index] == codes).all(), params
+            assert all(f.code_of(f.decompose[c]) == c for c in codes), params
+        f1, f2 = spec.factors
+        for b1, b2 in itertools.product(range(spec.Q1), range(spec.Q2)):
+            vec = np.concatenate([f1.decompose[b1], f2.decompose[b2]])
+            assert spec.pair_from_vector(vec) == (b1, b2), params

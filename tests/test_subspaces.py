@@ -169,24 +169,6 @@ def test_intersect_with_cyclic_group_edges():
     assert intersect_with_cyclic_group(zero, spec) == 0
 
 
-def test_intersection_characterizations_agree_everywhere():
-    spec = build_code(2, 2, 3, 1, 1)
-    K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
-    ops = spec.ops
-    eye2 = np.zeros((k2, K), dtype=np.int16)
-    for t in range(k2):
-        eye2[t, k1 + t] = 1
-    for j in range(K + 1):
-        for h in enumerate_subspaces(K, j, 2, ambient="product"):
-            stacked = np.vstack([h.matrix(), eye2]) if h.dim else eye2
-            p_a = h.dim + k2 - ops.rank(stacked) == 0
-            _, kernel = project(h, k1, k2, 1)
-            p_b = kernel.dim == 0
-            image2_dual, _ = project(dual_subspace(h, spec), k1, k2, 2)
-            p_c = image2_dual.dim == k2
-            assert p_a == p_b == p_c
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 3**10 - 1), st.integers(1, 3))
 def test_double_dual_hypothesis(seedval, nrows):

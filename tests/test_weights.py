@@ -37,9 +37,9 @@ def codeword_space_rghw(spec, j):
     fq = spec.field_q
     gens = []
     for t in range(spec.k1):
-        gens.append(codeword(spec, spec.field_q1.exp_table[t], 0).coords)
+        gens.append(codeword(spec, spec.factors[0].field.exp_table[t], 0).coords)
     for t in range(spec.k2):
-        gens.append(codeword(spec, 0, spec.field_q2.exp_table[t]).coords)
+        gens.append(codeword(spec, 0, spec.factors[1].field.exp_table[t]).coords)
     subwords = {subcode_codeword(spec, b2).coords for b2 in range(spec.Q2)}
 
     def word_of(coeffs):
@@ -126,7 +126,7 @@ def test_nj_of_subspace_identities():
     line = subspace_from_rows(
         2,
         K,
-        [np.concatenate([spec.decompose1[1], spec.decompose2[1]])],
+        [np.concatenate([spec.factors[0].decompose[1], spec.factors[1].decompose[1]])],
         "product",
     )
     assert nj_of_subspace(spec, line) == spec.n - 10 == 11
