@@ -12,13 +12,10 @@ from .charsum import (
 from .closed_forms import detect_family, evaluate_closed_form
 from .codes import (
     CodeSpec,
-    Codeword,
     basis_codewords,
     build_code,
     codeword,
     parity_check_polynomial,
-    subcode_codeword,
-    support,
 )
 from .errors import RghwError
 from .gf import (
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CharacterHandle",
     "CodeSpec",
-    "Codeword",
     "DEFAULT_ENUM_CAP",
     "DEFAULT_SIZE_CAP",
     "Embedding",
@@ -95,8 +91,6 @@ __all__ = [
     "parity_check_polynomial",
     "project",
     "rghw_bruteforce",
-    "subcode_codeword",
     "subspace_from_rows",
-    "support",
     "unit_roots",
 ]

@@ -69,17 +69,6 @@ class CharacterHandle:
                 f"character order {self.order} does not divide {self.field.size - 1}"
             )
 
-    def power(self, t: int) -> "CharacterHandle":
-        return CharacterHandle(self.field, self.order, (self.exponent * t) % self.order)
-
-    def conjugate(self) -> "CharacterHandle":
-        return CharacterHandle(self.field, self.order, (-self.exponent) % self.order)
-
-    def trivial_on_subfield(self, q: int) -> bool:
-        """Does the restriction to the embedded GF(q)* collapse to 1?"""
-        step = (self.field.size - 1) // (q - 1)
-        return (self.exponent * step) % self.order == 0
-
 
 def _unit_log(field: FieldTable, x: int) -> int:
     """Discrete log of the code x; characters are undefined at zero."""

@@ -359,7 +359,7 @@ def _resolve_args(args: argparse.Namespace) -> None:
                 raise RangeError(f"unknown route {r!r}")
     else:
         args.routes = ROUTE_NAMES
-    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1)):
+    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1), ("seed", 0)):
         value = getattr(args, name, low)
         if value < low:
             raise RangeError(f"{name}={value} must be >= {low}")

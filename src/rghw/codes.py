@@ -10,10 +10,8 @@ paired-trace inner product.  Everything downstream works on those tables.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .errors import (
     RangeError,
 )
 from .gf import (
-    DEFAULT_SIZE_CAP,
     Embedding,
     FieldTable,
     Polynomial,
@@ -120,8 +117,7 @@ class CodeSpec:
     the two extensions GF(Q1), GF(Q2); the scalars repeat their parameters.
     """
 
-    def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int,
-                 size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int):
         if k1 < 1 or k2 < 1:
             raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
         p, s = factor_prime_power(q)
@@ -132,8 +128,8 @@ class CodeSpec:
         self.e2 = e2
         self.Q1 = q**k1
         self.Q2 = q**k2
-        self.field_q = build_field(p, s, size_cap)
-        fields = (build_field(p, s * k1, size_cap), build_field(p, s * k2, size_cap))
+        self.field_q = build_field(p, s)
+        fields = (build_field(p, s * k1), build_field(p, s * k2))
 
         for e, Q, label in ((e1, self.Q1, "e1"), (e2, self.Q2, "e2")):
             if e < 1 or (Q - 1) % e:
@@ -159,7 +155,6 @@ class CodeSpec:
 
         self.d = math.gcd(self.n1, self.n2)
         self.n = self.n1 * self.n2 // self.d
-        self.coprime_orders = self.d == 1
         self.ambient_dim = k1 + k2
 
         self.ops: TableOps = table_ops(self.field_q)
@@ -231,40 +226,18 @@ def _power_cycle(field: FieldTable, a: int, count: int) -> list[int]:
     return [field.exp_table[log * i % field.order] for i in range(count)]
 
 
-def build_code(q: int, k1: int, k2: int, e1: int, e2: int,
-               size_cap: int = DEFAULT_SIZE_CAP) -> CodeSpec:
+def build_code(q: int, k1: int, k2: int, e1: int, e2: int) -> CodeSpec:
     """Validate parameters and assemble the full CodeSpec."""
-    return CodeSpec(q, k1, k2, e1, e2, size_cap)
+    return CodeSpec(q, k1, k2, e1, e2)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A length-n word over GF(q) plus the pair that generated it."""
-
-    coords: tuple[int, ...]
-    beta1: int
-    beta2: int
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for v in self.coords if v)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-def codeword(spec: CodeSpec, beta1, beta2) -> Codeword:
-    """The word whose coordinate i is tr1(b1*a1^i) + tr2(b2*a2^i)."""
+def codeword(spec: CodeSpec, beta1, beta2) -> tuple[int, ...]:
+    """The n GF(q) codes tr1(b1*a1^i) + tr2(b2*a2^i), i = 0, ..., n-1."""
     f1, f2 = spec.factors
-    b1 = f1.field.check(beta1)
-    b2 = f2.field.check(beta2)
-    u = np.concatenate([f1.decompose[b1], f2.decompose[b2]])
+    u = np.concatenate([f1.decompose[f1.field.check(beta1)],
+                        f2.decompose[f2.field.check(beta2)]])
     coords = spec.ops.matmul(spec.coordinate_functionals, u[:, None])[:, 0]
-    return Codeword(tuple(int(v) for v in coords), b1, b2)
-
-
-def subcode_codeword(spec: CodeSpec, beta2) -> Codeword:
-    return codeword(spec, 0, beta2)
+    return tuple(int(v) for v in coords)
 
 
 def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
@@ -276,43 +249,9 @@ def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
     return spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)
 
 
-def support(words: Union[Iterable[Codeword], SubspaceBasis],
-            spec: Optional[CodeSpec] = None) -> set[int]:
-    """Coordinate positions where some vector of the collection is nonzero.
-
-    Accepts a collection of Codewords, a codeword-space SubspaceBasis, or a
-    product-space SubspaceBasis together with its CodeSpec (a spanning set
-    suffices: the union over a basis equals the union over the subspace).
-    """
-    if isinstance(words, SubspaceBasis):
-        if spec is not None and words.ambient_dim == spec.ambient_dim:
-            mat = basis_codewords(spec, words)
-        else:
-            mat = words.matrix()
-        return {int(i) for i in np.nonzero(mat.any(axis=0))[0]}
-    out: set[int] = set()
-    length = None
-    for w in words:
-        if length is None:
-            length = len(w)
-        elif len(w) != length:
-            raise LengthMismatch("codewords of different lengths")
-        out.update(i for i, v in enumerate(w.coords) if v)
-    return out
-
-
 def parity_check_polynomial(spec: CodeSpec) -> Polynomial:
     """Product of the minimal polynomials of the inverse nonzeros."""
     h1, h2 = (minimal_polynomial(f.field, f.field.inv(f.alpha), spec.field_q)
               for f in spec.factors)
     return h1 * h2
 
-
-def export_codewords(words: Iterable[Codeword], fmt: str = "text") -> str:
-    """Render words as a plain-text residue matrix or a JSON array of rows."""
-    rows = [list(w.coords) for w in words]
-    if fmt == "json":
-        return json.dumps(rows)
-    if fmt == "text":
-        return "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
-    raise RangeError(f"unknown export format {fmt!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -152,27 +151,13 @@ class FieldTable:
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.m}))"
 
-    def to_json(self) -> str:
-        """Debug dump: one JSON object holding the defining tables."""
-        return json.dumps(
-            {
-                "p": self.p,
-                "m": self.m,
-                "size": self.size,
-                "primitive_polynomial": list(self.primitive_polynomial),
-                "exp_table": list(self.exp_table),
-                "log_table": list(self.log_table),
-                "zech_table": list(self.zech_table),
-            }
-        )
-
 
 # -- construction ---------------------------------------------------------
 
 _FIELD_CACHE: dict[tuple[int, int], FieldTable] = {}
 
 
-def build_field(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
+def build_field(p: int, m: int) -> FieldTable:
     """Construct GF(p^m), reusing a cached table when available.
 
     The defining polynomial is the first primitive one in lexicographic
@@ -183,17 +168,17 @@ def build_field(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
         raise NonPrime(f"p={p} is not prime")
     if m < 1:
         raise SizeCapExceeded(f"extension degree m={m} must be >= 1")
-    if p ** m > size_cap:
-        raise SizeCapExceeded(f"{p}^{m} exceeds the size cap {size_cap}")
+    if p ** m > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"{p}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}")
     key = (p, m)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = _construct(p, m)
     return _FIELD_CACHE[key]
 
 
-def field_for_size(size: int, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
+def field_for_size(size: int) -> FieldTable:
     p, s = factor_prime_power(size)
-    return build_field(p, s, size_cap)
+    return build_field(p, s)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,14 +77,12 @@ def enumerate_subspaces(
     k: int,
     j: int,
     q: int,
-    pivots_subset: Optional[Iterable[tuple[int, ...]]] = None,
     ambient: str = "",
 ) -> Iterator[SubspaceBasis]:
     """Yield every j-dimensional subspace of F_q^k exactly once."""
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
-    sets = pivot_sets(k, j) if pivots_subset is None else list(pivots_subset)
-    for pivots in sets:
+    for pivots in pivot_sets(k, j):
         positions = free_positions(pivots, k)
         template = [[0] * k for _ in range(j)]
         for r, pc in enumerate(pivots):

@@ -23,13 +23,7 @@ from .charsum import (
     unit_roots,
 )
 from .closed_forms import detect_family, evaluate_closed_form
-from .codes import (
-    CodeSpec,
-    build_code,
-    codeword,
-    parity_check_polynomial,
-    subcode_codeword,
-)
+from .codes import CodeSpec, build_code, codeword, parity_check_polynomial
 from .gf import (
     FieldTable,
     build_field,
@@ -155,7 +149,7 @@ def _all_codewords(spec: CodeSpec) -> dict[tuple[int, ...], tuple[int, int]]:
     words = {}
     for b1 in range(spec.Q1):
         for b2 in range(spec.Q2):
-            words[codeword(spec, b1, b2).coords] = (b1, b2)
+            words[codeword(spec, b1, b2)] = (b1, b2)
     return words
 
 
@@ -181,7 +175,7 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
         word_set = set(words)
         shifts_ok = all(w[1:] + w[:1] in word_set for w in word_set)
         res.check(shifts_ok, f"{label}: cyclic shift closure fails")
-        subwords = {subcode_codeword(spec, b2).coords for b2 in range(spec.Q2)}
+        subwords = {codeword(spec, 0, b2) for b2 in range(spec.Q2)}
         res.check(subwords <= word_set, f"{label}: C' not contained in C")
         periodic = all(
             w[i] == w[(i + spec.n2) % spec.n]
@@ -198,7 +192,7 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
         # repetition structure of one-sided words
         rep_ok = True
         for b1 in range(1, spec.Q1):
-            w = codeword(spec, b1, 0).coords
+            w = codeword(spec, b1, 0)
             if any(w[i] != w[(i + spec.n1) % spec.n] for i in range(spec.n)):
                 rep_ok = False
         res.check(rep_ok, f"{label}: one-sided words not n1-periodic")
@@ -346,12 +340,13 @@ def gauss_value_table(field: FieldTable) -> np.ndarray:
     return w @ shifted
 
 
-def gauss_suite(max_size: int = GAUSS_MAX_FIELD, seed: int = 2024) -> SuiteResult:
+def gauss_suite(seed: int = 2024) -> SuiteResult:
     res = SuiteResult("gauss")
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
-    sizes = sorted(p**m for p in range(2, max_size + 1) if is_prime(p)
-                   for m in range(1, max_size.bit_length()) if p**m <= max_size)
+    top = GAUSS_MAX_FIELD
+    sizes = sorted(p**m for p in range(2, top + 1) if is_prime(p)
+                   for m in range(1, top.bit_length()) if p**m <= top)
     for size in sizes:
         field = field_for_size(size)
         order = size - 1
@@ -432,9 +427,9 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
     res = SuiteResult("charsum")
     worst = 0.0
-    usable = [p for p in instances if math.gcd(*_orders(p)) == 1]
-    for params in usable:
-        spec = build_code(*params)
+    specs = [(params, build_code(*params)) for params in instances]
+    usable = [(params, spec) for params, spec in specs if spec.d == 1]
+    for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
         for i in range(samples):
             j = 1 + i % spec.k1
@@ -449,13 +444,8 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
                 f"{params}: oracle residual {diff} at subspace {D.rows}",
             )
     res.notes["max_residual"] = worst
-    res.notes["instances"] = [list(p) for p in usable]
+    res.notes["instances"] = [list(params) for params, _ in usable]
     return res
-
-
-def _orders(params: tuple) -> tuple[int, int]:
-    q, k1, k2, e1, e2 = params
-    return (q**k1 - 1) // e1, (q**k2 - 1) // e2
 
 
 # -- closed forms ---------------------------------------------------------------

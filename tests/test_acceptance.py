@@ -89,7 +89,8 @@ def test_criterion_4_charsum_oracle():
 
 def test_criterion_5_gauss_identity_suite():
     assert verify.GAUSS_TOL == GAUSS_TOL
-    result = gauss_suite(max_size=81)
+    assert verify.GAUSS_MAX_FIELD == 81
+    result = gauss_suite()
     assert result.passed, result.failures[:5]
     worst = result.notes["max_residual"]
     assert worst < GAUSS_TOL

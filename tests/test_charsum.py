@@ -38,8 +38,6 @@ def test_character_handle_validation():
         CharacterHandle(f9, 3, 1)  # 3 does not divide 8
     chi = CharacterHandle(f9, 8, 2)
     assert chi.exponent % chi.order != 0
-    assert chi.power(4).exponent == 0
-    assert chi.conjugate().exponent == 6
 
 
 def test_char_eval_examples():
@@ -111,7 +109,7 @@ def test_gauss_sum_twist_identity(size):
         assert abs(abs(base) - math.sqrt(size)) < 1e-9
         for blog in range(order):
             beta = field.exp_table[blog]
-            expected = char_eval(chi.conjugate(), beta) * base
+            expected = char_eval(CharacterHandle(field, order, -lam % order), beta) * base
             assert abs(gauss_sum(chi, beta) - expected) < 1e-9
 
 
@@ -152,8 +150,9 @@ def test_incomplete_character_sum_vanishes_on_lines():
     f3, f9 = build_field(3, 1), build_field(3, 2)
     emb = embed_subfield(f3, f9)
     psi = CharacterHandle(f9, 8, 1)
-    # order-8 character restricts nontrivially to GF(3)*
-    assert not psi.trivial_on_subfield(3)
+    # order-8 character restricts nontrivially to GF(3)* = <g^step>
+    step = (f9.size - 1) // (f3.size - 1)
+    assert psi.exponent * step % psi.order != 0
     assert incomplete_character_sum(psi, []) == 0
     two = emb.apply_code(f3.exp_table[1])
     for x in range(1, f9.size):
@@ -165,7 +164,7 @@ def test_incomplete_character_sum_vanishes_on_lines():
         assert abs(total) < 1e-9
     # a character trivial on GF(3)* does not vanish: boundary of the claim
     triv = CharacterHandle(f9, 8, 4)  # psi(g)^4 has order 2, trivial on GF(3)*
-    assert triv.trivial_on_subfield(3)
+    assert triv.exponent * step % triv.order == 0
     line = [0, 1, two]
     assert abs(incomplete_character_sum(triv, line)) > 0.5
 
@@ -229,7 +228,7 @@ def test_nj_via_charsum_general_index_second_side():
     # through its nontrivial character terms
     spec = build_code(2, 3, 4, 1, 3)
     assert math.gcd(spec.e2, (spec.Q2 - 1) // (spec.q - 1)) == 3
-    assert spec.coprime_orders
+    assert spec.d == 1
     rng = np.random.default_rng(37)
     for i in range(30):
         rows = [np.concatenate([spec.factors[0].decompose[0], spec.factors[1].decompose[1 + i % 15]])]

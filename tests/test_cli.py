@@ -254,6 +254,7 @@ BAD_INPUTS = [
     ("cap-negative", ("table", *SPEC_ARGS, "--cap", "-1"), 2, "RangeError"),
     ("samples-zero", ("verify", "--samples", "0"), 2, "RangeError"),
     ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),
+    ("seed-negative", ("verify", "--seed", "-1"), 2, "RangeError"),
     ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
     ("lam-not-an-integer", ("gauss", "--size", "5", "--lam", "x"), 2, "RangeError"),
     ("out-in-missing-directory",

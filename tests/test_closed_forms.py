@@ -81,7 +81,7 @@ def test_printed_hypotheses_do_not_cover_q4():
     # orders share a factor of 3, so the derivation collapses; the evaluator
     # must refuse rather than return a wrong table
     spec = build_code(4, 2, 3, 1, 3)
-    assert spec.d == 3 and not spec.coprime_orders
+    assert spec.d == 3
     with pytest.raises(HypothesisViolated):
         evaluate_closed_form(4, 2, 3, 1, 3, 1)
     assert detect_family(4, 2, 3, 1, 3) is None
@@ -93,7 +93,7 @@ def test_q4_family_member_matches_bruteforce():
     # q - 1 = 3 is not a power of two, so this leans on the extra
     # gcd(q-1, k2) = 1 validation; kept to j = 1 and one route for runtime
     spec = build_code(4, 2, 5, 1, 3)
-    assert spec.coprime_orders and spec.n == 15 * 341
+    assert spec.d == 1 and spec.n == 15 * 341
     n_j, m_j = evaluate_closed_form(4, 2, 5, 1, 3, 1)
     assert m_j == rghw_bruteforce(spec, 1)
     assert spec.n - n_j == m_j

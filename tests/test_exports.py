@@ -1,6 +1,13 @@
-"""The package's public names."""
+"""The package's public names, and a caller for every definition."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import rghw
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rghw"
 
 
 def test_every_export_resolves_and_star_import_succeeds():
@@ -8,3 +15,57 @@ def test_every_export_resolves_and_star_import_succeeds():
     namespace = {}
     exec("from rghw import *", namespace)
     assert set(rghw.__all__) <= set(namespace)
+
+
+def _definitions(tree):
+    """(class or None, node) for every module-level function and class and
+    every method whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield node, item
+
+
+def _occurrences(tree):
+    """(name, node) for every Name, Attribute and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def _overrides(module: str, cls: ast.ClassDef, name: str) -> bool:
+    owner = getattr(importlib.import_module(f"rghw.{module}"), cls.name)
+    return any(hasattr(base, name) for base in owner.__mro__[1:])
+
+
+def test_every_definition_has_a_caller():
+    """A definition is called when its name occurs in the package (outside
+    __init__.py's re-exports) or in the benchmark (outside its tests),
+    other than inside the definition itself; tracing names its targets by
+    string, so string constants count."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [tree for stem, tree in modules.items() if stem != "__init__"]
+    callers += [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))
+                if not path.name.startswith("test_")]
+    seen: dict = {}
+    for tree in callers:
+        for name, node in _occurrences(tree):
+            seen.setdefault(name, []).append(node)
+    dead = []
+    for module, tree in modules.items():
+        for cls, node in _definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if any(id(n) not in inside for n in seen.get(node.name, ())):
+                continue
+            if cls is not None and _overrides(module, cls, node.name):
+                continue
+            dead.append(f"{module}.{cls.name + '.' if cls else ''}{node.name}")
+    assert not dead, f"definitions without a caller: {dead}"

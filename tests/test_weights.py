@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rghw.closed_forms import detect_family, evaluate_closed_form
-from rghw.codes import build_code, codeword, subcode_codeword
+from rghw.codes import build_code, codeword
 from rghw import weights
 from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
 from rghw.subspaces import (
@@ -37,10 +37,10 @@ def codeword_space_rghw(spec, j):
     fq = spec.field_q
     gens = []
     for t in range(spec.k1):
-        gens.append(codeword(spec, spec.factors[0].field.exp_table[t], 0).coords)
+        gens.append(codeword(spec, spec.factors[0].field.exp_table[t], 0))
     for t in range(spec.k2):
-        gens.append(codeword(spec, 0, spec.factors[1].field.exp_table[t]).coords)
-    subwords = {subcode_codeword(spec, b2).coords for b2 in range(spec.Q2)}
+        gens.append(codeword(spec, 0, spec.factors[1].field.exp_table[t]))
+    subwords = {codeword(spec, 0, b2) for b2 in range(spec.Q2)}
 
     def word_of(coeffs):
         acc = [0] * spec.n
@@ -105,7 +105,7 @@ def test_ghw_examples():
     assert ghw_bruteforce(spec, spec.k1 + spec.k2) == spec.n
     # oracle: minimum weight by exhaustive scan of the 31 nonzero words
     weights = [
-        codeword(spec, b1, b2).weight
+        np.count_nonzero(codeword(spec, b1, b2))
         for b1 in range(spec.Q1)
         for b2 in range(spec.Q2)
         if (b1, b2) != (0, 0)
