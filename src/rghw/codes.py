@@ -126,10 +126,9 @@ class CodeSpec:
         self.k2 = k2
         self.e1 = e1
         self.e2 = e2
-        self.Q1 = q**k1
-        self.Q2 = q**k2
         self.field_q = build_field(p, s)
         fields = (build_field(p, s * k1), build_field(p, s * k2))
+        self.Q1, self.Q2 = fields[0].size, fields[1].size
 
         for e, Q, label in ((e1, self.Q1, "e1"), (e2, self.Q2, "e2")):
             if e < 1 or (Q - 1) % e:

@@ -168,7 +168,8 @@ def build_field(p: int, m: int) -> FieldTable:
         raise NonPrime(f"p={p} is not prime")
     if m < 1:
         raise SizeCapExceeded(f"extension degree m={m} must be >= 1")
-    if p ** m > DEFAULT_SIZE_CAP:
+    # p^m >= 2^m > DEFAULT_SIZE_CAP once m reaches its bit length: no power needed
+    if m >= DEFAULT_SIZE_CAP.bit_length() or p ** m > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"{p}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}")
     key = (p, m)
     if key not in _FIELD_CACHE:

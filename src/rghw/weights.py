@@ -17,6 +17,7 @@ worker processes with a deterministic merge.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -75,12 +76,52 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 #
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
-# a pivot set the t-th basis in enumeration order has the base-q digits of t
-# (most significant first) as its free entries in row-major order; a batch
-# of t values is scored at once by combining rows of packed n-bit masks.
-# A plan (weights, base, tables, combine) says which rows: column k of
-# digits @ weights + base indexes tables[k], and the looked-up masks are
-# folded with the ufunc combine before the bits are counted.
+# a pivot set with P free entries the t-th basis in enumeration order has
+# the last P base-q digits of t (most significant first) as its free
+# entries in row-major order; a batch of t values is scored at once by
+# combining rows of packed n-bit masks.  A plan (weights, bases, tables,
+# combine) says which rows: column k of digits @ weights + bases[t // q^P]
+# indexes tables[k], and the looked-up masks are folded with the ufunc
+# combine before the bits are counted.
+#
+# The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
+# shifts every codeword cyclically, so it keeps supports and
+# admissibility, and every admissible D is a shift of one that contains an
+# orbit representative r (orbit_representatives).  Since r_0 = 1, such a D
+# is span(r) + D' with D' = D meet {x_0 = 0}, and D is admissible exactly
+# when D' has every pivot in 1..k1-1.  So the scan walks D' on dim-1 rows,
+# once per r: each row of bases also looks up the mask of one r.
+
+
+def orbit_representatives(spec: CodeSpec) -> np.ndarray:
+    """One vector of F_q^K per orbit of {(b1, b2) : b1 != 0} under the shift
+    and GF(q)*, each with coordinate 0 equal to 1: shape (orbits, K).
+
+    a1 and GF(q)* generate a subgroup of index m1 of GF(Q1)*.  The shifts
+    that fix b1 up to a scalar, a1^t in GF(q)*, act on b2 through
+    H2 = <a2^t0 a1^-t0>, of index m2 in GF(Q2)*.  So the pairs (g1^i, 0)
+    and (g1^i, g2^k), i < m1, k < m2, lie in distinct orbits and meet every
+    one; each is shifted until coordinate 0 is nonzero, then rescaled.
+    """
+    f1, f2 = spec.factors
+    F1, F2 = f1.field, f2.field
+    step = F1.order // (spec.q - 1)  # GF(q)* = <g1^step>
+    m1 = math.gcd(F1.log_table[f1.alpha], step)
+    t0 = step // m1  # least t > 0 with a1^t in GF(q)*
+    scalar = f1.embed.preimage(F1.pow(f1.alpha, -t0))
+    h2 = F2.mul(F2.pow(f2.alpha, t0), f2.embed.apply_code(scalar))
+    m2 = math.gcd(F2.log_table[h2], F2.order)
+    rows = []
+    for b1 in F1.exp_table[:m1]:
+        for b2 in [0] + F2.exp_table[:m2]:
+            c1, c2 = b1, b2
+            # a1 generates GF(Q1), so the shifts of b1 leave {x_0 = 0}
+            while f1.decompose[c1, 0] == 0:
+                c1, c2 = F1.mul(c1, f1.alpha), F2.mul(c2, f2.alpha)
+            scale = spec.field_q.inv(int(f1.decompose[c1, 0]))
+            rows.append(f1.decompose[F1.mul(c1, f1.embed.apply_code(scale))].tolist()
+                        + f2.decompose[F2.mul(c2, f2.embed.apply_code(scale))].tolist())
+    return np.array(rows, dtype=np.int16)
 
 
 def _column_order(k1: int, k2: int, mode: str) -> list[int]:
@@ -93,7 +134,7 @@ def _column_order(k1: int, k2: int, mode: str) -> list[int]:
 
 def admissible_pivot_sets(k1: int, k2: int, dim: int, mode: str
                           ) -> list[tuple[int, ...]]:
-    """Pivot sets (working column order) of the subspaces a scan visits.
+    """Pivot sets (working column order) of the admissible subspaces.
 
     min_support: first projection injective <=> every pivot < k1.
     max_group: second projection onto <=> pivots include 0..k2-1.
@@ -123,18 +164,32 @@ def _fill_packed(out: np.ndarray, first: int,
         out[lo: lo + len(codes)] = np.packbits(rows(codes), axis=1)
 
 
+def _support_rows(spec: CodeSpec, anchors: Optional[np.ndarray]) -> int:
+    """Rows of a scan's support table: every code of F_q^K or, for an
+    anchored scan, whose pivots are never 0, the codes below q^(K-1) and
+    then one row per anchor."""
+    K = spec.ambient_dim
+    return spec.q ** K if anchors is None else spec.q ** (K - 1) + len(anchors)
+
+
 class _SupportTable:
-    """Packed support of the codeword of every vector of F_q^K, indexed by
-    its base-q code (column 0 most significant).
+    """Packed support of the codeword of a vector of F_q^K, indexed by its
+    base-q code (column 0 most significant), for the codes _support_rows
+    covers; the anchors' masks fill anchor_rows.
 
     An RREF row with pivot p has its code in [q^(K-1-p), 2 q^(K-1-p)), so
     that range is built the first time a pivot set containing p is scanned;
     the rest of the table is never written.
     """
 
-    def __init__(self, spec: CodeSpec):
+    def __init__(self, spec: CodeSpec, anchors: Optional[np.ndarray]):
         self.spec = spec
-        self.masks = np.empty((spec.q**spec.ambient_dim, -(-spec.n // 8)), dtype=np.uint8)
+        self.masks = np.empty((_support_rows(spec, anchors), -(-spec.n // 8)), dtype=np.uint8)
+        self.anchor_rows: Optional[range] = None
+        if anchors is not None:
+            self.anchor_rows = range(len(self.masks) - len(anchors), len(self.masks))
+            self.masks[self.anchor_rows.start:] = np.packbits(
+                spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
         self.built: set[int] = set()
 
     def require(self, pivots) -> None:
@@ -150,14 +205,19 @@ class _SupportTable:
 
 def _support_plan(table: _SupportTable, pivots, positions):
     """Row r of a basis is looked up by its code: q^(K-1-p_r) for the pivot
-    plus its free entries; the span's support is the union of the rows'."""
+    plus its free entries; the span's support is the union of the rows'.
+    An anchored table adds a first column, with no free entries, that looks
+    up one anchor per base."""
     K, q = table.spec.ambient_dim, table.spec.q
     table.require(pivots)
-    weights = np.zeros((len(positions), len(pivots)), dtype=np.int64)
+    lead = int(table.anchor_rows is not None)
+    weights = np.zeros((len(positions), lead + len(pivots)), dtype=np.int64)
     for i, (r, c) in enumerate(positions):
-        weights[i, r] = q ** (K - 1 - c)
-    base = np.array([q ** (K - 1 - p) for p in pivots], dtype=np.int64)
-    return weights, base, [table.masks] * len(pivots), np.bitwise_or
+        weights[i, lead + r] = q ** (K - 1 - c)
+    codes = [q ** (K - 1 - p) for p in pivots]
+    heads = [[a] for a in table.anchor_rows] if lead else [[]]
+    bases = np.array([head + codes for head in heads], dtype=np.int64)
+    return weights, bases, [table.masks] * bases.shape[1], np.bitwise_or
 
 
 def _group_plan(spec: CodeSpec, group: np.ndarray, pivots, positions):
@@ -178,18 +238,19 @@ def _group_plan(spec: CodeSpec, group: np.ndarray, pivots, positions):
         _fill_packed(table, 0, lambda a: spec.ops.matmul(
             _digits(a, len(rows), q).astype(np.int16), coeffs) == target)
         tables.append(table)
-    return weights, 0, tables, np.bitwise_and
+    return weights, np.zeros((1, len(cols)), dtype=np.int64), tables, np.bitwise_and
 
 
-def _scan_chunk(spec: CodeSpec, dim: int, mode: str, chunk
+def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
                 ) -> tuple[Optional[int], Optional[np.ndarray]]:
-    """Best value over the subspaces of the given pivot sets, and the basis
+    """Best value over the subspaces of the given pivot sets, and a basis
     (working column order) of the first subspace attaining it.
 
     mode "min_support" minimizes support over injective-first-projection
     subspaces, "max_group" maximizes the cyclic-group count over
     onto-second-projection subspaces, "min_support_all" minimizes support
-    over every subspace (plain GHW).
+    over every subspace (plain GHW).  With anchors, each subspace is the
+    span of one anchor and of a basis with the given pivots.
     """
     K, q = spec.ambient_dim, spec.q
     maximize = mode == "max_group"
@@ -197,15 +258,17 @@ def _scan_chunk(spec: CodeSpec, dim: int, mode: str, chunk
         group = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)]
         plan = functools.partial(_group_plan, spec, group)
     else:
-        plan = functools.partial(_support_plan, _SupportTable(spec))
-    best: Optional[tuple] = None  # (value, pivots, positions, digits)
+        plan = functools.partial(_support_plan, _SupportTable(spec, anchors))
+    best: Optional[tuple] = None  # (value, pivots, positions, base number, digits)
     for pivots in chunk:
         positions = free_positions(pivots, K)
-        weights, base, tables, combine = plan(pivots, positions)
-        total = q ** len(positions)
+        weights, bases, tables, combine = plan(pivots, positions)
+        per = q ** len(positions)
+        total = len(bases) * per
         for lo in range(0, total, BATCH):
-            digits = _digits(np.arange(lo, min(lo + BATCH, total)), len(positions), q)
-            index = digits @ weights + base
+            t = np.arange(lo, min(lo + BATCH, total))
+            digits = _digits(t, len(positions), q)
+            index = digits @ weights + bases[t // per]
             acc = tables[0][index[:, 0]]
             for k in range(1, len(tables)):
                 combine(acc, tables[k][index[:, k]], out=acc)
@@ -213,60 +276,80 @@ def _scan_chunk(spec: CodeSpec, dim: int, mode: str, chunk
             i = int(values.argmax() if maximize else values.argmin())
             val = int(values[i])
             if best is None or (val > best[0] if maximize else val < best[0]):
-                best = (val, pivots, positions, digits[i])
+                best = (val, pivots, positions, int(t[i]) // per, digits[i])
     if best is None:
         return None, None
-    val, pivots, positions, digits = best
-    rows = np.zeros((dim, K), dtype=np.int16)
-    rows[range(dim), pivots] = 1
+    val, pivots, positions, s, digits = best
+    rows = np.zeros((len(pivots), K), dtype=np.int16)
+    rows[range(len(pivots)), pivots] = 1
     for (r, c), v in zip(positions, digits):
         rows[r, c] = v
+    if anchors is not None:
+        rows = np.vstack([anchors[s], rows])
     return val, rows
 
 
 def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
     """_scan_chunk inside a pool worker, which rebuilds the spec."""
-    params, dim, mode, chunk = args
-    return _scan_chunk(build_code(*params), dim, mode, chunk)
+    params, mode, chunk, anchors = args
+    return _scan_chunk(build_code(*params), mode, chunk, anchors)
 
 
-def _table_bytes(spec: CodeSpec, mode: str, sets) -> int:
+def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]) -> int:
     """Largest lookup-table footprint of one scan (per pivot set for the
     dual route, which frees its tables between pivot sets)."""
     width = -(-spec.n // 8)
     if mode != "max_group":
-        return spec.q ** spec.ambient_dim * width
+        return _support_rows(spec, anchors) * width
     return max((sum(spec.q ** sum(p < c for p in ps)
                     for c in range(spec.ambient_dim) if c not in ps) * width
                 for ps in sets), default=0)
 
 
+def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
+    """Consecutive runs of sets of about total/nchunks work each, in
+    enumeration order; a set goes to the run its preceding work falls in."""
+    total, done = sum(work), 0
+    runs: dict[int, list] = {}
+    for ps, w in zip(sets, work):
+        runs.setdefault(done * nchunks // total, []).append(ps)
+        done += w
+    return list(runs.values())
+
+
 def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
-          ) -> tuple[int, SubspaceBasis]:
+          ) -> tuple[int, np.ndarray]:
+    """Best value of a scan and a spanning set (working column order) of
+    the first subspace attaining it."""
     K = spec.ambient_dim
-    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
-    total = sum(count_for_pivots(ps, K, spec.q) for ps in sets)
+    if mode == "min_support":
+        anchors = orbit_representatives(spec)
+        sets = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim - 1, mode)
+                if 0 not in ps]
+    else:
+        anchors = None
+        sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+    starts = 1 if anchors is None else len(anchors)
+    work = [starts * count_for_pivots(ps, K, spec.q) for ps in sets]
+    total = sum(work)
     if total > cap:
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
-    table_bytes = _table_bytes(spec, mode, sets)
+    table_bytes = _table_bytes(spec, mode, sets, anchors)
     if table_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"lookup tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
-    workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
-    if workers <= 1 or len(sets) <= 1:
-        results = [_scan_chunk(spec, dim, mode, sets)]
+    chunks = [sets]
+    if workers > 1 and sets:
+        workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
+        chunks = _chunks(sets, work, workers * 4)
+    if len(chunks) <= 1:
+        results = [_scan_chunk(spec, mode, sets, anchors)]
     else:
         params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-        nchunks = min(len(sets), workers * 4)
-        bounds = np.linspace(0, len(sets), nchunks + 1).astype(int)
-        tasks = [
-            (params, dim, mode, sets[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
+        tasks = [(params, mode, chunk, anchors) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, tasks))
     prefer_max = mode == "max_group"
@@ -279,9 +362,7 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
             best_val, best_rows = val, rows
     if best_val is None:
         raise RangeError(f"no qualifying subspace of dimension {dim}")
-    original = np.empty_like(best_rows)
-    original[:, _column_order(spec.k1, spec.k2, mode)] = best_rows
-    return best_val, subspace_from_rows(spec.q, K, original, "product")
+    return best_val, best_rows
 
 
 # -- public routes ----------------------------------------------------------
@@ -322,7 +403,10 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     """
     if not 1 <= j <= spec.k1:
         raise RangeError(f"j={j} outside 1..{spec.k1}")
-    n_j, argmax = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
+    n_j, rows = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
+    original = np.empty_like(rows)
+    original[:, _column_order(spec.k1, spec.k2, "max_group")] = rows
+    argmax = subspace_from_rows(spec.q, spec.ambient_dim, original, "product")
     return DualCountResult(spec.n - n_j, n_j, argmax)
 
 

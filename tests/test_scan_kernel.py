@@ -1,5 +1,6 @@
 """The pivot-set scan kernel against definition-level references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from rghw.weights import (
     admissible_pivot_sets,
     ghw_bruteforce,
     mj_dual_count,
+    orbit_representatives,
     rghw_bruteforce,
     subspace_support_size,
 )
@@ -116,28 +118,81 @@ def test_frontier_instances():
     spec = build_code(3, 3, 4, 1, 2)
     got = [(rghw_bruteforce(spec, j), mj_dual_count(spec, j).m) for j in (1, 2)]
     assert got == [(345, 345), (460, 460)]
+    # cells the unanchored scan took tens of seconds for
+    for params in ((2, 4, 7, 1, 1), (3, 3, 5, 1, 2)):
+        spec = build_code(*params)
+        for j in (1, 2, 3):
+            assert rghw_bruteforce(spec, j) == evaluate_closed_form(*params, j)[1]
+    # no closed form covers (4,3,4,1,3); the dual scan gives the same values
+    spec = build_code(4, 3, 4, 1, 3)
+    assert [rghw_bruteforce(spec, j) for j in (1, 2)] == [4016, 5020]
+
+
+def shift_orbits(spec):
+    """Orbit number of every pair (b1, b2) with b1 != 0 under the shift and
+    GF(q)*, by closing each unvisited pair."""
+    f1, f2 = spec.factors
+    moves = [(f1.alpha, f2.alpha)] + [(f1.embed.apply_code(c), f2.embed.apply_code(c))
+                                      for c in range(2, spec.q)]
+    orbit = {}
+    for start in itertools.product(range(1, f1.field.size), range(f2.field.size)):
+        if start in orbit:
+            continue
+        label, stack = len(set(orbit.values())), [start]
+        while stack:
+            b1, b2 = stack.pop()
+            if (b1, b2) not in orbit:
+                orbit[b1, b2] = label
+                stack += [(f1.field.mul(b1, u), f2.field.mul(b2, v)) for u, v in moves]
+    return orbit
+
+
+def test_orbit_representatives_partition():
+    specs = small_grid() + [build_code(*p) for p in (
+        (2, 3, 4, 1, 1), (4, 2, 3, 1, 3), (5, 2, 3, 1, 4), (2, 3, 5, 1, 1), (3, 3, 4, 1, 2))]
+    counts = []
+    for spec in specs:
+        reps = orbit_representatives(spec)
+        orbit = shift_orbits(spec)
+        assert (reps[:, 0] == 1).all(), spec
+        labels = sorted(orbit[spec.pair_from_vector(r)] for r in reps)
+        assert labels == list(range(len(set(orbit.values())))), spec
+        counts.append(len(reps))
+    assert counts[-5:] == [2, 4, 2, 2, 3]
+    for params in ((2, 4, 7, 1, 1), (2, 5, 6, 1, 1), (3, 3, 5, 1, 2), (4, 3, 4, 1, 3),
+                   (3, 4, 5, 1, 2)):
+        assert len(orbit_representatives(build_code(*params))) == 2, params
 
 
 def test_cap_counts_admissible_subspaces():
     spec = build_code(2, 2, 3, 1, 1)
     q, k1, k2 = spec.q, spec.k1, spec.k2
+    reps = len(orbit_representatives(spec))
     for j in (1, 2):
-        # [k1, j]_q q^(j k2) admissible subspaces on either side
-        count = gaussian_binomial(k1, j, q) * q ** (j * k2)
+        # bruteforce: [k1-1, j-1]_q q^((j-1) k2) subspaces through each anchor
+        count = reps * gaussian_binomial(k1 - 1, j - 1, q) * q ** ((j - 1) * k2)
         assert rghw_bruteforce(spec, j, cap=count) == (10, 15)[j - 1]
-        assert mj_dual_count(spec, j, cap=count).m == (10, 15)[j - 1]
         with pytest.raises(CapExceeded):
             rghw_bruteforce(spec, j, cap=count - 1)
+        # dual: all [k1, j]_q q^(j k2) admissible subspaces
+        count = gaussian_binomial(k1, j, q) * q ** (j * k2)
+        assert mj_dual_count(spec, j, cap=count).m == (10, 15)[j - 1]
         with pytest.raises(CapExceeded):
             mj_dual_count(spec, j, cap=count - 1)
 
 
 def test_table_bound_raises_before_allocating(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
-    support_bytes = spec.q**spec.ambient_dim * -(-spec.n // 8)
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes)
+    width = -(-spec.n // 8)
+    # the anchored table covers the codes below q^(K-1), then the anchors
+    anchored_bytes = (spec.q ** (spec.ambient_dim - 1)
+                      + len(orbit_representatives(spec))) * width
+    support_bytes = spec.q**spec.ambient_dim * width
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", anchored_bytes)
     assert rghw_bruteforce(spec, 1) == 10
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes - 1)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes)
+    assert ghw_bruteforce(spec, 1) == 10
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", anchored_bytes - 1)
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
@@ -145,6 +200,7 @@ def test_table_bound_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(weights, "_SupportTable", no_table)
     with pytest.raises(CapExceeded):
         rghw_bruteforce(spec, 1)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes - 1)
     with pytest.raises(CapExceeded):
         ghw_bruteforce(spec, 1)
     # the dual route holds per-column tables only, far below the support table

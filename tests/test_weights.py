@@ -207,8 +207,16 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # an in-process pool, so a missing bound cannot start a single process
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 3)
     spec = build_code(2, 3, 2, 1, 1)
-    assert rghw_bruteforce(spec, 1, workers=10**6) == rghw_bruteforce(spec, 1)
+    # j=2: at j=1 the anchored scan has a single pivot set and starts no pool
+    assert rghw_bruteforce(spec, 2, workers=10**6) == rghw_bruteforce(spec, 2)
     assert recording_pool == [3]
+
+
+def test_pool_chunks_follow_the_work():
+    # consecutive pivot sets, so the merge stays in enumeration order
+    assert weights._chunks("abcd", [16, 8, 4, 2], 4) == [["a"], ["b"], ["c", "d"]]
+    assert weights._chunks("abcd", [1, 1, 1, 1], 2) == [["a", "b"], ["c", "d"]]
+    assert weights._chunks("ab", [1, 100], 8) == [["a", "b"]]
 
 
 def test_compute_report():
