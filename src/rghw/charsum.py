@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -24,24 +24,23 @@ import numpy as np
 from .codes import CodeSpec, Factor
 from .errors import (
     BadIndex,
-    FieldMismatch,
     NonCoprimeOrders,
     PrecisionFailure,
     ZeroArgument,
 )
 from .gf import FieldTable, build_field, trace_table
-from .subspaces import SubspaceBasis, member_matrix
+from .subspaces import SubspaceBasis, check_product_ambient, member_matrix
 
 IMAG_TOL = 1e-6
 
 
-@lru_cache(maxsize=None)
+@cache
 def unit_roots(order: int) -> np.ndarray:
     """Table of e^(2*pi*i*t/order) for t in [0, order)."""
     return np.exp(2j * np.pi * np.arange(order) / order)
 
 
-@lru_cache(maxsize=None)
+@cache
 def additive_character(field: FieldTable) -> np.ndarray:
     """zeta_p^tr(g^t) for t in [0, order): the canonical additive character
     by discrete log, tr being the absolute trace down to GF(p)."""
@@ -125,7 +124,7 @@ def incomplete_character_sum(chi: CharacterHandle, elements: Iterable[int]) -> c
 # -- the subspace oracle -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def _gauss_at_one(chi: CharacterHandle) -> complex:
     """G(chi; 1), computed once per field and character."""
     return gauss_sum(chi, 1)
@@ -153,8 +152,7 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
         raise NonCoprimeOrders(
             "the double character-sum expansion needs gcd(n1, n2) = 1"
         )
-    if basis.ambient_dim != spec.ambient_dim:
-        raise FieldMismatch("basis is not in the product ambient")
+    check_product_ambient(basis, spec.ambient_dim)
     j = basis.dim
     members = member_matrix(basis)
     only1: list[int] = []

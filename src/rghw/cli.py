@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
@@ -75,6 +75,18 @@ def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def _render(args: argparse.Namespace, document: dict,
+            to_csv: Optional[Callable[[dict], str]],
+            to_pretty: Callable[[dict], str]) -> None:
+    """Emit the document in the chosen format: JSON for every command,
+    csv and pretty through the command's own renderers."""
+    if args.format == "json":
+        text = json.dumps(document, indent=2) + "\n"
+    else:
+        text = (to_csv if args.format == "csv" else to_pretty)(document)
+    _emit(args, text)
+
+
 def _error_payload(exc: RghwError) -> str:
     return json.dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n"
 
@@ -99,12 +111,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         "spec": spec.summary(),
         "results": [r.as_dict(args.timings) for r in reports],
     }
-    if args.format == "json":
-        _emit(args, json.dumps(document, indent=2) + "\n")
-    elif args.format == "csv":
-        _emit(args, _table_csv(document))
-    else:
-        _emit(args, _table_pretty(document))
+    _render(args, document, _table_csv, _table_pretty)
     return EXIT_OK if all(r.agree for r in reports) else EXIT_DISAGREE
 
 
@@ -163,22 +170,27 @@ def cmd_gauss(args: argparse.Namespace) -> int:
             }
         )
     document = {"field": {"size": field.size, "p": field.p, "m": field.m}, "rows": rows}
-    if args.format == "json":
-        _emit(args, json.dumps(document, indent=2) + "\n")
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ("size", "lam", "beta", "re", "im", "modulus"),
-            ((field.size, r["lam"], r["beta"], r["re"], r["im"], r["modulus"]) for r in rows),
-        ))
-    else:
-        lines = [f"Gauss sums over GF({field.size})"]
-        for r in rows:
-            lines.append(
-                f"lam={r['lam']:>3} beta={r['beta']:>3}  "
-                f"{r['re']:+.9f}{r['im']:+.9f}i  |G|={r['modulus']:.9f}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    _render(args, document, _gauss_csv, _gauss_pretty)
     return EXIT_OK
+
+
+def _gauss_csv(document: dict) -> str:
+    size = document["field"]["size"]
+    return _csv_text(
+        ("size", "lam", "beta", "re", "im", "modulus"),
+        ((size, r["lam"], r["beta"], r["re"], r["im"], r["modulus"])
+         for r in document["rows"]),
+    )
+
+
+def _gauss_pretty(document: dict) -> str:
+    lines = [f"Gauss sums over GF({document['field']['size']})"]
+    for r in document["rows"]:
+        lines.append(
+            f"lam={r['lam']:>3} beta={r['beta']:>3}  "
+            f"{r['re']:+.9f}{r['im']:+.9f}i  |G|={r['modulus']:.9f}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- verify ----------------------------------------------------------------------
@@ -194,21 +206,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "suites": [r.as_dict() for r in results],
         "passed": all(r.passed for r in results),
     }
-    if args.format == "json":
-        _emit(args, json.dumps(document, indent=2) + "\n")
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            extra = ""
-            if "max_residual" in r.notes:
-                extra = f"  max_residual={r.notes['max_residual']:.3e}"
-            lines.append(f"{r.name}: {status} ({r.checks} checks){extra}")
-            for message in r.failures[:5]:
-                lines.append(f"    {message}")
-        lines.append("all suites passed" if document["passed"] else "FAILURES present")
-        _emit(args, "\n".join(lines) + "\n")
+    _render(args, document, None, _verify_pretty)
     return EXIT_OK if document["passed"] else EXIT_DISAGREE
+
+
+def _verify_pretty(document: dict) -> str:
+    lines = []
+    for r in document["suites"]:
+        status = "PASS" if r["passed"] else "FAIL"
+        extra = ""
+        if "max_residual" in r["notes"]:
+            extra = f"  max_residual={r['notes']['max_residual']:.3e}"
+        lines.append(f"{r['suite']}: {status} ({r['checks']} checks){extra}")
+        for message in r["failures"][:5]:
+            lines.append(f"    {message}")
+    lines.append("all suites passed" if document["passed"] else "FAILURES present")
+    return "\n".join(lines) + "\n"
 
 
 # -- bench ------------------------------------------------------------------------
@@ -242,22 +255,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
     document = {"spec": spec.summary(), "repeat": args.repeat, "rows": rows}
-    if args.format == "json":
-        _emit(args, json.dumps(document, indent=2) + "\n")
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ("j", "route", "m", "best_ms", "mean_ms"),
-            ((r["j"], r["route"], r["m"], r["best_ms"], r["mean_ms"]) for r in rows),
-        ))
-    else:
-        lines = [f"bench {spec!r} repeat={args.repeat}"]
-        for r in rows:
-            lines.append(
-                f"j={r['j']} {r['route']:<12} M={r['m']:<6} "
-                f"best={r['best_ms']:.1f}ms mean={r['mean_ms']:.1f}ms"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    _render(args, document, _bench_csv, lambda doc: _bench_pretty(doc, repr(spec)))
     return EXIT_OK
+
+
+def _bench_csv(document: dict) -> str:
+    return _csv_text(
+        ("j", "route", "m", "best_ms", "mean_ms"),
+        ((r["j"], r["route"], r["m"], r["best_ms"], r["mean_ms"]) for r in document["rows"]),
+    )
+
+
+def _bench_pretty(document: dict, spec_repr: str) -> str:
+    lines = [f"bench {spec_repr} repeat={document['repeat']}"]
+    for r in document["rows"]:
+        lines.append(
+            f"j={r['j']} {r['route']:<12} M={r['m']:<6} "
+            f"best={r['best_ms']:.1f}ms mean={r['mean_ms']:.1f}ms"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -303,7 +319,7 @@ def _add_scan_args(parser: argparse.ArgumentParser) -> None:
     _add_output_args(parser, _FORMATS)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps
     no state between calls."""

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateOrder,
     FieldMismatch,
     InvariantViolated,
-    LengthMismatch,
     NotAFieldGenerator,
     RangeError,
 )
@@ -32,13 +31,13 @@ from .gf import (
     build_field,
     element_order,
     embed_subfield,
-    factor_prime_power,
-    frobenius_orbit_size,
+    field_for_size,
+    frobenius_orbit,
     minimal_polynomial,
     trace_table,
 )
 from .linalg import TableOps, table_ops
-from .subspaces import SubspaceBasis
+from .subspaces import SubspaceBasis, check_product_ambient
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +90,7 @@ def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
     alpha = field.pow(gamma, e)
     if element_order(field, alpha) != n:
         raise InvariantViolated(f"gamma^{e} in GF({field.size}) does not have order {n}")
-    if frobenius_orbit_size(field, alpha, base) != k:
+    if len(frobenius_orbit(field, alpha, base)) != k:
         raise NotAFieldGenerator(f"gamma^{e} generates a proper subfield of GF({field.size})")
 
     gamma_powers = _power_cycle(field, gamma, k)
@@ -120,13 +119,15 @@ class CodeSpec:
     def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int):
         if k1 < 1 or k2 < 1:
             raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
-        p, s = factor_prime_power(q)
         self.q = q
         self.k1 = k1
         self.k2 = k2
         self.e1 = e1
         self.e2 = e2
-        self.field_q = build_field(p, s)
+        self.field_q = field_for_size(q)
+        # TableOps bounds q before any table of an extension is built
+        self.ops: TableOps = table_ops(self.field_q)
+        p, s = self.field_q.p, self.field_q.m
         fields = (build_field(p, s * k1), build_field(p, s * k2))
         self.Q1, self.Q2 = fields[0].size, fields[1].size
 
@@ -145,18 +146,13 @@ class CodeSpec:
         self.factors = tuple(_build_factor(self.field_q, field, k, e, self.delta)
                              for field, k, e in zip(fields, (k1, k2), (e1, e2)))
         f1, f2 = self.factors
-        if k1 == k2:
-            conj = f1.alpha
-            for _ in range(k1):
-                if conj == f2.alpha:
-                    raise ConjugateNonzeros("a1 and a2 share an orbit over GF(q)")
-                conj = f1.field.pow(conj, q)
+        if k1 == k2 and f2.alpha in frobenius_orbit(f1.field, f1.alpha, self.field_q):
+            raise ConjugateNonzeros("a1 and a2 share an orbit over GF(q)")
 
         self.d = math.gcd(self.n1, self.n2)
         self.n = self.n1 * self.n2 // self.d
         self.ambient_dim = k1 + k2
 
-        self.ops: TableOps = table_ops(self.field_q)
         self.coordinate_functionals = self._build_functionals()
         self.group_vectors = self._build_group_vectors()
         self.gram = self._build_gram()
@@ -241,8 +237,7 @@ def codeword(spec: CodeSpec, beta1, beta2) -> tuple[int, ...]:
 
 def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
     """Codewords of the basis rows of a product-space subspace, one per row."""
-    if basis.ambient_dim != spec.ambient_dim:
-        raise LengthMismatch("basis is not in the product ambient")
+    check_product_ambient(basis, spec.ambient_dim)
     if basis.dim == 0:
         return np.zeros((0, spec.n), dtype=np.int16)
     return spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)

@@ -36,17 +36,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
-def factor_prime_power(size: int) -> tuple[int, int]:
-    """Split size = p^s with p prime; raises NonPrime otherwise."""
-    factors = _prime_factors(size)
-    if len(factors) != 1:
-        raise NonPrime(f"{size} is not a prime power")
-    p, s = factors[0], 1
-    while p**s < size:
-        s += 1
-    return p, s
-
-
 class FieldTable:
     """GF(p^m) with precomputed exp, log and Zech tables.
 
@@ -154,16 +143,18 @@ class FieldTable:
 
 # -- construction ---------------------------------------------------------
 
-_FIELD_CACHE: dict[tuple[int, int], FieldTable] = {}
-
-
 def build_field(p: int, m: int) -> FieldTable:
-    """Construct GF(p^m), reusing a cached table when available.
+    """Construct GF(p^m), one table per (p, m) however the call is spelled.
 
     The defining polynomial is the first primitive one in lexicographic
     order of the coefficient vector (c_0, ..., c_{m-1}), so repeated builds
     agree across runs.
     """
+    return _field(p, m)
+
+
+@functools.cache
+def _field(p: int, m: int) -> FieldTable:
     if not is_prime(p):
         raise NonPrime(f"p={p} is not prime")
     if m < 1:
@@ -171,14 +162,19 @@ def build_field(p: int, m: int) -> FieldTable:
     # p^m >= 2^m > DEFAULT_SIZE_CAP once m reaches its bit length: no power needed
     if m >= DEFAULT_SIZE_CAP.bit_length() or p ** m > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"{p}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}")
-    key = (p, m)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = _construct(p, m)
-    return _FIELD_CACHE[key]
+    return _construct(p, m)
 
 
 def field_for_size(size: int) -> FieldTable:
-    p, s = factor_prime_power(size)
+    """GF(size); the cap is checked before size is trial-divided."""
+    if size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"{size} exceeds the size cap {DEFAULT_SIZE_CAP}")
+    factors = _prime_factors(size)
+    if len(factors) != 1:
+        raise NonPrime(f"{size} is not a prime power")
+    p, s = factors[0], 1
+    while p**s < size:
+        s += 1
     return build_field(p, s)
 
 
@@ -249,34 +245,28 @@ def _quick_primitivity_filter(p, m, coeffs, order, factors) -> bool:
     return True
 
 
-def _valid_constant_terms(p: int, m: int) -> set[int]:
-    """Constant terms a primitive polynomial can have.
-
-    The constant term is (-1)^m times the norm of a root, and the norm of
-    a generator must generate GF(p)*; anything else cannot be primitive.
-    """
-    sign = 1 if m % 2 == 0 else p - 1
-    factors = _prime_factors(p - 1) if p > 2 else []
-    out = set()
-    for c in range(1, p):
-        root = (sign * c) % p
-        if all(pow(root, (p - 1) // r, p) != 1 for r in factors):
-            out.add(c)
-    return out
-
-
 def _construct(p: int, m: int) -> FieldTable:
+    """Try the candidates (c_0, ..., c_{m-1}) in lexicographic order.
+
+    The constant term c_0 is (-1)^m times the norm of a root, and the norm
+    of a generator must generate GF(p)*, so a block of candidates whose c_0
+    fails that test is skipped as the search reaches it.
+    """
     order = p**m - 1
     factors = _prime_factors(order) if order > 1 else []
-    constant_terms = _valid_constant_terms(p, m)
-    for coeffs in itertools.product(range(p), repeat=m):
-        if coeffs[0] not in constant_terms:
+    sign = 1 if m % 2 == 0 else p - 1
+    norm_factors = _prime_factors(p - 1)
+    for c0 in range(1, p):
+        root = (sign * c0) % p
+        if any(pow(root, (p - 1) // r, p) == 1 for r in norm_factors):
             continue
-        if not _quick_primitivity_filter(p, m, coeffs, order, factors):
-            continue
-        tables = _try_primitive(p, m, coeffs)
-        if tables is not None:
-            return FieldTable(p, m, coeffs, *tables)
+        for rest in itertools.product(range(p), repeat=m - 1):
+            coeffs = (c0, *rest)
+            if not _quick_primitivity_filter(p, m, coeffs, order, factors):
+                continue
+            tables = _try_primitive(p, m, coeffs)
+            if tables is not None:
+                return FieldTable(p, m, coeffs, *tables)
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{m})")
 
 
@@ -385,15 +375,10 @@ def _is_field_hom(sub: FieldTable, sup: FieldTable, gen_log: int) -> bool:
     return True
 
 
-_EMBED_CACHE: dict[tuple[int, int, int], Embedding] = {}
-
-
+@functools.cache
 def embed_subfield(sub: FieldTable, sup: FieldTable) -> Embedding:
     if sub.p != sup.p or sup.m % sub.m:
         raise NotASubfield(f"GF({sub.size}) is not a subfield of GF({sup.size})")
-    key = (sub.p, sub.m, sup.m)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
     ratio = (sup.size - 1) // (sub.size - 1)
     twist = None
     for u in range(1, sub.order + 2):
@@ -404,15 +389,13 @@ def embed_subfield(sub: FieldTable, sup: FieldTable) -> Embedding:
             break
     if twist is None:  # pragma: no cover - a conjugate embedding always exists
         raise NotASubfield(f"no field embedding GF({sub.size}) -> GF({sup.size})")
-    emb = Embedding(sub, sup, ratio, twist)
-    _EMBED_CACHE[key] = emb
-    return emb
+    return Embedding(sub, sup, ratio, twist)
 
 
 # -- traces, orders, minimal polynomials -----------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def trace_table(sup: FieldTable, sub: FieldTable) -> np.ndarray:
     """Trace from sup down to sub for every element: entry c is the sub code
     of the sum of the sub-conjugates of the element with code c.
@@ -446,20 +429,17 @@ def element_order(field: FieldTable, a: int) -> int:
     return field.order // math.gcd(field.order, field.log_table[a])
 
 
-def frobenius_orbit_size(field: FieldTable, a: int, base: FieldTable) -> int:
-    """Length of {a, a^Q, a^(Q^2), ...} for the code a of field, Q = base.size."""
-    if field.p != base.p or field.m % base.m:
-        raise FieldMismatch("base is not a subfield")
-    if field.check(a) == 0:
-        return 1
-    n = element_order(field, a)
-    q = base.size
-    r = 1
-    acc = q % n
-    while acc != 1 % n:
-        acc = (acc * q) % n
-        r += 1
-    return r
+def frobenius_orbit(field: FieldTable, a: int, base: FieldTable) -> list[int]:
+    """The conjugates a, a^Q, a^(Q^2), ... of the code a of field over base,
+    Q = base.size, each once: their number is the degree of a over base."""
+    if base.p != field.p or field.m % base.m:
+        raise FieldMismatch(f"GF({base.size}) is not a subfield of GF({field.size})")
+    orbit = [field.check(a)]
+    nxt = field.pow(orbit[0], base.size)
+    while nxt != orbit[0]:
+        orbit.append(nxt)
+        nxt = field.pow(nxt, base.size)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -519,18 +499,9 @@ class Polynomial:
 def minimal_polynomial(field: FieldTable, a: int, base: FieldTable) -> Polynomial:
     """Monic minimal polynomial over base of the code a of field: product
     over its orbit."""
-    if base.p != field.p or field.m % base.m:
-        raise FieldMismatch(f"GF({base.size}) is not a subfield of GF({field.size})")
-    a = field.check(a)
-    if a == 0:
+    orbit = frobenius_orbit(field, a, base)
+    if orbit[0] == 0:
         raise ZeroElement("minimal polynomial of zero not supported")
-    emb = embed_subfield(base, field)
-    q = base.size
-    orbit = [a]
-    nxt = field.pow(a, q)
-    while nxt != a:
-        orbit.append(nxt)
-        nxt = field.pow(nxt, q)
     # expand prod (x - c) with coefficients in the big field
     coeffs = [1]
     for c in orbit:
@@ -539,4 +510,5 @@ def minimal_polynomial(field: FieldTable, a: int, base: FieldTable) -> Polynomia
             nxt_coeffs[i + 1] = field.add(nxt_coeffs[i + 1], k)
             nxt_coeffs[i] = field.sub(nxt_coeffs[i], field.mul(k, c))
         coeffs = nxt_coeffs
-    return Polynomial(base, tuple(emb.preimage(c) for c in coeffs))
+    preimage = embed_subfield(base, field).preimage
+    return Polynomial(base, tuple(preimage(c) for c in coeffs))

@@ -7,19 +7,17 @@ so the same routines serve both.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import LengthMismatch, SizeCapExceeded
 from .gf import FieldTable
 
-_OPS_CACHE: dict[tuple[int, int], "TableOps"] = {}
 
-
+@functools.cache
 def table_ops(field: FieldTable) -> "TableOps":
-    key = (field.p, field.m)
-    if key not in _OPS_CACHE:
-        _OPS_CACHE[key] = TableOps(field)
-    return _OPS_CACHE[key]
+    return TableOps(field)
 
 
 class TableOps:

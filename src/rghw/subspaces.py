@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolated, RangeError
+from .errors import InvariantViolated, LengthMismatch, RangeError
 from .gf import field_for_size
 from .linalg import TableOps, table_ops
 
@@ -38,6 +38,12 @@ class SubspaceBasis:
 
     def matrix(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int16).reshape(self.dim, self.ambient_dim)
+
+
+def check_product_ambient(basis: SubspaceBasis, ambient_dim: int) -> None:
+    """LengthMismatch unless basis lies in F_q^ambient_dim, the product ambient."""
+    if basis.ambient_dim != ambient_dim:
+        raise LengthMismatch("basis is not in the product ambient")
 
 
 def gaussian_binomial(k: int, j: int, q: int) -> int:
@@ -121,8 +127,7 @@ def project(
     Returns (image, kernel): the image inside the chosen factor and the
     kernel as a subspace of the product; dims add up to basis.dim.
     """
-    if basis.ambient_dim != k1 + k2:
-        raise RangeError("basis is not in the product ambient")
+    check_product_ambient(basis, k1 + k2)
     if side not in (1, 2):
         raise RangeError("side must be 1 or 2")
     ops = table_ops(field_for_size(basis.q))
@@ -151,8 +156,7 @@ def project(
 
 def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
     """Orthogonal complement under the paired-trace inner product."""
-    if basis.ambient_dim != spec.ambient_dim:
-        raise RangeError("basis is not in the product ambient")
+    check_product_ambient(basis, spec.ambient_dim)
     ops: TableOps = spec.ops
     if basis.dim == 0:
         rows = np.eye(basis.ambient_dim, dtype=np.int16)
@@ -169,8 +173,7 @@ def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:
     """How many of the n points (a1^i, a2^i) land inside the subspace."""
-    if basis.ambient_dim != spec.ambient_dim:
-        raise RangeError("basis is not in the product ambient")
+    check_product_ambient(basis, spec.ambient_dim)
     ops: TableOps = spec.ops
     mask = ops.rows_in_rowspace(basis.matrix(), basis.pivots, spec.group_vectors)
     return int(mask.sum())

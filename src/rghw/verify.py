@@ -66,6 +66,11 @@ class SuiteResult:
         if not ok:
             self.failures.append(message)
 
+    def check_residual(self, diff: float, tol: float, message: str) -> None:
+        """Check diff < tol and keep the largest diff in notes["max_residual"]."""
+        self.notes["max_residual"] = max(self.notes.get("max_residual", 0.0), diff)
+        self.check(diff < tol, message)
+
     def as_dict(self) -> dict:
         return {
             "suite": self.name,
@@ -343,7 +348,6 @@ def gauss_value_table(field: FieldTable) -> np.ndarray:
 def gauss_suite(seed: int = 2024) -> SuiteResult:
     res = SuiteResult("gauss")
     rng = np.random.default_rng([seed, 3])
-    worst = 0.0
     top = GAUSS_MAX_FIELD
     sizes = sorted(p**m for p in range(2, top + 1) if is_prime(p)
                    for m in range(1, top.bit_length()) if p**m <= top)
@@ -357,16 +361,11 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
             lhs = table[1:, :]
             rhs = np.conj(w[1:, :]) * table[1:, :1]
             diff = float(np.abs(lhs - rhs).max())
-            worst = max(worst, diff)
-            res.check(
-                diff < GAUSS_TOL, f"GF({size}): twist identity residual {diff}"
-            )
+            res.check_residual(diff, GAUSS_TOL, f"GF({size}): twist identity residual {diff}")
             moduli = np.abs(table[1:, 0])
             mdiff = float(np.abs(moduli - math.sqrt(size)).max())
-            worst = max(worst, mdiff)
-            res.check(
-                mdiff < GAUSS_TOL, f"GF({size}): |G| deviates from sqrt(q) by {mdiff}"
-            )
+            res.check_residual(mdiff, GAUSS_TOL,
+                               f"GF({size}): |G| deviates from sqrt(q) by {mdiff}")
         complete = w.sum(axis=1)
         res.check(
             complete[0] == complex(order),
@@ -374,10 +373,8 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
         )
         if order > 1:
             cdiff = float(np.abs(complete[1:]).max())
-            worst = max(worst, cdiff)
-            res.check(
-                cdiff < GAUSS_TOL, f"GF({size}): nontrivial complete sum residual {cdiff}"
-            )
+            res.check_residual(cdiff, GAUSS_TOL,
+                               f"GF({size}): nontrivial complete sum residual {cdiff}")
         res.check(
             gauss_sum(CharacterHandle(field, 1, 0), 0) == complex(order),
             f"GF({size}): scalar trivial Gauss sum at beta=0 not exact",
@@ -399,11 +396,8 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
             ].sum(axis=0)
             target = np.where(t % e == 0, float(e), 0.0)
             odiff = float(np.abs(sums - target).max())
-            worst = max(worst, odiff)
-            res.check(
-                odiff < GAUSS_TOL,
-                f"GF({size}) e={e}: orthogonality residual {odiff}",
-            )
+            res.check_residual(odiff, GAUSS_TOL,
+                               f"GF({size}) e={e}: orthogonality residual {odiff}")
         # scalar orthogonality op on a few points, largest two divisors
         for e in _divisors(order)[-2:]:
             alpha = field.exp_table[e % order]
@@ -415,7 +409,6 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
                     abs(val - want) < GAUSS_TOL,
                     f"GF({size}): scalar orthogonality at e={e} off",
                 )
-    res.notes["max_residual"] = worst
     return res
 
 
@@ -426,7 +419,6 @@ def _divisors(n: int) -> list[int]:
 def charsum_suite(seed: int = 2024, samples: int = 100,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
     res = SuiteResult("charsum")
-    worst = 0.0
     specs = [(params, build_code(*params)) for params in instances]
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
@@ -438,12 +430,9 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
             target = nj_of_subspace(spec, D)
             value = nj_via_charsum(spec, D)
             diff = abs(value - target)
-            worst = max(worst, diff)
-            res.check(
-                diff < ORACLE_TOL,
-                f"{params}: oracle residual {diff} at subspace {D.rows}",
-            )
-    res.notes["max_residual"] = worst
+            res.check_residual(diff, ORACLE_TOL,
+                               f"{params}: oracle residual {diff} at subspace {D.rows}")
+    res.notes.setdefault("max_residual", 0.0)  # no usable instance: nothing checked
     res.notes["instances"] = [list(params) for params, _ in usable]
     return res
 

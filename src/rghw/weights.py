@@ -178,11 +178,11 @@ class _SupportTable:
     covers; the anchors' masks fill anchor_rows.
 
     An RREF row with pivot p has its code in [q^(K-1-p), 2 q^(K-1-p)), so
-    that range is built the first time a pivot set containing p is scanned;
-    the rest of the table is never written.
+    only the ranges of the pivots in the chunk are built; the rest of the
+    table is never written.
     """
 
-    def __init__(self, spec: CodeSpec, anchors: Optional[np.ndarray]):
+    def __init__(self, spec: CodeSpec, anchors: Optional[np.ndarray], chunk):
         self.spec = spec
         self.masks = np.empty((_support_rows(spec, anchors), -(-spec.n // 8)), dtype=np.uint8)
         self.anchor_rows: Optional[range] = None
@@ -190,17 +190,12 @@ class _SupportTable:
             self.anchor_rows = range(len(self.masks) - len(anchors), len(self.masks))
             self.masks[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
-        self.built: set[int] = set()
-
-    def require(self, pivots) -> None:
-        spec = self.spec
         K, q = spec.ambient_dim, spec.q
         funcs = spec.coordinate_functionals.T
-        for p in set(pivots) - self.built:
+        for p in set().union(*chunk):
             lo = q ** (K - 1 - p)
             _fill_packed(self.masks[lo: 2 * lo], lo, lambda codes: spec.ops.matmul(
                 _digits(codes, K, q).astype(np.int16), funcs) != 0)
-            self.built.add(p)
 
 
 def _support_plan(table: _SupportTable, pivots, positions):
@@ -209,7 +204,6 @@ def _support_plan(table: _SupportTable, pivots, positions):
     An anchored table adds a first column, with no free entries, that looks
     up one anchor per base."""
     K, q = table.spec.ambient_dim, table.spec.q
-    table.require(pivots)
     lead = int(table.anchor_rows is not None)
     weights = np.zeros((len(positions), lead + len(pivots)), dtype=np.int64)
     for i, (r, c) in enumerate(positions):
@@ -258,7 +252,7 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
         group = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)]
         plan = functools.partial(_group_plan, spec, group)
     else:
-        plan = functools.partial(_support_plan, _SupportTable(spec, anchors))
+        plan = functools.partial(_support_plan, _SupportTable(spec, anchors, chunk))
     best: Optional[tuple] = None  # (value, pivots, positions, base number, digits)
     for pivots in chunk:
         positions = free_positions(pivots, K)

@@ -1,8 +1,19 @@
 """Fixtures shared by the test modules."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from rghw import weights
+
+
+@pytest.fixture(scope="session")
+def small_grid():
+    """The benchmark's small grid: every (q,k1,k2,e1,e2) that build_code
+    accepts with q^(k1+k2) <= 81, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["small_grid"]()
 
 
 @pytest.fixture

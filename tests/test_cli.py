@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -95,6 +96,35 @@ def test_output_byte_stable(capsys):
     _, v2, _ = run_cli(capsys, "verify", "--suite", "charsum", "--samples", "5",
                        "--seed", "3", "--format", "json", "--workers", "1")
     assert v1 == v2
+
+
+# SHA-256 of the full stdout of each command line; the renderers must keep
+# every byte.
+PINNED_STDOUT = {
+    (*TABLE_ARGS, "--format", "json"):
+        "3dd1a08e188c3b9c53bef6c8b727fe72dd599492136946a57cd652691ba49af1",
+    (*TABLE_ARGS, "--format", "csv"):
+        "52366c8e8ca3f0338cc15c52ad0f28460008bacb07122e1feb5fb610dd2511ca",
+    (*TABLE_ARGS, "--format", "pretty"):
+        "590211fdc1987b30318139651043251797c372408e201baf7dce85ec16780166",
+    ("gauss", "--size", "9", "--format", "json"):
+        "455639718a35a3a3f361ab242db7ee443a2b618c9cf873c3a932302e944c9860",
+    ("gauss", "--size", "9", "--format", "csv"):
+        "7caa274c8041b83cdce96e4fbdd61245615b26fc6406adea784fb3db3d81af2c",
+    ("gauss", "--size", "9", "--format", "pretty"):
+        "d82303974dbee4c685f7de56840782247865776fea03c9cdfa412676f7b9cf11",
+    ("verify", "--suite", "gf", "--seed", "0", "--workers", "1", "--format", "json"):
+        "650e824d62cf3eefaf54fad87b958464e410231a6011f5090600aaa86503a77f",
+    ("verify", "--suite", "gf", "--seed", "0", "--workers", "1", "--format", "pretty"):
+        "2ecf4ce2d89065a960c09cb4d329bb4828f079c9663ab026b55120ec2e2f5055",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_pinned_stdout_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_bad_index_exits_2(capsys):
@@ -262,6 +292,10 @@ BAD_INPUTS = [
     ("k1-huge", ("table", "--q", "3", "--k1", "10000000", "--k2", "1"), 3, "SizeCapExceeded"),
     ("q-beyond-table-ops",
      ("table", "--q", "4099", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
+    ("q-beyond-int16",
+     ("table", "--q", "32771", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
+    ("size-prime-beyond-cap", ("gauss", "--size", "10000000000037"), 3, "SizeCapExceeded"),
+    ("size-composite-beyond-cap", ("gauss", "--size", "10000000000000"), 3, "SizeCapExceeded"),
     ("k1-not-an-integer", ("table", "--q", "2", "--k1", "x", "--k2", "3"), 2, "UsageError"),
     ("k1-missing", ("table", "--q", "2", "--k2", "3"), 2, "UsageError"),
     ("format-unknown", ("table", *SPEC_ARGS, "--format", "xml"), 2, "UsageError"),

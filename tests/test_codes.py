@@ -1,8 +1,6 @@
 """Code construction, codewords, supports, parity checks."""
 
 import itertools
-import runpy
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,16 +201,9 @@ def test_basis_codewords_shape():
         assert tuple(int(v) for v in row) == codeword(spec, c1, c2)
 
 
-def _small_grid():
-    """The benchmark's small grid: every valid spec with q^(k1+k2) <= 81."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    return runpy.run_path(str(path))["small_grid"]()
-
-
-def test_factor_tables_invert_each_other_on_the_small_grid():
-    grid = _small_grid()
-    assert len(grid) == 34
-    for params in grid:
+def test_factor_tables_invert_each_other_on_the_small_grid(small_grid):
+    assert len(small_grid) == 34
+    for params in small_grid:
         spec = build_code(*params)
         for f in spec.factors:
             codes = np.arange(f.field.size)

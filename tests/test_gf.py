@@ -13,12 +13,13 @@ from rghw.errors import (
     SizeCapExceeded,
     ZeroElement,
 )
+from rghw import gf
 from rghw.gf import (
     build_field,
     element_order,
     embed_subfield,
     field_for_size,
-    frobenius_orbit_size,
+    frobenius_orbit,
     is_prime,
     minimal_polynomial,
     trace_table,
@@ -75,6 +76,51 @@ def test_larger_field_construction(p, m):
             assert f.zech_table[i] == -1
         else:
             assert f.exp_table[f.zech_table[i]] == s
+
+
+# The first primitive polynomial in lexicographic order of (c_0, ..., c_{m-1}),
+# the defining polynomial of every exp/log table.
+PRIMITIVE_CONSTANTS = {
+    (2, 1): (1,), (2, 2): (1, 1), (2, 3): (1, 0, 1), (2, 8): (1, 0, 0, 0, 1, 1, 1, 0),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0), (3, 1): (1,), (3, 2): (2, 1),
+    (3, 4): (2, 0, 0, 1), (3, 6): (2, 0, 0, 0, 0, 1), (5, 1): (2,), (5, 4): (2, 0, 2, 1),
+    (7, 3): (2, 1, 1), (11, 1): (3,), (11, 2): (2, 4), (13, 2): (2, 1), (4099, 1): (4,),
+    (32771, 1): (4,),
+}
+
+
+@pytest.mark.parametrize("p,m", list(PRIMITIVE_CONSTANTS))
+def test_defining_polynomial_is_the_first_primitive_one(p, m):
+    assert build_field(p, m).primitive_polynomial == PRIMITIVE_CONSTANTS[p, m] + (1,)
+
+
+def test_one_table_per_field_however_the_call_is_spelled():
+    f8 = build_field(2, 3)
+    assert build_field(p=2, m=3) is f8
+    assert build_field(2, m=3) is f8
+    assert field_for_size(8) is f8
+
+
+def test_field_for_size_checks_the_cap_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"{n} trial-divided")
+
+    monkeypatch.setattr(gf, "_prime_factors", no_factoring)
+    for size in (10000000000037, 10000000000000, gf.DEFAULT_SIZE_CAP + 1):
+        with pytest.raises(SizeCapExceeded):
+            field_for_size(size)
+
+
+def test_frobenius_orbit():
+    f2, f4, f8 = build_field(2, 1), build_field(2, 2), build_field(2, 3)
+    g = f8.exp_table[1]
+    assert frobenius_orbit(f8, g, f2) == [g, f8.pow(g, 2), f8.pow(g, 4)]
+    assert frobenius_orbit(f8, 1, f2) == [1]
+    assert frobenius_orbit(f8, 0, f2) == [0]
+    with pytest.raises(FieldMismatch):
+        frobenius_orbit(f8, g, f4)
+    with pytest.raises(FieldMismatch):
+        frobenius_orbit(f8, 8, f2)
 
 
 def test_build_field_errors():
@@ -230,7 +276,7 @@ def test_minimal_polynomial_properties(p, m):
         mp = minimal_polynomial(sup, a, sub)
         assert mp.evaluate(sup, a) == 0
         assert m % mp.degree == 0
-        assert mp.degree == frobenius_orbit_size(sup, a, sub)
+        assert mp.degree == len(frobenius_orbit(sup, a, sub))
         assert mp.coeffs[-1] == 1
 
 

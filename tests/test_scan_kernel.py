@@ -1,7 +1,6 @@
 """The pivot-set scan kernel against definition-level references."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from rghw import weights
 from rghw.closed_forms import evaluate_closed_form
 from rghw.codes import build_code
-from rghw.errors import CapExceeded, RghwError
+from rghw.errors import CapExceeded
 from rghw.gf import field_for_size
 from rghw.subspaces import (
     enumerate_subspaces,
@@ -26,9 +25,6 @@ from rghw.weights import (
     rghw_bruteforce,
     subspace_support_size,
 )
-
-GRID_LIMIT = 81  # q^(k1+k2) bound of the exhaustive grid
-
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
 def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
@@ -47,25 +43,6 @@ def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
                 else:
                     want = ops.rank(mat[:, k1:]) == k2
                 assert (basis.pivots in admissible) == want, (mode, basis.rows)
-
-
-def small_grid():
-    """Every (q,k1,k2,e1,e2) that build_code accepts with q^(k1+k2) <= 81."""
-    out = []
-    for q in range(2, math.isqrt(GRID_LIMIT) + 1):
-        for k1 in range(1, GRID_LIMIT.bit_length()):
-            for k2 in range(1, GRID_LIMIT.bit_length()):
-                if q ** (k1 + k2) > GRID_LIMIT:
-                    continue
-                for e1 in range(1, q**k1):
-                    for e2 in range(1, q**k2):
-                        if (q**k1 - 1) % e1 or (q**k2 - 1) % e2:
-                            continue
-                        try:
-                            out.append(build_code(q, k1, k2, e1, e2))
-                        except RghwError:
-                            continue
-    return out
 
 
 def definition_reference(spec):
@@ -87,8 +64,8 @@ def definition_reference(spec):
     return ghw, rghw, group
 
 
-def test_grid_routes_match_the_definition():
-    specs = small_grid()
+def test_grid_routes_match_the_definition(small_grid):
+    specs = [build_code(*params) for params in small_grid]
     assert len(specs) == 34
     for spec in specs:
         K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
@@ -147,9 +124,9 @@ def shift_orbits(spec):
     return orbit
 
 
-def test_orbit_representatives_partition():
-    specs = small_grid() + [build_code(*p) for p in (
-        (2, 3, 4, 1, 1), (4, 2, 3, 1, 3), (5, 2, 3, 1, 4), (2, 3, 5, 1, 1), (3, 3, 4, 1, 2))]
+def test_orbit_representatives_partition(small_grid):
+    specs = [build_code(*p) for p in small_grid + [
+        (2, 3, 4, 1, 1), (4, 2, 3, 1, 3), (5, 2, 3, 1, 4), (2, 3, 5, 1, 1), (3, 3, 4, 1, 2)]]
     counts = []
     for spec in specs:
         reps = orbit_representatives(spec)

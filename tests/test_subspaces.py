@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rghw.codes import build_code
-from rghw.errors import RangeError
+from rghw.charsum import nj_via_charsum
+from rghw.codes import basis_codewords, build_code
+from rghw.errors import LengthMismatch, RangeError
 from rghw.linalg import table_ops
 from rghw.gf import build_field
 from rghw.subspaces import (
@@ -162,6 +163,21 @@ def test_intersect_with_cyclic_group_edges():
     zero = subspace_from_rows(2, K, np.zeros((0, K), dtype=int), "product")
     assert intersect_with_cyclic_group(full, spec) == spec.n
     assert intersect_with_cyclic_group(zero, spec) == 0
+
+
+def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
+    spec = build_code(2, 2, 3, 1, 1)
+    outside = subspace_from_rows(2, spec.ambient_dim + 1, [(1, 0, 0, 0, 0, 1)])
+    calls = [
+        lambda: project(outside, spec.k1, spec.k2, 1),
+        lambda: dual_subspace(outside, spec),
+        lambda: intersect_with_cyclic_group(outside, spec),
+        lambda: basis_codewords(spec, outside),
+        lambda: nj_via_charsum(spec, outside),
+    ]
+    for call in calls:
+        with pytest.raises(LengthMismatch, match="product ambient"):
+            call()
 
 
 @settings(max_examples=50, deadline=None)

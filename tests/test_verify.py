@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rghw.verify import SUITES, run_suites
+from rghw.verify import SUITES, SuiteResult, run_suites
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -19,6 +19,15 @@ def test_check_counts_match_the_benchmark_reference():
     assert {r.name: r.checks for r in results} == reference["verify_checks"]
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results), [r.failures[:3] for r in results]
+
+
+def test_check_residual_keeps_the_largest_residual():
+    res = SuiteResult("demo")
+    for diff in (1e-12, 3e-10, 2e-11):
+        res.check_residual(diff, 1e-9, f"residual {diff}")
+    assert (res.checks, res.failures, res.notes) == (3, [], {"max_residual": 3e-10})
+    res.check_residual(0.5, 1e-9, "residual 0.5")
+    assert (res.checks, res.failures, res.notes) == (4, ["residual 0.5"], {"max_residual": 0.5})
 
 
 def test_unknown_suite_is_a_key_error():
