@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
 from .errors import (
-    CAP_ERRORS, DISAGREE_ERRORS, OutputError, RangeError, RghwError, UsageError,
+    CAP_ERRORS, DISAGREE_ERRORS, CapExceeded, OutputError, RangeError, RghwError,
+    UsageError,
 )
 from .gf import field_for_size
 from .verify import SUITES, run_suites
@@ -151,11 +152,14 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     field = field_for_size(args.size)
     order = field.size - 1
     if args.lam == "all":
-        lams = list(range(order)) or [0]
+        lams = range(max(order, 1))  # lazy: the cap below may refuse it
     else:
         lams = [_parse_int(args.lam, "--lam") % max(order, 1)]
     if not 0 <= args.beta < field.size:
         raise RangeError(f"beta code {args.beta} outside GF({field.size})")
+    terms = order * len(lams)  # each sum runs over the size-1 nonzero elements
+    if terms > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"{terms} Gauss-sum terms exceed the cap {DEFAULT_ENUM_CAP}")
     rows = []
     for lam in lams:
         chi = CharacterHandle(field, max(order, 1), lam if order else 0)

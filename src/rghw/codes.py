@@ -156,8 +156,12 @@ class CodeSpec:
         self.coordinate_functionals = self._build_functionals()
         self.group_vectors = self._build_group_vectors()
         self.gram = self._build_gram()
-        if self.ops.rank(self.gram) != self.ambient_dim:
+        # [G | I] reduces to [I | G^-1] exactly when G is invertible
+        K = self.ambient_dim
+        red, pivots = self.ops.rref(np.hstack([self.gram, np.eye(K, dtype=np.int16)]))
+        if pivots != tuple(range(K)):
             raise FieldMismatch("paired-trace form is degenerate")  # pragma: no cover
+        self.gram_inverse = red[:, K:]
 
     # -- construction helpers -------------------------------------------
     #

@@ -1,8 +1,10 @@
-"""Dense matrix routines over a small field, driven by lookup tables.
+"""Dense matrix routines over a small field.
 
 Matrices hold element codes as int16.  For a prime field the codes are the
 usual residues; for extension fields they are the base-p polynomial codes,
-so the same routines serve both.
+so the same routines serve both.  matmul is numpy, table-driven (or mod p
+for a prime field); elimination runs on Python rows through the field's
+scalar operations.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class TableOps:
                 mul[a, b] = field.mul(a, b)
         self.add_table = add
         self.mul_table = mul
-        self.neg_table = np.array([field.neg(a) for a in range(q)], dtype=np.int16)
-        self.inv_table = np.array(
-            [0] + [field.inv(a) for a in range(1, q)], dtype=np.int16
-        )
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(r x k) @ (k x c) over the field."""
@@ -56,53 +54,75 @@ class TableOps:
             out = self.add_table[out, term]
         return out
 
-    def rref(self, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-        work = np.array(mat, dtype=np.int16, copy=True)
+    def rref(self, mat) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+        Every caller passes a few rows of at most k1+k2 columns, where a
+        numpy call per row operation costs more than the arithmetic, so
+        the rows are eliminated as Python lists through the field's scalar
+        operations.
+        """
+        work = np.asarray(mat, dtype=np.int16)
         if work.ndim != 2:
             work = work.reshape(0, 0)
-        nrows, ncols = work.shape
+        rows = work.tolist()
+        ncols = work.shape[1]
+        add, mul, neg = self.field.add, self.field.mul, self.field.neg
         pivots: list[int] = []
-        r = 0
         for c in range(ncols):
-            if r == nrows:
+            r = len(pivots)
+            if r == len(rows):
                 break
-            hits = np.nonzero(work[r:, c])[0]
-            if hits.size == 0:
+            for pr in range(r, len(rows)):
+                if rows[pr][c]:
+                    break
+            else:
                 continue
-            pr = r + int(hits[0])
-            if pr != r:
-                work[[r, pr]] = work[[pr, r]]
-            work[r] = self.mul_table[self.inv_table[work[r, c]], work[r]]
-            col = work[:, c].copy()
-            col[r] = 0
-            rows = np.nonzero(col)[0]
-            if rows.size:
-                factors = self.neg_table[col[rows]]
-                work[rows] = self.add_table[
-                    work[rows], self.mul_table[factors[:, None], work[r][None, :]]
-                ]
+            pivot = rows[pr]
+            rows[pr] = rows[r]
+            if pivot[c] != 1:
+                scale = self.field.inv(pivot[c])
+                pivot = [mul(scale, v) for v in pivot]
+            rows[r] = pivot
+            # the pivot row is zero left of c, so only columns c.. change
+            tail = pivot[c:]
+            for i, row in enumerate(rows):
+                if i != r and row[c]:
+                    factor = neg(row[c])
+                    step = tail if factor == 1 else [mul(factor, w) for w in tail]
+                    rows[i] = row[:c] + [add(v, w) for v, w in zip(row[c:], step)]
             pivots.append(c)
-            r += 1
-        return work[: len(pivots)], tuple(pivots)
+        rank = len(pivots)
+        return np.array(rows[:rank], dtype=np.int16).reshape(rank, ncols), tuple(pivots)
 
     def rank(self, mat: np.ndarray) -> int:
         return len(self.rref(mat)[1])
+
+    def kernel_rows(self, red, pivots: tuple[int, ...], ncols: int) -> list[list[int]]:
+        """Rows spanning {v : red @ v = 0} for RREF rows red with the given
+        pivots, one per free column fc: e_fc minus red's column fc placed
+        on the pivot columns.  Not reduced."""
+        neg = self.field.neg
+        out = []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            row = [0] * ncols
+            row[fc] = 1
+            for r, pc in enumerate(pivots):
+                row[pc] = neg(red[r][fc])
+            out.append(row)
+        return out
 
     def nullspace(self, mat: np.ndarray) -> np.ndarray:
         """Canonical basis (rows, RREF) of {v : mat @ v = 0}."""
         mat = np.asarray(mat, dtype=np.int16)
         ncols = mat.shape[1]
         red, pivots = self.rref(mat)
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = np.zeros((len(free), ncols), dtype=np.int16)
-        for row, fc in enumerate(free):
-            basis[row, fc] = 1
-            for idx, pc in enumerate(pivots):
-                basis[row, pc] = self.neg_table[red[idx, fc]]
-        if len(free) == 0:
-            return basis
-        return self.rref(basis)[0]
+        rows = self.kernel_rows(red.tolist(), pivots, ncols)
+        if not rows:
+            return np.zeros((0, ncols), dtype=np.int16)
+        return self.rref(rows)[0]
 
     def rows_in_rowspace(
         self, basis: np.ndarray, pivots: tuple[int, ...], vecs: np.ndarray

@@ -8,6 +8,7 @@ for parallel scans.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator, Sequence
@@ -32,7 +33,7 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
 
@@ -89,14 +90,21 @@ def enumerate_subspaces(
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
     for pivots in pivot_sets(k, j):
-        positions = free_positions(pivots, k)
-        template = [[0] * k for _ in range(j)]
-        for r, pc in enumerate(pivots):
-            template[r][pc] = 1
-        for assignment in itertools.product(range(q), repeat=len(positions)):
-            for (r, c), v in zip(positions, assignment):
-                template[r][c] = v
-            yield SubspaceBasis(q, k, tuple(tuple(row) for row in template), ambient)
+        # the rows each RREF row can be, free entries in base-q order; the
+        # row tuples are shared by every basis of the pivot set
+        choices = []
+        for pc in pivots:
+            free = [c for c in range(pc + 1, k) if c not in pivots]
+            row = [0] * k
+            row[pc] = 1
+            options = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                for c, v in zip(free, values):
+                    row[c] = v
+                options.append(tuple(row))
+            choices.append(options)
+        for rows in itertools.product(*choices):
+            yield SubspaceBasis(q, k, rows, ambient)
 
 
 def subspace_from_rows(
@@ -106,7 +114,7 @@ def subspace_from_rows(
     ops = table_ops(field_for_size(q))
     mat = np.array(list(rows), dtype=np.int16).reshape(-1, ambient_dim)
     red, _ = ops.rref(mat)
-    return SubspaceBasis(q, ambient_dim, tuple(tuple(int(v) for v in r) for r in red), ambient)
+    return SubspaceBasis(q, ambient_dim, tuple(map(tuple, red.tolist())), ambient)
 
 
 def member_matrix(basis: SubspaceBasis) -> np.ndarray:
@@ -158,17 +166,16 @@ def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
     """Orthogonal complement under the paired-trace inner product."""
     check_product_ambient(basis, spec.ambient_dim)
     ops: TableOps = spec.ops
+    K = basis.ambient_dim
+    # B G v = 0 iff G v lies in ker B, read off the RREF basis; G is
+    # symmetric, so the dual's rows are ker(B) @ G^-1
     if basis.dim == 0:
-        rows = np.eye(basis.ambient_dim, dtype=np.int16)
+        rows = np.eye(K, dtype=np.int16)
     else:
-        w = ops.matmul(basis.matrix(), spec.gram)
-        rows = ops.nullspace(w)
-    return SubspaceBasis(
-        basis.q,
-        basis.ambient_dim,
-        tuple(tuple(int(v) for v in r) for r in rows),
-        basis.ambient,
-    )
+        kernel = ops.kernel_rows(basis.rows, basis.pivots, K)
+        rows = (ops.rref(ops.matmul(np.array(kernel, dtype=np.int16), spec.gram_inverse))[0]
+                if kernel else np.zeros((0, K), dtype=np.int16))
+    return SubspaceBasis(basis.q, K, tuple(map(tuple, rows.tolist())), basis.ambient)
 
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:

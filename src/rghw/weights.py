@@ -90,7 +90,10 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 # orbit representative r (orbit_representatives).  Since r_0 = 1, such a D
 # is span(r) + D' with D' = D meet {x_0 = 0}, and D is admissible exactly
 # when D' has every pivot in 1..k1-1.  So the scan walks D' on dim-1 rows,
-# once per r: each row of bases also looks up the mask of one r.
+# once per r: each row of bases also looks up the mask of one r.  That is
+# |R| [k1-1, j-1]_q q^((j-1) k2) subspaces against [k1, j]_q q^(j k2) for
+# the full scan; where the anchored count is the larger (|R| > q^k2 at
+# j = k1), the bruteforce scan is not anchored.
 
 
 def orbit_representatives(spec: CodeSpec) -> np.ndarray:
@@ -316,15 +319,16 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     """Best value of a scan and a spanning set (working column order) of
     the first subspace attaining it."""
     K = spec.ambient_dim
+    anchors = None
+    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+    work = [count_for_pivots(ps, K, spec.q) for ps in sets]
     if mode == "min_support":
-        anchors = orbit_representatives(spec)
-        sets = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim - 1, mode)
-                if 0 not in ps]
-    else:
-        anchors = None
-        sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
-    starts = 1 if anchors is None else len(anchors)
-    work = [starts * count_for_pivots(ps, K, spec.q) for ps in sets]
+        reps = orbit_representatives(spec)
+        through = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim - 1, mode)
+                   if 0 not in ps]
+        anchored = [len(reps) * count_for_pivots(ps, K, spec.q) for ps in through]
+        if sum(anchored) <= sum(work):
+            anchors, sets, work = reps, through, anchored
     total = sum(work)
     if total > cap:
         raise CapExceeded(

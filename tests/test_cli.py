@@ -206,6 +206,26 @@ def test_gauss_gf9_trivial_at_zero(capsys):
     ]
 
 
+def test_bruteforce_cap_counts_the_smaller_scan(capsys):
+    # at j = k1 the full scan (9 subspaces) is smaller than the anchored one (12)
+    code, out, err = run_cli(
+        capsys, "table", "--q", "3", "--k1", "2", "--k2", "1", "--e1", "2", "--e2", "1",
+        "--routes", "bruteforce", "--cap", "10", "--workers", "1", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert [row["routes"]["bruteforce"]["m"] for row in json.loads(out)["results"]] == [2, 3]
+
+
+def test_gauss_one_character_of_a_field_beyond_the_cap(capsys):
+    # --lam all over GF(10007) is refused (see BAD_INPUTS); one character is not
+    code, out, err = run_cli(capsys, "gauss", "--size", "10007", "--lam", "5",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [r["lam"] for r in rows] == [5]
+    assert abs(rows[0]["modulus"] - 10007**0.5) < 1e-9
+
+
 def test_gauss_rejects_non_prime_power(capsys):
     code, _, err = run_cli(capsys, "gauss", "--size", "12")
     assert code == 2
@@ -296,6 +316,7 @@ BAD_INPUTS = [
      ("table", "--q", "32771", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
     ("size-prime-beyond-cap", ("gauss", "--size", "10000000000037"), 3, "SizeCapExceeded"),
     ("size-composite-beyond-cap", ("gauss", "--size", "10000000000000"), 3, "SizeCapExceeded"),
+    ("gauss-all-beyond-cap", ("gauss", "--size", "10007"), 3, "CapExceeded"),
     ("k1-not-an-integer", ("table", "--q", "2", "--k1", "x", "--k2", "3"), 2, "UsageError"),
     ("k1-missing", ("table", "--q", "2", "--k2", "3"), 2, "UsageError"),
     ("format-unknown", ("table", *SPEC_ARGS, "--format", "xml"), 2, "UsageError"),

@@ -1,0 +1,146 @@
+"""Elimination over small fields: rref, nullspace and the dual subspace."""
+
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rghw.codes import build_code
+from rghw.gf import field_for_size
+from rghw.linalg import table_ops
+from rghw.subspaces import dual_subspace, enumerate_subspaces, subspace_from_rows
+from rghw.verify import DEFAULT_INSTANCES
+
+QS = (2, 3, 4, 5, 8, 9)
+DUAL_SPECS = ((4, 2, 3, 1, 3), (5, 2, 3, 1, 4))
+
+
+@st.composite
+def matrices(draw):
+    """(q, M) with M up to 8 x 10 over GF(q), of rank at most a drawn r, so
+    that rank-deficient inputs are common."""
+    q = draw(st.sampled_from(QS))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    left = draw(st.lists(st.integers(0, q - 1), min_size=nrows * r, max_size=nrows * r))
+    right = draw(st.lists(st.integers(0, q - 1), min_size=r * ncols, max_size=r * ncols))
+    ops = table_ops(field_for_size(q))
+    mat = ops.matmul(np.array(left, dtype=np.int16).reshape(nrows, r),
+                     np.array(right, dtype=np.int16).reshape(r, ncols))
+    return q, mat
+
+
+def assert_rref(red: np.ndarray, pivots: tuple) -> None:
+    """red is in reduced row echelon form with the given pivot columns."""
+    assert red.dtype == np.int16 and red.shape[0] == len(pivots)
+    assert list(pivots) == sorted(set(pivots))
+    for r, p in enumerate(pivots):
+        assert not red[r, :p].any() and red[r, p] == 1
+        assert not np.delete(red[:, p], r).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_is_reduced_spans_the_input_and_is_idempotent(case):
+    q, mat = case
+    ops = table_ops(field_for_size(q))
+    nrows, ncols = mat.shape
+    red, pivots = ops.rref(mat)
+    assert_rref(red, pivots)
+    assert red.shape[1] == ncols
+    # every input row lies in the span of red ...
+    assert ops.rows_in_rowspace(red, pivots, mat).all()
+    # ... and every row of red in the span of the input: eliminating [M | I]
+    # records the combination of input rows that gives each row of red
+    ext, ext_pivots = ops.rref(np.hstack([mat, np.eye(nrows, dtype=np.int16)]))
+    rank = len(pivots)
+    assert ext_pivots[:rank] == pivots and (ext[:rank, :ncols] == red).all()
+    assert (ops.matmul(ext[:rank, ncols:], mat) == red).all()
+    again, again_pivots = ops.rref(red)
+    assert again_pivots == pivots and (again == red).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_nullspace_is_the_reduced_kernel(case):
+    q, mat = case
+    ops = table_ops(field_for_size(q))
+    ncols = mat.shape[1]
+    kernel = ops.nullspace(mat)
+    rank = ops.rank(mat)
+    assert kernel.shape == (ncols - rank, ncols)
+    assert_rref(kernel, ops.rref(kernel)[1])
+    if len(kernel) and len(mat):
+        assert not ops.matmul(mat, kernel.T).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DUAL_SPECS), st.data())
+def test_dual_is_orthogonal_of_complementary_dimension(params, data):
+    spec = build_code(*params)
+    K, ops = spec.ambient_dim, spec.ops
+    nrows = data.draw(st.integers(0, K + 1))
+    entries = data.draw(st.lists(st.integers(0, spec.q - 1),
+                                 min_size=nrows * K, max_size=nrows * K))
+    basis = subspace_from_rows(spec.q, K, np.array(entries).reshape(nrows, K), "product")
+    dual = dual_subspace(basis, spec)
+    assert dual.dim == K - basis.dim
+    if basis.dim and dual.dim:
+        pairing = ops.matmul(ops.matmul(basis.matrix(), spec.gram), dual.matrix().T)
+        assert not pairing.any()
+
+
+# -- bytes pinned before elimination moved from numpy to Python rows ----------
+
+PINNED_SPECS = (*DEFAULT_INSTANCES, (4, 2, 3, 1, 3))
+DUAL_SAMPLES = 200
+
+
+def enumeration_digest() -> str:
+    """SHA-256 of every basis enumerate_subspaces yields for q in {2, 3},
+    k <= 5 and every j, in order."""
+    digest = hashlib.sha256()
+    for q in (2, 3):
+        for k in range(1, 6):
+            for j in range(k + 1):
+                for basis in enumerate_subspaces(k, j, q):
+                    digest.update(repr(basis.rows).encode())
+    return digest.hexdigest()
+
+
+def dual_digest(params) -> str:
+    """SHA-256 of (basis rows, dual rows) over seeded random subspaces."""
+    spec = build_code(*params)
+    K = spec.ambient_dim
+    rng = np.random.default_rng(list(params))
+    digest = hashlib.sha256()
+    for _ in range(DUAL_SAMPLES):
+        rows = rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
+        basis = subspace_from_rows(spec.q, K, rows, "product")
+        digest.update(repr((basis.rows, dual_subspace(basis, spec).rows)).encode())
+    return digest.hexdigest()
+
+
+PINNED_ENUMERATION = "f639959829868f831500b58368208d799240b46436c236049c78516995f53d18"
+PINNED_DUALS = {
+    (2, 2, 3, 1, 1): "f52b8adb3dd31eedf10f234e7086316e5bfbeff9006d98f47e38cd9c1fa7b54d",
+    (2, 3, 2, 1, 1): "5f37341726f3d9143a570a4030746b4d64072b9ba4ebd9dc6a3378dec15551d5",
+    (3, 2, 3, 1, 2): "6ac45935ac37fc1bd17ea7fba43d92fc28b0e9aaf5147248d50e3f2bd302ccb1",
+    (4, 2, 3, 1, 3): "0f34074cc287f1fc8b840d61ef65012c7af98ea2200ecf37bbd3b51abe722304",
+}
+
+
+def test_enumeration_bytes_are_pinned():
+    assert enumeration_digest() == PINNED_ENUMERATION
+
+
+def test_dual_bytes_are_pinned():
+    assert {params: dual_digest(params) for params in PINNED_SPECS} == PINNED_DUALS
+
+
+def test_gram_inverse_inverts_the_gram_matrix():
+    for params in PINNED_SPECS:
+        spec = build_code(*params)
+        product = spec.ops.matmul(spec.gram_inverse, spec.gram)
+        assert (product == np.eye(spec.ambient_dim, dtype=np.int16)).all()

@@ -158,6 +158,20 @@ def test_cap_counts_admissible_subspaces():
             mj_dual_count(spec, j, cap=count - 1)
 
 
+def test_bruteforce_is_unanchored_where_anchoring_scores_more():
+    # 4 orbit representatives > q^k2 = 3: at j = k1 = 2 the anchored scan
+    # scores 4 * [1,1]_3 * 3 = 12 subspaces, the full scan [2,2]_3 * 3^2 = 9
+    spec = build_code(3, 2, 1, 2, 1)
+    assert len(orbit_representatives(spec)) == 4
+    assert rghw_bruteforce(spec, 2, cap=9) == 3
+    with pytest.raises(CapExceeded, match="^9 admissible"):
+        rghw_bruteforce(spec, 2, cap=8)
+    # j = 1 stays anchored: 4 subspaces in place of [2,1]_3 * 3 = 12
+    assert rghw_bruteforce(spec, 1, cap=4) == 2
+    with pytest.raises(CapExceeded, match="^4 admissible"):
+        rghw_bruteforce(spec, 1, cap=3)
+
+
 def test_table_bound_raises_before_allocating(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     width = -(-spec.n // 8)
