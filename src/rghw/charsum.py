@@ -154,12 +154,11 @@ def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
         )
     check_product_ambient(basis, spec.ambient_dim)
     j = basis.dim
-    members = member_matrix(basis)
+    codes1, codes2 = spec.pairs_from_vectors(member_matrix(basis))
     only1: list[int] = []
     only2: list[int] = []
     both: list[tuple[int, int]] = []
-    for vec in members:
-        c1, c2 = spec.pair_from_vector(vec)
+    for c1, c2 in zip(codes1.tolist(), codes2.tolist()):
         if c1 and c2:
             both.append((c1, c2))
         elif c1:

@@ -374,12 +374,14 @@ def _resolve_args(args: argparse.Namespace) -> None:
     args.routes_explicit = routes != "all"
     if args.routes_explicit:
         args.routes = tuple(r.strip() for r in routes.split(",") if r.strip())
+        if not args.routes:
+            raise RangeError(f"--routes {routes!r} names no route")
         for r in args.routes:
             if r not in ROUTE_NAMES:
                 raise RangeError(f"unknown route {r!r}")
     else:
         args.routes = ROUTE_NAMES
-    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1), ("seed", 0)):
+    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1), ("seed", 0), ("workers", 1)):
         value = getattr(args, name, low)
         if value < low:
             raise RangeError(f"{name}={value} must be >= {low}")

@@ -64,14 +64,6 @@ class Factor:
     decompose: np.ndarray
     compose: np.ndarray
 
-    def code_of(self, row) -> int:
-        """The element code whose coordinate row is row."""
-        q = self.embed.sub.size
-        index = 0
-        for a in row:
-            index = index * q + int(a)
-        return int(self.compose[index])
-
 
 def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
                   delta: int) -> Factor:
@@ -156,6 +148,10 @@ class CodeSpec:
         self.coordinate_functionals = self._build_functionals()
         self.group_vectors = self._build_group_vectors()
         self.gram = self._build_gram()
+        # vecs @ _decode_weights is the base-q compose index of each factor
+        self._decode_weights = np.zeros((k1 + k2, 2), dtype=np.int64)
+        self._decode_weights[:k1, 0] = q ** np.arange(k1 - 1, -1, -1)
+        self._decode_weights[k1:, 1] = q ** np.arange(k2 - 1, -1, -1)
         # [G | I] reduces to [I | G^-1] exactly when G is invertible
         K = self.ambient_dim
         red, pivots = self.ops.rref(np.hstack([self.gram, np.eye(K, dtype=np.int16)]))
@@ -196,9 +192,13 @@ class CodeSpec:
             offset += f.k
         return gram
 
-    def pair_from_vector(self, vec) -> tuple[int, int]:
+    def pairs_from_vectors(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The element codes (b1, b2) of each row of vecs, an integer array of
+        vectors of F_q^(k1+k2): one base-q dot product for both factors and
+        one compose gather per factor."""
+        index = vecs @ self._decode_weights
         f1, f2 = self.factors
-        return f1.code_of(vec[: self.k1]), f2.code_of(vec[self.k1 :])
+        return f1.compose[index[:, 0]], f2.compose[index[:, 1]]
 
     def summary(self) -> dict:
         return {

@@ -8,7 +8,6 @@ for parallel scans.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator, Sequence
@@ -33,7 +32,7 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    @functools.cached_property
+    @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
 

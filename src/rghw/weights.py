@@ -5,9 +5,10 @@ Three routes are wired together here:
 * rghw_bruteforce minimizes the support size over j-dimensional subspaces
   of the flattened pair space whose first projection is injective (those
   are exactly the subspaces of C meeting C' trivially).
-* mj_dual_count maximizes, over (k1+k2-j)-dimensional subspaces whose
-  second projection is onto, the number of cyclic-group points inside;
-  the weight is n minus that maximum.
+* mj_dual_count takes, over (k1+k2-j)-dimensional subspaces whose second
+  projection is onto, the largest number of cyclic-group points inside;
+  the weight is n minus that number, the least number of points outside,
+  which is what the scan finds.
 * the closed form (closed_forms module) covers three parameter families.
 
 Both scans walk subspaces by pivot set, so they partition cleanly across
@@ -16,14 +17,13 @@ worker processes with a deterministic merge.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,15 +41,13 @@ from .subspaces import (
 )
 
 DEFAULT_ENUM_CAP = 10**8
-# Bound on the packed lookup tables one scan holds (the support table is
-# q^K rows of ceil(n/8) bytes).
+# Bound on the packed mask table one scan holds (rows of ceil(n/8) bytes).
 TABLE_CAP_BYTES = 1 << 26
-# Subspaces scored per numpy batch and vectors per lookup-table block; both
+# Subspaces scored per numpy batch and mask-table rows built per matmul; both
 # keep each temporary array to about 100 KiB, since every byte of it adds
 # to the peak memory of a run that keeps its reports.
 BATCH = 512
 TABLE_BLOCK = 16
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
@@ -79,10 +77,13 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 # a pivot set with P free entries the t-th basis in enumeration order has
 # the last P base-q digits of t (most significant first) as its free
 # entries in row-major order; a batch of t values is scored at once by
-# combining rows of packed n-bit masks.  A plan (weights, bases, tables,
-# combine) says which rows: column k of digits @ weights + bases[t // q^P]
-# indexes tables[k], and the looked-up masks are folded with the ufunc
-# combine before the bits are counted.
+# OR-ing rows of one table of packed n-bit masks (_MaskTable), counting
+# bits and keeping the first strict minimum.  Every mode minimizes: the
+# support scans count the support, the dual scan the group points outside
+# H, n minus the points inside.  The table is a stack of blocks keyed by
+# (columns, lead), each built once per chunk however many pivot sets use
+# it, and a plan (weights, bases) says which rows: column k of
+# digits @ weights + bases[t // q^P] is the row of the k-th mask.
 #
 # The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -158,122 +159,125 @@ def _digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
     return (values[:, None] // powers) % q
 
 
-def _fill_packed(out: np.ndarray, first: int,
-                 rows: Callable[[np.ndarray], np.ndarray]) -> None:
-    """out[i] = np.packbits of the boolean n-vector rows(codes) gives for
-    code first+i; built TABLE_BLOCK codes at a time."""
-    for lo in range(0, len(out), TABLE_BLOCK):
-        codes = np.arange(first + lo, first + min(lo + TABLE_BLOCK, len(out)))
-        out[lo: lo + len(codes)] = np.packbits(rows(codes), axis=1)
+def _block_keys(pivots, K: int, mode: str) -> list[tuple[tuple[int, ...], int]]:
+    """The (columns, lead) key of each block whose masks a subspace with
+    these pivots ORs: one per row (its pivot leads, the later columns vary)
+    for the support scans, one per non-pivot column (it leads, the pivots
+    below it vary) for the dual scan."""
+    if mode == "max_group":
+        return [(tuple(p for p in pivots if p < c), c) for c in range(K) if c not in pivots]
+    return [(tuple(range(p + 1, K)), p) for p in pivots]
 
 
-def _support_rows(spec: CodeSpec, anchors: Optional[np.ndarray]) -> int:
-    """Rows of a scan's support table: every code of F_q^K or, for an
-    anchored scan, whose pivots are never 0, the codes below q^(K-1) and
-    then one row per anchor."""
-    K = spec.ambient_dim
-    return spec.q ** K if anchors is None else spec.q ** (K - 1) + len(anchors)
+def _block_starts(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]
+                  ) -> tuple[dict, int]:
+    """First table row of every distinct block the pivot sets use, in order
+    of first use, and the table's row count: the blocks, then one row per
+    anchor."""
+    starts: dict = {}
+    rows = 0
+    for ps in sets:
+        for key in _block_keys(ps, spec.ambient_dim, mode):
+            if key not in starts:
+                starts[key] = rows
+                rows += spec.q ** len(key[0])
+    return starts, rows + (0 if anchors is None else len(anchors))
 
 
-class _SupportTable:
-    """Packed support of the codeword of a vector of F_q^K, indexed by its
-    base-q code (column 0 most significant), for the codes _support_rows
-    covers; the anchors' masks fill anchor_rows.
+def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]) -> int:
+    """Bytes of the mask table a scan of these pivot sets allocates."""
+    return _block_starts(spec, mode, sets, anchors)[1] * -(-spec.n // 8)
 
-    An RREF row with pivot p has its code in [q^(K-1-p), 2 q^(K-1-p)), so
-    only the ranges of the pivots in the chunk are built; the rest of the
-    table is never written.
+
+class _MaskTable:
+    """Packed n-bit masks of a scan, one block per (columns, lead) key.
+
+    Row a of block (cols, lead) is the mask (a @ funcs[cols]) != target[lead]
+    for the a-th base-q assignment of cols (first column most significant).
+    The support scans take funcs = F, the coordinate functionals, and
+    target = -F: the support of a row with pivot p.  The dual scan takes
+    funcs = target = G, the group vectors in working column order: the
+    group points g with g_c != sum_r a_(r,c) g_(p_r), which lie outside the
+    row space.  An anchored table ends with the support of each anchor.
     """
 
-    def __init__(self, spec: CodeSpec, anchors: Optional[np.ndarray], chunk):
-        self.spec = spec
-        self.masks = np.empty((_support_rows(spec, anchors), -(-spec.n // 8)), dtype=np.uint8)
+    def __init__(self, spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]):
+        self.spec, self.mode = spec, mode
+        self.starts, rows = _block_starts(spec, mode, sets, anchors)
+        self.masks = np.empty((rows, -(-spec.n // 8)), dtype=np.uint8)
         self.anchor_rows: Optional[range] = None
         if anchors is not None:
-            self.anchor_rows = range(len(self.masks) - len(anchors), len(self.masks))
+            self.anchor_rows = range(rows - len(anchors), rows)
             self.masks[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
-        K, q = spec.ambient_dim, spec.q
-        funcs = spec.coordinate_functionals.T
-        for p in set().union(*chunk):
-            lo = q ** (K - 1 - p)
-            _fill_packed(self.masks[lo: 2 * lo], lo, lambda codes: spec.ops.matmul(
-                _digits(codes, K, q).astype(np.int16), funcs) != 0)
+        if mode == "max_group":
+            funcs = target = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)].T
+        else:
+            funcs = spec.coordinate_functionals.T
+            target = spec.ops.mul_table[spec.field_q.neg(1)][funcs]
+        q = spec.q
+        for (cols, lead), start in self.starts.items():
+            size = q ** len(cols)
+            for lo in range(0, size, TABLE_BLOCK):
+                a = _digits(np.arange(lo, min(lo + TABLE_BLOCK, size)), len(cols), q)
+                self.masks[start + lo: start + lo + len(a)] = np.packbits(
+                    spec.ops.matmul(a.astype(np.int16), funcs[list(cols)]) != target[lead],
+                    axis=1)
 
-
-def _support_plan(table: _SupportTable, pivots, positions):
-    """Row r of a basis is looked up by its code: q^(K-1-p_r) for the pivot
-    plus its free entries; the span's support is the union of the rows'.
-    An anchored table adds a first column, with no free entries, that looks
-    up one anchor per base."""
-    K, q = table.spec.ambient_dim, table.spec.q
-    lead = int(table.anchor_rows is not None)
-    weights = np.zeros((len(positions), lead + len(pivots)), dtype=np.int64)
-    for i, (r, c) in enumerate(positions):
-        weights[i, lead + r] = q ** (K - 1 - c)
-    codes = [q ** (K - 1 - p) for p in pivots]
-    heads = [[a] for a in table.anchor_rows] if lead else [[]]
-    bases = np.array([head + codes for head in heads], dtype=np.int64)
-    return weights, bases, [table.masks] * bases.shape[1], np.bitwise_or
-
-
-def _group_plan(spec: CodeSpec, group: np.ndarray, pivots, positions):
-    """A group point g is in the row space iff, for every non-pivot column
-    c, g_c = sum_r a_{r,c} g_{p_r}; one table per c marks the points that
-    pass, for every assignment of the column's free entries a_{r,c}."""
-    K, q = spec.ambient_dim, spec.q
-    cols = [c for c in range(K) if c not in pivots]
-    weights = np.zeros((len(positions), len(cols)), dtype=np.int64)
-    tables = []
-    for k, c in enumerate(cols):
-        rows = [r for r, p in enumerate(pivots) if p < c]
-        for t, r in enumerate(rows):
-            weights[positions.index((r, c)), k] = q ** (len(rows) - 1 - t)
-        coeffs = group[:, [pivots[r] for r in rows]].T
-        target = group[:, c]
-        table = np.empty((q ** len(rows), -(-spec.n // 8)), dtype=np.uint8)
-        _fill_packed(table, 0, lambda a: spec.ops.matmul(
-            _digits(a, len(rows), q).astype(np.int16), coeffs) == target)
-        tables.append(table)
-    return weights, np.zeros((1, len(cols)), dtype=np.int64), tables, np.bitwise_and
+    def plan(self, pivots, positions) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, bases): column k of digits @ weights + bases[t // q^P]
+        is the table row of the k-th mask the t-th basis ORs.  Free entry
+        (r, c) is digit c - p_r - 1 of row r's block, or digit r of column
+        c's block in the dual scan.  An anchored table adds a first column,
+        with no free entries, that looks up one anchor per base."""
+        K, q = self.spec.ambient_dim, self.spec.q
+        keys = _block_keys(pivots, K, self.mode)
+        if self.mode == "max_group":
+            column = {c: k for k, (_, c) in enumerate(keys)}
+            slots = [(column[c], r) for r, c in positions]
+        else:
+            slots = [(r, c - pivots[r] - 1) for r, c in positions]
+        lead = int(self.anchor_rows is not None)
+        weights = np.zeros((len(positions), lead + len(keys)), dtype=np.int64)
+        for i, (k, d) in enumerate(slots):
+            weights[i, lead + k] = q ** (len(keys[k][0]) - 1 - d)
+        starts = [self.starts[key] for key in keys]
+        heads = [[a] for a in self.anchor_rows] if lead else [[]]
+        return weights, np.array([head + starts for head in heads], dtype=np.int64)
 
 
 def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
                 ) -> tuple[Optional[int], Optional[np.ndarray]]:
-    """Best value over the subspaces of the given pivot sets, and a basis
+    """Least count over the subspaces of the given pivot sets, and a basis
     (working column order) of the first subspace attaining it.
 
-    mode "min_support" minimizes support over injective-first-projection
-    subspaces, "max_group" maximizes the cyclic-group count over
-    onto-second-projection subspaces, "min_support_all" minimizes support
-    over every subspace (plain GHW).  With anchors, each subspace is the
-    span of one anchor and of a basis with the given pivots.
+    Every mode ORs the masks the table plan names, counts bits and keeps
+    the first strict minimum.  "min_support" counts the support of
+    injective-first-projection subspaces, "min_support_all" of every
+    subspace (plain GHW), and "max_group" the group points outside an
+    onto-second-projection subspace, whose first minimizer is the first
+    subspace with the most points inside.  With anchors, each subspace is
+    the span of one anchor and of a basis with the given pivots.
     """
     K, q = spec.ambient_dim, spec.q
-    maximize = mode == "max_group"
-    if maximize:
-        group = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)]
-        plan = functools.partial(_group_plan, spec, group)
-    else:
-        plan = functools.partial(_support_plan, _SupportTable(spec, anchors, chunk))
+    table = _MaskTable(spec, mode, chunk, anchors)
     best: Optional[tuple] = None  # (value, pivots, positions, base number, digits)
     for pivots in chunk:
         positions = free_positions(pivots, K)
-        weights, bases, tables, combine = plan(pivots, positions)
+        weights, bases = table.plan(pivots, positions)
         per = q ** len(positions)
         total = len(bases) * per
         for lo in range(0, total, BATCH):
             t = np.arange(lo, min(lo + BATCH, total))
             digits = _digits(t, len(positions), q)
             index = digits @ weights + bases[t // per]
-            acc = tables[0][index[:, 0]]
-            for k in range(1, len(tables)):
-                combine(acc, tables[k][index[:, k]], out=acc)
-            values = _POPCOUNT[acc].sum(axis=1)
-            i = int(values.argmax() if maximize else values.argmin())
-            val = int(values[i])
-            if best is None or (val > best[0] if maximize else val < best[0]):
-                best = (val, pivots, positions, int(t[i]) // per, digits[i])
+            acc = table.masks[index[:, 0]]
+            for k in range(1, index.shape[1]):
+                np.bitwise_or(acc, table.masks[index[:, k]], out=acc)
+            values = np.bitwise_count(acc).sum(axis=1)
+            i = int(values.argmin())
+            if best is None or values[i] < best[0]:
+                best = (int(values[i]), pivots, positions, int(t[i]) // per, digits[i])
     if best is None:
         return None, None
     val, pivots, positions, s, digits = best
@@ -290,17 +294,6 @@ def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
     """_scan_chunk inside a pool worker, which rebuilds the spec."""
     params, mode, chunk, anchors = args
     return _scan_chunk(build_code(*params), mode, chunk, anchors)
-
-
-def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]) -> int:
-    """Largest lookup-table footprint of one scan (per pivot set for the
-    dual route, which frees its tables between pivot sets)."""
-    width = -(-spec.n // 8)
-    if mode != "max_group":
-        return _support_rows(spec, anchors) * width
-    return max((sum(spec.q ** sum(p < c for p in ps)
-                    for c in range(spec.ambient_dim) if c not in ps) * width
-                for ps in sets), default=0)
 
 
 def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
@@ -337,7 +330,7 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     table_bytes = _table_bytes(spec, mode, sets, anchors)
     if table_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
-            f"lookup tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
+            f"a mask table of {table_bytes} bytes exceeds the bound {TABLE_CAP_BYTES}"
         )
     chunks = [sets]
     if workers > 1 and sets:
@@ -350,13 +343,12 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         tasks = [(params, mode, chunk, anchors) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, tasks))
-    prefer_max = mode == "max_group"
     best_val: Optional[int] = None
     best_rows: Optional[np.ndarray] = None
     for val, rows in results:  # chunk order = enumeration order
         if val is None:
             continue
-        if best_val is None or (val > best_val if prefer_max else val < best_val):
+        if best_val is None or val < best_val:
             best_val, best_rows = val, rows
     if best_val is None:
         raise RangeError(f"no qualifying subspace of dimension {dim}")
@@ -396,16 +388,17 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     """Weight via the dual-side maximization: m = n - max |H meet group|.
 
     H ranges over (k1+k2-j)-dimensional subspaces of the pair space whose
-    second projection covers GF(Q2); ties resolve to the first maximizer in
-    enumeration order.
+    second projection covers GF(Q2).  The scan minimizes the group points
+    outside H, n - |H meet group|, so m is that minimum; ties resolve to
+    the first subspace with the most points inside, in enumeration order.
     """
     if not 1 <= j <= spec.k1:
         raise RangeError(f"j={j} outside 1..{spec.k1}")
-    n_j, rows = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
+    outside, rows = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
     original = np.empty_like(rows)
     original[:, _column_order(spec.k1, spec.k2, "max_group")] = rows
     argmax = subspace_from_rows(spec.q, spec.ambient_dim, original, "product")
-    return DualCountResult(spec.n - n_j, n_j, argmax)
+    return DualCountResult(outside, spec.n - outside, argmax)
 
 
 # -- per-j reports -----------------------------------------------------------

@@ -257,7 +257,7 @@ def test_per_subspace_closed_form_q3():
         rows = rng.integers(0, 3, size=(j, spec.ambient_dim))
         d = subspace_from_rows(3, spec.ambient_dim, rows, "product")
         members = member_matrix(d)
-        pairs = [spec.pair_from_vector(v) for v in members]
+        pairs = list(zip(*spec.pairs_from_vectors(members)))
         if any(c1 == 0 and c2 != 0 for c1, c2 in pairs):
             continue  # formula assumes trivial intersection
         kept += 1

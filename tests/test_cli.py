@@ -306,6 +306,9 @@ BAD_INPUTS = [
     ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),
     ("seed-negative", ("verify", "--seed", "-1"), 2, "RangeError"),
     ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
+    ("routes-empty", ("table", *SPEC_ARGS, "--routes", ","), 2, "RangeError"),
+    ("workers-zero", ("table", *SPEC_ARGS, "--workers", "0"), 2, "RangeError"),
+    ("workers-negative", ("verify", "--workers", "-5"), 2, "RangeError"),
     ("lam-not-an-integer", ("gauss", "--size", "5", "--lam", "x"), 2, "RangeError"),
     ("out-in-missing-directory",
      ("table", *SPEC_ARGS, "--out", str(MISSING_DIR / "table.json")), 2, "OutputError"),
@@ -329,7 +332,10 @@ WORKER_COMMANDS = {"table", "verify", "bench"}
 
 
 def _with_workers(argv):
-    return [*argv, "--workers", "1"] if argv[0] in WORKER_COMMANDS else list(argv)
+    """One worker for the commands that take --workers, unless the case sets it."""
+    if argv[0] in WORKER_COMMANDS and "--workers" not in argv:
+        return [*argv, "--workers", "1"]
+    return list(argv)
 
 
 @pytest.mark.parametrize("argv,exit_code,error_code",

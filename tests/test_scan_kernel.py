@@ -132,7 +132,7 @@ def test_orbit_representatives_partition(small_grid):
         reps = orbit_representatives(spec)
         orbit = shift_orbits(spec)
         assert (reps[:, 0] == 1).all(), spec
-        labels = sorted(orbit[spec.pair_from_vector(r)] for r in reps)
+        labels = sorted(orbit[int(b1), int(b2)] for b1, b2 in zip(*spec.pairs_from_vectors(reps)))
         assert labels == list(range(len(set(orbit.values())))), spec
         counts.append(len(reps))
     assert counts[-5:] == [2, 4, 2, 2, 3]
@@ -173,29 +173,53 @@ def test_bruteforce_is_unanchored_where_anchoring_scores_more():
 
 
 def test_table_bound_raises_before_allocating(monkeypatch):
-    spec = build_code(2, 2, 3, 1, 1)
+    spec = build_code(2, 2, 3, 1, 1)  # K = 5, masks of 3 bytes
     width = -(-spec.n // 8)
-    # the anchored table covers the codes below q^(K-1), then the anchors
-    anchored_bytes = (spec.q ** (spec.ambient_dim - 1)
-                      + len(orbit_representatives(spec))) * width
-    support_bytes = spec.q**spec.ambient_dim * width
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", anchored_bytes)
-    assert rghw_bruteforce(spec, 1) == 10
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes)
-    assert ghw_bruteforce(spec, 1) == 10
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", anchored_bytes - 1)
+    reps = len(orbit_representatives(spec))
+    cases = [
+        # anchored bruteforce j=2: D' is one row with pivot 1 (columns 2..4
+        # vary), then one row per anchor
+        (lambda: rghw_bruteforce(spec, 2), 15, 2**3 + reps),
+        # GHW j=1: one block per pivot p, columns p+1..4 vary
+        (lambda: ghw_bruteforce(spec, 1), 10, 2**4 + 2**3 + 2**2 + 2 + 1),
+        # dual j=1: pivots 0..3 leave column 4 (pivots 0..3 vary), pivots
+        # 0,1,2,4 leave column 3 (pivots 0..2 vary)
+        (lambda: mj_dual_count(spec, 1).m, 10, 2**4 + 2**3),
+    ]
+    table_class = weights._MaskTable
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
 
-    monkeypatch.setattr(weights, "_SupportTable", no_table)
-    with pytest.raises(CapExceeded):
-        rghw_bruteforce(spec, 1)
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", support_bytes - 1)
-    with pytest.raises(CapExceeded):
-        ghw_bruteforce(spec, 1)
-    # the dual route holds per-column tables only, far below the support table
-    assert mj_dual_count(spec, 1).m == 10
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", 0)
-    with pytest.raises(CapExceeded):
-        mj_dual_count(spec, 1)
+    for run, value, rows in cases:
+        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width)
+        assert run() == value
+        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width - 1)
+        monkeypatch.setattr(weights, "_MaskTable", no_table)
+        with pytest.raises(CapExceeded):
+            run()
+        monkeypatch.setattr(weights, "_MaskTable", table_class)
+
+
+def test_mask_table_holds_each_block_once(monkeypatch):
+    spec = build_code(2, 2, 3, 1, 1)
+    reps = orbit_representatives(spec)
+    for mode, dim, anchors in (("min_support", 1, reps), ("min_support", 2, None),
+                               ("min_support_all", 2, None), ("max_group", 4, None)):
+        sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+        if anchors is not None:
+            sets = [ps for ps in sets if 0 not in ps]
+        table = weights._MaskTable(spec, mode, sets, anchors)
+        assert weights._table_bytes(spec, mode, sets, anchors) == table.masks.nbytes, mode
+    # (2,3,2,1,1) dual j=2: the pivot sets (0,1,2), (0,1,3), (0,1,4) leave
+    # 6 (pivot set, non-pivot column) pairs but 5 distinct blocks; each has
+    # at most TABLE_BLOCK rows, so one matmul builds it
+    spec = build_code(2, 3, 2, 1, 1)
+    sets = admissible_pivot_sets(spec.k1, spec.k2, 3, "max_group")
+    assert sum(len(weights._block_keys(ps, 5, "max_group")) for ps in sets) == 6
+    calls = []
+    matmul = spec.ops.matmul
+    monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
+    table = weights._MaskTable(spec, "max_group", sets, None)
+    assert len(table.starts) == len(calls) == 5
+    assert table.masks.shape[0] == 2**3 + 2**3 + 2**2 + 2**3 + 2**2
