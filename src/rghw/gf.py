@@ -83,6 +83,8 @@ class FieldTable:
         arrays of codes; it needs no Zech table."""
         if self.p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
         out = 0
         mult = 1
         for _ in range(self.m):

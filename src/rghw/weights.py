@@ -17,6 +17,7 @@ worker processes with a deterministic merge.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -41,13 +42,15 @@ from .subspaces import (
 )
 
 DEFAULT_ENUM_CAP = 10**8
-# Bound on the packed mask table one scan holds (rows of ceil(n/8) bytes).
+# Bound on the packed mask tables a scan holds at once (rows of ceil(n/8)
+# bytes): its one table, or with a W-worker pool the W largest chunk tables.
 TABLE_CAP_BYTES = 1 << 26
-# Subspaces scored per numpy batch and mask-table rows built per matmul; both
-# keep each temporary array to about 100 KiB, since every byte of it adds
-# to the peak memory of a run that keeps its reports.
+# Subspaces scored per numpy batch, and bytes of field values a mask-table
+# slice holds.  Both size one numpy call: large enough that the per-call
+# overhead stays small against the work, small enough (about 100 KiB) that
+# the temporaries stay in the CPU cache.
 BATCH = 512
-TABLE_BLOCK = 16
+SLICE_BYTES = 100 << 10
 
 
 def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
@@ -76,14 +79,24 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 # by the pivot set alone, so rejected subspaces are never generated.  Within
 # a pivot set with P free entries the t-th basis in enumeration order has
 # the last P base-q digits of t (most significant first) as its free
-# entries in row-major order; a batch of t values is scored at once by
-# OR-ing rows of one table of packed n-bit masks (_MaskTable), counting
-# bits and keeping the first strict minimum.  Every mode minimizes: the
-# support scans count the support, the dual scan the group points outside
-# H, n minus the points inside.  The table is a stack of blocks keyed by
-# (columns, lead), each built once per chunk however many pivot sets use
-# it, and a plan (weights, bases) says which rows: column k of
+# entries in row-major order; each basis is scored by OR-ing rows of one
+# table of packed n-bit masks (_MaskTable), counting bits and keeping the
+# first strict minimum.  Every mode minimizes: the support scans count the
+# support, the dual scan the group points outside H, n minus the points
+# inside.  The table is a stack of blocks keyed by (columns, lead), each
+# built once per chunk however many pivot sets use it, and a plan
+# (weights, bases) says which rows: column k of
 # digits @ weights + bases[t // q^P] is the row of the k-th mask.
+#
+# Both halves of the kernel are linear in the digits, so neither does
+# arithmetic per row.  A block's values split as
+# a @ funcs[cols] = high digits @ funcs[high] + low digits @ funcs[low]:
+# the q^s values of the low term are built once per block, a column at a
+# time (q scaled copies added to the rows so far), and each run of q^s
+# rows is one sum of the high term added to them.  The row indices split
+# the same way, as L[low digits of t] + H[high digits of t] + bases[b]: a
+# batch is a few runs of q^s consecutive t, and only the winning t is
+# turned back into digits.
 #
 # The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -159,6 +172,36 @@ def _digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
     return (values[:, None] // powers) % q
 
 
+@functools.cache
+def _counter(width: int, q: int) -> np.ndarray:
+    """_digits of 0..q^width - 1, for counters of at most a batch."""
+    digits = _digits(np.arange(q ** width), width, q)
+    digits.flags.writeable = False
+    return digits
+
+
+def _low_width(width: int, q: int, rows: int) -> int:
+    """How many low digits of a width-digit base-q counter one run covers:
+    the most whose q^s values fit in rows, but at least one digit."""
+    s = min(width, 1)
+    while s < width and q ** (s + 1) <= rows:
+        s += 1
+    return s
+
+
+def _sums(base: np.ndarray, scaled: list, add):
+    """base + sum_i scaled[i][d_i] for every digit string d, in counting
+    order (first digit most significant); scaled[i][d] is d times the i-th
+    vector, and add adds vectors of field codes."""
+    if not scaled:
+        yield base
+        return
+    head, rest = scaled[0], scaled[1:]
+    yield from _sums(base, rest, add)
+    for row in head[1:]:
+        yield from _sums(add(base, row), rest, add)
+
+
 def _block_keys(pivots, K: int, mode: str) -> list[tuple[tuple[int, ...], int]]:
     """The (columns, lead) key of each block whose masks a subspace with
     these pivots ORs: one per row (its pivot leads, the later columns vary)
@@ -199,6 +242,10 @@ class _MaskTable:
     funcs = target = G, the group vectors in working column order: the
     group points g with g_c != sum_r a_(r,c) g_(p_r), which lie outside the
     row space.  An anchored table ends with the support of each anchor.
+
+    A block is built by linearity, as a @ funcs[cols] - target[lead] != 0.
+    The low s columns give the q^s value rows of about SLICE_BYTES, and
+    each run of q^s table rows adds one sum over the high columns to them.
     """
 
     def __init__(self, spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]):
@@ -210,19 +257,24 @@ class _MaskTable:
             self.anchor_rows = range(rows - len(anchors), rows)
             self.masks[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
+        mul, add = spec.ops.mul_table, spec.field_q.add_codes_digitwise
         if mode == "max_group":
-            funcs = target = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)].T
+            funcs = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)].T
+            offsets = mul[spec.field_q.neg(1)][funcs]
         else:
-            funcs = spec.coordinate_functionals.T
-            target = spec.ops.mul_table[spec.field_q.neg(1)][funcs]
-        q = spec.q
+            funcs = offsets = spec.coordinate_functionals.T
+        # offsets = -target; scaled[d, c] = d * funcs[c]
+        scaled = mul[:, funcs]
+        q, n = spec.q, spec.n
         for (cols, lead), start in self.starts.items():
-            size = q ** len(cols)
-            for lo in range(0, size, TABLE_BLOCK):
-                a = _digits(np.arange(lo, min(lo + TABLE_BLOCK, size)), len(cols), q)
-                self.masks[start + lo: start + lo + len(a)] = np.packbits(
-                    spec.ops.matmul(a.astype(np.int16), funcs[list(cols)]) != target[lead],
-                    axis=1)
+            split = len(cols) - _low_width(len(cols), q, SLICE_BYTES // (2 * n))
+            low = np.zeros((1, n), dtype=np.int16)
+            for c in reversed(cols[split:]):
+                low = add(scaled[:, c, None], low).reshape(-1, n)
+            high = [scaled[:, c] for c in cols[:split]]
+            for h, base in enumerate(_sums(offsets[lead], high, add)):
+                self.masks[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
+                    add(base, low) != 0, axis=1)
 
     def plan(self, pivots, positions) -> tuple[np.ndarray, np.ndarray]:
         """(weights, bases): column k of digits @ weights + bases[t // q^P]
@@ -261,32 +313,38 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
     """
     K, q = spec.ambient_dim, spec.q
     table = _MaskTable(spec, mode, chunk, anchors)
-    best: Optional[tuple] = None  # (value, pivots, positions, base number, digits)
+    best: Optional[tuple] = None  # (value, pivots, positions, t)
     for pivots in chunk:
         positions = free_positions(pivots, K)
         weights, bases = table.plan(pivots, positions)
-        per = q ** len(positions)
-        total = len(bases) * per
-        for lo in range(0, total, BATCH):
-            t = np.arange(lo, min(lo + BATCH, total))
-            digits = _digits(t, len(positions), q)
-            index = digits @ weights + bases[t // per]
+        split = len(positions) - _low_width(len(positions), q, BATCH)
+        run = q ** (len(positions) - split)
+        # heads[r] + low[l] indexes the masks of t = r * run + l
+        low = _counter(len(positions) - split, q) @ weights[split:]
+        heads = bases
+        if split:
+            high = _digits(np.arange(q ** split), split, q) @ weights[:split]
+            heads = (bases[:, None] + high).reshape(-1, weights.shape[1])
+        step = max(1, BATCH // run)
+        for r in range(0, len(heads), step):
+            index = (heads[r:r + step, None] + low).reshape(-1, weights.shape[1])
             acc = table.masks[index[:, 0]]
             for k in range(1, index.shape[1]):
                 np.bitwise_or(acc, table.masks[index[:, k]], out=acc)
             values = np.bitwise_count(acc).sum(axis=1)
             i = int(values.argmin())
             if best is None or values[i] < best[0]:
-                best = (int(values[i]), pivots, positions, int(t[i]) // per, digits[i])
+                best = (int(values[i]), pivots, positions, r * run + i)
     if best is None:
         return None, None
-    val, pivots, positions, s, digits = best
+    val, pivots, positions, t = best
+    per = q ** len(positions)
     rows = np.zeros((len(pivots), K), dtype=np.int16)
     rows[range(len(pivots)), pivots] = 1
-    for (r, c), v in zip(positions, digits):
+    for (r, c), v in zip(positions, _digits(np.array([t % per]), len(positions), q)[0]):
         rows[r, c] = v
     if anchors is not None:
-        rows = np.vstack([anchors[s], rows])
+        rows = np.vstack([anchors[t // per], rows])
     return val, rows
 
 
@@ -327,15 +385,17 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
-    table_bytes = _table_bytes(spec, mode, sets, anchors)
-    if table_bytes > TABLE_CAP_BYTES:
-        raise CapExceeded(
-            f"a mask table of {table_bytes} bytes exceeds the bound {TABLE_CAP_BYTES}"
-        )
     chunks = [sets]
     if workers > 1 and sets:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
         chunks = _chunks(sets, work, workers * 4)
+    # each chunk builds its own table, and each of the workers holds one
+    sizes = sorted((_table_bytes(spec, mode, c, anchors) for c in chunks), reverse=True)
+    table_bytes = sum(sizes[:workers])
+    if table_bytes > TABLE_CAP_BYTES:
+        raise CapExceeded(
+            f"mask tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
+        )
     if len(chunks) <= 1:
         results = [_scan_chunk(spec, mode, sets, anchors)]
     else:

@@ -16,6 +16,14 @@ def small_grid():
     return runpy.run_path(str(path))["small_grid"]()
 
 
+@pytest.fixture(scope="session")
+def ladder():
+    """The specs of the benchmark's scan_ladder workload, read from
+    perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["LADDER"]
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Swap the scan's process pool for an in-process one that records the

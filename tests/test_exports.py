@@ -69,3 +69,10 @@ def test_every_definition_has_a_caller():
                 continue
             dead.append(f"{module}.{cls.name + '.' if cls else ''}{node.name}")
     assert not dead, f"definitions without a caller: {dead}"
+
+
+def test_no_bare_assert_in_the_package():
+    """Checks must hold under python -O, which strips assert statements."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, f"bare assert statements: {found}"

@@ -1,9 +1,13 @@
 """The pivot-set scan kernel against definition-level references."""
 
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rghw import weights
 from rghw.closed_forms import evaluate_closed_form
@@ -11,6 +15,7 @@ from rghw.codes import build_code
 from rghw.errors import CapExceeded
 from rghw.gf import field_for_size
 from rghw.subspaces import (
+    count_for_pivots,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
@@ -201,6 +206,34 @@ def test_table_bound_raises_before_allocating(monkeypatch):
         monkeypatch.setattr(weights, "_MaskTable", table_class)
 
 
+def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool):
+    # GHW j=2 of (2,2,3,1,1) with 2 workers: 6 chunks, each with its own
+    # table, and 2 alive at once; the 2 largest hold more rows than the one
+    # table of the in-process scan, since chunks share blocks
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
+    spec = build_code(2, 2, 3, 1, 1)
+    width = -(-spec.n // 8)
+    sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "min_support_all")
+    work = [count_for_pivots(ps, 5, 2) for ps in sets]
+    chunks = weights._chunks(sets, work, 2 * 4)
+    rows = sorted(weights._table_bytes(spec, "min_support_all", c, None) // width
+                  for c in chunks)
+    assert len(chunks) == 6 and rows[-2:] == [20, 24]
+    assert weights._table_bytes(spec, "min_support_all", sets, None) == 31 * width
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width)
+    assert ghw_bruteforce(spec, 2, workers=2) == 15
+    assert recording_pool == [2]
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width - 1)
+
+    def no_table(*args):
+        raise AssertionError("table allocated past the bound")
+
+    monkeypatch.setattr(weights, "_MaskTable", no_table)
+    with pytest.raises(CapExceeded):
+        ghw_bruteforce(spec, 2, workers=2)
+    assert recording_pool == [2]  # no second pool started
+
+
 def test_mask_table_holds_each_block_once(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     reps = orbit_representatives(spec)
@@ -212,8 +245,8 @@ def test_mask_table_holds_each_block_once(monkeypatch):
         table = weights._MaskTable(spec, mode, sets, anchors)
         assert weights._table_bytes(spec, mode, sets, anchors) == table.masks.nbytes, mode
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1,2), (0,1,3), (0,1,4) leave
-    # 6 (pivot set, non-pivot column) pairs but 5 distinct blocks; each has
-    # at most TABLE_BLOCK rows, so one matmul builds it
+    # 6 (pivot set, non-pivot column) pairs but 5 distinct blocks, built by
+    # linearity with no matmul
     spec = build_code(2, 3, 2, 1, 1)
     sets = admissible_pivot_sets(spec.k1, spec.k2, 3, "max_group")
     assert sum(len(weights._block_keys(ps, 5, "max_group")) for ps in sets) == 6
@@ -221,5 +254,58 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     matmul = spec.ops.matmul
     monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
     table = weights._MaskTable(spec, "max_group", sets, None)
-    assert len(table.starts) == len(calls) == 5
+    assert len(table.starts) == 5
+    assert calls == []
     assert table.masks.shape[0] == 2**3 + 2**3 + 2**2 + 2**3 + 2**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3),
+                               (5, 2, 3, 1, 4)]),
+       mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+       anchored=st.booleans(), slice_rows=st.integers(1, 40), data=st.data())
+def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows, data):
+    """Every row of every block is packbits((a @ funcs[cols]) != target[lead])
+    through the field's matmul, for characteristic 2, odd primes and GF(4),
+    whatever the slice size splits the block's columns into."""
+    spec = build_code(*params)
+    q, K = spec.q, spec.ambient_dim
+    dim = data.draw(st.integers(1, K))
+    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+    anchors = orbit_representatives(spec) if anchored else None
+    with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
+        table = weights._MaskTable(spec, mode, sets, anchors)
+    F = spec.coordinate_functionals.T
+    if mode == "max_group":
+        funcs = target = spec.group_vectors[:, weights._column_order(spec.k1, spec.k2, mode)].T
+    else:
+        funcs, target = F, spec.ops.mul_table[spec.field_q.neg(1)][F]
+    for (cols, lead), start in table.starts.items():
+        a = np.array(list(itertools.product(range(q), repeat=len(cols))),
+                     dtype=np.int16).reshape(q ** len(cols), len(cols))
+        want = np.packbits(spec.ops.matmul(a, funcs[list(cols)]) != target[lead], axis=1)
+        assert (table.masks[start:start + len(a)] == want).all(), (cols, lead)
+    if anchored:
+        want = np.packbits(spec.ops.matmul(anchors, F) != 0, axis=1)
+        assert (table.masks[table.anchor_rows.start:] == want).all()
+
+
+def test_every_ladder_scan_argmax_is_pinned(ladder):
+    """(value, argmax rows) of every scan of the benchmark's ladder specs,
+    every dimension and mode, against a digest of the code before the
+    kernel built its rows and indices by linearity: a change in the
+    argmax tie order fails here."""
+    digest = hashlib.sha256()
+    scans = 0
+    for params in ladder:
+        spec = build_code(*params)
+        K, k1 = spec.ambient_dim, spec.k1
+        for mode, dims in (("min_support", range(1, k1 + 1)),
+                           ("min_support_all", range(1, K + 1)),
+                           ("max_group", [K - j for j in range(1, k1 + 1)])):
+            for dim in dims:
+                val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+                digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
+                scans += 1
+    assert scans == 45
+    assert digest.hexdigest() == "32b5b5c8da87f200b5bb7199919a684e3105d9cdaa556f8cfdac3df4e8a6d831"
