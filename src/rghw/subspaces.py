@@ -9,7 +9,7 @@ for parallel scans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ class SubspaceBasis:
     q: int
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
-    ambient: str = dc_field(default="", compare=False)
 
     @property
     def dim(self) -> int:
@@ -79,13 +78,9 @@ def count_for_pivots(pivots: Sequence[int], k: int, q: int) -> int:
     return q ** len(free_positions(pivots, k))
 
 
-def enumerate_subspaces(
-    k: int,
-    j: int,
-    q: int,
-    ambient: str = "",
-) -> Iterator[SubspaceBasis]:
-    """Yield every j-dimensional subspace of F_q^k exactly once."""
+def enumerate_rref_rows(k: int, j: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the RREF rows of every j-dimensional subspace of F_q^k exactly
+    once, lexicographic in the pivot sets, then in the free entries."""
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
     for pivots in pivot_sets(k, j):
@@ -102,18 +97,26 @@ def enumerate_subspaces(
                     row[c] = v
                 options.append(tuple(row))
             choices.append(options)
-        for rows in itertools.product(*choices):
-            yield SubspaceBasis(q, k, rows, ambient)
+        yield from itertools.product(*choices)
+
+
+def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[SubspaceBasis]:
+    """Yield every j-dimensional subspace of F_q^k exactly once."""
+    return (SubspaceBasis(q, k, rows) for rows in enumerate_rref_rows(k, j, q))
 
 
 def subspace_from_rows(
     q: int, ambient_dim: int, rows: Iterable[Sequence[int]], ambient: str = ""
 ) -> SubspaceBasis:
-    """Canonicalize arbitrary spanning rows into an RREF basis."""
+    """Canonicalize arbitrary spanning rows into an RREF basis.
+
+    A fourth argument naming the ambient (callers pass "product") is
+    accepted and ignored.
+    """
     ops = table_ops(field_for_size(q))
     mat = np.array(list(rows), dtype=np.int16).reshape(-1, ambient_dim)
     red, _ = ops.rref(mat)
-    return SubspaceBasis(q, ambient_dim, tuple(map(tuple, red.tolist())), ambient)
+    return SubspaceBasis(q, ambient_dim, tuple(map(tuple, red.tolist())))
 
 
 def member_matrix(basis: SubspaceBasis) -> np.ndarray:
@@ -146,14 +149,11 @@ def project(
         basis.q,
         block.shape[1],
         tuple(tuple(int(v) for v in r) for r in image_rows),
-        f"factor{side}",
     )
     # kernel: coefficient vectors x with x @ block = 0, pushed through the basis
     coeffs = ops.nullspace(block.T)
     kernel_rows = ops.matmul(coeffs, mat) if coeffs.shape[0] else coeffs.reshape(0, mat.shape[1])
-    kernel = subspace_from_rows(
-        basis.q, basis.ambient_dim, kernel_rows, basis.ambient
-    )
+    kernel = subspace_from_rows(basis.q, basis.ambient_dim, kernel_rows)
     if image.dim + kernel.dim != basis.dim:
         raise InvariantViolated(
             f"rank-nullity fails: {image.dim} + {kernel.dim} != {basis.dim}"
@@ -174,7 +174,7 @@ def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
         kernel = ops.kernel_rows(basis.rows, basis.pivots, K)
         rows = (ops.rref(ops.matmul(np.array(kernel, dtype=np.int16), spec.gram_inverse))[0]
                 if kernel else np.zeros((0, K), dtype=np.int16))
-    return SubspaceBasis(basis.q, K, tuple(map(tuple, rows.tolist())), basis.ambient)
+    return SubspaceBasis(basis.q, K, tuple(map(tuple, rows.tolist())))
 
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:

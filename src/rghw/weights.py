@@ -227,9 +227,13 @@ def _block_starts(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]
     return starts, rows + (0 if anchors is None else len(anchors))
 
 
-def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]) -> int:
-    """Bytes of the mask table a scan of these pivot sets allocates."""
-    return _block_starts(spec, mode, sets, anchors)[1] * -(-spec.n // 8)
+def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray],
+                 layout: Optional[tuple[dict, int]] = None) -> int:
+    """Bytes of the mask table a scan of these pivot sets allocates, from
+    their _block_starts layout when the caller already holds it."""
+    if layout is None:
+        layout = _block_starts(spec, mode, sets, anchors)
+    return layout[1] * -(-spec.n // 8)
 
 
 class _MaskTable:
@@ -248,9 +252,12 @@ class _MaskTable:
     each run of q^s table rows adds one sum over the high columns to them.
     """
 
-    def __init__(self, spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]):
+    def __init__(self, spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray],
+                 layout: Optional[tuple[dict, int]] = None):
         self.spec, self.mode = spec, mode
-        self.starts, rows = _block_starts(spec, mode, sets, anchors)
+        if layout is None:
+            layout = _block_starts(spec, mode, sets, anchors)
+        self.starts, rows = layout
         self.masks = np.empty((rows, -(-spec.n // 8)), dtype=np.uint8)
         self.anchor_rows: Optional[range] = None
         if anchors is not None:
@@ -298,8 +305,8 @@ class _MaskTable:
         return weights, np.array([head + starts for head in heads], dtype=np.int64)
 
 
-def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
-                ) -> tuple[Optional[int], Optional[np.ndarray]]:
+def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
+                layout: tuple[dict, int]) -> tuple[Optional[int], Optional[np.ndarray]]:
     """Least count over the subspaces of the given pivot sets, and a basis
     (working column order) of the first subspace attaining it.
 
@@ -309,10 +316,11 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
     subspace (plain GHW), and "max_group" the group points outside an
     onto-second-projection subspace, whose first minimizer is the first
     subspace with the most points inside.  With anchors, each subspace is
-    the span of one anchor and of a basis with the given pivots.
+    the span of one anchor and of a basis with the given pivots.  The
+    layout is the chunk's _block_starts, computed once by the caller.
     """
     K, q = spec.ambient_dim, spec.q
-    table = _MaskTable(spec, mode, chunk, anchors)
+    table = _MaskTable(spec, mode, chunk, anchors, layout)
     best: Optional[tuple] = None  # (value, pivots, positions, t)
     for pivots in chunk:
         positions = free_positions(pivots, K)
@@ -350,8 +358,8 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray]
 
 def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
     """_scan_chunk inside a pool worker, which rebuilds the spec."""
-    params, mode, chunk, anchors = args
-    return _scan_chunk(build_code(*params), mode, chunk, anchors)
+    params, mode, chunk, anchors, layout = args
+    return _scan_chunk(build_code(*params), mode, chunk, anchors, layout)
 
 
 def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
@@ -390,17 +398,20 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
         chunks = _chunks(sets, work, workers * 4)
     # each chunk builds its own table, and each of the workers holds one
-    sizes = sorted((_table_bytes(spec, mode, c, anchors) for c in chunks), reverse=True)
+    layouts = [_block_starts(spec, mode, c, anchors) for c in chunks]
+    sizes = sorted((_table_bytes(spec, mode, c, anchors, layout)
+                    for c, layout in zip(chunks, layouts)), reverse=True)
     table_bytes = sum(sizes[:workers])
     if table_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"mask tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
     if len(chunks) <= 1:
-        results = [_scan_chunk(spec, mode, sets, anchors)]
+        results = [_scan_chunk(spec, mode, sets, anchors, layouts[0])]
     else:
         params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-        tasks = [(params, mode, chunk, anchors) for chunk in chunks]
+        tasks = [(params, mode, chunk, anchors, layout)
+                 for chunk, layout in zip(chunks, layouts)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, tasks))
     best_val: Optional[int] = None

@@ -127,6 +127,18 @@ def test_pinned_stdout_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
+# SHA-256 of the stdout of a full verify run: it pins every suite's check
+# count, failure list and max_residual bits.
+VERIFY_STDOUT = "154733a2bae683abbd1feed5106c0a24e6e77275ec6b9e253fb9e203cad19b56"
+
+
+def test_pinned_verify_stdout_bytes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "7", "--samples", "300",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT
+
+
 def test_bad_index_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "table", "--q", "3", "--k1", "2", "--k2", "3", "--e2", "5",

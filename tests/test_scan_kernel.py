@@ -57,7 +57,7 @@ def definition_reference(spec):
     K, k1, k2, ops = spec.ambient_dim, spec.k1, spec.k2, spec.ops
     ghw, rghw, group = {}, {}, {}
     for d in range(1, K + 1):
-        for basis in enumerate_subspaces(K, d, spec.q, ambient="product"):
+        for basis in enumerate_subspaces(K, d, spec.q):
             mat = basis.matrix()
             supp = subspace_support_size(spec, basis)
             ghw[d] = min(ghw.get(d, supp), supp)

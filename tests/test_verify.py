@@ -1,10 +1,14 @@
 """The verify suites as run_suites dispatches them."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from rghw import verify
+from rghw.codes import build_code, parity_check_polynomial
+from rghw.subspaces import SubspaceBasis, gaussian_binomial
 from rghw.verify import SUITES, SuiteResult, run_suites
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -33,3 +37,114 @@ def test_check_residual_keeps_the_largest_residual():
 def test_unknown_suite_is_a_key_error():
     with pytest.raises(KeyError):
         run_suites(["nope"])
+
+
+def _record_draws(monkeypatch):
+    """Every subspace verify canonicalizes from random rows, in draw order."""
+    draws = []
+    canonical = verify.subspace_from_rows
+
+    def recording(*args):
+        basis = canonical(*args)
+        draws.append(basis.rows)
+        return basis
+
+    monkeypatch.setattr(verify, "subspace_from_rows", recording)
+    return draws
+
+
+def _params(spec):
+    return (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
+
+
+def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatch):
+    samples = 300
+    draws = _record_draws(monkeypatch)
+    usable = [p for p in verify.DEFAULT_INSTANCES if build_code(*p).d == 1]
+    verify.charsum_suite(seed=1, samples=samples)
+    per_instance = [draws[i * samples:(i + 1) * samples] for i in range(len(usable))]
+    assert len(draws) == samples * len(usable)
+    # the chosen subspace: the most frequent draw of the first instance
+    chosen_params = usable[0]
+    chosen, repeats = Counter(per_instance[0]).most_common(1)[0]
+    assert repeats > 1
+    oracle = verify.nj_via_charsum
+    calls = Counter()
+
+    def off_by_one(spec, basis):
+        calls[_params(spec)] += 1
+        value = oracle(spec, basis)
+        return value + 1 if (_params(spec), basis.rows) == (chosen_params, chosen) else value
+
+    monkeypatch.setattr(verify, "nj_via_charsum", off_by_one)
+    draws.clear()
+    res = verify.charsum_suite(seed=1, samples=samples)
+    assert [len(set(d)) for d in per_instance] == [calls[p] for p in usable]
+    assert res.checks == samples * len(usable)
+    spec = build_code(*chosen_params)
+    basis = SubspaceBasis(spec.q, spec.ambient_dim, chosen)
+    diff = abs(oracle(spec, basis) + 1 - verify.nj_of_subspace(spec, basis))
+    message = f"{chosen_params}: oracle residual {diff} at subspace {chosen}"
+    assert res.failures == [message] * repeats
+    assert res.notes["max_residual"] == diff
+
+
+def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkeypatch):
+    draws = _record_draws(monkeypatch)
+    verify.subspaces_suite(seed=1, max_dim=1)
+    specs = [build_code(*p) for p in verify.DEFAULT_INSTANCES]
+    per_spec = len(draws) // len(specs)
+    per_instance = [draws[i * per_spec:(i + 1) * per_spec] for i in range(len(specs))]
+    # the chosen subspace: the most frequent proper draw of the second
+    # instance that is no draw's dual there; the projection sweep over the
+    # first instance does not meet it
+    spec = specs[1]
+    K = spec.ambient_dim
+    dual_subspace = verify.dual_subspace
+    duals = {dual_subspace(SubspaceBasis(spec.q, K, rows), spec).rows
+             for rows in per_instance[1]}
+    chosen, repeats = next((rows, n) for rows, n in Counter(per_instance[1]).most_common()
+                           if 0 < len(rows) < K and rows not in duals)
+    assert repeats > 1
+    calls = Counter()
+
+    def short_dual(basis, code):
+        calls[_params(code)] += 1
+        dual = dual_subspace(basis, code)
+        if (_params(code), basis.rows) == (_params(spec), chosen):
+            return SubspaceBasis(dual.q, K, dual.rows[1:])
+        return dual
+
+    monkeypatch.setattr(verify, "dual_subspace", short_dual)
+    draws.clear()
+    res = verify.subspaces_suite(seed=1, max_dim=1)
+    first = specs[0]
+    sweep = sum(gaussian_binomial(first.ambient_dim, j, first.q)
+                for j in range(first.ambient_dim + 1))
+    distinct = [len(set(d)) for d in per_instance]
+    assert [calls[_params(s)] for s in specs] == [
+        2 * n + (sweep if i == 0 else 0) for i, n in enumerate(distinct)]
+    enumeration_checks = 2 * 2  # q in {2, 3}, k = 1, j in {0, 1}
+    assert res.checks == enumeration_checks + 2 * per_spec * len(specs) + 2 * sweep
+    message_pair = [f"{spec}: dual dimension {K - len(chosen) - 1} != {K - len(chosen)}",
+                    f"{spec}: double dual differs from H"]
+    assert res.failures == message_pair * repeats
+
+
+def test_codes_suite_passes_on_gf4():
+    res = verify.codes_suite(instances=((4, 2, 3, 1, 3),))
+    assert res.passed and res.checks == 10
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3)])
+def test_recurrence_check_fails_on_one_changed_symbol(params):
+    spec = build_code(*params)
+    h = parity_check_polynomial(spec)
+    words = set(verify._all_codewords(spec))
+    assert verify._recurrence_annihilates(spec, h, words)
+    word = max(words)
+    for i in (0, spec.n // 2, spec.n - 1):
+        changed = list(word)
+        changed[i] = spec.field_q.add(changed[i], 1)
+        bad = words - {word} | {tuple(changed)}
+        assert not verify._recurrence_annihilates(spec, h, bad), i
