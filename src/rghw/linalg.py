@@ -3,8 +3,9 @@
 Matrices hold element codes as int16.  For a prime field the codes are the
 usual residues; for extension fields they are the base-p polynomial codes,
 so the same routines serve both.  matmul is numpy, table-driven (or mod p
-for a prime field); elimination runs on Python rows through the field's
-scalar operations.
+for a prime field).  A single matrix is eliminated on Python rows through
+the field's scalar operations; a stack of matrices in one table-driven
+numpy pass over the whole stack.
 """
 
 from __future__ import annotations
@@ -38,19 +39,23 @@ class TableOps:
                 mul[a, b] = field.mul(a, b)
         self.add_table = add
         self.mul_table = mul
+        self.neg_table = np.argmax(add == 0, axis=1).astype(np.int16)
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int16)  # inv(0) reads 0
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(r x k) @ (k x c) over the field."""
-        r, k = a.shape
-        k2, c = b.shape
+        """(r x k) @ (k x c) over the field; leading axes of a and b are
+        stack axes and broadcast as in numpy's matmul."""
+        r, k = a.shape[-2:]
+        k2, c = b.shape[-2:]
         if k != k2:
             raise LengthMismatch(f"cannot multiply ({r} x {k}) by ({k2} x {c})")
         if self.prime:
             prod = a.astype(np.int64) @ b.astype(np.int64)
             return (prod % self.q).astype(np.int16)
-        out = np.zeros((r, c), dtype=np.int16)
+        out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), r, c),
+                       dtype=np.int16)
         for t in range(k):
-            term = self.mul_table[a[:, t][:, None], b[t][None, :]]
+            term = self.mul_table[a[..., :, t, None], b[..., t, None, :]]
             out = self.add_table[out, term]
         return out
 
@@ -95,15 +100,52 @@ class TableOps:
         rank = len(pivots)
         return np.array(rows[:rank], dtype=np.int16).reshape(rank, ncols), tuple(pivots)
 
+    def rref_many(self, stack: np.ndarray) -> np.ndarray:
+        """Reduced row echelon form of every matrix of a (B, r, c) stack.
+
+        Slice b holds the rows rref would return for stack[b], followed by
+        zero rows.  One Gauss-Jordan pass over the columns serves the whole
+        stack, each step a handful of table lookups on the matrices that
+        have a pivot in that column.
+        """
+        work = np.array(stack, dtype=np.int16)
+        nmats, nrows, ncols = work.shape
+        rank = np.zeros(nmats, dtype=np.int64)
+        below = np.arange(nrows)[None, :]
+        for c in range(ncols):
+            candidates = (work[:, :, c] != 0) & (below >= rank[:, None])
+            mats = np.flatnonzero(candidates.any(axis=1))
+            if not len(mats):
+                continue
+            src = candidates[mats].argmax(axis=1)
+            dst = rank[mats]
+            pivot = work[mats, src]
+            work[mats, src] = work[mats, dst]
+            pivot = self.mul_table[self.inv_table[pivot[:, c]][:, None], pivot]
+            # clear column c from every row; row dst is then overwritten
+            factor = self.neg_table[work[mats, :, c]]
+            rows = self.add_table[work[mats], self.mul_table[factor[:, :, None],
+                                                             pivot[:, None, :]]]
+            rows[np.arange(len(mats)), dst] = pivot
+            work[mats] = rows
+            rank[mats] += 1
+        return work
+
     def rank(self, mat: np.ndarray) -> int:
         return len(self.rref(mat)[1])
 
-    def kernel_rows(self, red, pivots: tuple[int, ...], ncols: int) -> list[list[int]]:
-        """Rows spanning {v : red @ v = 0} for RREF rows red with the given
-        pivots, one per free column fc: e_fc minus red's column fc placed
-        on the pivot columns.  Not reduced."""
+    def nullspace(self, mat: np.ndarray) -> np.ndarray:
+        """Canonical basis (rows, RREF) of {v : mat @ v = 0}.
+
+        Each free column fc of the RREF gives one kernel vector: e_fc minus
+        the RREF's column fc placed on the pivot columns.
+        """
+        mat = np.asarray(mat, dtype=np.int16)
+        ncols = mat.shape[1]
+        red, pivots = self.rref(mat)
+        red = red.tolist()
         neg = self.field.neg
-        out = []
+        rows = []
         for fc in range(ncols):
             if fc in pivots:
                 continue
@@ -111,15 +153,7 @@ class TableOps:
             row[fc] = 1
             for r, pc in enumerate(pivots):
                 row[pc] = neg(red[r][fc])
-            out.append(row)
-        return out
-
-    def nullspace(self, mat: np.ndarray) -> np.ndarray:
-        """Canonical basis (rows, RREF) of {v : mat @ v = 0}."""
-        mat = np.asarray(mat, dtype=np.int16)
-        ncols = mat.shape[1]
-        red, pivots = self.rref(mat)
-        rows = self.kernel_rows(red.tolist(), pivots, ncols)
+            rows.append(row)
         if not rows:
             return np.zeros((0, ncols), dtype=np.int16)
         return self.rref(rows)[0]

@@ -3,7 +3,9 @@
 A subspace is held by its unique reduced-row-echelon basis, which gives a
 duplicate-free, deterministic enumeration: lexicographic in the pivot sets,
 then in the free entries.  The pivot sets double as a partitioning scheme
-for parallel scans.
+for parallel scans.  Many subspaces at once are held as a (B, r, K) stack
+of RREF bases, each padded with zero rows, which the stack functions
+dualize and count in one numpy pass.
 """
 
 from __future__ import annotations
@@ -161,20 +163,68 @@ def project(
     return image, kernel
 
 
+def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:
+    """Matrices of at most width rows as one (B, width, ambient_dim) stack,
+    each padded with zero rows (which leave its row space unchanged)."""
+    stack = np.zeros((len(mats), width, ambient_dim), dtype=np.int16)
+    for t, mat in enumerate(mats):
+        stack[t, :len(mat)] = mat
+    return stack
+
+
+def stack_rows(stack: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of each RREF basis in a stack, zero padding rows dropped."""
+    dims = stack.any(axis=2).sum(axis=1).tolist()
+    return [tuple(map(tuple, mat[:dim])) for mat, dim in zip(stack.tolist(), dims)]
+
+
+def _pivot_aligned(stack: np.ndarray) -> np.ndarray:
+    """(B, K, K): each RREF row of a (B, r, K) stack moved to the row of its
+    pivot column, zero rows elsewhere.  Such a P is idempotent with the
+    subspace as its row space, so x lies in the subspace iff x @ P == x,
+    and the rows of (I - P)^T span {v : P v = 0}."""
+    nmats, _, K = stack.shape
+    out = np.zeros((nmats, K, K), dtype=np.int16)
+    mats, rows = np.nonzero(stack.any(axis=2))
+    nonzero = stack[mats, rows]
+    out[mats, (nonzero != 0).argmax(axis=1)] = nonzero
+    return out
+
+
+def _check_stack_ambient(stack: np.ndarray, ambient_dim: int) -> None:
+    if stack.ndim != 3 or stack.shape[2] != ambient_dim:
+        raise LengthMismatch("stack is not in the product ambient")
+
+
+def dual_stack(stack: np.ndarray, spec) -> np.ndarray:
+    """Orthogonal complements under the paired-trace inner product of a
+    (B, r, K) stack of zero-padded RREF bases, as a (B, K, K) stack of the
+    same kind: one elimination for the whole stack."""
+    _check_stack_ambient(stack, spec.ambient_dim)
+    ops: TableOps = spec.ops
+    proj = _pivot_aligned(stack)
+    # B G v = 0 iff G v lies in ker B, spanned by the rows of (I - P)^T;
+    # G is symmetric, so the dual is spanned by ker(B) @ G^-1
+    kernel = ops.neg_table[proj]
+    diag = np.arange(stack.shape[2])
+    kernel[:, diag, diag] = 1 - proj[:, diag, diag]
+    return ops.rref_many(ops.matmul(kernel.transpose(0, 2, 1), spec.gram_inverse))
+
+
 def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
     """Orthogonal complement under the paired-trace inner product."""
     check_product_ambient(basis, spec.ambient_dim)
-    ops: TableOps = spec.ops
-    K = basis.ambient_dim
-    # B G v = 0 iff G v lies in ker B, read off the RREF basis; G is
-    # symmetric, so the dual's rows are ker(B) @ G^-1
-    if basis.dim == 0:
-        rows = np.eye(K, dtype=np.int16)
-    else:
-        kernel = ops.kernel_rows(basis.rows, basis.pivots, K)
-        rows = (ops.rref(ops.matmul(np.array(kernel, dtype=np.int16), spec.gram_inverse))[0]
-                if kernel else np.zeros((0, K), dtype=np.int16))
-    return SubspaceBasis(basis.q, K, tuple(map(tuple, rows.tolist())))
+    dual = dual_stack(basis.matrix()[None], spec)
+    return SubspaceBasis(basis.q, basis.ambient_dim, stack_rows(dual)[0])
+
+
+def cyclic_group_counts(stack: np.ndarray, spec) -> np.ndarray:
+    """How many of the n points (a1^i, a2^i) land inside each subspace of a
+    (B, r, K) stack of zero-padded RREF bases."""
+    _check_stack_ambient(stack, spec.ambient_dim)
+    points = spec.group_vectors
+    inside = (spec.ops.matmul(points, _pivot_aligned(stack)) == points).all(axis=2)
+    return inside.sum(axis=1)
 
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:

@@ -8,6 +8,7 @@ exhaustive at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
@@ -35,20 +36,32 @@ from .gf import (
     trace_table,
 )
 from .subspaces import (
+    SubspaceBasis,
+    dual_stack,
     dual_subspace,
     enumerate_rref_rows,
     enumerate_subspaces,
     gaussian_binomial,
-    intersect_with_cyclic_group,
+    padded_stack,
     project,
-    subspace_from_rows,
+    stack_rows,
 )
-from .weights import ghw_bruteforce, mj_dual_count, nj_of_subspace, rghw_bruteforce
+from .weights import (
+    ghw_bruteforce,
+    mj_dual_count,
+    nj_of_subspace,
+    rghw_bruteforce,
+    zero_counts,
+)
 
 DEFAULT_INSTANCES = ((2, 2, 3, 1, 1), (2, 3, 2, 1, 1), (3, 2, 3, 1, 2))
 GAUSS_MAX_FIELD = 81
 GAUSS_TOL = 1e-9
 ORACLE_TOL = 1e-6
+# Random draws are canonicalized this many at a time: enough that one
+# elimination serves many draws, few enough that memory does not grow with
+# the sample count.
+DRAW_BLOCK = 512
 
 
 @dataclass
@@ -80,6 +93,25 @@ class SuiteResult:
             "failures": self.failures[:20],
             "notes": self.notes,
         }
+
+
+def _canonical_blocks(spec: CodeSpec, width: int, draws: Iterable[np.ndarray]):
+    """Yield (stack, rows) for each block of up to DRAW_BLOCK draws of at
+    most width rows: the draws' RREF bases as one zero-padded stack, from
+    one elimination, and each draw's RREF rows as tuples, in draw order."""
+    draws = iter(draws)
+    while block := list(itertools.islice(draws, DRAW_BLOCK)):
+        red = spec.ops.rref_many(padded_stack(block, width, spec.ambient_dim))
+        yield red, stack_rows(red)
+
+
+def _first_draws(keys: Sequence, known) -> list[int]:
+    """Positions of the first draw of each subspace not in known, in draw order."""
+    first: dict = {}
+    for t, rows in enumerate(keys):
+        if rows not in known:
+            first.setdefault(rows, t)
+    return list(first.values())
 
 
 # -- gf ---------------------------------------------------------------------
@@ -247,20 +279,23 @@ def subspaces_suite(seed: int = 2024,
     per_spec = max(1, roundtrips // len(specs))
     for spec in specs:
         K = spec.ambient_dim
-        duals: dict = {}  # H.rows -> (dual dimension, double-dual rows)
-        for _ in range(per_spec):
-            j = int(rng.integers(0, K + 1))
-            rows = rng.integers(0, spec.q, size=(j, K))
-            H = subspace_from_rows(spec.q, K, rows)
-            if H.rows not in duals:
-                dual = dual_subspace(H, spec)
-                duals[H.rows] = dual.dim, dual_subspace(dual, spec).rows
-            dual_dim, double_dual = duals[H.rows]
-            res.check(
-                dual_dim == K - H.dim,
-                f"{spec}: dual dimension {dual_dim} != {K - H.dim}",
-            )
-            res.check(double_dual == H.rows, f"{spec}: double dual differs from H")
+        # each draw: a row count in 0..K, then that many random rows
+        draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
+                 for _ in range(per_spec))
+        duals: dict = {}  # H rows -> (dual dimension, double-dual rows)
+        for stack, keys in _canonical_blocks(spec, K, draws):
+            new = _first_draws(keys, duals)
+            dual = dual_stack(stack[new], spec)
+            dims = dual.any(axis=2).sum(axis=1).tolist()
+            for t, dim, double in zip(new, dims, stack_rows(dual_stack(dual, spec))):
+                duals[keys[t]] = dim, double
+            for rows in keys:
+                dual_dim, double_dual = duals[rows]
+                res.check(
+                    dual_dim == K - len(rows),
+                    f"{spec}: dual dimension {dual_dim} != {K - len(rows)}",
+                )
+                res.check(double_dual == rows, f"{spec}: double dual differs from H")
     # projection rank-nullity and the three intersection characterizations
     spec = specs[0]
     K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
@@ -268,23 +303,24 @@ def subspaces_suite(seed: int = 2024,
     eye2 = np.zeros((k2, K), dtype=np.int16)
     for t in range(k2):
         eye2[t, k1 + t] = 1
-    for j in range(0, K + 1):
-        for H in enumerate_subspaces(K, j, spec.q):
-            image1, kernel1 = project(H, k1, k2, 1)
-            res.check(
-                image1.dim + kernel1.dim == H.dim,
-                f"j={j}: projection rank-nullity fails for {H.rows}",
-            )
-            stacked = np.vstack([H.matrix(), eye2])
-            inter_dim = H.dim + k2 - ops.rank(stacked)
-            p_a = inter_dim == 0
-            p_b = kernel1.dim == 0
-            image2_dual, _ = project(dual_subspace(H, spec), k1, k2, 2)
-            p_c = image2_dual.dim == k2
-            res.check(
-                p_a == p_b == p_c,
-                f"j={j}: intersection predicates disagree for {H.rows}",
-            )
+    bases = [H for j in range(K + 1) for H in enumerate_subspaces(K, j, spec.q)]
+    padded = padded_stack([H.matrix() for H in bases], K, K)
+    for H, dual_rows in zip(bases, stack_rows(dual_stack(padded, spec))):
+        image1, kernel1 = project(H, k1, k2, 1)
+        res.check(
+            image1.dim + kernel1.dim == H.dim,
+            f"j={H.dim}: projection rank-nullity fails for {H.rows}",
+        )
+        stacked = np.vstack([H.matrix(), eye2])
+        inter_dim = H.dim + k2 - ops.rank(stacked)
+        p_a = inter_dim == 0
+        p_b = kernel1.dim == 0
+        image2_dual, _ = project(SubspaceBasis(spec.q, K, dual_rows), k1, k2, 2)
+        p_c = image2_dual.dim == k2
+        res.check(
+            p_a == p_b == p_c,
+            f"j={H.dim}: intersection predicates disagree for {H.rows}",
+        )
     return res
 
 
@@ -307,8 +343,9 @@ def weights_suite(seed: int = 2024,
                 brute == dual.m,
                 f"{label} j={j}: bruteforce {brute} != dual count {dual.m}",
             )
+            # the argmax's j-dimensional dual vanishes on exactly N_j coordinates
             res.check(
-                dual.n_j == intersect_with_cyclic_group(dual.argmax, spec),
+                dual.n_j == nj_of_subspace(spec, dual_subspace(dual.argmax, spec)),
                 f"{label} j={j}: argmax does not reproduce N_j",
             )
             ghw = ghw_bruteforce(spec, j, workers=workers)
@@ -321,16 +358,16 @@ def weights_suite(seed: int = 2024,
                     f"{label} j={j}: weights not strictly increasing",
                 )
             previous = brute
-        # proof-chain identity on random subspaces (the call itself asserts
-        # the two counting routes agree)
-        for _ in range(25):
-            j = int(rng.integers(0, spec.k1 + 1))
-            rows = rng.integers(0, spec.q, size=(j, spec.ambient_dim))
-            D = subspace_from_rows(spec.q, spec.ambient_dim, rows)
-            value = nj_of_subspace(spec, D)
-            res.check(
-                0 <= value <= spec.n, f"{label}: zero count {value} out of range"
-            )
+        # proof-chain identity on random subspaces (zero_counts itself
+        # checks that the two counting routes agree)
+        draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, spec.k1 + 1)),
+                                               spec.ambient_dim))
+                 for _ in range(25))
+        for stack, _ in _canonical_blocks(spec, spec.k1, draws):
+            for value in zero_counts(spec, stack).tolist():
+                res.check(
+                    0 <= value <= spec.n, f"{label}: zero count {value} out of range"
+                )
     return res
 
 
@@ -425,17 +462,18 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
-        diffs: dict = {}  # D.rows -> residual: each distinct subspace scored once
-        for i in range(samples):
-            j = 1 + i % spec.k1
-            rows = rng.integers(0, spec.q, size=(j, spec.ambient_dim))
-            D = subspace_from_rows(spec.q, spec.ambient_dim, rows)
-            diff = diffs.get(D.rows)
-            if diff is None:
-                target = nj_of_subspace(spec, D)
-                diff = diffs[D.rows] = abs(nj_via_charsum(spec, D) - target)
-            res.check_residual(diff, ORACLE_TOL,
-                               f"{params}: oracle residual {diff} at subspace {D.rows}")
+        K = spec.ambient_dim
+        draws = (rng.integers(0, spec.q, size=(1 + i % spec.k1, K)) for i in range(samples))
+        diffs: dict = {}  # D rows -> residual: each distinct subspace scored once
+        for stack, keys in _canonical_blocks(spec, spec.k1, draws):
+            new = _first_draws(keys, diffs)
+            for t, target in zip(new, zero_counts(spec, stack[new]).tolist()):
+                basis = SubspaceBasis(spec.q, K, keys[t])
+                diffs[keys[t]] = abs(nj_via_charsum(spec, basis) - target)
+            for rows in keys:
+                diff = diffs[rows]
+                res.check_residual(diff, ORACLE_TOL,
+                                   f"{params}: oracle residual {diff} at subspace {rows}")
     res.notes.setdefault("max_residual", 0.0)  # no usable instance: nothing checked
     res.notes["instances"] = [list(params) for params, _ in usable]
     return res

@@ -34,10 +34,11 @@ from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeErr
 from .subspaces import (
     SubspaceBasis,
     count_for_pivots,
-    dual_subspace,
+    cyclic_group_counts,
+    dual_stack,
     free_positions,
-    intersect_with_cyclic_group,
     pivot_sets,
+    stack_rows,
     subspace_from_rows,
 )
 
@@ -58,19 +59,30 @@ def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
     return int(basis_codewords(spec, basis).any(axis=0).sum())
 
 
-def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
-    """Number of coordinates at which the whole subspace vanishes.
+def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
+    """Number of coordinates at which each subspace of a (B, r, K) stack of
+    zero-padded RREF bases vanishes as a whole.
 
     Computed two independent ways (n - |Supp| and the cyclic-group count
-    inside the dual) and cross-checked on every call.
+    inside the dual) and cross-checked on every subspace; the first
+    mismatch in stack order raises.
     """
-    direct = spec.n - subspace_support_size(spec, basis)
-    via_dual = intersect_with_cyclic_group(dual_subspace(basis, spec), spec)
-    if direct != via_dual:
+    via_dual = cyclic_group_counts(dual_stack(stack, spec), spec)
+    support = spec.ops.matmul(stack, spec.coordinate_functionals.T).any(axis=1).sum(axis=1)
+    direct = spec.n - support
+    bad = np.flatnonzero(direct != via_dual)
+    if len(bad):
+        b = bad[0]
         raise InvariantViolated(
-            f"zero-coordinate count mismatch: {direct} != {via_dual} for {basis.rows}"
+            f"zero-coordinate count mismatch: {direct[b]} != {via_dual[b]}"
+            f" for {stack_rows(stack[b:b + 1])[0]}"
         )
     return direct
+
+
+def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
+    """zero_counts of a single subspace."""
+    return int(zero_counts(spec, basis.matrix()[None])[0])
 
 
 # -- pivot-set scan kernel ---------------------------------------------------

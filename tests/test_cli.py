@@ -301,6 +301,19 @@ def test_table_under_optimize_flag():
     assert [r["routes"]["dual_count"]["n_j"] for r in doc["results"]] == [11, 6]
 
 
+def test_verify_under_optimize_flag_prints_the_same_bytes():
+    # no cross-check of the verify suites may ride on an assert statement
+    argv = ["-m", "rghw.cli", "verify", "--seed", "7", "--samples", "300", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
+                                       capture_output=True, timeout=120)
+                        for flags in ((), ("-O",)))
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (optimized.returncode, optimized.stderr) == (0, b"")
+    assert optimized.stdout == plain.stdout
+    assert hashlib.sha256(plain.stdout).hexdigest() == VERIFY_STDOUT
+
+
 MISSING_DIR = Path(__file__).resolve().with_name("no-such-directory")
 SPEC_ARGS = ("--q", "2", "--k1", "2", "--k2", "3")
 

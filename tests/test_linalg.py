@@ -1,4 +1,5 @@
-"""Elimination over small fields: rref, nullspace and the dual subspace."""
+"""Elimination over small fields: rref, nullspace and the dual subspace,
+for single matrices and for stacks."""
 
 import hashlib
 
@@ -9,26 +10,49 @@ from hypothesis import strategies as st
 from rghw.codes import build_code
 from rghw.gf import field_for_size
 from rghw.linalg import table_ops
-from rghw.subspaces import dual_subspace, enumerate_subspaces, subspace_from_rows
+from rghw.subspaces import (
+    dual_stack,
+    dual_subspace,
+    enumerate_subspaces,
+    stack_rows,
+    subspace_from_rows,
+)
 from rghw.verify import DEFAULT_INSTANCES
 
 QS = (2, 3, 4, 5, 8, 9)
 DUAL_SPECS = ((4, 2, 3, 1, 3), (5, 2, 3, 1, 4))
 
 
+def entries(draw, q: int, *shape: int) -> np.ndarray:
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    return np.array(values, dtype=np.int16).reshape(shape)
+
+
+def low_rank(draw, q: int, nrows: int, ncols: int) -> np.ndarray:
+    """An nrows x ncols matrix over GF(q) of rank at most a drawn r, so that
+    rank-deficient inputs are common."""
+    r = draw(st.integers(0, min(nrows, ncols)))
+    ops = table_ops(field_for_size(q))
+    return ops.matmul(entries(draw, q, nrows, r), entries(draw, q, r, ncols))
+
+
 @st.composite
 def matrices(draw):
-    """(q, M) with M up to 8 x 10 over GF(q), of rank at most a drawn r, so
-    that rank-deficient inputs are common."""
+    """(q, M) with M up to 8 x 10 over GF(q), often rank-deficient."""
     q = draw(st.sampled_from(QS))
     nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
-    r = draw(st.integers(0, min(nrows, ncols)))
-    left = draw(st.lists(st.integers(0, q - 1), min_size=nrows * r, max_size=nrows * r))
-    right = draw(st.lists(st.integers(0, q - 1), min_size=r * ncols, max_size=r * ncols))
-    ops = table_ops(field_for_size(q))
-    mat = ops.matmul(np.array(left, dtype=np.int16).reshape(nrows, r),
-                     np.array(right, dtype=np.int16).reshape(r, ncols))
-    return q, mat
+    return q, low_rank(draw, q, nrows, ncols)
+
+
+@st.composite
+def stacks(draw):
+    """(q, S) with S a stack of up to 6 matrices of up to 6 x 10 over GF(q),
+    each often rank-deficient; 0-row and empty stacks included."""
+    q = draw(st.sampled_from(QS))
+    nmats, nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 10))
+    mats = [low_rank(draw, q, nrows, ncols) for _ in range(nmats)]
+    return q, np.array(mats, dtype=np.int16).reshape(nmats, nrows, ncols)
 
 
 def assert_rref(red: np.ndarray, pivots: tuple) -> None:
@@ -59,6 +83,54 @@ def test_rref_is_reduced_spans_the_input_and_is_idempotent(case):
     assert (ops.matmul(ext[:rank, ncols:], mat) == red).all()
     again, again_pivots = ops.rref(red)
     assert again_pivots == pivots and (again == red).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_rref_many_is_rref_matrix_by_matrix(case):
+    q, stack = case
+    ops = table_ops(field_for_size(q))
+    red = ops.rref_many(stack)
+    assert red.dtype == np.int16 and red.shape == stack.shape
+    for mat, got in zip(stack, red):
+        want, pivots = ops.rref(mat)
+        assert (got[:len(pivots)] == want).all() and not got[len(pivots):].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QS), st.data())
+def test_stacked_matmul_is_matmul_slice_by_slice(q, data):
+    ops = table_ops(field_for_size(q))
+    nmats, r, k, c = (data.draw(st.integers(0, 5)) for _ in range(4))
+    a = entries(data.draw, q, nmats, r, k)
+    b = entries(data.draw, q, nmats, k, c)
+    shared = entries(data.draw, q, r, k)
+    got = ops.matmul(a, b)
+    assert got.dtype == np.int16 and got.shape == (nmats, r, c)
+    assert all((got[t] == ops.matmul(a[t], b[t])).all() for t in range(nmats))
+    broadcast = ops.matmul(shared, b)
+    assert all((broadcast[t] == ops.matmul(shared, b[t])).all() for t in range(nmats))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DUAL_SPECS + DEFAULT_INSTANCES), st.data())
+def test_dual_stack_is_the_kernel_of_the_pairing(params, data):
+    spec = build_code(*params)
+    K, ops = spec.ambient_dim, spec.ops
+    nmats = data.draw(st.integers(0, 5))
+    drawn = entries(data.draw, spec.q, nmats, K + 1, K)
+    zero, full = np.zeros((1, K + 1, K), dtype=np.int16), np.eye(K + 1, K, dtype=np.int16)
+    stack = ops.rref_many(np.concatenate([zero, drawn, full[None]]))
+    dual = dual_stack(stack, spec)
+    assert dual.shape == (nmats + 2, K, K)
+    for rows, dual_rows in zip(stack_rows(stack), stack_rows(dual)):
+        # reference: the Python-row kernel of B G, the pairing with B
+        basis = np.array(rows, dtype=np.int16).reshape(-1, K)
+        want = ops.nullspace(ops.matmul(basis, spec.gram))
+        assert dual_rows == tuple(map(tuple, want.tolist()))
+    assert stack_rows(dual)[0] == tuple(map(tuple, np.eye(K, dtype=int).tolist()))
+    assert stack_rows(dual)[-1] == ()
+    assert stack_rows(dual_stack(dual, spec)) == stack_rows(stack)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,11 +4,13 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rghw import verify
+from rghw import verify, weights
 from rghw.codes import build_code, parity_check_polynomial
-from rghw.subspaces import SubspaceBasis, gaussian_binomial
+from rghw.errors import InvariantViolated
+from rghw.subspaces import SubspaceBasis, gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -42,14 +44,14 @@ def test_unknown_suite_is_a_key_error():
 def _record_draws(monkeypatch):
     """Every subspace verify canonicalizes from random rows, in draw order."""
     draws = []
-    canonical = verify.subspace_from_rows
+    blocks = verify._canonical_blocks
 
     def recording(*args):
-        basis = canonical(*args)
-        draws.append(basis.rows)
-        return basis
+        for stack, keys in blocks(*args):
+            draws.extend(keys)
+            yield stack, keys
 
-    monkeypatch.setattr(verify, "subspace_from_rows", recording)
+    monkeypatch.setattr(verify, "_canonical_blocks", recording)
     return draws
 
 
@@ -57,8 +59,16 @@ def _params(spec):
     return (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
 
 
+def _drop_first_row(stack, t):
+    """Drop the first row of basis t of a zero-padded RREF stack, in place:
+    the rest stay RREF."""
+    stack[t] = np.roll(stack[t], -1, axis=0)
+    stack[t, -1] = 0
+
+
 def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatch):
     samples = 300
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)  # repeats across blocks too
     draws = _record_draws(monkeypatch)
     usable = [p for p in verify.DEFAULT_INSTANCES if build_code(*p).d == 1]
     verify.charsum_suite(seed=1, samples=samples)
@@ -90,6 +100,7 @@ def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatc
 
 
 def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkeypatch):
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)  # repeats across blocks too
     draws = _record_draws(monkeypatch)
     verify.subspaces_suite(seed=1, max_dim=1)
     specs = [build_code(*p) for p in verify.DEFAULT_INSTANCES]
@@ -100,22 +111,23 @@ def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkey
     # first instance does not meet it
     spec = specs[1]
     K = spec.ambient_dim
-    dual_subspace = verify.dual_subspace
-    duals = {dual_subspace(SubspaceBasis(spec.q, K, rows), spec).rows
+    duals = {verify.dual_subspace(SubspaceBasis(spec.q, K, rows), spec).rows
              for rows in per_instance[1]}
     chosen, repeats = next((rows, n) for rows, n in Counter(per_instance[1]).most_common()
                            if 0 < len(rows) < K and rows not in duals)
     assert repeats > 1
-    calls = Counter()
+    dual_stack = verify.dual_stack
+    calls = Counter()  # subspaces dualized, per instance
 
-    def short_dual(basis, code):
-        calls[_params(code)] += 1
-        dual = dual_subspace(basis, code)
-        if (_params(code), basis.rows) == (_params(spec), chosen):
-            return SubspaceBasis(dual.q, K, dual.rows[1:])
+    def short_dual(stack, code):
+        calls[_params(code)] += len(stack)
+        dual = dual_stack(stack, code)
+        for t, rows in enumerate(stack_rows(stack)):
+            if (_params(code), rows) == (_params(spec), chosen):
+                _drop_first_row(dual, t)
         return dual
 
-    monkeypatch.setattr(verify, "dual_subspace", short_dual)
+    monkeypatch.setattr(verify, "dual_stack", short_dual)
     draws.clear()
     res = verify.subspaces_suite(seed=1, max_dim=1)
     first = specs[0]
@@ -129,6 +141,64 @@ def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkey
     message_pair = [f"{spec}: dual dimension {K - len(chosen) - 1} != {K - len(chosen)}",
                     f"{spec}: double dual differs from H"]
     assert res.failures == message_pair * repeats
+
+
+def test_draw_blocks_do_not_change_results(monkeypatch):
+    # an oracle off by one and a dual short of a row on some subspaces, so
+    # that the order of the failures is compared too
+    oracle, dual_stack = verify.nj_via_charsum, verify.dual_stack
+
+    def off_by_one(spec, basis):
+        return oracle(spec, basis) + any(row[-1] == 1 for row in basis.rows)
+
+    def short_dual(stack, spec):
+        dual = dual_stack(stack, spec)
+        for t in np.flatnonzero(stack[:, 0, 0] == 1):
+            _drop_first_row(dual, t)
+        return dual
+
+    monkeypatch.setattr(verify, "nj_via_charsum", off_by_one)
+    monkeypatch.setattr(verify, "dual_stack", short_dual)
+
+    def outcome():
+        return [(res.checks, res.failures, res.notes)
+                for res in (verify.charsum_suite(seed=1, samples=300),
+                            verify.subspaces_suite(seed=1))]
+
+    default = outcome()
+    assert all(failures for _, failures, _ in default)
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
+    assert outcome() == default
+
+
+def _starts_110(rows) -> bool:
+    return bool(rows) and rows[0][:3] == (1, 1, 0)
+
+
+def test_a_corrupted_dual_raises_for_the_first_mismatching_draw(monkeypatch):
+    # the dual of every subspace whose first row starts 1, 1, 0 is replaced
+    # by the whole space, which holds all n group points
+    dual_stack = weights.dual_stack
+
+    def corrupted(stack, spec):
+        dual = dual_stack(stack, spec)
+        bad = [t for t, rows in enumerate(stack_rows(stack)) if _starts_110(rows)]
+        dual[bad] = np.eye(spec.ambient_dim, dtype=np.int16)
+        return dual
+
+    monkeypatch.setattr(weights, "dual_stack", corrupted)
+    draws = _record_draws(monkeypatch)
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
+    with pytest.raises(InvariantViolated) as raised:
+        verify.charsum_suite(seed=1, samples=300)
+    first = next(rows for rows in draws if _starts_110(rows))
+    # in a later block than the first, behind draws that pass
+    assert draws.index(first) > 7 and draws.index(first) % 7
+    spec = build_code(*verify.DEFAULT_INSTANCES[0])
+    with pytest.raises(InvariantViolated) as single:
+        verify.nj_of_subspace(spec, SubspaceBasis(spec.q, spec.ambient_dim, first))
+    assert str(raised.value) == str(single.value)
+    assert str(single.value).endswith(f" != {spec.n} for {first}")
 
 
 def test_codes_suite_passes_on_gf4():

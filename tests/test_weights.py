@@ -145,7 +145,8 @@ def test_nj_of_subspace_identities():
 def test_nj_of_subspace_mismatch_is_typed(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     line = subspace_from_rows(2, spec.ambient_dim, [(1, 0, 0, 0, 0)], "product")
-    monkeypatch.setattr(weights, "intersect_with_cyclic_group", lambda basis, spec: -1)
+    monkeypatch.setattr(weights, "cyclic_group_counts",
+                        lambda stack, spec: np.full(len(stack), -1))
     with pytest.raises(InvariantViolated):
         nj_of_subspace(spec, line)
 
