@@ -36,7 +36,6 @@ from .subspaces import (
     gaussian_binomial,
     intersect_with_cyclic_group,
     member_matrix,
-    project,
     subspace_from_rows,
 )
 from .weights import (
@@ -89,7 +88,6 @@ __all__ = [
     "nj_via_charsum",
     "orthogonality_sum",
     "parity_check_polynomial",
-    "project",
     "rghw_bruteforce",
     "subspace_from_rows",
     "unit_roots",

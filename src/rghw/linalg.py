@@ -62,9 +62,10 @@ class TableOps:
     def rref(self, mat) -> tuple[np.ndarray, tuple[int, ...]]:
         """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-        Every caller passes a few rows of at most k1+k2 columns, where a
-        numpy call per row operation costs more than the arithmetic, so
-        the rows are eliminated as Python lists through the field's scalar
+        Every caller passes a few rows of at most k1+k2 columns (the
+        CodeSpec build passes [G | I], 2(k1+k2) columns), where a numpy
+        call per row operation costs more than the arithmetic, so the rows
+        are eliminated as Python lists through the field's scalar
         operations.
         """
         work = np.asarray(mat, dtype=np.int16)
@@ -131,42 +132,9 @@ class TableOps:
             rank[mats] += 1
         return work
 
-    def rank(self, mat: np.ndarray) -> int:
-        return len(self.rref(mat)[1])
-
-    def nullspace(self, mat: np.ndarray) -> np.ndarray:
-        """Canonical basis (rows, RREF) of {v : mat @ v = 0}.
-
-        Each free column fc of the RREF gives one kernel vector: e_fc minus
-        the RREF's column fc placed on the pivot columns.
-        """
-        mat = np.asarray(mat, dtype=np.int16)
-        ncols = mat.shape[1]
-        red, pivots = self.rref(mat)
-        red = red.tolist()
-        neg = self.field.neg
-        rows = []
-        for fc in range(ncols):
-            if fc in pivots:
-                continue
-            row = [0] * ncols
-            row[fc] = 1
-            for r, pc in enumerate(pivots):
-                row[pc] = neg(red[r][fc])
-            rows.append(row)
-        if not rows:
-            return np.zeros((0, ncols), dtype=np.int16)
-        return self.rref(rows)[0]
-
-    def rows_in_rowspace(
-        self, basis: np.ndarray, pivots: tuple[int, ...], vecs: np.ndarray
-    ) -> np.ndarray:
-        """Boolean mask: which rows of vecs lie in the RREF basis row space.
-
-        A vector is in the span iff rebuilding it from its pivot coordinates
-        reproduces it exactly.
-        """
-        if len(pivots) == 0:
-            return ~vecs.any(axis=1)
-        rebuilt = self.matmul(vecs[:, list(pivots)], basis)
-        return (rebuilt == vecs).all(axis=1)
+    def rows_in_rowspace(self, aligned: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """Boolean mask: which rows of vecs lie in the row space of each
+        pivot-aligned RREF matrix P of a (..., c, c) stack (every RREF row
+        on the row of its pivot column, zero rows elsewhere).  P is then
+        idempotent with that row space, so v lies in it iff v @ P == v."""
+        return (self.matmul(vecs, aligned) == vecs).all(axis=-1)

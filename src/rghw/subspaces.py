@@ -5,7 +5,7 @@ duplicate-free, deterministic enumeration: lexicographic in the pivot sets,
 then in the free entries.  The pivot sets double as a partitioning scheme
 for parallel scans.  Many subspaces at once are held as a (B, r, K) stack
 of RREF bases, each padded with zero rows, which the stack functions
-dualize and count in one numpy pass.
+project, dualize and count in a few numpy passes.
 """
 
 from __future__ import annotations
@@ -131,38 +131,6 @@ def member_matrix(basis: SubspaceBasis) -> np.ndarray:
     return ops.matmul(combos, basis.matrix())
 
 
-def project(
-    basis: SubspaceBasis, k1: int, k2: int, side: int
-) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Coordinate projection of a product-space subspace.
-
-    Returns (image, kernel): the image inside the chosen factor and the
-    kernel as a subspace of the product; dims add up to basis.dim.
-    """
-    check_product_ambient(basis, k1 + k2)
-    if side not in (1, 2):
-        raise RangeError("side must be 1 or 2")
-    ops = table_ops(field_for_size(basis.q))
-    mat = basis.matrix()
-    cols = (slice(0, k1), slice(k1, k1 + k2))[side - 1]
-    block = mat[:, cols]
-    image_rows, _ = ops.rref(block)
-    image = SubspaceBasis(
-        basis.q,
-        block.shape[1],
-        tuple(tuple(int(v) for v in r) for r in image_rows),
-    )
-    # kernel: coefficient vectors x with x @ block = 0, pushed through the basis
-    coeffs = ops.nullspace(block.T)
-    kernel_rows = ops.matmul(coeffs, mat) if coeffs.shape[0] else coeffs.reshape(0, mat.shape[1])
-    kernel = subspace_from_rows(basis.q, basis.ambient_dim, kernel_rows)
-    if image.dim + kernel.dim != basis.dim:
-        raise InvariantViolated(
-            f"rank-nullity fails: {image.dim} + {kernel.dim} != {basis.dim}"
-        )
-    return image, kernel
-
-
 def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:
     """Matrices of at most width rows as one (B, width, ambient_dim) stack,
     each padded with zero rows (which leave its row space unchanged)."""
@@ -172,23 +140,39 @@ def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:
     return stack
 
 
+def stack_dims(stack: np.ndarray) -> list[int]:
+    """The dimension of each RREF basis in a zero-padded stack."""
+    return stack.any(axis=2).sum(axis=1).tolist()
+
+
 def stack_rows(stack: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
     """The rows of each RREF basis in a stack, zero padding rows dropped."""
-    dims = stack.any(axis=2).sum(axis=1).tolist()
-    return [tuple(map(tuple, mat[:dim])) for mat, dim in zip(stack.tolist(), dims)]
+    return [tuple(map(tuple, mat[:dim])) for mat, dim in zip(stack.tolist(), stack_dims(stack))]
 
 
 def _pivot_aligned(stack: np.ndarray) -> np.ndarray:
     """(B, K, K): each RREF row of a (B, r, K) stack moved to the row of its
     pivot column, zero rows elsewhere.  Such a P is idempotent with the
-    subspace as its row space, so x lies in the subspace iff x @ P == x,
-    and the rows of (I - P)^T span {v : P v = 0}."""
+    subspace as its row space (TableOps.rows_in_rowspace tests membership
+    by it), and the rows of (I - P)^T span {v : P v = 0}."""
     nmats, _, K = stack.shape
     out = np.zeros((nmats, K, K), dtype=np.int16)
-    mats, rows = np.nonzero(stack.any(axis=2))
-    nonzero = stack[mats, rows]
-    out[mats, (nonzero != 0).argmax(axis=1)] = nonzero
+    if K:  # with no columns there is no pivot to find
+        mats, rows = np.nonzero(stack.any(axis=2))
+        nonzero = stack[mats, rows]
+        out[mats, (nonzero != 0).argmax(axis=1)] = nonzero
     return out
+
+
+def _kernel_rows(red: np.ndarray, ops: TableOps) -> np.ndarray:
+    """(B, c, c): rows spanning {v : R v = 0} for each RREF matrix R of a
+    (B, r, c) stack, the rows of (I - P)^T; each free column fc gives e_fc
+    minus column fc of R on the pivot columns, each pivot column a zero row."""
+    proj = _pivot_aligned(red)
+    kernel = ops.neg_table[proj]
+    diag = np.arange(red.shape[2])
+    kernel[:, diag, diag] = 1 - proj[:, diag, diag]
+    return kernel.transpose(0, 2, 1)
 
 
 def _check_stack_ambient(stack: np.ndarray, ambient_dim: int) -> None:
@@ -202,18 +186,32 @@ def dual_stack(stack: np.ndarray, spec) -> np.ndarray:
     same kind: one elimination for the whole stack."""
     _check_stack_ambient(stack, spec.ambient_dim)
     ops: TableOps = spec.ops
-    proj = _pivot_aligned(stack)
-    # B G v = 0 iff G v lies in ker B, spanned by the rows of (I - P)^T;
-    # G is symmetric, so the dual is spanned by ker(B) @ G^-1
-    kernel = ops.neg_table[proj]
-    diag = np.arange(stack.shape[2])
-    kernel[:, diag, diag] = 1 - proj[:, diag, diag]
-    return ops.rref_many(ops.matmul(kernel.transpose(0, 2, 1), spec.gram_inverse))
+    # B G v = 0 iff G v lies in ker B; G is symmetric, so the dual is
+    # spanned by ker(B) @ G^-1
+    return ops.rref_many(ops.matmul(_kernel_rows(stack, ops), spec.gram_inverse))
+
+
+def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate projection onto factor side (1 or 2) of each subspace of a
+    (B, r, K) stack of zero-padded RREF bases.
+
+    Returns (images, kernels): the images inside the factor as a (B, r, k_side)
+    stack and the kernels as subspaces of the product, a (B, r, K) stack, both
+    zero-padded RREF; each image and kernel dimension add up to the
+    subspace's.  Three eliminations serve the whole stack.
+    """
+    _check_stack_ambient(stack, spec.ambient_dim)
+    if side not in (1, 2):
+        raise RangeError("side must be 1 or 2")
+    ops: TableOps = spec.ops
+    block = stack[:, :, :spec.k1] if side == 1 else stack[:, :, spec.k1:]
+    # kernel: coefficient vectors x with x @ block = 0, pushed through the basis
+    coeffs = _kernel_rows(ops.rref_many(block.transpose(0, 2, 1)), ops)
+    return ops.rref_many(block), ops.rref_many(ops.matmul(coeffs, stack))
 
 
 def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
     """Orthogonal complement under the paired-trace inner product."""
-    check_product_ambient(basis, spec.ambient_dim)
     dual = dual_stack(basis.matrix()[None], spec)
     return SubspaceBasis(basis.q, basis.ambient_dim, stack_rows(dual)[0])
 
@@ -222,14 +220,9 @@ def cyclic_group_counts(stack: np.ndarray, spec) -> np.ndarray:
     """How many of the n points (a1^i, a2^i) land inside each subspace of a
     (B, r, K) stack of zero-padded RREF bases."""
     _check_stack_ambient(stack, spec.ambient_dim)
-    points = spec.group_vectors
-    inside = (spec.ops.matmul(points, _pivot_aligned(stack)) == points).all(axis=2)
-    return inside.sum(axis=1)
+    return spec.ops.rows_in_rowspace(_pivot_aligned(stack), spec.group_vectors).sum(axis=1)
 
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:
     """How many of the n points (a1^i, a2^i) land inside the subspace."""
-    check_product_ambient(basis, spec.ambient_dim)
-    ops: TableOps = spec.ops
-    mask = ops.rows_in_rowspace(basis.matrix(), basis.pivots, spec.group_vectors)
-    return int(mask.sum())
+    return int(cyclic_group_counts(basis.matrix()[None], spec)[0])

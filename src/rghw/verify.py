@@ -43,7 +43,8 @@ from .subspaces import (
     enumerate_subspaces,
     gaussian_binomial,
     padded_stack,
-    project,
+    project_stack,
+    stack_dims,
     stack_rows,
 )
 from .weights import (
@@ -286,8 +287,7 @@ def subspaces_suite(seed: int = 2024,
         for stack, keys in _canonical_blocks(spec, K, draws):
             new = _first_draws(keys, duals)
             dual = dual_stack(stack[new], spec)
-            dims = dual.any(axis=2).sum(axis=1).tolist()
-            for t, dim, double in zip(new, dims, stack_rows(dual_stack(dual, spec))):
+            for t, dim, double in zip(new, stack_dims(dual), stack_rows(dual_stack(dual, spec))):
                 duals[keys[t]] = dim, double
             for rows in keys:
                 dual_dim, double_dual = duals[rows]
@@ -299,24 +299,23 @@ def subspaces_suite(seed: int = 2024,
     # projection rank-nullity and the three intersection characterizations
     spec = specs[0]
     K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
-    ops = spec.ops
-    eye2 = np.zeros((k2, K), dtype=np.int16)
-    for t in range(k2):
-        eye2[t, k1 + t] = 1
+    eye2 = np.eye(k2, K, k1, dtype=np.int16)  # a basis of C', the second factor
     bases = [H for j in range(K + 1) for H in enumerate_subspaces(K, j, spec.q)]
     padded = padded_stack([H.matrix() for H in bases], K, K)
-    for H, dual_rows in zip(bases, stack_rows(dual_stack(padded, spec))):
-        image1, kernel1 = project(H, k1, k2, 1)
+    image1, kernel1 = project_stack(padded, spec, 1)
+    image2_dual, _ = project_stack(dual_stack(padded, spec), spec, 2)
+    with_subcode = spec.ops.rref_many(np.concatenate(
+        [padded, np.broadcast_to(eye2, (len(bases), k2, K))], axis=1))
+    dims = map(stack_dims, (image1, kernel1, image2_dual, with_subcode))
+    for H, image1_dim, kernel1_dim, image2_dual_dim, rank in zip(bases, *dims):
         res.check(
-            image1.dim + kernel1.dim == H.dim,
+            image1_dim + kernel1_dim == H.dim,
             f"j={H.dim}: projection rank-nullity fails for {H.rows}",
         )
-        stacked = np.vstack([H.matrix(), eye2])
-        inter_dim = H.dim + k2 - ops.rank(stacked)
+        inter_dim = H.dim + k2 - rank
         p_a = inter_dim == 0
-        p_b = kernel1.dim == 0
-        image2_dual, _ = project(SubspaceBasis(spec.q, K, dual_rows), k1, k2, 2)
-        p_c = image2_dual.dim == k2
+        p_b = kernel1_dim == 0
+        p_c = image2_dual_dim == k2
         res.check(
             p_a == p_b == p_c,
             f"j={H.dim}: intersection predicates disagree for {H.rows}",

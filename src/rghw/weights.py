@@ -405,10 +405,8 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
-    chunks = [sets]
-    if workers > 1 and sets:
-        workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
-        chunks = _chunks(sets, work, workers * 4)
+    workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
+    chunks = _chunks(sets, work, workers * 4) if workers > 1 and sets else [sets]
     # each chunk builds its own table, and each of the workers holds one
     layouts = [_block_starts(spec, mode, c, anchors) for c in chunks]
     sizes = sorted((_table_bytes(spec, mode, c, anchors, layout)

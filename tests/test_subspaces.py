@@ -1,5 +1,7 @@
 """Subspace enumeration, projections, duality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,22 @@ from rghw.linalg import table_ops
 from rghw.gf import build_field
 from rghw.subspaces import (
     SubspaceBasis,
+    _pivot_aligned,
     count_for_pivots,
+    dual_stack,
     dual_subspace,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
     member_matrix,
+    padded_stack,
     pivot_sets,
-    project,
+    project_stack,
+    stack_dims,
+    stack_rows,
     subspace_from_rows,
 )
+from rghw.verify import DEFAULT_INSTANCES
 
 
 def test_gaussian_binomial_values():
@@ -102,9 +110,10 @@ def test_member_matrix_and_membership():
         for b in lst:
             s = tuple(int(ops.add_table[x, y]) for x, y in zip(a, b))
             assert s in rows
-    assert ops.rows_in_rowspace(basis.matrix(), basis.pivots, members).all()
+    aligned = _pivot_aligned(basis.matrix()[None])[0]
+    assert ops.rows_in_rowspace(aligned, members).all()
     outside = np.array([[0, 0, 0, 1]], dtype=np.int16)
-    assert not ops.rows_in_rowspace(basis.matrix(), basis.pivots, outside)[0]
+    assert not ops.rows_in_rowspace(aligned, outside)[0]
 
 
 def test_subspace_from_rows_canonicalizes():
@@ -116,24 +125,28 @@ def test_subspace_from_rows_canonicalizes():
     assert again.rows == b.rows
 
 
+def project_one(basis, spec, side):
+    """project_stack of a one-subspace stack, as (image rows, kernel rows)."""
+    image, kernel = project_stack(basis.matrix()[None], spec, side)
+    return stack_rows(image)[0], stack_rows(kernel)[0]
+
+
 def test_project_edge_cases():
     spec = build_code(2, 2, 3, 1, 1)
-    K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
+    K = spec.ambient_dim
     zero = subspace_from_rows(2, K, np.zeros((0, K), dtype=int), "product")
-    img, ker = project(zero, k1, k2, 1)
-    assert img.dim == 0 and ker.dim == 0
+    assert project_one(zero, spec, 1) == ((), ())
 
     one_sided = subspace_from_rows(2, K, [(1, 1, 0, 0, 0)], "product")
-    img2, ker2 = project(one_sided, k1, k2, 2)
-    assert img2.dim == 0 and ker2.rows == one_sided.rows
+    assert project_one(one_sided, spec, 2) == ((), one_sided.rows)
 
     # diagonal span of (a1^i, a2^i): first projection injective
     rows = spec.group_vectors[: spec.k1]
     diag = subspace_from_rows(2, K, rows, "product")
-    img3, ker3 = project(diag, k1, k2, 1)
-    assert diag.dim == spec.k1 and ker3.dim == 0 and img3.dim == spec.k1
+    img3, ker3 = project_one(diag, spec, 1)
+    assert diag.dim == spec.k1 and ker3 == () and len(img3) == spec.k1
     with pytest.raises(RangeError):
-        project(diag, k1, k2, 3)
+        project_one(diag, spec, 3)
 
 
 def test_dual_space_examples_and_involution():
@@ -169,7 +182,7 @@ def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
     spec = build_code(2, 2, 3, 1, 1)
     outside = subspace_from_rows(2, spec.ambient_dim + 1, [(1, 0, 0, 0, 0, 1)])
     calls = [
-        lambda: project(outside, spec.k1, spec.k2, 1),
+        lambda: project_stack(outside.matrix()[None], spec, 1),
         lambda: dual_subspace(outside, spec),
         lambda: intersect_with_cyclic_group(outside, spec),
         lambda: basis_codewords(spec, outside),
@@ -189,3 +202,67 @@ def test_double_dual_hypothesis(seedval, nrows):
     rows = rng.integers(0, 3, size=(nrows, K))
     h = subspace_from_rows(3, K, rows, "product")
     assert dual_subspace(dual_subspace(h, spec), spec).rows == h.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DEFAULT_INSTANCES + ((4, 2, 3, 1, 3),)), st.sampled_from((1, 2)),
+       st.data())
+def test_project_stack_is_rank_nullity_exact(params, side, data):
+    """Images are the reduced column blocks and kernels the subspace's
+    vectors that vanish on the factor, of complementary dimensions.  Every
+    stack holds the zero subspace, and the full one when it has K rows; a
+    stack of no rows at all is drawn too."""
+    spec = build_code(*params)
+    K, q, ops = spec.ambient_dim, spec.q, spec.ops
+    cols = slice(0, spec.k1) if side == 1 else slice(spec.k1, K)
+    width = cols.stop - cols.start
+    nrows = data.draw(st.integers(0, K))
+    drawn = [np.zeros((nrows, K), dtype=np.int16)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        values = data.draw(st.lists(st.integers(0, q - 1), min_size=nrows * K,
+                                    max_size=nrows * K))
+        drawn.append(np.array(values, dtype=np.int16).reshape(nrows, K))
+    if nrows == K:
+        drawn.append(np.eye(K, dtype=np.int16))
+    stack = ops.rref_many(padded_stack(drawn, nrows, K))
+    images, kernels = project_stack(stack, spec, side)
+    assert images.shape == (len(drawn), nrows, width)
+    assert kernels.shape == (len(drawn), nrows, K)
+    for basis, image, kernel, dim in zip(stack, images, kernels, stack_dims(stack)):
+        want_image, _ = ops.rref(basis[:, cols])
+        assert stack_rows(image[None])[0] == tuple(map(tuple, want_image.tolist()))
+        kernel_rows = kernel[kernel.any(axis=1)]
+        assert len(want_image) + len(kernel_rows) == dim
+        # the kernel is reduced, lies in the subspace and vanishes on the factor
+        assert (ops.rref(kernel_rows)[0] == kernel_rows).all()
+        assert ops.rows_in_rowspace(_pivot_aligned(basis[None])[0], kernel_rows).all()
+        assert not kernel_rows[:, cols].any()
+    assert stack_dims(images)[0] == stack_dims(kernels)[0] == 0
+    if nrows == K:
+        assert stack_dims(images)[-1] == width and stack_dims(kernels)[-1] == K - width
+
+
+def projection_digest(params) -> str:
+    """SHA-256 of (H, image1, kernel1, image2 of the dual of H) rows over
+    every subspace H of the product ambient, in enumeration order."""
+    spec = build_code(*params)
+    K = spec.ambient_dim
+    bases = [H for j in range(K + 1) for H in enumerate_subspaces(K, j, spec.q)]
+    padded = padded_stack([H.matrix() for H in bases], K, K)
+    image1, kernel1 = project_stack(padded, spec, 1)
+    image2, _ = project_stack(dual_stack(padded, spec), spec, 2)
+    digest = hashlib.sha256()
+    for rows in zip([H.rows for H in bases], *map(stack_rows, (image1, kernel1, image2))):
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# taken with the single-subspace projection the stacked one replaced
+PINNED_PROJECTIONS = {
+    (2, 2, 3, 1, 1): "9befaa7c3f99fe4e7eea5414da57b1cbf82048f9e9e586f7fa7b3657a7b42635",
+    (3, 2, 3, 1, 2): "f3dd2bb5abe327c5b7fe879e6779f5eb15faa85dfe829627c602c9f568253803",
+}
+
+
+def test_projection_bytes_are_pinned():
+    assert {params: projection_digest(params) for params in PINNED_PROJECTIONS} == PINNED_PROJECTIONS

@@ -171,6 +171,27 @@ def test_draw_blocks_do_not_change_results(monkeypatch):
     assert outcome() == default
 
 
+def test_a_kernel_short_of_a_row_fails_rank_nullity_alone(monkeypatch):
+    # the first projection's kernel of the whole space, the second factor,
+    # loses a row; two rows remain, so the intersection predicates still agree
+    spec = build_code(*verify.DEFAULT_INSTANCES[0])
+    K = spec.ambient_dim
+    whole = tuple(map(tuple, np.eye(K, dtype=int).tolist()))
+    project_stack = verify.project_stack
+
+    def short_kernel(stack, code, side):
+        images, kernels = project_stack(stack, code, side)
+        if side == 1:
+            _drop_first_row(kernels, stack_rows(stack).index(whole))
+        return images, kernels
+
+    clean = verify.subspaces_suite(seed=1)
+    monkeypatch.setattr(verify, "project_stack", short_kernel)
+    res = verify.subspaces_suite(seed=1)
+    assert res.checks == clean.checks and clean.failures == []
+    assert res.failures == [f"j={K}: projection rank-nullity fails for {whole}"]
+
+
 def _starts_110(rows) -> bool:
     return bool(rows) and rows[0][:3] == (1, 1, 0)
 

@@ -158,7 +158,7 @@ def test_mj_dual_count_examples():
     # the reported argmax attains the maximum and projects onto GF(Q2)
     assert intersect_with_cyclic_group(res.argmax, spec) == 11
     assert res.argmax.dim == spec.ambient_dim - 1
-    assert spec.ops.rank(res.argmax.matrix()[:, spec.k1:]) == spec.k2
+    assert len(spec.ops.rref(res.argmax.matrix()[:, spec.k1:])[1]) == spec.k2
 
     spec32 = build_code(2, 3, 2, 1, 1)
     res3 = mj_dual_count(spec32, 3)
@@ -211,6 +211,16 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # j=2: at j=1 the anchored scan has a single pivot set and starts no pool
     assert rghw_bruteforce(spec, 2, workers=10**6) == rghw_bruteforce(spec, 2)
     assert recording_pool == [3]
+
+
+def test_one_cpu_scans_in_process(monkeypatch, recording_pool):
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 1)
+    spec = build_code(2, 3, 2, 1, 1)
+    assert rghw_bruteforce(spec, 2, workers=2) == rghw_bruteforce(spec, 2)
+    a = mj_dual_count(spec, 2, workers=2)
+    b = mj_dual_count(spec, 2)
+    assert (a.m, a.n_j, a.argmax.rows) == (b.m, b.n_j, b.argmax.rows)
+    assert recording_pool == []
 
 
 def test_pool_chunks_follow_the_work():
