@@ -1,46 +1,38 @@
-"""Closed-form weights for three parameter families.
+"""Closed-form weights for structural specs.
 
-``evaluate_closed_form`` returns the exact pair (N_j, M_j): the maximal
-number of common-zero coordinates over admissible j-dimensional subspaces,
-and the resulting weight M_j = n - N_j with n = (q^k1-1)(q^k2-1)/(q-1).
-Arithmetic is unbounded-integer; empty geometric sums contribute 0.
+A spec is structural when its n group points (a1^i, a2^i) are exactly the
+points of PG(k1+k2-1, q) with both components nonzero, each once.  Write
+theta(d) = (q^d - 1)/(q - 1) for the number of points of a d-dimensional
+space, and theta(d) = 0 for d <= 0.  On a structural spec every subspace H
+of the pair space holds theta(dim H) - theta(dim H&V1) - theta(dim H&V2)
+group points, where V1 and V2 are the two factor subspaces: the
+projective-system view of generalized Hamming weights (Tsfasman and
+Vladut, IEEE Trans. IT 41(6), 1995), the geometric form of the [YLFL]
+method the paper applies.
 
-The three families share one N_j formula, the printed case split (k1 <= k2;
-j <= k2 < k1; k2 < j <= k1) with no extrapolation beyond it.  They differ
-only in their hypotheses, each on top of gcd(k1, k2) = 1:
+An admissible H of dimension K - j = k1 + k2 - j projects onto the second
+factor, so dim H&V1 = k1 - j, and a generic such H meets V2 in the least
+dimension, max(0, k2 - j).  Hence
 
-* binary_pair:        q = 2, e1 = e2 = 1 (both nonzeros primitive), k1, k2 >= 2.
-* index_one_qminus1:  e1 = 1, e2 = q - 1; k2 odd and > 1, gcd(q-1, k2) = 1.
-* index_qminus1_one:  e1 = q - 1, e2 = 1; k1 odd and > 1, gcd(q-1, k1) = 1.
+    N_j = theta(K - j) - theta(k1 - j) - theta(k2 - j),  M_j = n - N_j,
 
-The gcd(q-1, k) = 1 condition goes beyond the printed hypotheses: it is
-what makes the two nonzero orders coprime and collapses the double
-character sum (k odd only covers it when q - 1 is a power of two; q=4,
-k2=3 already breaks without it).
+with n = (q^k1 - 1)(q^k2 - 1)/(q - 1).  The paper's three families (q = 2
+with both nonzeros primitive; indices (1, q-1) and (q-1, 1) with the other
+degree odd) are structural specs.  Arithmetic is unbounded-integer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DegenerateOrder, HypothesisViolated, RangeError
+from .gf import _prime_factors
 
 
-def _geom(q: int, lo: int, hi: int) -> int:
-    """Sum of q^t for lo <= t <= hi; empty ranges give 0."""
-    if hi < lo:
-        return 0
-    return (q ** (hi + 1) - q**lo) // (q - 1) if q > 1 else hi - lo + 1
-
-
-def _branch_nj(q: int, k1: int, k2: int, j: int) -> int:
-    if k1 <= k2:
-        return _geom(q, k2 - j, k1 + k2 - j - 1) - _geom(q, 0, k1 - j - 1)
-    if j <= k2:
-        return _geom(q, k1 - j, k1 + k2 - j - 1) - _geom(q, 0, k2 - j - 1)
-    # k2 < j <= k1
-    return q ** (k1 - j) * _geom(q, 0, k2 - 1)
+def _theta(q: int, d: int) -> int:
+    """Number of points of PG(d-1, q); 0 for d <= 0."""
+    return (q**d - 1) // (q - 1) if d > 0 else 0
 
 
 def _guard_positive(n_j: int, m_j: int) -> None:
@@ -50,45 +42,42 @@ def _guard_positive(n_j: int, m_j: int) -> None:
         )
 
 
-def _odd_index_side(q: int, k: int) -> bool:
-    """Hypotheses on the degree k of the nonzero of index q - 1."""
-    return k > 1 and k % 2 == 1 and math.gcd(q - 1, k) == 1
-
-
-# Each family's hypotheses beyond gcd(k1, k2) = 1, in priority order.
-_FAMILIES: dict[str, Callable[..., bool]] = {
-    "binary_pair": lambda q, k1, k2, e1, e2: (
-        q == 2 and e1 == e2 == 1 and min(k1, k2) >= 2),
-    "index_one_qminus1": lambda q, k1, k2, e1, e2: (
-        (e1, e2) == (1, q - 1) and _odd_index_side(q, k2)),
-    "index_qminus1_one": lambda q, k1, k2, e1, e2: (
-        (e1, e2) == (q - 1, 1) and _odd_index_side(q, k1)),
-}
-
-
 def detect_family(q: int, k1: int, k2: int, e1: int, e2: int) -> Optional[str]:
-    """The first closed-form family whose hypotheses hold, or None.
+    """"structural" when the parameters give a structural spec, else None.
 
-    Both nonzero orders (q^k - 1)/e must exceed 1: a nonzero of order 1
-    gives a degenerate code (q = 2 with k = 1 in the index families).
+    With Q_i = q^k_i, T_i = (Q_i - 1)/(q - 1) and n_i = (Q_i - 1)/e_i > 1,
+    the group <(a1, a2)> has lcm(n1, n2) elements and the points with both
+    components nonzero number (Q1 - 1)(Q2 - 1)/(q - 1).  The group maps
+    onto those points one-to-one when the counts agree and it meets the
+    scalar diagonal GF(q)* only in 1.  Both gamma_i have the same norm
+    delta (codes._build_factor), so (delta^s, delta^s) = (a1^t, a2^t) for
+    some t exactly when e_i | s T_i and s T1/e1 = s T2/e2 mod gcd(n1, n2).
+    A nontrivial meet contains an element of prime order r | q - 1, so
+    s = (q - 1)/r for those primes r suffices.
     """
-    if math.gcd(k1, k2) != 1:
+    if min(k1, k2, e1, e2) < 1 or len(_prime_factors(q)) != 1:
         return None
-    family = next((name for name, holds in _FAMILIES.items()
-                   if holds(q, k1, k2, e1, e2)), None)
-    if family is None or (q**k1 - 1) // e1 <= 1 or (q**k2 - 1) // e2 <= 1:
+    Q1, Q2 = q**k1, q**k2
+    if (Q1 - 1) % e1 or (Q2 - 1) % e2:
         return None
-    return family
+    n1, n2 = (Q1 - 1) // e1, (Q2 - 1) // e2
+    if min(n1, n2) <= 1 or math.lcm(n1, n2) * (q - 1) != (Q1 - 1) * (Q2 - 1):
+        return None
+    T1, T2, d = (Q1 - 1) // (q - 1), (Q2 - 1) // (q - 1), math.gcd(n1, n2)
+    for s in ((q - 1) // r for r in _prime_factors(q - 1)):
+        if s * T1 % e1 == 0 and s * T2 % e2 == 0 and (s * T1 // e1 - s * T2 // e2) % d == 0:
+            return None
+    return "structural"
 
 
 def evaluate_closed_form(q: int, k1: int, k2: int, e1: int, e2: int,
                          j: int) -> tuple[int, int]:
-    """(N_j, M_j) for parameters that some closed-form family covers."""
+    """(N_j, M_j) for the parameters of a structural spec."""
     if detect_family(q, k1, k2, e1, e2) is None:
-        raise HypothesisViolated("parameters match no closed-form family")
+        raise HypothesisViolated("parameters do not give a structural spec")
     if not 1 <= j <= k1:
         raise RangeError(f"j={j} outside 1..{k1}")
-    n_j = _branch_nj(q, k1, k2, j)
+    n_j = _theta(q, k1 + k2 - j) - _theta(q, k1 - j) - _theta(q, k2 - j)
     m_j = (q**k1 - 1) * (q**k2 - 1) // (q - 1) - n_j
     _guard_positive(n_j, m_j)
     return n_j, m_j

@@ -9,7 +9,7 @@ Three routes are wired together here:
   projection is onto, the largest number of cyclic-group points inside;
   the weight is n minus that number, the least number of points outside,
   which is what the scan finds.
-* the closed form (closed_forms module) covers three parameter families.
+* the closed form (closed_forms module) covers structural specs.
 
 Both scans walk subspaces by pivot set, so they partition cleanly across
 worker processes with a deterministic merge.
@@ -239,12 +239,8 @@ def _block_starts(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]
     return starts, rows + (0 if anchors is None else len(anchors))
 
 
-def _table_bytes(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray],
-                 layout: Optional[tuple[dict, int]] = None) -> int:
-    """Bytes of the mask table a scan of these pivot sets allocates, from
-    their _block_starts layout when the caller already holds it."""
-    if layout is None:
-        layout = _block_starts(spec, mode, sets, anchors)
+def _table_bytes(spec: CodeSpec, layout: tuple[dict, int]) -> int:
+    """Bytes of the mask table a _block_starts layout allocates."""
     return layout[1] * -(-spec.n // 8)
 
 
@@ -258,17 +254,16 @@ class _MaskTable:
     funcs = target = G, the group vectors in working column order: the
     group points g with g_c != sum_r a_(r,c) g_(p_r), which lie outside the
     row space.  An anchored table ends with the support of each anchor.
+    layout is the _block_starts of the pivot sets the scan visits.
 
     A block is built by linearity, as a @ funcs[cols] - target[lead] != 0.
     The low s columns give the q^s value rows of about SLICE_BYTES, and
     each run of q^s table rows adds one sum over the high columns to them.
     """
 
-    def __init__(self, spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray],
-                 layout: Optional[tuple[dict, int]] = None):
+    def __init__(self, spec: CodeSpec, mode: str, anchors: Optional[np.ndarray],
+                 layout: tuple[dict, int]):
         self.spec, self.mode = spec, mode
-        if layout is None:
-            layout = _block_starts(spec, mode, sets, anchors)
         self.starts, rows = layout
         self.masks = np.empty((rows, -(-spec.n // 8)), dtype=np.uint8)
         self.anchor_rows: Optional[range] = None
@@ -332,7 +327,7 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
     layout is the chunk's _block_starts, computed once by the caller.
     """
     K, q = spec.ambient_dim, spec.q
-    table = _MaskTable(spec, mode, chunk, anchors, layout)
+    table = _MaskTable(spec, mode, anchors, layout)
     best: Optional[tuple] = None  # (value, pivots, positions, t)
     for pivots in chunk:
         positions = free_positions(pivots, K)
@@ -409,8 +404,7 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     chunks = _chunks(sets, work, workers * 4) if workers > 1 and sets else [sets]
     # each chunk builds its own table, and each of the workers holds one
     layouts = [_block_starts(spec, mode, c, anchors) for c in chunks]
-    sizes = sorted((_table_bytes(spec, mode, c, anchors, layout)
-                    for c, layout in zip(chunks, layouts)), reverse=True)
+    sizes = sorted((_table_bytes(spec, layout) for layout in layouts), reverse=True)
     table_bytes = sum(sizes[:workers])
     if table_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
@@ -581,8 +575,8 @@ def compute_report(spec: CodeSpec, j: int,
                    strict_routes: bool = False) -> RghwReport:
     """Run the requested routes for one j and bundle the outcomes.
 
-    With strict_routes a closed-form request on a spec outside all three
-    families raises; otherwise that route is quietly skipped.
+    With strict_routes a closed-form request on a spec that is not
+    structural raises; otherwise that route is quietly skipped.
     """
     report = RghwReport(j, tuple(routes))
     for name in routes:
@@ -592,7 +586,7 @@ def compute_report(spec: CodeSpec, j: int,
         result = _ROUTES[name](spec, j, cap, workers)
         if result is None:
             if strict_routes:
-                raise HypothesisViolated("spec parameters match no closed-form family")
+                raise HypothesisViolated("spec is not structural: no closed form")
             continue
         m, n_j, argmax_rows = result
         setattr(report, name,

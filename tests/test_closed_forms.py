@@ -4,10 +4,15 @@ import pytest
 
 from collections import Counter
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code
-from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError
-from rghw.weights import mj_dual_count, rghw_bruteforce
+from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError, RghwError
+from rghw.subspaces import cyclic_group_counts, padded_stack, project_stack, stack_dims
+from rghw.weights import mj_dual_count, orbit_representatives, rghw_bruteforce
 
 
 def test_binary_pair_values():
@@ -22,8 +27,8 @@ def test_binary_pair_hypotheses():
     with pytest.raises(HypothesisViolated):
         evaluate_closed_form(2, 2, 4, 1, 1, 1)  # gcd = 2
     with pytest.raises(HypothesisViolated):
-        evaluate_closed_form(2, 1, 2, 1, 1, 1)  # k1 < 2, and no index family
-    assert detect_family(2, 1, 3, 1, 1) != "binary_pair"  # k1 < 2
+        evaluate_closed_form(2, 1, 2, 1, 1, 1)  # k1 < 2: a nonzero of order 1
+    assert detect_family(2, 1, 3, 1, 1) is None  # k1 < 2: a nonzero of order 1
     with pytest.raises(RangeError):
         evaluate_closed_form(2, 2, 3, 1, 1, 3)
 
@@ -90,8 +95,8 @@ def test_printed_hypotheses_do_not_cover_q4():
 
 
 def test_q4_family_member_matches_bruteforce():
-    # q - 1 = 3 is not a power of two, so this leans on the extra
-    # gcd(q-1, k2) = 1 validation; kept to j = 1 and one route for runtime
+    # q - 1 = 3 is not a power of two, and the nonzero orders 15 and 341
+    # are coprime; kept to j = 1 and one route for runtime
     spec = build_code(4, 2, 5, 1, 3)
     assert spec.d == 1 and spec.n == 15 * 341
     n_j, m_j = evaluate_closed_form(4, 2, 5, 1, 3, 1)
@@ -99,11 +104,12 @@ def test_q4_family_member_matches_bruteforce():
     assert spec.n - n_j == m_j
 
 
-def test_detect_family_priorities():
-    assert detect_family(2, 2, 3, 1, 1) == "binary_pair"
-    assert detect_family(2, 2, 5, 1, 1) == "binary_pair"  # binary wins at q=2
-    assert detect_family(3, 2, 3, 1, 2) == "index_one_qminus1"
-    assert detect_family(3, 3, 2, 2, 1) == "index_qminus1_one"
+def test_detect_family_is_structural_or_none():
+    # the paper's three families are structural specs
+    assert detect_family(2, 2, 3, 1, 1) == "structural"
+    assert detect_family(2, 2, 5, 1, 1) == "structural"
+    assert detect_family(3, 2, 3, 1, 2) == "structural"
+    assert detect_family(3, 3, 2, 2, 1) == "structural"
     assert detect_family(3, 2, 2, 1, 2) is None
     assert detect_family(3, 2, 3, 2, 2) is None
     # q = 2 with k = 1 makes a nonzero of order 1, which build_code rejects
@@ -126,8 +132,8 @@ def test_family_counts_over_a_parameter_box():
                 for e1 in indices:
                     for e2 in indices:
                         counts[detect_family(q, k1, k2, e1, e2)] += 1
-    assert counts == {"binary_pair": 44, "index_one_qminus1": 198,
-                      "index_qminus1_one": 198, None: 13460}
+    # the 440 specs of the paper's three families are among the structural ones
+    assert counts == {"structural": 1626, None: 12274}
 
 
 @pytest.mark.parametrize(
@@ -143,3 +149,87 @@ def test_closed_forms_match_exhaustive_routes(params):
         assert m_j == rghw_bruteforce(spec, j)
         dual = mj_dual_count(spec, j)
         assert (m_j, n_j) == (dual.m, dual.n_j)
+
+
+def test_a_size_that_is_not_a_prime_power_has_no_closed_form():
+    # (6, 2, 3, 1, 5) passes every arithmetic condition of the structural
+    # test, but GF(6) does not exist
+    for q in (6, 1, 0):
+        assert detect_family(q, 2, 3, 1, 5) is None
+    with pytest.raises(HypothesisViolated):
+        evaluate_closed_form(6, 2, 3, 1, 5, 1)
+
+
+def _projective_points(spec) -> int:
+    """Distinct points of PG(K-1, q) among the group vectors: each row is
+    scaled by the inverse of its first nonzero entry."""
+    g = spec.group_vectors
+    lead = g[np.arange(len(g)), (g != 0).argmax(axis=1)]
+    return len(np.unique(spec.ops.mul_table[spec.ops.inv_table[lead][:, None], g], axis=0))
+
+
+def test_structural_test_matches_the_point_set_and_the_orbit_count():
+    """On every spec build_code accepts with q^(k1+k2) <= 729, the arithmetic
+    test holds exactly when the n group points are n distinct projective
+    points with n (q - 1) = (Q1 - 1)(Q2 - 1), and exactly when the shift and
+    GF(q)* leave two orbits on {b1 != 0} with that n."""
+    counts = Counter()
+    for q in (2, 3, 4, 5, 7):
+        for k1 in range(1, 5):
+            for k2 in range(1, 5):
+                if q ** (k1 + k2) > 729:
+                    continue
+                for e1 in [e for e in range(1, q**k1) if (q**k1 - 1) % e == 0]:
+                    for e2 in [e for e in range(1, q**k2) if (q**k2 - 1) % e == 0]:
+                        params = (q, k1, k2, e1, e2)
+                        try:
+                            spec = build_code(*params)
+                        except RghwError:
+                            continue
+                        full = spec.n * (q - 1) == (q**k1 - 1) * (q**k2 - 1)
+                        structural = detect_family(*params) is not None
+                        assert structural == (full and _projective_points(spec) == spec.n), params
+                        assert structural == (full and len(orbit_representatives(spec)) == 2), params
+                        counts[structural, full] += 1
+    # 8 specs have the full count of points but repeat some, such as (3, 1, 3, 1, 1)
+    assert counts == {(True, True): 44, (False, True): 8, (False, False): 126}
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 3, 2, 2, 1), (9, 1, 1, 4, 1),
+                               (4, 2, 1, 3, 1), (4, 2, 3, 3, 1), (7, 1, 2, 2, 3),
+                               (5, 3, 1, 4, 1)]),
+       data=st.data())
+def test_group_count_is_the_rank_formula_on_structural_specs(params, data):
+    """N(H) = theta(dim H) - theta(dim H&V1) - theta(dim H&V2) for every
+    subspace H, admissible or not; H&V1 is the kernel of the projection
+    onto factor 2, and H&V2 that onto factor 1."""
+    assert detect_family(*params) == "structural"
+    spec = build_code(*params)
+    q, K = spec.q, spec.ambient_dim
+
+    def theta(d):
+        return (q**d - 1) // (q - 1) if d > 0 else 0
+
+    nrows = data.draw(st.integers(0, K))
+    drawn = [np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=nrows * K,
+                                         max_size=nrows * K)), dtype=np.int16).reshape(nrows, K)
+             for _ in range(data.draw(st.integers(1, 4)))]
+    stack = spec.ops.rref_many(padded_stack(drawn, nrows, K))
+    meet1 = stack_dims(project_stack(stack, spec, 2)[1])
+    meet2 = stack_dims(project_stack(stack, spec, 1)[1])
+    want = [theta(h) - theta(a) - theta(b) for h, a, b in zip(stack_dims(stack), meet1, meet2)]
+    assert cyclic_group_counts(stack, spec).tolist() == want
+
+
+@pytest.mark.parametrize("params,values", [
+    ((9, 1, 1, 4, 1), [7]),
+    ((4, 2, 1, 3, 1), [11, 14]),
+    ((4, 3, 4, 1, 3), [4016, 5020, 5271]),
+])
+def test_closed_form_matches_bruteforce_beyond_the_printed_families(params, values):
+    spec = build_code(*params)
+    for j, m in enumerate(values, start=1):
+        n_j, m_j = evaluate_closed_form(*params, j)
+        assert m_j == m == rghw_bruteforce(spec, j)
+        assert n_j == spec.n - m

@@ -82,21 +82,23 @@ def test_no_bare_assert_in_the_package():
 
 def test_every_name_the_benchmark_tracer_binds_resolves():
     """perfbench/tracing.py rebinds package functions and TableOps methods by
-    name, and imports others inside the tracer; a rename or deletion in the
-    package would break a traced benchmark run without failing anything else."""
-    path = ROOT / "perfbench" / "tracing.py"
-    tracing = runpy.run_path(str(path))
+    name, and every perfbench module imports package names, some inside
+    functions; tier-1 does not collect perfbench, so a rename or deletion in
+    the package would break a benchmark run without failing anything else."""
+    tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
     missing = [f"{module}.{attr}" for module, attr, _ in tracing["FUNCTION_TARGETS"]
                if not hasattr(importlib.import_module(module), attr)]
     table_ops = importlib.import_module("rghw.linalg").TableOps
     missing += [f"TableOps.{name}" for name in tracing["LINALG_METHODS"]
                 if not hasattr(table_ops, name)]
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            missing += [alias.name for alias in node.names
-                        if alias.name.startswith("rghw") and not importlib.util.find_spec(alias.name)]
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rghw"):
-            module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{alias.name}" for alias in node.names
-                        if not hasattr(module, alias.name)]
-    assert not missing, f"tracer targets missing from the package: {missing}"
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                missing += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("rghw")
+                            and not importlib.util.find_spec(alias.name)]
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rghw"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert not missing, f"benchmark names missing from the package: {missing}"

@@ -216,10 +216,11 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "min_support_all")
     work = [count_for_pivots(ps, 5, 2) for ps in sets]
     chunks = weights._chunks(sets, work, 2 * 4)
-    rows = sorted(weights._table_bytes(spec, "min_support_all", c, None) // width
-                  for c in chunks)
+    rows = sorted(weights._table_bytes(
+        spec, weights._block_starts(spec, "min_support_all", c, None)) // width for c in chunks)
     assert len(chunks) == 6 and rows[-2:] == [20, 24]
-    assert weights._table_bytes(spec, "min_support_all", sets, None) == 31 * width
+    layout = weights._block_starts(spec, "min_support_all", sets, None)
+    assert weights._table_bytes(spec, layout) == 31 * width
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
@@ -242,8 +243,9 @@ def test_mask_table_holds_each_block_once(monkeypatch):
         sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
-        table = weights._MaskTable(spec, mode, sets, anchors)
-        assert weights._table_bytes(spec, mode, sets, anchors) == table.masks.nbytes, mode
+        layout = weights._block_starts(spec, mode, sets, anchors)
+        table = weights._MaskTable(spec, mode, anchors, layout)
+        assert weights._table_bytes(spec, layout) == table.masks.nbytes, mode
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1,2), (0,1,3), (0,1,4) leave
     # 6 (pivot set, non-pivot column) pairs but 5 distinct blocks, built by
     # linearity with no matmul
@@ -253,7 +255,8 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     calls = []
     matmul = spec.ops.matmul
     monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
-    table = weights._MaskTable(spec, "max_group", sets, None)
+    table = weights._MaskTable(spec, "max_group", None,
+                               weights._block_starts(spec, "max_group", sets, None))
     assert len(table.starts) == 5
     assert calls == []
     assert table.masks.shape[0] == 2**3 + 2**3 + 2**2 + 2**3 + 2**2
@@ -274,7 +277,8 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
     anchors = orbit_representatives(spec) if anchored else None
     with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
-        table = weights._MaskTable(spec, mode, sets, anchors)
+        table = weights._MaskTable(spec, mode, anchors,
+                                   weights._block_starts(spec, mode, sets, anchors))
     F = spec.coordinate_functionals.T
     if mode == "max_group":
         funcs = target = spec.group_vectors[:, weights._column_order(spec.k1, spec.k2, mode)].T
