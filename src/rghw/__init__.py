@@ -2,9 +2,7 @@
 
 from .charsum import (
     CharacterHandle,
-    char_eval,
     gauss_sum,
-    incomplete_character_sum,
     nj_via_charsum,
     orthogonality_sum,
     unit_roots,
@@ -35,7 +33,7 @@ from .subspaces import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
-    member_matrix,
+    stack_members,
     subspace_from_rows,
 )
 from .weights import (
@@ -66,7 +64,6 @@ __all__ = [
     "basis_codewords",
     "build_code",
     "build_field",
-    "char_eval",
     "codeword",
     "compute_report",
     "detect_family",
@@ -79,9 +76,7 @@ __all__ = [
     "gauss_sum",
     "gaussian_binomial",
     "ghw_bruteforce",
-    "incomplete_character_sum",
     "intersect_with_cyclic_group",
-    "member_matrix",
     "minimal_polynomial",
     "mj_dual_count",
     "nj_of_subspace",
@@ -89,6 +84,7 @@ __all__ = [
     "orthogonality_sum",
     "parity_check_polynomial",
     "rghw_bruteforce",
+    "stack_members",
     "subspace_from_rows",
     "unit_roots",
 ]

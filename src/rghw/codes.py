@@ -241,7 +241,7 @@ def codeword(spec: CodeSpec, beta1, beta2) -> tuple[int, ...]:
 
 def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
     """Codewords of the basis rows of a product-space subspace, one per row."""
-    check_product_ambient(basis, spec.ambient_dim)
+    check_product_ambient(basis, spec)
     if basis.dim == 0:
         return np.zeros((0, spec.n), dtype=np.int16)
     return spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolated, LengthMismatch, RangeError
+from .errors import FieldMismatch, InvariantViolated, LengthMismatch, RangeError
 from .gf import field_for_size
 from .linalg import TableOps, table_ops
 
@@ -41,9 +41,12 @@ class SubspaceBasis:
         return np.array(self.rows, dtype=np.int16).reshape(self.dim, self.ambient_dim)
 
 
-def check_product_ambient(basis: SubspaceBasis, ambient_dim: int) -> None:
-    """LengthMismatch unless basis lies in F_q^ambient_dim, the product ambient."""
-    if basis.ambient_dim != ambient_dim:
+def check_product_ambient(basis: SubspaceBasis, spec) -> None:
+    """FieldMismatch unless basis is over the code's GF(q), LengthMismatch
+    unless it lies in F_q^(k1+k2), the product ambient."""
+    if basis.q != spec.q:
+        raise FieldMismatch(f"basis is over GF({basis.q}), the code over GF({spec.q})")
+    if basis.ambient_dim != spec.ambient_dim:
         raise LengthMismatch("basis is not in the product ambient")
 
 
@@ -121,14 +124,15 @@ def subspace_from_rows(
     return SubspaceBasis(q, ambient_dim, tuple(map(tuple, red.tolist())))
 
 
-def member_matrix(basis: SubspaceBasis) -> np.ndarray:
-    """All q^dim member vectors, one per row (the zero vector included)."""
-    ops = table_ops(field_for_size(basis.q))
-    j = basis.dim
-    combos = np.array(
-        list(itertools.product(range(basis.q), repeat=j)), dtype=np.int16
-    ).reshape(basis.q**j, j)
-    return ops.matmul(combos, basis.matrix())
+def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
+    """(B, q^r, K): every combination of the r rows of each basis of a
+    (B, r, K) stack, coefficient vectors in base-q order, so the zero vector
+    comes first.  A basis of dimension d lists each of its q^d members
+    q^(r-d) times."""
+    q, r = ops.q, stack.shape[1]
+    combos = np.array(list(itertools.product(range(q), repeat=r)),
+                      dtype=np.int16).reshape(q**r, r)
+    return ops.matmul(combos, stack)
 
 
 def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:
@@ -175,7 +179,8 @@ def _kernel_rows(red: np.ndarray, ops: TableOps) -> np.ndarray:
     return kernel.transpose(0, 2, 1)
 
 
-def _check_stack_ambient(stack: np.ndarray, ambient_dim: int) -> None:
+def check_stack_ambient(stack: np.ndarray, ambient_dim: int) -> None:
+    """LengthMismatch unless stack is a (B, r, ambient_dim) stack."""
     if stack.ndim != 3 or stack.shape[2] != ambient_dim:
         raise LengthMismatch("stack is not in the product ambient")
 
@@ -184,7 +189,7 @@ def dual_stack(stack: np.ndarray, spec) -> np.ndarray:
     """Orthogonal complements under the paired-trace inner product of a
     (B, r, K) stack of zero-padded RREF bases, as a (B, K, K) stack of the
     same kind: one elimination for the whole stack."""
-    _check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.ambient_dim)
     ops: TableOps = spec.ops
     # B G v = 0 iff G v lies in ker B; G is symmetric, so the dual is
     # spanned by ker(B) @ G^-1
@@ -200,7 +205,7 @@ def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.nd
     zero-padded RREF; each image and kernel dimension add up to the
     subspace's.  Three eliminations serve the whole stack.
     """
-    _check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.ambient_dim)
     if side not in (1, 2):
         raise RangeError("side must be 1 or 2")
     ops: TableOps = spec.ops
@@ -212,6 +217,7 @@ def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.nd
 
 def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
     """Orthogonal complement under the paired-trace inner product."""
+    check_product_ambient(basis, spec)
     dual = dual_stack(basis.matrix()[None], spec)
     return SubspaceBasis(basis.q, basis.ambient_dim, stack_rows(dual)[0])
 
@@ -219,10 +225,11 @@ def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
 def cyclic_group_counts(stack: np.ndarray, spec) -> np.ndarray:
     """How many of the n points (a1^i, a2^i) land inside each subspace of a
     (B, r, K) stack of zero-padded RREF bases."""
-    _check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.ambient_dim)
     return spec.ops.rows_in_rowspace(_pivot_aligned(stack), spec.group_vectors).sum(axis=1)
 
 
 def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:
     """How many of the n points (a1^i, a2^i) land inside the subspace."""
+    check_product_ambient(basis, spec)
     return int(cyclic_group_counts(basis.matrix()[None], spec)[0])

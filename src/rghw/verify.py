@@ -11,15 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .charsum import (
     CharacterHandle,
     additive_character,
+    charsum_zero_counts,
     gauss_sum,
-    nj_via_charsum,
     orthogonality_sum,
     unit_roots,
 )
@@ -36,7 +36,6 @@ from .gf import (
     trace_table,
 )
 from .subspaces import (
-    SubspaceBasis,
     dual_stack,
     dual_subspace,
     enumerate_rref_rows,
@@ -76,12 +75,13 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; message() is built only when the check fails."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
-    def check_residual(self, diff: float, tol: float, message: str) -> None:
+    def check_residual(self, diff: float, tol: float, message: Callable[[], str]) -> None:
         """Check diff < tol and keep the largest diff in notes["max_residual"]."""
         self.notes["max_residual"] = max(self.notes.get("max_residual", 0.0), diff)
         self.check(diff < tol, message)
@@ -131,11 +131,11 @@ def gf_suite() -> SuiteResult:
                 for i in range(f.order)
                 for k in range(0, f.order, max(1, f.order // 7))
             ),
-            f"GF({size}): exp table is not a group homomorphism",
+            lambda: f"GF({size}): exp table is not a group homomorphism",
         )
         res.check(
             all(f.log_table[f.exp_table[i]] == i for i in range(f.order)),
-            f"GF({size}): log/exp are not inverse",
+            lambda: f"GF({size}): log/exp are not inverse",
         )
         # Zech addition against digitwise addition, exhaustively
         res.check(
@@ -144,40 +144,41 @@ def gf_suite() -> SuiteResult:
                 for a in range(size)
                 for b in range(size)
             ),
-            f"GF({size}): Zech addition disagrees with digitwise addition",
+            lambda: f"GF({size}): Zech addition disagrees with digitwise addition",
         )
         base = build_field(p, 1)
         emb = embed_subfield(base, f)
         tr = trace_table(f, base).tolist()
         zeros = tr.count(0)
         res.check(
-            zeros == size // p, f"GF({size}): trace-zero count {zeros} != {size // p}"
+            zeros == size // p, lambda: f"GF({size}): trace-zero count {zeros} != {size // p}"
         )
         # linearity and Frobenius invariance of the trace, exhaustive on pairs
         sample = range(0, size, max(1, size // 9))
         ok_lin = all(
             tr[f.add(a, b)] == base.add(tr[a], tr[b]) for a in range(size) for b in sample
         )
-        res.check(ok_lin, f"GF({size}): trace is not additive")
+        res.check(ok_lin, lambda: f"GF({size}): trace is not additive")
         ok_frob = all(tr[f.pow(a, p)] == tr[a] for a in range(size))
-        res.check(ok_frob, f"GF({size}): trace is not Frobenius invariant")
+        res.check(ok_frob, lambda: f"GF({size}): trace is not Frobenius invariant")
         ok_scale = all(
             tr[f.mul(emb.apply_code(c), a)] == base.mul(c, tr[a])
             for c in range(p)
             for a in sample
         )
-        res.check(ok_scale, f"GF({size}): trace is not base-linear")
+        res.check(ok_scale, lambda: f"GF({size}): trace is not base-linear")
     # minimal polynomials: root, degree = orbit size, irreducibility by the
     # conjugate-product construction itself
     f16 = build_field(2, 4)
     f2 = build_field(2, 1)
     for a in range(1, f16.size):
         mp = minimal_polynomial(f16, a, f2)
-        res.check(mp.evaluate(f16, a) == 0, f"minpoly of code {a} does not kill its root")
-        res.check(4 % mp.degree == 0, f"minpoly of code {a} has degree {mp.degree}")
+        res.check(mp.evaluate(f16, a) == 0,
+                  lambda: f"minpoly of code {a} does not kill its root")
+        res.check(4 % mp.degree == 0, lambda: f"minpoly of code {a} has degree {mp.degree}")
     f8, f9 = build_field(2, 3), build_field(3, 2)
-    res.check(element_order(f8, f8.exp_table[1]) == 7, "GF(8)* generator order")
-    res.check(element_order(f9, f9.exp_table[2]) == 4, "order of g^2 in GF(9)")
+    res.check(element_order(f8, f8.exp_table[1]) == 7, lambda: "GF(8)* generator order")
+    res.check(element_order(f9, f9.exp_table[2]) == 4, lambda: "order of g^2 in GF(9)")
     return res
 
 
@@ -199,42 +200,42 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
         label = f"{params}"
         res.check(
             spec.Q1 - 1 == spec.e1 * spec.n1 and spec.Q2 - 1 == spec.e2 * spec.n2,
-            f"{label}: index-order identity broken",
+            lambda: f"{label}: index-order identity broken",
         )
         res.check(
-            spec.n * spec.d == spec.n1 * spec.n2, f"{label}: length identity broken"
+            spec.n * spec.d == spec.n1 * spec.n2, lambda: f"{label}: length identity broken"
         )
         norms = {f.embed.preimage(f.field.pow(f.gamma, f.field.order // (spec.q - 1)))
                  for f in spec.factors}
-        res.check(norms == {spec.delta}, f"{label}: delta compatibility broken")
+        res.check(norms == {spec.delta}, lambda: f"{label}: delta compatibility broken")
         words = _all_codewords(spec)
         res.check(
-            len(words) == spec.Q1 * spec.Q2, f"{label}: codeword map is not injective"
+            len(words) == spec.Q1 * spec.Q2, lambda: f"{label}: codeword map is not injective"
         )
         word_set = set(words)
         shifts_ok = all(w[1:] + w[:1] in word_set for w in word_set)
-        res.check(shifts_ok, f"{label}: cyclic shift closure fails")
+        res.check(shifts_ok, lambda: f"{label}: cyclic shift closure fails")
         subwords = {codeword(spec, 0, b2) for b2 in range(spec.Q2)}
-        res.check(subwords <= word_set, f"{label}: C' not contained in C")
+        res.check(subwords <= word_set, lambda: f"{label}: C' not contained in C")
         periodic = all(
             w[i] == w[(i + spec.n2) % spec.n]
             for w in subwords
             for i in range(spec.n)
         )
-        res.check(periodic, f"{label}: subcode words not n2-periodic")
+        res.check(periodic, lambda: f"{label}: subcode words not n2-periodic")
         h = parity_check_polynomial(spec)
         res.check(
-            h.degree == spec.k1 + spec.k2, f"{label}: parity-check degree wrong"
+            h.degree == spec.k1 + spec.k2, lambda: f"{label}: parity-check degree wrong"
         )
         recur = _recurrence_annihilates(spec, h, word_set)
-        res.check(recur, f"{label}: parity-check recurrence fails on some word")
+        res.check(recur, lambda: f"{label}: parity-check recurrence fails on some word")
         # repetition structure of one-sided words
         rep_ok = True
         for b1 in range(1, spec.Q1):
             w = codeword(spec, b1, 0)
             if any(w[i] != w[(i + spec.n1) % spec.n] for i in range(spec.n)):
                 rep_ok = False
-        res.check(rep_ok, f"{label}: one-sided words not n1-periodic")
+        res.check(rep_ok, lambda: f"{label}: one-sided words not n1-periodic")
     return res
 
 
@@ -271,7 +272,7 @@ def subspaces_suite(seed: int = 2024,
                 expected = gaussian_binomial(k, j, q)
                 res.check(
                     count == expected and len(seen) == expected,
-                    f"q={q} k={k} j={j}: enumeration count {count} != {expected}",
+                    lambda: f"q={q} k={k} j={j}: enumeration count {count} != {expected}",
                 )
     # duality round-trips on seeded random subspaces of the product ambients;
     # each distinct subspace is dualized once, each draw checked
@@ -293,9 +294,9 @@ def subspaces_suite(seed: int = 2024,
                 dual_dim, double_dual = duals[rows]
                 res.check(
                     dual_dim == K - len(rows),
-                    f"{spec}: dual dimension {dual_dim} != {K - len(rows)}",
+                    lambda: f"{spec}: dual dimension {dual_dim} != {K - len(rows)}",
                 )
-                res.check(double_dual == rows, f"{spec}: double dual differs from H")
+                res.check(double_dual == rows, lambda: f"{spec}: double dual differs from H")
     # projection rank-nullity and the three intersection characterizations
     spec = specs[0]
     K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
@@ -310,7 +311,7 @@ def subspaces_suite(seed: int = 2024,
     for H, image1_dim, kernel1_dim, image2_dual_dim, rank in zip(bases, *dims):
         res.check(
             image1_dim + kernel1_dim == H.dim,
-            f"j={H.dim}: projection rank-nullity fails for {H.rows}",
+            lambda: f"j={H.dim}: projection rank-nullity fails for {H.rows}",
         )
         inter_dim = H.dim + k2 - rank
         p_a = inter_dim == 0
@@ -318,7 +319,7 @@ def subspaces_suite(seed: int = 2024,
         p_c = image2_dual_dim == k2
         res.check(
             p_a == p_b == p_c,
-            f"j={H.dim}: intersection predicates disagree for {H.rows}",
+            lambda: f"j={H.dim}: intersection predicates disagree for {H.rows}",
         )
     return res
 
@@ -340,21 +341,21 @@ def weights_suite(seed: int = 2024,
             dual = mj_dual_count(spec, j, workers=workers)
             res.check(
                 brute == dual.m,
-                f"{label} j={j}: bruteforce {brute} != dual count {dual.m}",
+                lambda: f"{label} j={j}: bruteforce {brute} != dual count {dual.m}",
             )
             # the argmax's j-dimensional dual vanishes on exactly N_j coordinates
             res.check(
                 dual.n_j == nj_of_subspace(spec, dual_subspace(dual.argmax, spec)),
-                f"{label} j={j}: argmax does not reproduce N_j",
+                lambda: f"{label} j={j}: argmax does not reproduce N_j",
             )
             ghw = ghw_bruteforce(spec, j, workers=workers)
             res.check(
-                ghw <= brute, f"{label} j={j}: GHW {ghw} exceeds RGHW {brute}"
+                ghw <= brute, lambda: f"{label} j={j}: GHW {ghw} exceeds RGHW {brute}"
             )
             if previous is not None:
                 res.check(
                     previous < brute,
-                    f"{label} j={j}: weights not strictly increasing",
+                    lambda: f"{label} j={j}: weights not strictly increasing",
                 )
             previous = brute
         # proof-chain identity on random subspaces (zero_counts itself
@@ -365,7 +366,7 @@ def weights_suite(seed: int = 2024,
         for stack, _ in _canonical_blocks(spec, spec.k1, draws):
             for value in zero_counts(spec, stack).tolist():
                 res.check(
-                    0 <= value <= spec.n, f"{label}: zero count {value} out of range"
+                    0 <= value <= spec.n, lambda: f"{label}: zero count {value} out of range"
                 )
     return res
 
@@ -399,23 +400,24 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
             lhs = table[1:, :]
             rhs = np.conj(w[1:, :]) * table[1:, :1]
             diff = float(np.abs(lhs - rhs).max())
-            res.check_residual(diff, GAUSS_TOL, f"GF({size}): twist identity residual {diff}")
+            res.check_residual(diff, GAUSS_TOL,
+                               lambda: f"GF({size}): twist identity residual {diff}")
             moduli = np.abs(table[1:, 0])
             mdiff = float(np.abs(moduli - math.sqrt(size)).max())
             res.check_residual(mdiff, GAUSS_TOL,
-                               f"GF({size}): |G| deviates from sqrt(q) by {mdiff}")
+                               lambda: f"GF({size}): |G| deviates from sqrt(q) by {mdiff}")
         complete = w.sum(axis=1)
         res.check(
             complete[0] == complex(order),
-            f"GF({size}): complete trivial sum not exactly q-1",
+            lambda: f"GF({size}): complete trivial sum not exactly q-1",
         )
         if order > 1:
             cdiff = float(np.abs(complete[1:]).max())
             res.check_residual(cdiff, GAUSS_TOL,
-                               f"GF({size}): nontrivial complete sum residual {cdiff}")
+                               lambda: f"GF({size}): nontrivial complete sum residual {cdiff}")
         res.check(
             gauss_sum(CharacterHandle(field, 1, 0), 0) == complex(order),
-            f"GF({size}): scalar trivial Gauss sum at beta=0 not exact",
+            lambda: f"GF({size}): scalar trivial Gauss sum at beta=0 not exact",
         )
         # scalar op agrees with the vectorized table on random entries
         for _ in range(min(8, order)):
@@ -425,7 +427,7 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
             val = gauss_sum(chi, field.exp_table[b])
             res.check(
                 abs(val - table[lam, b]) < 1e-10,
-                f"GF({size}): scalar/table Gauss sums differ at ({lam},{b})",
+                lambda: f"GF({size}): scalar/table Gauss sums differ at ({lam},{b})",
             )
         # orthogonality relations for every divisor of the group order
         for e in _divisors(order):
@@ -435,7 +437,7 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
             target = np.where(t % e == 0, float(e), 0.0)
             odiff = float(np.abs(sums - target).max())
             res.check_residual(odiff, GAUSS_TOL,
-                               f"GF({size}) e={e}: orthogonality residual {odiff}")
+                               lambda: f"GF({size}) e={e}: orthogonality residual {odiff}")
         # scalar orthogonality op on a few points, largest two divisors
         for e in _divisors(order)[-2:]:
             alpha = field.exp_table[e % order]
@@ -445,7 +447,7 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
                 want = e if x_log % e == 0 else 0
                 res.check(
                     abs(val - want) < GAUSS_TOL,
-                    f"GF({size}): scalar orthogonality at e={e} off",
+                    lambda: f"GF({size}): scalar orthogonality at e={e} off",
                 )
     return res
 
@@ -466,13 +468,15 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
         diffs: dict = {}  # D rows -> residual: each distinct subspace scored once
         for stack, keys in _canonical_blocks(spec, spec.k1, draws):
             new = _first_draws(keys, diffs)
-            for t, target in zip(new, zero_counts(spec, stack[new]).tolist()):
-                basis = SubspaceBasis(spec.q, K, keys[t])
-                diffs[keys[t]] = abs(nj_via_charsum(spec, basis) - target)
+            fresh = stack[new]
+            targets = zero_counts(spec, fresh)
+            residuals = np.abs(charsum_zero_counts(spec, fresh) - targets)
+            diffs.update(zip((keys[t] for t in new), residuals.tolist()))
             for rows in keys:
                 diff = diffs[rows]
-                res.check_residual(diff, ORACLE_TOL,
-                                   f"{params}: oracle residual {diff} at subspace {rows}")
+                res.check_residual(
+                    diff, ORACLE_TOL,
+                    lambda: f"{params}: oracle residual {diff} at subspace {rows}")
     res.notes.setdefault("max_residual", 0.0)  # no usable instance: nothing checked
     res.notes["instances"] = [list(params) for params, _ in usable]
     return res
@@ -494,24 +498,24 @@ def closed_forms_suite(workers: int = 1) -> SuiteResult:
     for params in cases:
         q, k1, k2, e1, e2 = params
         structural = detect_family(q, k1, k2, e1, e2) is not None
-        res.check(structural, f"{params}: not structural")
+        res.check(structural, lambda: f"{params}: not structural")
         if not structural:
             continue
         spec = build_code(*params)
         for j in range(1, k1 + 1):
             n_j, m_j = evaluate_closed_form(q, k1, k2, e1, e2, j)
             res.check(
-                n_j > 0 and m_j > 0, f"{params} j={j}: nonpositive closed form"
+                n_j > 0 and m_j > 0, lambda: f"{params} j={j}: nonpositive closed form"
             )
             brute = rghw_bruteforce(spec, j, workers=workers)
             dual = mj_dual_count(spec, j, workers=workers)
             res.check(
                 m_j == brute == dual.m,
-                f"{params} j={j}: closed form {m_j} vs brute {brute} vs dual {dual.m}",
+                lambda: f"{params} j={j}: closed form {m_j} vs brute {brute} vs dual {dual.m}",
             )
             res.check(
                 n_j == dual.n_j,
-                f"{params} j={j}: closed-form N {n_j} vs dual N {dual.n_j}",
+                lambda: f"{params} j={j}: closed-form N {n_j} vs dual N {dual.n_j}",
             )
     return res
 

@@ -33,6 +33,7 @@ from .codes import CodeSpec, basis_codewords, build_code
 from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
 from .subspaces import (
     SubspaceBasis,
+    check_product_ambient,
     count_for_pivots,
     cyclic_group_counts,
     dual_stack,
@@ -82,6 +83,7 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 
 def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
     """zero_counts of a single subspace."""
+    check_product_ambient(basis, spec)
     return int(zero_counts(spec, basis.matrix()[None])[0])
 
 

@@ -6,20 +6,49 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rghw import charsum
 from rghw.charsum import (
     CharacterHandle,
-    char_eval,
+    charsum_zero_counts,
     gauss_sum,
-    incomplete_character_sum,
     nj_via_charsum,
     orthogonality_sum,
     unit_roots,
 )
 from rghw.codes import build_code
-from rghw.errors import BadIndex, FieldMismatch, NonCoprimeOrders, ZeroArgument
+from rghw.errors import (
+    BadIndex,
+    FieldMismatch,
+    LengthMismatch,
+    NonCoprimeOrders,
+    PrecisionFailure,
+    ZeroArgument,
+)
 from rghw.gf import build_field, embed_subfield
-from rghw.subspaces import member_matrix, subspace_from_rows
-from rghw.weights import nj_of_subspace
+from rghw.subspaces import (
+    SubspaceBasis,
+    padded_stack,
+    stack_members,
+    stack_rows,
+    subspace_from_rows,
+)
+from rghw.verify import ORACLE_TOL
+from rghw.weights import nj_of_subspace, zero_counts
+
+
+def char_eval(chi: CharacterHandle, x: int) -> complex:
+    """chi(x), evaluated one element at a time: the scalar reference for the
+    oracle's character classes (the package's discrete log validates x)."""
+    t = charsum._unit_log(chi.field, x)
+    return complex(unit_roots(chi.order)[(chi.exponent * t) % chi.order])
+
+
+def incomplete_character_sum(chi: CharacterHandle, elements) -> complex:
+    """Sum of chi over a set of codes of the field, with chi(0) taken as 0."""
+    return complex(sum((char_eval(chi, x) for x in elements if x), 0j))
 
 
 def test_unit_roots_table():
@@ -256,7 +285,7 @@ def test_per_subspace_closed_form_q3():
         j = 1 + int(rng.integers(0, 2))
         rows = rng.integers(0, 3, size=(j, spec.ambient_dim))
         d = subspace_from_rows(3, spec.ambient_dim, rows, "product")
-        members = member_matrix(d)
+        members = stack_members(d.matrix()[None], spec.ops)[0]
         pairs = list(zip(*spec.pairs_from_vectors(members)))
         if any(c1 == 0 and c2 != 0 for c1, c2 in pairs):
             continue  # formula assumes trivial intersection
@@ -265,3 +294,73 @@ def test_per_subspace_closed_form_q3():
         jj = d.dim
         closed = (q ** (k1 + k2) - q**k1 + q**jj - q**k2 * u) / (q**jj * (q - 1))
         assert abs(closed - nj_of_subspace(spec, d)) < 1e-9
+
+
+# coprime specs whose one-sided expansions have nontrivial character terms
+# on the first factor and on the second, and a trivial one
+STACKED_SPECS = ((3, 2, 3, 2, 2), (2, 3, 4, 1, 3), (3, 2, 3, 1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STACKED_SPECS), st.data())
+def test_stacked_oracle_matches_zero_counts_and_the_one_element_oracle(params, data):
+    """Random zero-padded stacks mixing dimensions.  Each drawn row lies in
+    the whole product, in one factor only, or is zero, so subspaces meet
+    the one-sided classes and all-zero draws (d = 0) occur; stacks of no
+    bases are drawn too."""
+    spec = build_code(*params)
+    K, k1 = spec.ambient_dim, spec.k1
+    width = data.draw(st.integers(0, k1), label="width")
+    kinds = data.draw(st.lists(st.lists(st.sampled_from("b12z"), max_size=width),
+                               max_size=6), label="row kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = np.arange(K)
+    masks = {"b": columns >= 0, "1": columns < k1, "2": columns >= k1, "z": columns < 0}
+    mats = [np.array([rng.integers(0, spec.q, K) * masks[kind] for kind in row],
+                     dtype=np.int16).reshape(len(row), K) for row in kinds]
+    stack = spec.ops.rref_many(padded_stack(mats, width, K))
+    counts = charsum_zero_counts(spec, stack)
+    assert counts.shape == (len(mats),) and counts.dtype == np.float64
+    assert (np.abs(counts - zero_counts(spec, stack)) < ORACLE_TOL).all()
+    for value, rows in zip(counts.tolist(), stack_rows(stack)):
+        assert value == nj_via_charsum(spec, SubspaceBasis(spec.q, K, rows))
+
+
+def test_an_imaginary_residue_names_the_first_offending_subspace(monkeypatch):
+    # Gauss sums over the second factor's field get an imaginary unit added,
+    # so exactly the subspaces with a member nonzero on factor 2 offend
+    spec = build_code(2, 2, 3, 1, 1)
+    f1, f2 = spec.factors
+    K = spec.ambient_dim
+    rows = [
+        [],                                                   # zero subspace
+        [np.concatenate([f1.decompose[1], f2.decompose[0]])],  # factor 1 only
+        [np.concatenate([f1.decompose[1], f2.decompose[1]])],  # offends first
+        [np.concatenate([f1.decompose[0], f2.decompose[1]])],  # offends too
+    ]
+    stack = spec.ops.rref_many(padded_stack([np.array(r, dtype=np.int16).reshape(-1, K)
+                                             for r in rows], 1, K))
+    clean = charsum_zero_counts(spec, stack)
+    gauss = charsum._gauss_at_one
+
+    def skewed(chi):
+        return gauss(chi) + (1j if chi.field is f2.field else 0)
+
+    monkeypatch.setattr(charsum, "_gauss_at_one", skewed)
+    assert (charsum_zero_counts(spec, stack[:2]) == clean[:2]).all()
+    with pytest.raises(PrecisionFailure) as raised:
+        charsum_zero_counts(spec, stack)
+    offending = stack_rows(stack)[2]
+    assert str(raised.value).startswith("imaginary residue ")
+    assert str(raised.value).endswith(f" exceeds {charsum.IMAG_TOL} for {offending}")
+    with pytest.raises(PrecisionFailure) as single:
+        nj_via_charsum(spec, SubspaceBasis(spec.q, K, offending))
+    assert str(single.value) == str(raised.value)
+
+
+def test_the_stacked_oracle_rejects_non_coprime_orders_and_foreign_stacks():
+    with pytest.raises(NonCoprimeOrders):
+        charsum_zero_counts(build_code(3, 2, 2, 1, 2), np.zeros((0, 1, 4), dtype=np.int16))
+    spec = build_code(2, 2, 3, 1, 1)
+    with pytest.raises(LengthMismatch, match="product ambient"):
+        charsum_zero_counts(spec, np.zeros((2, 1, spec.ambient_dim + 1), dtype=np.int16))

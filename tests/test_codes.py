@@ -155,14 +155,15 @@ def test_subcode_examples():
 def test_support_of_subspace_matches_union_of_members():
     spec = build_code(3, 2, 3, 1, 2)
     rng = np.random.default_rng(3)
-    from rghw.subspaces import member_matrix
+    from rghw.subspaces import stack_members
 
     for _ in range(10):
         rows = rng.integers(0, 3, size=(2, spec.ambient_dim))
         basis = subspace_from_rows(3, spec.ambient_dim, rows, "product")
         via_basis = set(np.flatnonzero(basis_codewords(spec, basis).any(axis=0)).tolist())
         union = set()
-        for c1, c2 in zip(*spec.pairs_from_vectors(member_matrix(basis))):
+        members = stack_members(basis.matrix()[None], spec.ops)[0]
+        for c1, c2 in zip(*spec.pairs_from_vectors(members)):
             union |= {i for i, v in enumerate(codeword(spec, int(c1), int(c2))) if v}
         assert via_basis == union
 

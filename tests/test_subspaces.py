@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rghw.charsum import nj_via_charsum
 from rghw.codes import basis_codewords, build_code
-from rghw.errors import LengthMismatch, RangeError
+from rghw.errors import FieldMismatch, LengthMismatch, RangeError
 from rghw.linalg import table_ops
 from rghw.gf import build_field
 from rghw.subspaces import (
@@ -21,7 +21,7 @@ from rghw.subspaces import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
-    member_matrix,
+    stack_members,
     padded_stack,
     pivot_sets,
     project_stack,
@@ -30,6 +30,7 @@ from rghw.subspaces import (
     subspace_from_rows,
 )
 from rghw.verify import DEFAULT_INSTANCES
+from rghw.weights import nj_of_subspace
 
 
 def test_gaussian_binomial_values():
@@ -98,12 +99,15 @@ def test_enumeration_deterministic_and_partitionable():
 
 def test_member_matrix_and_membership():
     basis = subspace_from_rows(3, 4, [(1, 0, 2, 1), (0, 1, 1, 2)])
-    members = member_matrix(basis)
+    f3 = build_field(3, 1)
+    ops = table_ops(f3)
+    members = stack_members(basis.matrix()[None], ops)[0]
     assert members.shape == (9, 4)
     rows = {tuple(int(v) for v in r) for r in members}
     assert len(rows) == 9
-    f3 = build_field(3, 1)
-    ops = table_ops(f3)
+    # padded with a zero row, the basis lists each member q = 3 times
+    padded = stack_members(padded_stack([basis.matrix()], 3, 4), ops)[0]
+    assert sorted(map(tuple, padded.tolist())) == sorted(3 * list(rows))
     # closure under addition
     lst = sorted(rows)
     for a in lst:
@@ -186,10 +190,27 @@ def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
         lambda: dual_subspace(outside, spec),
         lambda: intersect_with_cyclic_group(outside, spec),
         lambda: basis_codewords(spec, outside),
+        lambda: nj_of_subspace(spec, outside),
         lambda: nj_via_charsum(spec, outside),
     ]
     for call in calls:
         with pytest.raises(LengthMismatch, match="product ambient"):
+            call()
+
+
+def test_a_basis_over_another_field_is_a_field_mismatch():
+    # the right length, F_3^5, against a code over GF(2)
+    spec = build_code(2, 2, 3, 1, 1)
+    other = subspace_from_rows(3, spec.ambient_dim, [(1, 2, 0, 2, 1)])
+    calls = [
+        lambda: dual_subspace(other, spec),
+        lambda: intersect_with_cyclic_group(other, spec),
+        lambda: basis_codewords(spec, other),
+        lambda: nj_of_subspace(spec, other),
+        lambda: nj_via_charsum(spec, other),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch, match=r"basis is over GF\(3\), the code over GF\(2\)"):
             call()
 
 

@@ -1,6 +1,7 @@
 """The verify suites as run_suites dispatches them."""
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from rghw import verify, weights
+from rghw.charsum import nj_via_charsum
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated
 from rghw.subspaces import SubspaceBasis, gaussian_binomial, stack_rows
@@ -30,10 +32,22 @@ def test_check_counts_match_the_benchmark_reference():
 def test_check_residual_keeps_the_largest_residual():
     res = SuiteResult("demo")
     for diff in (1e-12, 3e-10, 2e-11):
-        res.check_residual(diff, 1e-9, f"residual {diff}")
+        res.check_residual(diff, 1e-9, lambda: f"residual {diff}")
     assert (res.checks, res.failures, res.notes) == (3, [], {"max_residual": 3e-10})
-    res.check_residual(0.5, 1e-9, "residual 0.5")
+    res.check_residual(0.5, 1e-9, lambda: "residual 0.5")
     assert (res.checks, res.failures, res.notes) == (4, ["residual 0.5"], {"max_residual": 0.5})
+
+
+def test_a_failure_message_is_built_only_when_the_check_fails():
+    def unbuildable():
+        raise AssertionError("a passing check built its message")
+
+    res = SuiteResult("demo")
+    res.check(True, unbuildable)
+    res.check_residual(1e-12, 1e-9, unbuildable)
+    assert (res.checks, res.failures) == (2, [])
+    res.check(False, lambda: "failed")
+    assert (res.checks, res.failures) == (3, ["failed"])
 
 
 def test_unknown_suite_is_a_key_error():
@@ -78,22 +92,27 @@ def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatc
     chosen_params = usable[0]
     chosen, repeats = Counter(per_instance[0]).most_common(1)[0]
     assert repeats > 1
-    oracle = verify.nj_via_charsum
-    calls = Counter()
+    oracle = verify.charsum_zero_counts
+    calls, scored = Counter(), Counter()  # per instance: oracle calls, subspaces scored
 
-    def off_by_one(spec, basis):
+    def off_by_one(spec, stack):
         calls[_params(spec)] += 1
-        value = oracle(spec, basis)
-        return value + 1 if (_params(spec), basis.rows) == (chosen_params, chosen) else value
+        scored[_params(spec)] += len(stack)
+        counts = oracle(spec, stack)
+        for t, rows in enumerate(stack_rows(stack)):
+            if (_params(spec), rows) == (chosen_params, chosen):
+                counts[t] += 1
+        return counts
 
-    monkeypatch.setattr(verify, "nj_via_charsum", off_by_one)
+    monkeypatch.setattr(verify, "charsum_zero_counts", off_by_one)
     draws.clear()
     res = verify.charsum_suite(seed=1, samples=samples)
-    assert [len(set(d)) for d in per_instance] == [calls[p] for p in usable]
+    assert [len(set(d)) for d in per_instance] == [scored[p] for p in usable]
+    assert [calls[p] for p in usable] == [math.ceil(samples / 7)] * len(usable)  # one per block
     assert res.checks == samples * len(usable)
     spec = build_code(*chosen_params)
     basis = SubspaceBasis(spec.q, spec.ambient_dim, chosen)
-    diff = abs(oracle(spec, basis) + 1 - verify.nj_of_subspace(spec, basis))
+    diff = abs(nj_via_charsum(spec, basis) + 1 - verify.nj_of_subspace(spec, basis))
     message = f"{chosen_params}: oracle residual {diff} at subspace {chosen}"
     assert res.failures == [message] * repeats
     assert res.notes["max_residual"] == diff
@@ -146,10 +165,10 @@ def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkey
 def test_draw_blocks_do_not_change_results(monkeypatch):
     # an oracle off by one and a dual short of a row on some subspaces, so
     # that the order of the failures is compared too
-    oracle, dual_stack = verify.nj_via_charsum, verify.dual_stack
+    oracle, dual_stack = verify.charsum_zero_counts, verify.dual_stack
 
-    def off_by_one(spec, basis):
-        return oracle(spec, basis) + any(row[-1] == 1 for row in basis.rows)
+    def off_by_one(spec, stack):
+        return oracle(spec, stack) + (stack[:, :, -1] == 1).any(axis=1)
 
     def short_dual(stack, spec):
         dual = dual_stack(stack, spec)
@@ -157,7 +176,7 @@ def test_draw_blocks_do_not_change_results(monkeypatch):
             _drop_first_row(dual, t)
         return dual
 
-    monkeypatch.setattr(verify, "nj_via_charsum", off_by_one)
+    monkeypatch.setattr(verify, "charsum_zero_counts", off_by_one)
     monkeypatch.setattr(verify, "dual_stack", short_dual)
 
     def outcome():
