@@ -12,7 +12,7 @@ from .codes import (
     CodeSpec,
     basis_codewords,
     build_code,
-    codeword,
+    codewords,
     parity_check_polynomial,
 )
 from .errors import RghwError
@@ -33,6 +33,7 @@ from .subspaces import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
+    rref_stack,
     stack_members,
     subspace_from_rows,
 )
@@ -64,7 +65,7 @@ __all__ = [
     "basis_codewords",
     "build_code",
     "build_field",
-    "codeword",
+    "codewords",
     "compute_report",
     "detect_family",
     "dual_subspace",
@@ -84,6 +85,7 @@ __all__ = [
     "orthogonality_sum",
     "parity_check_polynomial",
     "rghw_bruteforce",
+    "rref_stack",
     "stack_members",
     "subspace_from_rows",
     "unit_roots",

@@ -230,13 +230,19 @@ def build_code(q: int, k1: int, k2: int, e1: int, e2: int) -> CodeSpec:
     return CodeSpec(q, k1, k2, e1, e2)
 
 
-def codeword(spec: CodeSpec, beta1, beta2) -> tuple[int, ...]:
-    """The n GF(q) codes tr1(b1*a1^i) + tr2(b2*a2^i), i = 0, ..., n-1."""
+def codewords(spec: CodeSpec, beta1, beta2) -> np.ndarray:
+    """(B, n): row b is the codeword tr1(b1*a1^i) + tr2(b2*a2^i), i < n, of
+    the b-th pair of element codes; beta1 and beta2 are codes or arrays of
+    codes, broadcast against each other, and one matmul serves them all."""
     f1, f2 = spec.factors
-    u = np.concatenate([f1.decompose[f1.field.check(beta1)],
-                        f2.decompose[f2.field.check(beta2)]])
-    coords = spec.ops.matmul(spec.coordinate_functionals, u[:, None])[:, 0]
-    return tuple(int(v) for v in coords)
+    b1, b2 = np.broadcast_arrays(np.asarray(beta1, dtype=np.int64),
+                                 np.asarray(beta2, dtype=np.int64))
+    for f, codes in ((f1, b1), (f2, b2)):
+        if codes.size:  # an element code out of range is the least or the greatest
+            f.field.check(codes.min())
+            f.field.check(codes.max())
+    u = np.hstack([f1.decompose[b1.reshape(-1)], f2.decompose[b2.reshape(-1)]])
+    return spec.ops.matmul(u, spec.coordinate_functionals.T)
 
 
 def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:

@@ -10,6 +10,7 @@ project, dualize and count in a few numpy passes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -83,31 +84,43 @@ def count_for_pivots(pivots: Sequence[int], k: int, q: int) -> int:
     return q ** len(free_positions(pivots, k))
 
 
-def enumerate_rref_rows(k: int, j: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the RREF rows of every j-dimensional subspace of F_q^k exactly
-    once, lexicographic in the pivot sets, then in the free entries."""
+def digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Base-q digits of each value, most significant first: (len, width)."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (values[:, None] // powers) % q
+
+
+@functools.cache
+def counter(width: int, q: int) -> np.ndarray:
+    """The digits of 0, ..., q^width - 1, read-only int16: row t holds the
+    free entries of the t-th basis of a pivot set with width free entries."""
+    table = digits(np.arange(q ** width), width, q).astype(np.int16)
+    table.flags.writeable = False
+    return table
+
+
+def rref_stack(k: int, j: int, q: int) -> np.ndarray:
+    """(N, j, k): the RREF basis of every j-dimensional subspace of F_q^k
+    exactly once, lexicographic in the pivot sets, then in the free entries
+    (row-major, counting in base q), built one pivot set at a time."""
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
+    blocks = []
     for pivots in pivot_sets(k, j):
-        # the rows each RREF row can be, free entries in base-q order; the
-        # row tuples are shared by every basis of the pivot set
-        choices = []
-        for pc in pivots:
-            free = [c for c in range(pc + 1, k) if c not in pivots]
-            row = [0] * k
-            row[pc] = 1
-            options = []
-            for values in itertools.product(range(q), repeat=len(free)):
-                for c, v in zip(free, values):
-                    row[c] = v
-                options.append(tuple(row))
-            choices.append(options)
-        yield from itertools.product(*choices)
+        positions = free_positions(pivots, k)
+        block = np.zeros((q ** len(positions), j, k), dtype=np.int16)
+        block[:, range(j), pivots] = 1
+        if positions:
+            rows, cols = zip(*positions)
+            block[:, rows, cols] = counter(len(positions), q)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[SubspaceBasis]:
-    """Yield every j-dimensional subspace of F_q^k exactly once."""
-    return (SubspaceBasis(q, k, rows) for rows in enumerate_rref_rows(k, j, q))
+    """Yield every j-dimensional subspace of F_q^k exactly once, in the
+    order of rref_stack."""
+    return (SubspaceBasis(q, k, rows) for rows in stack_rows(rref_stack(k, j, q)))
 
 
 def subspace_from_rows(

@@ -24,7 +24,7 @@ from .charsum import (
     unit_roots,
 )
 from .closed_forms import detect_family, evaluate_closed_form
-from .codes import CodeSpec, build_code, codeword, parity_check_polynomial
+from .codes import CodeSpec, build_code, codewords, parity_check_polynomial
 from .gf import (
     FieldTable,
     build_field,
@@ -38,11 +38,10 @@ from .gf import (
 from .subspaces import (
     dual_stack,
     dual_subspace,
-    enumerate_rref_rows,
-    enumerate_subspaces,
     gaussian_binomial,
     padded_stack,
     project_stack,
+    rref_stack,
     stack_dims,
     stack_rows,
 )
@@ -96,13 +95,20 @@ class SuiteResult:
         }
 
 
-def _canonical_blocks(spec: CodeSpec, width: int, draws: Iterable[np.ndarray]):
-    """Yield (stack, rows) for each block of up to DRAW_BLOCK draws of at
-    most width rows: the draws' RREF bases as one zero-padded stack, from
-    one elimination, and each draw's RREF rows as tuples, in draw order."""
+def _padded_blocks(draws: Iterable[np.ndarray], width: int, ambient_dim: int):
+    """Yield the draws, matrices of at most width rows, in blocks of up to
+    DRAW_BLOCK as zero-padded (draws x width x ambient_dim) stacks."""
     draws = iter(draws)
     while block := list(itertools.islice(draws, DRAW_BLOCK)):
-        red = spec.ops.rref_many(padded_stack(block, width, spec.ambient_dim))
+        yield padded_stack(block, width, ambient_dim)
+
+
+def _canonical_blocks(spec: CodeSpec, blocks: Iterable[np.ndarray]):
+    """Yield (stack, rows) for each zero-padded stack of draws: the draws'
+    RREF bases from one elimination, and each draw's RREF rows as tuples,
+    in draw order."""
+    for block in blocks:
+        red = spec.ops.rref_many(block)
         yield red, stack_rows(red)
 
 
@@ -113,6 +119,16 @@ def _first_draws(keys: Sequence, known) -> list[int]:
         if rows not in known:
             first.setdefault(rows, t)
     return list(first.values())
+
+
+def _row_keys(mat: np.ndarray) -> np.ndarray:
+    """One void scalar per row of a 2-D array, equal exactly when the rows
+    are, so that one sort of the keys (np.unique) finds the distinct rows;
+    np.unique(axis=0) on the rows themselves is many times slower."""
+    mat = np.ascontiguousarray(mat)
+    if not mat.shape[1]:  # rows of no entries are all equal
+        return np.zeros(len(mat), dtype=np.dtype((np.void, 1)))
+    return mat.view(np.dtype((np.void, mat.itemsize * mat.shape[1])))[:, 0]
 
 
 # -- gf ---------------------------------------------------------------------
@@ -185,12 +201,19 @@ def gf_suite() -> SuiteResult:
 # -- codes --------------------------------------------------------------------
 
 
-def _all_codewords(spec: CodeSpec) -> dict[tuple[int, ...], tuple[int, int]]:
-    words = {}
-    for b1 in range(spec.Q1):
-        for b2 in range(spec.Q2):
-            words[codeword(spec, b1, b2)] = (b1, b2)
-    return words
+def _all_codewords(spec: CodeSpec) -> np.ndarray:
+    """(Q1 Q2, n): the codeword of (b1, b2) in row b1 Q2 + b2."""
+    return codewords(spec, np.arange(spec.Q1)[:, None], np.arange(spec.Q2))
+
+
+def _subcode_words(spec: CodeSpec) -> np.ndarray:
+    """(Q2 - 1, n): the words tr2(b2 a2^i), i < n, of C' for b2 = g2^s,
+    from the second factor's exp, log and trace tables alone."""
+    f2 = spec.factors[1]
+    field = f2.field
+    logs = (np.arange(field.order)[:, None]
+            + field.log_table[f2.alpha] * np.arange(spec.n)) % field.order
+    return f2.trace[np.array(field.exp_table)[logs]].astype(np.int16)
 
 
 def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
@@ -209,43 +232,41 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
                  for f in spec.factors}
         res.check(norms == {spec.delta}, lambda: f"{label}: delta compatibility broken")
         words = _all_codewords(spec)
+        word_keys = np.unique(_row_keys(words))
         res.check(
-            len(words) == spec.Q1 * spec.Q2, lambda: f"{label}: codeword map is not injective"
+            len(word_keys) == spec.Q1 * spec.Q2,
+            lambda: f"{label}: codeword map is not injective",
         )
-        word_set = set(words)
-        shifts_ok = all(w[1:] + w[:1] in word_set for w in word_set)
-        res.check(shifts_ok, lambda: f"{label}: cyclic shift closure fails")
-        subwords = {codeword(spec, 0, b2) for b2 in range(spec.Q2)}
-        res.check(subwords <= word_set, lambda: f"{label}: C' not contained in C")
-        periodic = all(
-            w[i] == w[(i + spec.n2) % spec.n]
-            for w in subwords
-            for i in range(spec.n)
-        )
-        res.check(periodic, lambda: f"{label}: subcode words not n2-periodic")
+        # a shift permutes the distinct words exactly when it maps them into
+        # themselves, since it is injective on words
+        shifted_keys = np.unique(_row_keys(np.roll(words, -1, axis=1)))
+        res.check(np.array_equal(shifted_keys, word_keys),
+                  lambda: f"{label}: cyclic shift closure fails")
+        res.check(np.isin(_row_keys(_subcode_words(spec)), word_keys).all(),
+                  lambda: f"{label}: C' not contained in C")
+        table = words.reshape(spec.Q1, spec.Q2, spec.n)
+        res.check(np.array_equal(table[0], np.roll(table[0], -spec.n2, axis=1)),
+                  lambda: f"{label}: subcode words not n2-periodic")
         h = parity_check_polynomial(spec)
         res.check(
             h.degree == spec.k1 + spec.k2, lambda: f"{label}: parity-check degree wrong"
         )
-        recur = _recurrence_annihilates(spec, h, word_set)
+        recur = _recurrence_annihilates(spec, h, words)
         res.check(recur, lambda: f"{label}: parity-check recurrence fails on some word")
         # repetition structure of one-sided words
-        rep_ok = True
-        for b1 in range(1, spec.Q1):
-            w = codeword(spec, b1, 0)
-            if any(w[i] != w[(i + spec.n1) % spec.n] for i in range(spec.n)):
-                rep_ok = False
-        res.check(rep_ok, lambda: f"{label}: one-sided words not n1-periodic")
+        one_sided = table[:, 0]
+        res.check(np.array_equal(one_sided, np.roll(one_sided, -spec.n1, axis=1)),
+                  lambda: f"{label}: one-sided words not n1-periodic")
     return res
 
 
-def _recurrence_annihilates(spec: CodeSpec, h, word_set) -> bool:
-    """Apply the reversed-coefficient recurrence cyclically to every word:
-    sum_t h_(k-t) w_(i+t) = 0 for every position i, as k+1 shifted copies
-    of the word matrix scaled and added through the field tables."""
+def _recurrence_annihilates(spec: CodeSpec, h, words: np.ndarray) -> bool:
+    """Apply the reversed-coefficient recurrence cyclically to every row of
+    the (B, n) words: sum_t h_(k-t) w_(i+t) = 0 for every position i, as
+    k+1 shifted copies of the word matrix scaled and added through the
+    field tables."""
     ops = spec.ops
     k = h.degree
-    words = np.array(list(word_set), dtype=np.int16).reshape(-1, spec.n)
     acc = np.zeros_like(words)
     for t in range(k + 1):
         term = ops.mul_table[h.coeffs[k - t], np.roll(words, -t, axis=1)]
@@ -264,15 +285,14 @@ def subspaces_suite(seed: int = 2024,
     for q in (2, 3):
         for k in range(1, max_dim + 1):
             for j in range(0, k + 1):
-                seen = set()
-                count = 0
-                for rows in enumerate_rref_rows(k, j, q):
-                    count += 1
-                    seen.add(rows)
+                stack = rref_stack(k, j, q)
+                count = len(stack)
+                distinct = len(np.unique(_row_keys(stack.reshape(count, -1))))
                 expected = gaussian_binomial(k, j, q)
                 res.check(
-                    count == expected and len(seen) == expected,
-                    lambda: f"q={q} k={k} j={j}: enumeration count {count} != {expected}",
+                    count == distinct == expected,
+                    lambda: f"q={q} k={k} j={j}: enumeration count {count}"
+                            f" ({distinct} distinct) != {expected}",
                 )
     # duality round-trips on seeded random subspaces of the product ambients;
     # each distinct subspace is dualized once, each draw checked
@@ -285,7 +305,7 @@ def subspaces_suite(seed: int = 2024,
         draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
                  for _ in range(per_spec))
         duals: dict = {}  # H rows -> (dual dimension, double-dual rows)
-        for stack, keys in _canonical_blocks(spec, K, draws):
+        for stack, keys in _canonical_blocks(spec, _padded_blocks(draws, K, K)):
             new = _first_draws(keys, duals)
             dual = dual_stack(stack[new], spec)
             for t, dim, double in zip(new, stack_dims(dual), stack_rows(dual_stack(dual, spec))):
@@ -301,25 +321,29 @@ def subspaces_suite(seed: int = 2024,
     spec = specs[0]
     K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
     eye2 = np.eye(k2, K, k1, dtype=np.int16)  # a basis of C', the second factor
-    bases = [H for j in range(K + 1) for H in enumerate_subspaces(K, j, spec.q)]
-    padded = padded_stack([H.matrix() for H in bases], K, K)
+    padded = np.concatenate([np.pad(rref_stack(K, j, spec.q), ((0, 0), (0, K - j), (0, 0)))
+                             for j in range(K + 1)])
     image1, kernel1 = project_stack(padded, spec, 1)
     image2_dual, _ = project_stack(dual_stack(padded, spec), spec, 2)
     with_subcode = spec.ops.rref_many(np.concatenate(
-        [padded, np.broadcast_to(eye2, (len(bases), k2, K))], axis=1))
-    dims = map(stack_dims, (image1, kernel1, image2_dual, with_subcode))
-    for H, image1_dim, kernel1_dim, image2_dual_dim, rank in zip(bases, *dims):
+        [padded, np.broadcast_to(eye2, (len(padded), k2, K))], axis=1))
+    dims = map(stack_dims, (padded, image1, kernel1, image2_dual, with_subcode))
+
+    def rows(t):  # the basis a failure message names
+        return stack_rows(padded[t:t + 1])[0]
+
+    for t, (dim, image1_dim, kernel1_dim, image2_dual_dim, rank) in enumerate(zip(*dims)):
         res.check(
-            image1_dim + kernel1_dim == H.dim,
-            lambda: f"j={H.dim}: projection rank-nullity fails for {H.rows}",
+            image1_dim + kernel1_dim == dim,
+            lambda: f"j={dim}: projection rank-nullity fails for {rows(t)}",
         )
-        inter_dim = H.dim + k2 - rank
+        inter_dim = dim + k2 - rank
         p_a = inter_dim == 0
         p_b = kernel1_dim == 0
         p_c = image2_dual_dim == k2
         res.check(
             p_a == p_b == p_c,
-            lambda: f"j={H.dim}: intersection predicates disagree for {H.rows}",
+            lambda: f"j={dim}: intersection predicates disagree for {rows(t)}",
         )
     return res
 
@@ -363,7 +387,8 @@ def weights_suite(seed: int = 2024,
         draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, spec.k1 + 1)),
                                                spec.ambient_dim))
                  for _ in range(25))
-        for stack, _ in _canonical_blocks(spec, spec.k1, draws):
+        blocks = _padded_blocks(draws, spec.k1, spec.ambient_dim)
+        for stack, _ in _canonical_blocks(spec, blocks):
             for value in zero_counts(spec, stack).tolist():
                 res.check(
                     0 <= value <= spec.n, lambda: f"{label}: zero count {value} out of range"
@@ -456,6 +481,21 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _charsum_draws(spec: CodeSpec, rng: np.random.Generator, samples: int):
+    """Yield the oracle's random draws in blocks of up to DRAW_BLOCK as
+    zero-padded (draws x k1 x (k1+k2)) stacks: draw i has 1 + i % k1 rows.
+
+    A block's rows come from one rng.integers call, in the same stream as
+    one call per draw: for int64 output numpy draws each bounded value from
+    the generator's 32-bit stream, which carries over between calls."""
+    k1, K = spec.k1, spec.ambient_dim
+    for start in range(0, samples, DRAW_BLOCK):
+        nrows = 1 + np.arange(start, min(start + DRAW_BLOCK, samples)) % k1
+        block = np.zeros((len(nrows), k1, K), dtype=np.int16)
+        block[np.arange(k1) < nrows[:, None]] = rng.integers(0, spec.q, size=(nrows.sum(), K))
+        yield block
+
+
 def charsum_suite(seed: int = 2024, samples: int = 100,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
     res = SuiteResult("charsum")
@@ -463,10 +503,8 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
-        K = spec.ambient_dim
-        draws = (rng.integers(0, spec.q, size=(1 + i % spec.k1, K)) for i in range(samples))
         diffs: dict = {}  # D rows -> residual: each distinct subspace scored once
-        for stack, keys in _canonical_blocks(spec, spec.k1, draws):
+        for stack, keys in _canonical_blocks(spec, _charsum_draws(spec, rng, samples)):
             new = _first_draws(keys, diffs)
             fresh = stack[new]
             targets = zero_counts(spec, fresh)

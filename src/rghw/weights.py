@@ -17,7 +17,6 @@ worker processes with a deterministic merge.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -35,7 +34,9 @@ from .subspaces import (
     SubspaceBasis,
     check_product_ambient,
     count_for_pivots,
+    counter,
     cyclic_group_counts,
+    digits,
     dual_stack,
     free_positions,
     pivot_sets,
@@ -178,20 +179,6 @@ def admissible_pivot_sets(k1: int, k2: int, dim: int, mode: str
         return [head + tuple(k2 + p for p in rest)
                 for rest in pivot_sets(k1, dim - k2)] if dim >= k2 else []
     return pivot_sets(k1 + k2, dim)
-
-
-def _digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
-    """Base-q digits of each value, most significant first: (len, width)."""
-    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (values[:, None] // powers) % q
-
-
-@functools.cache
-def _counter(width: int, q: int) -> np.ndarray:
-    """_digits of 0..q^width - 1, for counters of at most a batch."""
-    digits = _digits(np.arange(q ** width), width, q)
-    digits.flags.writeable = False
-    return digits
 
 
 def _low_width(width: int, q: int, rows: int) -> int:
@@ -337,10 +324,10 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
         split = len(positions) - _low_width(len(positions), q, BATCH)
         run = q ** (len(positions) - split)
         # heads[r] + low[l] indexes the masks of t = r * run + l
-        low = _counter(len(positions) - split, q) @ weights[split:]
+        low = counter(len(positions) - split, q) @ weights[split:]
         heads = bases
         if split:
-            high = _digits(np.arange(q ** split), split, q) @ weights[:split]
+            high = digits(np.arange(q ** split), split, q) @ weights[:split]
             heads = (bases[:, None] + high).reshape(-1, weights.shape[1])
         step = max(1, BATCH // run)
         for r in range(0, len(heads), step):
@@ -358,7 +345,7 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
     per = q ** len(positions)
     rows = np.zeros((len(pivots), K), dtype=np.int16)
     rows[range(len(pivots)), pivots] = 1
-    for (r, c), v in zip(positions, _digits(np.array([t % per]), len(positions), q)[0]):
+    for (r, c), v in zip(positions, digits(np.array([t % per]), len(positions), q)[0]):
         rows[r, c] = v
     if anchors is not None:
         rows = np.vstack([anchors[t // per], rows])

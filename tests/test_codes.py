@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rghw.codes import basis_codewords, build_code, codeword, parity_check_polynomial
+from rghw.codes import basis_codewords, build_code, codewords, parity_check_polynomial
 from rghw.errors import (
     BadIndex,
     ConjugateNonzeros,
@@ -80,8 +80,8 @@ def test_delta_compatibility(params):
 
 def test_codeword_zero_and_linearity():
     spec = build_code(3, 2, 3, 1, 2)
-    zero = codeword(spec, 0, 0)
-    assert np.count_nonzero(zero) == 0 and len(zero) == spec.n
+    zero = codewords(spec, 0, 0)
+    assert np.count_nonzero(zero) == 0 and zero.shape == (1, spec.n)
 
     rng = np.random.default_rng(5)
     f1, f2, fq = spec.factors[0].field, spec.factors[1].field, spec.field_q
@@ -91,23 +91,22 @@ def test_codeword_zero_and_linearity():
         u2, v2 = (int(c) for c in rng.integers(0, spec.Q2, 2))
         lift_a1 = spec.factors[0].embed.apply_code(a)
         lift_a2 = spec.factors[1].embed.apply_code(a)
-        lhs = codeword(spec, f1.add(f1.mul(lift_a1, u1), v1), f2.add(f2.mul(lift_a2, u2), v2))
-        wu = codeword(spec, u1, u2)
-        wv = codeword(spec, v1, v2)
-        combo = tuple(
-            fq.add(fq.mul(a, x), y) for x, y in zip(wu, wv)
-        )
-        assert lhs == combo
+        lhs = codewords(spec, f1.add(f1.mul(lift_a1, u1), v1), f2.add(f2.mul(lift_a2, u2), v2))
+        wu, wv = codewords(spec, [u1, v1], [u2, v2]).tolist()
+        combo = [fq.add(fq.mul(a, x), y) for x, y in zip(wu, wv)]
+        assert lhs.tolist() == [combo]
 
 
 def test_codeword_matches_direct_trace_oracle():
     for params in ((2, 2, 3, 1, 1), (3, 2, 3, 1, 2)):
         spec = build_code(*params)
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            b1 = int(rng.integers(0, spec.Q1))
-            b2 = int(rng.integers(0, spec.Q2))
-            assert codeword(spec, b1, b2) == direct_codeword(spec, b1, b2)
+        b1 = rng.integers(0, spec.Q1, 10)
+        b2 = rng.integers(0, spec.Q2, 10)
+        words = codewords(spec, b1, b2)
+        assert words.shape == (10, spec.n)
+        for word, c1, c2 in zip(words.tolist(), b1.tolist(), b2.tolist()):
+            assert tuple(word) == direct_codeword(spec, c1, c2)
 
 
 def test_weight_ten_example():
@@ -118,38 +117,34 @@ def test_weight_ten_example():
     zeros4 = int((trace_table(spec.factors[0].field, spec.field_q)[1:] == 0).sum())
     zeros8 = int((trace_table(spec.factors[1].field, spec.field_q)[1:] == 0).sum())
     assert (zeros4, zeros8) == (1, 3)
-    for b1 in range(1, spec.Q1):
-        for b2 in range(1, spec.Q2):
-            assert np.count_nonzero(codeword(spec, b1, b2)) == 10
+    words = codewords(spec, np.arange(1, spec.Q1)[:, None], np.arange(1, spec.Q2))
+    assert words.shape == ((spec.Q1 - 1) * (spec.Q2 - 1), spec.n)
+    assert (np.count_nonzero(words, axis=1) == 10).all()
 
 
 def test_one_sided_word_is_repetition():
     spec = build_code(2, 2, 3, 1, 1)
     f1, tr1 = spec.factors[0].field, trace_table(spec.factors[0].field, spec.field_q)
-    for b1 in range(1, spec.Q1):
-        w = codeword(spec, b1, 0)
+    for b1, w in zip(range(1, spec.Q1), codewords(spec, np.arange(1, spec.Q1), 0).tolist()):
         base = [int(tr1[f1.mul(b1, f1.pow(spec.factors[0].alpha, i))]) for i in range(spec.n1)]
-        assert w == tuple(base * (spec.n // spec.n1))
+        assert w == base * (spec.n // spec.n1)
 
 
 def test_subcode_examples():
     spec = build_code(2, 2, 3, 1, 1)
-    assert np.count_nonzero(codeword(spec, 0, 0)) == 0
+    assert np.count_nonzero(codewords(spec, 0, 0)) == 0
     ones8 = int((trace_table(spec.factors[1].field, spec.field_q)[1:] == 1).sum())
     assert ones8 == 4  # oracle for the weight computation below
-    for b2 in range(1, spec.Q2):
-        w = codeword(spec, 0, b2)
+    for w in codewords(spec, 0, np.arange(1, spec.Q2)).tolist():
         assert np.count_nonzero(w) == (spec.n // spec.n2) * 4 == 12
         assert all(
             w[i] == w[(i + spec.n2) % spec.n] for i in range(spec.n)
         )
     # containment in C
-    all_words = {
-        codeword(spec, b1, b2)
-        for b1 in range(spec.Q1)
-        for b2 in range(spec.Q2)
-    }
-    assert {codeword(spec, 0, b2) for b2 in range(spec.Q2)} <= all_words
+    all_words = set(map(tuple, codewords(spec, np.arange(spec.Q1)[:, None],
+                                         np.arange(spec.Q2)).tolist()))
+    assert len(all_words) == spec.Q1 * spec.Q2
+    assert set(map(tuple, codewords(spec, 0, np.arange(spec.Q2)).tolist())) <= all_words
 
 
 def test_support_of_subspace_matches_union_of_members():
@@ -163,8 +158,8 @@ def test_support_of_subspace_matches_union_of_members():
         via_basis = set(np.flatnonzero(basis_codewords(spec, basis).any(axis=0)).tolist())
         union = set()
         members = stack_members(basis.matrix()[None], spec.ops)[0]
-        for c1, c2 in zip(*spec.pairs_from_vectors(members)):
-            union |= {i for i, v in enumerate(codeword(spec, int(c1), int(c2))) if v}
+        for word in codewords(spec, *spec.pairs_from_vectors(members)).tolist():
+            union |= {i for i, v in enumerate(word) if v}
         assert via_basis == union
 
 
@@ -184,11 +179,14 @@ def test_parity_check_polynomial():
 def test_codeword_field_mismatch():
     spec = build_code(2, 2, 3, 1, 1)
     with pytest.raises(FieldMismatch):
-        codeword(spec, spec.Q1, 0)  # beta1 names no element of GF(4)
+        codewords(spec, spec.Q1, 0)  # beta1 names no element of GF(4)
     with pytest.raises(FieldMismatch):
-        codeword(spec, 0, -1)
+        codewords(spec, 0, -1)
     with pytest.raises(FieldMismatch):
-        codeword(spec, 99, 0)
+        codewords(spec, 99, 0)
+    with pytest.raises(FieldMismatch):
+        codewords(spec, [0, 1, 2], [3, 8, 1])  # one bad code among good ones
+    assert codewords(spec, [], []).shape == (0, spec.n)
 
 
 def test_basis_codewords_shape():
@@ -196,8 +194,7 @@ def test_basis_codewords_shape():
     basis = subspace_from_rows(2, spec.ambient_dim, np.eye(5, dtype=int)[:2], "product")
     words = basis_codewords(spec, basis)
     assert words.shape == (2, spec.n)
-    for row, c1, c2 in zip(words, *spec.pairs_from_vectors(basis.matrix())):
-        assert tuple(int(v) for v in row) == codeword(spec, int(c1), int(c2))
+    assert (words == codewords(spec, *spec.pairs_from_vectors(basis.matrix()))).all()
 
 
 def test_factor_tables_invert_each_other_on_the_small_grid(small_grid):

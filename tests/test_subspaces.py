@@ -1,6 +1,7 @@
 """Subspace enumeration, projections, duality."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rghw.subspaces import (
     padded_stack,
     pivot_sets,
     project_stack,
+    rref_stack,
     stack_dims,
     stack_rows,
     subspace_from_rows,
@@ -53,6 +55,44 @@ def test_enumerate_smallest_cases():
     assert full[0].rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(RangeError):
         list(enumerate_subspaces(3, 4, 2))
+
+
+def reference_rref_rows(k, j, q):
+    """Reference: the RREF rows of every j-dimensional subspace of F_q^k as
+    tuples, pivot sets in lexicographic order, then each row's free entries
+    counting in base q, the first row most significant."""
+    for pivots in itertools.combinations(range(k), j):
+        choices = []
+        for pc in pivots:
+            free = [c for c in range(pc + 1, k) if c not in pivots]
+            options = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                row = [0] * k
+                row[pc] = 1
+                for c, v in zip(free, values):
+                    row[c] = v
+                options.append(tuple(row))
+            choices.append(options)
+        yield from itertools.product(*choices)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rref_stack_matches_the_tuple_reference(q):
+    for k in range(1, 6):
+        for j in range(k + 1):
+            stack = rref_stack(k, j, q)
+            assert stack.dtype == np.int16 and stack.shape[1:] == (j, k)
+            assert [tuple(map(tuple, m)) for m in stack.tolist()] == list(
+                reference_rref_rows(k, j, q)), (k, j)
+
+
+def test_rref_stack_edges():
+    assert rref_stack(4, 0, 3).shape == (1, 0, 4)
+    assert rref_stack(0, 0, 2).shape == (1, 0, 0)
+    with pytest.raises(RangeError):
+        rref_stack(3, 4, 2)
+    with pytest.raises(RangeError):
+        rref_stack(3, -1, 2)
 
 
 def _is_rref(basis: SubspaceBasis) -> bool:

@@ -12,7 +12,7 @@ from rghw import verify, weights
 from rghw.charsum import nj_via_charsum
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated
-from rghw.subspaces import SubspaceBasis, gaussian_binomial, stack_rows
+from rghw.subspaces import SubspaceBasis, gaussian_binomial, padded_stack, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -250,11 +250,80 @@ def test_codes_suite_passes_on_gf4():
 def test_recurrence_check_fails_on_one_changed_symbol(params):
     spec = build_code(*params)
     h = parity_check_polynomial(spec)
-    words = set(verify._all_codewords(spec))
+    words = verify._all_codewords(spec)
     assert verify._recurrence_annihilates(spec, h, words)
-    word = max(words)
     for i in (0, spec.n // 2, spec.n - 1):
-        changed = list(word)
-        changed[i] = spec.field_q.add(changed[i], 1)
-        bad = words - {word} | {tuple(changed)}
+        bad = words.copy()
+        bad[-1, i] = spec.field_q.add(int(bad[-1, i]), 1)
         assert not verify._recurrence_annihilates(spec, h, bad), i
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3)])
+def test_charsum_blocks_match_one_draw_at_a_time(monkeypatch, params):
+    monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
+    spec = build_code(*params)
+    samples, K = 300, spec.ambient_dim
+    per_draw = np.random.default_rng([1, 4, *params])
+    draws = [per_draw.integers(0, spec.q, size=(1 + i % spec.k1, K)) for i in range(samples)]
+    blocks = list(verify._charsum_draws(spec, np.random.default_rng([1, 4, *params]), samples))
+    assert [len(b) for b in blocks] == [7] * (samples // 7) + [samples % 7]
+    for t, block in enumerate(blocks):
+        want = padded_stack(draws[7 * t:7 * t + 7], spec.k1, K)
+        assert block.dtype == want.dtype and np.array_equal(block, want), t
+
+
+def _failures_with(monkeypatch, suite, name, corrupt):
+    """The failures of suite() with verify.name wrapped so that corrupt
+    edits each result in place first."""
+    original = getattr(verify, name)
+
+    def corrupted(*args):
+        out = np.array(original(*args))
+        corrupt(out, *args)
+        return out
+
+    clean = suite()
+    monkeypatch.setattr(verify, name, corrupted)
+    res = suite()
+    assert clean.failures == [] and res.checks == clean.checks
+    return res.failures
+
+
+def test_a_repeated_basis_fails_the_enumeration_count(monkeypatch):
+    def repeat_first(stack, k, j, q):
+        if (k, j, q) == (3, 1, 2):
+            stack[-1] = stack[0]
+
+    failures = _failures_with(monkeypatch, lambda: verify.subspaces_suite(seed=1, max_dim=3),
+                              "rref_stack", repeat_first)
+    assert failures == ["q=2 k=3 j=1: enumeration count 7 (6 distinct) != 7"]
+
+
+def test_a_duplicated_codeword_fails_injectivity(monkeypatch):
+    def duplicate(words, spec, b1, b2):
+        words[1] = words[2]
+
+    failures = _failures_with(monkeypatch, lambda: verify.codes_suite(instances=((2, 2, 3, 1, 1),)),
+                              "codewords", duplicate)
+    assert "(2, 2, 3, 1, 1): codeword map is not injective" in failures
+
+
+def test_a_table_not_closed_under_the_shift_fails_closure(monkeypatch):
+    def change_one_symbol(words, spec, b1, b2):
+        words[-1, 0] ^= 1
+
+    failures = _failures_with(monkeypatch, lambda: verify.codes_suite(instances=((2, 2, 3, 1, 1),)),
+                              "codewords", change_one_symbol)
+    assert "(2, 2, 3, 1, 1): cyclic shift closure fails" in failures
+    assert "(2, 2, 3, 1, 1): codeword map is not injective" not in failures
+
+
+def test_a_changed_subcode_word_fails_containment(monkeypatch):
+    # C' is built from the second factor alone, so a wrong word of C' in the
+    # codeword table leaves it outside the table
+    def change_subcode_word(words, spec, b1, b2):
+        words[1, 0] ^= 1  # (b1, b2) = (0, 1)
+
+    failures = _failures_with(monkeypatch, lambda: verify.codes_suite(instances=((2, 2, 3, 1, 1),)),
+                              "codewords", change_subcode_word)
+    assert "(2, 2, 3, 1, 1): C' not contained in C" in failures

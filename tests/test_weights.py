@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rghw.closed_forms import detect_family, evaluate_closed_form
-from rghw.codes import build_code, codeword
+from rghw.codes import build_code, codewords
 from rghw import weights
 from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
 from rghw.subspaces import (
@@ -35,12 +35,9 @@ def codeword_space_rghw(spec, j):
     and unions supports coordinate by coordinate.
     """
     fq = spec.field_q
-    gens = []
-    for t in range(spec.k1):
-        gens.append(codeword(spec, spec.factors[0].field.exp_table[t], 0))
-    for t in range(spec.k2):
-        gens.append(codeword(spec, 0, spec.factors[1].field.exp_table[t]))
-    subwords = {codeword(spec, 0, b2) for b2 in range(spec.Q2)}
+    gens = (codewords(spec, spec.factors[0].field.exp_table[:spec.k1], 0).tolist()
+            + codewords(spec, 0, spec.factors[1].field.exp_table[:spec.k2]).tolist())
+    subwords = set(map(tuple, codewords(spec, 0, np.arange(spec.Q2)).tolist()))
 
     def word_of(coeffs):
         acc = [0] * spec.n
@@ -104,13 +101,8 @@ def test_ghw_examples():
     # full code supports every coordinate
     assert ghw_bruteforce(spec, spec.k1 + spec.k2) == spec.n
     # oracle: minimum weight by exhaustive scan of the 31 nonzero words
-    weights = [
-        np.count_nonzero(codeword(spec, b1, b2))
-        for b1 in range(spec.Q1)
-        for b2 in range(spec.Q2)
-        if (b1, b2) != (0, 0)
-    ]
-    assert ghw_bruteforce(spec, 1) == min(weights) == 10
+    words = codewords(spec, np.arange(spec.Q1)[:, None], np.arange(spec.Q2))[1:]
+    assert ghw_bruteforce(spec, 1) == np.count_nonzero(words, axis=1).min() == 10
     for j in (1, 2):
         assert ghw_bruteforce(spec, j) <= rghw_bruteforce(spec, j)
     with pytest.raises(RangeError):
