@@ -46,8 +46,10 @@ IMAG_TOL = 1e-6
 
 @cache
 def unit_roots(order: int) -> np.ndarray:
-    """Table of e^(2*pi*i*t/order) for t in [0, order)."""
-    return np.exp(2j * np.pi * np.arange(order) / order)
+    """Table of e^(2*pi*i*t/order) for t in [0, order); read-only, cached."""
+    table = np.exp(2j * np.pi * np.arange(order) / order)
+    table.setflags(write=False)
+    return table
 
 
 @cache

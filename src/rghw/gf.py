@@ -67,31 +67,17 @@ class FieldTable:
         self.zech_table = self._build_zech()
 
     def _build_zech(self) -> list[int]:
-        # adding one only touches the constant digit, carry-free
-        zech = [ZECH_NONE] * self.order
-        p = self.p
-        for i, code in enumerate(self.exp_table):
-            d0 = code % p
-            s = code - d0 + (d0 + 1) % p
-            zech[i] = ZECH_NONE if s == 0 else self.log_table[s]
-        return zech
+        plus_one = _add_digitwise(np.array(self.exp_table), 1, self.p, self.m)
+        zech = np.array(self.log_table)[plus_one]
+        zech[plus_one == 0] = ZECH_NONE
+        return zech.tolist()
 
     # -- code-level arithmetic ------------------------------------------
 
     def add_codes_digitwise(self, a, b):
         """Base-p digitwise addition of codes, or elementwise of integer
         arrays of codes; it needs no Zech table."""
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % self.p) * mult
-            a, b = a // self.p, b // self.p
-            mult *= self.p
-        return out
+        return _add_digitwise(a, b, self.p, self.m)
 
     def add(self, a: int, b: int) -> int:
         if a == 0:
@@ -195,58 +181,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_mul_mod(a, b, coeffs, p):
-    """Product of residue polynomials modulo x^m + coeffs, coefficients mod p."""
-    m = len(coeffs)
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for k, bk in enumerate(b):
-            prod[i + k] = (prod[i + k] + ai * bk) % p
-    for k in range(2 * m - 2, m - 1, -1):
-        d = prod[k]
-        if d:
-            for i in range(m):
-                prod[k - m + i] = (prod[k - m + i] - d * coeffs[i]) % p
-    return prod[:m]
-
-
-def _x_pow_mod(e: int, coeffs, p):
-    """x^e in the candidate quotient ring, by square and multiply."""
-    m = len(coeffs)
-    x = [0] * m
-    if m == 1:
-        x[0] = (-coeffs[0]) % p
-    else:
-        x[1] = 1
-    result = [0] * m
-    result[0] = 1
-    base = x
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, coeffs, p)
-        base = _poly_mul_mod(base, base, coeffs, p)
-        e >>= 1
-    return result
-
-
-def _quick_primitivity_filter(p, m, coeffs, order, factors) -> bool:
-    """Cheap modexp screen: x must have multiplicative order exactly p^m-1.
-
-    Any candidate passing here is primitive (a reducible modulus caps the
-    order strictly below p^m - 1), but the table sweep re-certifies anyway.
-    """
-    one = [0] * m
-    one[0] = 1
-    if _x_pow_mod(order, coeffs, p) != one:
-        return False
-    for r in factors:
-        if _x_pow_mod(order // r, coeffs, p) == one:
-            return False
-    return True
-
-
 def _construct(p: int, m: int) -> FieldTable:
     """Try the candidates (c_0, ..., c_{m-1}) in lexicographic order.
 
@@ -254,8 +188,6 @@ def _construct(p: int, m: int) -> FieldTable:
     of a generator must generate GF(p)*, so a block of candidates whose c_0
     fails that test is skipped as the search reaches it.
     """
-    order = p**m - 1
-    factors = _prime_factors(order) if order > 1 else []
     sign = 1 if m % 2 == 0 else p - 1
     norm_factors = _prime_factors(p - 1)
     for c0 in range(1, p):
@@ -264,57 +196,52 @@ def _construct(p: int, m: int) -> FieldTable:
             continue
         for rest in itertools.product(range(p), repeat=m - 1):
             coeffs = (c0, *rest)
-            if not _quick_primitivity_filter(p, m, coeffs, order, factors):
-                continue
             tables = _try_primitive(p, m, coeffs)
             if tables is not None:
                 return FieldTable(p, m, coeffs, *tables)
-    raise RuntimeError(f"no primitive polynomial found for GF({p}^{m})")
+    raise InvariantViolated(f"no primitive polynomial found for GF({p}^{m})")
 
 
 def _try_primitive(p: int, m: int, coeffs: tuple[int, ...]):
     """Accept the candidate iff powers of x enumerate the whole group.
 
-    This sweep certifies irreducibility and primitivity at once (if the
-    quotient ring had zero divisors or x had smaller order, the powers
-    would collide before covering all p^m - 1 nonzero codes) and doubles
-    as the exp/log table fill.
+    This sweep is the only primitivity certificate, and it doubles as the
+    exp/log table fill: if the quotient ring had zero divisors or x had
+    smaller order, the powers would collide before covering all p^m - 1
+    nonzero codes.
     """
-    size = p ** m
-    order = size - 1
-    log = [-1] * size
+    high = p ** (m - 1)
+    order = high * p - 1
+    # x * top*x^(m-1) reduces to -top * (c_0 + c_1*x + ... + c_{m-1}*x^(m-1))
+    reduce = [sum((-top * c) % p * p**i for i, c in enumerate(coeffs))
+              for top in range(p)]
+    log = [-1] * (order + 1)
     exp = [0] * order
-    if p == 2:
-        # bit path: codes are bit vectors, reduction is one xor
-        red = (1 << m) | sum(c << i for i, c in enumerate(coeffs))
-        code = 1
-        for i in range(order):
-            if log[code] != -1:
-                return None
-            exp[i] = code
-            log[code] = i
-            code <<= 1
-            if code >> m:
-                code ^= red
-        return (exp, log) if code == 1 else None
-    digits = [0] * m
-    digits[0] = 1
-    top = m - 1
+    code = 1
     for i in range(order):
-        code = 0
-        for d in reversed(digits):
-            code = code * p + d
         if log[code] != -1:
             return None
         exp[i] = code
         log[code] = i
-        # multiply by x modulo the candidate polynomial
-        carry = digits[top]
-        for k in range(top, 0, -1):
-            digits[k] = (digits[k - 1] - carry * coeffs[k]) % p
-        digits[0] = (-carry * coeffs[0]) % p
-    back_to_one = digits[0] == 1 and not any(digits[1:])
-    return (exp, log) if back_to_one else None
+        top, low = divmod(code, high)
+        code = _add_digitwise(low * p, reduce[top], p, m)
+    return (exp, log) if code == 1 else None
+
+
+def _add_digitwise(a, b, p: int, m: int):
+    """Digitwise sum of base-p codes with m digits, or elementwise of
+    integer arrays of them: XOR for p = 2, one residue for m = 1."""
+    if p == 2:
+        return a ^ b
+    if m == 1:
+        return (a + b) % p
+    out = 0
+    mult = 1
+    for _ in range(m):
+        out += ((a + b) % p) * mult
+        a, b = a // p, b // p
+        mult *= p
+    return out
 
 
 # -- subfield embeddings --------------------------------------------------

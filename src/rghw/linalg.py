@@ -41,6 +41,9 @@ class TableOps:
         self.mul_table = mul
         self.neg_table = np.argmax(add == 0, axis=1).astype(np.int16)
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int16)  # inv(0) reads 0
+        # shared through the table_ops cache
+        for table in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
+            table.setflags(write=False)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(r x k) @ (k x c) over the field; leading axes of a and b are

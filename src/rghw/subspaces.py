@@ -142,10 +142,7 @@ def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
     (B, r, K) stack, coefficient vectors in base-q order, so the zero vector
     comes first.  A basis of dimension d lists each of its q^d members
     q^(r-d) times."""
-    q, r = ops.q, stack.shape[1]
-    combos = np.array(list(itertools.product(range(q), repeat=r)),
-                      dtype=np.int16).reshape(q**r, r)
-    return ops.matmul(combos, stack)
+    return ops.matmul(counter(stack.shape[1], ops.q), stack)
 
 
 def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:

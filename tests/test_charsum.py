@@ -61,6 +61,15 @@ def test_unit_roots_table():
             assert abs(roots[1] ** order - 1.0) < 1e-12
 
 
+def test_cached_unit_roots_refuse_writes():
+    chi = CharacterHandle(build_field(2, 3), 7, 1)
+    before = gauss_sum(chi, 1)
+    assert cmath.isclose(before, -1 - 1j * math.sqrt(7))
+    with pytest.raises(ValueError):
+        unit_roots(7)[1] = 0
+    assert gauss_sum(chi, 1) == before
+
+
 def test_character_handle_validation():
     f9 = build_field(3, 2)
     with pytest.raises(BadIndex):

@@ -1,5 +1,6 @@
 """Field construction, embeddings, traces, minimal polynomials."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -92,6 +93,34 @@ PRIMITIVE_CONSTANTS = {
 @pytest.mark.parametrize("p,m", list(PRIMITIVE_CONSTANTS))
 def test_defining_polynomial_is_the_first_primitive_one(p, m):
     assert build_field(p, m).primitive_polynomial == PRIMITIVE_CONSTANTS[p, m] + (1,)
+
+
+# sha256 over the defining polynomial, exp table and Zech table of every field
+# of size at most 1024 (198 fields, primes ascending, then m ascending).
+FIELD_TABLES_DIGEST = "91b100074a5c1a7c598cb0bdf986ab328d04aabf87a18052522ac7cb54ca51a3"
+
+
+def test_field_tables_are_pinned_by_digest():
+    digest = hashlib.sha256()
+    fields = 0
+    for p in filter(is_prime, range(2, 1025)):
+        m = 1
+        while p**m <= 1024:
+            f = build_field(p, m)
+            digest.update(repr((p, m, f.primitive_polynomial, f.exp_table,
+                                f.zech_table)).encode())
+            fields += 1
+            m += 1
+    assert fields == 198
+    assert digest.hexdigest() == FIELD_TABLES_DIGEST
+
+
+def test_the_sweep_is_the_primitivity_certificate():
+    assert gf._try_primitive(2, 4, (1, 0, 0, 0)) is None  # x^4 + 1 = (x + 1)^4
+    assert gf._try_primitive(2, 4, (1, 1, 1, 1)) is None  # irreducible, x has order 5
+    exp, log = gf._try_primitive(2, 4, (1, 0, 0, 1))      # x^4 + x^3 + 1, primitive
+    assert sorted(exp) == list(range(1, 16))
+    assert all(log[exp[i]] == i for i in range(15))
 
 
 def test_one_table_per_field_however_the_call_is_spelled():

@@ -5,6 +5,7 @@ the reference for the stacked kernels."""
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,14 @@ def assert_rref(red: np.ndarray, pivots: tuple) -> None:
     for r, p in enumerate(pivots):
         assert not red[r, :p].any() and red[r, p] == 1
         assert not np.delete(red[:, p], r).any()
+
+
+def test_cached_lookup_tables_refuse_writes():
+    ops = table_ops(field_for_size(4))
+    for table in (ops.add_table, ops.mul_table, ops.neg_table, ops.inv_table):
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert table_ops(field_for_size(4)).add_table[1].tolist() == [1, 0, 3, 2]
 
 
 @settings(max_examples=300, deadline=None)
