@@ -56,7 +56,7 @@ def unit_roots(order: int) -> np.ndarray:
 def additive_character(field: FieldTable) -> np.ndarray:
     """zeta_p^tr(g^t) for t in [0, order): the canonical additive character
     by discrete log, tr being the absolute trace down to GF(p)."""
-    traces = trace_table(field, build_field(field.p, 1))[field.exp_table]
+    traces = trace_table(field, build_field(field.p, 1))[np.array(field.exp_table)]
     table = unit_roots(field.p)[traces]
     table.setflags(write=False)
     return table

@@ -39,7 +39,8 @@ def is_prime(n: int) -> bool:
 class FieldTable:
     """GF(p^m) with precomputed exp, log and Zech tables.
 
-    Immutable after construction; safe to share between workers.  All
+    The tables are tuples, so a field cached by build_field cannot be
+    corrupted through them; safe to share between workers.  All
     element-level methods take and return integer codes.
     """
 
@@ -62,15 +63,15 @@ class FieldTable:
         self.order = self.size - 1
         # Monic: coefficient vector (c_0, ..., c_{m-1}, 1), low to high degree.
         self.primitive_polynomial = coeffs + (1,)
-        self.exp_table = exp_table
-        self.log_table = log_table
+        self.exp_table = tuple(exp_table)
+        self.log_table = tuple(log_table)
         self.zech_table = self._build_zech()
 
-    def _build_zech(self) -> list[int]:
+    def _build_zech(self) -> tuple[int, ...]:
         plus_one = _add_digitwise(np.array(self.exp_table), 1, self.p, self.m)
         zech = np.array(self.log_table)[plus_one]
         zech[plus_one == 0] = ZECH_NONE
-        return zech.tolist()
+        return tuple(zech.tolist())
 
     # -- code-level arithmetic ------------------------------------------
 

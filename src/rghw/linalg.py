@@ -31,12 +31,12 @@ class TableOps:
         self.field = field
         self.q = q
         self.prime = field.m == 1  # codes are plain residues: modular fast path
-        add = np.empty((q, q), dtype=np.int16)
-        mul = np.empty((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = field.add(a, b)
-                mul[a, b] = field.mul(a, b)
+        codes = np.arange(q)
+        add = field.add_codes_digitwise(codes[:, None], codes[None, :]).astype(np.int16)
+        # g^i g^k = g^((i + k) mod (q - 1)); log_table[0] is a placeholder
+        exp, log = np.array(field.exp_table), np.array(field.log_table)
+        mul = exp[(log[:, None] + log[None, :]) % field.order].astype(np.int16)
+        mul[0, :] = mul[:, 0] = 0
         self.add_table = add
         self.mul_table = mul
         self.neg_table = np.argmax(add == 0, axis=1).astype(np.int16)

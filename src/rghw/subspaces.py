@@ -145,15 +145,6 @@ def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
     return ops.matmul(counter(stack.shape[1], ops.q), stack)
 
 
-def padded_stack(mats: Sequence, width: int, ambient_dim: int) -> np.ndarray:
-    """Matrices of at most width rows as one (B, width, ambient_dim) stack,
-    each padded with zero rows (which leave its row space unchanged)."""
-    stack = np.zeros((len(mats), width, ambient_dim), dtype=np.int16)
-    for t, mat in enumerate(mats):
-        stack[t, :len(mat)] = mat
-    return stack
-
-
 def stack_dims(stack: np.ndarray) -> list[int]:
     """The dimension of each RREF basis in a zero-padded stack."""
     return stack.any(axis=2).sum(axis=1).tolist()

@@ -8,7 +8,6 @@ exhaustive at desk scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional, Sequence
@@ -39,7 +38,6 @@ from .subspaces import (
     dual_stack,
     dual_subspace,
     gaussian_binomial,
-    padded_stack,
     project_stack,
     rref_stack,
     stack_dims,
@@ -80,10 +78,24 @@ class SuiteResult:
         if not ok:
             self.failures.append(message())
 
+    def check_all(self, ok, message: Callable[[int], str]) -> None:
+        """Count one check per entry of the boolean array ok; message(t) is
+        built only for each failing t, in order."""
+        ok = np.asarray(ok, dtype=bool)
+        self.checks += ok.size
+        self.failures.extend(message(t) for t in np.flatnonzero(~ok).tolist())
+
+    def check_residuals(self, diffs, tol: float, message: Callable[[int], str]) -> None:
+        """Check each diff < tol and keep the largest diff in notes["max_residual"]."""
+        diffs = np.asarray(diffs, dtype=float)
+        if diffs.size:
+            self.notes["max_residual"] = max(self.notes.get("max_residual", 0.0),
+                                             float(diffs.max()))
+        self.check_all(diffs < tol, message)
+
     def check_residual(self, diff: float, tol: float, message: Callable[[], str]) -> None:
-        """Check diff < tol and keep the largest diff in notes["max_residual"]."""
-        self.notes["max_residual"] = max(self.notes.get("max_residual", 0.0), diff)
-        self.check(diff < tol, message)
+        """check_residuals on the one diff."""
+        self.check_residuals([diff], tol, lambda _: message())
 
     def as_dict(self) -> dict:
         return {
@@ -95,30 +107,33 @@ class SuiteResult:
         }
 
 
-def _padded_blocks(draws: Iterable[np.ndarray], width: int, ambient_dim: int):
-    """Yield the draws, matrices of at most width rows, in blocks of up to
-    DRAW_BLOCK as zero-padded (draws x width x ambient_dim) stacks."""
-    draws = iter(draws)
-    while block := list(itertools.islice(draws, DRAW_BLOCK)):
-        yield padded_stack(block, width, ambient_dim)
+def _draw_blocks(rng: np.random.Generator, q: int, nrows, width: int, ambient_dim: int):
+    """Yield random draws over GF(q) in blocks of up to DRAW_BLOCK as
+    zero-padded (draws x width x ambient_dim) stacks: draw i has nrows[i]
+    random rows, then zero rows (which leave its row space unchanged).
+
+    A block's rows come from one rng.integers call, in the same stream as
+    one call per draw: for int64 output numpy draws each bounded value from
+    the generator's 32-bit stream, which carries over between calls."""
+    nrows = np.asarray(nrows)
+    for start in range(0, len(nrows), DRAW_BLOCK):
+        counts = nrows[start:start + DRAW_BLOCK]
+        block = np.zeros((len(counts), width, ambient_dim), dtype=np.int16)
+        block[np.arange(width) < counts[:, None]] = rng.integers(
+            0, q, size=(counts.sum(), ambient_dim))
+        yield block
 
 
-def _canonical_blocks(spec: CodeSpec, blocks: Iterable[np.ndarray]):
-    """Yield (stack, rows) for each zero-padded stack of draws: the draws'
-    RREF bases from one elimination, and each draw's RREF rows as tuples,
-    in draw order."""
-    for block in blocks:
-        red = spec.ops.rref_many(block)
-        yield red, stack_rows(red)
-
-
-def _first_draws(keys: Sequence, known) -> list[int]:
-    """Positions of the first draw of each subspace not in known, in draw order."""
-    first: dict = {}
-    for t, rows in enumerate(keys):
-        if rows not in known:
-            first.setdefault(rows, t)
-    return list(first.values())
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, back) for a (B, r, c) stack: the position of the first copy of
+    each distinct matrix, in draw order, and for each matrix its entry of
+    first, so that stack[first][back] equals stack."""
+    _, index, inverse = np.unique(_row_keys(stack.reshape(len(stack), -1)),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(index)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return index[order], rank[inverse]
 
 
 def _row_keys(mat: np.ndarray) -> np.ndarray:
@@ -295,28 +310,26 @@ def subspaces_suite(seed: int = 2024,
                             f" ({distinct} distinct) != {expected}",
                 )
     # duality round-trips on seeded random subspaces of the product ambients;
-    # each distinct subspace is dualized once, each draw checked
+    # each distinct subspace of a draw block is dualized once, each draw checked
     specs = [build_code(*params) for params in instances]
     rng = np.random.default_rng([seed, 1])
     per_spec = max(1, roundtrips // len(specs))
     for spec in specs:
         K = spec.ambient_dim
-        # each draw: a row count in 0..K, then that many random rows
-        draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
-                 for _ in range(per_spec))
-        duals: dict = {}  # H rows -> (dual dimension, double-dual rows)
-        for stack, keys in _canonical_blocks(spec, _padded_blocks(draws, K, K)):
-            new = _first_draws(keys, duals)
-            dual = dual_stack(stack[new], spec)
-            for t, dim, double in zip(new, stack_dims(dual), stack_rows(dual_stack(dual, spec))):
-                duals[keys[t]] = dim, double
-            for rows in keys:
-                dual_dim, double_dual = duals[rows]
-                res.check(
-                    dual_dim == K - len(rows),
-                    lambda: f"{spec}: dual dimension {dual_dim} != {K - len(rows)}",
-                )
-                res.check(double_dual == rows, lambda: f"{spec}: double dual differs from H")
+        # a row count in 0..K for every draw, then the draws' rows
+        nrows = rng.integers(0, K + 1, size=per_spec)
+        for block in _draw_blocks(rng, spec.q, nrows, K, K):
+            stack = spec.ops.rref_many(block)
+            first, back = _distinct(stack)
+            dual = dual_stack(stack[first], spec)
+            dims = np.asarray(stack_dims(stack))
+            dual_dims = np.asarray(stack_dims(dual))[back]
+            same = (dual_stack(dual, spec)[back] == stack).all(axis=(1, 2))
+            res.check_all(
+                np.stack([dual_dims == K - dims, same], 1).ravel(),
+                lambda t: (f"{spec}: dual dimension {dual_dims[t // 2]} != {K - dims[t // 2]}"
+                           if t % 2 == 0 else f"{spec}: double dual differs from H"),
+            )
     # projection rank-nullity and the three intersection characterizations
     spec = specs[0]
     K, k1, k2 = spec.ambient_dim, spec.k1, spec.k2
@@ -327,24 +340,19 @@ def subspaces_suite(seed: int = 2024,
     image2_dual, _ = project_stack(dual_stack(padded, spec), spec, 2)
     with_subcode = spec.ops.rref_many(np.concatenate(
         [padded, np.broadcast_to(eye2, (len(padded), k2, K))], axis=1))
-    dims = map(stack_dims, (padded, image1, kernel1, image2_dual, with_subcode))
+    dims, image1_dim, kernel1_dim, image2_dual_dim, rank = (
+        np.asarray(stack_dims(s)) for s in (padded, image1, kernel1, image2_dual, with_subcode))
+    p_a = dims + k2 - rank == 0  # the intersection with C' is zero
+    p_b = kernel1_dim == 0
+    p_c = image2_dual_dim == k2
 
-    def rows(t):  # the basis a failure message names
-        return stack_rows(padded[t:t + 1])[0]
+    def message(t):  # the basis a failure message names
+        what = ("projection rank-nullity fails" if t % 2 == 0
+                else "intersection predicates disagree")
+        return f"j={dims[t // 2]}: {what} for {stack_rows(padded[t // 2:t // 2 + 1])[0]}"
 
-    for t, (dim, image1_dim, kernel1_dim, image2_dual_dim, rank) in enumerate(zip(*dims)):
-        res.check(
-            image1_dim + kernel1_dim == dim,
-            lambda: f"j={dim}: projection rank-nullity fails for {rows(t)}",
-        )
-        inter_dim = dim + k2 - rank
-        p_a = inter_dim == 0
-        p_b = kernel1_dim == 0
-        p_c = image2_dual_dim == k2
-        res.check(
-            p_a == p_b == p_c,
-            lambda: f"j={dim}: intersection predicates disagree for {rows(t)}",
-        )
+    res.check_all(np.stack([image1_dim + kernel1_dim == dims,
+                            (p_a == p_b) & (p_b == p_c)], 1).ravel(), message)
     return res
 
 
@@ -384,15 +392,11 @@ def weights_suite(seed: int = 2024,
             previous = brute
         # proof-chain identity on random subspaces (zero_counts itself
         # checks that the two counting routes agree)
-        draws = (rng.integers(0, spec.q, size=(int(rng.integers(0, spec.k1 + 1)),
-                                               spec.ambient_dim))
-                 for _ in range(25))
-        blocks = _padded_blocks(draws, spec.k1, spec.ambient_dim)
-        for stack, _ in _canonical_blocks(spec, blocks):
-            for value in zero_counts(spec, stack).tolist():
-                res.check(
-                    0 <= value <= spec.n, lambda: f"{label}: zero count {value} out of range"
-                )
+        nrows = rng.integers(0, spec.k1 + 1, size=25)
+        for block in _draw_blocks(rng, spec.q, nrows, spec.k1, spec.ambient_dim):
+            values = zero_counts(spec, spec.ops.rref_many(block))
+            res.check_all((0 <= values) & (values <= spec.n),
+                          lambda t: f"{label}: zero count {values[t]} out of range")
     return res
 
 
@@ -481,21 +485,6 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _charsum_draws(spec: CodeSpec, rng: np.random.Generator, samples: int):
-    """Yield the oracle's random draws in blocks of up to DRAW_BLOCK as
-    zero-padded (draws x k1 x (k1+k2)) stacks: draw i has 1 + i % k1 rows.
-
-    A block's rows come from one rng.integers call, in the same stream as
-    one call per draw: for int64 output numpy draws each bounded value from
-    the generator's 32-bit stream, which carries over between calls."""
-    k1, K = spec.k1, spec.ambient_dim
-    for start in range(0, samples, DRAW_BLOCK):
-        nrows = 1 + np.arange(start, min(start + DRAW_BLOCK, samples)) % k1
-        block = np.zeros((len(nrows), k1, K), dtype=np.int16)
-        block[np.arange(k1) < nrows[:, None]] = rng.integers(0, spec.q, size=(nrows.sum(), K))
-        yield block
-
-
 def charsum_suite(seed: int = 2024, samples: int = 100,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
     res = SuiteResult("charsum")
@@ -503,18 +492,18 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
-        diffs: dict = {}  # D rows -> residual: each distinct subspace scored once
-        for stack, keys in _canonical_blocks(spec, _charsum_draws(spec, rng, samples)):
-            new = _first_draws(keys, diffs)
-            fresh = stack[new]
+        nrows = 1 + np.arange(samples) % spec.k1
+        # each distinct subspace of a draw block is scored once
+        for block in _draw_blocks(rng, spec.q, nrows, spec.k1, spec.ambient_dim):
+            stack = spec.ops.rref_many(block)
+            first, back = _distinct(stack)
+            fresh = stack[first]
             targets = zero_counts(spec, fresh)
-            residuals = np.abs(charsum_zero_counts(spec, fresh) - targets)
-            diffs.update(zip((keys[t] for t in new), residuals.tolist()))
-            for rows in keys:
-                diff = diffs[rows]
-                res.check_residual(
-                    diff, ORACLE_TOL,
-                    lambda: f"{params}: oracle residual {diff} at subspace {rows}")
+            diffs = np.abs(charsum_zero_counts(spec, fresh) - targets)[back]
+            res.check_residuals(
+                diffs, ORACLE_TOL,
+                lambda t: f"{params}: oracle residual {float(diffs[t])}"
+                          f" at subspace {stack_rows(stack[t:t + 1])[0]}")
     res.notes.setdefault("max_residual", 0.0)  # no usable instance: nothing checked
     res.notes["instances"] = [list(params) for params, _ in usable]
     return res

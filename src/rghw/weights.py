@@ -145,7 +145,7 @@ def orbit_representatives(spec: CodeSpec) -> np.ndarray:
     m2 = math.gcd(F2.log_table[h2], F2.order)
     rows = []
     for b1 in F1.exp_table[:m1]:
-        for b2 in [0] + F2.exp_table[:m2]:
+        for b2 in [0, *F2.exp_table[:m2]]:
             c1, c2 = b1, b2
             # a1 generates GF(Q1), so the shifts of b1 leave {x_0 = 0}
             while f1.decompose[c1, 0] == 0:

@@ -30,13 +30,14 @@ from rghw.errors import (
 from rghw.gf import build_field, embed_subfield
 from rghw.subspaces import (
     SubspaceBasis,
-    padded_stack,
     stack_members,
     stack_rows,
     subspace_from_rows,
 )
 from rghw.verify import ORACLE_TOL
 from rghw.weights import nj_of_subspace, zero_counts
+
+from helpers import padded_stack
 
 
 def char_eval(chi: CharacterHandle, x: int) -> complex:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code
 from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError, RghwError
-from rghw.subspaces import cyclic_group_counts, padded_stack, project_stack, stack_dims
+from rghw.subspaces import cyclic_group_counts, project_stack, stack_dims
 from rghw.weights import mj_dual_count, orbit_representatives, rghw_bruteforce
+
+from helpers import padded_stack
 
 
 def test_binary_pair_values():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import runpy
+import sys
 from pathlib import Path
 
 import rghw
@@ -102,3 +103,32 @@ def test_every_name_the_benchmark_tracer_binds_resolves():
                 missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
                             if not hasattr(module, alias.name)]
     assert not missing, f"benchmark names missing from the package: {missing}"
+
+
+def test_the_benchmark_tracer_installs_and_restores_every_hook():
+    """Entering perfbench/tracing.py's Tracer wraps every function target,
+    enumerate_subspaces and every traced TableOps method; leaving it puts
+    back every attribute it touched, in every package module."""
+    tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
+    for name in ("charsum", "cli", "subspaces", "verify"):
+        importlib.import_module(f"rghw.{name}")
+    modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "rghw"]
+    table_ops = importlib.import_module("rghw.linalg").TableOps
+    suites = importlib.import_module("rghw.verify").SUITES
+    owners = [*(vars(m) for m in modules), vars(table_ops), suites]
+    before = [dict(owner) for owner in owners]
+    hooks = [(importlib.import_module(module), attr)
+             for module, attr, _ in tracing["FUNCTION_TARGETS"]]
+    hooks += [(importlib.import_module("rghw.subspaces"), "enumerate_subspaces")]
+    hooks += [(table_ops, name) for name in tracing["LINALG_METHODS"]]
+    originals = [getattr(owner, attr) for owner, attr in hooks]
+    with tracing["Tracer"]() as tracer:
+        wrapped = [getattr(owner, attr) is not original
+                   for (owner, attr), original in zip(hooks, originals)]
+        importlib.import_module("rghw.gf").build_field(2, 3)
+    assert all(wrapped), [f"{owner.__name__}.{attr}" for (owner, attr), ok in zip(hooks, wrapped)
+                          if not ok]
+    assert tracer.calls("gf.build_field") == 1
+    changed = [key for owner, saved in zip(owners, before) for key in owner.keys() | saved.keys()
+               if owner.get(key) is not saved.get(key)]
+    assert not changed, f"attributes the tracer did not restore: {changed}"

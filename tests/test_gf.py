@@ -34,7 +34,7 @@ def has_root(coeffs, p):
 
 def test_prime_field_gf2():
     f = build_field(2, 1)
-    assert f.exp_table == [1]
+    assert f.exp_table == (1,)
     assert f.primitive_polynomial == (1, 1)
 
 
@@ -107,12 +107,20 @@ def test_field_tables_are_pinned_by_digest():
         m = 1
         while p**m <= 1024:
             f = build_field(p, m)
-            digest.update(repr((p, m, f.primitive_polynomial, f.exp_table,
-                                f.zech_table)).encode())
+            digest.update(repr((p, m, f.primitive_polynomial, list(f.exp_table),
+                                list(f.zech_table))).encode())
             fields += 1
             m += 1
     assert fields == 198
     assert digest.hexdigest() == FIELD_TABLES_DIGEST
+
+
+def test_cached_field_tables_refuse_writes():
+    f = build_field(2, 3)
+    for table in (f.exp_table, f.log_table, f.zech_table):
+        with pytest.raises(TypeError):
+            table[1] = 3
+    assert build_field(2, 3).mul(2, 2) == 4
 
 
 def test_the_sweep_is_the_primitivity_certificate():

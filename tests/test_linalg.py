@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rghw.codes import build_code
+from rghw import gf
 from rghw.gf import field_for_size
 from rghw.linalg import table_ops
 from rghw.subspaces import (
@@ -95,6 +96,15 @@ def test_cached_lookup_tables_refuse_writes():
         with pytest.raises(ValueError):
             table[1] = 0
     assert table_ops(field_for_size(4)).add_table[1].tolist() == [1, 0, 3, 2]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 82) if len(gf._prime_factors(q)) == 1])
+def test_lookup_tables_are_the_scalar_operations(q):
+    field = field_for_size(q)
+    ops = table_ops(field)
+    assert ops.add_table.dtype == ops.mul_table.dtype == np.int16
+    assert ops.add_table.tolist() == [[field.add(a, b) for b in range(q)] for a in range(q)]
+    assert ops.mul_table.tolist() == [[field.mul(a, b) for b in range(q)] for a in range(q)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,7 +23,6 @@ from rghw.subspaces import (
     gaussian_binomial,
     intersect_with_cyclic_group,
     stack_members,
-    padded_stack,
     pivot_sets,
     project_stack,
     rref_stack,
@@ -33,6 +32,8 @@ from rghw.subspaces import (
 )
 from rghw.verify import DEFAULT_INSTANCES
 from rghw.weights import nj_of_subspace
+
+from helpers import padded_stack
 
 
 def test_gaussian_binomial_values():

@@ -12,8 +12,10 @@ from rghw import verify, weights
 from rghw.charsum import nj_via_charsum
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated
-from rghw.subspaces import SubspaceBasis, gaussian_binomial, padded_stack, stack_rows
+from rghw.subspaces import SubspaceBasis, gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
+
+from helpers import padded_stack
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -56,17 +58,17 @@ def test_unknown_suite_is_a_key_error():
 
 
 def _record_draws(monkeypatch):
-    """Every subspace verify canonicalizes from random rows, in draw order."""
-    draws = []
-    blocks = verify._canonical_blocks
+    """Every block of subspaces verify dedups from random rows, in draw
+    order, each as the list of its draws' RREF rows."""
+    blocks = []
+    distinct = verify._distinct
 
-    def recording(*args):
-        for stack, keys in blocks(*args):
-            draws.extend(keys)
-            yield stack, keys
+    def recording(stack):
+        blocks.append(stack_rows(stack))
+        return distinct(stack)
 
-    monkeypatch.setattr(verify, "_canonical_blocks", recording)
-    return draws
+    monkeypatch.setattr(verify, "_distinct", recording)
+    return blocks
 
 
 def _params(spec):
@@ -81,16 +83,20 @@ def _drop_first_row(stack, t):
 
 
 def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatch):
+    # once per draw block: a subspace drawn in two blocks is scored twice
     samples = 300
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)  # repeats across blocks too
-    draws = _record_draws(monkeypatch)
+    blocks = _record_draws(monkeypatch)
     usable = [p for p in verify.DEFAULT_INSTANCES if build_code(*p).d == 1]
     verify.charsum_suite(seed=1, samples=samples)
-    per_instance = [draws[i * samples:(i + 1) * samples] for i in range(len(usable))]
-    assert len(draws) == samples * len(usable)
+    per_block = math.ceil(samples / 7)
+    assert len(blocks) == per_block * len(usable)
+    per_instance = [blocks[i * per_block:(i + 1) * per_block] for i in range(len(usable))]
+    assert [sum(map(len, b)) for b in per_instance] == [samples] * len(usable)
     # the chosen subspace: the most frequent draw of the first instance
     chosen_params = usable[0]
-    chosen, repeats = Counter(per_instance[0]).most_common(1)[0]
+    chosen, repeats = Counter(rows for block in per_instance[0]
+                              for rows in block).most_common(1)[0]
     assert repeats > 1
     oracle = verify.charsum_zero_counts
     calls, scored = Counter(), Counter()  # per instance: oracle calls, subspaces scored
@@ -105,10 +111,12 @@ def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatc
         return counts
 
     monkeypatch.setattr(verify, "charsum_zero_counts", off_by_one)
-    draws.clear()
+    blocks.clear()
     res = verify.charsum_suite(seed=1, samples=samples)
-    assert [len(set(d)) for d in per_instance] == [scored[p] for p in usable]
-    assert [calls[p] for p in usable] == [math.ceil(samples / 7)] * len(usable)  # one per block
+    distinct = [sum(len(set(block)) for block in b) for b in per_instance]
+    assert distinct == [scored[p] for p in usable]
+    assert all(n < samples for n in distinct)  # repeats within a block are scored once
+    assert [calls[p] for p in usable] == [per_block] * len(usable)  # one per block
     assert res.checks == samples * len(usable)
     spec = build_code(*chosen_params)
     basis = SubspaceBasis(spec.q, spec.ambient_dim, chosen)
@@ -119,20 +127,23 @@ def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatc
 
 
 def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkeypatch):
+    # once per draw block: a subspace drawn in two blocks is dualized twice
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)  # repeats across blocks too
-    draws = _record_draws(monkeypatch)
+    blocks = _record_draws(monkeypatch)
     verify.subspaces_suite(seed=1, max_dim=1)
     specs = [build_code(*p) for p in verify.DEFAULT_INSTANCES]
-    per_spec = len(draws) // len(specs)
-    per_instance = [draws[i * per_spec:(i + 1) * per_spec] for i in range(len(specs))]
+    per_spec = sum(map(len, blocks)) // len(specs)
+    per_block = math.ceil(per_spec / 7)
+    assert len(blocks) == per_block * len(specs)
+    per_instance = [blocks[i * per_block:(i + 1) * per_block] for i in range(len(specs))]
     # the chosen subspace: the most frequent proper draw of the second
     # instance that is no draw's dual there; the projection sweep over the
     # first instance does not meet it
     spec = specs[1]
     K = spec.ambient_dim
-    duals = {verify.dual_subspace(SubspaceBasis(spec.q, K, rows), spec).rows
-             for rows in per_instance[1]}
-    chosen, repeats = next((rows, n) for rows, n in Counter(per_instance[1]).most_common()
+    drawn = Counter(rows for block in per_instance[1] for rows in block)
+    duals = {verify.dual_subspace(SubspaceBasis(spec.q, K, rows), spec).rows for rows in drawn}
+    chosen, repeats = next((rows, n) for rows, n in drawn.most_common()
                            if 0 < len(rows) < K and rows not in duals)
     assert repeats > 1
     dual_stack = verify.dual_stack
@@ -147,12 +158,13 @@ def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkey
         return dual
 
     monkeypatch.setattr(verify, "dual_stack", short_dual)
-    draws.clear()
+    blocks.clear()
     res = verify.subspaces_suite(seed=1, max_dim=1)
     first = specs[0]
     sweep = sum(gaussian_binomial(first.ambient_dim, j, first.q)
                 for j in range(first.ambient_dim + 1))
-    distinct = [len(set(d)) for d in per_instance]
+    distinct = [sum(len(set(block)) for block in b) for b in per_instance]
+    assert all(n < per_spec for n in distinct)  # repeats within a block are dualized once
     assert [calls[_params(s)] for s in specs] == [
         2 * n + (sweep if i == 0 else 0) for i, n in enumerate(distinct)]
     enumeration_checks = 2 * 2  # q in {2, 3}, k = 1, j in {0, 1}
@@ -227,10 +239,11 @@ def test_a_corrupted_dual_raises_for_the_first_mismatching_draw(monkeypatch):
         return dual
 
     monkeypatch.setattr(weights, "dual_stack", corrupted)
-    draws = _record_draws(monkeypatch)
+    blocks = _record_draws(monkeypatch)
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
     with pytest.raises(InvariantViolated) as raised:
         verify.charsum_suite(seed=1, samples=300)
+    draws = [rows for block in blocks for rows in block]
     first = next(rows for rows in draws if _starts_110(rows))
     # in a later block than the first, behind draws that pass
     assert draws.index(first) > 7 and draws.index(first) % 7
@@ -260,16 +273,33 @@ def test_recurrence_check_fails_on_one_changed_symbol(params):
 
 @pytest.mark.parametrize("params", [(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3)])
 def test_charsum_blocks_match_one_draw_at_a_time(monkeypatch, params):
+    # the oracle's row counts, and counts in 0..K as the round trips draw
+    # them, so that some draws are empty
     monkeypatch.setattr(verify, "DRAW_BLOCK", 7)
     spec = build_code(*params)
     samples, K = 300, spec.ambient_dim
-    per_draw = np.random.default_rng([1, 4, *params])
-    draws = [per_draw.integers(0, spec.q, size=(1 + i % spec.k1, K)) for i in range(samples)]
-    blocks = list(verify._charsum_draws(spec, np.random.default_rng([1, 4, *params]), samples))
-    assert [len(b) for b in blocks] == [7] * (samples // 7) + [samples % 7]
-    for t, block in enumerate(blocks):
-        want = padded_stack(draws[7 * t:7 * t + 7], spec.k1, K)
-        assert block.dtype == want.dtype and np.array_equal(block, want), t
+    oracle_rows = 1 + np.arange(samples) % spec.k1
+    some_empty = np.random.default_rng(3).integers(0, K + 1, size=samples)
+    assert (some_empty == 0).any() and (some_empty == K).any()
+    for nrows, width in ((oracle_rows, spec.k1), (some_empty, K)):
+        per_draw = np.random.default_rng([1, 4, *params])
+        draws = [per_draw.integers(0, spec.q, size=(r, K)) for r in nrows.tolist()]
+        blocks = list(verify._draw_blocks(np.random.default_rng([1, 4, *params]), spec.q,
+                                          nrows, width, K))
+        assert [len(b) for b in blocks] == [7] * (samples // 7) + [samples % 7]
+        for t, block in enumerate(blocks):
+            want = padded_stack(draws[7 * t:7 * t + 7], width, K)
+            assert block.dtype == want.dtype and np.array_equal(block, want), t
+
+
+def test_distinct_keeps_the_first_copy_of_each_matrix_in_draw_order():
+    rng = np.random.default_rng(7)
+    stack = rng.integers(0, 2, size=(200, 2, 3)).astype(np.int16)  # 64 matrices at most
+    first, back = verify._distinct(stack)
+    assert np.array_equal(stack[first][back], stack)
+    assert (np.diff(first) > 0).all()  # in draw order
+    keys = [m.tobytes() for m in stack]
+    assert first.tolist() == [t for t, key in enumerate(keys) if key not in keys[:t]]
 
 
 def _failures_with(monkeypatch, suite, name, corrupt):
