@@ -45,14 +45,18 @@ from .subspaces import (
 )
 
 DEFAULT_ENUM_CAP = 10**8
-# Bound on the packed mask tables a scan holds at once (rows of ceil(n/8)
-# bytes): its one table, or with a W-worker pool the W largest chunk tables.
+# Bound on the mask tables a scan holds at once (rows of ceil(n/64) 64-bit
+# words, 8 ceil(n/64) bytes): its one table, or with a W-worker pool the W
+# largest chunk tables.
 TABLE_CAP_BYTES = 1 << 26
-# Subspaces scored per numpy batch, and bytes of field values a mask-table
-# slice holds.  Both size one numpy call: large enough that the per-call
-# overhead stays small against the work, small enough (about 100 KiB) that
-# the temporaries stay in the CPU cache.
-BATCH = 512
+# A batch scores at most BATCH subspaces and ORs at most BATCH_BYTES of
+# masks (subspaces times row bytes); a mask-table slice holds about
+# SLICE_BYTES of field values.  Each sizes one numpy call: large enough that
+# the per-call overhead stays small against the work, small enough that the
+# temporaries stay in the CPU cache.  BATCH also bounds the per-subspace
+# index arrays, which outweigh the masks of short codes.
+BATCH = 2048
+BATCH_BYTES = 512 << 10
 SLICE_BYTES = 100 << 10
 
 
@@ -95,12 +99,12 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 # a pivot set with P free entries the t-th basis in enumeration order has
 # the last P base-q digits of t (most significant first) as its free
 # entries in row-major order; each basis is scored by OR-ing rows of one
-# table of packed n-bit masks (_MaskTable), counting bits and keeping the
-# first strict minimum.  Every mode minimizes: the support scans count the
-# support, the dual scan the group points outside H, n minus the points
-# inside.  The table is a stack of blocks keyed by (columns, lead), each
-# built once per chunk however many pivot sets use it, and a plan
-# (weights, bases) says which rows: column k of
+# table of n-bit masks in 64-bit words (_MaskTable), counting bits and
+# keeping the first strict minimum.  Every mode minimizes: the support
+# scans count the support, the dual scan the group points outside H, n
+# minus the points inside.  The table is a stack of blocks keyed by
+# (columns, lead), each built once per chunk however many pivot sets use
+# it, and a plan (weights, bases) says which rows: column k of
 # digits @ weights + bases[t // q^P] is the row of the k-th mask.
 #
 # Both halves of the kernel are linear in the digits, so neither does
@@ -111,7 +115,12 @@ def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
 # rows is one sum of the high term added to them.  The row indices split
 # the same way, as L[low digits of t] + H[high digits of t] + bases[b]: a
 # batch is a few runs of q^s consecutive t, and only the winning t is
-# turned back into digits.
+# turned back into digits.  The ORs split too (_first_minimum): a mask that
+# only the high digits choose is ORed once per run, one that only the low
+# digits choose once per pivot set, and only a mask that both choose is
+# gathered per subspace.  In the support scans each row's free entries are
+# consecutive digits, so at most one row, the one straddling the split, is
+# gathered; in the dual scan most columns are.
 #
 # The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -229,12 +238,15 @@ def _block_starts(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]
 
 
 def _table_bytes(spec: CodeSpec, layout: tuple[dict, int]) -> int:
-    """Bytes of the mask table a _block_starts layout allocates."""
-    return layout[1] * -(-spec.n // 8)
+    """Bytes of the mask table a _block_starts layout allocates: rows of
+    ceil(n/64) 64-bit words."""
+    return layout[1] * 8 * -(-spec.n // 64)
 
 
 class _MaskTable:
-    """Packed n-bit masks of a scan, one block per (columns, lead) key.
+    """n-bit masks of a scan in 64-bit words, one block per (columns, lead)
+    key: each row holds packbits of the mask in its first ceil(n/8) bytes
+    and zeros after them, so the padding adds no bits to a count.
 
     Row a of block (cols, lead) is the mask (a @ funcs[cols]) != target[lead]
     for the a-th base-q assignment of cols (first column most significant).
@@ -254,11 +266,13 @@ class _MaskTable:
                  layout: tuple[dict, int]):
         self.spec, self.mode = spec, mode
         self.starts, rows = layout
-        self.masks = np.empty((rows, -(-spec.n // 8)), dtype=np.uint8)
+        q, n = spec.q, spec.n
+        self.masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
+        packed = self.masks.view(np.uint8)[:, :-(-n // 8)]
         self.anchor_rows: Optional[range] = None
         if anchors is not None:
             self.anchor_rows = range(rows - len(anchors), rows)
-            self.masks[self.anchor_rows.start:] = np.packbits(
+            packed[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
         mul, add = spec.ops.mul_table, spec.field_q.add_codes_digitwise
         if mode == "max_group":
@@ -266,9 +280,8 @@ class _MaskTable:
             offsets = mul[spec.field_q.neg(1)][funcs]
         else:
             funcs = offsets = spec.coordinate_functionals.T
-        # offsets = -target; scaled[d, c] = d * funcs[c]
-        scaled = mul[:, funcs]
-        q, n = spec.q, spec.n
+        # offsets = -target; scaled[d, c] = d * funcs[c], each row contiguous
+        scaled = np.ascontiguousarray(mul[:, funcs])
         for (cols, lead), start in self.starts.items():
             split = len(cols) - _low_width(len(cols), q, SLICE_BYTES // (2 * n))
             low = np.zeros((1, n), dtype=np.int16)
@@ -276,7 +289,7 @@ class _MaskTable:
                 low = add(scaled[:, c, None], low).reshape(-1, n)
             high = [scaled[:, c] for c in cols[:split]]
             for h, base in enumerate(_sums(offsets[lead], high, add)):
-                self.masks[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
+                packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
                     add(base, low) != 0, axis=1)
 
     def plan(self, pivots, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -301,6 +314,71 @@ class _MaskTable:
         return weights, np.array([head + starts for head in heads], dtype=np.int64)
 
 
+def _or_rows(masks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """OR over the columns k of index (at least one) of masks[index[:, k]]:
+    one mask per row of index."""
+    acc = masks.take(index[:, 0], axis=0)
+    for k in range(1, index.shape[1]):
+        acc |= masks.take(index[:, k], axis=0)
+    return acc
+
+
+def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
+    """Least count over the subspaces of one pivot set, and the first t in
+    enumeration order attaining it.
+
+    The k-th mask of t = h * run + l is row heads[h, k] + low[l, k].  A
+    column whose low part is zero (a row with no free entry among the low
+    digits, or an anchor) is ORed once per head, in the batch that uses the
+    head; one whose head part is the same for every head (a row whose free
+    entries are all low digits) once per pivot set.  Each subspace then
+    costs one OR of the two and one bit count, plus one gather for each
+    column that varies with both, such as a row that straddles the split.
+    The order of t is the enumeration order, so the first minimum is the
+    one a plain OR of every mask finds.
+    """
+    q, masks = table.spec.q, table.masks
+    weights, bases = table.plan(pivots, positions)
+    batch = max(1, min(BATCH, BATCH_BYTES // (8 * masks.shape[1])))
+    split = len(positions) - _low_width(len(positions), q, batch)
+    run = q ** (len(positions) - split)
+    low = counter(len(positions) - split, q) @ weights[split:]
+    heads = bases
+    if split:
+        high = digits(np.arange(q ** split), split, q) @ weights[:split]
+        heads = (bases[:, None] + high).reshape(-1, weights.shape[1])
+    by_low = (low != 0).any(axis=0)
+    by_head = (heads != heads[0]).any(axis=0)
+    shared = by_low & ~by_head
+    low_or = None
+    if shared.any():
+        low_or = _or_rows(masks, heads[0, shared] + low[:, shared])
+    fixed = heads[:, ~by_low]
+    straddle = [(heads[:, k, None], low[:, k])
+                for k in np.flatnonzero(by_low & by_head)]
+    # a matrix-vector product sums the per-word bit counts far faster than a
+    # reduction over the short word axis; every partial sum is an integer of
+    # at most n, so float32 is exact while n < 2^24
+    exact = np.float32 if table.spec.n < 1 << 24 else np.float64
+    ones = np.ones(masks.shape[1], dtype=exact)
+    step = max(1, batch // run)
+    best: Optional[tuple[int, int]] = None
+    for r in range(0, len(heads), step):
+        acc = None
+        if fixed.shape[1]:
+            acc = _or_rows(masks, fixed[r:r + step])[:, None]
+        if low_or is not None:
+            acc = low_or if acc is None else acc | low_or
+        for h, l in straddle:
+            rows = masks.take(h[r:r + step] + l, axis=0)
+            acc = rows if acc is None else np.bitwise_or(rows, acc, out=rows)
+        values = (np.bitwise_count(acc) @ ones).ravel()
+        i = int(values.argmin())
+        if best is None or values[i] < best[0]:
+            best = (int(values[i]), r * run + i)
+    return best
+
+
 def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
                 layout: tuple[dict, int]) -> tuple[Optional[int], Optional[np.ndarray]]:
     """Least count over the subspaces of the given pivot sets, and a basis
@@ -320,25 +398,9 @@ def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
     best: Optional[tuple] = None  # (value, pivots, positions, t)
     for pivots in chunk:
         positions = free_positions(pivots, K)
-        weights, bases = table.plan(pivots, positions)
-        split = len(positions) - _low_width(len(positions), q, BATCH)
-        run = q ** (len(positions) - split)
-        # heads[r] + low[l] indexes the masks of t = r * run + l
-        low = counter(len(positions) - split, q) @ weights[split:]
-        heads = bases
-        if split:
-            high = digits(np.arange(q ** split), split, q) @ weights[:split]
-            heads = (bases[:, None] + high).reshape(-1, weights.shape[1])
-        step = max(1, BATCH // run)
-        for r in range(0, len(heads), step):
-            index = (heads[r:r + step, None] + low).reshape(-1, weights.shape[1])
-            acc = table.masks[index[:, 0]]
-            for k in range(1, index.shape[1]):
-                np.bitwise_or(acc, table.masks[index[:, k]], out=acc)
-            values = np.bitwise_count(acc).sum(axis=1)
-            i = int(values.argmin())
-            if best is None or values[i] < best[0]:
-                best = (int(values[i]), pivots, positions, r * run + i)
+        val, t = _first_minimum(table, pivots, positions)
+        if best is None or val < best[0]:
+            best = (val, pivots, positions, t)
     if best is None:
         return None, None
     val, pivots, positions, t = best

@@ -16,7 +16,9 @@ from rghw.errors import CapExceeded
 from rghw.gf import field_for_size
 from rghw.subspaces import (
     count_for_pivots,
+    digits,
     enumerate_subspaces,
+    free_positions,
     gaussian_binomial,
     intersect_with_cyclic_group,
     subspace_from_rows,
@@ -178,8 +180,8 @@ def test_bruteforce_is_unanchored_where_anchoring_scores_more():
 
 
 def test_table_bound_raises_before_allocating(monkeypatch):
-    spec = build_code(2, 2, 3, 1, 1)  # K = 5, masks of 3 bytes
-    width = -(-spec.n // 8)
+    spec = build_code(2, 2, 3, 1, 1)  # K = 5, n = 21: one 8-byte word per mask
+    width = 8 * -(-spec.n // 64)
     reps = len(orbit_representatives(spec))
     cases = [
         # anchored bruteforce j=2: D' is one row with pivot 1 (columns 2..4
@@ -212,7 +214,7 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     # table of the in-process scan, since chunks share blocks
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     spec = build_code(2, 2, 3, 1, 1)
-    width = -(-spec.n // 8)
+    width = 8 * -(-spec.n // 64)
     sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "min_support_all")
     work = [count_for_pivots(ps, 5, 2) for ps in sets]
     chunks = weights._chunks(sets, work, 2 * 4)
@@ -269,8 +271,9 @@ def test_mask_table_holds_each_block_once(monkeypatch):
        anchored=st.booleans(), slice_rows=st.integers(1, 40), data=st.data())
 def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows, data):
     """Every row of every block is packbits((a @ funcs[cols]) != target[lead])
-    through the field's matmul, for characteristic 2, odd primes and GF(4),
-    whatever the slice size splits the block's columns into."""
+    through the field's matmul in its first ceil(n/8) bytes and zero after
+    them, for characteristic 2, odd primes and GF(4), whatever the slice
+    size splits the block's columns into."""
     spec = build_code(*params)
     q, K = spec.q, spec.ambient_dim
     dim = data.draw(st.integers(1, K))
@@ -280,6 +283,10 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
         table = weights._MaskTable(spec, mode, anchors,
                                    weights._block_starts(spec, mode, sets, anchors))
     F = spec.coordinate_functionals.T
+    packed = -(-spec.n // 8)
+    rows = table.masks.view(np.uint8)
+    assert rows.shape[1] == 8 * -(-spec.n // 64)
+    assert not rows[:, packed:].any()
     if mode == "max_group":
         funcs = target = spec.group_vectors[:, weights._column_order(spec.k1, spec.k2, mode)].T
     else:
@@ -288,10 +295,10 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
         a = np.array(list(itertools.product(range(q), repeat=len(cols))),
                      dtype=np.int16).reshape(q ** len(cols), len(cols))
         want = np.packbits(spec.ops.matmul(a, funcs[list(cols)]) != target[lead], axis=1)
-        assert (table.masks[start:start + len(a)] == want).all(), (cols, lead)
+        assert (rows[start:start + len(a), :packed] == want).all(), (cols, lead)
     if anchored:
         want = np.packbits(spec.ops.matmul(anchors, F) != 0, axis=1)
-        assert (table.masks[table.anchor_rows.start:] == want).all()
+        assert (rows[table.anchor_rows.start:, :packed] == want).all()
 
 
 def test_every_ladder_scan_argmax_is_pinned(ladder):
@@ -313,3 +320,58 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
                 scans += 1
     assert scans == 45
     assert digest.hexdigest() == "32b5b5c8da87f200b5bb7199919a684e3105d9cdaa556f8cfdac3df4e8a6d831"
+
+
+def plain_first_minimum(table, pivots, positions):
+    """Least count over one pivot set's subspaces and the first t attaining
+    it, by OR-ing every mask the plan names for every t."""
+    weights_, bases = table.plan(pivots, positions)
+    q, width = table.spec.q, len(positions)
+    t = np.arange(len(bases) * q ** width)
+    index = digits(t % q ** width, width, q) @ weights_ + bases[t // q ** width]
+    values = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
+    return int(values.min()), int(values.argmin())
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3),
+                               (2, 3, 4, 1, 1), (3, 2, 1, 2, 1)]),
+       mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+       anchored=st.booleans(), batch=st.integers(1, 40), data=st.data())
+def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, data):
+    """The batch loop ORs head masks once per head, low masks once per pivot
+    set and gathers only straddling rows; with batches of a few subspaces
+    (several heads per batch at q > 2, rows split across the low/high
+    boundary), it finds the value and first t that OR-ing every mask does."""
+    spec = build_code(*params)
+    K = spec.ambient_dim
+    anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
+    # the dual scan leaves at least one non-pivot column (j >= 1)
+    dim = data.draw(st.integers(0 if anchors is not None else 1,
+                                K - 1 if mode == "max_group" else K))
+    sets = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+            if anchors is None or 0 not in ps]
+    if not sets:
+        return
+    pivots = data.draw(st.sampled_from(sets))
+    positions = free_positions(pivots, K)
+    table = weights._MaskTable(spec, mode, anchors,
+                               weights._block_starts(spec, mode, [pivots], anchors))
+    with mock.patch.object(weights, "BATCH", batch):
+        got = weights._first_minimum(table, pivots, positions)
+    assert got == plain_first_minimum(table, pivots, positions)
+
+
+def test_straddling_rows_keep_the_pinned_argmax():
+    """(value, argmax rows) of bruteforce and GHW scans of (4,3,4,1,3),
+    against a digest of the code before the shared ORs.  A batch there
+    covers 4 base-4 digits, and the rows with pivot 0 or 1 have 6 and 5
+    free entries, so they straddle the low/high split."""
+    params = (4, 3, 4, 1, 3)
+    spec = build_code(*params)
+    digest = hashlib.sha256()
+    for mode, dims in (("min_support", (1, 2, 3)), ("min_support_all", (1, 2, 6))):
+        for dim in dims:
+            val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+            digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
+    assert digest.hexdigest() == "e8ab5c79ed1765773ec113e9b1262097a69c6ece86d8d051aea426370d46c25d"
