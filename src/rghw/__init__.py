@@ -10,7 +10,6 @@ from .charsum import (
 from .closed_forms import detect_family, evaluate_closed_form
 from .codes import (
     CodeSpec,
-    basis_codewords,
     build_code,
     codewords,
     parity_check_polynomial,
@@ -28,8 +27,6 @@ from .gf import (
     minimal_polynomial,
 )
 from .subspaces import (
-    SubspaceBasis,
-    dual_subspace,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
@@ -44,7 +41,6 @@ from .weights import (
     compute_report,
     ghw_bruteforce,
     mj_dual_count,
-    nj_of_subspace,
     rghw_bruteforce,
 )
 
@@ -61,14 +57,11 @@ __all__ = [
     "RghwError",
     "RghwReport",
     "RouteOutcome",
-    "SubspaceBasis",
-    "basis_codewords",
     "build_code",
     "build_field",
     "codewords",
     "compute_report",
     "detect_family",
-    "dual_subspace",
     "element_order",
     "embed_subfield",
     "enumerate_subspaces",
@@ -80,7 +73,6 @@ __all__ = [
     "intersect_with_cyclic_group",
     "minimal_polynomial",
     "mj_dual_count",
-    "nj_of_subspace",
     "nj_via_charsum",
     "orthogonality_sum",
     "parity_check_polynomial",

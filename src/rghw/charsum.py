@@ -33,8 +33,6 @@ from .errors import (
 )
 from .gf import FieldTable, build_field, trace_table
 from .subspaces import (
-    SubspaceBasis,
-    check_product_ambient,
     check_stack_ambient,
     stack_dims,
     stack_members,
@@ -195,7 +193,7 @@ def charsum_zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
         raise NonCoprimeOrders(
             "the double character-sum expansion needs gcd(n1, n2) = 1"
         )
-    check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.q, spec.ambient_dim)
     nmats, r, _ = stack.shape
     dims = np.asarray(stack_dims(stack), dtype=np.int64)
     # each member of a d-dimensional basis is listed q^(r-d) times
@@ -231,7 +229,6 @@ def charsum_zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
     return total.real
 
 
-def nj_via_charsum(spec: CodeSpec, basis: SubspaceBasis) -> float:
-    """charsum_zero_counts of a single subspace."""
-    check_product_ambient(basis, spec)
-    return float(charsum_zero_counts(spec, basis.matrix()[None])[0])
+def nj_via_charsum(spec: CodeSpec, basis: np.ndarray) -> float:
+    """charsum_zero_counts of a single (r, K) RREF basis."""
+    return float(charsum_zero_counts(spec, basis[None])[0])

@@ -37,7 +37,6 @@ from .gf import (
     trace_table,
 )
 from .linalg import TableOps, table_ops
-from .subspaces import SubspaceBasis, check_product_ambient
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,14 +242,6 @@ def codewords(spec: CodeSpec, beta1, beta2) -> np.ndarray:
             f.field.check(codes.max())
     u = np.hstack([f1.decompose[b1.reshape(-1)], f2.decompose[b2.reshape(-1)]])
     return spec.ops.matmul(u, spec.coordinate_functionals.T)
-
-
-def basis_codewords(spec: CodeSpec, basis: SubspaceBasis) -> np.ndarray:
-    """Codewords of the basis rows of a product-space subspace, one per row."""
-    check_product_ambient(basis, spec)
-    if basis.dim == 0:
-        return np.zeros((0, spec.n), dtype=np.int16)
-    return spec.ops.matmul(basis.matrix(), spec.coordinate_functionals.T)
 
 
 def parity_check_polynomial(spec: CodeSpec) -> Polynomial:

@@ -102,7 +102,10 @@ class TableOps:
                     rows[i] = row[:c] + [add(v, w) for v, w in zip(row[c:], step)]
             pivots.append(c)
         rank = len(pivots)
-        return np.array(rows[:rank], dtype=np.int16).reshape(rank, ncols), tuple(pivots)
+        # copied out of the reshaped view, so that a caller keeping the
+        # rows (every report keeps its dual-count argmax) keeps one array
+        red = np.array(rows[:rank], dtype=np.int16).reshape(rank, ncols).copy()
+        return red, tuple(pivots)
 
     def rref_many(self, stack: np.ndarray) -> np.ndarray:
         """Reduced row echelon form of every matrix of a (B, r, c) stack.

@@ -1,18 +1,19 @@
 """Canonical enumeration of subspaces of F_q^k and product-space geometry.
 
-A subspace is held by its unique reduced-row-echelon basis, which gives a
-duplicate-free, deterministic enumeration: lexicographic in the pivot sets,
-then in the free entries.  The pivot sets double as a partitioning scheme
-for parallel scans.  Many subspaces at once are held as a (B, r, K) stack
-of RREF bases, each padded with zero rows, which the stack functions
-project, dualize and count in a few numpy passes.
+A subspace is held by its unique reduced-row-echelon basis, an (r, K)
+int16 array of its nonzero rows, which gives a duplicate-free,
+deterministic enumeration: lexicographic in the pivot sets, then in the
+free entries.  The pivot sets double as a partitioning scheme for parallel
+scans.  Many subspaces at once are held as a (B, r, K) stack of RREF bases,
+each padded with zero rows, which the stack functions project, dualize and
+count in a few numpy passes.  Each stack function checks its input with
+check_stack_ambient: the shape, and entries that are codes of GF(q).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,35 +21,6 @@ import numpy as np
 from .errors import FieldMismatch, InvariantViolated, LengthMismatch, RangeError
 from .gf import field_for_size
 from .linalg import TableOps, table_ops
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """RREF basis of a subspace of F_q^ambient_dim; rows are element codes."""
-
-    q: int
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int16).reshape(self.dim, self.ambient_dim)
-
-
-def check_product_ambient(basis: SubspaceBasis, spec) -> None:
-    """FieldMismatch unless basis is over the code's GF(q), LengthMismatch
-    unless it lies in F_q^(k1+k2), the product ambient."""
-    if basis.q != spec.q:
-        raise FieldMismatch(f"basis is over GF({basis.q}), the code over GF({spec.q})")
-    if basis.ambient_dim != spec.ambient_dim:
-        raise LengthMismatch("basis is not in the product ambient")
 
 
 def gaussian_binomial(k: int, j: int, q: int) -> int:
@@ -117,24 +89,24 @@ def rref_stack(k: int, j: int, q: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[SubspaceBasis]:
-    """Yield every j-dimensional subspace of F_q^k exactly once, in the
-    order of rref_stack."""
-    return (SubspaceBasis(q, k, rows) for rows in stack_rows(rref_stack(k, j, q)))
+def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[np.ndarray]:
+    """Yield the (j, k) RREF basis of every j-dimensional subspace of F_q^k
+    exactly once, in the order of rref_stack."""
+    return iter(rref_stack(k, j, q))
 
 
 def subspace_from_rows(
     q: int, ambient_dim: int, rows: Iterable[Sequence[int]], ambient: str = ""
-) -> SubspaceBasis:
-    """Canonicalize arbitrary spanning rows into an RREF basis.
+) -> np.ndarray:
+    """Canonicalize arbitrary spanning rows into an RREF basis, the (r, K)
+    array of its nonzero rows.
 
     A fourth argument naming the ambient (callers pass "product") is
     accepted and ignored.
     """
-    ops = table_ops(field_for_size(q))
-    mat = np.array(list(rows), dtype=np.int16).reshape(-1, ambient_dim)
-    red, _ = ops.rref(mat)
-    return SubspaceBasis(q, ambient_dim, tuple(map(tuple, red.tolist())))
+    mat = np.array(list(rows), dtype=np.int64).reshape(-1, ambient_dim)
+    check_stack_ambient(mat[None], q, ambient_dim)
+    return table_ops(field_for_size(q)).rref(mat)[0]
 
 
 def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
@@ -180,17 +152,20 @@ def _kernel_rows(red: np.ndarray, ops: TableOps) -> np.ndarray:
     return kernel.transpose(0, 2, 1)
 
 
-def check_stack_ambient(stack: np.ndarray, ambient_dim: int) -> None:
-    """LengthMismatch unless stack is a (B, r, ambient_dim) stack."""
+def check_stack_ambient(stack: np.ndarray, q: int, ambient_dim: int) -> None:
+    """LengthMismatch unless stack is a (B, r, ambient_dim) stack,
+    FieldMismatch unless every entry is a code of GF(q), in 0..q-1."""
     if stack.ndim != 3 or stack.shape[2] != ambient_dim:
         raise LengthMismatch("stack is not in the product ambient")
+    if stack.size and (stack.min() < 0 or stack.max() >= q):
+        raise FieldMismatch(f"stack entries are not all codes of GF({q}), 0..{q - 1}")
 
 
 def dual_stack(stack: np.ndarray, spec) -> np.ndarray:
     """Orthogonal complements under the paired-trace inner product of a
     (B, r, K) stack of zero-padded RREF bases, as a (B, K, K) stack of the
     same kind: one elimination for the whole stack."""
-    check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.q, spec.ambient_dim)
     ops: TableOps = spec.ops
     # B G v = 0 iff G v lies in ker B; G is symmetric, so the dual is
     # spanned by ker(B) @ G^-1
@@ -206,7 +181,7 @@ def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.nd
     zero-padded RREF; each image and kernel dimension add up to the
     subspace's.  Three eliminations serve the whole stack.
     """
-    check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.q, spec.ambient_dim)
     if side not in (1, 2):
         raise RangeError("side must be 1 or 2")
     ops: TableOps = spec.ops
@@ -216,21 +191,13 @@ def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.nd
     return ops.rref_many(block), ops.rref_many(ops.matmul(coeffs, stack))
 
 
-def dual_subspace(basis: SubspaceBasis, spec) -> SubspaceBasis:
-    """Orthogonal complement under the paired-trace inner product."""
-    check_product_ambient(basis, spec)
-    dual = dual_stack(basis.matrix()[None], spec)
-    return SubspaceBasis(basis.q, basis.ambient_dim, stack_rows(dual)[0])
-
-
 def cyclic_group_counts(stack: np.ndarray, spec) -> np.ndarray:
     """How many of the n points (a1^i, a2^i) land inside each subspace of a
     (B, r, K) stack of zero-padded RREF bases."""
-    check_stack_ambient(stack, spec.ambient_dim)
+    check_stack_ambient(stack, spec.q, spec.ambient_dim)
     return spec.ops.rows_in_rowspace(_pivot_aligned(stack), spec.group_vectors).sum(axis=1)
 
 
-def intersect_with_cyclic_group(basis: SubspaceBasis, spec) -> int:
-    """How many of the n points (a1^i, a2^i) land inside the subspace."""
-    check_product_ambient(basis, spec)
-    return int(cyclic_group_counts(basis.matrix()[None], spec)[0])
+def intersect_with_cyclic_group(basis: np.ndarray, spec) -> int:
+    """cyclic_group_counts of a single (r, K) RREF basis."""
+    return int(cyclic_group_counts(basis[None], spec)[0])

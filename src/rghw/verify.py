@@ -36,7 +36,6 @@ from .gf import (
 )
 from .subspaces import (
     dual_stack,
-    dual_subspace,
     gaussian_binomial,
     project_stack,
     rref_stack,
@@ -46,7 +45,6 @@ from .subspaces import (
 from .weights import (
     ghw_bruteforce,
     mj_dual_count,
-    nj_of_subspace,
     rghw_bruteforce,
     zero_counts,
 )
@@ -377,7 +375,7 @@ def weights_suite(seed: int = 2024,
             )
             # the argmax's j-dimensional dual vanishes on exactly N_j coordinates
             res.check(
-                dual.n_j == nj_of_subspace(spec, dual_subspace(dual.argmax, spec)),
+                dual.n_j == zero_counts(spec, dual_stack(dual.argmax[None], spec))[0],
                 lambda: f"{label} j={j}: argmax does not reproduce N_j",
             )
             ghw = ghw_bruteforce(spec, j, workers=workers)

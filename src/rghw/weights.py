@@ -28,11 +28,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .closed_forms import detect_family, evaluate_closed_form
-from .codes import CodeSpec, basis_codewords, build_code
+from .codes import CodeSpec, build_code
 from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
 from .subspaces import (
-    SubspaceBasis,
-    check_product_ambient,
+    check_stack_ambient,
     count_for_pivots,
     counter,
     cyclic_group_counts,
@@ -41,7 +40,6 @@ from .subspaces import (
     free_positions,
     pivot_sets,
     stack_rows,
-    subspace_from_rows,
 )
 
 DEFAULT_ENUM_CAP = 10**8
@@ -60,9 +58,11 @@ BATCH_BYTES = 512 << 10
 SLICE_BYTES = 100 << 10
 
 
-def subspace_support_size(spec: CodeSpec, basis: SubspaceBasis) -> int:
-    """|Supp| of the codeword space spanned by a product-space subspace."""
-    return int(basis_codewords(spec, basis).any(axis=0).sum())
+def subspace_support_size(spec: CodeSpec, basis: np.ndarray) -> int:
+    """|Supp| of the codeword space spanned by an (r, K) basis of a
+    product-space subspace."""
+    check_stack_ambient(basis[None], spec.q, spec.ambient_dim)
+    return int(spec.ops.matmul(basis, spec.coordinate_functionals.T).any(axis=0).sum())
 
 
 def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
@@ -84,12 +84,6 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
             f" for {stack_rows(stack[b:b + 1])[0]}"
         )
     return direct
-
-
-def nj_of_subspace(spec: CodeSpec, basis: SubspaceBasis) -> int:
-    """zero_counts of a single subspace."""
-    check_product_ambient(basis, spec)
-    return int(zero_counts(spec, basis.matrix()[None])[0])
 
 
 # -- pivot-set scan kernel ---------------------------------------------------
@@ -435,6 +429,8 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
           ) -> tuple[int, np.ndarray]:
     """Best value of a scan and a spanning set (working column order) of
     the first subspace attaining it."""
+    if workers < 1:
+        raise RangeError(f"workers={workers} must be at least 1")
     K = spec.ambient_dim
     anchors = None
     sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
@@ -506,7 +502,7 @@ def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
 class DualCountResult:
     m: int
     n_j: int
-    argmax: SubspaceBasis
+    argmax: np.ndarray
 
 
 def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
@@ -523,8 +519,7 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     outside, rows = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
     original = np.empty_like(rows)
     original[:, _column_order(spec.k1, spec.k2, "max_group")] = rows
-    argmax = subspace_from_rows(spec.q, spec.ambient_dim, original, "product")
-    return DualCountResult(outside, spec.n - outside, argmax)
+    return DualCountResult(outside, spec.n - outside, spec.ops.rref(original)[0])
 
 
 # -- per-j reports -----------------------------------------------------------
@@ -561,7 +556,7 @@ def _bruteforce_route(spec: CodeSpec, j: int, cap: int, workers: int):
 
 def _dual_count_route(spec: CodeSpec, j: int, cap: int, workers: int):
     res = mj_dual_count(spec, j, cap, workers)
-    return res.m, res.n_j, np.array(res.argmax.rows, dtype=np.int16)
+    return res.m, res.n_j, res.argmax
 
 
 def _closed_form_route(spec: CodeSpec, j: int, cap: int, workers: int):

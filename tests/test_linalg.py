@@ -16,8 +16,8 @@ from rghw.linalg import table_ops
 from rghw.subspaces import (
     _pivot_aligned,
     dual_stack,
-    dual_subspace,
     enumerate_subspaces,
+    stack_dims,
     stack_rows,
     subspace_from_rows,
 )
@@ -199,10 +199,11 @@ def test_dual_is_orthogonal_of_complementary_dimension(params, data):
     entries = data.draw(st.lists(st.integers(0, spec.q - 1),
                                  min_size=nrows * K, max_size=nrows * K))
     basis = subspace_from_rows(spec.q, K, np.array(entries).reshape(nrows, K), "product")
-    dual = dual_subspace(basis, spec)
-    assert dual.dim == K - basis.dim
-    if basis.dim and dual.dim:
-        pairing = ops.matmul(ops.matmul(basis.matrix(), spec.gram), dual.matrix().T)
+    padded = dual_stack(basis[None], spec)
+    dual = padded[0, :stack_dims(padded)[0]]
+    assert len(dual) == K - len(basis)
+    if len(basis) and len(dual):
+        pairing = ops.matmul(ops.matmul(basis, spec.gram), dual.T)
         assert not pairing.any()
 
 
@@ -220,7 +221,7 @@ def enumeration_digest() -> str:
         for k in range(1, 6):
             for j in range(k + 1):
                 for basis in enumerate_subspaces(k, j, q):
-                    digest.update(repr(basis.rows).encode())
+                    digest.update(repr(stack_rows(basis[None])[0]).encode())
     return digest.hexdigest()
 
 
@@ -233,7 +234,8 @@ def dual_digest(params) -> str:
     for _ in range(DUAL_SAMPLES):
         rows = rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
         basis = subspace_from_rows(spec.q, K, rows, "product")
-        digest.update(repr((basis.rows, dual_subspace(basis, spec).rows)).encode())
+        dual = dual_stack(basis[None], spec)
+        digest.update(repr((stack_rows(basis[None])[0], stack_rows(dual)[0])).encode())
     return digest.hexdigest()
 
 

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rghw.charsum import nj_via_charsum
-from rghw.codes import basis_codewords, build_code
+from rghw.charsum import charsum_zero_counts, nj_via_charsum
+from rghw.codes import build_code
 from rghw.errors import FieldMismatch, LengthMismatch, RangeError
 from rghw.linalg import table_ops
 from rghw.gf import build_field
 from rghw.subspaces import (
-    SubspaceBasis,
     _pivot_aligned,
     count_for_pivots,
+    cyclic_group_counts,
     dual_stack,
-    dual_subspace,
     enumerate_subspaces,
     gaussian_binomial,
     intersect_with_cyclic_group,
@@ -31,7 +30,7 @@ from rghw.subspaces import (
     subspace_from_rows,
 )
 from rghw.verify import DEFAULT_INSTANCES
-from rghw.weights import nj_of_subspace
+from rghw.weights import subspace_support_size, zero_counts
 
 from helpers import padded_stack
 
@@ -50,10 +49,10 @@ def test_gaussian_binomial_values():
 
 def test_enumerate_smallest_cases():
     bases = list(enumerate_subspaces(2, 1, 2))
-    assert [b.rows for b in bases] == [((1, 0),), ((1, 1),), ((0, 1),)]
+    assert [b.tolist() for b in bases] == [[[1, 0]], [[1, 1]], [[0, 1]]]
     full = list(enumerate_subspaces(3, 3, 3))
     assert len(full) == 1
-    assert full[0].rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert full[0].dtype == np.int16 and np.array_equal(full[0], np.eye(3))
     with pytest.raises(RangeError):
         list(enumerate_subspaces(3, 4, 2))
 
@@ -96,16 +95,16 @@ def test_rref_stack_edges():
         rref_stack(3, -1, 2)
 
 
-def _is_rref(basis: SubspaceBasis) -> bool:
+def _is_rref(basis: np.ndarray) -> bool:
     pivots = []
-    for row in basis.rows:
+    for row in basis.tolist():
         nz = [i for i, v in enumerate(row) if v]
         if not nz or row[nz[0]] != 1:
             return False
         pivots.append(nz[0])
     if pivots != sorted(pivots) or len(set(pivots)) != len(pivots):
         return False
-    for r, row in enumerate(basis.rows):
+    for r, row in enumerate(basis.tolist()):
         for r2, p in enumerate(pivots):
             if r2 != r and row[p] != 0:
                 return False
@@ -119,20 +118,20 @@ def test_enumeration_complete_and_canonical(q, k):
         seen = set()
         for basis in enumerate_subspaces(k, j, q):
             assert _is_rref(basis)
-            assert basis.dim == j
-            seen.add(basis.rows)
+            assert basis.shape == (j, k)
+            seen.add(basis.tobytes())
         assert len(seen) == gaussian_binomial(k, j, q)
 
 
 def test_enumeration_155_distinct():
     bases = list(enumerate_subspaces(5, 2, 2))
     assert len(bases) == 155
-    assert len({b.rows for b in bases}) == 155
+    assert len({b.tobytes() for b in bases}) == 155
 
 
 def test_enumeration_deterministic_and_partitionable():
-    first = [b.rows for b in enumerate_subspaces(4, 2, 3)]
-    second = [b.rows for b in enumerate_subspaces(4, 2, 3)]
+    first = [b.tolist() for b in enumerate_subspaces(4, 2, 3)]
+    second = [b.tolist() for b in enumerate_subspaces(4, 2, 3)]
     assert first == second
     counted = sum(count_for_pivots(ps, 4, 3) for ps in pivot_sets(4, 2))
     assert counted == gaussian_binomial(4, 2, 3)
@@ -142,12 +141,12 @@ def test_member_matrix_and_membership():
     basis = subspace_from_rows(3, 4, [(1, 0, 2, 1), (0, 1, 1, 2)])
     f3 = build_field(3, 1)
     ops = table_ops(f3)
-    members = stack_members(basis.matrix()[None], ops)[0]
+    members = stack_members(basis[None], ops)[0]
     assert members.shape == (9, 4)
     rows = {tuple(int(v) for v in r) for r in members}
     assert len(rows) == 9
     # padded with a zero row, the basis lists each member q = 3 times
-    padded = stack_members(padded_stack([basis.matrix()], 3, 4), ops)[0]
+    padded = stack_members(padded_stack([basis], 3, 4), ops)[0]
     assert sorted(map(tuple, padded.tolist())) == sorted(3 * list(rows))
     # closure under addition
     lst = sorted(rows)
@@ -155,7 +154,7 @@ def test_member_matrix_and_membership():
         for b in lst:
             s = tuple(int(ops.add_table[x, y]) for x, y in zip(a, b))
             assert s in rows
-    aligned = _pivot_aligned(basis.matrix()[None])[0]
+    aligned = _pivot_aligned(basis[None])[0]
     assert ops.rows_in_rowspace(aligned, members).all()
     outside = np.array([[0, 0, 0, 1]], dtype=np.int16)
     assert not ops.rows_in_rowspace(aligned, outside)[0]
@@ -164,16 +163,23 @@ def test_member_matrix_and_membership():
 def test_subspace_from_rows_canonicalizes():
     raw = [(2, 0, 1), (1, 0, 2)]
     b = subspace_from_rows(3, 3, raw)
-    assert b.dim == 1  # second row is a multiple of the first
-    assert b.rows == ((1, 0, 2),)
-    again = subspace_from_rows(3, 3, b.rows)
-    assert again.rows == b.rows
+    assert b.dtype == np.int16
+    assert b.shape == (1, 3)  # second row is a multiple of the first
+    assert b.tolist() == [[1, 0, 2]]
+    again = subspace_from_rows(3, 3, b)
+    assert np.array_equal(again, b)
 
 
 def project_one(basis, spec, side):
     """project_stack of a one-subspace stack, as (image rows, kernel rows)."""
-    image, kernel = project_stack(basis.matrix()[None], spec, side)
+    image, kernel = project_stack(basis[None], spec, side)
     return stack_rows(image)[0], stack_rows(kernel)[0]
+
+
+def dual_one(basis, spec):
+    """dual_stack of a one-subspace stack, padding rows dropped."""
+    dual = dual_stack(basis[None], spec)
+    return dual[0, :stack_dims(dual)[0]]
 
 
 def test_project_edge_cases():
@@ -183,13 +189,13 @@ def test_project_edge_cases():
     assert project_one(zero, spec, 1) == ((), ())
 
     one_sided = subspace_from_rows(2, K, [(1, 1, 0, 0, 0)], "product")
-    assert project_one(one_sided, spec, 2) == ((), one_sided.rows)
+    assert project_one(one_sided, spec, 2) == ((), stack_rows(one_sided[None])[0])
 
     # diagonal span of (a1^i, a2^i): first projection injective
     rows = spec.group_vectors[: spec.k1]
     diag = subspace_from_rows(2, K, rows, "product")
     img3, ker3 = project_one(diag, spec, 1)
-    assert diag.dim == spec.k1 and ker3 == () and len(img3) == spec.k1
+    assert len(diag) == spec.k1 and ker3 == () and len(img3) == spec.k1
     with pytest.raises(RangeError):
         project_one(diag, spec, 3)
 
@@ -199,18 +205,18 @@ def test_dual_space_examples_and_involution():
     K = spec.ambient_dim
     full = subspace_from_rows(2, K, np.eye(K, dtype=int), "product")
     zero = subspace_from_rows(2, K, np.zeros((0, K), dtype=int), "product")
-    assert dual_subspace(full, spec).dim == 0
-    assert dual_subspace(zero, spec).dim == K
+    assert dual_one(full, spec).shape == (0, K)
+    assert np.array_equal(dual_one(zero, spec), np.eye(K))
 
     rng = np.random.default_rng(99)
     for _ in range(40):
         rows = rng.integers(0, 2, size=(2, K))
         h = subspace_from_rows(2, K, rows, "product")
-        dual = dual_subspace(h, spec)
-        assert dual.dim == K - h.dim
-        assert dual_subspace(dual, spec).rows == h.rows
+        dual = dual_one(h, spec)
+        assert len(dual) == K - len(h)
+        assert np.array_equal(dual_one(dual, spec), h)
         # orthogonality under the paired-trace form
-        prod = spec.ops.matmul(spec.ops.matmul(h.matrix(), spec.gram), dual.matrix().T)
+        prod = spec.ops.matmul(spec.ops.matmul(h, spec.gram), dual.T)
         assert not prod.any()
 
 
@@ -225,13 +231,16 @@ def test_intersect_with_cyclic_group_edges():
 
 def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
     spec = build_code(2, 2, 3, 1, 1)
-    outside = subspace_from_rows(2, spec.ambient_dim + 1, [(1, 0, 0, 0, 0, 1)])
+    outside = np.array([[1, 0, 0, 0, 0, 1]], dtype=np.int16)  # a basis of F_2^6
     calls = [
-        lambda: project_stack(outside.matrix()[None], spec, 1),
-        lambda: dual_subspace(outside, spec),
+        lambda: project_stack(outside[None], spec, 1),
+        lambda: dual_stack(outside[None], spec),
+        lambda: dual_stack(outside[:, :5], spec),  # a basis, not a stack
+        lambda: cyclic_group_counts(outside[None], spec),
+        lambda: zero_counts(spec, outside[None]),
+        lambda: charsum_zero_counts(spec, outside[None]),
         lambda: intersect_with_cyclic_group(outside, spec),
-        lambda: basis_codewords(spec, outside),
-        lambda: nj_of_subspace(spec, outside),
+        lambda: subspace_support_size(spec, outside),
         lambda: nj_via_charsum(spec, outside),
     ]
     for call in calls:
@@ -240,19 +249,32 @@ def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
 
 
 def test_a_basis_over_another_field_is_a_field_mismatch():
-    # the right length, F_3^5, against a code over GF(2)
+    """An entry outside 0..q-1, a code of a larger field or a negative
+    number, is no code of GF(q): every stack function, the one-element
+    wrappers and subspace_from_rows refuse it rather than reduce it mod p
+    or index a table with it."""
     spec = build_code(2, 2, 3, 1, 1)
-    other = subspace_from_rows(3, spec.ambient_dim, [(1, 2, 0, 2, 1)])
-    calls = [
-        lambda: dual_subspace(other, spec),
-        lambda: intersect_with_cyclic_group(other, spec),
-        lambda: basis_codewords(spec, other),
-        lambda: nj_of_subspace(spec, other),
-        lambda: nj_via_charsum(spec, other),
-    ]
-    for call in calls:
-        with pytest.raises(FieldMismatch, match=r"basis is over GF\(3\), the code over GF\(2\)"):
-            call()
+    for entry in (2, 3, -1):
+        rows = [(entry, 0, 1, 0, 1)]
+        stack = np.array([[(1, 0, 0, 0, 1)], rows], dtype=np.int16)
+        calls = [
+            lambda: charsum_zero_counts(spec, stack),
+            lambda: cyclic_group_counts(stack, spec),
+            lambda: zero_counts(spec, stack),
+            lambda: dual_stack(stack, spec),
+            lambda: project_stack(stack, spec, 1),
+            lambda: project_stack(stack, spec, 2),
+            lambda: intersect_with_cyclic_group(stack[1], spec),
+            lambda: subspace_support_size(spec, stack[1]),
+            lambda: nj_via_charsum(spec, stack[1]),
+            lambda: subspace_from_rows(2, spec.ambient_dim, rows),
+            lambda: subspace_from_rows(2, spec.ambient_dim, rows, "product"),
+        ]
+        for call in calls:
+            with pytest.raises(FieldMismatch, match=r"not all codes of GF\(2\), 0\.\.1"):
+                call()
+    # the largest code of the field is an entry like any other
+    assert subspace_from_rows(2, spec.ambient_dim, [(1, 0, 1, 0, 1)]).tolist() == [[1, 0, 1, 0, 1]]
 
 
 @settings(max_examples=50, deadline=None)
@@ -263,7 +285,7 @@ def test_double_dual_hypothesis(seedval, nrows):
     rng = np.random.default_rng(seedval)
     rows = rng.integers(0, 3, size=(nrows, K))
     h = subspace_from_rows(3, K, rows, "product")
-    assert dual_subspace(dual_subspace(h, spec), spec).rows == h.rows
+    assert np.array_equal(dual_one(dual_one(h, spec), spec), h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,11 +332,11 @@ def projection_digest(params) -> str:
     spec = build_code(*params)
     K = spec.ambient_dim
     bases = [H for j in range(K + 1) for H in enumerate_subspaces(K, j, spec.q)]
-    padded = padded_stack([H.matrix() for H in bases], K, K)
+    padded = padded_stack(bases, K, K)
     image1, kernel1 = project_stack(padded, spec, 1)
     image2, _ = project_stack(dual_stack(padded, spec), spec, 2)
     digest = hashlib.sha256()
-    for rows in zip([H.rows for H in bases], *map(stack_rows, (image1, kernel1, image2))):
+    for rows in zip(*map(stack_rows, (padded, image1, kernel1, image2))):
         digest.update(repr(rows).encode())
     return digest.hexdigest()
 

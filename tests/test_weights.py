@@ -12,7 +12,8 @@ from rghw.codes import build_code, codewords
 from rghw import weights
 from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
 from rghw.subspaces import (
-    dual_subspace,
+    cyclic_group_counts,
+    dual_stack,
     enumerate_subspaces,
     intersect_with_cyclic_group,
     subspace_from_rows,
@@ -21,9 +22,9 @@ from rghw.weights import (
     compute_report,
     ghw_bruteforce,
     mj_dual_count,
-    nj_of_subspace,
     rghw_bruteforce,
     subspace_support_size,
+    zero_counts,
 )
 
 
@@ -49,7 +50,7 @@ def codeword_space_rghw(spec, j):
     best = None
     K = spec.k1 + spec.k2
     for basis in enumerate_subspaces(K, j, spec.q):
-        words = [word_of(row) for row in basis.rows]
+        words = [word_of(row) for row in basis.tolist()]
         ok = True
         for coeffs in itertools.product(range(spec.q), repeat=j):
             if not any(coeffs):
@@ -109,11 +110,11 @@ def test_ghw_examples():
         ghw_bruteforce(spec, 6)
 
 
-def test_nj_of_subspace_identities():
+def test_zero_counts_identities():
     spec = build_code(2, 2, 3, 1, 1)
     K = spec.ambient_dim
     zero = subspace_from_rows(2, K, np.zeros((0, K), dtype=int), "product")
-    assert nj_of_subspace(spec, zero) == spec.n
+    assert zero_counts(spec, zero[None])[0] == spec.n
 
     line = subspace_from_rows(
         2,
@@ -121,7 +122,7 @@ def test_nj_of_subspace_identities():
         [np.concatenate([spec.factors[0].decompose[1], spec.factors[1].decompose[1]])],
         "product",
     )
-    assert nj_of_subspace(spec, line) == spec.n - 10 == 11
+    assert zero_counts(spec, line[None])[0] == spec.n - 10 == 11
 
     rng = np.random.default_rng(17)
     for _ in range(30):
@@ -130,17 +131,17 @@ def test_nj_of_subspace_identities():
         d = subspace_from_rows(2, K, rows, "product")
         # both counting routes, explicitly
         direct = spec.n - subspace_support_size(spec, d)
-        via_dual = intersect_with_cyclic_group(dual_subspace(d, spec), spec)
-        assert direct == via_dual == nj_of_subspace(spec, d)
+        via_dual = cyclic_group_counts(dual_stack(d[None], spec), spec)[0]
+        assert direct == via_dual == zero_counts(spec, d[None])[0]
 
 
-def test_nj_of_subspace_mismatch_is_typed(monkeypatch):
+def test_zero_counts_mismatch_is_typed(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     line = subspace_from_rows(2, spec.ambient_dim, [(1, 0, 0, 0, 0)], "product")
     monkeypatch.setattr(weights, "cyclic_group_counts",
                         lambda stack, spec: np.full(len(stack), -1))
     with pytest.raises(InvariantViolated):
-        nj_of_subspace(spec, line)
+        zero_counts(spec, line[None])
 
 
 def test_mj_dual_count_examples():
@@ -149,8 +150,8 @@ def test_mj_dual_count_examples():
     assert (res.m, res.n_j) == (10, 11)
     # the reported argmax attains the maximum and projects onto GF(Q2)
     assert intersect_with_cyclic_group(res.argmax, spec) == 11
-    assert res.argmax.dim == spec.ambient_dim - 1
-    assert len(spec.ops.rref(res.argmax.matrix()[:, spec.k1:])[1]) == spec.k2
+    assert res.argmax.shape == (spec.ambient_dim - 1, spec.ambient_dim)
+    assert len(spec.ops.rref(res.argmax[:, spec.k1:])[1]) == spec.k2
 
     spec32 = build_code(2, 3, 2, 1, 1)
     res3 = mj_dual_count(spec32, 3)
@@ -193,7 +194,7 @@ def test_workers_do_not_change_results():
         assert rghw_bruteforce(spec, j, workers=2) == rghw_bruteforce(spec, j)
         a = mj_dual_count(spec, j, workers=2)
         b = mj_dual_count(spec, j)
-        assert (a.m, a.n_j, a.argmax.rows) == (b.m, b.n_j, b.argmax.rows)
+        assert (a.m, a.n_j, a.argmax.tolist()) == (b.m, b.n_j, b.argmax.tolist())
 
 
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
@@ -211,8 +212,21 @@ def test_one_cpu_scans_in_process(monkeypatch, recording_pool):
     assert rghw_bruteforce(spec, 2, workers=2) == rghw_bruteforce(spec, 2)
     a = mj_dual_count(spec, 2, workers=2)
     b = mj_dual_count(spec, 2)
-    assert (a.m, a.n_j, a.argmax.rows) == (b.m, b.n_j, b.argmax.rows)
+    assert (a.m, a.n_j, a.argmax.tolist()) == (b.m, b.n_j, b.argmax.tolist())
     assert recording_pool == []
+
+
+def test_fewer_than_one_worker_is_a_range_error(monkeypatch):
+    """The table cap bounds the tables of the W largest chunks, so a scan
+    with W < 1 would bound none of them: it is refused before any scan."""
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", 64)
+    spec = build_code(2, 3, 4, 1, 1)
+    with pytest.raises(CapExceeded):
+        rghw_bruteforce(spec, 2, workers=1)
+    for workers in (0, -3):
+        for route in (rghw_bruteforce, ghw_bruteforce, mj_dual_count):
+            with pytest.raises(RangeError, match=f"workers={workers}"):
+                route(spec, 2, workers=workers)
 
 
 def test_pool_chunks_follow_the_work():
