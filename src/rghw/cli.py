@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-import time
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
@@ -236,24 +235,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for j in _j_values(args.j, spec.k1):
         for route in args.routes:
-            timings = []
-            m_value = None
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                report = compute_report(
-                    spec, j, routes=(route,), cap=args.cap,
-                    workers=args.workers, strict_routes=False,
-                )
-                timings.append((time.perf_counter() - t0) * 1e3)
-                if route in report.routes:
-                    m_value = report.routes[route].m
-            if m_value is None:
+            outcomes = [
+                compute_report(spec, j, routes=(route,), cap=args.cap,
+                               workers=args.workers, strict_routes=False).routes.get(route)
+                for _ in range(args.repeat)
+            ]
+            if outcomes[-1] is None:
                 continue
+            timings = [outcome.millis for outcome in outcomes]
             rows.append(
                 {
                     "j": j,
                     "route": route,
-                    "m": m_value,
+                    "m": outcomes[-1].m,
                     "best_ms": round(min(timings), 3),
                     "mean_ms": round(sum(timings) / len(timings), 3),
                 }

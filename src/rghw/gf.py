@@ -1,11 +1,13 @@
-"""Finite fields GF(p^m) as exp/log/Zech tables.
+"""Finite fields GF(p^m) as exp/log tables and one digitwise addition.
 
 Elements are integer codes: the residue polynomial a_0 + a_1*x + ... of
 degree < m is coded as the base-p integer a_0 + a_1*p + ....  Code 0 is the
-zero element.  Nonzero elements also carry a discrete log with respect to
-the canonical generator exp_table[1], and addition in log form goes through
-the Zech table, so multiplication, inversion and powering are pure index
-arithmetic.
+zero element.  Addition adds codes digit by digit mod p, on single codes or
+elementwise on integer arrays of them.  Nonzero elements also carry a
+discrete log with respect to the canonical generator exp_table[1], so
+multiplication, inversion and powering are pure index arithmetic.  A
+subfield embeds where its generator maps to a root of its defining
+polynomial.
 """
 
 from __future__ import annotations
@@ -28,20 +30,19 @@ from .errors import (
 
 DEFAULT_SIZE_CAP = 1 << 20
 
-# Zech sentinel: 1 + g^i = 0 has no log.
-ZECH_NONE = -1
-
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
 class FieldTable:
-    """GF(p^m) with precomputed exp, log and Zech tables.
+    """GF(p^m) with precomputed exp and log tables.
 
     The tables are tuples, so a field cached by build_field cannot be
     corrupted through them; safe to share between workers.  All
-    element-level methods take and return integer codes.
+    element-level methods take and return integer codes; add also takes
+    integer arrays of codes.  Codes are not range-checked (check does that):
+    a code outside 0..size-1 gives a meaningless result.
     """
 
     __slots__ = (
@@ -52,7 +53,6 @@ class FieldTable:
         "primitive_polynomial",
         "exp_table",
         "log_table",
-        "zech_table",
     )
 
     def __init__(self, p: int, m: int, coeffs: tuple[int, ...],
@@ -65,33 +65,13 @@ class FieldTable:
         self.primitive_polynomial = coeffs + (1,)
         self.exp_table = tuple(exp_table)
         self.log_table = tuple(log_table)
-        self.zech_table = self._build_zech()
-
-    def _build_zech(self) -> tuple[int, ...]:
-        plus_one = _add_digitwise(np.array(self.exp_table), 1, self.p, self.m)
-        zech = np.array(self.log_table)[plus_one]
-        zech[plus_one == 0] = ZECH_NONE
-        return tuple(zech.tolist())
 
     # -- code-level arithmetic ------------------------------------------
 
-    def add_codes_digitwise(self, a, b):
-        """Base-p digitwise addition of codes, or elementwise of integer
-        arrays of codes; it needs no Zech table."""
+    def add(self, a, b):
+        """Base-p digitwise sum of codes, or elementwise of integer arrays
+        of codes."""
         return _add_digitwise(a, b, self.p, self.m)
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        i, j = self.log_table[a], self.log_table[b]
-        if i > j:
-            i, j = j, i
-        z = self.zech_table[j - i]
-        if z == ZECH_NONE:
-            return 0
-        return self.exp_table[(i + z) % self.order]
 
     def neg(self, a: int) -> int:
         if a == 0 or self.p == 2:
@@ -253,9 +233,10 @@ class Embedding:
     """The field homomorphism GF(q) -> GF(q^t) in discrete-log form.
 
     The generator of the subfield maps to sup_generator^(ratio * twist),
-    with the smallest twist that makes the map additive (checked by
-    transporting every Zech relation).  Multiplicative-only powers of the
-    ratio are not ring maps in general, so the twist is essential.
+    with the smallest twist whose image is a root of the subfield's
+    defining polynomial, which makes the map a ring homomorphism.
+    Multiplicative-only powers of the ratio are not ring maps in general,
+    so the twist is essential.
     """
 
     sub: FieldTable
@@ -289,20 +270,18 @@ class Embedding:
 
 
 def _is_field_hom(sub: FieldTable, sup: FieldTable, gen_log: int) -> bool:
-    """Does g_sub^t -> g_sup^(gen_log * t) transport 1 + x correctly?
+    """Is g_sup^gen_log a root of sub's defining polynomial?
 
-    Additivity at every (1, g^i) pair extends to all sums by
-    multiplicativity, so this check certifies a ring homomorphism.
+    The subfield is GF(p)[x] modulo that polynomial with x = g_sub, so
+    g_sub^t -> g_sup^(gen_log * t) is a ring homomorphism exactly when the
+    image of x is a root.  The coefficients are GF(p) codes, the same codes
+    in sup, and Horner evaluates the polynomial in sup.
     """
-    for i in range(sub.order):
-        image = sup.add(1, sup.exp_table[(gen_log * i) % sup.order])
-        z = sub.zech_table[i]
-        if z == ZECH_NONE:
-            if image != 0:
-                return False
-        elif image != sup.exp_table[(gen_log * z) % sup.order]:
-            return False
-    return True
+    root = sup.exp_table[gen_log]
+    acc = 0
+    for c in reversed(sub.primitive_polynomial):
+        acc = sup.add(sup.mul(acc, root), c)
+    return acc == 0
 
 
 @functools.cache
@@ -339,7 +318,7 @@ def trace_table(sup: FieldTable, sub: FieldTable) -> np.ndarray:
     acc = np.zeros(sup.order, dtype=np.int64)
     exponent = 1
     for _ in range(sup.m // sub.m):
-        acc = sup.add_codes_digitwise(acc, exp[logs * exponent % sup.order])
+        acc = sup.add(acc, exp[logs * exponent % sup.order])
         exponent = exponent * sub.size % sup.order
     preimage = np.full(sup.size, -1, dtype=np.int64)
     preimage[[emb.apply_code(c) for c in range(sub.size)]] = range(sub.size)
@@ -412,18 +391,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = field.add(field.mul(acc, x), lift(c))
         return acc
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            base = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            terms.append(base if (c == 1 and i > 0) else (f"{c}" if i == 0 else f"{c}*{base}"))
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 def minimal_polynomial(field: FieldTable, a: int, base: FieldTable) -> Polynomial:

@@ -32,7 +32,7 @@ class TableOps:
         self.q = q
         self.prime = field.m == 1  # codes are plain residues: modular fast path
         codes = np.arange(q)
-        add = field.add_codes_digitwise(codes[:, None], codes[None, :]).astype(np.int16)
+        add = field.add(codes[:, None], codes[None, :]).astype(np.int16)
         # g^i g^k = g^((i + k) mod (q - 1)); log_table[0] is a placeholder
         exp, log = np.array(field.exp_table), np.array(field.log_table)
         mul = exp[(log[:, None] + log[None, :]) % field.order].astype(np.int16)

@@ -104,9 +104,10 @@ def subspace_from_rows(
     A fourth argument naming the ambient (callers pass "product") is
     accepted and ignored.
     """
-    mat = np.array(list(rows), dtype=np.int64).reshape(-1, ambient_dim)
-    check_stack_ambient(mat[None], q, ambient_dim)
-    return table_ops(field_for_size(q)).rref(mat)[0]
+    mat = np.array(list(rows), dtype=np.int64)
+    stack = mat[None] if len(mat) else np.zeros((1, 0, ambient_dim), dtype=np.int64)
+    check_stack_ambient(stack, q, ambient_dim)
+    return table_ops(field_for_size(q)).rref(stack[0])[0]
 
 
 def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:

@@ -268,7 +268,7 @@ class _MaskTable:
             self.anchor_rows = range(rows - len(anchors), rows)
             packed[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
-        mul, add = spec.ops.mul_table, spec.field_q.add_codes_digitwise
+        mul, add = spec.ops.mul_table, spec.field_q.add
         if mode == "max_group":
             funcs = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)].T
             offsets = mul[spec.field_q.neg(1)][funcs]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,12 +72,6 @@ def test_larger_field_construction(p, m):
     assert sorted(f.exp_table) == list(range(1, size))  # powers cover the group
     g = f.exp_table[1]
     assert f.mul(g, f.exp_table[size - 2]) == 1
-    for i in (0, 1, 7, (size - 1) // 2, size - 2):
-        s = f.add_codes_digitwise(1, f.exp_table[i])
-        if s == 0:
-            assert f.zech_table[i] == -1
-        else:
-            assert f.exp_table[f.zech_table[i]] == s
 
 
 # The first primitive polynomial in lexicographic order of (c_0, ..., c_{m-1}),
@@ -95,9 +90,9 @@ def test_defining_polynomial_is_the_first_primitive_one(p, m):
     assert build_field(p, m).primitive_polynomial == PRIMITIVE_CONSTANTS[p, m] + (1,)
 
 
-# sha256 over the defining polynomial, exp table and Zech table of every field
-# of size at most 1024 (198 fields, primes ascending, then m ascending).
-FIELD_TABLES_DIGEST = "91b100074a5c1a7c598cb0bdf986ab328d04aabf87a18052522ac7cb54ca51a3"
+# sha256 over the defining polynomial and exp table of every field of size at
+# most 1024 (198 fields, primes ascending, then m ascending).
+FIELD_TABLES_DIGEST = "a306773953087b92ac51a558d53e11b418cd12ff213694d380139e5b63f8b5e3"
 
 
 def test_field_tables_are_pinned_by_digest():
@@ -107,8 +102,7 @@ def test_field_tables_are_pinned_by_digest():
         m = 1
         while p**m <= 1024:
             f = build_field(p, m)
-            digest.update(repr((p, m, f.primitive_polynomial, list(f.exp_table),
-                                list(f.zech_table))).encode())
+            digest.update(repr((p, m, f.primitive_polynomial, list(f.exp_table))).encode())
             fields += 1
             m += 1
     assert fields == 198
@@ -117,7 +111,7 @@ def test_field_tables_are_pinned_by_digest():
 
 def test_cached_field_tables_refuse_writes():
     f = build_field(2, 3)
-    for table in (f.exp_table, f.log_table, f.zech_table):
+    for table in (f.exp_table, f.log_table):
         with pytest.raises(TypeError):
             table[1] = 3
     assert build_field(2, 3).mul(2, 2) == 4
@@ -276,6 +270,31 @@ def test_trace_table_is_the_sum_of_conjugates():
         assert trace_table(sup, sub) is table  # cached
 
 
+# sha256 over the ratio, twist and trace table of every subfield embedding
+# GF(p^s) -> GF(p^m) with p < 64 prime and p^m <= 4096 (115 pairs, p
+# ascending, then m, then s).
+EMBEDDINGS_DIGEST = "5b7ff308268945a4a6aea66179a3d14b3a09aab05d1cd4be3c653f6bd38407b7"
+
+
+def test_subfield_embeddings_are_pinned_by_digest():
+    digest = hashlib.sha256()
+    pairs = 0
+    for p in filter(is_prime, range(2, 64)):
+        m = 1
+        while p**m <= 4096:
+            sup = build_field(p, m)
+            for s in range(1, m + 1):
+                if m % s == 0:
+                    sub = build_field(p, s)
+                    e = embed_subfield(sub, sup)
+                    digest.update(repr((p, m, s, e.ratio, e.twist,
+                                        trace_table(sup, sub).tolist())).encode())
+                    pairs += 1
+            m += 1
+    assert pairs == 115
+    assert digest.hexdigest() == EMBEDDINGS_DIGEST
+
+
 def test_trace_table_rejects_non_subfields():
     with pytest.raises(NotASubfield):
         trace_table(build_field(2, 3), build_field(2, 2))
@@ -339,7 +358,7 @@ def test_element_order_examples():
         element_order(f9, 9)
 
 
-_field_keys = st.sampled_from([(2, 3), (3, 2), (5, 1), (2, 4)])
+_field_keys = st.sampled_from([(2, 3), (3, 2), (5, 1), (2, 4), (3, 3), (5, 2), (7, 2)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,6 +374,10 @@ def test_field_axioms(key, ai, bi, ci):
     assert f.add(a, f.neg(a)) == 0
     if a:
         assert f.mul(a, f.inv(a)) == 1
+    # add on integer arrays is the scalar add, elementwise
+    codes = np.array([a, b, c])
+    assert f.add(codes[:, None], codes).tolist() == [[f.add(x, y) for y in (a, b, c)]
+                                                    for x in (a, b, c)]
 
 
 @settings(max_examples=40, deadline=None)

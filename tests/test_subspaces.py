@@ -242,6 +242,9 @@ def test_a_basis_outside_the_product_ambient_is_a_length_mismatch():
         lambda: intersect_with_cyclic_group(outside, spec),
         lambda: subspace_support_size(spec, outside),
         lambda: nj_via_charsum(spec, outside),
+        # rows of twice or of neither width K = 5
+        lambda: subspace_from_rows(2, 5, [(1, 0, 0, 0, 0, 0, 1, 0, 0, 0)]),
+        lambda: subspace_from_rows(2, 5, [(1, 0, 0, 0, 0, 1)]),
     ]
     for call in calls:
         with pytest.raises(LengthMismatch, match="product ambient"):

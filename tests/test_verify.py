@@ -12,6 +12,7 @@ from rghw import verify, weights
 from rghw.charsum import nj_via_charsum
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated
+from rghw.gf import FieldTable
 from rghw.subspaces import gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
 
@@ -323,6 +324,28 @@ def _failures_with(monkeypatch, suite, name, corrupt):
     res = suite()
     assert clean.failures == [] and res.checks == clean.checks
     return res.failures
+
+
+def test_tables_that_ignore_the_addition_fail_distributivity(monkeypatch):
+    # g and g^2 swap places in GF(8)'s tables: exp and log stay inverse and
+    # every trace stays put ({1, 2, 4} is one Frobenius orbit), but
+    # multiplication no longer distributes over the digitwise addition
+    original = verify.build_field
+
+    def swapped(p, m):
+        f = original(p, m)
+        if (p, m) != (2, 3):
+            return f
+        exp, log = list(f.exp_table), list(f.log_table)
+        exp[1], exp[2] = exp[2], exp[1]
+        log[exp[1]], log[exp[2]] = 1, 2
+        return FieldTable(p, m, f.primitive_polynomial[:-1], exp, log)
+
+    clean = verify.gf_suite()
+    monkeypatch.setattr(verify, "build_field", swapped)
+    res = verify.gf_suite()
+    assert clean.failures == [] and res.checks == clean.checks
+    assert res.failures == ["GF(8): multiplication does not distribute over addition"]
 
 
 def test_a_repeated_basis_fails_the_enumeration_count(monkeypatch):
