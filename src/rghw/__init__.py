@@ -3,7 +3,6 @@
 from .charsum import (
     CharacterHandle,
     gauss_sum,
-    nj_via_charsum,
     orthogonality_sum,
     unit_roots,
 )
@@ -27,12 +26,9 @@ from .gf import (
     minimal_polynomial,
 )
 from .subspaces import (
-    enumerate_subspaces,
     gaussian_binomial,
-    intersect_with_cyclic_group,
     rref_stack,
     stack_members,
-    subspace_from_rows,
 )
 from .weights import (
     DEFAULT_ENUM_CAP,
@@ -64,21 +60,17 @@ __all__ = [
     "detect_family",
     "element_order",
     "embed_subfield",
-    "enumerate_subspaces",
     "evaluate_closed_form",
     "field_for_size",
     "gauss_sum",
     "gaussian_binomial",
     "ghw_bruteforce",
-    "intersect_with_cyclic_group",
     "minimal_polynomial",
     "mj_dual_count",
-    "nj_via_charsum",
     "orthogonality_sum",
     "parity_check_polynomial",
     "rghw_bruteforce",
     "rref_stack",
     "stack_members",
-    "subspace_from_rows",
     "unit_roots",
 ]

@@ -195,7 +195,7 @@ def charsum_zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
         )
     check_stack_ambient(stack, spec.q, spec.ambient_dim)
     nmats, r, _ = stack.shape
-    dims = np.asarray(stack_dims(stack), dtype=np.int64)
+    dims = stack_dims(stack)
     # each member of a d-dimensional basis is listed q^(r-d) times
     repeats = spec.q ** (r - dims)
     owner = np.repeat(np.arange(nmats), spec.q**r)
@@ -230,5 +230,9 @@ def charsum_zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 
 
 def nj_via_charsum(spec: CodeSpec, basis: np.ndarray) -> float:
-    """charsum_zero_counts of a single (r, K) RREF basis."""
+    """charsum_zero_counts of a single (r, K) RREF basis.
+
+    Not exported: only the benchmark (perfbench) names it, and it goes when
+    the benchmark stops naming it (ROADMAP 1b).
+    """
     return float(charsum_zero_counts(spec, basis[None])[0])

@@ -151,9 +151,9 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     field = field_for_size(args.size)
     order = field.size - 1
     if args.lam == "all":
-        lams = range(max(order, 1))  # lazy: the cap below may refuse it
+        lams = range(order)  # lazy: the cap below may refuse it
     else:
-        lams = [_parse_int(args.lam, "--lam") % max(order, 1)]
+        lams = [_parse_int(args.lam, "--lam") % order]
     if not 0 <= args.beta < field.size:
         raise RangeError(f"beta code {args.beta} outside GF({field.size})")
     terms = order * len(lams)  # each sum runs over the size-1 nonzero elements
@@ -161,7 +161,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
         raise CapExceeded(f"{terms} Gauss-sum terms exceed the cap {DEFAULT_ENUM_CAP}")
     rows = []
     for lam in lams:
-        chi = CharacterHandle(field, max(order, 1), lam if order else 0)
+        chi = CharacterHandle(field, order, lam)
         value = gauss_sum(chi, args.beta)
         rows.append(
             {

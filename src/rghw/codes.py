@@ -2,13 +2,15 @@
 
 A CodeSpec fixes the base field GF(q), the two extensions GF(Q1), GF(Q2)
 (one Factor each), the nonzero generators a1 = g1^e1 and a2 = g2^e2, and
-precomputes the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): per-coordinate evaluation
-functionals, the cyclic-group point list, and the Gram matrix of the
-paired-trace inner product.  Everything downstream works on those tables.
+holds the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): per-coordinate evaluation
+functionals, the cyclic-group point list (both built on first read), and
+the Gram matrix of the paired-trace inner product.  Everything downstream
+works on those tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -144,8 +146,6 @@ class CodeSpec:
         self.n = self.n1 * self.n2 // self.d
         self.ambient_dim = k1 + k2
 
-        self.coordinate_functionals = self._build_functionals()
-        self.group_vectors = self._build_group_vectors()
         self.gram = self._build_gram()
         # vecs @ _decode_weights is the base-q compose index of each factor
         self._decode_weights = np.zeros((k1 + k2, 2), dtype=np.int64)
@@ -161,9 +161,12 @@ class CodeSpec:
     # -- construction helpers -------------------------------------------
     #
     # Each table puts the columns of factor 1 before those of factor 2, and
-    # row i of a factor's block depends on i only modulo its order n.
+    # row i of a factor's block depends on i only modulo its order n.  The
+    # two n-row tables are built on first read: a closed-form table reads
+    # neither, and n reaches the tens of millions.
 
-    def _build_functionals(self) -> np.ndarray:
+    @functools.cached_property
+    def coordinate_functionals(self) -> np.ndarray:
         """Row i evaluates coordinate i of a codeword on flattened inputs:
         tr(gamma^t * alpha^i) in column t of each factor's block."""
         rows = np.arange(self.n)
@@ -173,7 +176,8 @@ class CodeSpec:
             for f in self.factors
         ])
 
-    def _build_group_vectors(self) -> np.ndarray:
+    @functools.cached_property
+    def group_vectors(self) -> np.ndarray:
         """Row i is the flattened point (a1^i, a2^i)."""
         rows = np.arange(self.n)
         return np.hstack([f.decompose[f.alpha_powers][rows % f.n] for f in self.factors])

@@ -266,7 +266,7 @@ class Embedding:
 
     @property
     def _twist_inv(self) -> int:
-        return pow(self.twist, -1, self.sub.order) if self.sub.order > 1 else 0
+        return pow(self.twist, -1, self.sub.order)
 
 
 def _is_field_hom(sub: FieldTable, sup: FieldTable, gen_log: int) -> bool:
@@ -291,7 +291,7 @@ def embed_subfield(sub: FieldTable, sup: FieldTable) -> Embedding:
     ratio = (sup.size - 1) // (sub.size - 1)
     twist = None
     for u in range(1, sub.order + 2):
-        if sub.order and math.gcd(u, sub.order) != 1:
+        if math.gcd(u, sub.order) != 1:
             continue
         if _is_field_hom(sub, sup, (ratio * u) % sup.order):
             twist = u

@@ -91,7 +91,11 @@ def rref_stack(k: int, j: int, q: int) -> np.ndarray:
 
 def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[np.ndarray]:
     """Yield the (j, k) RREF basis of every j-dimensional subspace of F_q^k
-    exactly once, in the order of rref_stack."""
+    exactly once, in the order of rref_stack.
+
+    Not exported: only the benchmark (perfbench) names it, and it goes when
+    the benchmark stops naming it (ROADMAP 1b).
+    """
     return iter(rref_stack(k, j, q))
 
 
@@ -101,10 +105,14 @@ def subspace_from_rows(
     """Canonicalize arbitrary spanning rows into an RREF basis, the (r, K)
     array of its nonzero rows.
 
-    A fourth argument naming the ambient (callers pass "product") is
-    accepted and ignored.
+    A fourth argument naming the ambient (the benchmark passes "product") is
+    accepted and ignored.  Not exported: only the benchmark (perfbench)
+    names it, and it goes when the benchmark stops naming it (ROADMAP 1b).
     """
-    mat = np.array(list(rows), dtype=np.int64)
+    rows = list(rows)
+    if len({np.shape(row) for row in rows}) > 1:
+        raise LengthMismatch("rows of unequal width are not in the product ambient")
+    mat = np.array(rows, dtype=np.int64)
     stack = mat[None] if len(mat) else np.zeros((1, 0, ambient_dim), dtype=np.int64)
     check_stack_ambient(stack, q, ambient_dim)
     return table_ops(field_for_size(q)).rref(stack[0])[0]
@@ -118,9 +126,9 @@ def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
     return ops.matmul(counter(stack.shape[1], ops.q), stack)
 
 
-def stack_dims(stack: np.ndarray) -> list[int]:
-    """The dimension of each RREF basis in a zero-padded stack."""
-    return stack.any(axis=2).sum(axis=1).tolist()
+def stack_dims(stack: np.ndarray) -> np.ndarray:
+    """The dimension of each RREF basis in a zero-padded stack, as int64[B]."""
+    return stack.any(axis=2).sum(axis=1, dtype=np.int64)
 
 
 def stack_rows(stack: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
@@ -200,5 +208,9 @@ def cyclic_group_counts(stack: np.ndarray, spec) -> np.ndarray:
 
 
 def intersect_with_cyclic_group(basis: np.ndarray, spec) -> int:
-    """cyclic_group_counts of a single (r, K) RREF basis."""
+    """cyclic_group_counts of a single (r, K) RREF basis.
+
+    Not exported: only the benchmark (perfbench) names it, and it goes when
+    the benchmark stops naming it (ROADMAP 1b).
+    """
     return int(cyclic_group_counts(basis[None], spec)[0])

@@ -24,6 +24,7 @@ from .charsum import (
 )
 from .closed_forms import detect_family, evaluate_closed_form
 from .codes import CodeSpec, build_code, codewords, parity_check_polynomial
+from .errors import CapExceeded
 from .gf import (
     FieldTable,
     build_field,
@@ -44,6 +45,7 @@ from .subspaces import (
     stack_rows,
 )
 from .weights import (
+    DEFAULT_ENUM_CAP,
     ghw_bruteforce,
     mj_dual_count,
     rghw_bruteforce,
@@ -116,11 +118,16 @@ def _draw_blocks(rng: np.random.Generator, q: int, nrows, width: int, ambient_di
     the generator's 32-bit stream, which carries over between calls."""
     nrows = np.asarray(nrows)
     for start in range(0, len(nrows), DRAW_BLOCK):
-        counts = nrows[start:start + DRAW_BLOCK]
-        block = np.zeros((len(counts), width, ambient_dim), dtype=np.int16)
-        block[np.arange(width) < counts[:, None]] = rng.integers(
-            0, q, size=(counts.sum(), ambient_dim))
-        yield block
+        yield _draw_block(rng, q, nrows[start:start + DRAW_BLOCK], width, ambient_dim)
+
+
+def _draw_block(rng: np.random.Generator, q: int, counts: np.ndarray, width: int,
+                ambient_dim: int) -> np.ndarray:
+    """One block of _draw_blocks: draw i has counts[i] random rows."""
+    block = np.zeros((len(counts), width, ambient_dim), dtype=np.int16)
+    block[np.arange(width) < counts[:, None]] = rng.integers(
+        0, q, size=(counts.sum(), ambient_dim))
+    return block
 
 
 def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +329,8 @@ def subspaces_suite(seed: int = 2024,
             stack = spec.ops.rref_many(block)
             first, back = _distinct(stack)
             dual = dual_stack(stack[first], spec)
-            dims = np.asarray(stack_dims(stack))
-            dual_dims = np.asarray(stack_dims(dual))[back]
+            dims = stack_dims(stack)
+            dual_dims = stack_dims(dual)[back]
             same = (dual_stack(dual, spec)[back] == stack).all(axis=(1, 2))
             res.check_all(
                 np.stack([dual_dims == K - dims, same], 1).ravel(),
@@ -341,7 +348,7 @@ def subspaces_suite(seed: int = 2024,
     with_subcode = spec.ops.rref_many(np.concatenate(
         [padded, np.broadcast_to(eye2, (len(padded), k2, K))], axis=1))
     dims, image1_dim, kernel1_dim, image2_dual_dim, rank = (
-        np.asarray(stack_dims(s)) for s in (padded, image1, kernel1, image2_dual, with_subcode))
+        stack_dims(s) for s in (padded, image1, kernel1, image2_dual, with_subcode))
     p_a = dims + k2 - rank == 0  # the intersection with C' is zero
     p_b = kernel1_dim == 0
     p_c = image2_dual_dim == k2
@@ -487,14 +494,19 @@ def _divisors(n: int) -> list[int]:
 
 def charsum_suite(seed: int = 2024, samples: int = 100,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
+    if samples > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"{samples} samples exceed the cap {DEFAULT_ENUM_CAP}")
     res = SuiteResult("charsum")
     specs = [(params, build_code(*params)) for params in instances]
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
-        nrows = 1 + np.arange(samples) % spec.k1
-        # each distinct subspace of a draw block is scored once
-        for block in _draw_blocks(rng, spec.q, nrows, spec.k1, spec.ambient_dim):
+        # draw i has 1 + i % k1 rows; the counts are built a block at a time,
+        # so memory does not grow with samples, and each distinct subspace
+        # of a block is scored once
+        for start in range(0, samples, DRAW_BLOCK):
+            nrows = 1 + np.arange(start, min(start + DRAW_BLOCK, samples)) % spec.k1
+            block = _draw_block(rng, spec.q, nrows, spec.k1, spec.ambient_dim)
             stack = spec.ops.rref_many(block)
             first, back = _distinct(stack)
             fresh = stack[first]

@@ -60,7 +60,11 @@ SLICE_BYTES = 100 << 10
 
 def subspace_support_size(spec: CodeSpec, basis: np.ndarray) -> int:
     """|Supp| of the codeword space spanned by an (r, K) basis of a
-    product-space subspace."""
+    product-space subspace.
+
+    Not exported: only the benchmark (perfbench) names it, and it goes when
+    the benchmark stops naming it (ROADMAP 1b).
+    """
     check_stack_ambient(basis[None], spec.q, spec.ambient_dim)
     return int(spec.ops.matmul(basis, spec.coordinate_functionals.T).any(axis=0).sum())
 

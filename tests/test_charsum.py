@@ -14,7 +14,6 @@ from rghw.charsum import (
     CharacterHandle,
     charsum_zero_counts,
     gauss_sum,
-    nj_via_charsum,
     orthogonality_sum,
     unit_roots,
 )
@@ -32,12 +31,11 @@ from rghw.subspaces import (
     stack_dims,
     stack_members,
     stack_rows,
-    subspace_from_rows,
 )
 from rghw.verify import ORACLE_TOL
 from rghw.weights import zero_counts
 
-from helpers import padded_stack
+from helpers import basis, padded_stack
 
 
 def char_eval(chi: CharacterHandle, x: int) -> complex:
@@ -229,23 +227,22 @@ def test_trivial_on_subfield_matches_congruence():
 def test_nj_via_charsum_examples():
     spec = build_code(2, 2, 3, 1, 1)
     K = spec.ambient_dim
-    line = subspace_from_rows(
-        2, K, [np.concatenate([spec.factors[0].decompose[1], spec.factors[1].decompose[1]])], "product"
-    )
-    assert abs(nj_via_charsum(spec, line) - 11.0) < 1e-6
+    line = basis(2, K, [np.concatenate([spec.factors[0].decompose[1],
+                                        spec.factors[1].decompose[1]])])
+    assert abs(charsum_zero_counts(spec, line[None])[0] - 11.0) < 1e-6
 
     # subspaces violating the trivial-intersection condition still match
-    second_only = subspace_from_rows(
-        2, K, [np.concatenate([spec.factors[0].decompose[0], spec.factors[1].decompose[1]])], "product"
-    )
-    assert abs(nj_via_charsum(spec, second_only) - zero_counts(spec, second_only[None])[0]) < 1e-6
+    second_only = basis(2, K, [np.concatenate([spec.factors[0].decompose[0],
+                                               spec.factors[1].decompose[1]])])
+    assert abs(charsum_zero_counts(spec, second_only[None])[0]
+               - zero_counts(spec, second_only[None])[0]) < 1e-6
 
     spec3 = build_code(3, 2, 3, 1, 2)
     rng = np.random.default_rng(23)
     for _ in range(25):
         rows = rng.integers(0, 3, size=(1, spec3.ambient_dim))
-        d = subspace_from_rows(3, spec3.ambient_dim, rows, "product")
-        assert abs(nj_via_charsum(spec3, d) - zero_counts(spec3, d[None])[0]) < 1e-6
+        d = basis(3, spec3.ambient_dim, rows)
+        assert abs(charsum_zero_counts(spec3, d[None])[0] - zero_counts(spec3, d[None])[0]) < 1e-6
 
 
 def test_nj_via_charsum_general_index_side():
@@ -257,8 +254,8 @@ def test_nj_via_charsum_general_index_side():
     for i in range(40):
         j = 1 + i % 2
         rows = rng.integers(0, 3, size=(j, spec.ambient_dim))
-        d = subspace_from_rows(3, spec.ambient_dim, rows, "product")
-        assert abs(nj_via_charsum(spec, d) - zero_counts(spec, d[None])[0]) < 1e-6
+        d = basis(3, spec.ambient_dim, rows)
+        assert abs(charsum_zero_counts(spec, d[None])[0] - zero_counts(spec, d[None])[0]) < 1e-6
 
 
 def test_nj_via_charsum_general_index_second_side():
@@ -273,15 +270,15 @@ def test_nj_via_charsum_general_index_second_side():
         rows = [np.concatenate([spec.factors[0].decompose[0], spec.factors[1].decompose[1 + i % 15]])]
         if i % 2:
             rows.append(rng.integers(0, 2, size=spec.ambient_dim))
-        d = subspace_from_rows(2, spec.ambient_dim, rows, "product")
-        assert abs(nj_via_charsum(spec, d) - zero_counts(spec, d[None])[0]) < 1e-6
+        d = basis(2, spec.ambient_dim, rows)
+        assert abs(charsum_zero_counts(spec, d[None])[0] - zero_counts(spec, d[None])[0]) < 1e-6
 
 
 def test_nj_via_charsum_rejects_non_coprime():
     spec = build_code(3, 2, 2, 1, 2)  # n1 = 8, n2 = 4
-    d = subspace_from_rows(3, spec.ambient_dim, [(1, 0, 0, 0)], "product")
+    d = basis(3, spec.ambient_dim, [(1, 0, 0, 0)])
     with pytest.raises(NonCoprimeOrders):
-        nj_via_charsum(spec, d)
+        charsum_zero_counts(spec, d[None])
 
 
 def test_per_subspace_closed_form_q3():
@@ -294,7 +291,7 @@ def test_per_subspace_closed_form_q3():
     while kept < 30:
         j = 1 + int(rng.integers(0, 2))
         rows = rng.integers(0, 3, size=(j, spec.ambient_dim))
-        d = subspace_from_rows(3, spec.ambient_dim, rows, "product")
+        d = basis(3, spec.ambient_dim, rows)
         members = stack_members(d[None], spec.ops)[0]
         pairs = list(zip(*spec.pairs_from_vectors(members)))
         if any(c1 == 0 and c2 != 0 for c1, c2 in pairs):
@@ -332,8 +329,8 @@ def test_stacked_oracle_matches_zero_counts_and_the_one_element_oracle(params, d
     counts = charsum_zero_counts(spec, stack)
     assert counts.shape == (len(mats),) and counts.dtype == np.float64
     assert (np.abs(counts - zero_counts(spec, stack)) < ORACLE_TOL).all()
-    for value, basis, dim in zip(counts.tolist(), stack, stack_dims(stack)):
-        assert value == nj_via_charsum(spec, basis[:dim])
+    for value, rref, dim in zip(counts.tolist(), stack, stack_dims(stack)):
+        assert value == charsum_zero_counts(spec, rref[None, :dim])[0]
 
 
 def test_an_imaginary_residue_names_the_first_offending_subspace(monkeypatch):
@@ -364,7 +361,7 @@ def test_an_imaginary_residue_names_the_first_offending_subspace(monkeypatch):
     assert str(raised.value).startswith("imaginary residue ")
     assert str(raised.value).endswith(f" exceeds {charsum.IMAG_TOL} for {offending}")
     with pytest.raises(PrecisionFailure) as single:
-        nj_via_charsum(spec, stack[2, :len(offending)])
+        charsum_zero_counts(spec, stack[2:3, :len(offending)])
     assert str(single.value) == str(raised.value)
 
 

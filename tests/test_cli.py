@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rghw
 import rghw.cli
 from rghw.cli import main
+from rghw.codes import build_code
 from rghw.errors import InvariantViolated, PrecisionFailure
 
 SRC = Path(rghw.__file__).resolve().parent
@@ -189,6 +191,34 @@ def test_routes_subset(capsys):
         assert set(row["routes"]) == {"dual_count"}
 
 
+# SHA-256 of the int16 bytes of the two n-row tables of (2, 2, 3, 1, 1), as
+# CodeSpec built them eagerly
+PINNED_N_ROW_TABLES = {
+    "coordinate_functionals": "c396d2465d10b18c532bdb5cc5dfea0aed3ea6e3e2d545d72ef6bf16d5aab924",
+    "group_vectors": "226df4cd1a62609529b826fe6a74ec5e7f24544989d2551f33e48537862f23cd",
+}
+
+
+def test_a_closed_form_table_builds_neither_n_row_table(capsys, monkeypatch):
+    """Each n-row table is built on first read, and a closed-form table reads
+    neither, so it allocates nothing that grows with n."""
+    specs = []
+
+    def recording(*params):
+        specs.append(build_code(*params))
+        return specs[-1]
+
+    monkeypatch.setattr(rghw.cli, "build_code", recording)
+    code, out, _ = run_cli(capsys, *TABLE_ARGS, "--routes", "closed_form")
+    assert code == 0 and "closed_form: M=10" in out and len(specs) == 1
+    spec = specs[0]
+    assert not PINNED_N_ROW_TABLES.keys() & vars(spec).keys()
+    for name, digest in PINNED_N_ROW_TABLES.items():
+        table = getattr(spec, name)
+        assert table.dtype == np.int16 and table.shape == (spec.n, spec.ambient_dim)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
+
+
 def test_gauss_gf5(capsys):
     code, out, _ = run_cli(capsys, "gauss", "--size", "5", "--format", "json")
     assert code == 0
@@ -345,6 +375,8 @@ BAD_INPUTS = [
     ("size-prime-beyond-cap", ("gauss", "--size", "10000000000037"), 3, "SizeCapExceeded"),
     ("size-composite-beyond-cap", ("gauss", "--size", "10000000000000"), 3, "SizeCapExceeded"),
     ("gauss-all-beyond-cap", ("gauss", "--size", "10007"), 3, "CapExceeded"),
+    ("samples-beyond-cap", ("verify", "--suite", "charsum", "--samples", "1" + "0" * 12), 3,
+     "CapExceeded"),
     ("k1-not-an-integer", ("table", "--q", "2", "--k1", "x", "--k2", "3"), 2, "UsageError"),
     ("k1-missing", ("table", "--q", "2", "--k2", "3"), 2, "UsageError"),
     ("format-unknown", ("table", *SPEC_ARGS, "--format", "xml"), 2, "UsageError"),

@@ -14,7 +14,8 @@ from rghw.errors import (
     NotAFieldGenerator,
 )
 from rghw.gf import element_order, trace_table
-from rghw.subspaces import subspace_from_rows
+
+from helpers import basis
 
 
 def direct_codeword(spec, b1_code, b2_code):
@@ -154,14 +155,14 @@ def test_support_of_subspace_matches_union_of_members():
 
     for _ in range(10):
         rows = rng.integers(0, 3, size=(2, spec.ambient_dim))
-        basis = subspace_from_rows(3, spec.ambient_dim, rows, "product")
+        rref = basis(3, spec.ambient_dim, rows)
         # the codeword of each basis row is the row times the functionals
-        words = spec.ops.matmul(basis, spec.coordinate_functionals.T)
-        assert words.shape == (len(basis), spec.n)
-        assert (words == codewords(spec, *spec.pairs_from_vectors(basis))).all()
+        words = spec.ops.matmul(rref, spec.coordinate_functionals.T)
+        assert words.shape == (len(rref), spec.n)
+        assert (words == codewords(spec, *spec.pairs_from_vectors(rref))).all()
         via_basis = set(np.flatnonzero(words.any(axis=0)).tolist())
         union = set()
-        members = stack_members(basis[None], spec.ops)[0]
+        members = stack_members(rref[None], spec.ops)[0]
         for word in codewords(spec, *spec.pairs_from_vectors(members)).tolist():
             union |= {i for i, v in enumerate(word) if v}
         assert via_basis == union

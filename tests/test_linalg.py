@@ -16,12 +16,12 @@ from rghw.linalg import table_ops
 from rghw.subspaces import (
     _pivot_aligned,
     dual_stack,
-    enumerate_subspaces,
-    stack_dims,
+    rref_stack,
     stack_rows,
-    subspace_from_rows,
 )
 from rghw.verify import DEFAULT_INSTANCES
+
+from helpers import basis, dual_one
 
 QS = (2, 3, 4, 5, 8, 9)
 DUAL_SPECS = ((4, 2, 3, 1, 3), (5, 2, 3, 1, 4))
@@ -198,12 +198,11 @@ def test_dual_is_orthogonal_of_complementary_dimension(params, data):
     nrows = data.draw(st.integers(0, K + 1))
     entries = data.draw(st.lists(st.integers(0, spec.q - 1),
                                  min_size=nrows * K, max_size=nrows * K))
-    basis = subspace_from_rows(spec.q, K, np.array(entries).reshape(nrows, K), "product")
-    padded = dual_stack(basis[None], spec)
-    dual = padded[0, :stack_dims(padded)[0]]
-    assert len(dual) == K - len(basis)
-    if len(basis) and len(dual):
-        pairing = ops.matmul(ops.matmul(basis, spec.gram), dual.T)
+    rref = basis(spec.q, K, np.array(entries).reshape(nrows, K))
+    dual = dual_one(rref, spec)
+    assert len(dual) == K - len(rref)
+    if len(rref) and len(dual):
+        pairing = ops.matmul(ops.matmul(rref, spec.gram), dual.T)
         assert not pairing.any()
 
 
@@ -214,14 +213,14 @@ DUAL_SAMPLES = 200
 
 
 def enumeration_digest() -> str:
-    """SHA-256 of every basis enumerate_subspaces yields for q in {2, 3},
-    k <= 5 and every j, in order."""
+    """SHA-256 of every basis rref_stack holds for q in {2, 3}, k <= 5 and
+    every j, in order."""
     digest = hashlib.sha256()
     for q in (2, 3):
         for k in range(1, 6):
             for j in range(k + 1):
-                for basis in enumerate_subspaces(k, j, q):
-                    digest.update(repr(stack_rows(basis[None])[0]).encode())
+                for rows in stack_rows(rref_stack(k, j, q)):
+                    digest.update(repr(rows).encode())
     return digest.hexdigest()
 
 
@@ -233,9 +232,9 @@ def dual_digest(params) -> str:
     digest = hashlib.sha256()
     for _ in range(DUAL_SAMPLES):
         rows = rng.integers(0, spec.q, size=(int(rng.integers(0, K + 1)), K))
-        basis = subspace_from_rows(spec.q, K, rows, "product")
-        dual = dual_stack(basis[None], spec)
-        digest.update(repr((stack_rows(basis[None])[0], stack_rows(dual)[0])).encode())
+        rref = basis(spec.q, K, rows)
+        dual = dual_stack(rref[None], spec)
+        digest.update(repr((stack_rows(rref[None])[0], stack_rows(dual)[0])).encode())
     return digest.hexdigest()
 
 

@@ -16,12 +16,11 @@ from rghw.errors import CapExceeded
 from rghw.gf import field_for_size
 from rghw.subspaces import (
     count_for_pivots,
+    cyclic_group_counts,
     digits,
-    enumerate_subspaces,
     free_positions,
     gaussian_binomial,
-    intersect_with_cyclic_group,
-    subspace_from_rows,
+    rref_stack,
 )
 from rghw.linalg import table_ops
 from rghw.weights import (
@@ -30,7 +29,6 @@ from rghw.weights import (
     mj_dual_count,
     orbit_representatives,
     rghw_bruteforce,
-    subspace_support_size,
 )
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
@@ -42,15 +40,15 @@ def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
         order = weights._column_order(k1, k2, mode)
         for dim in range(K + 1):
             admissible = set(admissible_pivot_sets(k1, k2, dim, mode))
-            for basis in enumerate_subspaces(K, dim, q):
+            for rref in rref_stack(K, dim, q):
                 mat = np.empty((dim, K), dtype=np.int16)
-                mat[:, order] = basis
+                mat[:, order] = rref
                 if mode == "min_support":
                     want = len(ops.rref(mat[:, :k1])[1]) == dim
                 else:
                     want = len(ops.rref(mat[:, k1:])[1]) == k2
-                pivots = tuple((basis != 0).argmax(axis=1).tolist())
-                assert (pivots in admissible) == want, (mode, basis.tolist())
+                pivots = tuple((rref != 0).argmax(axis=1).tolist())
+                assert (pivots in admissible) == want, (mode, rref.tolist())
 
 
 def definition_reference(spec):
@@ -60,13 +58,14 @@ def definition_reference(spec):
     K, k1, k2, ops = spec.ambient_dim, spec.k1, spec.k2, spec.ops
     ghw, rghw, group = {}, {}, {}
     for d in range(1, K + 1):
-        for basis in enumerate_subspaces(K, d, spec.q):
-            supp = subspace_support_size(spec, basis)
+        stack = rref_stack(K, d, spec.q)
+        supports = ops.matmul(stack, spec.coordinate_functionals.T).any(axis=1).sum(axis=1)
+        counts = cyclic_group_counts(stack, spec)
+        for rref, supp, count in zip(stack, supports.tolist(), counts.tolist()):
             ghw[d] = min(ghw.get(d, supp), supp)
-            if len(ops.rref(basis[:, :k1])[1]) == d:
+            if len(ops.rref(rref[:, :k1])[1]) == d:
                 rghw[d] = min(rghw.get(d, supp), supp)
-            if len(ops.rref(basis[:, k1:])[1]) == k2:
-                count = intersect_with_cyclic_group(basis, spec)
+            if len(ops.rref(rref[:, k1:])[1]) == k2:
                 group[d] = max(group.get(d, count), count)
     return ghw, rghw, group
 
@@ -87,8 +86,8 @@ def test_grid_routes_match_the_definition(small_grid):
             # the argmax is a canonical basis that attains N_j and is onto GF(Q2)
             arg = dual.argmax
             assert arg.dtype == np.int16 and arg.shape == (K - j, K)
-            assert np.array_equal(subspace_from_rows(spec.q, K, arg), arg)
-            assert intersect_with_cyclic_group(arg, spec) == dual.n_j
+            assert np.array_equal(spec.ops.rref(arg)[0], arg)
+            assert cyclic_group_counts(arg[None], spec)[0] == dual.n_j
             assert len(spec.ops.rref(arg[:, k1:])[1]) == k2
 
 

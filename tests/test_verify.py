@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from rghw import verify, weights
-from rghw.charsum import nj_via_charsum
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated
 from rghw.gf import FieldTable
 from rghw.subspaces import gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
 
-from helpers import padded_stack
+from helpers import basis, padded_stack
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -56,11 +55,6 @@ def test_a_failure_message_is_built_only_when_the_check_fails():
 def test_unknown_suite_is_a_key_error():
     with pytest.raises(KeyError):
         run_suites(["nope"])
-
-
-def basis_of(rows, ambient_dim: int) -> np.ndarray:
-    """The (r, K) basis of a tuple of RREF rows, as stack_rows gives them."""
-    return np.array(rows, dtype=np.int16).reshape(len(rows), ambient_dim)
 
 
 def _record_draws(monkeypatch):
@@ -125,8 +119,8 @@ def test_charsum_scores_each_distinct_draw_once_and_checks_every_draw(monkeypatc
     assert [calls[p] for p in usable] == [per_block] * len(usable)  # one per block
     assert res.checks == samples * len(usable)
     spec = build_code(*chosen_params)
-    basis = basis_of(chosen, spec.ambient_dim)
-    diff = abs(nj_via_charsum(spec, basis) + 1 - verify.zero_counts(spec, basis[None])[0])
+    rref = basis(spec.q, spec.ambient_dim, chosen)
+    diff = abs(oracle(spec, rref[None])[0] + 1 - verify.zero_counts(spec, rref[None])[0])
     message = f"{chosen_params}: oracle residual {diff} at subspace {chosen}"
     assert res.failures == [message] * repeats
     assert res.notes["max_residual"] == diff
@@ -149,7 +143,7 @@ def test_round_trips_dualize_each_distinct_draw_once_and_check_every_draw(monkey
     K = spec.ambient_dim
     drawn = Counter(rows for block in per_instance[1] for rows in block)
     duals = set(stack_rows(verify.dual_stack(
-        padded_stack([basis_of(rows, K) for rows in drawn], K, K), spec)))
+        padded_stack([basis(spec.q, K, rows) for rows in drawn], K, K), spec)))
     chosen, repeats = next((rows, n) for rows, n in drawn.most_common()
                            if 0 < len(rows) < K and rows not in duals)
     assert repeats > 1
@@ -256,7 +250,7 @@ def test_a_corrupted_dual_raises_for_the_first_mismatching_draw(monkeypatch):
     assert draws.index(first) > 7 and draws.index(first) % 7
     spec = build_code(*verify.DEFAULT_INSTANCES[0])
     with pytest.raises(InvariantViolated) as single:
-        verify.zero_counts(spec, basis_of(first, spec.ambient_dim)[None])
+        verify.zero_counts(spec, basis(spec.q, spec.ambient_dim, first)[None])
     assert str(raised.value) == str(single.value)
     assert str(single.value).endswith(f" != {spec.n} for {first}")
 
