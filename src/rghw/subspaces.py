@@ -150,7 +150,7 @@ def _pivot_aligned(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_rows(red: np.ndarray, ops: TableOps) -> np.ndarray:
+def kernel_rows(red: np.ndarray, ops: TableOps) -> np.ndarray:
     """(B, c, c): rows spanning {v : R v = 0} for each RREF matrix R of a
     (B, r, c) stack, the rows of (I - P)^T; each free column fc gives e_fc
     minus column fc of R on the pivot columns, each pivot column a zero row."""
@@ -178,7 +178,7 @@ def dual_stack(stack: np.ndarray, spec) -> np.ndarray:
     ops: TableOps = spec.ops
     # B G v = 0 iff G v lies in ker B; G is symmetric, so the dual is
     # spanned by ker(B) @ G^-1
-    return ops.rref_many(ops.matmul(_kernel_rows(stack, ops), spec.gram_inverse))
+    return ops.rref_many(ops.matmul(kernel_rows(stack, ops), spec.gram_inverse))
 
 
 def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +196,7 @@ def project_stack(stack: np.ndarray, spec, side: int) -> tuple[np.ndarray, np.nd
     ops: TableOps = spec.ops
     block = stack[:, :, :spec.k1] if side == 1 else stack[:, :, spec.k1:]
     # kernel: coefficient vectors x with x @ block = 0, pushed through the basis
-    coeffs = _kernel_rows(ops.rref_many(block.transpose(0, 2, 1)), ops)
+    coeffs = kernel_rows(ops.rref_many(block.transpose(0, 2, 1)), ops)
     return ops.rref_many(block), ops.rref_many(ops.matmul(coeffs, stack))
 
 

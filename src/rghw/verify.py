@@ -492,10 +492,14 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def charsum_suite(seed: int = 2024, samples: int = 100,
-                  instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
+def _check_samples(samples: int) -> None:
     if samples > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"{samples} samples exceed the cap {DEFAULT_ENUM_CAP}")
+
+
+def charsum_suite(seed: int = 2024, samples: int = 100,
+                  instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
+    _check_samples(samples)
     res = SuiteResult("charsum")
     specs = [(params, build_code(*params)) for params in instances]
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
@@ -585,8 +589,11 @@ _SUITE_ARGS = {
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
     given = {"seed": seed, "samples": samples, "workers": workers}
+    names = list(names) if names else list(SUITES)
+    if "charsum" in names:  # refuse before any suite spends time
+        _check_samples(samples)
     out = []
-    for name in list(names) if names else list(SUITES):
+    for name in names:
         if name not in SUITES:
             raise KeyError(name)
         out.append(SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}))

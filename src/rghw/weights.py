@@ -5,10 +5,10 @@ Three routes are wired together here:
 * rghw_bruteforce minimizes the support size over j-dimensional subspaces
   of the flattened pair space whose first projection is injective (those
   are exactly the subspaces of C meeting C' trivially).
-* mj_dual_count takes, over (k1+k2-j)-dimensional subspaces whose second
-  projection is onto, the largest number of cyclic-group points inside;
-  the weight is n minus that number, the least number of points outside,
-  which is what the scan finds.
+* mj_dual_count takes, over (k1+k2-j)-dimensional subspaces H whose
+  second projection is onto, the largest number of cyclic-group points
+  inside; the weight is n minus that number.  Its scan walks the
+  j-dimensional D = H^perp instead, on the bruteforce pivot family.
 * the closed form (closed_forms module) covers structural specs.
 
 Both scans walk subspaces by pivot set, so they partition cleanly across
@@ -38,6 +38,7 @@ from .subspaces import (
     digits,
     dual_stack,
     free_positions,
+    kernel_rows,
     pivot_sets,
     stack_rows,
 )
@@ -99,10 +100,10 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # entries in row-major order; each basis is scored by OR-ing rows of one
 # table of n-bit masks in 64-bit words (_MaskTable), counting bits and
 # keeping the first strict minimum.  Every mode minimizes: the support
-# scans count the support, the dual scan the group points outside H, n
-# minus the points inside.  The table is a stack of blocks keyed by
-# (columns, lead), each built once per chunk however many pivot sets use
-# it, and a plan (weights, bases) says which rows: column k of
+# scans count the support of D, the dual scan the group points outside
+# H = D^perp, n minus the points inside.  The table is a stack of blocks
+# keyed by (columns, lead), each built once per chunk however many pivot
+# sets use it, and a plan (weights, bases) says which rows: column k of
 # digits @ weights + bases[t // q^P] is the row of the k-th mask.
 #
 # Both halves of the kernel are linear in the digits, so neither does
@@ -116,9 +117,8 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # turned back into digits.  The ORs split too (_first_minimum): a mask that
 # only the high digits choose is ORed once per run, one that only the low
 # digits choose once per pivot set, and only a mask that both choose is
-# gathered per subspace.  In the support scans each row's free entries are
-# consecutive digits, so at most one row, the one straddling the split, is
-# gathered; in the dual scan most columns are.
+# gathered per subspace.  Each row's free entries are consecutive digits,
+# so at most one row, the one straddling the split, is gathered.
 #
 # The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -163,29 +163,18 @@ def orbit_representatives(spec: CodeSpec) -> np.ndarray:
     return np.array(rows, dtype=np.int16)
 
 
-def _column_order(k1: int, k2: int, mode: str) -> list[int]:
-    """Original column of each working column: the dual scan puts the
-    second factor first, so that its admissibility is a pivot condition."""
-    if mode == "max_group":
-        return list(range(k1, k1 + k2)) + list(range(k1))
-    return list(range(k1 + k2))
-
-
 def admissible_pivot_sets(k1: int, k2: int, dim: int, mode: str
                           ) -> list[tuple[int, ...]]:
-    """Pivot sets (working column order) of the admissible subspaces.
+    """Pivot sets of the admissible subspaces D.
 
     min_support: first projection injective <=> every pivot < k1.
-    max_group: second projection onto <=> pivots include 0..k2-1.
+    max_group: D^perp onto GF(Q2) <=> D meets {0} x F_q^k2 trivially, the
+    same family.
     min_support_all: every pivot set.
     """
-    if mode == "min_support":
-        return pivot_sets(k1, dim)
-    if mode == "max_group":
-        head = tuple(range(k2))
-        return [head + tuple(k2 + p for p in rest)
-                for rest in pivot_sets(k1, dim - k2)] if dim >= k2 else []
-    return pivot_sets(k1 + k2, dim)
+    if mode == "min_support_all":
+        return pivot_sets(k1 + k2, dim)
+    return pivot_sets(k1, dim)
 
 
 def _low_width(width: int, q: int, rows: int) -> int:
@@ -212,11 +201,12 @@ def _sums(base: np.ndarray, scaled: list, add):
 
 def _block_keys(pivots, K: int, mode: str) -> list[tuple[tuple[int, ...], int]]:
     """The (columns, lead) key of each block whose masks a subspace with
-    these pivots ORs: one per row (its pivot leads, the later columns vary)
-    for the support scans, one per non-pivot column (it leads, the pivots
-    below it vary) for the dual scan."""
+    these pivots ORs, one per row, led by its pivot.  A support block spans
+    every later column, so one block per pivot serves all pivot sets, as
+    the many pivot sets of a GHW scan need; a dual block spans only the
+    row's free columns, so the table holds only rows its pivot sets read."""
     if mode == "max_group":
-        return [(tuple(p for p in pivots if p < c), c) for c in range(K) if c not in pivots]
+        return [(tuple(c for c in range(p + 1, K) if c not in pivots), p) for p in pivots]
     return [(tuple(range(p + 1, K)), p) for p in pivots]
 
 
@@ -246,16 +236,16 @@ class _MaskTable:
     key: each row holds packbits of the mask in its first ceil(n/8) bytes
     and zeros after them, so the padding adds no bits to a count.
 
-    Row a of block (cols, lead) is the mask (a @ funcs[cols]) != target[lead]
-    for the a-th base-q assignment of cols (first column most significant).
-    The support scans take funcs = F, the coordinate functionals, and
-    target = -F: the support of a row with pivot p.  The dual scan takes
-    funcs = target = G, the group vectors in working column order: the
-    group points g with g_c != sum_r a_(r,c) g_(p_r), which lie outside the
-    row space.  An anchored table ends with the support of each anchor.
-    layout is the _block_starts of the pivot sets the scan visits.
+    Row a of block (cols, lead) is the mask (a @ funcs[cols]) != -funcs[lead]
+    for the a-th base-q assignment of cols (first column most significant):
+    where the row e_lead + a has a nonzero product with a row of funcs.
+    The support scans take funcs = F, the coordinate functionals (the
+    row's support), the dual scan funcs = G, the group vectors (the points
+    outside the row's kernel).  An anchored table ends with the support of
+    each anchor.  layout is the _block_starts of the pivot sets the scan
+    visits.
 
-    A block is built by linearity, as a @ funcs[cols] - target[lead] != 0.
+    A block is built by linearity, as a @ funcs[cols] + funcs[lead] != 0.
     The low s columns give the q^s value rows of about SLICE_BYTES, and
     each run of q^s table rows adds one sum over the high columns to them.
     """
@@ -272,41 +262,33 @@ class _MaskTable:
             self.anchor_rows = range(rows - len(anchors), rows)
             packed[self.anchor_rows.start:] = np.packbits(
                 spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
-        mul, add = spec.ops.mul_table, spec.field_q.add
-        if mode == "max_group":
-            funcs = spec.group_vectors[:, _column_order(spec.k1, spec.k2, mode)].T
-            offsets = mul[spec.field_q.neg(1)][funcs]
-        else:
-            funcs = offsets = spec.coordinate_functionals.T
-        # offsets = -target; scaled[d, c] = d * funcs[c], each row contiguous
-        scaled = np.ascontiguousarray(mul[:, funcs])
+        add = spec.field_q.add
+        funcs = (spec.group_vectors if mode == "max_group" else spec.coordinate_functionals).T
+        # scaled[d, c] = d * funcs[c], each row contiguous
+        scaled = np.ascontiguousarray(spec.ops.mul_table[:, funcs])
         for (cols, lead), start in self.starts.items():
             split = len(cols) - _low_width(len(cols), q, SLICE_BYTES // (2 * n))
             low = np.zeros((1, n), dtype=np.int16)
             for c in reversed(cols[split:]):
                 low = add(scaled[:, c, None], low).reshape(-1, n)
             high = [scaled[:, c] for c in cols[:split]]
-            for h, base in enumerate(_sums(offsets[lead], high, add)):
+            for h, base in enumerate(_sums(funcs[lead], high, add)):
                 packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
                     add(base, low) != 0, axis=1)
 
     def plan(self, pivots, positions) -> tuple[np.ndarray, np.ndarray]:
         """(weights, bases): column k of digits @ weights + bases[t // q^P]
         is the table row of the k-th mask the t-th basis ORs.  Free entry
-        (r, c) is digit c - p_r - 1 of row r's block, or digit r of column
-        c's block in the dual scan.  An anchored table adds a first column,
-        with no free entries, that looks up one anchor per base."""
+        (r, c) is the digit of column c in row r's block.  An anchored table
+        adds a first column, with no free entries, that looks up one anchor
+        per base."""
         K, q = self.spec.ambient_dim, self.spec.q
         keys = _block_keys(pivots, K, self.mode)
-        if self.mode == "max_group":
-            column = {c: k for k, (_, c) in enumerate(keys)}
-            slots = [(column[c], r) for r, c in positions]
-        else:
-            slots = [(r, c - pivots[r] - 1) for r, c in positions]
         lead = int(self.anchor_rows is not None)
         weights = np.zeros((len(positions), lead + len(keys)), dtype=np.int64)
-        for i, (k, d) in enumerate(slots):
-            weights[i, lead + k] = q ** (len(keys[k][0]) - 1 - d)
+        for i, (r, c) in enumerate(positions):
+            cols = keys[r][0]
+            weights[i, lead + r] = q ** (len(cols) - 1 - cols.index(c))
         starts = [self.starts[key] for key in keys]
         heads = [[a] for a in self.anchor_rows] if lead else [[]]
         return weights, np.array([head + starts for head in heads], dtype=np.int64)
@@ -380,16 +362,16 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
 def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
                 layout: tuple[dict, int]) -> tuple[Optional[int], Optional[np.ndarray]]:
     """Least count over the subspaces of the given pivot sets, and a basis
-    (working column order) of the first subspace attaining it.
+    of the first subspace attaining it.
 
     Every mode ORs the masks the table plan names, counts bits and keeps
     the first strict minimum.  "min_support" counts the support of
-    injective-first-projection subspaces, "min_support_all" of every
-    subspace (plain GHW), and "max_group" the group points outside an
-    onto-second-projection subspace, whose first minimizer is the first
-    subspace with the most points inside.  With anchors, each subspace is
-    the span of one anchor and of a basis with the given pivots.  The
-    layout is the chunk's _block_starts, computed once by the caller.
+    injective-first-projection subspaces D, "min_support_all" of every
+    subspace (plain GHW), and "max_group" the group points outside D^perp
+    for the same D, whose first minimizer is the first D whose complement
+    holds the most points.  With anchors, each subspace is the span of one
+    anchor and of a basis with the given pivots.  The layout is the chunk's
+    _block_starts, computed once by the caller.
     """
     K, q = spec.ambient_dim, spec.q
     table = _MaskTable(spec, mode, anchors, layout)
@@ -431,8 +413,8 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
 
 def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
           ) -> tuple[int, np.ndarray]:
-    """Best value of a scan and a spanning set (working column order) of
-    the first subspace attaining it."""
+    """Best value of a scan and a spanning set of the first subspace
+    attaining it."""
     if workers < 1:
         raise RangeError(f"workers={workers} must be at least 1")
     K = spec.ambient_dim
@@ -514,16 +496,17 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     """Weight via the dual-side maximization: m = n - max |H meet group|.
 
     H ranges over (k1+k2-j)-dimensional subspaces of the pair space whose
-    second projection covers GF(Q2).  The scan minimizes the group points
-    outside H, n - |H meet group|, so m is that minimum; ties resolve to
-    the first subspace with the most points inside, in enumeration order.
+    second projection covers GF(Q2).  The scan walks their complements
+    D = H^perp under the standard dot product, the j-dimensional subspaces
+    with injective first projection, and minimizes the group points g with
+    D g != 0, n - |H meet group|, so m is that minimum.  Ties resolve to the
+    first D in enumeration order, and argmax is the RREF basis of its H.
     """
     if not 1 <= j <= spec.k1:
         raise RangeError(f"j={j} outside 1..{spec.k1}")
-    outside, rows = _scan(spec, spec.ambient_dim - j, "max_group", cap, workers)
-    original = np.empty_like(rows)
-    original[:, _column_order(spec.k1, spec.k2, "max_group")] = rows
-    return DualCountResult(outside, spec.n - outside, spec.ops.rref(original)[0])
+    outside, rows = _scan(spec, j, "max_group", cap, workers)
+    argmax = spec.ops.rref(kernel_rows(rows[None], spec.ops)[0])[0]
+    return DualCountResult(outside, spec.n - outside, argmax)
 
 
 # -- per-j reports -----------------------------------------------------------

@@ -104,7 +104,7 @@ def test_output_byte_stable(capsys):
 # every byte.
 PINNED_STDOUT = {
     (*TABLE_ARGS, "--format", "json"):
-        "3dd1a08e188c3b9c53bef6c8b727fe72dd599492136946a57cd652691ba49af1",
+        "7b16e0d52bef5fd3b8fd8649b9f5f230867035954ce0a84b0f35e178b9839422",
     (*TABLE_ARGS, "--format", "csv"):
         "52366c8e8ca3f0338cc15c52ad0f28460008bacb07122e1feb5fb610dd2511ca",
     (*TABLE_ARGS, "--format", "pretty"):
@@ -155,6 +155,16 @@ def test_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, *TABLE_ARGS, "--cap", "5")
     assert code == 3
     assert json.loads(err)["error"]["code"] == "CapExceeded"
+
+
+def test_samples_beyond_the_cap_run_no_suite(capsys, monkeypatch):
+    calls = []
+    for name in list(rghw.verify.SUITES):
+        monkeypatch.setitem(rghw.verify.SUITES, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    code, out, err = run_cli(capsys, "verify", "--samples", "1" + "0" * 12, "--workers", "1")
+    assert (code, json.loads(err)["error"]["code"]) == (3, "CapExceeded")
+    assert out == "" and calls == []
 
 
 def test_cap_env_override(capsys, monkeypatch):

@@ -162,19 +162,21 @@ def test_a_size_that_is_not_a_prime_power_has_no_closed_form():
         evaluate_closed_form(6, 2, 3, 1, 5, 1)
 
 
-def _projective_points(spec) -> int:
-    """Distinct points of PG(K-1, q) among the group vectors: each row is
-    scaled by the inverse of its first nonzero entry."""
+def _point_hits(spec) -> np.ndarray:
+    """How often the group vectors hit each point of their image S in
+    PG(K-1, q): each row is scaled by the inverse of its first nonzero entry."""
     g = spec.group_vectors
     lead = g[np.arange(len(g)), (g != 0).argmax(axis=1)]
-    return len(np.unique(spec.ops.mul_table[spec.ops.inv_table[lead][:, None], g], axis=0))
+    scaled = spec.ops.mul_table[spec.ops.inv_table[lead][:, None], g]
+    return np.unique(scaled, axis=0, return_counts=True)[1]
 
 
 def test_structural_test_matches_the_point_set_and_the_orbit_count():
-    """On every spec build_code accepts with q^(k1+k2) <= 729, the arithmetic
-    test holds exactly when the n group points are n distinct projective
-    points with n (q - 1) = (Q1 - 1)(Q2 - 1), and exactly when the shift and
-    GF(q)* leave two orbits on {b1 != 0} with that n."""
+    """On every spec build_code accepts with q^(k1+k2) <= 729, the group
+    hits every point of its image S the same number c = n/|S| of times, and
+    the arithmetic test holds exactly when c = 1 and |S| = (Q1 - 1)(Q2 - 1)
+    / (q - 1), all points with both components nonzero; and exactly when the
+    shift and GF(q)* leave two orbits on {b1 != 0} with n that large."""
     counts = Counter()
     for q in (2, 3, 4, 5, 7):
         for k1 in range(1, 5):
@@ -188,13 +190,35 @@ def test_structural_test_matches_the_point_set_and_the_orbit_count():
                             spec = build_code(*params)
                         except RghwError:
                             continue
-                        full = spec.n * (q - 1) == (q**k1 - 1) * (q**k2 - 1)
+                        hits = _point_hits(spec)
+                        c = spec.n // len(hits)
+                        assert (hits == c).all(), params
+                        points = (q**k1 - 1) * (q**k2 - 1) // (q - 1)
+                        full = spec.n == points
                         structural = detect_family(*params) is not None
-                        assert structural == (full and _projective_points(spec) == spec.n), params
+                        assert structural == (c == 1 and len(hits) == points), params
                         assert structural == (full and len(orbit_representatives(spec)) == 2), params
                         counts[structural, full] += 1
     # 8 specs have the full count of points but repeat some, such as (3, 1, 3, 1, 1)
     assert counts == {(True, True): 44, (False, True): 8, (False, False): 126}
+
+
+@pytest.mark.parametrize("params,c,points", [
+    ((2, 4, 7, 1, 1), 1, 1905), ((3, 3, 5, 1, 2), 1, 3146), ((4, 3, 4, 1, 3), 1, 5355),
+    ((2, 5, 6, 1, 1), 1, 1953), ((3, 4, 5, 1, 2), 1, 9680), ((2, 6, 7, 1, 1), 1, 8001),
+    ((4, 3, 5, 1, 3), 1, 21483), ((3, 3, 5, 1, 1), 2, 1573), ((4, 2, 5, 1, 1), 3, 1705),
+    ((2, 5, 6, 1, 3), 1, 651), ((2, 6, 7, 3, 1), 1, 2667),
+])
+def test_structural_is_one_hit_on_every_point_on_the_frontier(params, c, points):
+    """The same criterion past q^(k1+k2) = 729, on the frontier specs: c
+    and |S| as counted, and structural exactly when c = 1 and S holds all
+    (Q1 - 1)(Q2 - 1)/(q - 1) points; (2,5,6,1,3) and (2,6,7,3,1) have
+    c = 1 and S of index 3."""
+    spec = build_code(*params)
+    hits = _point_hits(spec)
+    assert (len(hits), set(hits.tolist())) == (points, {c})
+    full = (spec.Q1 - 1) * (spec.Q2 - 1) // (spec.q - 1)
+    assert (detect_family(*params) == "structural") == (c == 1 and points == full)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
-"""The package's public names, and a caller for every definition."""
+"""The package's public names, a caller for every definition, and the README example."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import runpy
 import sys
 from pathlib import Path
@@ -142,3 +144,16 @@ def test_the_benchmark_tracer_installs_and_restores_every_hook():
     changed = [key for owner, saved in zip(owners, before) for key in owner.keys() | saved.keys()
                if owner.get(key) is not saved.get(key)]
     assert not changed, f"attributes the tracer did not restore: {changed}"
+
+
+def test_the_readme_library_example_runs():
+    """README's library example runs as printed, and its outputs that do not
+    depend on the argmax tie order are the ones its comments give."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library example"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-3:] == ["[12]", "[[1 0 2 0 1]]", "[35.]"]

@@ -20,6 +20,7 @@ from rghw.subspaces import (
     digits,
     free_positions,
     gaussian_binomial,
+    kernel_rows,
     rref_stack,
 )
 from rghw.linalg import table_ops
@@ -36,17 +37,15 @@ def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
     ops = table_ops(field_for_size(q))
     K = k1 + k2
     for mode in ("min_support", "max_group"):
-        # the scan enumerates in its working column order
-        order = weights._column_order(k1, k2, mode)
         for dim in range(K + 1):
             admissible = set(admissible_pivot_sets(k1, k2, dim, mode))
             for rref in rref_stack(K, dim, q):
-                mat = np.empty((dim, K), dtype=np.int16)
-                mat[:, order] = rref
                 if mode == "min_support":
-                    want = len(ops.rref(mat[:, :k1])[1]) == dim
+                    want = len(ops.rref(rref[:, :k1])[1]) == dim
                 else:
-                    want = len(ops.rref(mat[:, k1:])[1]) == k2
+                    # the dual scan walks D, admissible when H = D^perp is onto
+                    h = kernel_rows(rref[None], ops)[0]
+                    want = len(ops.rref(h[:, k1:])[1]) == k2
                 pivots = tuple((rref != 0).argmax(axis=1).tolist())
                 assert (pivots in admissible) == want, (mode, rref.tolist())
 
@@ -188,8 +187,8 @@ def test_table_bound_raises_before_allocating(monkeypatch):
         (lambda: rghw_bruteforce(spec, 2), 15, 2**3 + reps),
         # GHW j=1: one block per pivot p, columns p+1..4 vary
         (lambda: ghw_bruteforce(spec, 1), 10, 2**4 + 2**3 + 2**2 + 2 + 1),
-        # dual j=1: pivots 0..3 leave column 4 (pivots 0..3 vary), pivots
-        # 0,1,2,4 leave column 3 (pivots 0..2 vary)
+        # dual j=1: a row with pivot 0 (columns 1..4 vary), one with pivot 1
+        # (columns 2..4 vary)
         (lambda: mj_dual_count(spec, 1).m, 10, 2**4 + 2**3),
     ]
     table_class = weights._MaskTable
@@ -240,18 +239,18 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     reps = orbit_representatives(spec)
     for mode, dim, anchors in (("min_support", 1, reps), ("min_support", 2, None),
-                               ("min_support_all", 2, None), ("max_group", 4, None)):
+                               ("min_support_all", 2, None), ("max_group", 1, None)):
         sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
         layout = weights._block_starts(spec, mode, sets, anchors)
         table = weights._MaskTable(spec, mode, anchors, layout)
         assert weights._table_bytes(spec, layout) == table.masks.nbytes, mode
-    # (2,3,2,1,1) dual j=2: the pivot sets (0,1,2), (0,1,3), (0,1,4) leave
-    # 6 (pivot set, non-pivot column) pairs but 5 distinct blocks, built by
-    # linearity with no matmul
+    # (2,3,2,1,1) dual j=2: the pivot sets (0,1), (0,2), (1,2) have 6
+    # (pivot set, row) pairs but 5 distinct blocks, each over the row's free
+    # columns, built by linearity with no matmul
     spec = build_code(2, 3, 2, 1, 1)
-    sets = admissible_pivot_sets(spec.k1, spec.k2, 3, "max_group")
+    sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "max_group")
     assert sum(len(weights._block_keys(ps, 5, "max_group")) for ps in sets) == 6
     calls = []
     matmul = spec.ops.matmul
@@ -260,7 +259,7 @@ def test_mask_table_holds_each_block_once(monkeypatch):
                                weights._block_starts(spec, "max_group", sets, None))
     assert len(table.starts) == 5
     assert calls == []
-    assert table.masks.shape[0] == 2**3 + 2**3 + 2**2 + 2**3 + 2**2
+    assert table.masks.shape[0] == 2**3 + 2**3 + 2**3 + 2**2 + 2**2
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,10 +285,8 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     rows = table.masks.view(np.uint8)
     assert rows.shape[1] == 8 * -(-spec.n // 64)
     assert not rows[:, packed:].any()
-    if mode == "max_group":
-        funcs = target = spec.group_vectors[:, weights._column_order(spec.k1, spec.k2, mode)].T
-    else:
-        funcs, target = F, spec.ops.mul_table[spec.field_q.neg(1)][F]
+    funcs = spec.group_vectors.T if mode == "max_group" else F
+    target = spec.ops.mul_table[spec.field_q.neg(1)][funcs]
     for (cols, lead), start in table.starts.items():
         a = np.array(list(itertools.product(range(q), repeat=len(cols))),
                      dtype=np.int16).reshape(q ** len(cols), len(cols))
@@ -302,23 +299,61 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
 
 def test_every_ladder_scan_argmax_is_pinned(ladder):
     """(value, argmax rows) of every scan of the benchmark's ladder specs,
-    every dimension and mode, against a digest of the code before the
-    kernel built its rows and indices by linearity: a change in the
-    argmax tie order fails here."""
-    digest = hashlib.sha256()
+    every dimension and mode: a change in the argmax tie order fails here.
+    The support scans are pinned against a digest of the code before the
+    kernel built its rows and indices by linearity, the dual scan against
+    a digest taken when it first walked D = H^perp."""
+    digests = {"support": hashlib.sha256(), "dual": hashlib.sha256()}
     scans = 0
     for params in ladder:
         spec = build_code(*params)
         K, k1 = spec.ambient_dim, spec.k1
         for mode, dims in (("min_support", range(1, k1 + 1)),
                            ("min_support_all", range(1, K + 1)),
-                           ("max_group", [K - j for j in range(1, k1 + 1)])):
+                           ("max_group", range(1, k1 + 1))):
+            digest = digests["dual" if mode == "max_group" else "support"]
             for dim in dims:
                 val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
                 digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
                 scans += 1
     assert scans == 45
-    assert digest.hexdigest() == "32b5b5c8da87f200b5bb7199919a684e3105d9cdaa556f8cfdac3df4e8a6d831"
+    assert digests["support"].hexdigest() == (
+        "e9d92f4a2ff8388b4f275317a05438eb3aff0d25e6b22350b41ecbbe8dbbcc97")
+    assert digests["dual"].hexdigest() == (
+        "2190aaa9613581a9a4685542514452f5c5f68a13a1701f2d30818a015049613f")
+
+
+# Bytes of the dual scan's mask table for j = 1..k1 on the frontier and
+# ladder specs, as the scan over H itself held them.  Walking D = H^perp
+# keys each row on its free columns, which keeps every size, so no
+# CapExceeded threshold of TABLE_CAP_BYTES moves.
+DUAL_TABLE_BYTES = {
+    (2, 4, 7, 1, 1): [460800, 737280, 460800, 122880],
+    (3, 3, 5, 1, 2): [1263600, 1069200, 291600],
+    (4, 3, 4, 1, 3): [3612672, 2408448, 516096],
+    (2, 5, 6, 1, 1): [492032, 1015808, 872960, 380928, 79360],
+    (3, 4, 5, 1, 2): [11819520, 13887936, 6205248, 1181952],
+    (2, 6, 7, 1, 1): [8128512, 20643840, 22579200, 13418496, 4515840, 774144],
+    (4, 3, 5, 1, 3): [57802752, 38535168, 8257536],
+    (3, 3, 5, 1, 1): [1263600, 1069200, 291600],
+    (4, 2, 5, 1, 1): [3276800, 1310720],
+    (2, 5, 6, 1, 3): [174592, 360448, 309760, 135168, 28160],
+    (2, 6, 7, 3, 1): [2709504, 6881280, 7526400, 4472832, 1505280, 258048],
+    (2, 3, 4, 1, 1): [1792, 2048, 768],
+    (4, 2, 3, 1, 3): [5120, 2048],
+    (5, 2, 3, 1, 4): [72000, 24000],
+    (2, 3, 5, 1, 1): [7168, 8192, 3072],
+}
+
+
+def test_dual_table_sizes_are_pinned():
+    for params, sizes in DUAL_TABLE_BYTES.items():
+        spec = build_code(*params)
+        got = [weights._table_bytes(spec, weights._block_starts(
+                   spec, "max_group", admissible_pivot_sets(spec.k1, spec.k2, j, "max_group"),
+                   None))
+               for j in range(1, spec.k1 + 1)]
+        assert got == sizes, params
 
 
 def plain_first_minimum(table, pivots, positions):
@@ -345,9 +380,8 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     spec = build_code(*params)
     K = spec.ambient_dim
     anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
-    # the dual scan leaves at least one non-pivot column (j >= 1)
-    dim = data.draw(st.integers(0 if anchors is not None else 1,
-                                K - 1 if mode == "max_group" else K))
+    # an unanchored subspace has at least one row
+    dim = data.draw(st.integers(0 if anchors is not None else 1, K))
     sets = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
             if anchors is None or 0 not in ps]
     if not sets:

@@ -11,7 +11,7 @@ from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code, codewords
 from rghw import weights
 from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
-from rghw.subspaces import cyclic_group_counts, dual_stack, rref_stack
+from rghw.subspaces import cyclic_group_counts, dual_stack, rref_stack, stack_dims
 from rghw.weights import (
     compute_report,
     ghw_bruteforce,
@@ -78,6 +78,31 @@ def test_rghw_matches_codeword_space_oracle():
     spec = build_code(2, 2, 3, 1, 1)
     for j in (1, 2):
         assert codeword_space_rghw(spec, j) == rghw_bruteforce(spec, j)
+
+
+def rghw_relative_to_first_subcode(spec, j):
+    """Definition-level RGHW relative to C1' = {c(b1, 0)}: the least support
+    of a j-dimensional subspace of the pair space whose second projection is
+    injective, which is exactly one meeting C1' trivially."""
+    stack = rref_stack(spec.ambient_dim, j, spec.q)
+    stack = stack[stack_dims(spec.ops.rref_many(stack[:, :, spec.k1:])) == j]
+    return min(int(spec.ops.matmul(stack[s:s + 1024], spec.coordinate_functionals.T)
+                   .any(axis=1).sum(axis=1).min()) for s in range(0, len(stack), 1024))
+
+
+def test_rghw_relative_to_the_first_subcode_is_the_swapped_spec(small_grid):
+    """The bruteforce table of the swapped spec (q, k2, k1, e2, e1), whose
+    subcode is the first factor's, is the RGHW relative to C1'; it matches
+    where the swapped spec takes another delta and builds another code too,
+    as (5,2,3,1,4) does."""
+    pinned = {(2, 3, 4, 1, 1): [52, 78, 91, 98], (4, 2, 3, 1, 3): [60, 90, 101],
+              (5, 2, 3, 1, 4): [595, 714, 738]}
+    for params in small_grid + list(pinned):
+        q, k1, k2, e1, e2 = params
+        spec, swapped = build_code(*params), build_code(q, k2, k1, e2, e1)
+        want = [rghw_relative_to_first_subcode(spec, j) for j in range(1, k2 + 1)]
+        assert [rghw_bruteforce(swapped, j) for j in range(1, k2 + 1)] == want, params
+        assert pinned.get(params, want) == want, params
 
 
 def test_rghw_range_and_cap():
