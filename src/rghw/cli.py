@@ -20,18 +20,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
-from .errors import (
-    CAP_ERRORS, DISAGREE_ERRORS, CapExceeded, OutputError, RangeError, RghwError,
-    UsageError,
-)
-from .gf import field_for_size
+from .errors import CapExceeded, OutputError, RangeError, RghwError, UsageError
+from .gf import build_field, prime_power
 from .verify import SUITES, run_suites
 from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
-EXIT_BAD_INPUT = 2
-EXIT_CAP = 3
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -148,17 +143,18 @@ def _table_pretty(document: dict) -> str:
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
-    field = field_for_size(args.size)
-    order = field.size - 1
+    p, m = prime_power(args.size)
+    order = args.size - 1
     if args.lam == "all":
         lams = range(order)  # lazy: the cap below may refuse it
     else:
         lams = [_parse_int(args.lam, "--lam") % order]
-    if not 0 <= args.beta < field.size:
-        raise RangeError(f"beta code {args.beta} outside GF({field.size})")
+    if not 0 <= args.beta < args.size:
+        raise RangeError(f"beta code {args.beta} outside GF({args.size})")
     terms = order * len(lams)  # each sum runs over the size-1 nonzero elements
     if terms > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"{terms} Gauss-sum terms exceed the cap {DEFAULT_ENUM_CAP}")
+    field = build_field(p, m)  # last: a large field takes seconds to build
     rows = []
     for lam in lams:
         chi = CharacterHandle(field, order, lam)
@@ -390,16 +386,15 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command line and return its exit code."""
+    """Run one command line and return its exit code: an error's exit_code
+    when it fails."""
     try:
         args = build_parser().parse_args(argv)
         _resolve_args(args)
         return COMMANDS[args.command](args)
     except RghwError as exc:
         sys.stderr.write(_error_payload(exc))
-        if isinstance(exc, CAP_ERRORS):
-            return EXIT_CAP
-        return EXIT_DISAGREE if isinstance(exc, DISAGREE_ERRORS) else EXIT_BAD_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

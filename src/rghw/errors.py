@@ -1,12 +1,15 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from RghwError, and each class
-carries a stable machine-readable ``code`` used by the CLI.
+carries a stable machine-readable ``code`` and the CLI's ``exit_code``:
+1 for a failed cross-check, 2 for bad input (the default), 3 for an
+exceeded cap.
 """
 
 
 class RghwError(Exception):
     code = "Error"
+    exit_code = 2
 
 
 class NonPrime(RghwError):
@@ -15,6 +18,7 @@ class NonPrime(RghwError):
 
 class SizeCapExceeded(RghwError):
     code = "SizeCapExceeded"
+    exit_code = 3
 
 
 class NotASubfield(RghwError):
@@ -59,6 +63,7 @@ class RangeError(RghwError):
 
 class CapExceeded(RghwError):
     code = "CapExceeded"
+    exit_code = 3
 
 
 class NonCoprimeOrders(RghwError):
@@ -71,6 +76,7 @@ class HypothesisViolated(RghwError):
 
 class PrecisionFailure(RghwError):
     code = "PrecisionFailure"
+    exit_code = 1
 
 
 class OutputError(RghwError):
@@ -87,9 +93,4 @@ class InvariantViolated(RghwError):
     """Two computations that must agree did not: a defect, not bad input."""
 
     code = "InvariantViolated"
-
-
-# CLI exit codes: 0 ok, 1 route disagreement or failed cross-check, 2 bad
-# input (every RghwError not listed here), 3 cap exceeded.
-CAP_ERRORS = (SizeCapExceeded, CapExceeded)
-DISAGREE_ERRORS = (InvariantViolated, PrecisionFailure)
+    exit_code = 1

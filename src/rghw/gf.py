@@ -134,8 +134,9 @@ def _field(p: int, m: int) -> FieldTable:
     return _construct(p, m)
 
 
-def field_for_size(size: int) -> FieldTable:
-    """GF(size); the cap is checked before size is trial-divided."""
+def prime_power(size: int) -> tuple[int, int]:
+    """(p, m) with p^m = size, a prime power within the size cap; the cap
+    is checked before size is trial-divided."""
     if size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"{size} exceeds the size cap {DEFAULT_SIZE_CAP}")
     factors = _prime_factors(size)
@@ -144,7 +145,12 @@ def field_for_size(size: int) -> FieldTable:
     p, s = factors[0], 1
     while p**s < size:
         s += 1
-    return build_field(p, s)
+    return p, s
+
+
+def field_for_size(size: int) -> FieldTable:
+    """GF(size), after the checks of prime_power."""
+    return build_field(*prime_power(size))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -71,22 +71,27 @@ def counter(width: int, q: int) -> np.ndarray:
     return table
 
 
+def pivot_bases(pivots: Sequence[int], k: int, entries: np.ndarray) -> np.ndarray:
+    """(B, j, k): the RREF bases with these pivots whose free entries, in
+    row-major order, are the rows of a (B, P) array: counter(P, q) gives all."""
+    positions = free_positions(pivots, k)
+    block = np.zeros((len(entries), len(pivots), k), dtype=np.int16)
+    block[:, range(len(pivots)), pivots] = 1
+    if positions:
+        rows, cols = zip(*positions)
+        block[:, rows, cols] = entries
+    return block
+
+
 def rref_stack(k: int, j: int, q: int) -> np.ndarray:
     """(N, j, k): the RREF basis of every j-dimensional subspace of F_q^k
     exactly once, lexicographic in the pivot sets, then in the free entries
     (row-major, counting in base q), built one pivot set at a time."""
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
-    blocks = []
-    for pivots in pivot_sets(k, j):
-        positions = free_positions(pivots, k)
-        block = np.zeros((q ** len(positions), j, k), dtype=np.int16)
-        block[:, range(j), pivots] = 1
-        if positions:
-            rows, cols = zip(*positions)
-            block[:, rows, cols] = counter(len(positions), q)
-        blocks.append(block)
-    return np.concatenate(blocks)
+    return np.concatenate([
+        pivot_bases(pivots, k, counter(len(free_positions(pivots, k)), q))
+        for pivots in pivot_sets(k, j)])
 
 
 def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[np.ndarray]:

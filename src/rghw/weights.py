@@ -11,8 +11,9 @@ Three routes are wired together here:
   j-dimensional D = H^perp instead, on the bruteforce pivot family.
 * the closed form (closed_forms module) covers structural specs.
 
-Both scans walk subspaces by pivot set, so they partition cleanly across
-worker processes with a deterministic merge.
+Both scans run one kernel, which counts points and walks subspaces by
+pivot set, so a scan partitions cleanly across worker processes with a
+deterministic merge; _scan alone reads the route.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .closed_forms import detect_family, evaluate_closed_form
-from .codes import CodeSpec, build_code
+from .codes import CodeSpec
 from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
+from .gf import field_for_size
+from .linalg import TableOps, table_ops
 from .subspaces import (
     check_stack_ambient,
     count_for_pivots,
@@ -39,6 +42,7 @@ from .subspaces import (
     dual_stack,
     free_positions,
     kernel_rows,
+    pivot_bases,
     pivot_sets,
     stack_rows,
 )
@@ -93,32 +97,35 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 
 # -- pivot-set scan kernel ---------------------------------------------------
 #
+# The kernel counts points: the rows x of an (N, K) point matrix outside a
+# subspace D, D x != 0.  The coordinate functionals count the support of D,
+# the group points N minus the points inside H = D^perp; _scan picks the
+# points, pivot sets, anchors and block-key rule of a route.
+#
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
 # a pivot set with P free entries the t-th basis in enumeration order has
 # the last P base-q digits of t (most significant first) as its free
 # entries in row-major order; each basis is scored by OR-ing rows of one
-# table of n-bit masks in 64-bit words (_MaskTable), counting bits and
-# keeping the first strict minimum.  Every mode minimizes: the support
-# scans count the support of D, the dual scan the group points outside
-# H = D^perp, n minus the points inside.  The table is a stack of blocks
-# keyed by (columns, lead), each built once per chunk however many pivot
-# sets use it, and a plan (weights, bases) says which rows: column k of
+# table of N-bit masks in 64-bit words (_MaskTable), counting bits and
+# keeping the first strict minimum.  The table is a stack of blocks keyed
+# by (columns, lead), each built once per chunk however many pivot sets use
+# it, and a plan (weights, bases) says which rows: column k of
 # digits @ weights + bases[t // q^P] is the row of the k-th mask.
 #
 # Both halves of the kernel are linear in the digits, so neither does
-# arithmetic per row.  A block's values split as
-# a @ funcs[cols] = high digits @ funcs[high] + low digits @ funcs[low]:
-# the q^s values of the low term are built once per block, a column at a
-# time (q scaled copies added to the rows so far), and each run of q^s
-# rows is one sum of the high term added to them.  The row indices split
-# the same way, as L[low digits of t] + H[high digits of t] + bases[b]: a
-# batch is a few runs of q^s consecutive t, and only the winning t is
-# turned back into digits.  The ORs split too (_first_minimum): a mask that
-# only the high digits choose is ORed once per run, one that only the low
-# digits choose once per pivot set, and only a mask that both choose is
-# gathered per subspace.  Each row's free entries are consecutive digits,
-# so at most one row, the one straddling the split, is gathered.
+# arithmetic per row.  With T = points^T, a block's values split as
+# a @ T[cols] = high digits @ T[high] + low digits @ T[low]: the q^s
+# values of the low term are built once per block, a column at a time (q
+# scaled copies added to the rows so far), and each run of q^s rows is one
+# sum of the high term added to them.  The row indices split the same way,
+# as L[low digits of t] + H[high digits of t] + bases[b]: a batch is a few
+# runs of q^s consecutive t, and only the winning t is turned back into
+# digits.  The ORs split too (_first_minimum): a mask that only the high
+# digits choose is ORed once per run, one that only the low digits choose
+# once per pivot set, and only a mask that both choose is gathered per
+# subspace.  Each row's free entries are consecutive digits, so at most one
+# row, the one straddling the split, is gathered.
 #
 # The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -163,20 +170,6 @@ def orbit_representatives(spec: CodeSpec) -> np.ndarray:
     return np.array(rows, dtype=np.int16)
 
 
-def admissible_pivot_sets(k1: int, k2: int, dim: int, mode: str
-                          ) -> list[tuple[int, ...]]:
-    """Pivot sets of the admissible subspaces D.
-
-    min_support: first projection injective <=> every pivot < k1.
-    max_group: D^perp onto GF(Q2) <=> D meets {0} x F_q^k2 trivially, the
-    same family.
-    min_support_all: every pivot set.
-    """
-    if mode == "min_support_all":
-        return pivot_sets(k1 + k2, dim)
-    return pivot_sets(k1, dim)
-
-
 def _low_width(width: int, q: int, rows: int) -> int:
     """How many low digits of a width-digit base-q counter one run covers:
     the most whose q^s values fit in rows, but at least one digit."""
@@ -199,80 +192,77 @@ def _sums(base: np.ndarray, scaled: list, add):
         yield from _sums(add(base, row), rest, add)
 
 
-def _block_keys(pivots, K: int, mode: str) -> list[tuple[tuple[int, ...], int]]:
+def _block_keys(pivots, K: int, free: bool) -> list[tuple[tuple[int, ...], int]]:
     """The (columns, lead) key of each block whose masks a subspace with
-    these pivots ORs, one per row, led by its pivot.  A support block spans
-    every later column, so one block per pivot serves all pivot sets, as
-    the many pivot sets of a GHW scan need; a dual block spans only the
-    row's free columns, so the table holds only rows its pivot sets read."""
-    if mode == "max_group":
-        return [(tuple(c for c in range(p + 1, K) if c not in pivots), p) for p in pivots]
-    return [(tuple(range(p + 1, K)), p) for p in pivots]
+    these pivots ORs, one per row, led by its pivot.  A block spans every
+    later column, so one block per pivot serves all pivot sets, as the many
+    pivot sets of a GHW scan need; with free, only the row's free columns,
+    so the table holds only rows its pivot sets read."""
+    skip = pivots if free else ()
+    return [(tuple(c for c in range(p + 1, K) if c not in skip), p) for p in pivots]
 
 
-def _block_starts(spec: CodeSpec, mode: str, sets, anchors: Optional[np.ndarray]
-                  ) -> tuple[dict, int]:
-    """First table row of every distinct block the pivot sets use, in order
-    of first use, and the table's row count: the blocks, then one row per
-    anchor."""
+def _block_starts(q: int, K: int, sets, anchors: Optional[np.ndarray], free: bool
+                  ) -> tuple[dict, int, bool]:
+    """The layout of the table of some pivot sets: the first row of every
+    distinct block they use, in order of first use; the table's row count,
+    the blocks and then one row per anchor; and the block-key rule free."""
     starts: dict = {}
     rows = 0
     for ps in sets:
-        for key in _block_keys(ps, spec.ambient_dim, mode):
+        for key in _block_keys(ps, K, free):
             if key not in starts:
                 starts[key] = rows
-                rows += spec.q ** len(key[0])
-    return starts, rows + (0 if anchors is None else len(anchors))
+                rows += q ** len(key[0])
+    return starts, rows + (0 if anchors is None else len(anchors)), free
 
 
-def _table_bytes(spec: CodeSpec, layout: tuple[dict, int]) -> int:
-    """Bytes of the mask table a _block_starts layout allocates: rows of
-    ceil(n/64) 64-bit words."""
-    return layout[1] * 8 * -(-spec.n // 64)
+def _table_bytes(layout: tuple[dict, int, bool], n: int) -> int:
+    """Bytes of the mask table a _block_starts layout allocates for n
+    points: rows of ceil(n/64) 64-bit words."""
+    return layout[1] * 8 * -(-n // 64)
 
 
 class _MaskTable:
-    """n-bit masks of a scan in 64-bit words, one block per (columns, lead)
-    key: each row holds packbits of the mask in its first ceil(n/8) bytes
-    and zeros after them, so the padding adds no bits to a count.
+    """N-bit masks of a scan over the rows of an (N, K) point matrix, in
+    64-bit words, one block per (columns, lead) key: each row holds
+    packbits of the mask in its first ceil(N/8) bytes and zeros after
+    them, so the padding adds no bits to a count.
 
-    Row a of block (cols, lead) is the mask (a @ funcs[cols]) != -funcs[lead]
-    for the a-th base-q assignment of cols (first column most significant):
-    where the row e_lead + a has a nonzero product with a row of funcs.
-    The support scans take funcs = F, the coordinate functionals (the
-    row's support), the dual scan funcs = G, the group vectors (the points
-    outside the row's kernel).  An anchored table ends with the support of
-    each anchor.  layout is the _block_starts of the pivot sets the scan
-    visits.
+    Row a of block (cols, lead) is the mask (a @ T[cols]) != -T[lead],
+    T = points^T, for the a-th base-q assignment of cols (first column most
+    significant): the points x with (e_lead + a) x != 0.  An anchored table
+    ends with the mask of each anchor.  layout is the _block_starts of the
+    pivot sets the scan visits, and its rule keys the blocks in plan.
 
-    A block is built by linearity, as a @ funcs[cols] + funcs[lead] != 0.
-    The low s columns give the q^s value rows of about SLICE_BYTES, and
-    each run of q^s table rows adds one sum over the high columns to them.
+    A block is built by linearity, as a @ T[cols] + T[lead] != 0.  The low
+    s columns give the q^s value rows of about SLICE_BYTES, and each run of
+    q^s table rows adds one sum over the high columns to them.
     """
 
-    def __init__(self, spec: CodeSpec, mode: str, anchors: Optional[np.ndarray],
-                 layout: tuple[dict, int]):
-        self.spec, self.mode = spec, mode
-        self.starts, rows = layout
-        q, n = spec.q, spec.n
+    def __init__(self, ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray],
+                 layout: tuple[dict, int, bool]):
+        self.q, (self.n, self.K) = ops.q, points.shape
+        self.starts, rows, self.free = layout
+        q, n = self.q, self.n
         self.masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
         packed = self.masks.view(np.uint8)[:, :-(-n // 8)]
         self.anchor_rows: Optional[range] = None
         if anchors is not None:
             self.anchor_rows = range(rows - len(anchors), rows)
             packed[self.anchor_rows.start:] = np.packbits(
-                spec.ops.matmul(anchors, spec.coordinate_functionals.T) != 0, axis=1)
-        add = spec.field_q.add
-        funcs = (spec.group_vectors if mode == "max_group" else spec.coordinate_functionals).T
-        # scaled[d, c] = d * funcs[c], each row contiguous
-        scaled = np.ascontiguousarray(spec.ops.mul_table[:, funcs])
+                ops.matmul(anchors, points.T) != 0, axis=1)
+        add = ops.field.add
+        T = points.T
+        # scaled[d, c] = d * T[c], each row contiguous
+        scaled = np.ascontiguousarray(ops.mul_table[:, T])
         for (cols, lead), start in self.starts.items():
             split = len(cols) - _low_width(len(cols), q, SLICE_BYTES // (2 * n))
             low = np.zeros((1, n), dtype=np.int16)
             for c in reversed(cols[split:]):
                 low = add(scaled[:, c, None], low).reshape(-1, n)
             high = [scaled[:, c] for c in cols[:split]]
-            for h, base in enumerate(_sums(funcs[lead], high, add)):
+            for h, base in enumerate(_sums(T[lead], high, add)):
                 packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
                     add(base, low) != 0, axis=1)
 
@@ -282,13 +272,12 @@ class _MaskTable:
         (r, c) is the digit of column c in row r's block.  An anchored table
         adds a first column, with no free entries, that looks up one anchor
         per base."""
-        K, q = self.spec.ambient_dim, self.spec.q
-        keys = _block_keys(pivots, K, self.mode)
+        keys = _block_keys(pivots, self.K, self.free)
         lead = int(self.anchor_rows is not None)
         weights = np.zeros((len(positions), lead + len(keys)), dtype=np.int64)
         for i, (r, c) in enumerate(positions):
             cols = keys[r][0]
-            weights[i, lead + r] = q ** (len(cols) - 1 - cols.index(c))
+            weights[i, lead + r] = self.q ** (len(cols) - 1 - cols.index(c))
         starts = [self.starts[key] for key in keys]
         heads = [[a] for a in self.anchor_rows] if lead else [[]]
         return weights, np.array([head + starts for head in heads], dtype=np.int64)
@@ -317,7 +306,7 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     The order of t is the enumeration order, so the first minimum is the
     one a plain OR of every mask finds.
     """
-    q, masks = table.spec.q, table.masks
+    q, masks = table.q, table.masks
     weights, bases = table.plan(pivots, positions)
     batch = max(1, min(BATCH, BATCH_BYTES // (8 * masks.shape[1])))
     split = len(positions) - _low_width(len(positions), q, batch)
@@ -338,8 +327,8 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
                 for k in np.flatnonzero(by_low & by_head)]
     # a matrix-vector product sums the per-word bit counts far faster than a
     # reduction over the short word axis; every partial sum is an integer of
-    # at most n, so float32 is exact while n < 2^24
-    exact = np.float32 if table.spec.n < 1 << 24 else np.float64
+    # at most N, so float32 is exact while N < 2^24
+    exact = np.float32 if table.n < 1 << 24 else np.float64
     ones = np.ones(masks.shape[1], dtype=exact)
     step = max(1, batch // run)
     best: Optional[tuple[int, int]] = None
@@ -359,45 +348,34 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     return best
 
 
-def _scan_chunk(spec: CodeSpec, mode: str, chunk, anchors: Optional[np.ndarray],
-                layout: tuple[dict, int]) -> tuple[Optional[int], Optional[np.ndarray]]:
-    """Least count over the subspaces of the given pivot sets, and a basis
-    of the first subspace attaining it.
+def _scan_chunk(ops: TableOps, points: np.ndarray, chunk, anchors: Optional[np.ndarray],
+                layout: tuple[dict, int, bool]
+                ) -> tuple[Optional[int], Optional[np.ndarray]]:
+    """Least number of points outside a subspace, the rows x of the point
+    matrix with D x != 0, over the subspaces D of the given pivot sets, and
+    a basis of the first D attaining it.
 
-    Every mode ORs the masks the table plan names, counts bits and keeps
-    the first strict minimum.  "min_support" counts the support of
-    injective-first-projection subspaces D, "min_support_all" of every
-    subspace (plain GHW), and "max_group" the group points outside D^perp
-    for the same D, whose first minimizer is the first D whose complement
-    holds the most points.  With anchors, each subspace is the span of one
-    anchor and of a basis with the given pivots.  The layout is the chunk's
-    _block_starts, computed once by the caller.
+    With anchors, each D is the span of one anchor and of a basis with the
+    given pivots.  The layout is the chunk's _block_starts, computed once
+    by the caller.
     """
-    K, q = spec.ambient_dim, spec.q
-    table = _MaskTable(spec, mode, anchors, layout)
-    best: Optional[tuple] = None  # (value, pivots, positions, t)
-    for pivots in chunk:
-        positions = free_positions(pivots, K)
-        val, t = _first_minimum(table, pivots, positions)
-        if best is None or val < best[0]:
-            best = (val, pivots, positions, t)
-    if best is None:
+    if not chunk:
         return None, None
-    val, pivots, positions, t = best
-    per = q ** len(positions)
-    rows = np.zeros((len(pivots), K), dtype=np.int16)
-    rows[range(len(pivots)), pivots] = 1
-    for (r, c), v in zip(positions, digits(np.array([t % per]), len(positions), q)[0]):
-        rows[r, c] = v
+    table = _MaskTable(ops, points, anchors, layout)
+    scores = [_first_minimum(table, ps, free_positions(ps, table.K)) for ps in chunk]
+    val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
+    width = len(free_positions(chunk[i], table.K))
+    per = ops.q ** width
+    rows = pivot_bases(chunk[i], table.K, digits(np.array([t % per]), width, ops.q))[0]
     if anchors is not None:
         rows = np.vstack([anchors[t // per], rows])
     return val, rows
 
 
 def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
-    """_scan_chunk inside a pool worker, which rebuilds the spec."""
-    params, mode, chunk, anchors, layout = args
-    return _scan_chunk(build_code(*params), mode, chunk, anchors, layout)
+    """_scan_chunk inside a pool worker, on the field ops of GF(q)."""
+    q, points, chunk, anchors, layout = args
+    return _scan_chunk(table_ops(field_for_size(q)), points, chunk, anchors, layout)
 
 
 def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
@@ -414,18 +392,28 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
 def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
           ) -> tuple[int, np.ndarray]:
     """Best value of a scan and a spanning set of the first subspace
-    attaining it."""
+    attaining it.
+
+    The one reader of the mode.  "min_support" counts the support of the
+    subspaces D with injective first projection, "min_support_all" of
+    every subspace (plain GHW), and "max_group" the group points outside
+    the same D as "min_support": its first minimizer is the first D whose
+    complement H = D^perp holds the most points.
+    """
     if workers < 1:
         raise RangeError(f"workers={workers} must be at least 1")
-    K = spec.ambient_dim
+    K, q = spec.ambient_dim, spec.q
+    # Admissibility is decided by the pivot set alone.  The first projection
+    # of D is injective exactly when every pivot is below k1; H = D^perp is
+    # onto GF(Q2) exactly when D meets {0} x F_q^k2 trivially, the same
+    # family.  GHW admits every pivot set.
+    sets = pivot_sets(K if mode == "min_support_all" else spec.k1, dim)
+    work = [count_for_pivots(ps, K, q) for ps in sets]
     anchors = None
-    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
-    work = [count_for_pivots(ps, K, spec.q) for ps in sets]
     if mode == "min_support":
         reps = orbit_representatives(spec)
-        through = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim - 1, mode)
-                   if 0 not in ps]
-        anchored = [len(reps) * count_for_pivots(ps, K, spec.q) for ps in through]
+        through = [ps for ps in pivot_sets(spec.k1, dim - 1) if 0 not in ps]
+        anchored = [len(reps) * count_for_pivots(ps, K, q) for ps in through]
         if sum(anchored) <= sum(work):
             anchors, sets, work = reps, through, anchored
     total = sum(work)
@@ -433,21 +421,25 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
-    workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     chunks = _chunks(sets, work, workers * 4) if workers > 1 and sets else [sets]
-    # each chunk builds its own table, and each of the workers holds one
-    layouts = [_block_starts(spec, mode, c, anchors) for c in chunks]
-    sizes = sorted((_table_bytes(spec, layout) for layout in layouts), reverse=True)
+    # each chunk builds its own table, and each of the workers holds one; a
+    # dual block spans only its row's free columns, so it holds only rows
+    # the dual's few pivot sets read
+    layouts = [_block_starts(q, K, c, anchors, mode == "max_group") for c in chunks]
+    sizes = sorted((_table_bytes(layout, spec.n) for layout in layouts), reverse=True)
     table_bytes = sum(sizes[:workers])
     if table_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"mask tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
+    # read only now: the n-row point matrices are built on first read
+    points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
     if len(chunks) <= 1:
-        results = [_scan_chunk(spec, mode, sets, anchors, layouts[0])]
+        results = [_scan_chunk(spec.ops, points, sets, anchors, layouts[0])]
     else:
-        params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-        tasks = [(params, mode, chunk, anchors, layout)
+        tasks = [(q, points, chunk, anchors, layout)
                  for chunk, layout in zip(chunks, layouts)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, tasks))

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import functools
 import runpy
 from pathlib import Path
 
@@ -8,20 +9,30 @@ import pytest
 from rghw import weights
 
 
-@pytest.fixture(scope="session")
-def small_grid():
-    """The benchmark's small grid: every (q,k1,k2,e1,e2) that build_code
-    accepts with q^(k1+k2) <= 81, read from perfbench/workloads.py."""
+@functools.cache
+def _workloads() -> dict:
+    """The globals of perfbench/workloads.py, run once."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    return runpy.run_path(str(path))["small_grid"]()
+    return runpy.run_path(str(path))
+
+
+@pytest.fixture(scope="session")
+def spec_grid():
+    """The benchmark's grid function: limit -> every (q,k1,k2,e1,e2) that
+    build_code accepts with q^(k1+k2) <= limit."""
+    return _workloads()["small_grid"]
+
+
+@pytest.fixture(scope="session")
+def small_grid(spec_grid):
+    """The benchmark's small grid, q^(k1+k2) <= 81."""
+    return spec_grid()
 
 
 @pytest.fixture(scope="session")
 def ladder():
-    """The specs of the benchmark's scan_ladder workload, read from
-    perfbench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    return runpy.run_path(str(path))["LADDER"]
+    """The specs of the benchmark's scan_ladder workload."""
+    return _workloads()["LADDER"]
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 import rghw
 import rghw.cli
 from rghw.cli import main
+from rghw import errors, gf
 from rghw.codes import build_code
 from rghw.errors import InvariantViolated, PrecisionFailure
 
@@ -282,6 +284,34 @@ def test_gauss_rejects_non_prime_power(capsys):
     code, _, err = run_cli(capsys, "gauss", "--size", "12")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "NonPrime"
+
+
+def test_gauss_refuses_before_building_the_field(capsys, monkeypatch):
+    # an empty field cache for this test, and no field can be built: the
+    # size cap, the prime-power test and the term cap all come first
+    monkeypatch.setattr(gf, "_field", functools.cache(gf._field.__wrapped__))
+
+    def no_field(p, m):
+        raise AssertionError(f"GF({p}^{m}) built before a refusal")
+
+    monkeypatch.setattr(gf, "_construct", no_field)
+    for argv, want in ((("--size", "1048576"), (3, "CapExceeded")),
+                       (("--size", "524288", "--lam", "all"), (3, "CapExceeded")),
+                       (("--size", "1000000"), (2, "NonPrime"))):
+        code, _, err = run_cli(capsys, "gauss", *argv)
+        assert (code, json.loads(err)["error"]["code"]) == want, argv
+
+
+def test_exit_codes_live_on_the_error_classes():
+    # README's exit codes: 1 a failed internal cross-check, 3 a cap
+    # exceeded, 2 every other error (bad input)
+    want = {"InvariantViolated": 1, "PrecisionFailure": 1,
+            "CapExceeded": 3, "SizeCapExceeded": 3}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RghwError)]
+    assert len(classes) == 20
+    for cls in classes:
+        assert cls.exit_code == want.get(cls.__name__, 2), cls
 
 
 def test_verify_single_suite(capsys):

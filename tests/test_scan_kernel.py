@@ -21,16 +21,30 @@ from rghw.subspaces import (
     free_positions,
     gaussian_binomial,
     kernel_rows,
+    pivot_sets,
     rref_stack,
 )
 from rghw.linalg import table_ops
 from rghw.weights import (
-    admissible_pivot_sets,
     ghw_bruteforce,
     mj_dual_count,
     orbit_representatives,
     rghw_bruteforce,
 )
+
+
+def kernel_args(spec, dim, mode):
+    """What _scan hands the kernel for an unanchored scan of a mode: the
+    pivot sets, the point matrix and the block-key rule."""
+    sets = pivot_sets(spec.ambient_dim if mode == "min_support_all" else spec.k1, dim)
+    points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
+    return sets, points, mode == "max_group"
+
+
+def layout(spec, mode, sets, anchors):
+    """The _block_starts layout _scan computes for these pivot sets."""
+    return weights._block_starts(spec.q, spec.ambient_dim, sets, anchors, mode == "max_group")
+
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
 def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
@@ -38,7 +52,7 @@ def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
     K = k1 + k2
     for mode in ("min_support", "max_group"):
         for dim in range(K + 1):
-            admissible = set(admissible_pivot_sets(k1, k2, dim, mode))
+            admissible = set(pivot_sets(k1, dim))
             for rref in rref_stack(K, dim, q):
                 if mode == "min_support":
                     want = len(ops.rref(rref[:, :k1])[1]) == dim
@@ -213,14 +227,14 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     spec = build_code(2, 2, 3, 1, 1)
     width = 8 * -(-spec.n // 64)
-    sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "min_support_all")
+    sets = pivot_sets(spec.ambient_dim, 2)
     work = [count_for_pivots(ps, 5, 2) for ps in sets]
     chunks = weights._chunks(sets, work, 2 * 4)
     rows = sorted(weights._table_bytes(
-        spec, weights._block_starts(spec, "min_support_all", c, None)) // width for c in chunks)
+        layout(spec, "min_support_all", c, None), spec.n) // width for c in chunks)
     assert len(chunks) == 6 and rows[-2:] == [20, 24]
-    layout = weights._block_starts(spec, "min_support_all", sets, None)
-    assert weights._table_bytes(spec, layout) == 31 * width
+    assert weights._table_bytes(
+        layout(spec, "min_support_all", sets, None), spec.n) == 31 * width
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
@@ -240,23 +254,23 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     reps = orbit_representatives(spec)
     for mode, dim, anchors in (("min_support", 1, reps), ("min_support", 2, None),
                                ("min_support_all", 2, None), ("max_group", 1, None)):
-        sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+        sets, points, _ = kernel_args(spec, dim, mode)
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
-        layout = weights._block_starts(spec, mode, sets, anchors)
-        table = weights._MaskTable(spec, mode, anchors, layout)
-        assert weights._table_bytes(spec, layout) == table.masks.nbytes, mode
+        lay = layout(spec, mode, sets, anchors)
+        table = weights._MaskTable(spec.ops, points, anchors, lay)
+        assert weights._table_bytes(lay, spec.n) == table.masks.nbytes, mode
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1), (0,2), (1,2) have 6
     # (pivot set, row) pairs but 5 distinct blocks, each over the row's free
     # columns, built by linearity with no matmul
     spec = build_code(2, 3, 2, 1, 1)
-    sets = admissible_pivot_sets(spec.k1, spec.k2, 2, "max_group")
-    assert sum(len(weights._block_keys(ps, 5, "max_group")) for ps in sets) == 6
+    sets = pivot_sets(spec.k1, 2)
+    assert sum(len(weights._block_keys(ps, 5, True)) for ps in sets) == 6
     calls = []
     matmul = spec.ops.matmul
     monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
-    table = weights._MaskTable(spec, "max_group", None,
-                               weights._block_starts(spec, "max_group", sets, None))
+    table = weights._MaskTable(spec.ops, spec.group_vectors, None,
+                               layout(spec, "max_group", sets, None))
     assert len(table.starts) == 5
     assert calls == []
     assert table.masks.shape[0] == 2**3 + 2**3 + 2**3 + 2**2 + 2**2
@@ -271,21 +285,21 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     """Every row of every block is packbits((a @ funcs[cols]) != target[lead])
     through the field's matmul in its first ceil(n/8) bytes and zero after
     them, for characteristic 2, odd primes and GF(4), whatever the slice
-    size splits the block's columns into."""
+    size splits the block's columns into; an anchor's row is the mask of
+    the points outside it."""
     spec = build_code(*params)
     q, K = spec.q, spec.ambient_dim
     dim = data.draw(st.integers(1, K))
-    sets = admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
+    sets, points, _ = kernel_args(spec, dim, mode)
     anchors = orbit_representatives(spec) if anchored else None
     with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
-        table = weights._MaskTable(spec, mode, anchors,
-                                   weights._block_starts(spec, mode, sets, anchors))
-    F = spec.coordinate_functionals.T
+        table = weights._MaskTable(spec.ops, points, anchors,
+                                   layout(spec, mode, sets, anchors))
+    funcs = points.T
     packed = -(-spec.n // 8)
     rows = table.masks.view(np.uint8)
     assert rows.shape[1] == 8 * -(-spec.n // 64)
     assert not rows[:, packed:].any()
-    funcs = spec.group_vectors.T if mode == "max_group" else F
     target = spec.ops.mul_table[spec.field_q.neg(1)][funcs]
     for (cols, lead), start in table.starts.items():
         a = np.array(list(itertools.product(range(q), repeat=len(cols))),
@@ -293,7 +307,7 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
         want = np.packbits(spec.ops.matmul(a, funcs[list(cols)]) != target[lead], axis=1)
         assert (rows[start:start + len(a), :packed] == want).all(), (cols, lead)
     if anchored:
-        want = np.packbits(spec.ops.matmul(anchors, F) != 0, axis=1)
+        want = np.packbits(spec.ops.matmul(anchors, funcs) != 0, axis=1)
         assert (rows[table.anchor_rows.start:, :packed] == want).all()
 
 
@@ -349,9 +363,8 @@ DUAL_TABLE_BYTES = {
 def test_dual_table_sizes_are_pinned():
     for params, sizes in DUAL_TABLE_BYTES.items():
         spec = build_code(*params)
-        got = [weights._table_bytes(spec, weights._block_starts(
-                   spec, "max_group", admissible_pivot_sets(spec.k1, spec.k2, j, "max_group"),
-                   None))
+        got = [weights._table_bytes(
+                   layout(spec, "max_group", pivot_sets(spec.k1, j), None), spec.n)
                for j in range(1, spec.k1 + 1)]
         assert got == sizes, params
 
@@ -360,7 +373,7 @@ def plain_first_minimum(table, pivots, positions):
     """Least count over one pivot set's subspaces and the first t attaining
     it, by OR-ing every mask the plan names for every t."""
     weights_, bases = table.plan(pivots, positions)
-    q, width = table.spec.q, len(positions)
+    q, width = table.q, len(positions)
     t = np.arange(len(bases) * q ** width)
     index = digits(t % q ** width, width, q) @ weights_ + bases[t // q ** width]
     values = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
@@ -382,14 +395,14 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
     # an unanchored subspace has at least one row
     dim = data.draw(st.integers(0 if anchors is not None else 1, K))
-    sets = [ps for ps in admissible_pivot_sets(spec.k1, spec.k2, dim, mode)
-            if anchors is None or 0 not in ps]
+    sets, points, _ = kernel_args(spec, dim, mode)
+    sets = [ps for ps in sets if anchors is None or 0 not in ps]
     if not sets:
         return
     pivots = data.draw(st.sampled_from(sets))
     positions = free_positions(pivots, K)
-    table = weights._MaskTable(spec, mode, anchors,
-                               weights._block_starts(spec, mode, [pivots], anchors))
+    table = weights._MaskTable(spec.ops, points, anchors,
+                               layout(spec, mode, [pivots], anchors))
     with mock.patch.object(weights, "BATCH", batch):
         got = weights._first_minimum(table, pivots, positions)
     assert got == plain_first_minimum(table, pivots, positions)

@@ -4,13 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from rghw.closed_forms import detect_family, evaluate_closed_form
-from rghw.codes import build_code, codewords
+from rghw.codes import CodeSpec, build_code, codewords
 from rghw import weights
-from rghw.errors import CapExceeded, InvariantViolated, RangeError, RghwError
+from rghw.errors import CapExceeded, InvariantViolated, RangeError
 from rghw.subspaces import cyclic_group_counts, dual_stack, rref_stack, stack_dims
 from rghw.weights import (
     compute_report,
@@ -232,6 +230,24 @@ def test_one_cpu_scans_in_process(monkeypatch, recording_pool):
     assert recording_pool == []
 
 
+def test_pool_tasks_build_no_code_spec(monkeypatch, recording_pool):
+    """A pool task carries q and the point matrix, so a worker looks up the
+    field ops of GF(q) and builds no CodeSpec."""
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
+    spec = build_code(2, 3, 2, 1, 1)
+    brute = rghw_bruteforce(spec, 2)
+    dual = mj_dual_count(spec, 2)
+
+    def no_spec(*args):
+        raise AssertionError("a pool task built a CodeSpec")
+
+    monkeypatch.setattr(CodeSpec, "__init__", no_spec)
+    assert rghw_bruteforce(spec, 2, workers=2) == brute
+    got = mj_dual_count(spec, 2, workers=2)
+    assert (got.m, got.n_j, got.argmax.tolist()) == (dual.m, dual.n_j, dual.argmax.tolist())
+    assert recording_pool == [2, 2]
+
+
 def test_fewer_than_one_worker_is_a_range_error(monkeypatch):
     """The table cap bounds the tables of the W largest chunks, so a scan
     with W < 1 would bound none of them: it is refused before any scan."""
@@ -282,36 +298,21 @@ def test_report_routes_keep_request_order():
         report.routes["bruteforce"] = report.routes["dual_count"]
 
 
-PROPERTY_LIMIT = 243  # bound on q^(k1+k2) for the random specs
+PROPERTY_LIMIT = 243  # bound on q^(k1+k2) for the exhaustive specs
 PROPERTY_CAP = 20_000  # work cap of every scan; the largest such scan is ~10k
 
 
-@st.composite
-def small_specs(draw):
-    """(q, k1, k2, e1, e2) with q^(k1+k2) <= PROPERTY_LIMIT and e_i | q^k_i - 1."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]))
-    total = 2
-    while q ** (total + 1) <= PROPERTY_LIMIT:
-        total += 1
-    k1 = draw(st.integers(1, total - 1))
-    k2 = draw(st.integers(1, total - k1))
-    e1, e2 = (draw(st.sampled_from([e for e in range(1, q**k) if (q**k - 1) % e == 0]))
-              for k in (k1, k2))
-    return q, k1, k2, e1, e2
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_specs())
-def test_routes_agree_on_random_specs(params):
-    try:
+def test_routes_agree_on_every_small_spec(spec_grid):
+    """Every spec build_code accepts with q^(k1+k2) <= PROPERTY_LIMIT."""
+    specs = spec_grid(PROPERTY_LIMIT)
+    assert len(specs) == 106
+    for params in specs:
         spec = build_code(*params)
-    except RghwError:
-        assume(False)
-    structural = detect_family(*params) is not None
-    for j in range(1, spec.k1 + 1):
-        brute = rghw_bruteforce(spec, j, cap=PROPERTY_CAP)
-        dual = mj_dual_count(spec, j, cap=PROPERTY_CAP)
-        assert brute == dual.m, (params, j)
-        assert cyclic_group_counts(dual.argmax[None], spec)[0] == dual.n_j, (params, j)
-        if structural:
-            assert evaluate_closed_form(*params, j) == (dual.n_j, dual.m), (params, j)
+        structural = detect_family(*params) is not None
+        for j in range(1, spec.k1 + 1):
+            brute = rghw_bruteforce(spec, j, cap=PROPERTY_CAP)
+            dual = mj_dual_count(spec, j, cap=PROPERTY_CAP)
+            assert brute == dual.m, (params, j)
+            assert cyclic_group_counts(dual.argmax[None], spec)[0] == dual.n_j, (params, j)
+            if structural:
+                assert evaluate_closed_form(*params, j) == (dual.n_j, dual.m), (params, j)
