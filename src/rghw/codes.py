@@ -11,7 +11,6 @@ works on those tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,14 +86,14 @@ def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
         raise NotAFieldGenerator(f"gamma^{e} generates a proper subfield of GF({field.size})")
 
     gamma_powers = _power_cycle(field, gamma, k)
+    # by linearity: each coordinate appends a base-q digit to the index of
+    # the rows so far, so coordinate 0 ends up the most significant
+    compose = np.zeros(1, dtype=np.int64)
+    for g in gamma_powers:
+        scaled = np.array([field.mul(embed.apply_code(a), g) for a in range(q)])
+        compose = field.add(compose[:, None], scaled).reshape(-1)
     decompose = np.full((field.size, k), -1, dtype=np.int16)
-    compose = np.empty(field.size, dtype=np.int64)
-    for index, row in enumerate(itertools.product(range(q), repeat=k)):
-        code = 0
-        for a, g in zip(row, gamma_powers):
-            code = field.add(code, field.mul(embed.apply_code(a), g))
-        decompose[code] = row
-        compose[index] = code
+    decompose[compose] = np.indices((q,) * k, dtype=np.int16).reshape(k, -1).T
     if (decompose < 0).any():
         raise InvariantViolated("polynomial basis failed to span the extension")
     return Factor(field, embed, k, e, n, gamma, alpha, gamma_powers,

@@ -48,9 +48,10 @@ from .subspaces import (
 )
 
 DEFAULT_ENUM_CAP = 10**8
-# Bound on the mask tables a scan holds at once (rows of ceil(n/64) 64-bit
-# words, 8 ceil(n/64) bytes): its one table, or with a W-worker pool the W
-# largest chunk tables.
+# Bound on the arrays a scan holds at once: the mask tables (rows of
+# ceil(n/64) 64-bit words), its one table or with a W-worker pool the W
+# largest chunk tables, each table's (q, K, n) int16 scaled values, and the
+# (n, K) int16 point matrix in the parent and in each busy worker.
 TABLE_CAP_BYTES = 1 << 26
 # A batch scores at most BATCH subspaces and ORs at most BATCH_BYTES of
 # masks (subspaces times row bytes); a mask-table slice holds about
@@ -100,7 +101,9 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
 # subspace D, D x != 0.  The coordinate functionals count the support of D,
 # the group points N minus the points inside H = D^perp; _scan picks the
-# points, pivot sets, anchors and block-key rule of a route.
+# points, pivot sets, anchors and block-key rule of a route, and refuses
+# every bad request first, so the kernel has no refusal path: a valid j
+# leaves every chunk at least one pivot set.
 #
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
@@ -349,18 +352,15 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
 
 
 def _scan_chunk(ops: TableOps, points: np.ndarray, chunk, anchors: Optional[np.ndarray],
-                layout: tuple[dict, int, bool]
-                ) -> tuple[Optional[int], Optional[np.ndarray]]:
+                layout: tuple[dict, int, bool]) -> tuple[int, np.ndarray]:
     """Least number of points outside a subspace, the rows x of the point
-    matrix with D x != 0, over the subspaces D of the given pivot sets, and
-    a basis of the first D attaining it.
+    matrix with D x != 0, over the subspaces D of the given pivot sets (at
+    least one), and a basis of the first D attaining it.
 
     With anchors, each D is the span of one anchor and of a basis with the
     given pivots.  The layout is the chunk's _block_starts, computed once
     by the caller.
     """
-    if not chunk:
-        return None, None
     table = _MaskTable(ops, points, anchors, layout)
     scores = [_first_minimum(table, ps, free_positions(ps, table.K)) for ps in chunk]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
@@ -372,7 +372,7 @@ def _scan_chunk(ops: TableOps, points: np.ndarray, chunk, anchors: Optional[np.n
     return val, rows
 
 
-def _pool_chunk(args) -> tuple[Optional[int], Optional[np.ndarray]]:
+def _pool_chunk(args) -> tuple[int, np.ndarray]:
     """_scan_chunk inside a pool worker, on the field ops of GF(q)."""
     q, points, chunk, anchors, layout = args
     return _scan_chunk(table_ops(field_for_size(q)), points, chunk, anchors, layout)
@@ -399,15 +399,21 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     every subspace (plain GHW), and "max_group" the group points outside
     the same D as "min_support": its first minimizer is the first D whose
     complement H = D^perp holds the most points.
+
+    Every refusal (j, workers, the subspace cap, the byte bound) comes
+    before the n-row point matrix is read or any table is built.
     """
-    if workers < 1:
-        raise RangeError(f"workers={workers} must be at least 1")
     K, q = spec.ambient_dim, spec.q
     # Admissibility is decided by the pivot set alone.  The first projection
     # of D is injective exactly when every pivot is below k1; H = D^perp is
     # onto GF(Q2) exactly when D meets {0} x F_q^k2 trivially, the same
     # family.  GHW admits every pivot set.
-    sets = pivot_sets(K if mode == "min_support_all" else spec.k1, dim)
+    top = K if mode == "min_support_all" else spec.k1
+    if not 1 <= dim <= top:
+        raise RangeError(f"j={dim} outside 1..{top}")
+    if workers < 1:
+        raise RangeError(f"workers={workers} must be at least 1")
+    sets = pivot_sets(top, dim)
     work = [count_for_pivots(ps, K, q) for ps in sets]
     anchors = None
     if mode == "min_support":
@@ -423,36 +429,29 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         )
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
-    chunks = _chunks(sets, work, workers * 4) if workers > 1 and sets else [sets]
+    chunks = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
     # each chunk builds its own table, and each of the workers holds one; a
     # dual block spans only its row's free columns, so it holds only rows
     # the dual's few pivot sets read
     layouts = [_block_starts(q, K, c, anchors, mode == "max_group") for c in chunks]
-    sizes = sorted((_table_bytes(layout, spec.n) for layout in layouts), reverse=True)
-    table_bytes = sum(sizes[:workers])
-    if table_bytes > TABLE_CAP_BYTES:
+    live = sorted((_table_bytes(lay, spec.n) for lay in layouts), reverse=True)[:workers]
+    copies = 1 + (len(live) if len(chunks) > 1 else 0)
+    scan_bytes = sum(live) + 2 * K * spec.n * (q * len(live) + copies)
+    if scan_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
-            f"mask tables of {table_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
+            f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
     # read only now: the n-row point matrices are built on first read
     points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
-    if len(chunks) <= 1:
+    if len(chunks) == 1:
         results = [_scan_chunk(spec.ops, points, sets, anchors, layouts[0])]
     else:
         tasks = [(q, points, chunk, anchors, layout)
                  for chunk, layout in zip(chunks, layouts)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, tasks))
-    best_val: Optional[int] = None
-    best_rows: Optional[np.ndarray] = None
-    for val, rows in results:  # chunk order = enumeration order
-        if val is None:
-            continue
-        if best_val is None or val < best_val:
-            best_val, best_rows = val, rows
-    if best_val is None:
-        raise RangeError(f"no qualifying subspace of dimension {dim}")
-    return best_val, best_rows
+    # chunk order is enumeration order, and min keeps the first minimum
+    return min(results, key=lambda result: result[0])
 
 
 # -- public routes ----------------------------------------------------------
@@ -461,8 +460,6 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
 def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
                     workers: int = 1) -> int:
     """Definition-level minimum support over subspaces meeting C' trivially."""
-    if not 1 <= j <= spec.k1:
-        raise RangeError(f"j={j} outside 1..{spec.k1}")
     val, _ = _scan(spec, j, "min_support", cap, workers)
     return val
 
@@ -470,8 +467,6 @@ def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
 def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
                    workers: int = 1) -> int:
     """Plain generalized Hamming weight (no subcode restriction)."""
-    if not 1 <= j <= spec.k1 + spec.k2:
-        raise RangeError(f"j={j} outside 1..{spec.k1 + spec.k2}")
     val, _ = _scan(spec, j, "min_support_all", cap, workers)
     return val
 
@@ -494,8 +489,6 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     D g != 0, n - |H meet group|, so m is that minimum.  Ties resolve to the
     first D in enumeration order, and argmax is the RREF basis of its H.
     """
-    if not 1 <= j <= spec.k1:
-        raise RangeError(f"j={j} outside 1..{spec.k1}")
     outside, rows = _scan(spec, j, "max_group", cap, workers)
     argmax = spec.ops.rref(kernel_rows(rows[None], spec.ops)[0])[0]
     return DualCountResult(outside, spec.n - outside, argmax)
@@ -525,8 +518,9 @@ class RouteOutcome:
         return out
 
 
-# Each route maps (spec, j, cap, workers) to (m, n_j, argmax rows), or to
-# None when it does not apply to the spec.
+# Each route maps (spec, j, cap, workers) to (m, n_j, argmax rows).  The
+# adapters call the routes through this module's globals, so a tracer that
+# rebinds those names sees every call.
 
 
 def _bruteforce_route(spec: CodeSpec, j: int, cap: int, workers: int):
@@ -539,10 +533,7 @@ def _dual_count_route(spec: CodeSpec, j: int, cap: int, workers: int):
 
 
 def _closed_form_route(spec: CodeSpec, j: int, cap: int, workers: int):
-    params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
-    if detect_family(*params) is None:
-        return None
-    n_j, m = evaluate_closed_form(*params, j)
+    n_j, m = evaluate_closed_form(spec.q, spec.k1, spec.k2, spec.e1, spec.e2, j)
     return m, n_j, None
 
 
@@ -600,20 +591,23 @@ def compute_report(spec: CodeSpec, j: int,
                    strict_routes: bool = False) -> RghwReport:
     """Run the requested routes for one j and bundle the outcomes.
 
-    With strict_routes a closed-form request on a spec that is not
-    structural raises; otherwise that route is quietly skipped.
+    The route names are checked before any route runs.  A closed-form
+    request on a spec that is not structural then raises with
+    strict_routes, and is otherwise skipped; either way before any scan.
     """
-    report = RghwReport(j, tuple(routes))
     for name in routes:
         if name not in _ROUTES:
             raise RangeError(f"unknown route {name!r}")
+    run = routes
+    if "closed_form" in routes and detect_family(
+            spec.q, spec.k1, spec.k2, spec.e1, spec.e2) is None:
+        if strict_routes:
+            raise HypothesisViolated("spec is not structural: no closed form")
+        run = [name for name in routes if name != "closed_form"]
+    report = RghwReport(j, tuple(routes))
+    for name in run:
         t0 = time.perf_counter()
-        result = _ROUTES[name](spec, j, cap, workers)
-        if result is None:
-            if strict_routes:
-                raise HypothesisViolated("spec is not structural: no closed form")
-            continue
-        m, n_j, argmax_rows = result
+        m, n_j, argmax_rows = _ROUTES[name](spec, j, cap, workers)
         setattr(report, name,
                 RouteOutcome(m, (time.perf_counter() - t0) * 1e3, n_j, argmax_rows))
     return report

@@ -193,6 +193,17 @@ def test_explicit_closed_form_on_foreign_spec_exits_2(capsys):
     assert json.loads(err)["error"]["code"] == "HypothesisViolated"
 
 
+@pytest.mark.parametrize("routes", ["bruteforce,closed_form", "closed_form,bruteforce"])
+def test_closed_form_refusal_comes_before_any_scan_in_either_order(capsys, routes):
+    # the cap of 1 would refuse the bruteforce scan with exit 3
+    code, _, err = run_cli(
+        capsys, "table", "--q", "3", "--k1", "2", "--k2", "1", "--e1", "2",
+        "--cap", "1", "--routes", routes, "--workers", "1",
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "HypothesisViolated"
+
+
 def test_routes_subset(capsys):
     code, out, _ = run_cli(
         capsys, *TABLE_ARGS, "--routes", "dual_count", "--format", "json"

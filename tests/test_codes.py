@@ -208,3 +208,23 @@ def test_factor_tables_invert_each_other_on_the_small_grid(small_grid):
         vecs = np.hstack([f1.decompose[pairs[:, 0]], f2.decompose[pairs[:, 1]]])
         got = spec.pairs_from_vectors(vecs)
         assert (got[0] == pairs[:, 0]).all() and (got[1] == pairs[:, 1]).all(), params
+
+
+def per_row_code(f, row):
+    """Reference: the code of sum_i row[i] gamma^i, one field operation at
+    a time."""
+    code = 0
+    for a, g in zip(row, f.gamma_powers):
+        code = f.field.add(code, f.field.mul(f.embed.apply_code(a), g))
+    return code
+
+
+def test_factor_tables_match_the_per_row_definition(small_grid):
+    for params in small_grid:
+        spec = build_code(*params)
+        for f in spec.factors:
+            # every coordinate row in base-q order, first coordinate most significant
+            rows = list(itertools.product(range(spec.q), repeat=f.k))
+            want = [per_row_code(f, row) for row in rows]
+            assert f.compose.tolist() == want, params
+            assert f.decompose[want].tolist() == [list(row) for row in rows], params

@@ -194,6 +194,9 @@ def test_bruteforce_is_unanchored_where_anchoring_scores_more():
 def test_table_bound_raises_before_allocating(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)  # K = 5, n = 21: one 8-byte word per mask
     width = 8 * -(-spec.n // 64)
+    # besides the masks: the (q, K, n) int16 scaled values and the (n, K)
+    # int16 point matrix
+    arrays = 2 * 5 * 21 * (2 + 1)
     reps = len(orbit_representatives(spec))
     cases = [
         # anchored bruteforce j=2: D' is one row with pivot 1 (columns 2..4
@@ -211,13 +214,30 @@ def test_table_bound_raises_before_allocating(monkeypatch):
         raise AssertionError("table allocated past the bound")
 
     for run, value, rows in cases:
-        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width)
+        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays)
         assert run() == value
-        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width - 1)
+        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays - 1)
         monkeypatch.setattr(weights, "_MaskTable", no_table)
         with pytest.raises(CapExceeded):
             run()
         monkeypatch.setattr(weights, "_MaskTable", table_class)
+
+
+def test_the_bound_refuses_before_the_points_are_read(monkeypatch):
+    """A bound that the masks alone fit refuses a scan once its point matrix
+    and scaled values are counted, and it refuses before the n-row point
+    matrix is built."""
+    cases = [
+        # the masks of test_table_bound_raises_before_allocating, one word each
+        (rghw_bruteforce, 2, 2**3 + 2, "coordinate_functionals"),
+        (mj_dual_count, 1, 2**4 + 2**3, "group_vectors"),
+    ]
+    for route, dim, rows, points in cases:
+        spec = build_code(2, 2, 3, 1, 1)
+        monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * 8)
+        with pytest.raises(CapExceeded, match="^scan arrays of"):
+            route(spec, dim)
+        assert points not in spec.__dict__
 
 
 def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool):
@@ -235,10 +255,13 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     assert len(chunks) == 6 and rows[-2:] == [20, 24]
     assert weights._table_bytes(
         layout(spec, "min_support_all", sets, None), spec.n) == 31 * width
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width)
+    # each of the 2 tables holds (q, K, n) int16 scaled values, and the
+    # parent and both workers an (n, K) int16 point matrix
+    arrays = 2 * 5 * 21 * (2 * 2 + 3)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width + arrays)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width - 1)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width + arrays - 1)
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")

@@ -57,6 +57,14 @@ def test_unknown_suite_is_a_key_error():
         run_suites(["nope"])
 
 
+def test_an_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "gf", lambda: ran.append("gf"))
+    with pytest.raises(KeyError):
+        run_suites(["gf", "nope"])
+    assert ran == []
+
+
 def _record_draws(monkeypatch):
     """Every block of subspaces verify dedups from random rows, in draw
     order, each as the list of its draws' RREF rows."""

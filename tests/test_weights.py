@@ -8,7 +8,7 @@ import pytest
 from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import CodeSpec, build_code, codewords
 from rghw import weights
-from rghw.errors import CapExceeded, InvariantViolated, RangeError
+from rghw.errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
 from rghw.subspaces import cyclic_group_counts, dual_stack, rref_stack, stack_dims
 from rghw.weights import (
     compute_report,
@@ -283,10 +283,24 @@ def test_compute_report():
     odd = build_code(3, 2, 2, 1, 2)
     rep = compute_report(odd, 1)
     assert "closed_form" not in rep.routes
-    from rghw.errors import HypothesisViolated
-
     with pytest.raises(HypothesisViolated):
         compute_report(odd, 1, routes=("closed_form",), strict_routes=True)
+
+
+def test_compute_report_refuses_before_any_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a scan ran before the refusal")
+
+    monkeypatch.setattr(weights, "_scan", no_scan)
+    spec = build_code(2, 2, 3, 1, 1)
+    with pytest.raises(RangeError, match="unknown route 'nope'"):
+        compute_report(spec, 1, routes=("bruteforce", "nope"))
+    odd = build_code(3, 2, 2, 1, 2)
+    with pytest.raises(HypothesisViolated):
+        compute_report(odd, 1, routes=("bruteforce", "closed_form"), strict_routes=True)
+    # not strict: the closed form is not run, and the order stays as requested
+    report = compute_report(odd, 1, routes=("closed_form",))
+    assert report.order == ("closed_form",) and not report.routes
 
 
 def test_report_routes_keep_request_order():
