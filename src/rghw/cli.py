@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -308,8 +307,8 @@ def _add_scan_args(parser: argparse.ArgumentParser) -> None:
         help='comma list of %s or "all"' % (",".join(ROUTE_NAMES)),
     )
     _add_workers_arg(parser)
-    parser.add_argument("--cap", type=int, default=None,
-                        help="enumeration cap (env RGHW_CAP overrides the default)")
+    parser.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                        help="enumeration cap (default %(default)s)")
     _add_output_args(parser, _FORMATS)
 
 
@@ -355,11 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_args(args: argparse.Namespace) -> None:
     """Reject out-of-range flags and fill in the derived values: the route
-    tuple and whether it was explicit, and the cap (RGHW_CAP when --cap is
-    absent)."""
-    if "cap" in args and args.cap is None:
-        env = os.environ.get("RGHW_CAP")
-        args.cap = _parse_int(env, "RGHW_CAP") if env else DEFAULT_ENUM_CAP
+    tuple and whether it was explicit."""
     routes = getattr(args, "routes", "all")
     args.routes_explicit = routes != "all"
     if args.routes_explicit:

@@ -2,10 +2,11 @@
 
 A CodeSpec fixes the base field GF(q), the two extensions GF(Q1), GF(Q2)
 (one Factor each), the nonzero generators a1 = g1^e1 and a2 = g2^e2, and
-holds the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): per-coordinate evaluation
-functionals, the cyclic-group point list (both built on first read), and
-the Gram matrix of the paired-trace inner product.  Everything downstream
-works on those tables.
+holds the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): the Gram matrix
+G of the paired-trace inner product, and, built on first read, the group
+points g, the flattened (a1^i, a2^i), and the coordinate functionals
+F = g G, as coordinate i of a codeword pairs its input with (a1^i, a2^i).
+Everything downstream works on those tables.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class Factor:
     are the coordinate basis, and alpha = gamma^e is the nonzero, of order
     n.  decompose maps an element code to its coordinate row; compose maps
     the base-q index of a row (first coordinate most significant) back to
-    the code.  All elements are codes of field; trace is Tr down to GF(q).
+    the code.  All elements are codes of field, and gram[s, t] is
+    tr(gamma^s * gamma^t), the Gram matrix of the trace down to GF(q).
     """
 
     field: FieldTable
@@ -59,8 +61,7 @@ class Factor:
     gamma: int
     alpha: int
     gamma_powers: list[int]
-    alpha_powers: list[int]
-    trace: np.ndarray
+    gram: np.ndarray
     decompose: np.ndarray
     compose: np.ndarray
 
@@ -96,9 +97,10 @@ def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
     decompose[compose] = np.indices((q,) * k, dtype=np.int16).reshape(k, -1).T
     if (decompose < 0).any():
         raise InvariantViolated("polynomial basis failed to span the extension")
+    trace = trace_table(field, base)
+    gram = [[trace[field.mul(gs, gt)] for gt in gamma_powers] for gs in gamma_powers]
     return Factor(field, embed, k, e, n, gamma, alpha, gamma_powers,
-                  _power_cycle(field, alpha, n), trace_table(field, base),
-                  decompose, compose)
+                  np.array(gram, dtype=np.int16), decompose, compose)
 
 
 class CodeSpec:
@@ -143,15 +145,16 @@ class CodeSpec:
 
         self.d = math.gcd(self.n1, self.n2)
         self.n = self.n1 * self.n2 // self.d
-        self.ambient_dim = k1 + k2
+        self.ambient_dim = K = k1 + k2
 
-        self.gram = self._build_gram()
+        # the paired-trace form: block diagonal, one trace form per factor
+        self.gram = np.zeros((K, K), dtype=np.int16)
+        self.gram[:k1, :k1], self.gram[k1:, k1:] = f1.gram, f2.gram
         # vecs @ _decode_weights is the base-q compose index of each factor
-        self._decode_weights = np.zeros((k1 + k2, 2), dtype=np.int64)
+        self._decode_weights = np.zeros((K, 2), dtype=np.int64)
         self._decode_weights[:k1, 0] = q ** np.arange(k1 - 1, -1, -1)
         self._decode_weights[k1:, 1] = q ** np.arange(k2 - 1, -1, -1)
         # [G | I] reduces to [I | G^-1] exactly when G is invertible
-        K = self.ambient_dim
         red, pivots = self.ops.rref(np.hstack([self.gram, np.eye(K, dtype=np.int16)]))
         if pivots != tuple(range(K)):
             raise FieldMismatch("paired-trace form is degenerate")  # pragma: no cover
@@ -167,32 +170,24 @@ class CodeSpec:
     @functools.cached_property
     def coordinate_functionals(self) -> np.ndarray:
         """Row i evaluates coordinate i of a codeword on flattened inputs:
-        tr(gamma^t * alpha^i) in column t of each factor's block."""
-        rows = np.arange(self.n)
-        return np.hstack([
-            np.array([[f.trace[f.field.mul(g, a)] for g in f.gamma_powers]
-                      for a in f.alpha_powers], dtype=np.int16)[rows % f.n]
-            for f in self.factors
-        ])
+        tr(gamma^t * alpha^i) in column t of each factor's block, the Gram
+        image sum_s c_s tr(gamma^s * gamma^t) of alpha^i = sum_s c_s gamma^s."""
+        return self._tile(self.ops.matmul)
 
     @functools.cached_property
     def group_vectors(self) -> np.ndarray:
         """Row i is the flattened point (a1^i, a2^i)."""
-        rows = np.arange(self.n)
-        return np.hstack([f.decompose[f.alpha_powers][rows % f.n] for f in self.factors])
+        return self._tile(lambda points, gram: points)
 
-    def _build_gram(self) -> np.ndarray:
-        """Block diagonal: tr(gamma^s * gamma^t) within each factor."""
-        K = self.ambient_dim
-        gram = np.zeros((K, K), dtype=np.int16)
-        offset = 0
-        for f in self.factors:
-            gram[offset : offset + f.k, offset : offset + f.k] = [
-                [f.trace[f.field.mul(gs, gt)] for gt in f.gamma_powers]
-                for gs in f.gamma_powers
-            ]
-            offset += f.k
-        return gram
+    def _tile(self, image) -> np.ndarray:
+        """The (n, K) table whose row i holds image(c, f.gram) in the columns
+        of each factor f, c the coordinate row of alpha^(i mod n_f)."""
+        out = np.empty((self.n, self.ambient_dim), dtype=np.int16)
+        for f, cols in zip(self.factors, (slice(0, self.k1), slice(self.k1, None))):
+            points = f.decompose[_power_cycle(f.field, f.alpha, f.n)]
+            # n is a multiple of n_f: written in place, one period at a time
+            out.reshape(-1, f.n, self.ambient_dim)[:, :, cols] = image(points, f.gram)
+        return out
 
     def pairs_from_vectors(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The element codes (b1, b2) of each row of vecs, an integer array of

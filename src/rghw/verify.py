@@ -235,7 +235,7 @@ def _subcode_words(spec: CodeSpec) -> np.ndarray:
     field = f2.field
     logs = (np.arange(field.order)[:, None]
             + field.log_table[f2.alpha] * np.arange(spec.n)) % field.order
-    return f2.trace[np.array(field.exp_table)[logs]].astype(np.int16)
+    return trace_table(field, spec.field_q)[np.array(field.exp_table)[logs]].astype(np.int16)
 
 
 def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:

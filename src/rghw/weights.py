@@ -99,11 +99,11 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # -- pivot-set scan kernel ---------------------------------------------------
 #
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
-# subspace D, D x != 0.  The coordinate functionals count the support of D,
-# the group points N minus the points inside H = D^perp; _scan picks the
-# points, pivot sets, anchors and block-key rule of a route, and refuses
-# every bad request first, so the kernel has no refusal path: a valid j
-# leaves every chunk at least one pivot set.
+# subspace D, D x != 0.  F = g G counts the support of D, the group points
+# g count N minus the points inside H = D^perp; _scan picks the points,
+# pivot sets and anchors of a route, and refuses every bad request first,
+# so the kernel has no refusal path: a valid j leaves every chunk at least
+# one pivot set.
 #
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
@@ -114,7 +114,9 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # keeping the first strict minimum.  The table is a stack of blocks keyed
 # by (columns, lead), each built once per chunk however many pivot sets use
 # it, and a plan (weights, bases) says which rows: column k of
-# digits @ weights + bases[t // q^P] is the row of the k-th mask.
+# digits @ weights + bases[t // q^P] is the row of the k-th mask.  A row's
+# block spans every later column or only its free ones, the same mask
+# either way, and _block_starts keeps the rule with fewer table rows.
 #
 # Both halves of the kernel are linear in the digits, so neither does
 # arithmetic per row.  With T = points^T, a block's values split as
@@ -198,26 +200,29 @@ def _sums(base: np.ndarray, scaled: list, add):
 def _block_keys(pivots, K: int, free: bool) -> list[tuple[tuple[int, ...], int]]:
     """The (columns, lead) key of each block whose masks a subspace with
     these pivots ORs, one per row, led by its pivot.  A block spans every
-    later column, so one block per pivot serves all pivot sets, as the many
-    pivot sets of a GHW scan need; with free, only the row's free columns,
-    so the table holds only rows its pivot sets read."""
+    later column, so one block per pivot serves all pivot sets; with free,
+    only the row's free columns, so the table holds only rows they read."""
     skip = pivots if free else ()
     return [(tuple(c for c in range(p + 1, K) if c not in skip), p) for p in pivots]
 
 
-def _block_starts(q: int, K: int, sets, anchors: Optional[np.ndarray], free: bool
+def _block_starts(q: int, K: int, sets, anchors: Optional[np.ndarray]
                   ) -> tuple[dict, int, bool]:
     """The layout of the table of some pivot sets: the first row of every
     distinct block they use, in order of first use; the table's row count,
-    the blocks and then one row per anchor; and the block-key rule free."""
-    starts: dict = {}
-    rows = 0
-    for ps in sets:
-        for key in _block_keys(ps, K, free):
-            if key not in starts:
-                starts[key] = rows
-                rows += q ** len(key[0])
-    return starts, rows + (0 if anchors is None else len(anchors)), free
+    the blocks and then one row per anchor; and the block-key rule free,
+    the one of the two with fewer rows (every later column on a tie)."""
+    layouts = []
+    for free in (False, True):
+        starts: dict = {}
+        rows = 0
+        for ps in sets:
+            for key in _block_keys(ps, K, free):
+                if key not in starts:
+                    starts[key] = rows
+                    rows += q ** len(key[0])
+        layouts.append((starts, rows + (0 if anchors is None else len(anchors)), free))
+    return min(layouts, key=lambda layout: layout[1])
 
 
 def _table_bytes(layout: tuple[dict, int, bool], n: int) -> int:
@@ -238,34 +243,41 @@ class _MaskTable:
     ends with the mask of each anchor.  layout is the _block_starts of the
     pivot sets the scan visits, and its rule keys the blocks in plan.
 
-    A block is built by linearity, as a @ T[cols] + T[lead] != 0.  The low
-    s columns give the q^s value rows of about SLICE_BYTES, and each run of
-    q^s table rows adds one sum over the high columns to them.
+    Every value is a sum of rows of scaled[d, c] = d T[c], a (q, K, N)
+    array.  A block's low s columns give q^s value rows of about
+    SLICE_BYTES, and each run of q^s table rows adds one high sum to them.
     """
 
     def __init__(self, ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray],
                  layout: tuple[dict, int, bool]):
         self.q, (self.n, self.K) = ops.q, points.shape
         self.starts, rows, self.free = layout
-        q, n = self.q, self.n
+        q, n, K = self.q, self.n, self.K
         self.masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
         packed = self.masks.view(np.uint8)[:, :-(-n // 8)]
-        self.anchor_rows: Optional[range] = None
-        if anchors is not None:
-            self.anchor_rows = range(rows - len(anchors), rows)
-            packed[self.anchor_rows.start:] = np.packbits(
-                ops.matmul(anchors, points.T) != 0, axis=1)
         add = ops.field.add
-        T = points.T
-        # scaled[d, c] = d * T[c], each row contiguous
-        scaled = np.ascontiguousarray(ops.mul_table[:, T])
+        slice_rows = max(1, SLICE_BYTES // (2 * n))  # rows of n values
+        # filled in place a slice of columns at a time: temporaries stay small
+        scaled = np.zeros((q, K, n), dtype=np.int16)
+        scaled[1] = points.T
+        for d in range(2, q):
+            for c in range(0, K, slice_rows):
+                scaled[d, c:c + slice_rows] = ops.mul_table[d][points[:, c:c + slice_rows].T]
+        self.anchor_rows = None if anchors is None else range(rows - len(anchors), rows)
+        if anchors is not None:
+            for r in range(0, len(anchors), slice_rows):
+                a = anchors[r:r + slice_rows]  # each value is a sum of scaled rows
+                value = scaled[a[:, 0], 0]
+                for c in range(1, K):
+                    value = add(value, scaled[a[:, c], c])
+                packed[self.anchor_rows[r]:][:len(a)] = np.packbits(value != 0, axis=1)
         for (cols, lead), start in self.starts.items():
-            split = len(cols) - _low_width(len(cols), q, SLICE_BYTES // (2 * n))
+            split = len(cols) - _low_width(len(cols), q, slice_rows)
             low = np.zeros((1, n), dtype=np.int16)
             for c in reversed(cols[split:]):
                 low = add(scaled[:, c, None], low).reshape(-1, n)
             high = [scaled[:, c] for c in cols[:split]]
-            for h, base in enumerate(_sums(T[lead], high, add)):
+            for h, base in enumerate(_sums(scaled[1, lead], high, add)):
                 packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
                     add(base, low) != 0, axis=1)
 
@@ -430,10 +442,8 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     chunks = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
-    # each chunk builds its own table, and each of the workers holds one; a
-    # dual block spans only its row's free columns, so it holds only rows
-    # the dual's few pivot sets read
-    layouts = [_block_starts(q, K, c, anchors, mode == "max_group") for c in chunks]
+    # each chunk builds its own table, and each of the workers holds one
+    layouts = [_block_starts(q, K, c, anchors) for c in chunks]
     live = sorted((_table_bytes(lay, spec.n) for lay in layouts), reverse=True)[:workers]
     copies = 1 + (len(live) if len(chunks) > 1 else 0)
     scan_bytes = sum(live) + 2 * K * spec.n * (q * len(live) + copies)

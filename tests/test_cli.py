@@ -169,13 +169,6 @@ def test_samples_beyond_the_cap_run_no_suite(capsys, monkeypatch):
     assert out == "" and calls == []
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RGHW_CAP", "5")
-    code, _, err = run_cli(capsys, *TABLE_ARGS)
-    assert code == 3
-    monkeypatch.delenv("RGHW_CAP")
-
-
 def test_j_selection_and_validation(capsys):
     code, out, _ = run_cli(capsys, *TABLE_ARGS, "--j", "2", "--format", "json")
     doc = json.loads(out)
@@ -460,13 +453,6 @@ def test_help_exits_0(capsys):
         main(["table", "--help"])
     assert exc.value.code == 0
     assert "--workers" in capsys.readouterr().out
-
-
-def test_bad_cap_in_environment_exits_2(capsys, monkeypatch):
-    for value in ("abc", "-5"):
-        monkeypatch.setenv("RGHW_CAP", value)
-        code, _, err = run_cli(capsys, *TABLE_ARGS)
-        assert (code, json.loads(err)["error"]["code"]) == (2, "RangeError")
 
 
 def _precision_failure(*args, **kwargs):

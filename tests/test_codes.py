@@ -228,3 +228,30 @@ def test_factor_tables_match_the_per_row_definition(small_grid):
             want = [per_row_code(f, row) for row in rows]
             assert f.compose.tolist() == want, params
             assert f.decompose[want].tolist() == [list(row) for row in rows], params
+
+
+def per_row_functionals(spec):
+    """Reference: tr(gamma^t * alpha^i) in column t of each factor's block
+    of row i, one field operation at a time."""
+    rows = np.arange(spec.n)
+    blocks = []
+    for f in spec.factors:
+        tr = trace_table(f.field, spec.field_q)
+        block = [[tr[f.field.mul(g, f.field.pow(f.alpha, i))] for g in f.gamma_powers]
+                 for i in range(f.n)]
+        blocks.append(np.array(block, dtype=np.int16)[rows % f.n])
+    return np.hstack(blocks)
+
+
+FRONTIER = ((2, 4, 7, 1, 1), (3, 3, 5, 1, 2), (4, 3, 4, 1, 3), (2, 5, 6, 1, 1),
+            (3, 4, 5, 1, 2), (2, 6, 7, 1, 1), (4, 3, 5, 1, 3), (3, 3, 5, 1, 1),
+            (4, 2, 5, 1, 1), (2, 5, 6, 1, 3), (2, 6, 7, 3, 1))
+
+
+def test_coordinate_functionals_match_the_per_row_definition(small_grid):
+    # the Gram image of the group points, against the trace of each product
+    for params in [*small_grid, *FRONTIER]:
+        spec = build_code(*params)
+        got = spec.coordinate_functionals
+        assert got.dtype == np.int16, params
+        assert np.array_equal(got, per_row_functionals(spec)), params

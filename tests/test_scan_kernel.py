@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,15 +37,15 @@ from rghw.weights import (
 
 def kernel_args(spec, dim, mode):
     """What _scan hands the kernel for an unanchored scan of a mode: the
-    pivot sets, the point matrix and the block-key rule."""
+    pivot sets and the point matrix."""
     sets = pivot_sets(spec.ambient_dim if mode == "min_support_all" else spec.k1, dim)
     points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
-    return sets, points, mode == "max_group"
+    return sets, points
 
 
-def layout(spec, mode, sets, anchors):
+def layout(spec, sets, anchors):
     """The _block_starts layout _scan computes for these pivot sets."""
-    return weights._block_starts(spec.q, spec.ambient_dim, sets, anchors, mode == "max_group")
+    return weights._block_starts(spec.q, spec.ambient_dim, sets, anchors)
 
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
@@ -242,8 +244,8 @@ def test_the_bound_refuses_before_the_points_are_read(monkeypatch):
 
 def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool):
     # GHW j=2 of (2,2,3,1,1) with 2 workers: 6 chunks, each with its own
-    # table, and 2 alive at once; the 2 largest hold more rows than the one
-    # table of the in-process scan, since chunks share blocks
+    # table, and 2 alive at once; the 2 largest hold as many rows as the
+    # one table of the in-process scan, since chunks share blocks
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     spec = build_code(2, 2, 3, 1, 1)
     width = 8 * -(-spec.n // 64)
@@ -251,17 +253,17 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     work = [count_for_pivots(ps, 5, 2) for ps in sets]
     chunks = weights._chunks(sets, work, 2 * 4)
     rows = sorted(weights._table_bytes(
-        layout(spec, "min_support_all", c, None), spec.n) // width for c in chunks)
-    assert len(chunks) == 6 and rows[-2:] == [20, 24]
+        layout(spec, c, None), spec.n) // width for c in chunks)
+    assert len(chunks) == 6 and rows[-2:] == [15, 16]
     assert weights._table_bytes(
-        layout(spec, "min_support_all", sets, None), spec.n) == 31 * width
+        layout(spec, sets, None), spec.n) == 31 * width
     # each of the 2 tables holds (q, K, n) int16 scaled values, and the
     # parent and both workers an (n, K) int16 point matrix
     arrays = 2 * 5 * 21 * (2 * 2 + 3)
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width + arrays)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
-    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (20 + 24) * width + arrays - 1)
+    monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays - 1)
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
@@ -272,20 +274,63 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     assert recording_pool == [2]  # no second pool started
 
 
+def counted_bytes(spec, dim, mode, monkeypatch):
+    """The bytes _scan counts for a scan, as its refusal names them under a
+    bound of 0."""
+    with monkeypatch.context() as m:
+        m.setattr(weights, "TABLE_CAP_BYTES", 0)
+        with pytest.raises(CapExceeded) as exc:
+            weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+    return int(re.match(r"scan arrays of (\d+) bytes", str(exc.value)).group(1))
+
+
+@pytest.mark.parametrize("params,dim,mode", [
+    ((2, 7, 8, 1, 1), 1, "min_support"),  # anchor rows only, n = 32385
+    ((4, 3, 5, 1, 3), 2, "min_support"),  # GF(4) blocks and anchors
+    ((3, 3, 5, 1, 2), 2, "max_group"),    # mod-3 blocks
+])
+def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch):
+    """The traced peak of a table build, with the point matrix built in the
+    same trace, stays within the bytes _scan counts plus the builder's own
+    temporaries: a few value slices (the larger of SLICE_BYTES and q rows
+    of n int16 values) and one n-row per column of a block."""
+    spec = build_code(*params)
+    q, K, n = spec.q, spec.ambient_dim, spec.n
+    counted = counted_bytes(spec, dim, mode, monkeypatch)
+    slack = 4 * max(weights.SLICE_BYTES, 2 * q * n) + 2 * K * n
+    peaks = []
+    table_class = weights._MaskTable
+
+    def traced_table(*args):
+        tracemalloc.reset_peak()
+        table = table_class(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return table
+
+    monkeypatch.setattr(weights, "_MaskTable", traced_table)
+    tracemalloc.start()
+    try:
+        weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] <= counted + slack, (peaks, counted, slack)
+
+
 def test_mask_table_holds_each_block_once(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     reps = orbit_representatives(spec)
     for mode, dim, anchors in (("min_support", 1, reps), ("min_support", 2, None),
                                ("min_support_all", 2, None), ("max_group", 1, None)):
-        sets, points, _ = kernel_args(spec, dim, mode)
+        sets, points = kernel_args(spec, dim, mode)
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
-        lay = layout(spec, mode, sets, anchors)
+        lay = layout(spec, sets, anchors)
         table = weights._MaskTable(spec.ops, points, anchors, lay)
         assert weights._table_bytes(lay, spec.n) == table.masks.nbytes, mode
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1), (0,2), (1,2) have 6
-    # (pivot set, row) pairs but 5 distinct blocks, each over the row's free
-    # columns, built by linearity with no matmul
+    # (pivot set, row) pairs and 5 distinct blocks over the rows' free
+    # columns (32 rows), but 3 over every later column (28 rows), which the
+    # layout keeps; built by linearity with no matmul
     spec = build_code(2, 3, 2, 1, 1)
     sets = pivot_sets(spec.k1, 2)
     assert sum(len(weights._block_keys(ps, 5, True)) for ps in sets) == 6
@@ -293,10 +338,10 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     matmul = spec.ops.matmul
     monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
     table = weights._MaskTable(spec.ops, spec.group_vectors, None,
-                               layout(spec, "max_group", sets, None))
-    assert len(table.starts) == 5
+                               layout(spec, sets, None))
+    assert len(table.starts) == 3
     assert calls == []
-    assert table.masks.shape[0] == 2**3 + 2**3 + 2**3 + 2**2 + 2**2
+    assert table.masks.shape[0] == 2**4 + 2**3 + 2**2
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,11 +358,11 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     spec = build_code(*params)
     q, K = spec.q, spec.ambient_dim
     dim = data.draw(st.integers(1, K))
-    sets, points, _ = kernel_args(spec, dim, mode)
+    sets, points = kernel_args(spec, dim, mode)
     anchors = orbit_representatives(spec) if anchored else None
     with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
         table = weights._MaskTable(spec.ops, points, anchors,
-                                   layout(spec, mode, sets, anchors))
+                                   layout(spec, sets, anchors))
     funcs = points.T
     packed = -(-spec.n // 8)
     rows = table.masks.view(np.uint8)
@@ -361,25 +406,25 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
 
 
 # Bytes of the dual scan's mask table for j = 1..k1 on the frontier and
-# ladder specs, as the scan over H itself held them.  Walking D = H^perp
-# keys each row on its free columns, which keeps every size, so no
-# CapExceeded threshold of TABLE_CAP_BYTES moves.
+# ladder specs.  The layout is the smaller of the two block-key rules, so
+# no size is above the one the scan over H held, and no CapExceeded
+# threshold of TABLE_CAP_BYTES falls.
 DUAL_TABLE_BYTES = {
-    (2, 4, 7, 1, 1): [460800, 737280, 460800, 122880],
+    (2, 4, 7, 1, 1): [460800, 460800, 460800, 122880],
     (3, 3, 5, 1, 2): [1263600, 1069200, 291600],
     (4, 3, 4, 1, 3): [3612672, 2408448, 516096],
-    (2, 5, 6, 1, 1): [492032, 1015808, 872960, 380928, 79360],
-    (3, 4, 5, 1, 2): [11819520, 13887936, 6205248, 1181952],
-    (2, 6, 7, 1, 1): [8128512, 20643840, 22579200, 13418496, 4515840, 774144],
+    (2, 5, 6, 1, 1): [492032, 492032, 492032, 380928, 79360],
+    (3, 4, 5, 1, 2): [11819520, 11819520, 6205248, 1181952],
+    (2, 6, 7, 1, 1): [8128512, 8128512, 8128512, 8128512, 4515840, 774144],
     (4, 3, 5, 1, 3): [57802752, 38535168, 8257536],
     (3, 3, 5, 1, 1): [1263600, 1069200, 291600],
     (4, 2, 5, 1, 1): [3276800, 1310720],
-    (2, 5, 6, 1, 3): [174592, 360448, 309760, 135168, 28160],
-    (2, 6, 7, 3, 1): [2709504, 6881280, 7526400, 4472832, 1505280, 258048],
-    (2, 3, 4, 1, 1): [1792, 2048, 768],
+    (2, 5, 6, 1, 3): [174592, 174592, 174592, 135168, 28160],
+    (2, 6, 7, 3, 1): [2709504, 2709504, 2709504, 2709504, 1505280, 258048],
+    (2, 3, 4, 1, 1): [1792, 1792, 768],
     (4, 2, 3, 1, 3): [5120, 2048],
     (5, 2, 3, 1, 4): [72000, 24000],
-    (2, 3, 5, 1, 1): [7168, 8192, 3072],
+    (2, 3, 5, 1, 1): [7168, 7168, 3072],
 }
 
 
@@ -387,7 +432,7 @@ def test_dual_table_sizes_are_pinned():
     for params, sizes in DUAL_TABLE_BYTES.items():
         spec = build_code(*params)
         got = [weights._table_bytes(
-                   layout(spec, "max_group", pivot_sets(spec.k1, j), None), spec.n)
+                   layout(spec, pivot_sets(spec.k1, j), None), spec.n)
                for j in range(1, spec.k1 + 1)]
         assert got == sizes, params
 
@@ -418,17 +463,52 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
     # an unanchored subspace has at least one row
     dim = data.draw(st.integers(0 if anchors is not None else 1, K))
-    sets, points, _ = kernel_args(spec, dim, mode)
+    sets, points = kernel_args(spec, dim, mode)
     sets = [ps for ps in sets if anchors is None or 0 not in ps]
     if not sets:
         return
     pivots = data.draw(st.sampled_from(sets))
     positions = free_positions(pivots, K)
     table = weights._MaskTable(spec.ops, points, anchors,
-                               layout(spec, mode, [pivots], anchors))
+                               layout(spec, [pivots], anchors))
     with mock.patch.object(weights, "BATCH", batch):
         got = weights._first_minimum(table, pivots, positions)
     assert got == plain_first_minimum(table, pivots, positions)
+
+
+def rule_layout(q, K, sets, anchors, free):
+    """Reference layout under one block-key rule: the distinct blocks of the
+    pivot sets' rows in order of first use, stacked, then the anchors."""
+    keys = dict.fromkeys(key for ps in sets for key in weights._block_keys(ps, K, free))
+    sizes = [q ** len(cols) for cols, _ in keys]
+    starts = dict(zip(keys, itertools.accumulate([0] + sizes)))
+    return starts, sum(sizes) + (0 if anchors is None else len(anchors)), free
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+       anchored=st.booleans(), data=st.data())
+def test_block_key_rule_moves_no_value_or_argmax(small_grid, mode, anchored, data):
+    """A table laid out under either block-key rule gives every pivot set
+    the same least count and first t, so _block_starts may keep the smaller
+    layout (every later column on a tie)."""
+    spec = build_code(*data.draw(st.sampled_from(small_grid)))
+    q, K = spec.q, spec.ambient_dim
+    anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
+    top = K if mode == "min_support_all" else spec.k1
+    dim = data.draw(st.integers(0 if anchors is not None else 1, top))
+    sets, points = kernel_args(spec, dim, mode)
+    sets = [ps for ps in sets if anchors is None or 0 not in ps]
+    if not sets:
+        return
+    layouts = [rule_layout(q, K, sets, anchors, free) for free in (False, True)]
+    tables = [weights._MaskTable(spec.ops, points, anchors, lay) for lay in layouts]
+    for pivots in sets:
+        positions = free_positions(pivots, K)
+        later, free = (weights._first_minimum(t, pivots, positions) for t in tables)
+        assert later == free, (spec, mode, pivots)
+    kept = weights._block_starts(q, K, sets, anchors)
+    assert kept == layouts[layouts[1][1] < layouts[0][1]]
 
 
 def test_straddling_rows_keep_the_pinned_argmax():
