@@ -18,9 +18,10 @@ import sys
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
+from .closed_forms import require_structural
 from .codes import build_code
 from .errors import CapExceeded, OutputError, RangeError, RghwError, UsageError
-from .gf import build_field, prime_power
+from .gf import DEFAULT_SIZE_CAP, build_field, prime_power
 from .verify import SUITES, run_suites
 from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
 
@@ -91,14 +92,7 @@ def _error_payload(exc: RghwError) -> str:
 def cmd_table(args: argparse.Namespace) -> int:
     spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
     reports = [
-        compute_report(
-            spec,
-            j,
-            routes=args.routes,
-            cap=args.cap,
-            workers=args.workers,
-            strict_routes=args.routes_explicit,
-        )
+        compute_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
         for j in _j_values(args.j, spec.k1)
     ]
     document = {
@@ -229,20 +223,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
     rows = []
     for j in _j_values(args.j, spec.k1):
-        for route in args.routes:
-            outcomes = [
-                compute_report(spec, j, routes=(route,), cap=args.cap,
-                               workers=args.workers, strict_routes=False).routes.get(route)
-                for _ in range(args.repeat)
-            ]
-            if outcomes[-1] is None:
-                continue
-            timings = [outcome.millis for outcome in outcomes]
+        reports = [
+            compute_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
+            for _ in range(args.repeat)
+        ]
+        for route in reports[-1].order:
+            timings = [getattr(report, route).millis for report in reports]
             rows.append(
                 {
                     "j": j,
                     "route": route,
-                    "m": outcomes[-1].m,
+                    "m": getattr(reports[-1], route).m,
                     "best_ms": round(min(timings), 3),
                     "mean_ms": round(sum(timings) / len(timings), 3),
                 }
@@ -304,7 +295,7 @@ def _add_scan_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--routes",
         default="all",
-        help='comma list of %s or "all"' % (",".join(ROUTE_NAMES)),
+        help='comma list of %s, or "all": every route that applies' % (",".join(ROUTE_NAMES)),
     )
     _add_workers_arg(parser)
     parser.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
@@ -353,19 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range flags and fill in the derived values: the route
-    tuple and whether it was explicit."""
+    """Reject out-of-range flags and fill in the route tuple: None for
+    --routes all, every route that applies."""
     routes = getattr(args, "routes", "all")
-    args.routes_explicit = routes != "all"
-    if args.routes_explicit:
+    args.routes = None
+    if routes != "all":
         args.routes = tuple(r.strip() for r in routes.split(",") if r.strip())
         if not args.routes:
             raise RangeError(f"--routes {routes!r} names no route")
         for r in args.routes:
             if r not in ROUTE_NAMES:
                 raise RangeError(f"unknown route {r!r}")
-    else:
-        args.routes = ROUTE_NAMES
+        # a named closed form is refused before the code is built; beyond
+        # these bounds build_code refuses the field sizes at once
+        if ("closed_form" in args.routes and args.q <= DEFAULT_SIZE_CAP
+                and max(args.k1, args.k2) < DEFAULT_SIZE_CAP.bit_length()):
+            require_structural(args.q, args.k1, args.k2, args.e1, args.e2)
     for name, low in (("cap", 0), ("samples", 1), ("repeat", 1), ("seed", 0), ("workers", 1)):
         value = getattr(args, name, low)
         if value < low:

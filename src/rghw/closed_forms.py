@@ -70,11 +70,17 @@ def detect_family(q: int, k1: int, k2: int, e1: int, e2: int) -> Optional[str]:
     return "structural"
 
 
+def require_structural(q: int, k1: int, k2: int, e1: int, e2: int) -> None:
+    """The one refusal of a closed form that does not apply:
+    HypothesisViolated unless the parameters give a structural spec."""
+    if detect_family(q, k1, k2, e1, e2) is None:
+        raise HypothesisViolated("parameters do not give a structural spec: no closed form")
+
+
 def evaluate_closed_form(q: int, k1: int, k2: int, e1: int, e2: int,
                          j: int) -> tuple[int, int]:
     """(N_j, M_j) for the parameters of a structural spec."""
-    if detect_family(q, k1, k2, e1, e2) is None:
-        raise HypothesisViolated("parameters do not give a structural spec")
+    require_structural(q, k1, k2, e1, e2)
     if not 1 <= j <= k1:
         raise RangeError(f"j={j} outside 1..{k1}")
     n_j = _theta(q, k1 + k2 - j) - _theta(q, k1 - j) - _theta(q, k2 - j)

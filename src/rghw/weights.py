@@ -28,9 +28,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import detect_family, evaluate_closed_form
+from .closed_forms import detect_family, evaluate_closed_form, require_structural
 from .codes import CodeSpec
-from .errors import CapExceeded, HypothesisViolated, InvariantViolated, RangeError
+from .errors import CapExceeded, InvariantViolated, RangeError
 from .gf import field_for_size
 from .linalg import TableOps, table_ops
 from .subspaces import (
@@ -342,9 +342,9 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
                 for k in np.flatnonzero(by_low & by_head)]
     # a matrix-vector product sums the per-word bit counts far faster than a
     # reduction over the short word axis; every partial sum is an integer of
-    # at most N, so float32 is exact while N < 2^24
-    exact = np.float32 if table.n < 1 << 24 else np.float64
-    ones = np.ones(masks.shape[1], dtype=exact)
+    # at most N, so float32 is exact while N < 2^24, which the byte bound
+    # keeps: a scan counts at least 2 K N (q + 1) >= 12 N bytes
+    ones = np.ones(masks.shape[1], dtype=np.float32)
     step = max(1, batch // run)
     best: Optional[tuple[int, int]] = None
     for r in range(0, len(heads), step):
@@ -363,31 +363,27 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     return best
 
 
-def _scan_chunk(ops: TableOps, points: np.ndarray, chunk, anchors: Optional[np.ndarray],
-                layout: tuple[dict, int, bool]) -> tuple[int, np.ndarray]:
+def _scan_chunk(task) -> tuple[int, np.ndarray]:
     """Least number of points outside a subspace, the rows x of the point
     matrix with D x != 0, over the subspaces D of the given pivot sets (at
     least one), and a basis of the first D attaining it.
 
-    With anchors, each D is the span of one anchor and of a basis with the
-    given pivots.  The layout is the chunk's _block_starts, computed once
-    by the caller.
+    task is (q, points, chunk, anchors, layout), the same in process and
+    in a pool worker: the field ops of GF(q) are looked up (cached), so a
+    task carries no CodeSpec.  With anchors, each D is the span of one
+    anchor and of a basis with the chunk's pivots.  The layout is the
+    chunk's _block_starts, computed once by _scan.
     """
-    table = _MaskTable(ops, points, anchors, layout)
+    q, points, chunk, anchors, layout = task
+    table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
     scores = [_first_minimum(table, ps, free_positions(ps, table.K)) for ps in chunk]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
     width = len(free_positions(chunk[i], table.K))
-    per = ops.q ** width
-    rows = pivot_bases(chunk[i], table.K, digits(np.array([t % per]), width, ops.q))[0]
+    per = q ** width
+    rows = pivot_bases(chunk[i], table.K, digits(np.array([t % per]), width, q))[0]
     if anchors is not None:
         rows = np.vstack([anchors[t // per], rows])
     return val, rows
-
-
-def _pool_chunk(args) -> tuple[int, np.ndarray]:
-    """_scan_chunk inside a pool worker, on the field ops of GF(q)."""
-    q, points, chunk, anchors, layout = args
-    return _scan_chunk(table_ops(field_for_size(q)), points, chunk, anchors, layout)
 
 
 def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
@@ -453,15 +449,12 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
         )
     # read only now: the n-row point matrices are built on first read
     points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
-    if len(chunks) == 1:
-        results = [_scan_chunk(spec.ops, points, sets, anchors, layouts[0])]
-    else:
-        tasks = [(q, points, chunk, anchors, layout)
-                 for chunk, layout in zip(chunks, layouts)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pool_chunk, tasks))
-    # chunk order is enumeration order, and min keeps the first minimum
-    return min(results, key=lambda result: result[0])
+    tasks = [(q, points, chunk, anchors, layout) for chunk, layout in zip(chunks, layouts)]
+    if len(tasks) == 1:
+        return _scan_chunk(tasks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # chunk order is enumeration order, and min keeps the first minimum
+        return min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
 
 
 # -- public routes ----------------------------------------------------------
@@ -553,24 +546,24 @@ _ROUTES = {
     "closed_form": _closed_form_route,
 }
 ROUTE_NAMES = tuple(_ROUTES)
+_SCAN_ROUTES = ("bruteforce", "dual_count")  # the routes of a non-structural spec
 
 
 @dataclass(slots=True)
 class RghwReport:
-    """The outcomes for one j: one field per route, plus the order in which
-    the routes were requested (a shared tuple, not a per-report dict)."""
+    """The outcomes for one j: one field per route, plus the routes that
+    ran, in order (a shared tuple, not a per-report dict)."""
 
     j: int
-    order: tuple[str, ...] = ROUTE_NAMES
+    order: tuple[str, ...]
     bruteforce: Optional[RouteOutcome] = None
     dual_count: Optional[RouteOutcome] = None
     closed_form: Optional[RouteOutcome] = None
 
     @property
     def routes(self) -> Mapping[str, RouteOutcome]:
-        """Read-only name -> outcome for the routes that ran, in request order."""
-        return MappingProxyType({name: getattr(self, name) for name in self.order
-                                 if getattr(self, name) is not None})
+        """Read-only name -> outcome for the routes that ran, in order."""
+        return MappingProxyType({name: getattr(self, name) for name in self.order})
 
     @property
     def agree(self) -> bool:
@@ -595,27 +588,27 @@ class RghwReport:
 
 
 def compute_report(spec: CodeSpec, j: int,
-                   routes: Sequence[str] = ROUTE_NAMES,
+                   routes: Optional[Sequence[str]] = None,
                    cap: int = DEFAULT_ENUM_CAP,
-                   workers: int = 1,
-                   strict_routes: bool = False) -> RghwReport:
-    """Run the requested routes for one j and bundle the outcomes.
+                   workers: int = 1) -> RghwReport:
+    """Run routes for one j and bundle the outcomes.
 
-    The route names are checked before any route runs.  A closed-form
-    request on a spec that is not structural then raises with
-    strict_routes, and is otherwise skipped; either way before any scan.
+    None runs every route that applies: the closed form only on a
+    structural spec.  Named routes run as given, and are checked before
+    any route runs: an unknown name raises RangeError, and a closed form
+    on a spec that is not structural HypothesisViolated.
     """
-    for name in routes:
-        if name not in _ROUTES:
-            raise RangeError(f"unknown route {name!r}")
-    run = routes
-    if "closed_form" in routes and detect_family(
-            spec.q, spec.k1, spec.k2, spec.e1, spec.e2) is None:
-        if strict_routes:
-            raise HypothesisViolated("spec is not structural: no closed form")
-        run = [name for name in routes if name != "closed_form"]
+    params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
+    if routes is None:
+        routes = ROUTE_NAMES if detect_family(*params) is not None else _SCAN_ROUTES
+    else:
+        for name in routes:
+            if name not in _ROUTES:
+                raise RangeError(f"unknown route {name!r}")
+        if "closed_form" in routes:
+            require_structural(*params)
     report = RghwReport(j, tuple(routes))
-    for name in run:
+    for name in report.order:
         t0 = time.perf_counter()
         m, n_j, argmax_rows = _ROUTES[name](spec, j, cap, workers)
         setattr(report, name,

@@ -197,6 +197,43 @@ def test_closed_form_refusal_comes_before_any_scan_in_either_order(capsys, route
     assert json.loads(err)["error"]["code"] == "HypothesisViolated"
 
 
+@pytest.mark.parametrize("command", ["table", "bench"])
+def test_closed_form_refusal_comes_before_the_code_is_built(capsys, monkeypatch, command):
+    """A named closed form is refused on the parameters alone: building
+    GF(2^18) and GF(2^19) would take seconds."""
+    def no_build(*args):
+        raise AssertionError("the code was built before the refusal")
+
+    monkeypatch.setattr(rghw.cli, "build_code", no_build)
+    code, out, err = run_cli(
+        capsys, command, "--q", "2", "--k1", "18", "--k2", "19", "--e1", "3",
+        "--routes", "closed_form", "--j", "1", "--workers", "1",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "HypothesisViolated"
+
+
+def test_bench_refuses_a_closed_form_that_does_not_apply(capsys):
+    # bench follows the rule of table: a named route runs or the run exits 2
+    code, out, err = run_cli(
+        capsys, "bench", "--q", "3", "--k1", "2", "--k2", "2", "--e2", "2",
+        "--routes", "closed_form", "--workers", "1",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "HypothesisViolated"
+
+
+def test_bench_rows_follow_the_routes_that_apply(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "--q", "3", "--k1", "2", "--k2", "2", "--e2", "2",
+        "--repeat", "2", "--format", "json", "--workers", "1",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["j"], r["route"], r["m"]) for r in rows] == [
+        (1, "bruteforce", 4), (1, "dual_count", 4), (2, "bruteforce", 6), (2, "dual_count", 6)]
+
+
 def test_routes_subset(capsys):
     code, out, _ = run_cli(
         capsys, *TABLE_ARGS, "--routes", "dual_count", "--format", "json"
@@ -412,6 +449,9 @@ BAD_INPUTS = [
     ("out-in-missing-directory",
      ("table", *SPEC_ARGS, "--out", str(MISSING_DIR / "table.json")), 2, "OutputError"),
     ("k1-huge", ("table", "--q", "3", "--k1", "10000000", "--k2", "1"), 3, "SizeCapExceeded"),
+    # the size refusal comes first: the closed-form test would power 3^(10^7)
+    ("k1-huge-closed-form", ("table", "--q", "3", "--k1", "10000000", "--k2", "1",
+                             "--e2", "2", "--routes", "closed_form"), 3, "SizeCapExceeded"),
     ("q-beyond-table-ops",
      ("table", "--q", "4099", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
     ("q-beyond-int16",

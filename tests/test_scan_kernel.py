@@ -524,3 +524,14 @@ def test_straddling_rows_keep_the_pinned_argmax():
             val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
             digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
     assert digest.hexdigest() == "e8ab5c79ed1765773ec113e9b1262097a69c6ece86d8d051aea426370d46c25d"
+
+
+def test_the_byte_bound_keeps_bit_counts_exact_in_float32(monkeypatch):
+    """_first_minimum sums bit counts in float32, exact while n < 2^24.
+    Every scan counts at least 2 K n (q + 1) >= 12 n bytes, an (n, K) int16
+    point matrix and one table's (q, K, n) scaled values with K, q >= 2, so
+    a bound below 12 * 2^24 refuses every scan with n >= 2^24."""
+    assert weights.TABLE_CAP_BYTES < 12 * 2**24
+    spec = build_code(2, 2, 3, 1, 1)
+    for mode in ("min_support", "min_support_all", "max_group"):
+        assert counted_bytes(spec, 1, mode, monkeypatch) >= 12 * spec.n

@@ -279,12 +279,12 @@ def test_compute_report():
     doc_t = report.as_dict(include_millis=True)
     assert "millis" in doc_t
 
-    # no closed form for a non-structural spec unless explicitly requested
+    # by default no closed form for a non-structural spec; a named one raises
     odd = build_code(3, 2, 2, 1, 2)
     rep = compute_report(odd, 1)
     assert "closed_form" not in rep.routes
     with pytest.raises(HypothesisViolated):
-        compute_report(odd, 1, routes=("closed_form",), strict_routes=True)
+        compute_report(odd, 1, routes=("closed_form",))
 
 
 def test_compute_report_refuses_before_any_scan(monkeypatch):
@@ -296,11 +296,20 @@ def test_compute_report_refuses_before_any_scan(monkeypatch):
     with pytest.raises(RangeError, match="unknown route 'nope'"):
         compute_report(spec, 1, routes=("bruteforce", "nope"))
     odd = build_code(3, 2, 2, 1, 2)
-    with pytest.raises(HypothesisViolated):
-        compute_report(odd, 1, routes=("bruteforce", "closed_form"), strict_routes=True)
-    # not strict: the closed form is not run, and the order stays as requested
-    report = compute_report(odd, 1, routes=("closed_form",))
-    assert report.order == ("closed_form",) and not report.routes
+    for routes in (("bruteforce", "closed_form"), ("closed_form",)):
+        with pytest.raises(HypothesisViolated):
+            compute_report(odd, 1, routes=routes)
+
+
+def test_default_reports_run_every_route_that_applies():
+    """None runs the closed form only on a structural spec, and reports
+    share one order tuple: the routes that ran."""
+    odd = build_code(3, 2, 2, 1, 2)
+    a, b = compute_report(odd, 1), compute_report(odd, 2)
+    assert a.order == ("bruteforce", "dual_count") and a.order is b.order
+    assert list(a.routes) == list(a.order) and a.agree
+    structural = compute_report(build_code(2, 2, 3, 1, 1), 1)
+    assert structural.order == ("bruteforce", "dual_count", "closed_form")
 
 
 def test_report_routes_keep_request_order():
