@@ -23,7 +23,7 @@ from .codes import build_code
 from .errors import CapExceeded, OutputError, RangeError, RghwError, UsageError
 from .gf import DEFAULT_SIZE_CAP, build_field, prime_power
 from .verify import SUITES, run_suites
-from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, compute_report
+from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, plan_report, run_report
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -89,12 +89,17 @@ def _error_payload(exc: RghwError) -> str:
 # -- table --------------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def _plans(args: argparse.Namespace):
+    """The code and the plan_report of every j: each refusal comes before
+    the first scan."""
     spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
-    reports = [
-        compute_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
-        for j in _j_values(args.j, spec.k1)
-    ]
+    return spec, [plan_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
+                  for j in _j_values(args.j, spec.k1)]
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    spec, plans = _plans(args)
+    reports = [run_report(plan) for plan in plans]
     document = {
         "spec": spec.summary(),
         "results": [r.as_dict(args.timings) for r in reports],
@@ -220,18 +225,15 @@ def _verify_pretty(document: dict) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
+    spec, plans = _plans(args)
     rows = []
-    for j in _j_values(args.j, spec.k1):
-        reports = [
-            compute_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
-            for _ in range(args.repeat)
-        ]
-        for route in reports[-1].order:
+    for plan in plans:
+        reports = [run_report(plan) for _ in range(args.repeat)]
+        for route in plan.order:
             timings = [getattr(report, route).millis for report in reports]
             rows.append(
                 {
-                    "j": j,
+                    "j": plan.j,
                     "route": route,
                     "m": getattr(reports[-1], route).m,
                     "best_ms": round(min(timings), 3),

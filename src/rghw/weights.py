@@ -11,9 +11,14 @@ Three routes are wired together here:
   j-dimensional D = H^perp instead, on the bruteforce pivot family.
 * the closed form (closed_forms module) covers structural specs.
 
-Both scans run one kernel, which counts points and walks subspaces by
-pivot set, so a scan partitions cleanly across worker processes with a
-deterministic merge; _scan alone reads the route.
+The two scans are one minimization under the change of variables
+D -> D G, G the paired-trace Gram matrix: the coordinate functionals are
+F = g G, so D F^T and (D G) g^T vanish on the same coordinates.  Both run
+one kernel, which counts points and walks subspaces by pivot set, and
+both are anchored on the shift orbits, the dual on their Gram images, so
+they score the same number of subspaces.  A scan is planned (every
+refusal, no n-row table read) before it runs, and plan_report plans
+every route of a j; _plan_scan alone reads the route.
 """
 
 from __future__ import annotations
@@ -100,10 +105,10 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 #
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
 # subspace D, D x != 0.  F = g G counts the support of D, the group points
-# g count N minus the points inside H = D^perp; _scan picks the points,
-# pivot sets and anchors of a route, and refuses every bad request first,
-# so the kernel has no refusal path: a valid j leaves every chunk at least
-# one pivot set.
+# g count N minus the points inside H = D^perp; _plan_scan picks the
+# points, pivot sets and anchors of a route, and refuses every bad request
+# first, so the kernel has no refusal path: a valid j leaves every chunk at
+# least one pivot set.
 #
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
@@ -132,7 +137,7 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # subspace.  Each row's free entries are consecutive digits, so at most one
 # row, the one straddling the split, is gathered.
 #
-# The bruteforce scan is anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
+# Both relative scans are anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
 # admissibility, and every admissible D is a shift of one that contains an
 # orbit representative r (orbit_representatives).  Since r_0 = 1, such a D
@@ -141,18 +146,32 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # once per r: each row of bases also looks up the mask of one r.  That is
 # |R| [k1-1, j-1]_q q^((j-1) k2) subspaces against [k1, j]_q q^(j k2) for
 # the full scan; where the anchored count is the larger (|R| > q^k2 at
-# j = k1), the bruteforce scan is not anchored.
+# j = k1), neither scan is anchored.
+#
+# The Gram map carries the anchors to the dual scan.  D contains r exactly
+# when D G contains r G, and G is invertible and block diagonal, so it
+# keeps {0} x F_q^k2 and maps the admissible family onto itself: the
+# minimum over D through some r of the support of D is the minimum over
+# D G through some r G of the group points outside D G.  Each r is picked
+# in its orbit with (r G)_0 = tr(c1) != 0, and r G rescaled to lead with 1,
+# so the dual scan walks the same D' pivot sets over the group points, and
+# |R G| = |R| subspaces per D'.  GHW admits D inside {0} x F_q^k2, which
+# no anchor reaches, and keeps the full scan.
 
 
-def orbit_representatives(spec: CodeSpec) -> np.ndarray:
+def orbit_representatives(spec: CodeSpec, gram: bool = False) -> np.ndarray:
     """One vector of F_q^K per orbit of {(b1, b2) : b1 != 0} under the shift
-    and GF(q)*, each with coordinate 0 equal to 1: shape (orbits, K).
+    and GF(q)*, shape (orbits, K), with coordinate 0 equal to 1: a
+    representative r, or with gram its Gram image r G, the dual scan's
+    anchor, for an r picked in its orbit with (r G)_0 = tr(c1) != 0, c1
+    the element of GF(Q1) that r flattens.
 
     a1 and GF(q)* generate a subgroup of index m1 of GF(Q1)*.  The shifts
     that fix b1 up to a scalar, a1^t in GF(q)*, act on b2 through
     H2 = <a2^t0 a1^-t0>, of index m2 in GF(Q2)*.  So the pairs (g1^i, 0)
     and (g1^i, g2^k), i < m1, k < m2, lie in distinct orbits and meet every
-    one; each is shifted until coordinate 0 is nonzero, then rescaled.
+    one; each is shifted until the lead, coordinate 0 of r or of r G, is
+    nonzero, then rescaled.
     """
     f1, f2 = spec.factors
     F1, F2 = f1.field, f2.field
@@ -162,17 +181,23 @@ def orbit_representatives(spec: CodeSpec) -> np.ndarray:
     scalar = f1.embed.preimage(F1.pow(f1.alpha, -t0))
     h2 = F2.mul(F2.pow(f2.alpha, t0), f2.embed.apply_code(scalar))
     m2 = math.gcd(F2.log_table[h2], F2.order)
+    # the lead of every element code c1: its coordinate 0, or
+    # tr(c1) = sum_s c1_s tr(gamma^s), column 0 of the Gram block
+    lead = (spec.ops.matmul(f1.decompose, f1.gram[:, :1])[:, 0] if gram
+            else f1.decompose[:, 0])
     rows = []
     for b1 in F1.exp_table[:m1]:
         for b2 in [0, *F2.exp_table[:m2]]:
             c1, c2 = b1, b2
-            # a1 generates GF(Q1), so the shifts of b1 leave {x_0 = 0}
-            while f1.decompose[c1, 0] == 0:
+            # a1 generates GF(Q1), so the shifts of b1 span it, and a
+            # nonzero linear form is nonzero on one of them
+            while lead[c1] == 0:
                 c1, c2 = F1.mul(c1, f1.alpha), F2.mul(c2, f2.alpha)
-            scale = spec.field_q.inv(int(f1.decompose[c1, 0]))
+            scale = spec.field_q.inv(int(lead[c1]))
             rows.append(f1.decompose[F1.mul(c1, f1.embed.apply_code(scale))].tolist()
                         + f2.decompose[F2.mul(c2, f2.embed.apply_code(scale))].tolist())
-    return np.array(rows, dtype=np.int16)
+    reps = np.array(rows, dtype=np.int16)
+    return spec.ops.matmul(reps, spec.gram) if gram else reps
 
 
 def _low_width(width: int, q: int, rows: int) -> int:
@@ -307,39 +332,59 @@ def _or_rows(masks: np.ndarray, index: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _batch_rows(words: int) -> int:
+    """Subspaces a batch scores with masks of this many 64-bit words."""
+    return max(1, min(BATCH, BATCH_BYTES // (8 * words)))
+
+
+def _score_bytes(K: int, n: int, q: int, width: int) -> int:
+    """Bytes _first_minimum holds at most beside its table, for masks of n
+    bits, K columns and at most width free entries per subspace.
+
+    A batch scores at most rows = max(batch, q) subspaces (one run of q^s,
+    or several) and a slice holds at most batch heads.  Per row: int64
+    indices of up to K + 1 columns (the plan's rows and an anchor) for the
+    low table, its gather and a slice of heads with its fixed columns and
+    the temporaries that build them, 6 (K + 1) in all, digits of up to
+    width free entries, 3 width, and head numbers and a straddling row's
+    index, 8; per row and 64-bit mask word: the low ORs, the accumulator
+    and one gathered mask (8 bytes each), the bit counts (1) and their
+    float32 copy (4).
+    """
+    words = -(-n // 64)
+    rows = max(_batch_rows(words), q)
+    return rows * (8 * (6 * (K + 1) + 3 * width + 8) + 29 * words)
+
+
 def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     """Least count over the subspaces of one pivot set, and the first t in
     enumeration order attaining it.
 
-    The k-th mask of t = h * run + l is row heads[h, k] + low[l, k].  A
-    column whose low part is zero (a row with no free entry among the low
-    digits, or an anchor) is ORed once per head, in the batch that uses the
-    head; one whose head part is the same for every head (a row whose free
-    entries are all low digits) once per pivot set.  Each subspace then
-    costs one OR of the two and one bit count, plus one gather for each
-    column that varies with both, such as a row that straddles the split.
-    The order of t is the enumeration order, so the first minimum is the
-    one a plain OR of every mask finds.
+    The k-th mask of t = h * run + l is row head[h, k] + low[l, k], and
+    head h = b * q^split + d is bases[b] plus the high digits of d times
+    their weights, built a batch of heads at a time.  A column whose low
+    part is zero (a row with no free entry among the low digits, or an
+    anchor) is ORed once per head, in the batch that uses the head; one
+    whose head part is the same for every head (a row whose free entries
+    are all low digits) once per pivot set.  Each subspace then costs one
+    OR of the two and one bit count, plus one gather for each column that
+    varies with both, such as a row that straddles the split.  The order
+    of t is the enumeration order, so the first minimum is the one a plain
+    OR of every mask finds.
     """
     q, masks = table.q, table.masks
     weights, bases = table.plan(pivots, positions)
-    batch = max(1, min(BATCH, BATCH_BYTES // (8 * masks.shape[1])))
+    batch = _batch_rows(masks.shape[1])
     split = len(positions) - _low_width(len(positions), q, batch)
-    run = q ** (len(positions) - split)
+    run, per = q ** (len(positions) - split), q ** split
     low = counter(len(positions) - split, q) @ weights[split:]
-    heads = bases
-    if split:
-        high = digits(np.arange(q ** split), split, q) @ weights[:split]
-        heads = (bases[:, None] + high).reshape(-1, weights.shape[1])
     by_low = (low != 0).any(axis=0)
-    by_head = (heads != heads[0]).any(axis=0)
+    by_head = (weights[:split] != 0).any(axis=0) | (bases != bases[0]).any(axis=0)
     shared = by_low & ~by_head
     low_or = None
     if shared.any():
-        low_or = _or_rows(masks, heads[0, shared] + low[:, shared])
-    fixed = heads[:, ~by_low]
-    straddle = [(heads[:, k, None], low[:, k])
-                for k in np.flatnonzero(by_low & by_head)]
+        low_or = _or_rows(masks, bases[0, shared] + low[:, shared])
+    straddle = np.flatnonzero(by_low & by_head)
     # a matrix-vector product sums the per-word bit counts far faster than a
     # reduction over the short word axis; every partial sum is an integer of
     # at most N, so float32 is exact while N < 2^24, which the byte bound
@@ -347,19 +392,23 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     ones = np.ones(masks.shape[1], dtype=np.float32)
     step = max(1, batch // run)
     best: Optional[tuple[int, int]] = None
-    for r in range(0, len(heads), step):
-        acc = None
-        if fixed.shape[1]:
-            acc = _or_rows(masks, fixed[r:r + step])[:, None]
-        if low_or is not None:
-            acc = low_or if acc is None else acc | low_or
-        for h, l in straddle:
-            rows = masks.take(h[r:r + step] + l, axis=0)
-            acc = rows if acc is None else np.bitwise_or(rows, acc, out=rows)
-        values = (np.bitwise_count(acc) @ ones).ravel()
-        i = int(values.argmin())
-        if best is None or values[i] < best[0]:
-            best = (int(values[i]), r * run + i)
+    for h0 in range(0, len(bases) * per, batch):
+        h = np.arange(h0, min(h0 + batch, len(bases) * per))
+        heads = bases[h // per] + digits(h % per, split, q) @ weights[:split]
+        fixed = heads[:, ~by_low]
+        for r in range(0, len(heads), step):
+            acc = None
+            if fixed.shape[1]:
+                acc = _or_rows(masks, fixed[r:r + step])[:, None]
+            if low_or is not None:
+                acc = low_or if acc is None else acc | low_or
+            for k in straddle:
+                rows = masks.take(heads[r:r + step, k, None] + low[:, k], axis=0)
+                acc = rows if acc is None else np.bitwise_or(rows, acc, out=rows)
+            values = (np.bitwise_count(acc) @ ones).ravel()
+            i = int(values.argmin())
+            if best is None or values[i] < best[0]:
+                best = (int(values[i]), (h0 + r) * run + i)
     return best
 
 
@@ -372,7 +421,7 @@ def _scan_chunk(task) -> tuple[int, np.ndarray]:
     in a pool worker: the field ops of GF(q) are looked up (cached), so a
     task carries no CodeSpec.  With anchors, each D is the span of one
     anchor and of a basis with the chunk's pivots.  The layout is the
-    chunk's _block_starts, computed once by _scan.
+    chunk's _block_starts, computed once by _plan_scan.
     """
     q, points, chunk, anchors, layout = task
     table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
@@ -397,35 +446,50 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
     return list(runs.values())
 
 
-def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
-          ) -> tuple[int, np.ndarray]:
-    """Best value of a scan and a spanning set of the first subspace
-    attaining it.
+@dataclass(frozen=True, slots=True)
+class ScanPlan:
+    """One scan, checked against every limit and laid out, before any n-row
+    array exists: its point matrix (the group points g on the dual side,
+    the coordinate functionals F otherwise), anchors, process count, and
+    the chunks of pivot sets in enumeration order with their table
+    layouts."""
 
-    The one reader of the mode.  "min_support" counts the support of the
-    subspaces D with injective first projection, "min_support_all" of
-    every subspace (plain GHW), and "max_group" the group points outside
-    the same D as "min_support": its first minimizer is the first D whose
-    complement H = D^perp holds the most points.
+    dual: bool
+    anchors: Optional[np.ndarray]
+    workers: int
+    chunks: list
+    layouts: list
 
-    Every refusal (j, workers, the subspace cap, the byte bound) comes
-    before the n-row point matrix is read or any table is built.
+
+def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> ScanPlan:
+    """The plan of a scan, or its refusal: j, workers, the subspace cap and
+    the byte bound are all checked here, and neither n-row point matrix is
+    read.
+
+    "min_support" counts the support of the subspaces D with injective
+    first projection, "min_support_all" of every subspace (plain GHW), and
+    "max_group" the group points outside the same D as "min_support": its
+    first minimizer is the first D whose complement H = D^perp holds the
+    most points.
     """
     K, q = spec.ambient_dim, spec.q
     # Admissibility is decided by the pivot set alone.  The first projection
     # of D is injective exactly when every pivot is below k1; H = D^perp is
     # onto GF(Q2) exactly when D meets {0} x F_q^k2 trivially, the same
     # family.  GHW admits every pivot set.
-    top = K if mode == "min_support_all" else spec.k1
+    relative = mode != "min_support_all"
+    top = spec.k1 if relative else K
     if not 1 <= dim <= top:
         raise RangeError(f"j={dim} outside 1..{top}")
     if workers < 1:
         raise RangeError(f"workers={workers} must be at least 1")
+    dual = mode == "max_group"
     sets = pivot_sets(top, dim)
     work = [count_for_pivots(ps, K, q) for ps in sets]
     anchors = None
-    if mode == "min_support":
-        reps = orbit_representatives(spec)
+    if relative:
+        # |R G| = |R|, so both scans anchor under one rule
+        reps = orbit_representatives(spec, gram=dual)
         through = [ps for ps in pivot_sets(spec.k1, dim - 1) if 0 not in ps]
         anchored = [len(reps) * count_for_pivots(ps, K, q) for ps in through]
         if sum(anchored) <= sum(work):
@@ -438,32 +502,55 @@ def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     chunks = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
-    # each chunk builds its own table, and each of the workers holds one
+    # each chunk builds its own table and scores it, and each of the
+    # workers holds one
     layouts = [_block_starts(q, K, c, anchors) for c in chunks]
     live = sorted((_table_bytes(lay, spec.n) for lay in layouts), reverse=True)[:workers]
     copies = 1 + (len(live) if len(chunks) > 1 else 0)
-    scan_bytes = sum(live) + 2 * K * spec.n * (q * len(live) + copies)
+    # a subspace has at most dim (K - dim) free entries, those of pivots
+    # 0..dim-1
+    width = dim * (K - dim)
+    scan_bytes = (sum(live) + len(live) * _score_bytes(K, spec.n, q, width)
+                  + 2 * K * spec.n * (q * len(live) + copies))
     if scan_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
+    return ScanPlan(dual, anchors, workers, chunks, layouts)
+
+
+def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
+    """Best value of a planned scan and a spanning set of the first subspace
+    attaining it."""
     # read only now: the n-row point matrices are built on first read
-    points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
-    tasks = [(q, points, chunk, anchors, layout) for chunk, layout in zip(chunks, layouts)]
+    points = spec.group_vectors if plan.dual else spec.coordinate_functionals
+    tasks = [(spec.q, points, chunk, plan.anchors, layout)
+             for chunk, layout in zip(plan.chunks, plan.layouts)]
     if len(tasks) == 1:
         return _scan_chunk(tasks[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
         # chunk order is enumeration order, and min keeps the first minimum
         return min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
 
 
+def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
+          ) -> tuple[int, np.ndarray]:
+    """Plan a scan (_plan_scan) and run it."""
+    return _run_scan(spec, _plan_scan(spec, dim, mode, cap, workers))
+
+
 # -- public routes ----------------------------------------------------------
+#
+# Each scan route plans its scan from (cap, workers), or runs a plan made
+# for the same spec and j (plan_report) and ignores both.
 
 
 def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
-                    workers: int = 1) -> int:
+                    workers: int = 1, plan: Optional[ScanPlan] = None) -> int:
     """Definition-level minimum support over subspaces meeting C' trivially."""
-    val, _ = _scan(spec, j, "min_support", cap, workers)
+    if plan is None:
+        plan = _plan_scan(spec, j, "min_support", cap, workers)
+    val, _ = _run_scan(spec, plan)
     return val
 
 
@@ -482,7 +569,7 @@ class DualCountResult:
 
 
 def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
-                  workers: int = 1) -> DualCountResult:
+                  workers: int = 1, plan: Optional[ScanPlan] = None) -> DualCountResult:
     """Weight via the dual-side maximization: m = n - max |H meet group|.
 
     H ranges over (k1+k2-j)-dimensional subspaces of the pair space whose
@@ -490,10 +577,14 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     D = H^perp under the standard dot product, the j-dimensional subspaces
     with injective first projection, and minimizes the group points g with
     D g != 0, n - |H meet group|, so m is that minimum.  Ties resolve to the
-    first D in enumeration order, and argmax is the RREF basis of its H.
+    first D in the scan's order, and argmax is the RREF basis of its H.
     """
-    outside, rows = _scan(spec, j, "max_group", cap, workers)
-    argmax = spec.ops.rref(kernel_rows(rows[None], spec.ops)[0])[0]
+    if plan is None:
+        plan = _plan_scan(spec, j, "max_group", cap, workers)
+    outside, rows = _run_scan(spec, plan)
+    # an anchored D is spanned by its anchor and a basis, not in RREF
+    red = spec.ops.rref(rows)[0]
+    argmax = spec.ops.rref(kernel_rows(red[None], spec.ops)[0])[0]
     return DualCountResult(outside, spec.n - outside, argmax)
 
 
@@ -521,21 +612,21 @@ class RouteOutcome:
         return out
 
 
-# Each route maps (spec, j, cap, workers) to (m, n_j, argmax rows).  The
-# adapters call the routes through this module's globals, so a tracer that
-# rebinds those names sees every call.
+# Each route maps (spec, j, plan) to (m, n_j, argmax rows), plan the scan
+# route's ScanPlan.  The adapters call the routes through this module's
+# globals, so a tracer that rebinds those names sees every call.
 
 
-def _bruteforce_route(spec: CodeSpec, j: int, cap: int, workers: int):
-    return rghw_bruteforce(spec, j, cap, workers), None, None
+def _bruteforce_route(spec: CodeSpec, j: int, plan: ScanPlan):
+    return rghw_bruteforce(spec, j, plan=plan), None, None
 
 
-def _dual_count_route(spec: CodeSpec, j: int, cap: int, workers: int):
-    res = mj_dual_count(spec, j, cap, workers)
+def _dual_count_route(spec: CodeSpec, j: int, plan: ScanPlan):
+    res = mj_dual_count(spec, j, plan=plan)
     return res.m, res.n_j, res.argmax
 
 
-def _closed_form_route(spec: CodeSpec, j: int, cap: int, workers: int):
+def _closed_form_route(spec: CodeSpec, j: int, plan: None):
     n_j, m = evaluate_closed_form(spec.q, spec.k1, spec.k2, spec.e1, spec.e2, j)
     return m, n_j, None
 
@@ -546,7 +637,8 @@ _ROUTES = {
     "closed_form": _closed_form_route,
 }
 ROUTE_NAMES = tuple(_ROUTES)
-_SCAN_ROUTES = ("bruteforce", "dual_count")  # the routes of a non-structural spec
+_SCAN_MODES = {"bruteforce": "min_support", "dual_count": "max_group"}
+_SCAN_ROUTES = tuple(_SCAN_MODES)  # the routes of a non-structural spec
 
 
 @dataclass(slots=True)
@@ -587,16 +679,28 @@ class RghwReport:
         return out
 
 
-def compute_report(spec: CodeSpec, j: int,
-                   routes: Optional[Sequence[str]] = None,
-                   cap: int = DEFAULT_ENUM_CAP,
-                   workers: int = 1) -> RghwReport:
-    """Run routes for one j and bundle the outcomes.
+@dataclass(frozen=True, slots=True)
+class ReportPlan:
+    """The routes of one j in order, and the ScanPlan of each (None for
+    the closed form)."""
+
+    spec: CodeSpec
+    j: int
+    order: tuple[str, ...]
+    scans: tuple[Optional[ScanPlan], ...]
+
+
+def plan_report(spec: CodeSpec, j: int,
+                routes: Optional[Sequence[str]] = None,
+                cap: int = DEFAULT_ENUM_CAP,
+                workers: int = 1) -> ReportPlan:
+    """Check and plan the routes of one j, reading no n-row table: every
+    refusal compute_report makes, none of its work.
 
     None runs every route that applies: the closed form only on a
-    structural spec.  Named routes run as given, and are checked before
-    any route runs: an unknown name raises RangeError, and a closed form
-    on a spec that is not structural HypothesisViolated.
+    structural spec.  Named routes run as given: an unknown name raises
+    RangeError, and a closed form on a spec that is not structural
+    HypothesisViolated, before any scan is planned.
     """
     params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
     if routes is None:
@@ -607,10 +711,26 @@ def compute_report(spec: CodeSpec, j: int,
                 raise RangeError(f"unknown route {name!r}")
         if "closed_form" in routes:
             require_structural(*params)
-    report = RghwReport(j, tuple(routes))
-    for name in report.order:
+    return ReportPlan(spec, j, tuple(routes), tuple(
+        _plan_scan(spec, j, _SCAN_MODES[name], cap, workers) if name in _SCAN_MODES else None
+        for name in routes))
+
+
+def run_report(plan: ReportPlan) -> RghwReport:
+    """Run the routes of a plan_report and bundle the outcomes."""
+    report = RghwReport(plan.j, plan.order)
+    for name, scan in zip(plan.order, plan.scans):
         t0 = time.perf_counter()
-        m, n_j, argmax_rows = _ROUTES[name](spec, j, cap, workers)
+        m, n_j, argmax_rows = _ROUTES[name](plan.spec, plan.j, scan)
         setattr(report, name,
                 RouteOutcome(m, (time.perf_counter() - t0) * 1e3, n_j, argmax_rows))
     return report
+
+
+def compute_report(spec: CodeSpec, j: int,
+                   routes: Optional[Sequence[str]] = None,
+                   cap: int = DEFAULT_ENUM_CAP,
+                   workers: int = 1) -> RghwReport:
+    """Run routes for one j and bundle the outcomes: run_report of
+    plan_report, so every refusal comes before any route runs."""
+    return run_report(plan_report(spec, j, routes, cap, workers))

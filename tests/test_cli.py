@@ -106,7 +106,7 @@ def test_output_byte_stable(capsys):
 # every byte.
 PINNED_STDOUT = {
     (*TABLE_ARGS, "--format", "json"):
-        "7b16e0d52bef5fd3b8fd8649b9f5f230867035954ce0a84b0f35e178b9839422",
+        "7efb20ee0e35728cd8c059243ed8c7785faf98c99aaee2e970589e5db5794f96",
     (*TABLE_ARGS, "--format", "csv"):
         "52366c8e8ca3f0338cc15c52ad0f28460008bacb07122e1feb5fb610dd2511ca",
     (*TABLE_ARGS, "--format", "pretty"):
@@ -157,6 +157,21 @@ def test_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, *TABLE_ARGS, "--cap", "5")
     assert code == 3
     assert json.loads(err)["error"]["code"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("command", ["table", "bench"])
+def test_a_refusal_at_any_j_comes_before_the_first_scan(capsys, monkeypatch, command):
+    """(2,6,7,1,1) passes j = 1..3 and exceeds the subspace cap at j = 4:
+    the command exits 3 without scanning j = 1."""
+    def no_scan(*args):
+        raise AssertionError("a scan ran before the refusal")
+
+    monkeypatch.setattr(rghw.weights, "_run_scan", no_scan)
+    code, out, err = run_cli(capsys, command, "--q", "2", "--k1", "6", "--k2", "7",
+                             "--workers", "1")
+    assert (code, out) == (3, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("650117120 admissible subspaces of dimension 4 ")
 
 
 def test_samples_beyond_the_cap_run_no_suite(capsys, monkeypatch):
@@ -386,7 +401,7 @@ def test_invariant_violation_exits_1(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolated("two counts differ")
 
-    monkeypatch.setattr(rghw.cli, "compute_report", broken)
+    monkeypatch.setattr(rghw.cli, "run_report", broken)
     code, _, err = run_cli(capsys, *TABLE_ARGS)
     assert code == 1
     assert json.loads(err)["error"]["code"] == "InvariantViolated"

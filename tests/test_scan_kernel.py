@@ -162,18 +162,67 @@ def test_orbit_representatives_partition(small_grid):
         assert len(orbit_representatives(build_code(*params))) == 2, params
 
 
+def test_gram_anchors_are_images_of_orbit_representatives(small_grid):
+    """The dual anchors are r G, one r per orbit, each rescaled so that
+    coordinate 0 of r G, tr(c1), is 1."""
+    for params in small_grid + [(4, 2, 3, 1, 3), (5, 2, 3, 1, 4), (3, 3, 4, 1, 2)]:
+        spec = build_code(*params)
+        anchors = orbit_representatives(spec, gram=True)
+        orbit = shift_orbits(spec)
+        assert (anchors[:, 0] == 1).all(), params
+        reps = spec.ops.matmul(anchors, spec.gram_inverse)
+        labels = sorted(orbit[int(b1), int(b2)] for b1, b2 in zip(*spec.pairs_from_vectors(reps)))
+        assert labels == list(range(len(set(orbit.values())))), params
+
+
+PROPERTY_GRID = 729  # bound on q^(k1+k2) of the anchored-scan properties
+
+
+def test_anchored_dual_matches_the_unanchored_scan(spec_grid):
+    """On every spec with q^K <= PROPERTY_GRID and every j, the dual scan
+    anchored on R G finds the value of the full dual scan, and its argmax
+    H holds N_j group points and is onto GF(Q2)."""
+    specs = spec_grid(PROPERTY_GRID)
+    assert len(specs) == 376
+    for params in specs:
+        spec = build_code(*params)
+        K, k1 = spec.ambient_dim, spec.k1
+        for j in range(1, k1 + 1):
+            sets, points = kernel_args(spec, j, "max_group")
+            full, _ = weights._scan_chunk((spec.q, points, sets, None, layout(spec, sets, None)))
+            dual = mj_dual_count(spec, j)
+            assert dual.m == full, (params, j)
+            arg = dual.argmax
+            assert arg.shape == (K - j, K) and np.array_equal(spec.ops.rref(arg)[0], arg)
+            assert cyclic_group_counts(arg[None], spec)[0] == dual.n_j == spec.n - full
+            assert len(spec.ops.rref(arg[:, k1:])[1]) == spec.k2, (params, j)
+
+
+def test_bruteforce_argmax_maps_through_the_gram_matrix(spec_grid):
+    """F = g G: the bruteforce argmax D, of support M_j, maps to D G, an
+    admissible subspace with exactly M_j group points outside it, so a
+    dual optimum."""
+    for params in spec_grid(PROPERTY_GRID):
+        spec = build_code(*params)
+        for j in range(1, spec.k1 + 1):
+            m, rows = weights._scan(spec, j, "min_support", weights.DEFAULT_ENUM_CAP, 1)
+            image = spec.ops.matmul(rows, spec.gram)
+            assert len(spec.ops.rref(image[:, :spec.k1])[1]) == j, (params, j)
+            outside = spec.ops.matmul(image, spec.group_vectors.T).any(axis=0).sum()
+            assert outside == m == mj_dual_count(spec, j).m, (params, j)
+
+
 def test_cap_counts_admissible_subspaces():
     spec = build_code(2, 2, 3, 1, 1)
     q, k1, k2 = spec.q, spec.k1, spec.k2
     reps = len(orbit_representatives(spec))
     for j in (1, 2):
-        # bruteforce: [k1-1, j-1]_q q^((j-1) k2) subspaces through each anchor
+        # both scans: [k1-1, j-1]_q q^((j-1) k2) subspaces through each
+        # anchor, r or r G
         count = reps * gaussian_binomial(k1 - 1, j - 1, q) * q ** ((j - 1) * k2)
         assert rghw_bruteforce(spec, j, cap=count) == (10, 15)[j - 1]
         with pytest.raises(CapExceeded):
             rghw_bruteforce(spec, j, cap=count - 1)
-        # dual: all [k1, j]_q q^(j k2) admissible subspaces
-        count = gaussian_binomial(k1, j, q) * q ** (j * k2)
         assert mj_dual_count(spec, j, cap=count).m == (10, 15)[j - 1]
         with pytest.raises(CapExceeded):
             mj_dual_count(spec, j, cap=count - 1)
@@ -191,31 +240,35 @@ def test_bruteforce_is_unanchored_where_anchoring_scores_more():
     assert rghw_bruteforce(spec, 1, cap=4) == 2
     with pytest.raises(CapExceeded, match="^4 admissible"):
         rghw_bruteforce(spec, 1, cap=3)
+    # the dual scan follows the same rule, since |R G| = |R|
+    for j, count, value in ((2, 9, 3), (1, 4, 2)):
+        assert mj_dual_count(spec, j, cap=count).m == value
+        with pytest.raises(CapExceeded, match=f"^{count} admissible"):
+            mj_dual_count(spec, j, cap=count - 1)
 
 
 def test_table_bound_raises_before_allocating(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)  # K = 5, n = 21: one 8-byte word per mask
     width = 8 * -(-spec.n // 64)
-    # besides the masks: the (q, K, n) int16 scaled values and the (n, K)
-    # int16 point matrix
-    arrays = 2 * 5 * 21 * (2 + 1)
+    # besides the masks: the (q, K, n) int16 scaled values, the (n, K)
+    # int16 point matrix and the scoring arrays of a j-dim scan
     reps = len(orbit_representatives(spec))
     cases = [
         # anchored bruteforce j=2: D' is one row with pivot 1 (columns 2..4
         # vary), then one row per anchor
-        (lambda: rghw_bruteforce(spec, 2), 15, 2**3 + reps),
+        (lambda: rghw_bruteforce(spec, 2), 2, 15, 2**3 + reps),
         # GHW j=1: one block per pivot p, columns p+1..4 vary
-        (lambda: ghw_bruteforce(spec, 1), 10, 2**4 + 2**3 + 2**2 + 2 + 1),
-        # dual j=1: a row with pivot 0 (columns 1..4 vary), one with pivot 1
-        # (columns 2..4 vary)
-        (lambda: mj_dual_count(spec, 1).m, 10, 2**4 + 2**3),
+        (lambda: ghw_bruteforce(spec, 1), 1, 10, 2**4 + 2**3 + 2**2 + 2 + 1),
+        # anchored dual j=1: D' is an anchor r G alone, one row per anchor
+        (lambda: mj_dual_count(spec, 1).m, 1, 10, reps),
     ]
     table_class = weights._MaskTable
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
 
-    for run, value, rows in cases:
+    for run, dim, value, rows in cases:
+        arrays = 2 * 5 * 21 * (2 + 1) + weights._score_bytes(5, 21, 2, dim * (5 - dim))
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays)
         assert run() == value
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays - 1)
@@ -232,7 +285,7 @@ def test_the_bound_refuses_before_the_points_are_read(monkeypatch):
     cases = [
         # the masks of test_table_bound_raises_before_allocating, one word each
         (rghw_bruteforce, 2, 2**3 + 2, "coordinate_functionals"),
-        (mj_dual_count, 1, 2**4 + 2**3, "group_vectors"),
+        (mj_dual_count, 1, 2, "group_vectors"),
     ]
     for route, dim, rows, points in cases:
         spec = build_code(2, 2, 3, 1, 1)
@@ -257,9 +310,9 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     assert len(chunks) == 6 and rows[-2:] == [15, 16]
     assert weights._table_bytes(
         layout(spec, sets, None), spec.n) == 31 * width
-    # each of the 2 tables holds (q, K, n) int16 scaled values, and the
-    # parent and both workers an (n, K) int16 point matrix
-    arrays = 2 * 5 * 21 * (2 * 2 + 3)
+    # each of the 2 tables holds (q, K, n) int16 scaled values and scoring
+    # arrays, and the parent and both workers an (n, K) int16 point matrix
+    arrays = 2 * 5 * 21 * (2 * 2 + 3) + 2 * weights._score_bytes(5, 21, 2, 2 * 3)
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
@@ -314,6 +367,31 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] <= counted + slack, (peaks, counted, slack)
+
+
+@pytest.mark.parametrize("params,dim,mode", [
+    ((2, 4, 7, 1, 1), 3, "min_support"),  # short masks: index arrays dominate
+    ((3, 3, 5, 1, 2), 2, "max_group"),
+    ((2, 7, 8, 1, 1), 1, "min_support"),  # anchors only, no free entry
+    ((5, 2, 3, 1, 4), 2, "min_support_all"),  # a run of q > 2 rows
+    ((4, 3, 4, 1, 3), 2, "max_group"),
+])
+def test_scoring_holds_what_the_bound_counts(params, dim, mode):
+    """The traced peak of scoring every pivot set of a scan on its table
+    stays within the scoring bytes _scan counts once per table."""
+    spec = build_code(*params)
+    K = spec.ambient_dim
+    plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+    points = spec.group_vectors if plan.dual else spec.coordinate_functionals
+    table = weights._MaskTable(spec.ops, points, plan.anchors, plan.layouts[0])
+    tracemalloc.start()
+    try:
+        for ps in plan.chunks[0]:
+            weights._first_minimum(table, ps, free_positions(ps, K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= weights._score_bytes(K, spec.n, spec.q, dim * (K - dim))
 
 
 def test_mask_table_holds_each_block_once(monkeypatch):
@@ -384,7 +462,7 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
     every dimension and mode: a change in the argmax tie order fails here.
     The support scans are pinned against a digest of the code before the
     kernel built its rows and indices by linearity, the dual scan against
-    a digest taken when it first walked D = H^perp."""
+    a digest taken when it was first anchored on the Gram images r G."""
     digests = {"support": hashlib.sha256(), "dual": hashlib.sha256()}
     scans = 0
     for params in ladder:
@@ -402,7 +480,7 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
     assert digests["support"].hexdigest() == (
         "e9d92f4a2ff8388b4f275317a05438eb3aff0d25e6b22350b41ecbbe8dbbcc97")
     assert digests["dual"].hexdigest() == (
-        "2190aaa9613581a9a4685542514452f5c5f68a13a1701f2d30818a015049613f")
+        "16dabd972d16c2f56363d81a3cc07d5949966f584556730e7858fc4ec6aa8a35")
 
 
 # Bytes of the dual scan's mask table for j = 1..k1 on the frontier and

@@ -111,8 +111,8 @@ def test_rghw_range_and_cap():
         rghw_bruteforce(spec, 3)
     with pytest.raises(CapExceeded):
         rghw_bruteforce(spec, 2, cap=10)
-    with pytest.raises(CapExceeded):
-        mj_dual_count(spec, 1, cap=2)
+    with pytest.raises(CapExceeded):  # 2 anchors, one subspace each
+        mj_dual_count(spec, 1, cap=1)
 
 
 def test_ghw_examples():
@@ -291,7 +291,7 @@ def test_compute_report_refuses_before_any_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("a scan ran before the refusal")
 
-    monkeypatch.setattr(weights, "_scan", no_scan)
+    monkeypatch.setattr(weights, "_run_scan", no_scan)
     spec = build_code(2, 2, 3, 1, 1)
     with pytest.raises(RangeError, match="unknown route 'nope'"):
         compute_report(spec, 1, routes=("bruteforce", "nope"))
