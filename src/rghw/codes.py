@@ -6,7 +6,11 @@ holds the flattening of GF(Q1) x GF(Q2) into F_q^(k1+k2): the Gram matrix
 G of the paired-trace inner product, and, built on first read, the group
 points g, the flattened (a1^i, a2^i), and the coordinate functionals
 F = g G, as coordinate i of a codeword pairs its input with (a1^i, a2^i).
-Everything downstream works on those tables.
+Everything downstream works on those tables.  What a scan reads besides
+them is computed once per spec from the parameters and the factor
+tables: the shift-orbit anchors, the multiplicity c of the group points
+on their projective points, the factor-subspace points P and whether the
+spec is structural.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import detect_family
 from .errors import (
     BadIndex,
     ConjugateNonzeros,
@@ -189,6 +194,61 @@ class CodeSpec:
             out.reshape(-1, f.n, self.ambient_dim)[:, :, cols] = image(points, f.gram)
         return out
 
+    # -- scan inputs ------------------------------------------------------
+    #
+    # What every scan of the spec reads besides an n-row table, computed
+    # once from the parameters and the factor tables and kept read-only.
+
+    @functools.cached_property
+    def structural(self) -> bool:
+        """Whether the group points are every point of PG(K-1, q) outside
+        the two factor subspaces, each once (closed_forms.detect_family)."""
+        return detect_family(self.q, self.k1, self.k2, self.e1, self.e2) is not None
+
+    @functools.cached_property
+    def _shift_indices(self) -> tuple[int, int, int]:
+        """(m1, t0, m2): a1 and GF(q)* generate a subgroup of index m1 of
+        GF(Q1)*, t0 is the least t > 0 with a1^t in GF(q)*, and the shifts
+        that fix b1 up to a scalar, a1^t in GF(q)*, act on b2 through
+        H2 = <a2^t0 a1^-t0>, of index m2 in GF(Q2)*."""
+        f1, f2 = self.factors
+        F1, F2 = f1.field, f2.field
+        step = F1.order // (self.q - 1)  # GF(q)* = <g1^step>
+        m1 = math.gcd(F1.log_table[f1.alpha], step)
+        t0 = step // m1
+        scalar = f1.embed.preimage(F1.pow(f1.alpha, -t0))
+        h2 = F2.mul(F2.pow(f2.alpha, t0), f2.embed.apply_code(scalar))
+        return m1, t0, math.gcd(F2.log_table[h2], F2.order)
+
+    @functools.cached_property
+    def multiplicity(self) -> int:
+        """c, the number of group points on each projective point they
+        reach: (a1, a2)^t is a scalar of GF(q)* exactly when t is a
+        multiple of t0 and t/t0 one of |H2|, so c = n / gcd(n, t0 |H2|),
+        and coordinates i and i + n/c differ by a scalar."""
+        _, t0, m2 = self._shift_indices
+        return self.n // math.gcd(self.n, t0 * (self.factors[1].field.order // m2))
+
+    @functools.cached_property
+    def factor_points(self) -> np.ndarray:
+        """P, the theta(k1) + theta(k2) points of the factor subspaces
+        GF(Q1) x 0 and 0 x GF(Q2), one vector each led by 1: the rows of
+        each factor's columns whose first nonzero entry is 1."""
+        blocks = []
+        for first, k in ((0, self.k1), (self.k1, self.k2)):
+            rows = np.indices((self.q,) * k, dtype=np.int16).reshape(k, -1).T
+            rows = rows[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1]
+            block = np.zeros((len(rows), self.ambient_dim), dtype=np.int16)
+            block[:, first:first + k] = rows
+            blocks.append(block)
+        return _read_only(np.vstack(blocks))
+
+    @functools.cached_property
+    def orbit_anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, R G): the anchors of the support scans and of the dual scan,
+        orbit_representatives without and with gram."""
+        return tuple(_read_only(orbit_representatives(self, gram)) for gram in (False, True))
+
     def pairs_from_vectors(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The element codes (b1, b2) of each row of vecs, an integer array of
         vectors of F_q^(k1+k2): one base-q dot product for both factors and
@@ -214,6 +274,45 @@ class CodeSpec:
             f"CodeSpec(q={self.q}, k1={self.k1}, k2={self.k2}, "
             f"e1={self.e1}, e2={self.e2}, n={self.n})"
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def orbit_representatives(spec: CodeSpec, gram: bool = False) -> np.ndarray:
+    """One vector of F_q^K per orbit of {(b1, b2) : b1 != 0} under the shift
+    and GF(q)*, shape (orbits, K), with coordinate 0 equal to 1: a
+    representative r, or with gram its Gram image r G, the dual scan's
+    anchor, for an r picked in its orbit with (r G)_0 = tr(c1) != 0, c1
+    the element of GF(Q1) that r flattens.
+
+    With (m1, t0, m2) the spec's shift indices, the pairs (g1^i, 0) and
+    (g1^i, g2^k), i < m1, k < m2, lie in distinct orbits and meet every
+    one; each is shifted until the lead, coordinate 0 of r or of r G, is
+    nonzero, then rescaled.
+    """
+    f1, f2 = spec.factors
+    F1, F2 = f1.field, f2.field
+    m1, _, m2 = spec._shift_indices
+    # the lead of every element code c1: its coordinate 0, or
+    # tr(c1) = sum_s c1_s tr(gamma^s), column 0 of the Gram block
+    lead = (spec.ops.matmul(f1.decompose, f1.gram[:, :1])[:, 0] if gram
+            else f1.decompose[:, 0])
+    rows = []
+    for b1 in F1.exp_table[:m1]:
+        for b2 in [0, *F2.exp_table[:m2]]:
+            c1, c2 = b1, b2
+            # a1 generates GF(Q1), so the shifts of b1 span it, and a
+            # nonzero linear form is nonzero on one of them
+            while lead[c1] == 0:
+                c1, c2 = F1.mul(c1, f1.alpha), F2.mul(c2, f2.alpha)
+            scale = spec.field_q.inv(int(lead[c1]))
+            rows.append(f1.decompose[F1.mul(c1, f1.embed.apply_code(scale))].tolist()
+                        + f2.decompose[F2.mul(c2, f2.embed.apply_code(scale))].tolist())
+    reps = np.array(rows, dtype=np.int16)
+    return spec.ops.matmul(reps, spec.gram) if gram else reps
 
 
 def _power_cycle(field: FieldTable, a: int, count: int) -> list[int]:

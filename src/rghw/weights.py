@@ -16,14 +16,17 @@ D -> D G, G the paired-trace Gram matrix: the coordinate functionals are
 F = g G, so D F^T and (D G) g^T vanish on the same coordinates.  Both run
 one kernel, which counts points and walks subspaces by pivot set, and
 both are anchored on the shift orbits, the dual on their Gram images, so
-they score the same number of subspaces.  A scan is planned (every
-refusal, no n-row table read) before it runs, and plan_report plans
-every route of a j; _plan_scan alone reads the route.
+they score the same number of subspaces.  Each scores distinct points
+only, and its value is an affine map of their count: on a structural
+spec both score the factor-subspace points, elsewhere the first of the c
+group points on each projective point; the winner is then confirmed on
+the route's own n points.  A scan is planned (every refusal, no n-row
+table read) before it runs, and plan_report plans every route of a j;
+_plan_scan alone reads the route.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +36,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import detect_family, evaluate_closed_form, require_structural
+from .closed_forms import _theta, evaluate_closed_form, require_structural
 from .codes import CodeSpec
 from .errors import CapExceeded, InvariantViolated, RangeError
 from .gf import field_for_size
@@ -54,9 +57,11 @@ from .subspaces import (
 
 DEFAULT_ENUM_CAP = 10**8
 # Bound on the arrays a scan holds at once: the mask tables (rows of
-# ceil(n/64) 64-bit words), its one table or with a W-worker pool the W
-# largest chunk tables, each table's (q, K, n) int16 scaled values, and the
-# (n, K) int16 point matrix in the parent and in each busy worker.
+# ceil(N/64) 64-bit words, N the points scored), its one table or with a
+# W-worker pool the W largest chunk tables, each table's (q, K, N) int16
+# scaled values and scoring arrays, the (N, K) int16 scored points in the
+# parent and in each busy worker, and the route's (n, K) int16 point
+# matrix, which the confirmation reads.
 TABLE_CAP_BYTES = 1 << 26
 # A batch scores at most BATCH subspaces and ORs at most BATCH_BYTES of
 # masks (subspaces times row bytes); a mask-table slice holds about
@@ -77,7 +82,7 @@ def subspace_support_size(spec: CodeSpec, basis: np.ndarray) -> int:
     the benchmark stops naming it (ROADMAP 1b).
     """
     check_stack_ambient(basis[None], spec.q, spec.ambient_dim)
-    return int(spec.ops.matmul(basis, spec.coordinate_functionals.T).any(axis=0).sum())
+    return _points_outside(spec.ops, basis, spec.coordinate_functionals)
 
 
 def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
@@ -105,10 +110,28 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 #
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
 # subspace D, D x != 0.  F = g G counts the support of D, the group points
-# g count N minus the points inside H = D^perp; _plan_scan picks the
+# g count n minus the points inside H = D^perp; _plan_scan picks the
 # points, pivot sets and anchors of a route, and refuses every bad request
 # first, so the kernel has no refusal path: a valid j leaves every chunk at
 # least one pivot set.
+#
+# A scan scores distinct points only, and turns their count into the value
+# by one affine map, value = offset + slope * count.  The group points hit
+# each projective point they reach c times (CodeSpec.multiplicity), and
+# coordinates i and i + n/c differ by a scalar, so the first n/c rows of F
+# or g hold each point once: slope c.  On a structural spec the n points
+# are every point of PG(K-1, q) outside the factor subspaces V1 and V2, for
+# g and, since G keeps V1 and V2, for F alike.  So D leaves out
+# theta(K) - theta(K-j) points in all, less those among the
+# theta(k1) + theta(k2) factor points P (CodeSpec.factor_points): both
+# scans score P, with offset theta(K) - theta(K-j) and slope -1, the
+# anticode duality of Solomon and Stiffler.  The kernel minimizes
+# slope * count, the slope riding on the vector that sums the bit counts,
+# so its first minimum is the first minimum of the value.  _run_scan then
+# confirms the winner once on the route's own n-row matrix, the support
+# through F or the group points outside H through g: an O(n K) recount
+# that keeps F, g and the Gram map checked end to end at any size, and
+# keeps the two routes independent where both score P.
 #
 # A scan walks RREF bases pivot set by pivot set.  Admissibility is decided
 # by the pivot set alone, so rejected subspaces are never generated.  Within
@@ -140,7 +163,8 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # Both relative scans are anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
 # admissibility, and every admissible D is a shift of one that contains an
-# orbit representative r (orbit_representatives).  Since r_0 = 1, such a D
+# orbit representative r (codes.orbit_representatives, computed once per
+# spec as CodeSpec.orbit_anchors).  Since r_0 = 1, such a D
 # is span(r) + D' with D' = D meet {x_0 = 0}, and D is admissible exactly
 # when D' has every pivot in 1..k1-1.  So the scan walks D' on dim-1 rows,
 # once per r: each row of bases also looks up the mask of one r.  That is
@@ -157,47 +181,6 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # so the dual scan walks the same D' pivot sets over the group points, and
 # |R G| = |R| subspaces per D'.  GHW admits D inside {0} x F_q^k2, which
 # no anchor reaches, and keeps the full scan.
-
-
-def orbit_representatives(spec: CodeSpec, gram: bool = False) -> np.ndarray:
-    """One vector of F_q^K per orbit of {(b1, b2) : b1 != 0} under the shift
-    and GF(q)*, shape (orbits, K), with coordinate 0 equal to 1: a
-    representative r, or with gram its Gram image r G, the dual scan's
-    anchor, for an r picked in its orbit with (r G)_0 = tr(c1) != 0, c1
-    the element of GF(Q1) that r flattens.
-
-    a1 and GF(q)* generate a subgroup of index m1 of GF(Q1)*.  The shifts
-    that fix b1 up to a scalar, a1^t in GF(q)*, act on b2 through
-    H2 = <a2^t0 a1^-t0>, of index m2 in GF(Q2)*.  So the pairs (g1^i, 0)
-    and (g1^i, g2^k), i < m1, k < m2, lie in distinct orbits and meet every
-    one; each is shifted until the lead, coordinate 0 of r or of r G, is
-    nonzero, then rescaled.
-    """
-    f1, f2 = spec.factors
-    F1, F2 = f1.field, f2.field
-    step = F1.order // (spec.q - 1)  # GF(q)* = <g1^step>
-    m1 = math.gcd(F1.log_table[f1.alpha], step)
-    t0 = step // m1  # least t > 0 with a1^t in GF(q)*
-    scalar = f1.embed.preimage(F1.pow(f1.alpha, -t0))
-    h2 = F2.mul(F2.pow(f2.alpha, t0), f2.embed.apply_code(scalar))
-    m2 = math.gcd(F2.log_table[h2], F2.order)
-    # the lead of every element code c1: its coordinate 0, or
-    # tr(c1) = sum_s c1_s tr(gamma^s), column 0 of the Gram block
-    lead = (spec.ops.matmul(f1.decompose, f1.gram[:, :1])[:, 0] if gram
-            else f1.decompose[:, 0])
-    rows = []
-    for b1 in F1.exp_table[:m1]:
-        for b2 in [0, *F2.exp_table[:m2]]:
-            c1, c2 = b1, b2
-            # a1 generates GF(Q1), so the shifts of b1 span it, and a
-            # nonzero linear form is nonzero on one of them
-            while lead[c1] == 0:
-                c1, c2 = F1.mul(c1, f1.alpha), F2.mul(c2, f2.alpha)
-            scale = spec.field_q.inv(int(lead[c1]))
-            rows.append(f1.decompose[F1.mul(c1, f1.embed.apply_code(scale))].tolist()
-                        + f2.decompose[F2.mul(c2, f2.embed.apply_code(scale))].tolist())
-    reps = np.array(rows, dtype=np.int16)
-    return spec.ops.matmul(reps, spec.gram) if gram else reps
 
 
 def _low_width(width: int, q: int, rows: int) -> int:
@@ -356,9 +339,10 @@ def _score_bytes(K: int, n: int, q: int, width: int) -> int:
     return rows * (8 * (6 * (K + 1) + 3 * width + 8) + 29 * words)
 
 
-def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
-    """Least count over the subspaces of one pivot set, and the first t in
-    enumeration order attaining it.
+def _first_minimum(table: _MaskTable, pivots, positions, slope: int = 1
+                   ) -> tuple[int, int]:
+    """Least slope * count over the subspaces of one pivot set, and the
+    first t in enumeration order attaining it.
 
     The k-th mask of t = h * run + l is row head[h, k] + low[l, k], and
     head h = b * q^split + d is bases[b] plus the high digits of d times
@@ -385,11 +369,12 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
     if shared.any():
         low_or = _or_rows(masks, bases[0, shared] + low[:, shared])
     straddle = np.flatnonzero(by_low & by_head)
-    # a matrix-vector product sums the per-word bit counts far faster than a
-    # reduction over the short word axis; every partial sum is an integer of
-    # at most N, so float32 is exact while N < 2^24, which the byte bound
-    # keeps: a scan counts at least 2 K N (q + 1) >= 12 N bytes
-    ones = np.ones(masks.shape[1], dtype=np.float32)
+    # a matrix-vector product sums the per-word bit counts, times the slope,
+    # far faster than a reduction over the short word axis; every partial
+    # sum is an integer of magnitude at most |slope| N <= n, so float32 is
+    # exact while n < 2^24, which the byte bound keeps: a scan counts the
+    # route's (n, K) int16 matrix and more, over 2 K n >= 4 n bytes
+    scale = np.full(masks.shape[1], slope, dtype=np.float32)
     step = max(1, batch // run)
     best: Optional[tuple[int, int]] = None
     for h0 in range(0, len(bases) * per, batch):
@@ -405,7 +390,7 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
             for k in straddle:
                 rows = masks.take(heads[r:r + step, k, None] + low[:, k], axis=0)
                 acc = rows if acc is None else np.bitwise_or(rows, acc, out=rows)
-            values = (np.bitwise_count(acc) @ ones).ravel()
+            values = (np.bitwise_count(acc) @ scale).ravel()
             i = int(values.argmin())
             if best is None or values[i] < best[0]:
                 best = (int(values[i]), (h0 + r) * run + i)
@@ -413,19 +398,19 @@ def _first_minimum(table: _MaskTable, pivots, positions) -> tuple[int, int]:
 
 
 def _scan_chunk(task) -> tuple[int, np.ndarray]:
-    """Least number of points outside a subspace, the rows x of the point
-    matrix with D x != 0, over the subspaces D of the given pivot sets (at
-    least one), and a basis of the first D attaining it.
+    """Least slope times the number of points outside a subspace, the rows
+    x of the point matrix with D x != 0, over the subspaces D of the given
+    pivot sets (at least one), and a basis of the first D attaining it.
 
-    task is (q, points, chunk, anchors, layout), the same in process and
-    in a pool worker: the field ops of GF(q) are looked up (cached), so a
-    task carries no CodeSpec.  With anchors, each D is the span of one
+    task is (q, points, chunk, anchors, layout, slope), the same in process
+    and in a pool worker: the field ops of GF(q) are looked up (cached), so
+    a task carries no CodeSpec.  With anchors, each D is the span of one
     anchor and of a basis with the chunk's pivots.  The layout is the
     chunk's _block_starts, computed once by _plan_scan.
     """
-    q, points, chunk, anchors, layout = task
+    q, points, chunk, anchors, layout, slope = task
     table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
-    scores = [_first_minimum(table, ps, free_positions(ps, table.K)) for ps in chunk]
+    scores = [_first_minimum(table, ps, free_positions(ps, table.K), slope) for ps in chunk]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
     width = len(free_positions(chunk[i], table.K))
     per = q ** width
@@ -449,12 +434,15 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
 @dataclass(frozen=True, slots=True)
 class ScanPlan:
     """One scan, checked against every limit and laid out, before any n-row
-    array exists: its point matrix (the group points g on the dual side,
-    the coordinate functionals F otherwise), anchors, process count, and
-    the chunks of pivot sets in enumeration order with their table
-    layouts."""
+    array exists: its route's point matrix (the group points g on the dual
+    side, the coordinate functionals F otherwise), the map
+    value = offset + slope * count from the count of the points it scores
+    (_scan_points), anchors, process count, and the chunks of pivot sets
+    in enumeration order with their table layouts."""
 
     dual: bool
+    offset: int
+    slope: int
     anchors: Optional[np.ndarray]
     workers: int
     chunks: list
@@ -489,7 +477,7 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     anchors = None
     if relative:
         # |R G| = |R|, so both scans anchor under one rule
-        reps = orbit_representatives(spec, gram=dual)
+        reps = spec.orbit_anchors[dual]
         through = [ps for ps in pivot_sets(spec.k1, dim - 1) if 0 not in ps]
         anchored = [len(reps) * count_for_pivots(ps, K, q) for ps in through]
         if sum(anchored) <= sum(work):
@@ -499,38 +487,71 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
         )
+    # the number of points scored (_scan_points) and the map from their
+    # count to the value
+    if spec.structural:
+        scored = _theta(q, spec.k1) + _theta(q, spec.k2)
+        offset, slope = _theta(q, K) - _theta(q, K - dim), -1
+    else:
+        scored = spec.n // spec.multiplicity
+        offset, slope = 0, spec.multiplicity
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     chunks = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
     # each chunk builds its own table and scores it, and each of the
     # workers holds one
     layouts = [_block_starts(q, K, c, anchors) for c in chunks]
-    live = sorted((_table_bytes(lay, spec.n) for lay in layouts), reverse=True)[:workers]
+    live = sorted((_table_bytes(lay, scored) for lay in layouts), reverse=True)[:workers]
     copies = 1 + (len(live) if len(chunks) > 1 else 0)
     # a subspace has at most dim (K - dim) free entries, those of pivots
     # 0..dim-1
     width = dim * (K - dim)
-    scan_bytes = (sum(live) + len(live) * _score_bytes(K, spec.n, q, width)
-                  + 2 * K * spec.n * (q * len(live) + copies))
+    # the scored points are held by the parent and each busy worker, the
+    # route's n-row matrix by the parent, for the confirmation
+    scan_bytes = (sum(live) + len(live) * _score_bytes(K, scored, q, width)
+                  + 2 * K * scored * (q * len(live) + copies) + 2 * K * spec.n)
     if scan_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
-    return ScanPlan(dual, anchors, workers, chunks, layouts)
+    return ScanPlan(dual, offset, slope, anchors, workers, chunks, layouts)
+
+
+def _scan_points(spec: CodeSpec, plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The route's n-row point matrix, built on first read, and the points
+    the planned scan scores: the factor points on a structural spec, else
+    the first n/c rows of the route's matrix."""
+    route = spec.group_vectors if plan.dual else spec.coordinate_functionals
+    return route, (spec.factor_points if spec.structural
+                   else route[:spec.n // spec.multiplicity])
+
+
+def _points_outside(ops: TableOps, rows: np.ndarray, points: np.ndarray) -> int:
+    """Number of rows x of a point matrix with rows x != 0, counted a slice
+    of points at a time."""
+    step = max(1, SLICE_BYTES // (8 * points.shape[1]))
+    return sum(int(ops.matmul(rows, points[s:s + step].T).any(axis=0).sum())
+               for s in range(0, len(points), step))
 
 
 def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
     """Best value of a planned scan and a spanning set of the first subspace
-    attaining it."""
-    # read only now: the n-row point matrices are built on first read
-    points = spec.group_vectors if plan.dual else spec.coordinate_functionals
-    tasks = [(spec.q, points, chunk, plan.anchors, layout)
+    attaining it, confirmed on the route's own n points."""
+    route, points = _scan_points(spec, plan)
+    tasks = [(spec.q, points, chunk, plan.anchors, layout, plan.slope)
              for chunk, layout in zip(plan.chunks, plan.layouts)]
     if len(tasks) == 1:
-        return _scan_chunk(tasks[0])
-    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-        # chunk order is enumeration order, and min keeps the first minimum
-        return min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
+        best, rows = _scan_chunk(tasks[0])
+    else:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            # chunk order is enumeration order, and min keeps the first minimum
+            best, rows = min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
+    value = plan.offset + best
+    outside = _points_outside(spec.ops, rows, route)
+    if outside != value:
+        raise InvariantViolated(
+            f"scan value {value} != {outside} points outside {rows.tolist()}")
+    return value, rows
 
 
 def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
@@ -702,15 +723,14 @@ def plan_report(spec: CodeSpec, j: int,
     RangeError, and a closed form on a spec that is not structural
     HypothesisViolated, before any scan is planned.
     """
-    params = (spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
     if routes is None:
-        routes = ROUTE_NAMES if detect_family(*params) is not None else _SCAN_ROUTES
+        routes = ROUTE_NAMES if spec.structural else _SCAN_ROUTES
     else:
         for name in routes:
             if name not in _ROUTES:
                 raise RangeError(f"unknown route {name!r}")
         if "closed_form" in routes:
-            require_structural(*params)
+            require_structural(spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
     return ReportPlan(spec, j, tuple(routes), tuple(
         _plan_scan(spec, j, _SCAN_MODES[name], cap, workers) if name in _SCAN_MODES else None
         for name in routes))

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rghw.closed_forms import detect_family, evaluate_closed_form
-from rghw.codes import build_code
+from rghw.codes import build_code, orbit_representatives
 from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError, RghwError
 from rghw.subspaces import cyclic_group_counts, project_stack, stack_dims
-from rghw.weights import mj_dual_count, orbit_representatives, rghw_bruteforce
+from rghw.weights import mj_dual_count, rghw_bruteforce
 
 from helpers import padded_stack
 
@@ -193,6 +193,7 @@ def test_structural_test_matches_the_point_set_and_the_orbit_count():
                         hits = _point_hits(spec)
                         c = spec.n // len(hits)
                         assert (hits == c).all(), params
+                        assert spec.multiplicity == c, params
                         points = (q**k1 - 1) * (q**k2 - 1) // (q - 1)
                         full = spec.n == points
                         structural = detect_family(*params) is not None
@@ -217,6 +218,7 @@ def test_structural_is_one_hit_on_every_point_on_the_frontier(params, c, points)
     spec = build_code(*params)
     hits = _point_hits(spec)
     assert (len(hits), set(hits.tolist())) == (points, {c})
+    assert spec.multiplicity == c
     full = (spec.Q1 - 1) * (spec.Q2 - 1) // (spec.q - 1)
     assert (detect_family(*params) == "structural") == (c == 1 and points == full)
 

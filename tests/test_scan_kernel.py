@@ -1,5 +1,7 @@
 """The pivot-set scan kernel against definition-level references."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import re
@@ -11,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rghw import weights
+from rghw import codes, weights
 from rghw.closed_forms import evaluate_closed_form
-from rghw.codes import build_code
-from rghw.errors import CapExceeded
+from rghw.codes import build_code, orbit_representatives
+from rghw.errors import CapExceeded, InvariantViolated
 from rghw.gf import field_for_size
 from rghw.subspaces import (
     count_for_pivots,
@@ -27,12 +29,7 @@ from rghw.subspaces import (
     rref_stack,
 )
 from rghw.linalg import table_ops
-from rghw.weights import (
-    ghw_bruteforce,
-    mj_dual_count,
-    orbit_representatives,
-    rghw_bruteforce,
-)
+from rghw.weights import ghw_bruteforce, mj_dual_count, rghw_bruteforce
 
 
 def kernel_args(spec, dim, mode):
@@ -189,7 +186,7 @@ def test_anchored_dual_matches_the_unanchored_scan(spec_grid):
         K, k1 = spec.ambient_dim, spec.k1
         for j in range(1, k1 + 1):
             sets, points = kernel_args(spec, j, "max_group")
-            full, _ = weights._scan_chunk((spec.q, points, sets, None, layout(spec, sets, None)))
+            full, _ = weights._scan_chunk((spec.q, points, sets, None, layout(spec, sets, None), 1))
             dual = mj_dual_count(spec, j)
             assert dual.m == full, (params, j)
             arg = dual.argmax
@@ -210,6 +207,102 @@ def test_bruteforce_argmax_maps_through_the_gram_matrix(spec_grid):
             assert len(spec.ops.rref(image[:, :spec.k1])[1]) == j, (params, j)
             outside = spec.ops.matmul(image, spec.group_vectors.T).any(axis=0).sum()
             assert outside == m == mj_dual_count(spec, j).m, (params, j)
+
+
+@functools.cache
+def property_specs(spec_grid):
+    """The specs with q^K <= PROPERTY_GRID, built once."""
+    return tuple(build_code(*params) for params in spec_grid(PROPERTY_GRID))
+
+
+def n_point_scan(spec, plan):
+    """The planned scan on the route's own n points, whose count is the
+    value: (value, basis) of the first optimum, chunk by chunk."""
+    route, _ = weights._scan_points(spec, plan)
+    return min((weights._scan_chunk((spec.q, route, chunk, plan.anchors, lay, 1))
+                for chunk, lay in zip(plan.chunks, plan.layouts)), key=lambda r: r[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scored_points_give_the_n_point_count(spec_grid, data):
+    """On a random subspace D of a random spec with q^K <= PROPERTY_GRID,
+    the affine map of the count over the points a scan scores (the factor
+    points P on a structural spec, the first n/c rows otherwise) equals
+    the count over all n points, of F and of g alike."""
+    spec = data.draw(st.sampled_from(property_specs(spec_grid)))
+    q, K = spec.q, spec.ambient_dim
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=K, max_size=K),
+                                       min_size=1, max_size=K)), dtype=np.int16)
+    red, pivots = spec.ops.rref(rows)
+    if not pivots:
+        return
+    plan = weights._plan_scan(spec, len(pivots), "min_support_all", weights.DEFAULT_ENUM_CAP, 1)
+    assert plan.slope == (-1 if spec.structural else spec.multiplicity)
+    for dual in (False, True):
+        route, points = weights._scan_points(spec, dataclasses.replace(plan, dual=dual))
+        reduced = plan.offset + plan.slope * weights._points_outside(spec.ops, red, points)
+        assert reduced == weights._points_outside(spec.ops, red, route), (spec, dual)
+
+
+def test_reduced_scans_match_the_n_point_scan(spec_grid):
+    """On every spec with q^K <= PROPERTY_GRID, every mode and every j, the
+    scan over the points it scores finds the value and the first optimum
+    of the same scan over the route's n points."""
+    specs = property_specs(spec_grid)
+    assert {spec.structural for spec in specs} == {True, False}
+    assert max(spec.multiplicity for spec in specs) > 1
+    for spec in specs:
+        for mode, top in (("min_support", spec.k1), ("min_support_all", spec.ambient_dim),
+                          ("max_group", spec.k1)):
+            for j in range(1, top + 1):
+                plan = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, 1)
+                val, rows = weights._run_scan(spec, plan)
+                full, full_rows = n_point_scan(spec, plan)
+                assert val == full and np.array_equal(rows, full_rows), (spec, mode, j)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (2, 3, 4, 1, 1)])
+def test_a_dropped_factor_point_is_caught(params):
+    """With one factor point dropped from P, a scan either raises
+    InvariantViolated at its confirmation or still finds the true value,
+    never a wrong one.  Every anchored D holds a row led by 1, so the
+    point e_0 of P lies outside it: without e_0 the winner's count is one
+    short, and the confirmation raises on every j of both routes."""
+    truth = {}
+    spec = build_code(*params)
+    for j in range(1, spec.k1 + 1):
+        truth[j] = rghw_bruteforce(spec, j)
+    points = spec.factor_points
+    e0 = np.flatnonzero((points == np.eye(1, spec.ambient_dim, dtype=np.int16)).all(axis=1))
+    assert len(e0) == 1
+    for drop in range(len(points)):
+        for route in (rghw_bruteforce, lambda spec, j: mj_dual_count(spec, j).m):
+            for j in truth:
+                spec = build_code(*params)
+                spec.__dict__["factor_points"] = np.delete(points, drop, axis=0)
+                try:
+                    got = route(spec, j)
+                except InvariantViolated:
+                    continue
+                assert drop not in e0 and got == truth[j], (drop, j)
+
+
+def test_scan_inputs_are_computed_once_per_spec(monkeypatch):
+    """The anchors R and R G, c, P and the structural flag are read-only
+    and computed once per spec, however many j and routes are planned."""
+    calls = []
+    reps = codes.orbit_representatives
+    monkeypatch.setattr(codes, "orbit_representatives",
+                        lambda spec, gram=False: calls.append(gram) or reps(spec, gram))
+    spec = build_code(2, 3, 4, 1, 1)
+    for j in range(1, spec.k1 + 1):
+        weights.plan_report(spec, j, workers=2)
+    assert calls == [False, True]
+    for array in (*spec.orbit_anchors, spec.factor_points):
+        assert not array.flags.writeable
+    assert (spec.structural, spec.multiplicity, len(spec.factor_points)) == (True, 1, 7 + 15)
+    assert "coordinate_functionals" not in spec.__dict__ and "group_vectors" not in spec.__dict__
 
 
 def test_cap_counts_admissible_subspaces():
@@ -248,10 +341,14 @@ def test_bruteforce_is_unanchored_where_anchoring_scores_more():
 
 
 def test_table_bound_raises_before_allocating(monkeypatch):
-    spec = build_code(2, 2, 3, 1, 1)  # K = 5, n = 21: one 8-byte word per mask
-    width = 8 * -(-spec.n // 64)
-    # besides the masks: the (q, K, n) int16 scaled values, the (n, K)
-    # int16 point matrix and the scoring arrays of a j-dim scan
+    # K = 5, n = 21, structural: the scans score the N = 3 + 7 factor
+    # points, one 8-byte word per mask
+    spec = build_code(2, 2, 3, 1, 1)
+    N = len(spec.factor_points)
+    width = 8 * -(-N // 64)
+    # besides the masks: the (q, K, N) int16 scaled values, the (N, K)
+    # int16 scored points, the route's (n, K) int16 point matrix and the
+    # scoring arrays of a j-dim scan
     reps = len(orbit_representatives(spec))
     cases = [
         # anchored bruteforce j=2: D' is one row with pivot 1 (columns 2..4
@@ -268,7 +365,7 @@ def test_table_bound_raises_before_allocating(monkeypatch):
         raise AssertionError("table allocated past the bound")
 
     for run, dim, value, rows in cases:
-        arrays = 2 * 5 * 21 * (2 + 1) + weights._score_bytes(5, 21, 2, dim * (5 - dim))
+        arrays = 2 * 5 * N * (2 + 1) + 2 * 5 * 21 + weights._score_bytes(5, N, 2, dim * (5 - dim))
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays)
         assert run() == value
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays - 1)
@@ -301,18 +398,21 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     # one table of the in-process scan, since chunks share blocks
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     spec = build_code(2, 2, 3, 1, 1)
-    width = 8 * -(-spec.n // 64)
+    N = len(spec.factor_points)  # the scored points, one word per mask
+    width = 8 * -(-N // 64)
     sets = pivot_sets(spec.ambient_dim, 2)
     work = [count_for_pivots(ps, 5, 2) for ps in sets]
     chunks = weights._chunks(sets, work, 2 * 4)
     rows = sorted(weights._table_bytes(
-        layout(spec, c, None), spec.n) // width for c in chunks)
+        layout(spec, c, None), N) // width for c in chunks)
     assert len(chunks) == 6 and rows[-2:] == [15, 16]
     assert weights._table_bytes(
-        layout(spec, sets, None), spec.n) == 31 * width
-    # each of the 2 tables holds (q, K, n) int16 scaled values and scoring
-    # arrays, and the parent and both workers an (n, K) int16 point matrix
-    arrays = 2 * 5 * 21 * (2 * 2 + 3) + 2 * weights._score_bytes(5, 21, 2, 2 * 3)
+        layout(spec, sets, None), N) == 31 * width
+    # each of the 2 tables holds (q, K, N) int16 scaled values and scoring
+    # arrays, the parent and both workers the (N, K) int16 scored points,
+    # and the parent the route's (n, K) int16 point matrix
+    arrays = (2 * 5 * N * (2 * 2 + 3) + 2 * 5 * 21
+              + 2 * weights._score_bytes(5, N, 2, 2 * 3))
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
@@ -382,16 +482,16 @@ def test_scoring_holds_what_the_bound_counts(params, dim, mode):
     spec = build_code(*params)
     K = spec.ambient_dim
     plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
-    points = spec.group_vectors if plan.dual else spec.coordinate_functionals
+    _, points = weights._scan_points(spec, plan)
     table = weights._MaskTable(spec.ops, points, plan.anchors, plan.layouts[0])
     tracemalloc.start()
     try:
         for ps in plan.chunks[0]:
-            weights._first_minimum(table, ps, free_positions(ps, K))
+            weights._first_minimum(table, ps, free_positions(ps, K), plan.slope)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= weights._score_bytes(K, spec.n, spec.q, dim * (K - dim))
+    assert peak <= weights._score_bytes(K, len(points), spec.q, dim * (K - dim))
 
 
 def test_mask_table_holds_each_block_once(monkeypatch):
@@ -515,14 +615,15 @@ def test_dual_table_sizes_are_pinned():
         assert got == sizes, params
 
 
-def plain_first_minimum(table, pivots, positions):
-    """Least count over one pivot set's subspaces and the first t attaining
-    it, by OR-ing every mask the plan names for every t."""
+def plain_first_minimum(table, pivots, positions, slope=1):
+    """Least slope * count over one pivot set's subspaces and the first t
+    attaining it, by OR-ing every mask the plan names for every t."""
     weights_, bases = table.plan(pivots, positions)
     q, width = table.q, len(positions)
     t = np.arange(len(bases) * q ** width)
     index = digits(t % q ** width, width, q) @ weights_ + bases[t // q ** width]
-    values = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
+    counts = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
+    values = slope * counts.astype(np.int64)
     return int(values.min()), int(values.argmin())
 
 
@@ -530,12 +631,14 @@ def plain_first_minimum(table, pivots, positions):
 @given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3),
                                (2, 3, 4, 1, 1), (3, 2, 1, 2, 1)]),
        mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
-       anchored=st.booleans(), batch=st.integers(1, 40), data=st.data())
-def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, data):
+       anchored=st.booleans(), batch=st.integers(1, 40), slope=st.sampled_from([1, 3, -1]),
+       data=st.data())
+def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, slope, data):
     """The batch loop ORs head masks once per head, low masks once per pivot
     set and gathers only straddling rows; with batches of a few subspaces
     (several heads per batch at q > 2, rows split across the low/high
-    boundary), it finds the value and first t that OR-ing every mask does."""
+    boundary), it finds the value and first t that OR-ing every mask does,
+    for a count scaled by c or negated (the first maximum of the count)."""
     spec = build_code(*params)
     K = spec.ambient_dim
     anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
@@ -550,8 +653,8 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     table = weights._MaskTable(spec.ops, points, anchors,
                                layout(spec, [pivots], anchors))
     with mock.patch.object(weights, "BATCH", batch):
-        got = weights._first_minimum(table, pivots, positions)
-    assert got == plain_first_minimum(table, pivots, positions)
+        got = weights._first_minimum(table, pivots, positions, slope)
+    assert got == plain_first_minimum(table, pivots, positions, slope)
 
 
 def rule_layout(q, K, sets, anchors, free):
@@ -605,11 +708,13 @@ def test_straddling_rows_keep_the_pinned_argmax():
 
 
 def test_the_byte_bound_keeps_bit_counts_exact_in_float32(monkeypatch):
-    """_first_minimum sums bit counts in float32, exact while n < 2^24.
-    Every scan counts at least 2 K n (q + 1) >= 12 n bytes, an (n, K) int16
-    point matrix and one table's (q, K, n) scaled values with K, q >= 2, so
-    a bound below 12 * 2^24 refuses every scan with n >= 2^24."""
+    """_first_minimum sums bit counts times the slope in float32, exact
+    while n < 2^24, as |slope| times the points scored is at most n.
+    Every scan counts more than 2 K n >= 4 n bytes, the route's (n, K)
+    int16 point matrix with K >= 2 and then its scored points, so a bound
+    of at most 4 * 2^24 refuses every scan with n >= 2^24."""
     assert weights.TABLE_CAP_BYTES < 12 * 2**24
+    assert weights.TABLE_CAP_BYTES <= 4 * 2**24
     spec = build_code(2, 2, 3, 1, 1)
     for mode in ("min_support", "min_support_all", "max_group"):
         assert counted_bytes(spec, 1, mode, monkeypatch) >= 12 * spec.n
