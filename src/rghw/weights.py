@@ -22,11 +22,13 @@ spec both score the factor-subspace points, elsewhere the first of the c
 group points on each projective point; the winner is then confirmed on
 the route's own n points.  A scan is planned (every refusal, no n-row
 table read) before it runs, and plan_report plans every route of a j;
-_plan_scan alone reads the route.
+_plan_scan alone reads the route, and what a scan's parameters alone fix
+is planned once per process (_scan_shape).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +51,7 @@ from .subspaces import (
     digits,
     dual_stack,
     free_positions,
+    gaussian_binomial,
     kernel_rows,
     pivot_bases,
     pivot_sets,
@@ -111,9 +114,9 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
 # subspace D, D x != 0.  F = g G counts the support of D, the group points
 # g count n minus the points inside H = D^perp; _plan_scan picks the
-# points, pivot sets and anchors of a route, and refuses every bad request
-# first, so the kernel has no refusal path: a valid j leaves every chunk at
-# least one pivot set.
+# points and anchors of a route and its shape the pivot sets, and it
+# refuses every bad request first, so the kernel has no refusal path: a
+# valid j leaves every chunk at least one pivot set.
 #
 # A scan scores distinct points only, and turns their count into the value
 # by one affine map, value = offset + slope * count.  The group points hit
@@ -159,6 +162,17 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # once per pivot set, and only a mask that both choose is gathered per
 # subspace.  Each row's free entries are consecutive digits, so at most one
 # row, the one straddling the split, is gathered.
+#
+# Everything but the masks depends on small integers only: q, K, k1, j,
+# relative or not, the number of anchors |R|, the worker count and the
+# batch size.  _scan_shape computes it once per such key and caches it: the
+# anchoring choice, the subspace total, the chunks of pivot sets, each
+# chunk's layout and each pivot set's index plan (_IndexPlan: its weights,
+# bases, split and which columns are ORed per head, per pivot set or per
+# subspace).  Both routes of a j share one shape, a pool task carries its
+# chunk's plans, and the kernel only builds masks, ORs and counts.  The
+# shape holds nothing sized by the points or n: the low index rows and the
+# heads of a batch are built per call.
 #
 # Both relative scans are anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -214,12 +228,12 @@ def _block_keys(pivots, K: int, free: bool) -> list[tuple[tuple[int, ...], int]]
     return [(tuple(c for c in range(p + 1, K) if c not in skip), p) for p in pivots]
 
 
-def _block_starts(q: int, K: int, sets, anchors: Optional[np.ndarray]
-                  ) -> tuple[dict, int, bool]:
-    """The layout of the table of some pivot sets: the first row of every
-    distinct block they use, in order of first use; the table's row count,
-    the blocks and then one row per anchor; and the block-key rule free,
-    the one of the two with fewer rows (every later column on a tie)."""
+def _block_starts(q: int, K: int, sets, reps: int) -> tuple[dict, int, bool]:
+    """The layout of the table of some pivot sets and reps anchors: the
+    first row of every distinct block they use, in order of first use; the
+    table's row count, the blocks and then one row per anchor; and the
+    block-key rule free, the one of the two with fewer rows (every later
+    column on a tie)."""
     layouts = []
     for free in (False, True):
         starts: dict = {}
@@ -229,7 +243,7 @@ def _block_starts(q: int, K: int, sets, anchors: Optional[np.ndarray]
                 if key not in starts:
                     starts[key] = rows
                     rows += q ** len(key[0])
-        layouts.append((starts, rows + (0 if anchors is None else len(anchors)), free))
+        layouts.append((starts, rows + reps, free))
     return min(layouts, key=lambda layout: layout[1])
 
 
@@ -249,7 +263,7 @@ class _MaskTable:
     T = points^T, for the a-th base-q assignment of cols (first column most
     significant): the points x with (e_lead + a) x != 0.  An anchored table
     ends with the mask of each anchor.  layout is the _block_starts of the
-    pivot sets the scan visits, and its rule keys the blocks in plan.
+    pivot sets the scan visits, the one their index plans read.
 
     Every value is a sum of rows of scaled[d, c] = d T[c], a (q, K, N)
     array.  A block's low s columns give q^s value rows of about
@@ -259,7 +273,7 @@ class _MaskTable:
     def __init__(self, ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray],
                  layout: tuple[dict, int, bool]):
         self.q, (self.n, self.K) = ops.q, points.shape
-        self.starts, rows, self.free = layout
+        self.starts, rows, _ = layout
         q, n, K = self.q, self.n, self.K
         self.masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
         packed = self.masks.view(np.uint8)[:, :-(-n // 8)]
@@ -289,21 +303,56 @@ class _MaskTable:
                 packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
                     add(base, low) != 0, axis=1)
 
-    def plan(self, pivots, positions) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, bases): column k of digits @ weights + bases[t // q^P]
-        is the table row of the k-th mask the t-th basis ORs.  Free entry
-        (r, c) is the digit of column c in row r's block.  An anchored table
-        adds a first column, with no free entries, that looks up one anchor
-        per base."""
-        keys = _block_keys(pivots, self.K, self.free)
-        lead = int(self.anchor_rows is not None)
-        weights = np.zeros((len(positions), lead + len(keys)), dtype=np.int64)
-        for i, (r, c) in enumerate(positions):
-            cols = keys[r][0]
-            weights[i, lead + r] = self.q ** (len(cols) - 1 - cols.index(c))
-        starts = [self.starts[key] for key in keys]
-        heads = [[a] for a in self.anchor_rows] if lead else [[]]
-        return weights, np.array([head + starts for head in heads], dtype=np.int64)
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _IndexPlan:
+    """Which table rows the subspaces of one pivot set OR, fixed by the
+    scan's shape alone: its pivots and free positions (row, column) in
+    digit order; (weights, bases), so that column k of
+    digits @ weights + bases[t // q^P] is the table row of the k-th mask
+    the t-th basis ORs; the split of its P digits into split high ones and
+    P - split low ones, for batches of batch subspaces; and the columns
+    ORed once per head (fixed), once per pivot set (shared) and once per
+    subspace (straddle, as indices).  Every array is read-only."""
+
+    pivots: tuple[int, ...]
+    positions: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    bases: np.ndarray
+    batch: int
+    split: int
+    fixed: np.ndarray
+    shared: np.ndarray
+    straddle: np.ndarray
+
+
+def _index_plan(q: int, K: int, pivots, layout: tuple[dict, int, bool], reps: int,
+                batch: int) -> _IndexPlan:
+    """The _IndexPlan of one pivot set on a table laid out by layout whose
+    last reps rows are anchors.  Free entry (r, c) is the digit of column c
+    in row r's block; an anchored table adds a first column, with no free
+    entries, that looks up one anchor per base.  A batch covers the low
+    digits whose q^s subspaces fit in it (_low_width)."""
+    starts, rows, free = layout
+    positions = tuple(free_positions(pivots, K))
+    keys = _block_keys(pivots, K, free)
+    lead = int(reps > 0)
+    weights = np.zeros((len(positions), lead + len(keys)), dtype=np.int64)
+    for i, (r, c) in enumerate(positions):
+        cols = keys[r][0]
+        weights[i, lead + r] = q ** (len(cols) - 1 - cols.index(c))
+    heads = [[a] for a in range(rows - reps, rows)] if lead else [[]]
+    bases = np.array([head + [starts[key] for key in keys] for head in heads], dtype=np.int64)
+    split = len(positions) - _low_width(len(positions), q, batch)
+    # the weights are not negative and the low counter holds every digit
+    # string, so a column varies with the low digits exactly when one of
+    # its low weights is nonzero
+    by_low = (weights[split:] != 0).any(axis=0)
+    by_head = (weights[:split] != 0).any(axis=0) | (bases != bases[0]).any(axis=0)
+    arrays = (weights, bases, ~by_low, by_low & ~by_head, np.flatnonzero(by_low & by_head))
+    for array in arrays:
+        array.flags.writeable = False
+    return _IndexPlan(tuple(pivots), positions, weights, bases, batch, split, *arrays[2:])
 
 
 def _or_rows(masks: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -339,36 +388,31 @@ def _score_bytes(K: int, n: int, q: int, width: int) -> int:
     return rows * (8 * (6 * (K + 1) + 3 * width + 8) + 29 * words)
 
 
-def _first_minimum(table: _MaskTable, pivots, positions, slope: int = 1
-                   ) -> tuple[int, int]:
+def _first_minimum(table: _MaskTable, plan: _IndexPlan, slope: int = 1) -> tuple[int, int]:
     """Least slope * count over the subspaces of one pivot set, and the
-    first t in enumeration order attaining it.
+    first t in enumeration order attaining it, scored on the table rows
+    its index plan names.
 
     The k-th mask of t = h * run + l is row head[h, k] + low[l, k], and
     head h = b * q^split + d is bases[b] plus the high digits of d times
-    their weights, built a batch of heads at a time.  A column whose low
-    part is zero (a row with no free entry among the low digits, or an
-    anchor) is ORed once per head, in the batch that uses the head; one
-    whose head part is the same for every head (a row whose free entries
-    are all low digits) once per pivot set.  Each subspace then costs one
-    OR of the two and one bit count, plus one gather for each column that
-    varies with both, such as a row that straddles the split.  The order
-    of t is the enumeration order, so the first minimum is the one a plain
-    OR of every mask finds.
+    their weights, built a batch of heads at a time.  A fixed column, whose
+    low part is zero (a row with no free entry among the low digits, or an
+    anchor), is ORed once per head, in the batch that uses the head; a
+    shared one, whose head part is the same for every head (a row whose
+    free entries are all low digits), once per pivot set.  Each subspace
+    then costs one OR of the two and one bit count, plus one gather for
+    each straddling column, which varies with both, such as a row that
+    straddles the split.  The order of t is the enumeration order, so the
+    first minimum is the one a plain OR of every mask finds.
     """
-    q, masks = table.q, table.masks
-    weights, bases = table.plan(pivots, positions)
-    batch = _batch_rows(masks.shape[1])
-    split = len(positions) - _low_width(len(positions), q, batch)
-    run, per = q ** (len(positions) - split), q ** split
-    low = counter(len(positions) - split, q) @ weights[split:]
-    by_low = (low != 0).any(axis=0)
-    by_head = (weights[:split] != 0).any(axis=0) | (bases != bases[0]).any(axis=0)
-    shared = by_low & ~by_head
+    q, masks, batch, split = table.q, table.masks, plan.batch, plan.split
+    weights, bases = plan.weights, plan.bases
+    width = len(plan.positions)
+    run, per = q ** (width - split), q ** split
+    low = counter(width - split, q) @ weights[split:]
     low_or = None
-    if shared.any():
-        low_or = _or_rows(masks, bases[0, shared] + low[:, shared])
-    straddle = np.flatnonzero(by_low & by_head)
+    if plan.shared.any():
+        low_or = _or_rows(masks, bases[0, plan.shared] + low[:, plan.shared])
     # a matrix-vector product sums the per-word bit counts, times the slope,
     # far faster than a reduction over the short word axis; every partial
     # sum is an integer of magnitude at most |slope| N <= n, so float32 is
@@ -380,14 +424,14 @@ def _first_minimum(table: _MaskTable, pivots, positions, slope: int = 1
     for h0 in range(0, len(bases) * per, batch):
         h = np.arange(h0, min(h0 + batch, len(bases) * per))
         heads = bases[h // per] + digits(h % per, split, q) @ weights[:split]
-        fixed = heads[:, ~by_low]
+        fixed = heads[:, plan.fixed]
         for r in range(0, len(heads), step):
             acc = None
             if fixed.shape[1]:
                 acc = _or_rows(masks, fixed[r:r + step])[:, None]
             if low_or is not None:
                 acc = low_or if acc is None else acc | low_or
-            for k in straddle:
+            for k in plan.straddle:
                 rows = masks.take(heads[r:r + step, k, None] + low[:, k], axis=0)
                 acc = rows if acc is None else np.bitwise_or(rows, acc, out=rows)
             values = (np.bitwise_count(acc) @ scale).ravel()
@@ -402,19 +446,20 @@ def _scan_chunk(task) -> tuple[int, np.ndarray]:
     x of the point matrix with D x != 0, over the subspaces D of the given
     pivot sets (at least one), and a basis of the first D attaining it.
 
-    task is (q, points, chunk, anchors, layout, slope), the same in process
+    task is (q, points, anchors, layout, plans, slope), the same in process
     and in a pool worker: the field ops of GF(q) are looked up (cached), so
-    a task carries no CodeSpec.  With anchors, each D is the span of one
-    anchor and of a basis with the chunk's pivots.  The layout is the
-    chunk's _block_starts, computed once by _plan_scan.
+    a task carries no CodeSpec, and the chunk's layout and the index plan
+    of each of its pivot sets come from the scan's shape, so a worker plans
+    nothing.  With anchors, each D is the span of one anchor and of a basis
+    with the chunk's pivots.
     """
-    q, points, chunk, anchors, layout, slope = task
+    q, points, anchors, layout, plans, slope = task
     table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
-    scores = [_first_minimum(table, ps, free_positions(ps, table.K), slope) for ps in chunk]
+    scores = [_first_minimum(table, plan, slope) for plan in plans]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
-    width = len(free_positions(chunk[i], table.K))
+    width = len(plans[i].positions)
     per = q ** width
-    rows = pivot_bases(chunk[i], table.K, digits(np.array([t % per]), width, q))[0]
+    rows = pivot_bases(plans[i].pivots, table.K, digits(np.array([t % per]), width, q))[0]
     if anchors is not None:
         rows = np.vstack([anchors[t // per], rows])
     return val, rows
@@ -431,28 +476,87 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
     return list(runs.values())
 
 
+def _scan_count(q: int, K: int, k1: int, dim: int, relative: bool, reps: int
+                ) -> tuple[bool, int]:
+    """Whether a scan is anchored and how many subspaces it scores, from
+    its parameters alone: [K, dim]_q for GHW; for a relative scan the
+    smaller of [k1, dim]_q q^(dim k2) unanchored and
+    reps [k1-1, dim-1]_q q^((dim-1) k2) through the reps anchors (anchored
+    on a tie).  These are the sums of q^P over the pivot sets scanned."""
+    if not relative:
+        return False, gaussian_binomial(K, dim, q)
+    k2 = K - k1
+    full = gaussian_binomial(k1, dim, q) * q ** (dim * k2)
+    through = reps * gaussian_binomial(k1 - 1, dim - 1, q) * q ** ((dim - 1) * k2)
+    return (True, through) if through <= full else (False, full)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _ScanShape:
+    """What the parameters of a scan fix, before any point: whether it is
+    anchored, how many subspaces it scores, its process count, and the
+    chunks of index plans in enumeration order with their table layouts;
+    live are the layouts of the tables alive at once, the workers
+    largest."""
+
+    anchored: bool
+    total: int
+    workers: int
+    chunks: tuple[tuple[_IndexPlan, ...], ...]
+    layouts: tuple[tuple[dict, int, bool], ...]
+    live: tuple[tuple[dict, int, bool], ...]
+
+
+@functools.cache
+def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, workers: int,
+                batch: int) -> _ScanShape:
+    """The _ScanShape of a scan of dim-dimensional subspaces of GF(q)^K, on
+    the relative family of k1 or on every subspace, through reps anchors
+    where anchoring scores fewer, with workers processes (after the CPU
+    clamp) and batches of batch subspaces.
+
+    Cached, as subspaces.counter is: both routes of a j have one shape,
+    since |R G| = |R| and both score N points, and every table of
+    the same parameters in a process reuses it.  It holds nothing derived
+    from the points or n, and _plan_scan checks the subspace cap
+    (_scan_count) before the first call for a shape.
+    """
+    anchored, total = _scan_count(q, K, k1, dim, relative, reps)
+    if anchored:
+        sets = [ps for ps in pivot_sets(k1, dim - 1) if 0 not in ps]
+    else:
+        sets, reps = pivot_sets(k1 if relative else K, dim), 0
+    work = [count_for_pivots(ps, K, q) for ps in sets]
+    runs = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
+    layouts = tuple(_block_starts(q, K, run, reps) for run in runs)
+    chunks = tuple(tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run)
+                   for run, layout in zip(runs, layouts))
+    live = tuple(sorted(layouts, key=lambda layout: layout[1], reverse=True)[:workers])
+    return _ScanShape(anchored, total, workers, chunks, layouts, live)
+
+
 @dataclass(frozen=True, slots=True)
 class ScanPlan:
-    """One scan, checked against every limit and laid out, before any n-row
-    array exists: its route's point matrix (the group points g on the dual
-    side, the coordinate functionals F otherwise), the map
+    """One scan, checked against every limit before any n-row array
+    exists: its route's point matrix (the group points g on the dual side,
+    the coordinate functionals F otherwise), the map
     value = offset + slope * count from the count of the points it scores
-    (_scan_points), anchors, process count, and the chunks of pivot sets
-    in enumeration order with their table layouts."""
+    (_scan_points), the spec's anchors when the shape is anchored, and the
+    shape (_scan_shape)."""
 
     dual: bool
     offset: int
     slope: int
     anchors: Optional[np.ndarray]
-    workers: int
-    chunks: list
-    layouts: list
+    shape: _ScanShape
 
 
 def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> ScanPlan:
     """The plan of a scan, or its refusal: j, workers, the subspace cap and
-    the byte bound are all checked here, and neither n-row point matrix is
-    read.
+    the byte bound are all checked here, in that order, and neither n-row
+    point matrix is read.  The shape comes from the cache (_scan_shape);
+    this picks the spec's anchors, the map from the count to the value and
+    the byte count over the points the scan scores.
 
     "min_support" counts the support of the subspaces D with injective
     first projection, "min_support_all" of every subspace (plain GHW), and
@@ -472,17 +576,10 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     if workers < 1:
         raise RangeError(f"workers={workers} must be at least 1")
     dual = mode == "max_group"
-    sets = pivot_sets(top, dim)
-    work = [count_for_pivots(ps, K, q) for ps in sets]
-    anchors = None
-    if relative:
-        # |R G| = |R|, so both scans anchor under one rule
-        reps = spec.orbit_anchors[dual]
-        through = [ps for ps in pivot_sets(spec.k1, dim - 1) if 0 not in ps]
-        anchored = [len(reps) * count_for_pivots(ps, K, q) for ps in through]
-        if sum(anchored) <= sum(work):
-            anchors, sets, work = reps, through, anchored
-    total = sum(work)
+    # |R G| = |R|, so both scans anchor under one rule
+    reps = spec.orbit_anchors[dual] if relative else None
+    nreps = 0 if reps is None else len(reps)
+    _, total = _scan_count(q, K, spec.k1, dim, relative, nreps)
     if total > cap:
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
@@ -497,12 +594,12 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
         offset, slope = 0, spec.multiplicity
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
-    chunks = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
+    batch = _batch_rows(-(-scored // 64))
+    shape = _scan_shape(q, K, spec.k1, dim, relative, nreps, workers, batch)
     # each chunk builds its own table and scores it, and each of the
     # workers holds one
-    layouts = [_block_starts(q, K, c, anchors) for c in chunks]
-    live = sorted((_table_bytes(lay, scored) for lay in layouts), reverse=True)[:workers]
-    copies = 1 + (len(live) if len(chunks) > 1 else 0)
+    live = [_table_bytes(layout, scored) for layout in shape.live]
+    copies = 1 + (len(live) if len(shape.chunks) > 1 else 0)
     # a subspace has at most dim (K - dim) free entries, those of pivots
     # 0..dim-1
     width = dim * (K - dim)
@@ -514,7 +611,7 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
         raise CapExceeded(
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
-    return ScanPlan(dual, offset, slope, anchors, workers, chunks, layouts)
+    return ScanPlan(dual, offset, slope, reps if shape.anchored else None, shape)
 
 
 def _scan_points(spec: CodeSpec, plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -538,12 +635,13 @@ def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
     """Best value of a planned scan and a spanning set of the first subspace
     attaining it, confirmed on the route's own n points."""
     route, points = _scan_points(spec, plan)
-    tasks = [(spec.q, points, chunk, plan.anchors, layout, plan.slope)
-             for chunk, layout in zip(plan.chunks, plan.layouts)]
+    shape = plan.shape
+    tasks = [(spec.q, points, plan.anchors, layout, chunk, plan.slope)
+             for chunk, layout in zip(shape.chunks, shape.layouts)]
     if len(tasks) == 1:
         best, rows = _scan_chunk(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=shape.workers) as pool:
             # chunk order is enumeration order, and min keeps the first minimum
             best, rows = min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
     value = plan.offset + best
@@ -582,6 +680,17 @@ def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     return val
 
 
+def _anchored_rref(ops: TableOps, rows: np.ndarray) -> np.ndarray:
+    """The RREF of the rows [r; D'] of an anchored winner: D' is an RREF
+    basis with every pivot at least 1, so its column 0 is zero, and r_0 = 1,
+    so r with its entries at the pivots of D' cleared by D', then D', is
+    already reduced."""
+    anchor, rest = rows[0], rows[1:]
+    pivots = (rest != 0).argmax(axis=1)
+    clear = ops.matmul(ops.neg_table[anchor[pivots]][None], rest)[0]
+    return np.vstack([ops.add_table[anchor, clear], rest])
+
+
 @dataclass
 class DualCountResult:
     m: int
@@ -603,8 +712,7 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     if plan is None:
         plan = _plan_scan(spec, j, "max_group", cap, workers)
     outside, rows = _run_scan(spec, plan)
-    # an anchored D is spanned by its anchor and a basis, not in RREF
-    red = spec.ops.rref(rows)[0]
+    red = rows if plan.anchors is None else _anchored_rref(spec.ops, rows)
     argmax = spec.ops.rref(kernel_rows(red[None], spec.ops)[0])[0]
     return DualCountResult(outside, spec.n - outside, argmax)
 

@@ -22,7 +22,6 @@ from rghw.subspaces import (
     count_for_pivots,
     cyclic_group_counts,
     digits,
-    free_positions,
     gaussian_binomial,
     kernel_rows,
     pivot_sets,
@@ -42,7 +41,25 @@ def kernel_args(spec, dim, mode):
 
 def layout(spec, sets, anchors):
     """The _block_starts layout _scan computes for these pivot sets."""
-    return weights._block_starts(spec.q, spec.ambient_dim, sets, anchors)
+    return weights._block_starts(spec.q, spec.ambient_dim, sets, nanchors(anchors))
+
+
+def nanchors(anchors):
+    return 0 if anchors is None else len(anchors)
+
+
+def index_plan(spec, pivots, lay, anchors, points):
+    """The _IndexPlan a scan's shape holds for one pivot set on a table of
+    these points, laid out by lay, with a batch sized by the current BATCH."""
+    batch = weights._batch_rows(-(-len(points) // 64))
+    return weights._index_plan(spec.q, spec.ambient_dim, pivots, lay, nanchors(anchors), batch)
+
+
+def chunk_task(spec, points, sets, anchors):
+    """The _scan_chunk task of one chunk of these pivot sets, slope 1."""
+    lay = layout(spec, sets, anchors)
+    plans = tuple(index_plan(spec, ps, lay, anchors, points) for ps in sets)
+    return spec.q, points, anchors, lay, plans, 1
 
 
 @pytest.mark.parametrize("q,k1,k2", [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 3, 4)])
@@ -186,7 +203,7 @@ def test_anchored_dual_matches_the_unanchored_scan(spec_grid):
         K, k1 = spec.ambient_dim, spec.k1
         for j in range(1, k1 + 1):
             sets, points = kernel_args(spec, j, "max_group")
-            full, _ = weights._scan_chunk((spec.q, points, sets, None, layout(spec, sets, None), 1))
+            full, _ = weights._scan_chunk(chunk_task(spec, points, sets, None))
             dual = mj_dual_count(spec, j)
             assert dual.m == full, (params, j)
             arg = dual.argmax
@@ -219,8 +236,9 @@ def n_point_scan(spec, plan):
     """The planned scan on the route's own n points, whose count is the
     value: (value, basis) of the first optimum, chunk by chunk."""
     route, _ = weights._scan_points(spec, plan)
-    return min((weights._scan_chunk((spec.q, route, chunk, plan.anchors, lay, 1))
-                for chunk, lay in zip(plan.chunks, plan.layouts)), key=lambda r: r[0])
+    shape = plan.shape
+    return min((weights._scan_chunk((spec.q, route, plan.anchors, lay, chunk, 1))
+                for chunk, lay in zip(shape.chunks, shape.layouts)), key=lambda r: r[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,11 +501,11 @@ def test_scoring_holds_what_the_bound_counts(params, dim, mode):
     K = spec.ambient_dim
     plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
     _, points = weights._scan_points(spec, plan)
-    table = weights._MaskTable(spec.ops, points, plan.anchors, plan.layouts[0])
+    table = weights._MaskTable(spec.ops, points, plan.anchors, plan.shape.layouts[0])
     tracemalloc.start()
     try:
-        for ps in plan.chunks[0]:
-            weights._first_minimum(table, ps, free_positions(ps, K), plan.slope)
+        for index in plan.shape.chunks[0]:
+            weights._first_minimum(table, index, plan.slope)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,11 +633,11 @@ def test_dual_table_sizes_are_pinned():
         assert got == sizes, params
 
 
-def plain_first_minimum(table, pivots, positions, slope=1):
+def plain_first_minimum(table, plan, slope=1):
     """Least slope * count over one pivot set's subspaces and the first t
     attaining it, by OR-ing every mask the plan names for every t."""
-    weights_, bases = table.plan(pivots, positions)
-    q, width = table.q, len(positions)
+    weights_, bases = plan.weights, plan.bases
+    q, width = table.q, len(plan.positions)
     t = np.arange(len(bases) * q ** width)
     index = digits(t % q ** width, width, q) @ weights_ + bases[t // q ** width]
     counts = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
@@ -649,12 +667,13 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     if not sets:
         return
     pivots = data.draw(st.sampled_from(sets))
-    positions = free_positions(pivots, K)
-    table = weights._MaskTable(spec.ops, points, anchors,
-                               layout(spec, [pivots], anchors))
+    lay = layout(spec, [pivots], anchors)
+    table = weights._MaskTable(spec.ops, points, anchors, lay)
     with mock.patch.object(weights, "BATCH", batch):
-        got = weights._first_minimum(table, pivots, positions, slope)
-    assert got == plain_first_minimum(table, pivots, positions, slope)
+        plan = index_plan(spec, pivots, lay, anchors, points)
+    assert plan.batch == batch
+    got = weights._first_minimum(table, plan, slope)
+    assert got == plain_first_minimum(table, plan, slope)
 
 
 def rule_layout(q, K, sets, anchors, free):
@@ -663,7 +682,7 @@ def rule_layout(q, K, sets, anchors, free):
     keys = dict.fromkeys(key for ps in sets for key in weights._block_keys(ps, K, free))
     sizes = [q ** len(cols) for cols, _ in keys]
     starts = dict(zip(keys, itertools.accumulate([0] + sizes)))
-    return starts, sum(sizes) + (0 if anchors is None else len(anchors)), free
+    return starts, sum(sizes) + nanchors(anchors), free
 
 
 @settings(max_examples=100, deadline=None)
@@ -685,10 +704,10 @@ def test_block_key_rule_moves_no_value_or_argmax(small_grid, mode, anchored, dat
     layouts = [rule_layout(q, K, sets, anchors, free) for free in (False, True)]
     tables = [weights._MaskTable(spec.ops, points, anchors, lay) for lay in layouts]
     for pivots in sets:
-        positions = free_positions(pivots, K)
-        later, free = (weights._first_minimum(t, pivots, positions) for t in tables)
+        later, free = (weights._first_minimum(t, index_plan(spec, pivots, lay, anchors, points))
+                       for t, lay in zip(tables, layouts))
         assert later == free, (spec, mode, pivots)
-    kept = weights._block_starts(q, K, sets, anchors)
+    kept = weights._block_starts(q, K, sets, nanchors(anchors))
     assert kept == layouts[layouts[1][1] < layouts[0][1]]
 
 
@@ -718,3 +737,105 @@ def test_the_byte_bound_keeps_bit_counts_exact_in_float32(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     for mode in ("min_support", "min_support_all", "max_group"):
         assert counted_bytes(spec, 1, mode, monkeypatch) >= 12 * spec.n
+
+
+def test_anchored_dual_winner_is_reduced_by_one_step(spec_grid):
+    """On every anchored dual scan of the specs with q^K <= PROPERTY_GRID,
+    reducing the anchor of the winner [r G; D'] at the pivots of D' gives
+    the RREF that a full elimination of the rows gives."""
+    anchored = 0
+    for spec in property_specs(spec_grid):
+        for j in range(1, spec.k1 + 1):
+            plan = weights._plan_scan(spec, j, "max_group", weights.DEFAULT_ENUM_CAP, 1)
+            if plan.anchors is None:
+                continue
+            _, rows = weights._run_scan(spec, plan)
+            assert np.array_equal(weights._anchored_rref(spec.ops, rows),
+                                  spec.ops.rref(rows)[0]), (spec, j, rows.tolist())
+            anchored += 1
+    assert anchored > 500
+
+
+def assert_same(a, b, path="plan"):
+    """a and b hold equal values, field by field, array by array."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype, path
+        assert a.shape == b.shape and np.array_equal(a, b), path
+    elif isinstance(a, (tuple, list, dict)):
+        assert type(a) is type(b) and len(a) == len(b), path
+        if isinstance(a, dict):
+            assert list(a) == list(b), path
+            a, b = list(a.values()), list(b.values())
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{i}]")
+    else:
+        assert a == b, path
+
+
+def shape_arrays(shape):
+    """Every array a scan shape holds."""
+    for chunk in shape.chunks:
+        for index in chunk:
+            for f in dataclasses.fields(index):
+                if isinstance(getattr(index, f.name), np.ndarray):
+                    yield getattr(index, f.name)
+
+
+def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool):
+    """For every spec with q^K <= 81, every mode, j and workers in {1, 2},
+    the plan made from the cached shape equals the one made after the cache
+    is cleared; the shape's arrays are read-only, and its subspace total is
+    the sum over its pivot sets of the anchors times q^P.  Every report is
+    the same from a cold cache and from a warm one."""
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
+    modes = ("min_support", "min_support_all", "max_group")
+    shapes = 0
+    for params in small_grid:
+        spec = build_code(*params)
+        for mode in modes:
+            top = spec.ambient_dim if mode == "min_support_all" else spec.k1
+            for j in range(1, top + 1):
+                for workers in (1, 2):
+                    first = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
+                    warm = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
+                    assert warm.shape is first.shape
+                    weights._scan_shape.cache_clear()
+                    cold = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
+                    assert cold.shape is not warm.shape
+                    assert_same(cold, warm)
+                    shape = cold.shape
+                    assert shape.total == sum(len(index.bases) * spec.q ** len(index.positions)
+                                              for chunk in shape.chunks for index in chunk)
+                    assert not any(array.flags.writeable for array in shape_arrays(shape))
+                    shapes += 1
+        for workers in (1, 2):
+            warm = [weights.compute_report(spec, j, workers=workers).as_dict()
+                    for j in range(1, spec.k1 + 1)]
+            weights._scan_shape.cache_clear()
+            cold = [weights.compute_report(spec, j, workers=workers).as_dict()
+                    for j in range(1, spec.k1 + 1)]
+            assert cold == warm, params
+    assert shapes > 300 and 2 in recording_pool
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 40, 2048])
+def test_the_index_plan_follows_the_batch(batch):
+    """The shape is keyed by the batch size, so a plan made under a patched
+    BATCH splits every pivot set's digits for that batch, not for a batch
+    cached earlier; masks of one word leave the batch at BATCH."""
+    cases = [((2, 3, 4, 1, 1), "min_support_all", 3), ((4, 2, 3, 1, 3), "min_support", 2),
+             ((3, 2, 3, 1, 2), "max_group", 2), ((5, 2, 3, 1, 4), "min_support_all", 2)]
+    for params, mode, dim in cases:
+        spec = build_code(*params)
+        weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)  # the default batch
+        with mock.patch.object(weights, "BATCH", batch):
+            plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+        for chunk in plan.shape.chunks:
+            for index in chunk:
+                width = len(index.positions)
+                assert index.batch == batch, params
+                assert index.split == width - weights._low_width(width, spec.q, batch), params
