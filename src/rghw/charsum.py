@@ -233,6 +233,6 @@ def nj_via_charsum(spec: CodeSpec, basis: np.ndarray) -> float:
     """charsum_zero_counts of a single (r, K) RREF basis.
 
     Not exported: only the benchmark (perfbench) names it, and it goes when
-    the benchmark stops naming it (ROADMAP 1b).
+    the benchmark stops naming it (ROADMAP 3(b)).
     """
     return float(charsum_zero_counts(spec, basis[None])[0])

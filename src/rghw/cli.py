@@ -18,12 +18,11 @@ import sys
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
-from .closed_forms import require_structural
 from .codes import build_code
 from .errors import CapExceeded, OutputError, RangeError, RghwError, UsageError
-from .gf import DEFAULT_SIZE_CAP, build_field, prime_power
+from .gf import build_field, prime_power
 from .verify import SUITES, run_suites
-from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, plan_report, run_report
+from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, check_request, plan_report, run_report
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -90,8 +89,9 @@ def _error_payload(exc: RghwError) -> str:
 
 
 def _plans(args: argparse.Namespace):
-    """The code and the plan_report of every j: each refusal comes before
-    the first scan."""
+    """The code and the plan_report of every j: every refusal before the
+    first scan, those of the flags alone (check_request) before the code."""
+    check_request(args.q, args.k1, args.k2, args.e1, args.e2, args.routes, args.cap, args.workers)
     spec = build_code(args.q, args.k1, args.k2, args.e1, args.e2)
     return spec, [plan_report(spec, j, routes=args.routes, cap=args.cap, workers=args.workers)
                   for j in _j_values(args.j, spec.k1)]
@@ -346,26 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range flags and fill in the route tuple: None for
-    --routes all, every route that applies."""
+    """The route tuple, None for --routes all, and the --repeat floor: the
+    library checks every other flag (check_request, run_suites)."""
     routes = getattr(args, "routes", "all")
-    args.routes = None
-    if routes != "all":
-        args.routes = tuple(r.strip() for r in routes.split(",") if r.strip())
-        if not args.routes:
-            raise RangeError(f"--routes {routes!r} names no route")
-        for r in args.routes:
-            if r not in ROUTE_NAMES:
-                raise RangeError(f"unknown route {r!r}")
-        # a named closed form is refused before the code is built; beyond
-        # these bounds build_code refuses the field sizes at once
-        if ("closed_form" in args.routes and args.q <= DEFAULT_SIZE_CAP
-                and max(args.k1, args.k2) < DEFAULT_SIZE_CAP.bit_length()):
-            require_structural(args.q, args.k1, args.k2, args.e1, args.e2)
-    for name, low in (("cap", 0), ("samples", 1), ("repeat", 1), ("seed", 0), ("workers", 1)):
-        value = getattr(args, name, low)
-        if value < low:
-            raise RangeError(f"{name}={value} must be >= {low}")
+    args.routes = None if routes == "all" else tuple(
+        r.strip() for r in routes.split(",") if r.strip())
+    if getattr(args, "repeat", 1) < 1:
+        raise RangeError(f"repeat={args.repeat} must be >= 1")
 
 
 COMMANDS = {

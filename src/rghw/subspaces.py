@@ -99,7 +99,7 @@ def enumerate_subspaces(k: int, j: int, q: int) -> Iterator[np.ndarray]:
     exactly once, in the order of rref_stack.
 
     Not exported: only the benchmark (perfbench) names it, and it goes when
-    the benchmark stops naming it (ROADMAP 1b).
+    the benchmark stops naming it (ROADMAP 3(b)).
     """
     return iter(rref_stack(k, j, q))
 
@@ -112,7 +112,7 @@ def subspace_from_rows(
 
     A fourth argument naming the ambient (the benchmark passes "product") is
     accepted and ignored.  Not exported: only the benchmark (perfbench)
-    names it, and it goes when the benchmark stops naming it (ROADMAP 1b).
+    names it, and it goes when the benchmark stops naming it (ROADMAP 3(b)).
     """
     rows = list(rows)
     if len({np.shape(row) for row in rows}) > 1:
@@ -216,6 +216,6 @@ def intersect_with_cyclic_group(basis: np.ndarray, spec) -> int:
     """cyclic_group_counts of a single (r, K) RREF basis.
 
     Not exported: only the benchmark (perfbench) names it, and it goes when
-    the benchmark stops naming it (ROADMAP 1b).
+    the benchmark stops naming it (ROADMAP 3(b)).
     """
     return int(cyclic_group_counts(basis[None], spec)[0])

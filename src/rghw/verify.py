@@ -46,6 +46,7 @@ from .subspaces import (
 )
 from .weights import (
     DEFAULT_ENUM_CAP,
+    check_floors,
     ghw_bruteforce,
     mj_dual_count,
     rghw_bruteforce,
@@ -588,9 +589,10 @@ _SUITE_ARGS = {
 
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
-    """Run the named suites, all by default, in order.  The sample count and
-    every name are checked before any suite runs; an unknown name is a
-    KeyError."""
+    """Run the named suites, all by default, in order.  The sample, seed and
+    worker floors (RangeError), the sample cap and every name are checked
+    before any suite runs; an unknown name is a KeyError."""
+    check_floors(samples=samples, seed=seed, workers=workers)
     given = {"seed": seed, "samples": samples, "workers": workers}
     names = list(names) if names else list(SUITES)
     if "charsum" in names:

@@ -41,7 +41,7 @@ import numpy as np
 from .closed_forms import _theta, evaluate_closed_form, require_structural
 from .codes import CodeSpec
 from .errors import CapExceeded, InvariantViolated, RangeError
-from .gf import field_for_size
+from .gf import DEFAULT_SIZE_CAP, field_for_size
 from .linalg import TableOps, table_ops
 from .subspaces import (
     check_stack_ambient,
@@ -82,7 +82,7 @@ def subspace_support_size(spec: CodeSpec, basis: np.ndarray) -> int:
     product-space subspace.
 
     Not exported: only the benchmark (perfbench) names it, and it goes when
-    the benchmark stops naming it (ROADMAP 1b).
+    the benchmark stops naming it (ROADMAP 3(b)).
     """
     check_stack_ambient(basis[None], spec.q, spec.ambient_dim)
     return _points_outside(spec.ops, basis, spec.coordinate_functionals)
@@ -494,13 +494,11 @@ def _scan_count(q: int, K: int, k1: int, dim: int, relative: bool, reps: int
 @dataclass(frozen=True, slots=True, eq=False)
 class _ScanShape:
     """What the parameters of a scan fix, before any point: whether it is
-    anchored, how many subspaces it scores, its process count, and the
-    chunks of index plans in enumeration order with their table layouts;
-    live are the layouts of the tables alive at once, the workers
-    largest."""
+    anchored, its process count, and the chunks of index plans in
+    enumeration order with their table layouts; live are the layouts of the
+    tables alive at once, the workers largest."""
 
     anchored: bool
-    total: int
     workers: int
     chunks: tuple[tuple[_IndexPlan, ...], ...]
     layouts: tuple[tuple[dict, int, bool], ...]
@@ -521,7 +519,7 @@ def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, wo
     from the points or n, and _plan_scan checks the subspace cap
     (_scan_count) before the first call for a shape.
     """
-    anchored, total = _scan_count(q, K, k1, dim, relative, reps)
+    anchored, _ = _scan_count(q, K, k1, dim, relative, reps)
     if anchored:
         sets = [ps for ps in pivot_sets(k1, dim - 1) if 0 not in ps]
     else:
@@ -532,7 +530,7 @@ def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, wo
     chunks = tuple(tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run)
                    for run, layout in zip(runs, layouts))
     live = tuple(sorted(layouts, key=lambda layout: layout[1], reverse=True)[:workers])
-    return _ScanShape(anchored, total, workers, chunks, layouts, live)
+    return _ScanShape(anchored, workers, chunks, layouts, live)
 
 
 @dataclass(frozen=True, slots=True)
@@ -552,11 +550,11 @@ class ScanPlan:
 
 
 def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> ScanPlan:
-    """The plan of a scan, or its refusal: j, workers, the subspace cap and
-    the byte bound are all checked here, in that order, and neither n-row
-    point matrix is read.  The shape comes from the cache (_scan_shape);
-    this picks the spec's anchors, the map from the count to the value and
-    the byte count over the points the scan scores.
+    """The plan of a scan, or its refusal: the cap and worker floors, j, the
+    subspace cap and the byte bound are checked here, in that order, and no
+    n-row point matrix is read.  The shape comes from the cache
+    (_scan_shape); this picks the spec's anchors, the map from the count to
+    the value and the byte count over the points the scan scores.
 
     "min_support" counts the support of the subspaces D with injective
     first projection, "min_support_all" of every subspace (plain GHW), and
@@ -564,6 +562,7 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     first minimizer is the first D whose complement H = D^perp holds the
     most points.
     """
+    check_floors(cap=cap, workers=workers)
     K, q = spec.ambient_dim, spec.q
     # Admissibility is decided by the pivot set alone.  The first projection
     # of D is injective exactly when every pivot is below k1; H = D^perp is
@@ -573,8 +572,6 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     top = spec.k1 if relative else K
     if not 1 <= dim <= top:
         raise RangeError(f"j={dim} outside 1..{top}")
-    if workers < 1:
-        raise RangeError(f"workers={workers} must be at least 1")
     dual = mode == "max_group"
     # |R G| = |R|, so both scans anchor under one rule
     reps = spec.orbit_anchors[dual] if relative else None
@@ -652,12 +649,6 @@ def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
     return value, rows
 
 
-def _scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int
-          ) -> tuple[int, np.ndarray]:
-    """Plan a scan (_plan_scan) and run it."""
-    return _run_scan(spec, _plan_scan(spec, dim, mode, cap, workers))
-
-
 # -- public routes ----------------------------------------------------------
 #
 # Each scan route plans its scan from (cap, workers), or runs a plan made
@@ -676,7 +667,7 @@ def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
 def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
                    workers: int = 1) -> int:
     """Plain generalized Hamming weight (no subcode restriction)."""
-    val, _ = _scan(spec, j, "min_support_all", cap, workers)
+    val, _ = _run_scan(spec, _plan_scan(spec, j, "min_support_all", cap, workers))
     return val
 
 
@@ -760,14 +751,45 @@ def _closed_form_route(spec: CodeSpec, j: int, plan: None):
     return m, n_j, None
 
 
+# name -> (runner, the _plan_scan mode of its scan, None for no scan)
 _ROUTES = {
-    "bruteforce": _bruteforce_route,
-    "dual_count": _dual_count_route,
-    "closed_form": _closed_form_route,
+    "bruteforce": (_bruteforce_route, "min_support"),
+    "dual_count": (_dual_count_route, "max_group"),
+    "closed_form": (_closed_form_route, None),
 }
 ROUTE_NAMES = tuple(_ROUTES)
-_SCAN_MODES = {"bruteforce": "min_support", "dual_count": "max_group"}
-_SCAN_ROUTES = tuple(_SCAN_MODES)  # the routes of a non-structural spec
+# the routes of a non-structural spec
+_SCAN_ROUTES = tuple(name for name, (_, mode) in _ROUTES.items() if mode)
+# the least value of each numeric parameter of a request
+_FLOORS = {"cap": 0, "workers": 1, "samples": 1, "seed": 0}
+
+
+def check_floors(**values: int) -> None:
+    """RangeError for the first of the given values below its floor: the
+    one check of the cap, worker, sample and seed floors."""
+    for name, value in values.items():
+        if value < _FLOORS[name]:
+            raise RangeError(f"{name}={value} must be >= {_FLOORS[name]}")
+
+
+def check_request(q: int, k1: int, k2: int, e1: int, e2: int,
+                  routes: Optional[Sequence[str]], cap: int, workers: int) -> None:
+    """The refusals of a table request that need no code (plan_report and
+    the CLI both call it), in order: routes None (every route that applies)
+    or known and each named once (RangeError), a closed form only on a
+    structural spec (HypothesisViolated), then the cap and worker floors."""
+    if routes is not None:
+        if not routes or len(set(routes)) < len(routes):
+            raise RangeError(f"routes {tuple(routes)} must name one route or more, each once")
+        for name in routes:
+            if name not in _ROUTES:
+                raise RangeError(f"unknown route {name!r}")
+        # beyond these bounds build_code refuses the field sizes at once,
+        # and detect_family would compute an absurd power first
+        if ("closed_form" in routes and q <= DEFAULT_SIZE_CAP
+                and max(k1, k2) < DEFAULT_SIZE_CAP.bit_length()):
+            require_structural(q, k1, k2, e1, e2)
+    check_floors(cap=cap, workers=workers)
 
 
 @dataclass(slots=True)
@@ -827,21 +849,15 @@ def plan_report(spec: CodeSpec, j: int,
     refusal compute_report makes, none of its work.
 
     None runs every route that applies: the closed form only on a
-    structural spec.  Named routes run as given: an unknown name raises
-    RangeError, and a closed form on a spec that is not structural
-    HypothesisViolated, before any scan is planned.
+    structural spec.  Named routes run as given, once each; check_request
+    refuses a bad list, a cap or a worker count before any scan is planned.
     """
+    check_request(spec.q, spec.k1, spec.k2, spec.e1, spec.e2, routes, cap, workers)
     if routes is None:
         routes = ROUTE_NAMES if spec.structural else _SCAN_ROUTES
-    else:
-        for name in routes:
-            if name not in _ROUTES:
-                raise RangeError(f"unknown route {name!r}")
-        if "closed_form" in routes:
-            require_structural(spec.q, spec.k1, spec.k2, spec.e1, spec.e2)
+    modes = [_ROUTES[name][1] for name in routes]
     return ReportPlan(spec, j, tuple(routes), tuple(
-        _plan_scan(spec, j, _SCAN_MODES[name], cap, workers) if name in _SCAN_MODES else None
-        for name in routes))
+        None if mode is None else _plan_scan(spec, j, mode, cap, workers) for mode in modes))
 
 
 def run_report(plan: ReportPlan) -> RghwReport:
@@ -849,7 +865,7 @@ def run_report(plan: ReportPlan) -> RghwReport:
     report = RghwReport(plan.j, plan.order)
     for name, scan in zip(plan.order, plan.scans):
         t0 = time.perf_counter()
-        m, n_j, argmax_rows = _ROUTES[name](plan.spec, plan.j, scan)
+        m, n_j, argmax_rows = _ROUTES[name][0](plan.spec, plan.j, scan)
         setattr(report, name,
                 RouteOutcome(m, (time.perf_counter() - t0) * 1e3, n_j, argmax_rows))
     return report

@@ -17,9 +17,10 @@ import pytest
 import rghw
 import rghw.cli
 from rghw.cli import main
-from rghw import errors, gf
+from rghw import errors, gf, verify, weights
 from rghw.codes import build_code
-from rghw.errors import InvariantViolated, PrecisionFailure
+from rghw.errors import (CapExceeded, HypothesisViolated, InvariantViolated, PrecisionFailure,
+                         RangeError)
 
 SRC = Path(rghw.__file__).resolve().parent
 
@@ -458,6 +459,10 @@ BAD_INPUTS = [
     ("seed-negative", ("verify", "--seed", "-1"), 2, "RangeError"),
     ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
     ("routes-empty", ("table", *SPEC_ARGS, "--routes", ","), 2, "RangeError"),
+    ("routes-repeated-table", ("table", *SPEC_ARGS, "--routes", "bruteforce,bruteforce"), 2,
+     "RangeError"),
+    ("routes-repeated-bench", ("bench", *SPEC_ARGS, "--routes", "dual_count,dual_count"), 2,
+     "RangeError"),
     ("workers-zero", ("table", *SPEC_ARGS, "--workers", "0"), 2, "RangeError"),
     ("workers-negative", ("verify", "--workers", "-5"), 2, "RangeError"),
     ("lam-not-an-integer", ("gauss", "--size", "5", "--lam", "x"), 2, "RangeError"),
@@ -559,3 +564,79 @@ def test_bad_inputs_under_optimize_flag():
     want = [(code, error) for _, _, code, error in BAD_INPUTS] + [(1, "PrecisionFailure")]
     got = [(code, json.loads(err)["error"]["code"]) for code, err in results]
     assert got == want
+
+
+def _table(*params, j=1, **kwargs):
+    """compute_report of one j of the code of params, with one worker unless set."""
+    return weights.compute_report(build_code(*params), j, **{"workers": 1, **kwargs})
+
+
+def _plan(*params, j=1, **kwargs):
+    """plan_report of one j of the code of params, with one worker unless set."""
+    return weights.plan_report(build_code(*params), j, **{"workers": 1, **kwargs})
+
+
+SPEC = (2, 2, 3, 1, 1)
+ODD = (3, 2, 2, 1, 2)  # no closed form
+ODD_ARGS = ("--q", "3", "--k1", "2", "--k2", "2", "--e2", "2")
+
+# name, argv (run with --workers 1 where the subcommand takes it), the same
+# request made of the library entry that owns the rule, and the error both
+# raise
+PARITY = [
+    ("routes-repeated-table", ("table", *SPEC_ARGS, "--routes", "bruteforce,bruteforce"),
+     lambda: _table(*SPEC, routes=("bruteforce", "bruteforce")), RangeError),
+    ("routes-repeated-bench", ("bench", *SPEC_ARGS, "--routes", "dual_count,dual_count"),
+     lambda: _plan(*SPEC, routes=("dual_count", "dual_count")), RangeError),
+    ("routes-repeated-closed-form", ("table", *SPEC_ARGS, "--routes", "closed_form,closed_form"),
+     lambda: _table(*SPEC, routes=("closed_form", "closed_form")), RangeError),
+    ("routes-empty", ("table", *SPEC_ARGS, "--routes", ","),
+     lambda: _table(*SPEC, routes=()), RangeError),
+    ("routes-unknown", ("bench", *SPEC_ARGS, "--routes", "bruteforce,nope"),
+     lambda: _plan(*SPEC, routes=("bruteforce", "nope")), RangeError),
+    ("closed-form-foreign", ("table", *ODD_ARGS, "--routes", "bruteforce,closed_form"),
+     lambda: _table(*ODD, routes=("bruteforce", "closed_form")), HypothesisViolated),
+    ("cap-negative", ("table", *SPEC_ARGS, "--cap", "-1"),
+     lambda: _table(*SPEC, cap=-1), RangeError),
+    ("cap-negative-closed-form", ("bench", *SPEC_ARGS, "--cap", "-1", "--routes", "closed_form"),
+     lambda: _plan(*SPEC, cap=-1, routes=("closed_form",)), RangeError),
+    ("cap-exceeded", ("table", *SPEC_ARGS, "--cap", "1", "--j", "2"),
+     lambda: _table(*SPEC, j=2, cap=1), CapExceeded),
+    ("workers-zero", ("table", *SPEC_ARGS, "--workers", "0"),
+     lambda: _table(*SPEC, workers=0), RangeError),
+    ("workers-zero-verify", ("verify", "--workers", "0"),
+     lambda: verify.run_suites(workers=0), RangeError),
+    ("seed-negative", ("verify", "--seed", "-1"),
+     lambda: verify.run_suites(seed=-1), RangeError),
+    ("samples-zero", ("verify", "--suite", "gf", "--suite", "charsum", "--samples", "0"),
+     lambda: verify.run_suites(["gf", "charsum"], samples=0), RangeError),
+    ("samples-beyond-cap", ("verify", "--samples", "1" + "0" * 12),
+     lambda: verify.run_suites(samples=10**12), CapExceeded),
+]
+
+
+class _Started(Exception):
+    """A scan or a suite was entered although the request is refused."""
+
+
+@pytest.mark.parametrize("argv,library,error", [case[1:] for case in PARITY],
+                         ids=[case[0] for case in PARITY])
+def test_the_cli_and_the_library_refuse_alike(capsys, monkeypatch, argv, library, error):
+    """The CLI refuses a bad request with the error the library entry that
+    owns the rule raises, and neither enters a scan or a suite."""
+    started = []
+
+    def record(name):
+        def entered(*args, **kwargs):
+            started.append(name)
+            raise _Started(name)
+        return entered
+
+    monkeypatch.setattr(weights, "_run_scan", record("scan"))
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, record(name))
+    with pytest.raises(error):
+        library()
+    code, out, err = run_cli(capsys, *_with_workers(argv))
+    assert (code, json.loads(err)["error"]["code"]) == (error.exit_code, error.code)
+    assert out == "" and started == []

@@ -61,20 +61,37 @@ def _overrides(module: str, cls: ast.ClassDef, name: str) -> bool:
     return any(hasattr(base, name) for base in owner.__mro__[1:])
 
 
+def _private_dataclass_fields(tree):
+    """(class, field) for every annotated field of a module-level dataclass
+    whose name starts with an underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_") and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id
+
+
 def test_every_definition_has_a_caller():
     """A definition is called when its name occurs in the package (outside
     __init__.py's re-exports) or in the benchmark (outside its tests),
     other than inside the definition itself; tracing names its targets by
-    string, so string constants count."""
+    string, so string constants count.  A field of a private dataclass is
+    used when that code reads it as an attribute."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     callers = [tree for stem, tree in modules.items() if stem != "__init__"]
     callers += [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))
                 if not path.name.startswith("test_")]
     seen: dict = {}
+    read = set()
     for tree in callers:
         for name, node in _occurrences(tree):
             seen.setdefault(name, []).append(node)
-    dead = []
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = [f"{module}.{cls.name}.{name}" for module, tree in modules.items()
+            for cls, name in _private_dataclass_fields(tree) if name not in read]
     for module, tree in modules.items():
         for cls, node in _definitions(tree):
             inside = {id(n) for n in ast.walk(node)}

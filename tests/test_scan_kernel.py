@@ -31,8 +31,14 @@ from rghw.linalg import table_ops
 from rghw.weights import ghw_bruteforce, mj_dual_count, rghw_bruteforce
 
 
+def run_scan(spec, dim, mode):
+    """Plan a scan of one worker under the default cap and run it."""
+    plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+    return weights._run_scan(spec, plan)
+
+
 def kernel_args(spec, dim, mode):
-    """What _scan hands the kernel for an unanchored scan of a mode: the
+    """What _plan_scan hands the kernel for an unanchored scan of a mode: the
     pivot sets and the point matrix."""
     sets = pivot_sets(spec.ambient_dim if mode == "min_support_all" else spec.k1, dim)
     points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
@@ -40,7 +46,7 @@ def kernel_args(spec, dim, mode):
 
 
 def layout(spec, sets, anchors):
-    """The _block_starts layout _scan computes for these pivot sets."""
+    """The _block_starts layout _plan_scan computes for these pivot sets."""
     return weights._block_starts(spec.q, spec.ambient_dim, sets, nanchors(anchors))
 
 
@@ -219,7 +225,7 @@ def test_bruteforce_argmax_maps_through_the_gram_matrix(spec_grid):
     for params in spec_grid(PROPERTY_GRID):
         spec = build_code(*params)
         for j in range(1, spec.k1 + 1):
-            m, rows = weights._scan(spec, j, "min_support", weights.DEFAULT_ENUM_CAP, 1)
+            m, rows = run_scan(spec, j, "min_support")
             image = spec.ops.matmul(rows, spec.gram)
             assert len(spec.ops.rref(image[:, :spec.k1])[1]) == j, (params, j)
             outside = spec.ops.matmul(image, spec.group_vectors.T).any(axis=0).sum()
@@ -446,12 +452,12 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
 
 
 def counted_bytes(spec, dim, mode, monkeypatch):
-    """The bytes _scan counts for a scan, as its refusal names them under a
+    """The bytes _plan_scan counts for a scan, as its refusal names them under a
     bound of 0."""
     with monkeypatch.context() as m:
         m.setattr(weights, "TABLE_CAP_BYTES", 0)
         with pytest.raises(CapExceeded) as exc:
-            weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+            run_scan(spec, dim, mode)
     return int(re.match(r"scan arrays of (\d+) bytes", str(exc.value)).group(1))
 
 
@@ -462,7 +468,7 @@ def counted_bytes(spec, dim, mode, monkeypatch):
 ])
 def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch):
     """The traced peak of a table build, with the point matrix built in the
-    same trace, stays within the bytes _scan counts plus the builder's own
+    same trace, stays within the bytes _plan_scan counts plus the builder's own
     temporaries: a few value slices (the larger of SLICE_BYTES and q rows
     of n int16 values) and one n-row per column of a block."""
     spec = build_code(*params)
@@ -481,7 +487,7 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
     monkeypatch.setattr(weights, "_MaskTable", traced_table)
     tracemalloc.start()
     try:
-        weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+        run_scan(spec, dim, mode)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] <= counted + slack, (peaks, counted, slack)
@@ -496,7 +502,7 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
 ])
 def test_scoring_holds_what_the_bound_counts(params, dim, mode):
     """The traced peak of scoring every pivot set of a scan on its table
-    stays within the scoring bytes _scan counts once per table."""
+    stays within the scoring bytes _plan_scan counts once per table."""
     spec = build_code(*params)
     K = spec.ambient_dim
     plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
@@ -591,7 +597,7 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
                            ("max_group", range(1, k1 + 1))):
             digest = digests["dual" if mode == "max_group" else "support"]
             for dim in dims:
-                val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+                val, rows = run_scan(spec, dim, mode)
                 digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
                 scans += 1
     assert scans == 45
@@ -721,7 +727,7 @@ def test_straddling_rows_keep_the_pinned_argmax():
     digest = hashlib.sha256()
     for mode, dims in (("min_support", (1, 2, 3)), ("min_support_all", (1, 2, 6))):
         for dim in dims:
-            val, rows = weights._scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+            val, rows = run_scan(spec, dim, mode)
             digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
     assert digest.hexdigest() == "e8ab5c79ed1765773ec113e9b1262097a69c6ece86d8d051aea426370d46c25d"
 
@@ -788,8 +794,9 @@ def shape_arrays(shape):
 def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool):
     """For every spec with q^K <= 81, every mode, j and workers in {1, 2},
     the plan made from the cached shape equals the one made after the cache
-    is cleared; the shape's arrays are read-only, and its subspace total is
-    the sum over its pivot sets of the anchors times q^P.  Every report is
+    is cleared; the shape's arrays are read-only, and the subspace count
+    the cap is checked against (_scan_count) is the sum over its pivot sets
+    of the anchors times q^P.  Every report is
     the same from a cold cache and from a warm one."""
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     modes = ("min_support", "min_support_all", "max_group")
@@ -808,8 +815,12 @@ def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool)
                     assert cold.shape is not warm.shape
                     assert_same(cold, warm)
                     shape = cold.shape
-                    assert shape.total == sum(len(index.bases) * spec.q ** len(index.positions)
-                                              for chunk in shape.chunks for index in chunk)
+                    relative = mode != "min_support_all"
+                    reps = len(spec.orbit_anchors[mode == "max_group"]) if relative else 0
+                    assert weights._scan_count(spec.q, spec.ambient_dim, spec.k1, j, relative,
+                                               reps) == (shape.anchored, sum(
+                        len(index.bases) * spec.q ** len(index.positions)
+                        for chunk in shape.chunks for index in chunk))
                     assert not any(array.flags.writeable for array in shape_arrays(shape))
                     shapes += 1
         for workers in (1, 2):
