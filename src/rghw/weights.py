@@ -52,8 +52,6 @@ from .subspaces import (
     dual_stack,
     free_positions,
     gaussian_binomial,
-    kernel_rows,
-    pivot_bases,
     pivot_sets,
     stack_rows,
 )
@@ -195,6 +193,12 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # so the dual scan walks the same D' pivot sets over the group points, and
 # |R G| = |R| subspaces per D'.  GHW admits D inside {0} x F_q^k2, which
 # no anchor reaches, and keeps the full scan.
+#
+# The dual argmax H = D^perp of the winner takes one elimination, of its
+# rows with the columns reversed (_complement_rref): as [I | A] has the
+# parity-check matrix [-A^T | I], the kernel vector of each free column of
+# that RREF, read back in the original columns, leads with 1 where every
+# other one is 0, so they already are the RREF of H.
 
 
 def _low_width(width: int, q: int, rows: int) -> int:
@@ -457,11 +461,16 @@ def _scan_chunk(task) -> tuple[int, np.ndarray]:
     table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
     scores = [_first_minimum(table, plan, slope) for plan in plans]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
-    width = len(plans[i].positions)
-    per = q ** width
-    rows = pivot_bases(plans[i].pivots, table.K, digits(np.array([t % per]), width, q))[0]
-    if anchors is not None:
-        rows = np.vstack([anchors[t // per], rows])
+    # the basis of t: its free entries are the last digits of t, least
+    # significant last, and what is left of t numbers the anchor
+    lead, plan = int(anchors is not None), plans[i]
+    rows = np.zeros((lead + len(plan.pivots), table.K), dtype=np.int16)
+    for r, c in reversed(plan.positions):
+        t, rows[lead + r, c] = divmod(t, q)
+    for r, p in enumerate(plan.pivots):
+        rows[lead + r, p] = 1
+    if lead:
+        rows[0] = anchors[t]
     return val, rows
 
 
@@ -671,15 +680,18 @@ def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     return val
 
 
-def _anchored_rref(ops: TableOps, rows: np.ndarray) -> np.ndarray:
-    """The RREF of the rows [r; D'] of an anchored winner: D' is an RREF
-    basis with every pivot at least 1, so its column 0 is zero, and r_0 = 1,
-    so r with its entries at the pivots of D' cleared by D', then D', is
-    already reduced."""
-    anchor, rest = rows[0], rows[1:]
-    pivots = (rest != 0).argmax(axis=1)
-    clear = ops.matmul(ops.neg_table[anchor[pivots]][None], rest)[0]
-    return np.vstack([ops.add_table[anchor, clear], rest])
+def _complement_rref(ops: TableOps, rows: np.ndarray) -> np.ndarray:
+    """The RREF basis of {v : rows v = 0}, a fresh array: E, the RREF of
+    rows with reversed columns, gives e_f - sum_i E[i, f] e_piv_i for each
+    free column f of E, which leads with 1 at K-1-f, in order of f
+    decreasing."""
+    K = rows.shape[1]
+    red, piv = ops.rref(rows[:, ::-1])
+    free = [f for f in range(K - 1, -1, -1) if f not in piv]
+    out = np.zeros((len(free), K), dtype=np.int16)
+    out[range(len(free)), [K - 1 - f for f in free]] = 1
+    out[:, [K - 1 - p for p in piv]] = ops.neg_table[red[:, free]].T
+    return out
 
 
 @dataclass
@@ -703,9 +715,7 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     if plan is None:
         plan = _plan_scan(spec, j, "max_group", cap, workers)
     outside, rows = _run_scan(spec, plan)
-    red = rows if plan.anchors is None else _anchored_rref(spec.ops, rows)
-    argmax = spec.ops.rref(kernel_rows(red[None], spec.ops)[0])[0]
-    return DualCountResult(outside, spec.n - outside, argmax)
+    return DualCountResult(outside, spec.n - outside, _complement_rref(spec.ops, rows))
 
 
 # -- per-j reports -----------------------------------------------------------
@@ -850,9 +860,12 @@ def plan_report(spec: CodeSpec, j: int,
 
     None runs every route that applies: the closed form only on a
     structural spec.  Named routes run as given, once each; check_request
-    refuses a bad list, a cap or a worker count before any scan is planned.
+    refuses a bad list, a cap or a worker count, then j outside 1..k1 is
+    refused, before any route is planned.
     """
     check_request(spec.q, spec.k1, spec.k2, spec.e1, spec.e2, routes, cap, workers)
+    if not 1 <= j <= spec.k1:
+        raise RangeError(f"j={j} outside 1..{spec.k1}")
     if routes is None:
         routes = ROUTE_NAMES if spec.structural else _SCAN_ROUTES
     modes = [_ROUTES[name][1] for name in routes]

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from rghw.subspaces import (
     digits,
     gaussian_binomial,
     kernel_rows,
+    pivot_bases,
     pivot_sets,
     rref_stack,
 )
@@ -745,21 +747,86 @@ def test_the_byte_bound_keeps_bit_counts_exact_in_float32(monkeypatch):
         assert counted_bytes(spec, 1, mode, monkeypatch) >= 12 * spec.n
 
 
-def test_anchored_dual_winner_is_reduced_by_one_step(spec_grid):
-    """On every anchored dual scan of the specs with q^K <= PROPERTY_GRID,
-    reducing the anchor of the winner [r G; D'] at the pivots of D' gives
-    the RREF that a full elimination of the rows gives."""
-    anchored = 0
+def assert_complement(ops, rows):
+    """_complement_rref of rows is a fresh int16 array, the RREF of their
+    kernel that kernel_rows and a second elimination give: K - rank rows,
+    each orthogonal to every row."""
+    K = rows.shape[1]
+    red, pivots = ops.rref(rows)
+    out = weights._complement_rref(ops, rows)
+    want = ops.rref(kernel_rows(red[None], ops)[0])[0]
+    assert out.dtype == np.int16 and out.base is None, rows.tolist()
+    assert out.shape == (K - len(pivots), K) and np.array_equal(out, want), rows.tolist()
+    assert (ops.matmul(rows, out.T) == 0).all(), rows.tolist()
+
+
+def test_one_elimination_gives_every_dual_argmax(spec_grid):
+    """On every dual scan of the specs with q^K <= PROPERTY_GRID, anchored
+    [r G; D'] or unanchored RREF D, the complement of the winner from one
+    elimination is the argmax the kernel and a second elimination give."""
+    scans = {True: 0, False: 0}
     for spec in property_specs(spec_grid):
         for j in range(1, spec.k1 + 1):
             plan = weights._plan_scan(spec, j, "max_group", weights.DEFAULT_ENUM_CAP, 1)
-            if plan.anchors is None:
-                continue
             _, rows = weights._run_scan(spec, plan)
-            assert np.array_equal(weights._anchored_rref(spec.ops, rows),
-                                  spec.ops.rref(rows)[0]), (spec, j, rows.tolist())
-            anchored += 1
-    assert anchored > 500
+            assert_complement(spec.ops, rows)
+            scans[plan.anchors is not None] += 1
+    assert scans[True] > 500 and scans[False] > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_one_elimination_complement_of_random_rows(q):
+    """Random rows of every shape up to 7 columns, and rows of a lower
+    rank: the span of a few random rows listed with their combinations
+    and a zero row."""
+    ops = table_ops(field_for_size(q))
+    rng = np.random.default_rng(q)
+    for _ in range(60):
+        K = int(rng.integers(1, 8))
+        assert_complement(ops, rng.integers(0, q, (int(rng.integers(1, K + 2)), K)).astype(np.int16))
+        spanning = rng.integers(0, q, (int(rng.integers(1, K + 1)), K)).astype(np.int16)
+        mixed = ops.matmul(rng.integers(0, q, (2, len(spanning))).astype(np.int16), spanning)
+        rows = np.vstack([spanning, mixed, np.zeros((1, K), dtype=np.int16)])
+        assert len(ops.rref(rows)[1]) < len(rows)
+        assert_complement(ops, rows)
+
+
+def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
+    """For every index plan of the scan shapes of the specs with q^K <=
+    PROPERTY_GRID, the rows _scan_chunk writes for the first, the last and
+    a random t are the basis pivot_bases builds from the digits of t, under
+    the anchor that t names.  Both relative routes share a shape, and the
+    decode reads only the table's width, so each shape is checked once, on
+    a stand-in table."""
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(weights, "_MaskTable",
+                        lambda ops, points, anchors, layout: SimpleNamespace(K=points.shape[1]))
+    shapes = set()
+    for spec in property_specs(spec_grid):
+        K, q = spec.ambient_dim, spec.q
+        for mode, top in (("min_support", spec.k1), ("min_support_all", K)):
+            for j in range(1, top + 1):
+                plan = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, 1)
+                if plan.shape in shapes:
+                    continue
+                shapes.add(plan.shape)
+                points = np.zeros((1, K), dtype=np.int16)
+                for index in plan.shape.chunks[0]:
+                    width = len(index.positions)
+                    per = q ** width
+                    total = len(index.bases) * per
+                    for t in {0, total - 1, int(rng.integers(total))}:
+                        monkeypatch.setattr(weights, "_first_minimum",
+                                            lambda table, index, slope, t=t: (0, t))
+                        _, rows = weights._scan_chunk(
+                            (q, points, plan.anchors, None, (index,), 1))
+                        want = pivot_bases(index.pivots, K,
+                                           digits(np.array([t % per]), width, q))[0]
+                        if plan.anchors is not None:
+                            want = np.vstack([plan.anchors[t // per], want])
+                        assert rows.dtype == np.int16 and np.array_equal(rows, want), (
+                            spec, mode, j, index.pivots, t)
+    assert len(shapes) > 100
 
 
 def assert_same(a, b, path="plan"):

@@ -14,6 +14,7 @@ from rghw.weights import (
     compute_report,
     ghw_bruteforce,
     mj_dual_count,
+    plan_report,
     rghw_bruteforce,
     zero_counts,
 )
@@ -299,6 +300,20 @@ def test_compute_report_refuses_before_any_scan(monkeypatch):
     for routes in (("bruteforce", "closed_form"), ("closed_form",)):
         with pytest.raises(HypothesisViolated):
             compute_report(odd, 1, routes=routes)
+
+
+def test_plan_report_refuses_a_bad_j_for_every_route_list(monkeypatch):
+    """j outside 1..k1 is refused by plan_report itself, before any route
+    is planned, whatever the routes, the closed form alone included."""
+    def no_plan(*args):
+        raise AssertionError("a scan was planned before the refusal")
+
+    monkeypatch.setattr(weights, "_plan_scan", no_plan)
+    spec = build_code(2, 2, 3, 1, 1)
+    for routes in (None, ("closed_form",), ("bruteforce",), ("dual_count", "closed_form")):
+        for j in (0, 3, 9):
+            with pytest.raises(RangeError, match=rf"^j={j} outside 1\.\.2$"):
+                plan_report(spec, j, routes=routes)
 
 
 def test_default_reports_run_every_route_that_applies():
