@@ -2,10 +2,10 @@
 
 Matrices hold element codes as int16.  For a prime field the codes are the
 usual residues; for extension fields they are the base-p polynomial codes,
-so the same routines serve both.  matmul is numpy, table-driven (or mod p
-for a prime field).  A single matrix is eliminated on Python rows through
-the field's scalar operations; a stack of matrices in one table-driven
-numpy pass over the whole stack.
+so the same routines serve both.  matmul is numpy, table-driven (or one
+float64 product mod p for a prime field).  A single matrix is eliminated
+on Python rows through the field's scalar operations; a stack of matrices
+in one table-driven numpy pass over the whole stack.
 """
 
 from __future__ import annotations
@@ -41,9 +41,22 @@ class TableOps:
         self.mul_table = mul
         self.neg_table = np.argmax(add == 0, axis=1).astype(np.int16)
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int16)  # inv(0) reads 0
+        # q in the narrowest integer type that holds q^2 - 1, so that the
+        # flat index a q + b of (a, b) in a q x q table does not wrap
+        self._q_index = np.min_scalar_type(-q * q).type(q)
         # shared through the table_ops cache
         for table in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
             table.setflags(write=False)
+
+    def add(self, a, b) -> np.ndarray:
+        """a + b over the field, elementwise, broadcast as numpy does."""
+        if self.field.p == 2:  # codes are bit vectors: digitwise addition is XOR
+            return np.bitwise_xor(a, b)
+        return self.add_table.take(a * self._q_index + b)
+
+    def mul(self, a, b) -> np.ndarray:
+        """a * b over the field, elementwise, broadcast as numpy does."""
+        return self.mul_table.take(a * self._q_index + b)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(r x k) @ (k x c) over the field; leading axes of a and b are
@@ -53,13 +66,17 @@ class TableOps:
         if k != k2:
             raise LengthMismatch(f"cannot multiply ({r} x {k}) by ({k2} x {c})")
         if self.prime:
-            prod = a.astype(np.int64) @ b.astype(np.int64)
-            return (prod % self.q).astype(np.int16)
+            # one BLAS product, exact: an entry is at most bound = k (q-1)^2,
+            # below 2^53 for q <= 4096 and any k that fits in memory; reduced
+            # in the narrowest signed type holding bound, int16 at least
+            bound = k * (self.q - 1) ** 2
+            remainder = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+            prod = a.astype(np.float64) @ b.astype(np.float64)
+            return (prod.astype(remainder) % self.q).astype(np.int16, copy=False)
         out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), r, c),
                        dtype=np.int16)
         for t in range(k):
-            term = self.mul_table[a[..., :, t, None], b[..., t, None, :]]
-            out = self.add_table[out, term]
+            out = self.add(out, self.mul(a[..., :, t, None], b[..., t, None, :]))
         return out
 
     def rref(self, mat) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -128,11 +145,10 @@ class TableOps:
             dst = rank[mats]
             pivot = work[mats, src]
             work[mats, src] = work[mats, dst]
-            pivot = self.mul_table[self.inv_table[pivot[:, c]][:, None], pivot]
+            pivot = self.mul(self.inv_table[pivot[:, c]][:, None], pivot)
             # clear column c from every row; row dst is then overwritten
             factor = self.neg_table[work[mats, :, c]]
-            rows = self.add_table[work[mats], self.mul_table[factor[:, :, None],
-                                                             pivot[:, None, :]]]
+            rows = self.add(work[mats], self.mul(factor[:, :, None], pivot[:, None, :]))
             rows[np.arange(len(mats)), dst] = pivot
             work[mats] = rows
             rank[mats] += 1

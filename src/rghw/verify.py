@@ -24,7 +24,7 @@ from .charsum import (
 )
 from .closed_forms import detect_family, evaluate_closed_form
 from .codes import CodeSpec, build_code, codewords, parity_check_polynomial
-from .errors import CapExceeded
+from .errors import CapExceeded, RangeError
 from .gf import (
     FieldTable,
     build_field,
@@ -45,6 +45,7 @@ from .subspaces import (
     stack_rows,
 )
 from .weights import (
+    BATCH_BYTES,
     DEFAULT_ENUM_CAP,
     check_floors,
     ghw_bruteforce,
@@ -144,13 +145,27 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_keys(mat: np.ndarray) -> np.ndarray:
-    """One void scalar per row of a 2-D array, equal exactly when the rows
-    are, so that one sort of the keys (np.unique) finds the distinct rows;
-    np.unique(axis=0) on the rows themselves is many times slower."""
-    mat = np.ascontiguousarray(mat)
-    if not mat.shape[1]:  # rows of no entries are all equal
-        return np.zeros(len(mat), dtype=np.dtype((np.void, 1)))
-    return mat.view(np.dtype((np.void, mat.itemsize * mat.shape[1])))[:, 0]
+    """One key per row of a 2-D array of nonnegative integers, equal exactly
+    when the rows are, so that one sort of the keys (np.unique) finds the
+    distinct rows; keys compare only with keys of the same call.  A row is
+    read as base-b digits, b the largest entry + 1, packed `per` digits to a
+    float64 chunk by one product per BATCH_BYTES of rows: a chunk is an
+    integer below b^per <= 2^53, so exact.  Several chunks are one void key."""
+    nrows, width = mat.shape
+    base = int(mat.max(initial=0)) + 1
+    per = 1
+    while per < width and base ** (per + 1) <= 2 ** 53:
+        per += 1
+    cols = np.arange(width)
+    weights = np.zeros((width, max(1, -(-width // per))))
+    weights[cols, cols // per] = np.power(base, cols % per)
+    keys = np.empty((nrows, weights.shape[1]))
+    step = max(1, BATCH_BYTES // (8 * max(width, 1)))  # float64 rows per product
+    for start in range(0, nrows, step):
+        keys[start:start + step] = mat[start:start + step] @ weights
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
 
 
 # -- gf ---------------------------------------------------------------------
@@ -255,17 +270,20 @@ def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
                  for f in spec.factors}
         res.check(norms == {spec.delta}, lambda: f"{label}: delta compatibility broken")
         words = _all_codewords(spec)
-        word_keys = np.unique(_row_keys(words))
+        count = len(words)
+        # words, shifted words and the words of C' keyed in one call, to compare
+        keys = _row_keys(np.concatenate([words, np.roll(words, -1, axis=1),
+                                         _subcode_words(spec)]))
+        word_keys = np.unique(keys[:count])
         res.check(
             len(word_keys) == spec.Q1 * spec.Q2,
             lambda: f"{label}: codeword map is not injective",
         )
         # a shift permutes the distinct words exactly when it maps them into
         # themselves, since it is injective on words
-        shifted_keys = np.unique(_row_keys(np.roll(words, -1, axis=1)))
-        res.check(np.array_equal(shifted_keys, word_keys),
+        res.check(np.array_equal(np.unique(keys[count:2 * count]), word_keys),
                   lambda: f"{label}: cyclic shift closure fails")
-        res.check(np.isin(_row_keys(_subcode_words(spec)), word_keys).all(),
+        res.check(np.isin(keys[2 * count:], word_keys).all(),
                   lambda: f"{label}: C' not contained in C")
         table = words.reshape(spec.Q1, spec.Q2, spec.n)
         res.check(np.array_equal(table[0], np.roll(table[0], -spec.n2, axis=1)),
@@ -292,8 +310,7 @@ def _recurrence_annihilates(spec: CodeSpec, h, words: np.ndarray) -> bool:
     k = h.degree
     acc = np.zeros_like(words)
     for t in range(k + 1):
-        term = ops.mul_table[h.coeffs[k - t], np.roll(words, -t, axis=1)]
-        acc = ops.add_table[acc, term]
+        acc = ops.add(acc, ops.mul(h.coeffs[k - t], np.roll(words, -t, axis=1)))
     return not acc.any()
 
 
@@ -590,8 +607,8 @@ _SUITE_ARGS = {
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
     """Run the named suites, all by default, in order.  The sample, seed and
-    worker floors (RangeError), the sample cap and every name are checked
-    before any suite runs; an unknown name is a KeyError."""
+    worker floors, the sample cap and every name are checked before any
+    suite runs; an unknown name is a RangeError."""
     check_floors(samples=samples, seed=seed, workers=workers)
     given = {"seed": seed, "samples": samples, "workers": workers}
     names = list(names) if names else list(SUITES)
@@ -599,5 +616,5 @@ def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
         _check_samples(samples)
     for name in names:
         if name not in SUITES:
-            raise KeyError(name)
+            raise RangeError(f"unknown suite {name!r}")
     return [SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}) for name in names]

@@ -457,6 +457,7 @@ BAD_INPUTS = [
     ("samples-zero", ("verify", "--samples", "0"), 2, "RangeError"),
     ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),
     ("seed-negative", ("verify", "--seed", "-1"), 2, "RangeError"),
+    ("suite-unknown", ("verify", "--suite", "nope"), 2, "RangeError"),
     ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
     ("routes-empty", ("table", *SPEC_ARGS, "--routes", ","), 2, "RangeError"),
     ("routes-repeated-table", ("table", *SPEC_ARGS, "--routes", "bruteforce,bruteforce"), 2,
@@ -612,6 +613,8 @@ PARITY = [
      lambda: verify.run_suites(["gf", "charsum"], samples=0), RangeError),
     ("samples-beyond-cap", ("verify", "--samples", "1" + "0" * 12),
      lambda: verify.run_suites(samples=10**12), CapExceeded),
+    ("suite-unknown", ("verify", "--suite", "gf", "--suite", "nope"),
+     lambda: verify.run_suites(["gf", "nope"]), RangeError),
 ]
 
 

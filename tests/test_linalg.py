@@ -155,6 +155,65 @@ def test_stacked_matmul_is_matmul_slice_by_slice(q, data):
     assert all((broadcast[t] == ops.matmul(shared, b[t])).all() for t in range(nmats))
 
 
+KERNEL_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+
+def scalar_matmul(field, a: np.ndarray, b: np.ndarray) -> list:
+    """(r x k) @ (k x c) as nested lists, a triple loop through the field's
+    scalar operations."""
+    out = []
+    for row in a.tolist():
+        out_row = []
+        for col in b.T.tolist():
+            acc = 0
+            for x, y in zip(row, col):
+                acc = field.add(acc, field.mul(x, y))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_QS), st.data())
+def test_stacked_kernels_are_the_scalar_reference(q, data):
+    # matmul on 2-D operands and on stacks broadcast against a 2-D operand,
+    # and rref_many, against the triple loop and rref matrix by matrix; the
+    # first rows of every matrix of the stack are zero
+    field = field_for_size(q)
+    ops = table_ops(field)
+    nmats, r, k, c = (data.draw(st.integers(0, 5)) for _ in range(4))
+    stack = np.array([low_rank(data.draw, q, r, k) for _ in range(nmats)],
+                     dtype=np.int16).reshape(nmats, r, k)
+    stack[:, :data.draw(st.integers(0, r))] = 0
+    b = entries(data.draw, q, nmats, k, c)
+    shared = entries(data.draw, q, k, c)
+    got, broadcast, red = ops.matmul(stack, b), ops.matmul(stack, shared), ops.rref_many(stack)
+    assert got.dtype == broadcast.dtype == red.dtype == np.int16
+    assert got.shape == broadcast.shape == (nmats, r, c) and red.shape == stack.shape
+    for t, mat in enumerate(stack):
+        assert got[t].tolist() == scalar_matmul(field, mat, b[t])
+        want = scalar_matmul(field, mat, shared)
+        assert broadcast[t].tolist() == ops.matmul(mat, shared).tolist() == want
+        rows, pivots = ops.rref(mat)
+        assert (red[t, :len(pivots)] == rows).all() and not red[t, len(pivots):].any()
+
+
+@pytest.mark.parametrize("q,k", [(181, 1), (191, 1), (4093, 40)])
+def test_prime_matmul_is_exact_up_to_the_largest_field_and_inner_dimension(q, k):
+    # k (q-1)^2 just below and just above the int16 range, and GF(4093), the
+    # largest prime field with lookup tables, with K = 40, the widest ambient
+    # (q = 2, k1 = k2 = 20)
+    field = field_for_size(q)
+    ops = table_ops(field)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(2, 3, k)).astype(np.int16)
+    b = rng.integers(0, q, size=(k, 4)).astype(np.int16)
+    a[0, 0], b[:, 0] = q - 1, q - 1  # the largest entry of the product
+    got = ops.matmul(a, b)
+    assert got.dtype == np.int16
+    assert [m.tolist() for m in got] == [scalar_matmul(field, m, b) for m in a]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(DUAL_SPECS + DEFAULT_INSTANCES), st.data())
 def test_dual_stack_is_the_kernel_of_the_pairing(params, data):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rghw import verify, weights
 from rghw.codes import build_code, parity_check_polynomial
-from rghw.errors import InvariantViolated
+from rghw.errors import InvariantViolated, RangeError
 from rghw.gf import FieldTable
 from rghw.subspaces import gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
@@ -52,15 +54,15 @@ def test_a_failure_message_is_built_only_when_the_check_fails():
     assert (res.checks, res.failures) == (3, ["failed"])
 
 
-def test_unknown_suite_is_a_key_error():
-    with pytest.raises(KeyError):
+def test_unknown_suite_is_a_range_error():
+    with pytest.raises(RangeError, match="unknown suite 'nope'"):
         run_suites(["nope"])
 
 
 def test_an_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
     ran = []
     monkeypatch.setitem(verify.SUITES, "gf", lambda: ran.append("gf"))
-    with pytest.raises(KeyError):
+    with pytest.raises(RangeError):
         run_suites(["gf", "nope"])
     assert ran == []
 
@@ -311,6 +313,32 @@ def test_distinct_keeps_the_first_copy_of_each_matrix_in_draw_order():
     assert first.tolist() == [t for t, key in enumerate(keys) if key not in keys[:t]]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 300), st.integers(0, 24), st.integers(0, 2**32 - 1))
+@example(2, 53, 8, 0)  # one chunk of 53 binary digits, up to 2^53 - 1
+@example(2, 54, 8, 0)  # the 54th digit opens a second chunk
+def test_row_keys_are_equal_exactly_when_rows_are(base, width, nrows, seed):
+    # int16 rows with entries below base, many repeated and many one digit
+    # away from another row
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, base, size=(nrows // 3 + 1, width))
+    mat = pool[rng.integers(0, len(pool), size=nrows)].astype(np.int16)
+    if width:
+        near = rng.random(nrows) < 0.3
+        cols = rng.integers(0, width, size=nrows)[near]
+        mat[near, cols] = (mat[near, cols] + 1) % base
+    if nrows >= 2 and width:
+        # the largest chunk values, so that b is base, and one unit below them
+        mat[:2] = base - 1
+        mat[1, 0] = (base - 2) % base
+    _, labels = np.unique(verify._row_keys(mat), return_inverse=True)
+    rows = [tuple(row) for row in mat.tolist()]
+    same_key = labels[:, None] == labels[None, :]
+    same_row = np.array([[r == s for s in rows] for r in rows], dtype=bool).reshape(nrows, nrows)
+    assert (same_key == same_row).all()
+    assert len(set(labels.tolist())) == len(np.unique(mat, axis=0))
+
+
 def _failures_with(monkeypatch, suite, name, corrupt):
     """The failures of suite() with verify.name wrapped so that corrupt
     edits each result in place first."""
@@ -351,13 +379,16 @@ def test_tables_that_ignore_the_addition_fail_distributivity(monkeypatch):
 
 
 def test_a_repeated_basis_fails_the_enumeration_count(monkeypatch):
-    def repeat_first(stack, k, j, q):
+    def repeat_one(stack, k, j, q):
         if (k, j, q) == (3, 1, 2):
             stack[-1] = stack[0]
+        if (k, j, q) == (6, 3, 3):  # the largest stack, 33,880 bases
+            stack[-1] = stack[len(stack) // 2]
 
-    failures = _failures_with(monkeypatch, lambda: verify.subspaces_suite(seed=1, max_dim=3),
-                              "rref_stack", repeat_first)
-    assert failures == ["q=2 k=3 j=1: enumeration count 7 (6 distinct) != 7"]
+    failures = _failures_with(monkeypatch, lambda: verify.subspaces_suite(seed=1),
+                              "rref_stack", repeat_one)
+    assert failures == ["q=2 k=3 j=1: enumeration count 7 (6 distinct) != 7",
+                        "q=3 k=6 j=3: enumeration count 33880 (33879 distinct) != 33880"]
 
 
 def test_a_duplicated_codeword_fails_injectivity(monkeypatch):
