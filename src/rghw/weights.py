@@ -83,7 +83,7 @@ def subspace_support_size(spec: CodeSpec, basis: np.ndarray) -> int:
     the benchmark stops naming it (ROADMAP 3(b)).
     """
     check_stack_ambient(basis[None], spec.q, spec.ambient_dim)
-    return _points_outside(spec.ops, basis, spec.coordinate_functionals)
+    return int(_points_outside(spec.ops, basis[None], spec.coordinate_functionals)[0])
 
 
 def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
@@ -95,8 +95,7 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
     mismatch in stack order raises.
     """
     via_dual = cyclic_group_counts(dual_stack(stack, spec), spec)
-    support = spec.ops.matmul(stack, spec.coordinate_functionals.T).any(axis=1).sum(axis=1)
-    direct = spec.n - support
+    direct = spec.n - _points_outside(spec.ops, stack, spec.coordinate_functionals)
     bad = np.flatnonzero(direct != via_dual)
     if len(bad):
         b = bad[0]
@@ -139,7 +138,7 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # a pivot set with P free entries the t-th basis in enumeration order has
 # the last P base-q digits of t (most significant first) as its free
 # entries in row-major order; each basis is scored by OR-ing rows of one
-# table of N-bit masks in 64-bit words (_MaskTable), counting bits and
+# table of N-bit masks in 64-bit words (_mask_table), counting bits and
 # keeping the first strict minimum.  The table is a stack of blocks keyed
 # by (columns, lead), each built once per chunk however many pivot sets use
 # it, and a plan (weights, bases) says which rows: column k of
@@ -162,10 +161,11 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # row, the one straddling the split, is gathered.
 #
 # Everything but the masks depends on small integers only: q, K, k1, j,
-# relative or not, the number of anchors |R|, the worker count and the
-# batch size.  _scan_shape computes it once per such key and caches it: the
-# anchoring choice, the subspace total, the chunks of pivot sets, each
-# chunk's layout and each pivot set's index plan (_IndexPlan: its weights,
+# relative or not, the number of anchors the scan walks (0 unanchored),
+# the worker count and the batch size.  _plan_scan picks the anchoring
+# and the subspace total (_scan_count), and _scan_shape computes the rest
+# once per such key and caches it: the chunks of pivot sets, each with
+# its layout and each pivot set's index plan (_IndexPlan: its weights,
 # bases, split and which columns are ORed per head, per pivot set or per
 # subspace).  Both routes of a j share one shape, a pool task carries its
 # chunk's plans, and the kernel only builds masks, ORs and counts.  The
@@ -257,7 +257,8 @@ def _table_bytes(layout: tuple[dict, int, bool], n: int) -> int:
     return layout[1] * 8 * -(-n // 64)
 
 
-class _MaskTable:
+def _mask_table(ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray],
+                layout: tuple[dict, int, bool]) -> np.ndarray:
     """N-bit masks of a scan over the rows of an (N, K) point matrix, in
     64-bit words, one block per (columns, lead) key: each row holds
     packbits of the mask in its first ceil(N/8) bytes and zeros after
@@ -273,39 +274,36 @@ class _MaskTable:
     array.  A block's low s columns give q^s value rows of about
     SLICE_BYTES, and each run of q^s table rows adds one high sum to them.
     """
-
-    def __init__(self, ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray],
-                 layout: tuple[dict, int, bool]):
-        self.q, (self.n, self.K) = ops.q, points.shape
-        self.starts, rows, _ = layout
-        q, n, K = self.q, self.n, self.K
-        self.masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
-        packed = self.masks.view(np.uint8)[:, :-(-n // 8)]
-        add = ops.field.add
-        slice_rows = max(1, SLICE_BYTES // (2 * n))  # rows of n values
-        # filled in place a slice of columns at a time: temporaries stay small
-        scaled = np.zeros((q, K, n), dtype=np.int16)
-        scaled[1] = points.T
-        for d in range(2, q):
-            for c in range(0, K, slice_rows):
-                scaled[d, c:c + slice_rows] = ops.mul_table[d][points[:, c:c + slice_rows].T]
-        self.anchor_rows = None if anchors is None else range(rows - len(anchors), rows)
-        if anchors is not None:
-            for r in range(0, len(anchors), slice_rows):
-                a = anchors[r:r + slice_rows]  # each value is a sum of scaled rows
-                value = scaled[a[:, 0], 0]
-                for c in range(1, K):
-                    value = add(value, scaled[a[:, c], c])
-                packed[self.anchor_rows[r]:][:len(a)] = np.packbits(value != 0, axis=1)
-        for (cols, lead), start in self.starts.items():
-            split = len(cols) - _low_width(len(cols), q, slice_rows)
-            low = np.zeros((1, n), dtype=np.int16)
-            for c in reversed(cols[split:]):
-                low = add(scaled[:, c, None], low).reshape(-1, n)
-            high = [scaled[:, c] for c in cols[:split]]
-            for h, base in enumerate(_sums(scaled[1, lead], high, add)):
-                packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
-                    add(base, low) != 0, axis=1)
+    q, (n, K) = ops.q, points.shape
+    starts, rows, _ = layout
+    masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
+    packed = masks.view(np.uint8)[:, :-(-n // 8)]
+    add = ops.field.add
+    slice_rows = max(1, SLICE_BYTES // (2 * n))  # rows of n values
+    # filled in place a slice of columns at a time: temporaries stay small
+    scaled = np.zeros((q, K, n), dtype=np.int16)
+    scaled[1] = points.T
+    for d in range(2, q):
+        for c in range(0, K, slice_rows):
+            scaled[d, c:c + slice_rows] = ops.mul_table[d][points[:, c:c + slice_rows].T]
+    if anchors is not None:
+        first = rows - len(anchors)
+        for r in range(0, len(anchors), slice_rows):
+            a = anchors[r:r + slice_rows]  # each value is a sum of scaled rows
+            value = scaled[a[:, 0], 0]
+            for c in range(1, K):
+                value = add(value, scaled[a[:, c], c])
+            packed[first + r:][:len(a)] = np.packbits(value != 0, axis=1)
+    for (cols, lead), start in starts.items():
+        split = len(cols) - _low_width(len(cols), q, slice_rows)
+        low = np.zeros((1, n), dtype=np.int16)
+        for c in reversed(cols[split:]):
+            low = add(scaled[:, c, None], low).reshape(-1, n)
+        high = [scaled[:, c] for c in cols[:split]]
+        for h, base in enumerate(_sums(scaled[1, lead], high, add)):
+            packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
+                add(base, low) != 0, axis=1)
+    return masks
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -373,9 +371,10 @@ def _batch_rows(words: int) -> int:
     return max(1, min(BATCH, BATCH_BYTES // (8 * words)))
 
 
-def _score_bytes(K: int, n: int, q: int, width: int) -> int:
+def _score_bytes(K: int, n: int, q: int, width: int, batch: int) -> int:
     """Bytes _first_minimum holds at most beside its table, for masks of n
-    bits, K columns and at most width free entries per subspace.
+    bits, K columns, at most width free entries per subspace and batches of
+    batch subspaces (_batch_rows).
 
     A batch scores at most rows = max(batch, q) subspaces (one run of q^s,
     or several) and a slice holds at most batch heads.  Per row: int64
@@ -388,14 +387,15 @@ def _score_bytes(K: int, n: int, q: int, width: int) -> int:
     float32 copy (4).
     """
     words = -(-n // 64)
-    rows = max(_batch_rows(words), q)
+    rows = max(batch, q)
     return rows * (8 * (6 * (K + 1) + 3 * width + 8) + 29 * words)
 
 
-def _first_minimum(table: _MaskTable, plan: _IndexPlan, slope: int = 1) -> tuple[int, int]:
+def _first_minimum(masks: np.ndarray, q: int, plan: _IndexPlan,
+                   slope: int = 1) -> tuple[int, int]:
     """Least slope * count over the subspaces of one pivot set, and the
-    first t in enumeration order attaining it, scored on the table rows
-    its index plan names.
+    first t in enumeration order attaining it, scored on the rows of a
+    GF(q) scan's mask table (_mask_table) that its index plan names.
 
     The k-th mask of t = h * run + l is row head[h, k] + low[l, k], and
     head h = b * q^split + d is bases[b] plus the high digits of d times
@@ -409,7 +409,7 @@ def _first_minimum(table: _MaskTable, plan: _IndexPlan, slope: int = 1) -> tuple
     straddles the split.  The order of t is the enumeration order, so the
     first minimum is the one a plain OR of every mask finds.
     """
-    q, masks, batch, split = table.q, table.masks, plan.batch, plan.split
+    batch, split = plan.batch, plan.split
     weights, bases = plan.weights, plan.bases
     width = len(plan.positions)
     run, per = q ** (width - split), q ** split
@@ -458,13 +458,13 @@ def _scan_chunk(task) -> tuple[int, np.ndarray]:
     with the chunk's pivots.
     """
     q, points, anchors, layout, plans, slope = task
-    table = _MaskTable(table_ops(field_for_size(q)), points, anchors, layout)
-    scores = [_first_minimum(table, plan, slope) for plan in plans]
+    masks = _mask_table(table_ops(field_for_size(q)), points, anchors, layout)
+    scores = [_first_minimum(masks, q, plan, slope) for plan in plans]
     val, i, t = min((v, i, t) for i, (v, t) in enumerate(scores))  # the first minimum
     # the basis of t: its free entries are the last digits of t, least
     # significant last, and what is left of t numbers the anchor
     lead, plan = int(anchors is not None), plans[i]
-    rows = np.zeros((lead + len(plan.pivots), table.K), dtype=np.int16)
+    rows = np.zeros((lead + len(plan.pivots), points.shape[1]), dtype=np.int16)
     for r, c in reversed(plan.positions):
         t, rows[lead + r, c] = divmod(t, q)
     for r, p in enumerate(plan.pivots):
@@ -502,15 +502,12 @@ def _scan_count(q: int, K: int, k1: int, dim: int, relative: bool, reps: int
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _ScanShape:
-    """What the parameters of a scan fix, before any point: whether it is
-    anchored, its process count, and the chunks of index plans in
-    enumeration order with their table layouts; live are the layouts of the
-    tables alive at once, the workers largest."""
+    """What the parameters of a scan fix, before any point: its chunks in
+    enumeration order, each a table layout and the index plans of its
+    pivot sets; live are the layouts of the tables alive at once, the
+    workers largest, one per pool process."""
 
-    anchored: bool
-    workers: int
-    chunks: tuple[tuple[_IndexPlan, ...], ...]
-    layouts: tuple[tuple[dict, int, bool], ...]
+    chunks: tuple[tuple[tuple[dict, int, bool], tuple[_IndexPlan, ...]], ...]
     live: tuple[tuple[dict, int, bool], ...]
 
 
@@ -519,8 +516,8 @@ def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, wo
                 batch: int) -> _ScanShape:
     """The _ScanShape of a scan of dim-dimensional subspaces of GF(q)^K, on
     the relative family of k1 or on every subspace, through reps anchors
-    where anchoring scores fewer, with workers processes (after the CPU
-    clamp) and batches of batch subspaces.
+    (0 for a scan _plan_scan leaves unanchored), with workers processes
+    (after the CPU clamp) and batches of batch subspaces.
 
     Cached, as subspaces.counter is: both routes of a j have one shape,
     since |R G| = |R| and both score N points, and every table of
@@ -528,18 +525,17 @@ def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, wo
     from the points or n, and _plan_scan checks the subspace cap
     (_scan_count) before the first call for a shape.
     """
-    anchored, _ = _scan_count(q, K, k1, dim, relative, reps)
-    if anchored:
+    if reps:
         sets = [ps for ps in pivot_sets(k1, dim - 1) if 0 not in ps]
     else:
-        sets, reps = pivot_sets(k1 if relative else K, dim), 0
+        sets = pivot_sets(k1 if relative else K, dim)
     work = [count_for_pivots(ps, K, q) for ps in sets]
     runs = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
-    layouts = tuple(_block_starts(q, K, run, reps) for run in runs)
-    chunks = tuple(tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run)
+    layouts = [_block_starts(q, K, run, reps) for run in runs]
+    chunks = tuple((layout, tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run))
                    for run, layout in zip(runs, layouts))
     live = tuple(sorted(layouts, key=lambda layout: layout[1], reverse=True)[:workers])
-    return _ScanShape(anchored, workers, chunks, layouts, live)
+    return _ScanShape(chunks, live)
 
 
 @dataclass(frozen=True, slots=True)
@@ -548,7 +544,7 @@ class ScanPlan:
     exists: its route's point matrix (the group points g on the dual side,
     the coordinate functionals F otherwise), the map
     value = offset + slope * count from the count of the points it scores
-    (_scan_points), the spec's anchors when the shape is anchored, and the
+    (_scan_points), the spec's anchors when the scan is anchored, and the
     shape (_scan_shape)."""
 
     dual: bool
@@ -584,8 +580,7 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     dual = mode == "max_group"
     # |R G| = |R|, so both scans anchor under one rule
     reps = spec.orbit_anchors[dual] if relative else None
-    nreps = 0 if reps is None else len(reps)
-    _, total = _scan_count(q, K, spec.k1, dim, relative, nreps)
+    anchored, total = _scan_count(q, K, spec.k1, dim, relative, 0 if reps is None else len(reps))
     if total > cap:
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
@@ -601,7 +596,8 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     batch = _batch_rows(-(-scored // 64))
-    shape = _scan_shape(q, K, spec.k1, dim, relative, nreps, workers, batch)
+    shape = _scan_shape(q, K, spec.k1, dim, relative, len(reps) if anchored else 0, workers,
+                        batch)
     # each chunk builds its own table and scores it, and each of the
     # workers holds one
     live = [_table_bytes(layout, scored) for layout in shape.live]
@@ -611,13 +607,13 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     width = dim * (K - dim)
     # the scored points are held by the parent and each busy worker, the
     # route's n-row matrix by the parent, for the confirmation
-    scan_bytes = (sum(live) + len(live) * _score_bytes(K, scored, q, width)
+    scan_bytes = (sum(live) + len(live) * _score_bytes(K, scored, q, width, batch)
                   + 2 * K * scored * (q * len(live) + copies) + 2 * K * spec.n)
     if scan_bytes > TABLE_CAP_BYTES:
         raise CapExceeded(
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
-    return ScanPlan(dual, offset, slope, reps if shape.anchored else None, shape)
+    return ScanPlan(dual, offset, slope, reps if anchored else None, shape)
 
 
 def _scan_points(spec: CodeSpec, plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -629,11 +625,11 @@ def _scan_points(spec: CodeSpec, plan: ScanPlan) -> tuple[np.ndarray, np.ndarray
                    else route[:spec.n // spec.multiplicity])
 
 
-def _points_outside(ops: TableOps, rows: np.ndarray, points: np.ndarray) -> int:
-    """Number of rows x of a point matrix with rows x != 0, counted a slice
-    of points at a time."""
+def _points_outside(ops: TableOps, stack: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Number of rows x of a point matrix with D x != 0 for each basis D of
+    a (B, r, K) stack, counted a slice of points at a time."""
     step = max(1, SLICE_BYTES // (8 * points.shape[1]))
-    return sum(int(ops.matmul(rows, points[s:s + step].T).any(axis=0).sum())
+    return sum(ops.matmul(stack, points[s:s + step].T).any(axis=1).sum(axis=1)
                for s in range(0, len(points), step))
 
 
@@ -641,17 +637,16 @@ def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
     """Best value of a planned scan and a spanning set of the first subspace
     attaining it, confirmed on the route's own n points."""
     route, points = _scan_points(spec, plan)
-    shape = plan.shape
     tasks = [(spec.q, points, plan.anchors, layout, chunk, plan.slope)
-             for chunk, layout in zip(shape.chunks, shape.layouts)]
+             for layout, chunk in plan.shape.chunks]
     if len(tasks) == 1:
         best, rows = _scan_chunk(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=shape.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(plan.shape.live)) as pool:
             # chunk order is enumeration order, and min keeps the first minimum
             best, rows = min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
     value = plan.offset + best
-    outside = _points_outside(spec.ops, rows, route)
+    outside = int(_points_outside(spec.ops, rows[None], route)[0])
     if outside != value:
         raise InvariantViolated(
             f"scan value {value} != {outside} points outside {rows.tolist()}")

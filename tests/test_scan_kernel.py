@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import re
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -244,9 +243,8 @@ def n_point_scan(spec, plan):
     """The planned scan on the route's own n points, whose count is the
     value: (value, basis) of the first optimum, chunk by chunk."""
     route, _ = weights._scan_points(spec, plan)
-    shape = plan.shape
     return min((weights._scan_chunk((spec.q, route, plan.anchors, lay, chunk, 1))
-                for chunk, lay in zip(shape.chunks, shape.layouts)), key=lambda r: r[0])
+                for lay, chunk in plan.shape.chunks), key=lambda r: r[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,8 +265,9 @@ def test_scored_points_give_the_n_point_count(spec_grid, data):
     assert plan.slope == (-1 if spec.structural else spec.multiplicity)
     for dual in (False, True):
         route, points = weights._scan_points(spec, dataclasses.replace(plan, dual=dual))
-        reduced = plan.offset + plan.slope * weights._points_outside(spec.ops, red, points)
-        assert reduced == weights._points_outside(spec.ops, red, route), (spec, dual)
+        outside = weights._points_outside(spec.ops, red[None], points)[0]
+        assert plan.offset + plan.slope * outside == weights._points_outside(
+            spec.ops, red[None], route)[0], (spec, dual)
 
 
 def test_reduced_scans_match_the_n_point_scan(spec_grid):
@@ -385,20 +384,22 @@ def test_table_bound_raises_before_allocating(monkeypatch):
         # anchored dual j=1: D' is an anchor r G alone, one row per anchor
         (lambda: mj_dual_count(spec, 1).m, 1, 10, reps),
     ]
-    table_class = weights._MaskTable
+    table_class = weights._mask_table
+    batch = weights._batch_rows(-(-N // 64))
 
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
 
     for run, dim, value, rows in cases:
-        arrays = 2 * 5 * N * (2 + 1) + 2 * 5 * 21 + weights._score_bytes(5, N, 2, dim * (5 - dim))
+        arrays = (2 * 5 * N * (2 + 1) + 2 * 5 * 21
+                  + weights._score_bytes(5, N, 2, dim * (5 - dim), batch))
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays)
         assert run() == value
         monkeypatch.setattr(weights, "TABLE_CAP_BYTES", rows * width + arrays - 1)
-        monkeypatch.setattr(weights, "_MaskTable", no_table)
+        monkeypatch.setattr(weights, "_mask_table", no_table)
         with pytest.raises(CapExceeded):
             run()
-        monkeypatch.setattr(weights, "_MaskTable", table_class)
+        monkeypatch.setattr(weights, "_mask_table", table_class)
 
 
 def test_the_bound_refuses_before_the_points_are_read(monkeypatch):
@@ -438,7 +439,7 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     # arrays, the parent and both workers the (N, K) int16 scored points,
     # and the parent the route's (n, K) int16 point matrix
     arrays = (2 * 5 * N * (2 * 2 + 3) + 2 * 5 * 21
-              + 2 * weights._score_bytes(5, N, 2, 2 * 3))
+              + 2 * weights._score_bytes(5, N, 2, 2 * 3, weights._batch_rows(-(-N // 64))))
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
     assert ghw_bruteforce(spec, 2, workers=2) == 15
     assert recording_pool == [2]
@@ -447,7 +448,7 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     def no_table(*args):
         raise AssertionError("table allocated past the bound")
 
-    monkeypatch.setattr(weights, "_MaskTable", no_table)
+    monkeypatch.setattr(weights, "_mask_table", no_table)
     with pytest.raises(CapExceeded):
         ghw_bruteforce(spec, 2, workers=2)
     assert recording_pool == [2]  # no second pool started
@@ -478,7 +479,7 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
     counted = counted_bytes(spec, dim, mode, monkeypatch)
     slack = 4 * max(weights.SLICE_BYTES, 2 * q * n) + 2 * K * n
     peaks = []
-    table_class = weights._MaskTable
+    table_class = weights._mask_table
 
     def traced_table(*args):
         tracemalloc.reset_peak()
@@ -486,7 +487,7 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
         peaks.append(tracemalloc.get_traced_memory()[1])
         return table
 
-    monkeypatch.setattr(weights, "_MaskTable", traced_table)
+    monkeypatch.setattr(weights, "_mask_table", traced_table)
     tracemalloc.start()
     try:
         run_scan(spec, dim, mode)
@@ -509,15 +510,17 @@ def test_scoring_holds_what_the_bound_counts(params, dim, mode):
     K = spec.ambient_dim
     plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
     _, points = weights._scan_points(spec, plan)
-    table = weights._MaskTable(spec.ops, points, plan.anchors, plan.shape.layouts[0])
+    lay, chunk = plan.shape.chunks[0]
+    masks = weights._mask_table(spec.ops, points, plan.anchors, lay)
     tracemalloc.start()
     try:
-        for index in plan.shape.chunks[0]:
-            weights._first_minimum(table, index, plan.slope)
+        for index in chunk:
+            weights._first_minimum(masks, spec.q, index, plan.slope)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= weights._score_bytes(K, len(points), spec.q, dim * (K - dim))
+    assert peak <= weights._score_bytes(K, len(points), spec.q, dim * (K - dim),
+                                        weights._batch_rows(-(-len(points) // 64)))
 
 
 def test_mask_table_holds_each_block_once(monkeypatch):
@@ -529,8 +532,8 @@ def test_mask_table_holds_each_block_once(monkeypatch):
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
         lay = layout(spec, sets, anchors)
-        table = weights._MaskTable(spec.ops, points, anchors, lay)
-        assert weights._table_bytes(lay, spec.n) == table.masks.nbytes, mode
+        masks = weights._mask_table(spec.ops, points, anchors, lay)
+        assert weights._table_bytes(lay, spec.n) == masks.nbytes, mode
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1), (0,2), (1,2) have 6
     # (pivot set, row) pairs and 5 distinct blocks over the rows' free
     # columns (32 rows), but 3 over every later column (28 rows), which the
@@ -541,11 +544,11 @@ def test_mask_table_holds_each_block_once(monkeypatch):
     calls = []
     matmul = spec.ops.matmul
     monkeypatch.setattr(spec.ops, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
-    table = weights._MaskTable(spec.ops, spec.group_vectors, None,
-                               layout(spec, sets, None))
-    assert len(table.starts) == 3
+    lay = layout(spec, sets, None)
+    masks = weights._mask_table(spec.ops, spec.group_vectors, None, lay)
+    assert len(lay[0]) == 3
     assert calls == []
-    assert table.masks.shape[0] == 2**4 + 2**3 + 2**2
+    assert masks.shape[0] == 2**4 + 2**3 + 2**2
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,23 +567,23 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     dim = data.draw(st.integers(1, K))
     sets, points = kernel_args(spec, dim, mode)
     anchors = orbit_representatives(spec) if anchored else None
+    lay = layout(spec, sets, anchors)
     with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
-        table = weights._MaskTable(spec.ops, points, anchors,
-                                   layout(spec, sets, anchors))
+        masks = weights._mask_table(spec.ops, points, anchors, lay)
     funcs = points.T
     packed = -(-spec.n // 8)
-    rows = table.masks.view(np.uint8)
+    rows = masks.view(np.uint8)
     assert rows.shape[1] == 8 * -(-spec.n // 64)
     assert not rows[:, packed:].any()
     target = spec.ops.mul_table[spec.field_q.neg(1)][funcs]
-    for (cols, lead), start in table.starts.items():
+    for (cols, lead), start in lay[0].items():
         a = np.array(list(itertools.product(range(q), repeat=len(cols))),
                      dtype=np.int16).reshape(q ** len(cols), len(cols))
         want = np.packbits(spec.ops.matmul(a, funcs[list(cols)]) != target[lead], axis=1)
         assert (rows[start:start + len(a), :packed] == want).all(), (cols, lead)
     if anchored:
         want = np.packbits(spec.ops.matmul(anchors, funcs) != 0, axis=1)
-        assert (rows[table.anchor_rows.start:, :packed] == want).all()
+        assert (rows[lay[1] - len(anchors):, :packed] == want).all()
 
 
 def test_every_ladder_scan_argmax_is_pinned(ladder):
@@ -641,14 +644,14 @@ def test_dual_table_sizes_are_pinned():
         assert got == sizes, params
 
 
-def plain_first_minimum(table, plan, slope=1):
+def plain_first_minimum(masks, q, plan, slope=1):
     """Least slope * count over one pivot set's subspaces and the first t
     attaining it, by OR-ing every mask the plan names for every t."""
     weights_, bases = plan.weights, plan.bases
-    q, width = table.q, len(plan.positions)
+    width = len(plan.positions)
     t = np.arange(len(bases) * q ** width)
     index = digits(t % q ** width, width, q) @ weights_ + bases[t // q ** width]
-    counts = np.bitwise_count(np.bitwise_or.reduce(table.masks[index], axis=1)).sum(axis=1)
+    counts = np.bitwise_count(np.bitwise_or.reduce(masks[index], axis=1)).sum(axis=1)
     values = slope * counts.astype(np.int64)
     return int(values.min()), int(values.argmin())
 
@@ -676,12 +679,12 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
         return
     pivots = data.draw(st.sampled_from(sets))
     lay = layout(spec, [pivots], anchors)
-    table = weights._MaskTable(spec.ops, points, anchors, lay)
+    masks = weights._mask_table(spec.ops, points, anchors, lay)
     with mock.patch.object(weights, "BATCH", batch):
         plan = index_plan(spec, pivots, lay, anchors, points)
     assert plan.batch == batch
-    got = weights._first_minimum(table, plan, slope)
-    assert got == plain_first_minimum(table, plan, slope)
+    got = weights._first_minimum(masks, spec.q, plan, slope)
+    assert got == plain_first_minimum(masks, spec.q, plan, slope)
 
 
 def rule_layout(q, K, sets, anchors, free):
@@ -710,9 +713,9 @@ def test_block_key_rule_moves_no_value_or_argmax(small_grid, mode, anchored, dat
     if not sets:
         return
     layouts = [rule_layout(q, K, sets, anchors, free) for free in (False, True)]
-    tables = [weights._MaskTable(spec.ops, points, anchors, lay) for lay in layouts]
+    tables = [weights._mask_table(spec.ops, points, anchors, lay) for lay in layouts]
     for pivots in sets:
-        later, free = (weights._first_minimum(t, index_plan(spec, pivots, lay, anchors, points))
+        later, free = (weights._first_minimum(t, q, index_plan(spec, pivots, lay, anchors, points))
                        for t, lay in zip(tables, layouts))
         assert later == free, (spec, mode, pivots)
     kept = weights._block_starts(q, K, sets, nanchors(anchors))
@@ -796,11 +799,10 @@ def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
     PROPERTY_GRID, the rows _scan_chunk writes for the first, the last and
     a random t are the basis pivot_bases builds from the digits of t, under
     the anchor that t names.  Both relative routes share a shape, and the
-    decode reads only the table's width, so each shape is checked once, on
-    a stand-in table."""
+    decode reads only the points' width, so each shape is checked once,
+    with no table built."""
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(weights, "_MaskTable",
-                        lambda ops, points, anchors, layout: SimpleNamespace(K=points.shape[1]))
+    monkeypatch.setattr(weights, "_mask_table", lambda ops, points, anchors, layout: None)
     shapes = set()
     for spec in property_specs(spec_grid):
         K, q = spec.ambient_dim, spec.q
@@ -811,13 +813,13 @@ def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
                     continue
                 shapes.add(plan.shape)
                 points = np.zeros((1, K), dtype=np.int16)
-                for index in plan.shape.chunks[0]:
+                for index in plan.shape.chunks[0][1]:
                     width = len(index.positions)
                     per = q ** width
                     total = len(index.bases) * per
                     for t in {0, total - 1, int(rng.integers(total))}:
                         monkeypatch.setattr(weights, "_first_minimum",
-                                            lambda table, index, slope, t=t: (0, t))
+                                            lambda masks, q, index, slope, t=t: (0, t))
                         _, rows = weights._scan_chunk(
                             (q, points, plan.anchors, None, (index,), 1))
                         want = pivot_bases(index.pivots, K,
@@ -851,7 +853,7 @@ def assert_same(a, b, path="plan"):
 
 def shape_arrays(shape):
     """Every array a scan shape holds."""
-    for chunk in shape.chunks:
+    for _, chunk in shape.chunks:
         for index in chunk:
             for f in dataclasses.fields(index):
                 if isinstance(getattr(index, f.name), np.ndarray):
@@ -885,9 +887,9 @@ def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool)
                     relative = mode != "min_support_all"
                     reps = len(spec.orbit_anchors[mode == "max_group"]) if relative else 0
                     assert weights._scan_count(spec.q, spec.ambient_dim, spec.k1, j, relative,
-                                               reps) == (shape.anchored, sum(
+                                               reps) == (cold.anchors is not None, sum(
                         len(index.bases) * spec.q ** len(index.positions)
-                        for chunk in shape.chunks for index in chunk))
+                        for _, chunk in shape.chunks for index in chunk))
                     assert not any(array.flags.writeable for array in shape_arrays(shape))
                     shapes += 1
         for workers in (1, 2):
@@ -912,7 +914,7 @@ def test_the_index_plan_follows_the_batch(batch):
         weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)  # the default batch
         with mock.patch.object(weights, "BATCH", batch):
             plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
-        for chunk in plan.shape.chunks:
+        for _, chunk in plan.shape.chunks:
             for index in chunk:
                 width = len(index.positions)
                 assert index.batch == batch, params

@@ -378,6 +378,22 @@ def test_tables_that_ignore_the_addition_fail_distributivity(monkeypatch):
     assert res.failures == ["GF(8): multiplication does not distribute over addition"]
 
 
+def test_a_swapped_trace_fails_additivity_and_frobenius_invariance(monkeypatch):
+    # GF(8)'s nonzero elements of trace 0 form one Frobenius orbit; the
+    # first of them swapped with the first element of trace 1 keeps the
+    # trace-zero count and tr(0) = 0, so the trace stays GF(2)-homogeneous,
+    # but the table is two points off a linear map and no longer constant
+    # on that orbit
+    def swap(tr, f, base):
+        if f.size == 8:
+            zero, one = np.flatnonzero(tr == 0)[1], np.flatnonzero(tr == 1)[0]
+            tr[[zero, one]] = tr[[one, zero]]
+
+    failures = _failures_with(monkeypatch, verify.gf_suite, "trace_table", swap)
+    assert failures == ["GF(8): trace is not additive",
+                        "GF(8): trace is not Frobenius invariant"]
+
+
 def test_a_repeated_basis_fails_the_enumeration_count(monkeypatch):
     def repeat_one(stack, k, j, q):
         if (k, j, q) == (3, 1, 2):

@@ -150,6 +150,21 @@ def test_zero_counts_identities():
         assert direct == via_dual == zero_counts(spec, d[None])[0]
 
 
+def test_zero_counts_slices_the_coordinates(monkeypatch):
+    """With slices of 7 coordinates, zero_counts of a random stack is n
+    minus the support of one product over all n coordinates; an empty
+    stack gives no counts."""
+    spec = build_code(3, 2, 3, 1, 2)
+    K = spec.ambient_dim
+    monkeypatch.setattr(weights, "SLICE_BYTES", 8 * K * 7)
+    assert spec.n > 2 * 7
+    rng = np.random.default_rng(5)
+    stack = spec.ops.rref_many(rng.integers(0, 3, size=(40, 2, K)).astype(np.int16))
+    support = spec.ops.matmul(stack, spec.coordinate_functionals.T).any(axis=1).sum(axis=1)
+    assert (zero_counts(spec, stack) == spec.n - support).all()
+    assert zero_counts(spec, np.zeros((0, 2, K), dtype=np.int16)).shape == (0,)
+
+
 def test_zero_counts_mismatch_is_typed(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     line = basis(2, spec.ambient_dim, [(1, 0, 0, 0, 0)])
@@ -216,9 +231,15 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # an in-process pool, so a missing bound cannot start a single process
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 3)
     spec = build_code(2, 3, 2, 1, 1)
-    # j=2: at j=1 the anchored scan has a single pivot set and starts no pool
+    # j=2: at j=1 the anchored scan has a single pivot set and starts no
+    # pool; at j=2 it has two chunks, and the pool starts one process per
+    # live table, not one per CPU
+    plan = weights._plan_scan(spec, 2, "min_support", weights.DEFAULT_ENUM_CAP, 10**6)
+    assert len(plan.shape.chunks) == len(plan.shape.live) == 2
     assert rghw_bruteforce(spec, 2, workers=10**6) == rghw_bruteforce(spec, 2)
-    assert recording_pool == [3]
+    # GHW j=2 walks 10 pivot sets, in more chunks than CPUs
+    assert ghw_bruteforce(spec, 2, workers=10**6) == ghw_bruteforce(spec, 2)
+    assert recording_pool == [2, 3]
 
 
 def test_one_cpu_scans_in_process(monkeypatch, recording_pool):
