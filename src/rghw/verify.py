@@ -35,7 +35,7 @@ from .gf import (
     minimal_polynomial,
     trace_table,
 )
-from .linalg import table_ops
+from .linalg import last_axis_first, table_ops
 from .subspaces import (
     dual_stack,
     gaussian_binomial,
@@ -47,6 +47,7 @@ from .subspaces import (
 from .weights import (
     BATCH_BYTES,
     DEFAULT_ENUM_CAP,
+    DualCountResult,
     check_floors,
     ghw_bruteforce,
     mj_dual_count,
@@ -98,7 +99,9 @@ class SuiteResult:
 
     def check_residual(self, diff: float, tol: float, message: Callable[[], str]) -> None:
         """check_residuals on the one diff."""
-        self.check_residuals([diff], tol, lambda _: message())
+        diff = float(diff)
+        self.notes["max_residual"] = max(self.notes.get("max_residual", 0.0), diff)
+        self.check(diff < tol, message)
 
     def as_dict(self) -> dict:
         return {
@@ -108,6 +111,32 @@ class SuiteResult:
             "failures": self.failures[:20],
             "notes": self.notes,
         }
+
+
+class _RunRecord:
+    """The CodeSpecs and scan pairs of one run_suites call: each is made on
+    first use and shared by every suite of the call that needs it, and the
+    record goes with the call.  A suite called alone makes its own."""
+
+    def __init__(self) -> None:
+        self._specs: dict[tuple, CodeSpec] = {}
+        self._scans: dict[tuple, tuple[int, DualCountResult]] = {}
+
+    def spec(self, params) -> CodeSpec:
+        """build_code(*params), built once."""
+        key = tuple(params)
+        if key not in self._specs:
+            self._specs[key] = build_code(*key)
+        return self._specs[key]
+
+    def scans(self, params, j: int, workers: int) -> tuple[int, DualCountResult]:
+        """(rghw_bruteforce, mj_dual_count) of the code of params at j, scanned once."""
+        key = (tuple(params), j, workers)
+        if key not in self._scans:
+            spec = self.spec(params)
+            self._scans[key] = (rghw_bruteforce(spec, j, workers=workers),
+                                mj_dual_count(spec, j, workers=workers))
+        return self._scans[key]
 
 
 def _draw_blocks(rng: np.random.Generator, q: int, nrows, width: int, ambient_dim: int):
@@ -253,10 +282,12 @@ def _subcode_words(spec: CodeSpec) -> np.ndarray:
     return trace_table(field, spec.field_q)[np.array(field.exp_table)[logs]].astype(np.int16)
 
 
-def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
+def codes_suite(instances: Sequence[tuple] = DEFAULT_INSTANCES,
+                record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("codes")
+    record = record or _RunRecord()
     for params in instances:
-        spec = build_code(*params)
+        spec = record.spec(params)
         label = f"{params}"
         res.check(
             spec.Q1 - 1 == spec.e1 * spec.n1 and spec.Q2 - 1 == spec.e2 * spec.n2,
@@ -319,8 +350,10 @@ def _recurrence_annihilates(spec: CodeSpec, h, words: np.ndarray) -> bool:
 def subspaces_suite(seed: int = 2024,
                     instances: Sequence[tuple] = DEFAULT_INSTANCES,
                     max_dim: int = 6,
-                    roundtrips: int = 1000) -> SuiteResult:
+                    roundtrips: int = 1000,
+                    record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("subspaces")
+    record = record or _RunRecord()
     for q in (2, 3):
         for k in range(1, max_dim + 1):
             for j in range(0, k + 1):
@@ -335,7 +368,7 @@ def subspaces_suite(seed: int = 2024,
                 )
     # duality round-trips on seeded random subspaces of the product ambients;
     # each distinct subspace of a draw block is dualized once, each draw checked
-    specs = [build_code(*params) for params in instances]
+    specs = [record.spec(params) for params in instances]
     rng = np.random.default_rng([seed, 1])
     per_spec = max(1, roundtrips // len(specs))
     for spec in specs:
@@ -348,7 +381,8 @@ def subspaces_suite(seed: int = 2024,
             dual = dual_stack(stack[first], spec)
             dims = stack_dims(stack)
             dual_dims = stack_dims(dual)[back]
-            same = (dual_stack(dual, spec)[back] == stack).all(axis=(1, 2))
+            same = last_axis_first(
+                (dual_stack(dual, spec)[back] == stack).reshape(len(stack), -1)).all(axis=0)
             res.check_all(
                 np.stack([dual_dims == K - dims, same], 1).ravel(),
                 lambda t: (f"{spec}: dual dimension {dual_dims[t // 2]} != {K - dims[t // 2]}"
@@ -385,25 +419,29 @@ def subspaces_suite(seed: int = 2024,
 
 def weights_suite(seed: int = 2024,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES,
-                  workers: int = 1) -> SuiteResult:
+                  workers: int = 1,
+                  record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("weights")
+    record = record or _RunRecord()
     rng = np.random.default_rng([seed, 2])
     for params in instances:
-        spec = build_code(*params)
+        spec = record.spec(params)
+        K = spec.ambient_dim
         label = f"{params}"
+        scans = [record.scans(params, j, workers) for j in range(1, spec.k1 + 1)]
+        # the argmax's j-dimensional dual vanishes on exactly N_j
+        # coordinates: every j's argmax, padded to K rows, in one stack
+        argmaxes = np.zeros((len(scans), K, K), dtype=np.int16)
+        for t, (_, dual) in enumerate(scans):
+            argmaxes[t, :len(dual.argmax)] = dual.argmax
+        counts = zero_counts(spec, dual_stack(argmaxes, spec))
         previous = None
-        for j in range(1, spec.k1 + 1):
-            brute = rghw_bruteforce(spec, j, workers=workers)
-            dual = mj_dual_count(spec, j, workers=workers)
+        for j, (brute, dual), count in zip(range(1, spec.k1 + 1), scans, counts.tolist()):
             res.check(
                 brute == dual.m,
                 lambda: f"{label} j={j}: bruteforce {brute} != dual count {dual.m}",
             )
-            # the argmax's j-dimensional dual vanishes on exactly N_j coordinates
-            res.check(
-                dual.n_j == zero_counts(spec, dual_stack(dual.argmax[None], spec))[0],
-                lambda: f"{label} j={j}: argmax does not reproduce N_j",
-            )
+            res.check(dual.n_j == count, lambda: f"{label} j={j}: argmax does not reproduce N_j")
             ghw = ghw_bruteforce(spec, j, workers=workers)
             res.check(
                 ghw <= brute, lambda: f"{label} j={j}: GHW {ghw} exceeds RGHW {brute}"
@@ -483,16 +521,19 @@ def gauss_suite(seed: int = 2024) -> SuiteResult:
                 lambda: f"GF({size}): scalar/table Gauss sums differ at ({lam},{b})",
             )
         # orthogonality relations for every divisor of the group order
-        for e in _divisors(order):
+        divisors = _divisors(order)
+        odiffs = []
+        for e in divisors:
             sums = unit_roots(e)[
                 np.outer(np.arange(e), t) % e
             ].sum(axis=0)
             target = np.where(t % e == 0, float(e), 0.0)
-            odiff = float(np.abs(sums - target).max())
-            res.check_residual(odiff, GAUSS_TOL,
-                               lambda: f"GF({size}) e={e}: orthogonality residual {odiff}")
+            odiffs.append(float(np.abs(sums - target).max()))
+        res.check_residuals(
+            odiffs, GAUSS_TOL,
+            lambda i: f"GF({size}) e={divisors[i]}: orthogonality residual {odiffs[i]}")
         # scalar orthogonality op on a few points, largest two divisors
-        for e in _divisors(order)[-2:]:
+        for e in divisors[-2:]:
             alpha = field.exp_table[e % order]
             for _ in range(3):
                 x_log = int(rng.integers(0, order))
@@ -515,10 +556,12 @@ def _check_samples(samples: int) -> None:
 
 
 def charsum_suite(seed: int = 2024, samples: int = 100,
-                  instances: Sequence[tuple] = DEFAULT_INSTANCES) -> SuiteResult:
+                  instances: Sequence[tuple] = DEFAULT_INSTANCES,
+                  record: Optional[_RunRecord] = None) -> SuiteResult:
     _check_samples(samples)
     res = SuiteResult("charsum")
-    specs = [(params, build_code(*params)) for params in instances]
+    record = record or _RunRecord()
+    specs = [(params, record.spec(params)) for params in instances]
     usable = [(params, spec) for params, spec in specs if spec.d == 1]
     for params, spec in usable:
         rng = np.random.default_rng([seed, 4, *params])
@@ -545,8 +588,9 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_forms_suite(workers: int = 1) -> SuiteResult:
+def closed_forms_suite(workers: int = 1, record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("closed_forms")
+    record = record or _RunRecord()
     cases = [
         (2, 2, 3, 1, 1),
         (2, 3, 2, 1, 1),
@@ -561,14 +605,12 @@ def closed_forms_suite(workers: int = 1) -> SuiteResult:
         res.check(structural, lambda: f"{params}: not structural")
         if not structural:
             continue
-        spec = build_code(*params)
         for j in range(1, k1 + 1):
             n_j, m_j = evaluate_closed_form(q, k1, k2, e1, e2, j)
             res.check(
                 n_j > 0 and m_j > 0, lambda: f"{params} j={j}: nonpositive closed form"
             )
-            brute = rghw_bruteforce(spec, j, workers=workers)
-            dual = mj_dual_count(spec, j, workers=workers)
+            brute, dual = record.scans(params, j, workers)
             res.check(
                 m_j == brute == dual.m,
                 lambda: f"{params} j={j}: closed form {m_j} vs brute {brute} vs dual {dual.m}",
@@ -591,29 +633,34 @@ SUITES = {
 }
 
 
-# The keyword arguments of run_suites that each suite takes.
+# The keyword arguments of run_suites that each suite takes; a suite that
+# builds codes or scans takes the call's record.
 _SUITE_ARGS = {
     "gf": (),
-    "codes": (),
-    "subspaces": ("seed",),
-    "weights": ("seed", "workers"),
+    "codes": ("record",),
+    "subspaces": ("seed", "record"),
+    "weights": ("seed", "workers", "record"),
     "gauss": ("seed",),
-    "charsum": ("seed", "samples"),
-    "closed_forms": ("workers",),
+    "charsum": ("seed", "samples", "record"),
+    "closed_forms": ("workers", "record"),
 }
 
 
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
-    """Run the named suites, all by default, in order.  The sample, seed and
-    worker floors, the sample cap and every name are checked before any
-    suite runs; an unknown name is a RangeError."""
+    """Run the named suites, all for names=None, in order.  The sample,
+    seed and worker floors, the names (one or more, each known and named
+    once: a RangeError otherwise) and the sample cap are checked before any
+    suite runs.  One record of the call shares each CodeSpec and each scan
+    pair among its suites; a second call builds and scans again."""
     check_floors(samples=samples, seed=seed, workers=workers)
-    given = {"seed": seed, "samples": samples, "workers": workers}
-    names = list(names) if names else list(SUITES)
+    names = list(SUITES) if names is None else list(names)
+    if not names or len(set(names)) < len(names):
+        raise RangeError(f"suites {tuple(names)} must name one suite or more, each once")
     if "charsum" in names:
         _check_samples(samples)
     for name in names:
         if name not in SUITES:
             raise RangeError(f"unknown suite {name!r}")
+    given = {"seed": seed, "samples": samples, "workers": workers, "record": _RunRecord()}
     return [SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}) for name in names]

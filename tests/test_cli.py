@@ -458,6 +458,9 @@ BAD_INPUTS = [
     ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),
     ("seed-negative", ("verify", "--seed", "-1"), 2, "RangeError"),
     ("suite-unknown", ("verify", "--suite", "nope"), 2, "RangeError"),
+    ("suite-repeated", ("verify", "--suite", "gf", "--suite", "gf"), 2, "RangeError"),
+    # a command line cannot pass an empty suite list: an empty name is the nearest
+    ("suite-empty", ("verify", "--suite", ""), 2, "RangeError"),
     ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"), 2, "RangeError"),
     ("routes-empty", ("table", *SPEC_ARGS, "--routes", ","), 2, "RangeError"),
     ("routes-repeated-table", ("table", *SPEC_ARGS, "--routes", "bruteforce,bruteforce"), 2,
@@ -615,6 +618,10 @@ PARITY = [
      lambda: verify.run_suites(samples=10**12), CapExceeded),
     ("suite-unknown", ("verify", "--suite", "gf", "--suite", "nope"),
      lambda: verify.run_suites(["gf", "nope"]), RangeError),
+    ("suite-repeated", ("verify", "--suite", "gf", "--suite", "gf"),
+     lambda: verify.run_suites(["gf", "gf"]), RangeError),
+    ("suite-empty", ("verify", "--suite", ""),
+     lambda: verify.run_suites([]), RangeError),
 ]
 
 

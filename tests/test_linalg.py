@@ -6,17 +6,18 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rghw.codes import build_code
 from rghw import gf
 from rghw.gf import field_for_size
-from rghw.linalg import table_ops
+from rghw.linalg import last_axis_first, table_ops
 from rghw.subspaces import (
     _pivot_aligned,
     dual_stack,
     rref_stack,
+    stack_dims,
     stack_rows,
 )
 from rghw.verify import DEFAULT_INSTANCES
@@ -196,6 +197,66 @@ def test_stacked_kernels_are_the_scalar_reference(q, data):
         assert broadcast[t].tolist() == ops.matmul(mat, shared).tolist() == want
         rows, pivots = ops.rref(mat)
         assert (red[t, :len(pivots)] == rows).all() and not red[t, len(pivots):].any()
+
+
+def plain_pivot_aligned(stack: np.ndarray) -> np.ndarray:
+    """_pivot_aligned one row at a time, by a plain row.any()."""
+    nmats, _, K = stack.shape
+    out = np.zeros((nmats, K, K), dtype=np.int16)
+    for t, mat in enumerate(stack):
+        for row in mat:
+            if row.any():
+                out[t, np.flatnonzero(row)[0]] = row
+    return out
+
+
+@st.composite
+def short_axis_stacks(draw):
+    """(q, nmats, r, K, seed): a stack of nmats matrices of r <= K rows over
+    GF(q), K up to 8, drawn from seed."""
+    K = draw(st.integers(0, 8))
+    return (draw(st.sampled_from((2, 3, 4, 5))), draw(st.integers(0, 3)),
+            draw(st.integers(0, K)), K, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_axis_stacks())
+@example((2, 0, 3, 5, 0))  # no matrix
+@example((3, 1, 0, 4, 0))  # one matrix of no rows
+@example((2, 3, 40, 40, 1))  # K = 40, the widest ambient over GF(2)
+def test_leading_axis_reductions_are_the_plain_last_axis_ones(case):
+    # every site that reduces a short last axis through last_axis_first
+    # against a plain .any(axis=-1) / .all(axis=-1) reference, and rref_many
+    # against rref matrix by matrix; the stacks are often rank-deficient,
+    # with zero rows, and the vectors include members of each row space
+    q, nmats, r, K, seed = case
+    ops = table_ops(field_for_size(q))
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, min(r, K) + 1))
+    stack = ops.matmul(rng.integers(0, q, size=(nmats, r, rank)).astype(np.int16),
+                       rng.integers(0, q, size=(nmats, rank, K)).astype(np.int16))
+    stack[:, :int(rng.integers(0, r + 1))] = 0
+    red = ops.rref_many(stack)
+    assert red.shape == stack.shape
+    for t, mat in enumerate(stack):
+        rows, pivots = ops.rref(mat)
+        assert (red[t, :len(pivots)] == rows).all() and not red[t, len(pivots):].any()
+    for s in (stack, red):
+        assert (stack_dims(s) == s.any(axis=-1).sum(axis=1)).all()
+    aligned = _pivot_aligned(red)
+    assert (aligned == plain_pivot_aligned(red)).all()
+    members = ops.matmul(rng.integers(0, q, size=(nmats, 3, r)).astype(np.int16), red)
+    vecs = np.concatenate([rng.integers(0, q, size=(4, K)).astype(np.int16),
+                           members.reshape(3 * nmats, K)])
+    inside = ops.rows_in_rowspace(aligned, vecs)
+    assert (inside == (ops.matmul(vecs, aligned) == vecs).all(axis=-1)).all()
+    for t in range(nmats):  # the members of matrix t lie in its row space
+        assert inside[t, 4 + 3 * t:4 + 3 * t + 3].all()
+    for a in (stack != 0, members, inside):
+        moved = last_axis_first(a)
+        assert moved.flags.c_contiguous
+        assert (moved.any(axis=0) == a.any(axis=-1)).all()
+        assert (moved.all(axis=0) == a.all(axis=-1)).all()
 
 
 @pytest.mark.parametrize("q,k", [(181, 1), (191, 1), (4093, 40)])

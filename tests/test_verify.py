@@ -1,5 +1,6 @@
 """The verify suites as run_suites dispatches them."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rghw import verify, weights
+from rghw.charsum import unit_roots
 from rghw.codes import build_code, parity_check_polynomial
 from rghw.errors import InvariantViolated, RangeError
-from rghw.gf import FieldTable
+from rghw.gf import FieldTable, is_prime
 from rghw.subspaces import gaussian_binomial, stack_rows
 from rghw.verify import SUITES, SuiteResult, run_suites
 
@@ -65,6 +67,87 @@ def test_an_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
     with pytest.raises(RangeError):
         run_suites(["gf", "nope"])
     assert ran == []
+
+
+@pytest.mark.parametrize("names", [[], ["gf", "gf"], ["gf", "codes", "gf"]])
+def test_an_empty_or_repeated_suite_list_is_refused_before_any_suite_runs(monkeypatch, names):
+    ran = []
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name, **_: ran.append(name))
+    with pytest.raises(RangeError, match="must name one suite or more, each once"):
+        run_suites(names)
+    assert ran == []
+    run_suites(None)  # None names every suite, each once
+    assert ran == list(SUITES)
+
+
+RUN_ARGS = {"seed": 0, "samples": 300, "workers": 1}
+
+
+def _counting(monkeypatch, name):
+    """Wrap verify.name so that each call counts its positional arguments."""
+    calls = Counter()
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls[args] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_a_run_equals_its_suites_run_alone_and_shares_its_work_within_the_call(monkeypatch):
+    builds = _counting(monkeypatch, "build_code")
+    scans = _counting(monkeypatch, "rghw_bruteforce")
+    whole = [r.as_dict() for r in run_suites(**RUN_ARGS)]
+    # 6 distinct specs among the 18 the suites name, and 15 distinct
+    # (spec, j) cells among the 22 that weights and closed_forms check
+    assert sorted(builds.values()) == [1] * 6
+    assert sum(scans.values()) == len(scans) == 15
+    run_suites(**RUN_ARGS)  # nothing is kept from the first call
+    assert sorted(builds.values()) == [2] * 6
+    assert sum(scans.values()) == 30
+    alone = [SUITES[name](**{arg: RUN_ARGS[arg] for arg in verify._SUITE_ARGS[name]
+                             if arg != "record"}).as_dict() for name in SUITES]
+    assert whole == alone
+
+
+def test_a_wrong_argmax_fails_its_own_j(monkeypatch):
+    # j = 2 of (2, 3, 2, 1, 1) reports the argmax of j = 3, a subspace of
+    # another dimension; the stacked check must fail that j alone
+    original = verify.mj_dual_count
+
+    def wrong_argmax(spec, j, **kwargs):
+        result = original(spec, j, **kwargs)
+        if (_params(spec), j) == ((2, 3, 2, 1, 1), 2):
+            return dataclasses.replace(result, argmax=original(spec, 3, **kwargs).argmax)
+        return result
+
+    clean = verify.weights_suite()
+    monkeypatch.setattr(verify, "mj_dual_count", wrong_argmax)
+    res = verify.weights_suite()
+    assert clean.failures == [] and res.checks == clean.checks
+    assert res.failures == ["(2, 3, 2, 1, 1) j=2: argmax does not reproduce N_j"]
+
+
+def test_orthogonality_failures_name_each_divisor_in_order(monkeypatch):
+    # with no tolerance every residual check fails, so each field size's
+    # orthogonality checks fail in divisor order, each naming its divisor
+    # and its residual, recomputed here one divisor at a time
+    clean = verify.gauss_suite()
+    monkeypatch.setattr(verify, "GAUSS_TOL", 0.0)
+    res = verify.gauss_suite()
+    assert res.checks == clean.checks and res.notes == clean.notes
+    want = []
+    for size in sorted(p**m for p in range(2, 82) if is_prime(p) for m in range(1, 7)
+                       if p**m <= verify.GAUSS_MAX_FIELD):
+        t = np.arange(size - 1)
+        for e in verify._divisors(size - 1):
+            sums = unit_roots(e)[np.outer(np.arange(e), t) % e].sum(axis=0)
+            diff = float(np.abs(sums - np.where(t % e == 0, float(e), 0.0)).max())
+            want.append(f"GF({size}) e={e}: orthogonality residual {diff}")
+    assert [m for m in res.failures if "orthogonality residual" in m] == want
 
 
 def _record_draws(monkeypatch):
