@@ -104,23 +104,27 @@ def cmd_table(args: argparse.Namespace) -> int:
         "spec": spec.summary(),
         "results": [r.as_dict(args.timings) for r in reports],
     }
-    _render(args, document, _table_csv, _table_pretty)
+    _render(args, document, lambda doc: _table_csv(doc, args.timings),
+            lambda doc: _table_pretty(doc, args.timings))
     return EXIT_OK if all(r.agree for r in reports) else EXIT_DISAGREE
 
 
 _CSV_SPEC_COLS = ("q", "k1", "k2", "e1", "e2", "n1", "n2", "n")
 
 
-def _table_csv(document: dict) -> str:
+def _table_csv(document: dict, timings: bool) -> str:
+    """One row per route of each j; with timings, a trailing millis column."""
     spec_cols = [document["spec"][c] for c in _CSV_SPEC_COLS]
     return _csv_text(
-        _CSV_SPEC_COLS + ("j", "route", "m", "n_j", "agree"),
+        _CSV_SPEC_COLS + ("j", "route", "m", "n_j", "agree") + (("millis",) if timings else ()),
         (spec_cols + [row["j"], route, payload["m"], payload.get("n_j", ""), row["agree"]]
+         + ([payload["millis"]] if timings else [])
          for row in document["results"] for route, payload in row["routes"].items()),
     )
 
 
-def _table_pretty(document: dict) -> str:
+def _table_pretty(document: dict, timings: bool) -> str:
+    """One line per j; with timings, each route's wall-clock ms."""
     spec = document["spec"]
     lines = [
         "code pair: q={q} k1={k1} k2={k2} e1={e1} e2={e2}  "
@@ -130,6 +134,7 @@ def _table_pretty(document: dict) -> str:
         routes = "  ".join(
             f"{name}: M={payload['m']}"
             + (f" N={payload['n_j']}" if "n_j" in payload else "")
+            + (f" ({payload['millis']} ms)" if timings else "")
             for name, payload in row["routes"].items()
         )
         flag = "ok" if row["agree"] else "DISAGREE"

@@ -118,6 +118,9 @@ class CodeSpec:
     def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int):
         if k1 < 1 or k2 < 1:
             raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
+        for e, label in ((e1, "e1"), (e2, "e2")):
+            if e < 1:
+                raise RangeError(f"{label}={e} must be >= 1")
         self.q = q
         self.k1 = k1
         self.k2 = k2
@@ -131,7 +134,7 @@ class CodeSpec:
         self.Q1, self.Q2 = fields[0].size, fields[1].size
 
         for e, Q, label in ((e1, self.Q1, "e1"), (e2, self.Q2, "e2")):
-            if e < 1 or (Q - 1) % e:
+            if (Q - 1) % e:
                 raise BadIndex(f"{label}={e} does not divide {Q - 1}")
         self.n1 = (self.Q1 - 1) // e1
         self.n2 = (self.Q2 - 1) // e2

@@ -85,8 +85,9 @@ class TableOps:
             return (prod.astype(remainder) % self.q).astype(np.int16, copy=False)
         out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), r, c),
                        dtype=np.int16)
+        rows = a * self._q_index  # the a q of each flat mul_table index a q + b
         for t in range(k):
-            out = self.add(out, self.mul(a[..., :, t, None], b[..., t, None, :]))
+            out = self.add(out, self.mul_table.take(rows[..., :, t, None] + b[..., t, None, :]))
         return out
 
     def rref(self, mat) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -22,7 +22,7 @@ spec both score the factor-subspace points, elsewhere the first of the c
 group points on each projective point; the winner is then confirmed on
 the route's own n points.  A scan is planned (every refusal, no n-row
 table read) before it runs, and plan_report plans every route of a j;
-_plan_scan alone reads the route, and what a scan's parameters alone fix
+_plan_scans alone reads the route, and what a scan's parameters alone fix
 is planned once per process (_scan_shape).
 """
 
@@ -149,28 +149,32 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # Both halves of the kernel are linear in the digits, so neither does
 # arithmetic per row.  With T = points^T, a block's values split as
 # a @ T[cols] = high digits @ T[high] + low digits @ T[low]: the q^s
-# values of the low term are built once per block, a column at a time (q
-# scaled copies added to the rows so far), and each run of q^s rows is one
-# sum of the high term added to them.  The row indices split the same way,
-# as L[low digits of t] + H[high digits of t] + bases[b]: a batch is a few
-# runs of q^s consecutive t, and only the winning t is turned back into
-# digits.  The ORs split too (_first_minimum): a mask that only the high
-# digits choose is ORed once per run, one that only the low digits choose
-# once per pivot set, and only a mask that both choose is gathered per
-# subspace.  Each row's free entries are consecutive digits, so at most one
-# row, the one straddling the split, is gathered.
+# values of the low term are built a column at a time (q scaled copies
+# added to the rows so far), from the last column, so the sums of any last
+# columns are their leading rows and a block whose low columns end like
+# those of the block before starts from the rows they share; each run of
+# q^s rows compares them with one negated sum of the lead and the high
+# term.  An anchor's mask is its product with T.  The row indices split
+# the same way, as L[low digits of t] + H[high digits of t] + bases[b]: a
+# batch is a few runs of q^s consecutive t, and only the winning t is
+# turned back into digits.  The ORs split too (_first_minimum): a mask
+# that only the high digits choose is ORed once per run, one that only the
+# low digits choose once per pivot set, and only a mask that both choose
+# is gathered per subspace.  Each row's free entries are consecutive
+# digits, so at most one row, the one straddling the split, is gathered.
 #
 # Everything but the masks depends on small integers only: q, K, k1, j,
 # relative or not, the number of anchors the scan walks (0 unanchored),
-# the worker count and the batch size.  _plan_scan picks the anchoring
+# the worker count and the batch size.  _plan_scans picks the anchoring
 # and the subspace total (_scan_count), and _scan_shape computes the rest
 # once per such key and caches it: the chunks of pivot sets, each with
 # its layout and each pivot set's index plan (_IndexPlan: its weights,
 # bases, split and which columns are ORed per head, per pivot set or per
 # subspace).  Both routes of a j share one shape, a pool task carries its
 # chunk's plans, and the kernel only builds masks, ORs and counts.  The
-# shape holds nothing sized by the points or n: the low index rows and the
-# heads of a batch are built per call.
+# shape holds nothing sized by the points or n: the low index rows are
+# built per call, and so are the heads of a batch where some digits are
+# high (else the heads are the bases).
 #
 # Both relative scans are anchored.  The shift (b1, b2) -> (a1 b1, a2 b2)
 # shifts every codeword cyclically, so it keeps supports and
@@ -267,18 +271,37 @@ def _mask_table(ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray]
     Row a of block (cols, lead) is the mask (a @ T[cols]) != -T[lead],
     T = points^T, for the a-th base-q assignment of cols (first column most
     significant): the points x with (e_lead + a) x != 0.  An anchored table
-    ends with the mask of each anchor.  layout is the _block_starts of the
-    pivot sets the scan visits, the one their index plans read.
+    ends with the mask of each anchor r, r @ T != 0.  layout is the
+    _block_starts of the pivot sets the scan visits, the one their index
+    plans read.
 
-    Every value is a sum of rows of scaled[d, c] = d T[c], a (q, K, N)
-    array.  A block's low s columns give q^s value rows of about
-    SLICE_BYTES, and each run of q^s table rows adds one high sum to them.
+    The anchor masks are products through the field's matmul, of a slice
+    of anchors by a slice of points.  Every block value is a sum of rows of
+    scaled[d, c] = d T[c], a (q, K, N) array built only when the layout
+    has blocks.  A block's low s columns give q^s value rows of about
+    SLICE_BYTES, and each run of q^s table rows compares them with one
+    negated high sum, -T[lead] minus the run's high digits @ T[high].  The
+    low sums are built a column at a time from the last, so the sums of
+    any last columns are the leading rows: a block whose low columns end
+    like those of the block built before starts from the rows they share.
     """
     q, (n, K) = ops.q, points.shape
     starts, rows, _ = layout
     masks = np.zeros((rows, -(-n // 64)), dtype=np.uint64)
     packed = masks.view(np.uint8)[:, :-(-n // 8)]
-    add = ops.field.add
+    if anchors is not None:
+        # products of about SLICE_BYTES, float64 over a prime field: a slice
+        # of anchors by a slice of points, a multiple of 8 points so that
+        # each packs to whole bytes
+        step = 8 * max(1, SLICE_BYTES // (64 * K))
+        each = max(1, SLICE_BYTES // (8 * min(n, step)))
+        first = rows - len(anchors)
+        for r in range(0, len(anchors), each):
+            for s in range(0, n, step):
+                packed[first + r:first + r + each, s // 8:(s + step) // 8] = np.packbits(
+                    ops.matmul(anchors[r:r + each], points[s:s + step].T) != 0, axis=1)
+    if not starts:
+        return masks
     slice_rows = max(1, SLICE_BYTES // (2 * n))  # rows of n values
     # filled in place a slice of columns at a time: temporaries stay small
     scaled = np.zeros((q, K, n), dtype=np.int16)
@@ -286,23 +309,25 @@ def _mask_table(ops: TableOps, points: np.ndarray, anchors: Optional[np.ndarray]
     for d in range(2, q):
         for c in range(0, K, slice_rows):
             scaled[d, c:c + slice_rows] = ops.mul_table[d][points[:, c:c + slice_rows].T]
-    if anchors is not None:
-        first = rows - len(anchors)
-        for r in range(0, len(anchors), slice_rows):
-            a = anchors[r:r + slice_rows]  # each value is a sum of scaled rows
-            value = scaled[a[:, 0], 0]
-            for c in range(1, K):
-                value = add(value, scaled[a[:, c], c])
-            packed[first + r:][:len(a)] = np.packbits(value != 0, axis=1)
+    # the low sums last built and their columns; row 0 is zero
+    last, sums = (), np.zeros((1, n), dtype=np.int16)
     for (cols, lead), start in starts.items():
         split = len(cols) - _low_width(len(cols), q, slice_rows)
-        low = np.zeros((1, n), dtype=np.int16)
-        for c in reversed(cols[split:]):
-            low = add(scaled[:, c, None], low).reshape(-1, n)
-        high = [scaled[:, c] for c in cols[:split]]
-        for h, base in enumerate(_sums(scaled[1, lead], high, add)):
+        low_cols = cols[split:]
+        shared = 0  # the last columns that low_cols and last have in common
+        while (shared < min(len(low_cols), len(last))
+               and low_cols[-1 - shared] == last[-1 - shared]):
+            shared += 1
+        low = sums[:q ** shared]
+        for c in reversed(low_cols[:len(low_cols) - shared]):
+            low = ops.add(scaled[:, c, None], low).reshape(-1, n)
+        if shared < len(low_cols):
+            last, sums = low_cols, low
+        # -T[lead] and the negated q multiples of each high column
+        high = [scaled[ops.neg_table, c] for c in cols[:split]]
+        for h, target in enumerate(_sums(scaled[ops.neg_table[1], lead], high, ops.add)):
             packed[start + h * len(low): start + (h + 1) * len(low)] = np.packbits(
-                add(base, low) != 0, axis=1)
+                low != target, axis=1)
     return masks
 
 
@@ -313,9 +338,9 @@ class _IndexPlan:
     digit order; (weights, bases), so that column k of
     digits @ weights + bases[t // q^P] is the table row of the k-th mask
     the t-th basis ORs; the split of its P digits into split high ones and
-    P - split low ones, for batches of batch subspaces; and the columns
-    ORed once per head (fixed), once per pivot set (shared) and once per
-    subspace (straddle, as indices).  Every array is read-only."""
+    P - split low ones, for batches of batch subspaces; and the indices
+    of the columns ORed once per head (fixed), once per pivot set (shared)
+    and once per subspace (straddle).  Every array is read-only."""
 
     pivots: tuple[int, ...]
     positions: tuple[tuple[int, int], ...]
@@ -351,7 +376,9 @@ def _index_plan(q: int, K: int, pivots, layout: tuple[dict, int, bool], reps: in
     # its low weights is nonzero
     by_low = (weights[split:] != 0).any(axis=0)
     by_head = (weights[:split] != 0).any(axis=0) | (bases != bases[0]).any(axis=0)
-    arrays = (weights, bases, ~by_low, by_low & ~by_head, np.flatnonzero(by_low & by_head))
+    fixed, shared, straddle = (np.flatnonzero(columns) for columns in
+                               (~by_low, by_low & ~by_head, by_low & by_head))
+    arrays = (weights, bases, fixed, shared, straddle)
     for array in arrays:
         array.flags.writeable = False
     return _IndexPlan(tuple(pivots), positions, weights, bases, batch, split, *arrays[2:])
@@ -413,9 +440,10 @@ def _first_minimum(masks: np.ndarray, q: int, plan: _IndexPlan,
     weights, bases = plan.weights, plan.bases
     width = len(plan.positions)
     run, per = q ** (width - split), q ** split
-    low = counter(width - split, q) @ weights[split:]
+    # a float64 product runs on BLAS and is exact: every index is below 2^53
+    low = (counter(width - split, q) @ weights[split:].astype(np.float64)).astype(np.int64)
     low_or = None
-    if plan.shared.any():
+    if len(plan.shared):
         low_or = _or_rows(masks, bases[0, plan.shared] + low[:, plan.shared])
     # a matrix-vector product sums the per-word bit counts, times the slope,
     # far faster than a reduction over the short word axis; every partial
@@ -426,8 +454,11 @@ def _first_minimum(masks: np.ndarray, q: int, plan: _IndexPlan,
     step = max(1, batch // run)
     best: Optional[tuple[int, int]] = None
     for h0 in range(0, len(bases) * per, batch):
-        h = np.arange(h0, min(h0 + batch, len(bases) * per))
-        heads = bases[h // per] + digits(h % per, split, q) @ weights[:split]
+        if split:
+            h = np.arange(h0, min(h0 + batch, len(bases) * per))
+            heads = bases[h // per] + digits(h % per, split, q) @ weights[:split]
+        else:  # one head per base
+            heads = bases[h0:h0 + batch]
         fixed = heads[:, plan.fixed]
         for r in range(0, len(heads), step):
             acc = None
@@ -557,9 +588,7 @@ class ScanPlan:
 def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> ScanPlan:
     """The plan of a scan, or its refusal: the cap and worker floors, j, the
     subspace cap and the byte bound are checked here, in that order, and no
-    n-row point matrix is read.  The shape comes from the cache
-    (_scan_shape); this picks the spec's anchors, the map from the count to
-    the value and the byte count over the points the scan scores.
+    n-row point matrix is read (_plan_scans of the one mode).
 
     "min_support" counts the support of the subspaces D with injective
     first projection, "min_support_all" of every subspace (plain GHW), and
@@ -567,20 +596,32 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     first minimizer is the first D whose complement H = D^perp holds the
     most points.
     """
+    return _plan_scans(spec, dim, (mode,), cap, workers)[0]
+
+
+def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
+                workers: int) -> list[ScanPlan]:
+    """The _plan_scan of each of some modes, all relative or all GHW, from
+    one set of checks: the two relative modes differ only in their points
+    and anchors.  The shape comes from the cache (_scan_shape); this picks
+    the spec's anchors, the map from the count to the value and the byte
+    count over the points the scan scores.  No mode (a closed form alone,
+    whose refusals check_request makes) checks nothing."""
+    if not modes:
+        return []
     check_floors(cap=cap, workers=workers)
     K, q = spec.ambient_dim, spec.q
     # Admissibility is decided by the pivot set alone.  The first projection
     # of D is injective exactly when every pivot is below k1; H = D^perp is
     # onto GF(Q2) exactly when D meets {0} x F_q^k2 trivially, the same
     # family.  GHW admits every pivot set.
-    relative = mode != "min_support_all"
+    relative = modes[0] != "min_support_all"
     top = spec.k1 if relative else K
     if not 1 <= dim <= top:
         raise RangeError(f"j={dim} outside 1..{top}")
-    dual = mode == "max_group"
     # |R G| = |R|, so both scans anchor under one rule
-    reps = spec.orbit_anchors[dual] if relative else None
-    anchored, total = _scan_count(q, K, spec.k1, dim, relative, 0 if reps is None else len(reps))
+    reps = len(spec.orbit_anchors[0]) if relative else 0
+    anchored, total = _scan_count(q, K, spec.k1, dim, relative, reps)
     if total > cap:
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
@@ -596,8 +637,7 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     batch = _batch_rows(-(-scored // 64))
-    shape = _scan_shape(q, K, spec.k1, dim, relative, len(reps) if anchored else 0, workers,
-                        batch)
+    shape = _scan_shape(q, K, spec.k1, dim, relative, reps if anchored else 0, workers, batch)
     # each chunk builds its own table and scores it, and each of the
     # workers holds one
     live = [_table_bytes(layout, scored) for layout in shape.live]
@@ -613,7 +653,12 @@ def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> S
         raise CapExceeded(
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
-    return ScanPlan(dual, offset, slope, reps if anchored else None, shape)
+    plans = []
+    for mode in modes:
+        dual = mode == "max_group"
+        plans.append(ScanPlan(dual, offset, slope, spec.orbit_anchors[dual] if anchored else None,
+                              shape))
+    return plans
 
 
 def _scan_points(spec: CodeSpec, plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -679,14 +724,19 @@ def _complement_rref(ops: TableOps, rows: np.ndarray) -> np.ndarray:
     """The RREF basis of {v : rows v = 0}, a fresh array: E, the RREF of
     rows with reversed columns, gives e_f - sum_i E[i, f] e_piv_i for each
     free column f of E, which leads with 1 at K-1-f, in order of f
-    decreasing."""
+    decreasing.  The few rows are built as Python lists, as rref's are."""
     K = rows.shape[1]
     red, piv = ops.rref(rows[:, ::-1])
-    free = [f for f in range(K - 1, -1, -1) if f not in piv]
-    out = np.zeros((len(free), K), dtype=np.int16)
-    out[range(len(free)), [K - 1 - f for f in free]] = 1
-    out[:, [K - 1 - p for p in piv]] = ops.neg_table[red[:, free]].T
-    return out
+    red, neg = red.tolist(), ops.field.neg
+    out = []
+    for f in range(K - 1, -1, -1):
+        if f not in piv:
+            row = [0] * K
+            row[K - 1 - f] = 1
+            for e, p in zip(red, piv):
+                row[K - 1 - p] = neg(e[f])
+            out.append(row)
+    return np.array(out, dtype=np.int16) if out else np.zeros((0, K), dtype=np.int16)
 
 
 @dataclass
@@ -864,8 +914,9 @@ def plan_report(spec: CodeSpec, j: int,
     if routes is None:
         routes = ROUTE_NAMES if spec.structural else _SCAN_ROUTES
     modes = [_ROUTES[name][1] for name in routes]
-    return ReportPlan(spec, j, tuple(routes), tuple(
-        None if mode is None else _plan_scan(spec, j, mode, cap, workers) for mode in modes))
+    scans = iter(_plan_scans(spec, j, [mode for mode in modes if mode], cap, workers))
+    return ReportPlan(spec, j, tuple(routes),
+                      tuple(next(scans) if mode else None for mode in modes))
 
 
 def run_report(plan: ReportPlan) -> RghwReport:

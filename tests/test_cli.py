@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,26 @@ def test_table_timings_flag(capsys):
     code, out, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json", "--timings")
     doc = json.loads(out)
     assert all("millis" in row for row in doc["results"])
+
+
+def test_table_timings_in_csv_and_pretty(capsys):
+    """--timings adds a trailing millis column to csv and each route's ms
+    to pretty; the other fields are those of the output without it."""
+    _, plain, _ = run_cli(capsys, *TABLE_ARGS, "--format", "csv")
+    _, timed, _ = run_cli(capsys, *TABLE_ARGS, "--format", "csv", "--timings")
+    plain_rows = list(csv.reader(io.StringIO(plain)))
+    timed_rows = list(csv.reader(io.StringIO(timed)))
+    assert timed_rows[0] == plain_rows[0] + ["millis"]
+    assert [row[:-1] for row in timed_rows] == plain_rows
+    assert all(float(row[-1]) >= 0 for row in timed_rows[1:])
+    _, plain, _ = run_cli(capsys, *TABLE_ARGS, "--format", "pretty")
+    _, timed, _ = run_cli(capsys, *TABLE_ARGS, "--format", "pretty", "--timings")
+    lines = timed.splitlines()
+    assert len(lines) == len(plain.splitlines()) and lines[0] == plain.splitlines()[0]
+    for line, want in zip(lines[1:], plain.splitlines()[1:]):
+        # each route's fields, then its time in ms
+        assert re.sub(r" \([0-9.]+ ms\)", "", line) == want
+        assert line.count(" ms)") == want.count("M=")
 
 
 def test_csv_and_json_carry_identical_numbers(capsys):
@@ -453,6 +474,8 @@ BAD_INPUTS = [
     ("j-range-beyond-k1", ("table", *SPEC_ARGS, "--j", "1:" + "9" * 20), 2, "RangeError"),
     ("k1-zero", ("table", "--q", "2", "--k1", "0", "--k2", "3"), 2, "RangeError"),
     ("k2-zero", ("table", "--q", "2", "--k1", "2", "--k2", "0"), 2, "RangeError"),
+    ("e1-zero", ("table", *SPEC_ARGS, "--e1", "0"), 2, "RangeError"),
+    ("e2-negative", ("table", *SPEC_ARGS, "--e2", "-7"), 2, "RangeError"),
     ("cap-negative", ("table", *SPEC_ARGS, "--cap", "-1"), 2, "RangeError"),
     ("samples-zero", ("verify", "--samples", "0"), 2, "RangeError"),
     ("samples-negative", ("verify", "--samples", "-1"), 2, "RangeError"),

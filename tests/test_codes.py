@@ -12,6 +12,7 @@ from rghw.errors import (
     DegenerateOrder,
     FieldMismatch,
     NotAFieldGenerator,
+    RangeError,
 )
 from rghw.gf import element_order, trace_table
 
@@ -47,6 +48,10 @@ def test_build_code_rejections():
         build_code(2, 2, 2, 1, 1)
     with pytest.raises(BadIndex):
         build_code(3, 2, 3, 1, 5)  # 5 does not divide 26
+    # -7 does divide 7: an index below 1 is refused as out of range
+    for e1, e2, message in ((0, 1, "e1=0"), (1, -7, "e2=-7")):
+        with pytest.raises(RangeError, match=f"^{message} must be >= 1$"):
+            build_code(2, 2, 3, e1, e2)
     with pytest.raises(DegenerateOrder):
         build_code(2, 2, 3, 1, 7)  # alpha2 = 1
     with pytest.raises(NotAFieldGenerator):

@@ -586,6 +586,28 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
         assert (rows[lay[1] - len(anchors):, :packed] == want).all()
 
 
+@pytest.mark.parametrize("params", [(2, 3, 4, 1, 1), (4, 2, 3, 1, 3), (5, 2, 3, 1, 4)])
+@pytest.mark.parametrize("slice_bytes", [1, 1000, weights.SLICE_BYTES])
+def test_anchor_rows_are_the_anchor_products(params, slice_bytes):
+    """A j = 1 anchored table has no block, its one pivot set being empty:
+    row i is packbits(anchors[i] @ points^T != 0) through the field's
+    matmul in its first ceil(n/8) bytes and zero after them, for GF(2),
+    GF(4) and GF(5), whatever slices of anchors and of points (n = 105
+    leaves a partial byte) the products are taken in."""
+    spec = build_code(*params)
+    for mode, gram in (("min_support", False), ("max_group", True)):
+        _, points = kernel_args(spec, 1, mode)
+        anchors = spec.orbit_anchors[gram]
+        lay = layout(spec, [()], anchors)
+        assert lay[:2] == ({}, len(anchors))
+        with mock.patch.object(weights, "SLICE_BYTES", slice_bytes):
+            masks = weights._mask_table(spec.ops, points, anchors, lay)
+        rows = masks.view(np.uint8)
+        packed = -(-spec.n // 8)
+        want = np.packbits(spec.ops.matmul(anchors, points.T) != 0, axis=1)
+        assert np.array_equal(rows[:, :packed], want) and not rows[:, packed:].any()
+
+
 def test_every_ladder_scan_argmax_is_pinned(ladder):
     """(value, argmax rows) of every scan of the benchmark's ladder specs,
     every dimension and mode: a change in the argmax tie order fails here.

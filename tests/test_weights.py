@@ -329,7 +329,7 @@ def test_plan_report_refuses_a_bad_j_for_every_route_list(monkeypatch):
     def no_plan(*args):
         raise AssertionError("a scan was planned before the refusal")
 
-    monkeypatch.setattr(weights, "_plan_scan", no_plan)
+    monkeypatch.setattr(weights, "_plan_scans", no_plan)
     spec = build_code(2, 2, 3, 1, 1)
     for routes in (None, ("closed_form",), ("bruteforce",), ("dual_count", "closed_form")):
         for j in (0, 3, 9):
