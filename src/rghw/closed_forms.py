@@ -23,6 +23,7 @@ degree odd) are structural specs.  Arithmetic is unbounded-integer.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -42,8 +43,13 @@ def _guard_positive(n_j: int, m_j: int) -> None:
         )
 
 
+@functools.cache
 def detect_family(q: int, k1: int, k2: int, e1: int, e2: int) -> Optional[str]:
     """"structural" when the parameters give a structural spec, else None.
+
+    Cached: the answer is fixed by the parameters, so a table's closed form
+    at every j, its refusal check and CodeSpec.structural share one
+    decision.
 
     With Q_i = q^k_i, T_i = (Q_i - 1)/(q - 1) and n_i = (Q_i - 1)/e_i > 1,
     the group <(a1, a2)> has lcm(n1, n2) elements and the points with both

@@ -44,6 +44,7 @@ from .gf import (
     trace_table,
 )
 from .linalg import TableOps, table_ops
+from .subspaces import counter
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +100,8 @@ def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
         scaled = np.array([field.mul(embed.apply_code(a), g) for a in range(q)])
         compose = field.add(compose[:, None], scaled).reshape(-1)
     decompose = np.full((field.size, k), -1, dtype=np.int16)
-    decompose[compose] = np.indices((q,) * k, dtype=np.int16).reshape(k, -1).T
+    # uncached: a factor's q^k rows would outlive the code they build
+    decompose[compose] = counter.__wrapped__(k, q)
     if (decompose < 0).any():
         raise InvariantViolated("polynomial basis failed to span the extension")
     trace = trace_table(field, base)
@@ -239,7 +241,7 @@ class CodeSpec:
         each factor's columns whose first nonzero entry is 1."""
         blocks = []
         for first, k in ((0, self.k1), (self.k1, self.k2)):
-            rows = np.indices((self.q,) * k, dtype=np.int16).reshape(k, -1).T
+            rows = counter(k, self.q)
             rows = rows[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1]
             block = np.zeros((len(rows), self.ambient_dim), dtype=np.int16)
             block[:, first:first + k] = rows

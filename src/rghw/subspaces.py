@@ -65,8 +65,13 @@ def digits(values: np.ndarray, width: int, q: int) -> np.ndarray:
 @functools.cache
 def counter(width: int, q: int) -> np.ndarray:
     """The digits of 0, ..., q^width - 1, read-only int16: row t holds the
-    free entries of the t-th basis of a pivot set with width free entries."""
-    table = digits(np.arange(q ** width), width, q).astype(np.int16)
+    free entries of the t-th basis of a pivot set with width free entries.
+    Filled in place, a digit at a time, so the widest (a factor's q^k
+    coordinate vectors, codes) need no temporary of their size."""
+    table = np.empty((q ** width, width), dtype=np.int16)
+    for c in range(width):
+        # digit c of t = (a q + d) q^(width-1-c) + r is d
+        table.reshape(q ** c, q, -1, width)[..., c] = np.arange(q, dtype=np.int16)[:, None]
     table.flags.writeable = False
     return table
 

@@ -47,11 +47,10 @@ from .subspaces import (
 from .weights import (
     BATCH_BYTES,
     DEFAULT_ENUM_CAP,
-    DualCountResult,
+    RouteOutcome,
     check_floors,
+    compute_report,
     ghw_bruteforce,
-    mj_dual_count,
-    rghw_bruteforce,
     zero_counts,
 )
 
@@ -116,11 +115,14 @@ class SuiteResult:
 class _RunRecord:
     """The CodeSpecs and scan pairs of one run_suites call: each is made on
     first use and shared by every suite of the call that needs it, and the
-    record goes with the call.  A suite called alone makes its own."""
+    record goes with the call.  A suite called alone makes its own, which
+    scans in process.  The record holds the call's worker count, so a scan
+    pair is the one place a verify run can start a pool."""
 
-    def __init__(self) -> None:
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = workers
         self._specs: dict[tuple, CodeSpec] = {}
-        self._scans: dict[tuple, tuple[int, DualCountResult]] = {}
+        self._scans: dict[tuple, tuple[int, RouteOutcome]] = {}
 
     def spec(self, params) -> CodeSpec:
         """build_code(*params), built once."""
@@ -129,13 +131,14 @@ class _RunRecord:
             self._specs[key] = build_code(*key)
         return self._specs[key]
 
-    def scans(self, params, j: int, workers: int) -> tuple[int, DualCountResult]:
-        """(rghw_bruteforce, mj_dual_count) of the code of params at j, scanned once."""
-        key = (tuple(params), j, workers)
+    def scans(self, params, j: int) -> tuple[int, RouteOutcome]:
+        """The bruteforce value and the dual_count outcome of the code of
+        params at j, from one report request, made once."""
+        key = (tuple(params), j)
         if key not in self._scans:
-            spec = self.spec(params)
-            self._scans[key] = (rghw_bruteforce(spec, j, workers=workers),
-                                mj_dual_count(spec, j, workers=workers))
+            report = compute_report(self.spec(params), j, ("bruteforce", "dual_count"),
+                                    workers=self.workers)
+            self._scans[key] = (report.bruteforce.m, report.dual_count)
         return self._scans[key]
 
 
@@ -419,7 +422,6 @@ def subspaces_suite(seed: int = 2024,
 
 def weights_suite(seed: int = 2024,
                   instances: Sequence[tuple] = DEFAULT_INSTANCES,
-                  workers: int = 1,
                   record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("weights")
     record = record or _RunRecord()
@@ -428,12 +430,12 @@ def weights_suite(seed: int = 2024,
         spec = record.spec(params)
         K = spec.ambient_dim
         label = f"{params}"
-        scans = [record.scans(params, j, workers) for j in range(1, spec.k1 + 1)]
+        scans = [record.scans(params, j) for j in range(1, spec.k1 + 1)]
         # the argmax's j-dimensional dual vanishes on exactly N_j
         # coordinates: every j's argmax, padded to K rows, in one stack
         argmaxes = np.zeros((len(scans), K, K), dtype=np.int16)
         for t, (_, dual) in enumerate(scans):
-            argmaxes[t, :len(dual.argmax)] = dual.argmax
+            argmaxes[t, :len(dual.argmax_rows)] = dual.argmax_rows
         counts = zero_counts(spec, dual_stack(argmaxes, spec))
         previous = None
         for j, (brute, dual), count in zip(range(1, spec.k1 + 1), scans, counts.tolist()):
@@ -442,7 +444,7 @@ def weights_suite(seed: int = 2024,
                 lambda: f"{label} j={j}: bruteforce {brute} != dual count {dual.m}",
             )
             res.check(dual.n_j == count, lambda: f"{label} j={j}: argmax does not reproduce N_j")
-            ghw = ghw_bruteforce(spec, j, workers=workers)
+            ghw = ghw_bruteforce(spec, j)
             res.check(
                 ghw <= brute, lambda: f"{label} j={j}: GHW {ghw} exceeds RGHW {brute}"
             )
@@ -588,7 +590,7 @@ def charsum_suite(seed: int = 2024, samples: int = 100,
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_forms_suite(workers: int = 1, record: Optional[_RunRecord] = None) -> SuiteResult:
+def closed_forms_suite(record: Optional[_RunRecord] = None) -> SuiteResult:
     res = SuiteResult("closed_forms")
     record = record or _RunRecord()
     cases = [
@@ -610,7 +612,7 @@ def closed_forms_suite(workers: int = 1, record: Optional[_RunRecord] = None) ->
             res.check(
                 n_j > 0 and m_j > 0, lambda: f"{params} j={j}: nonpositive closed form"
             )
-            brute, dual = record.scans(params, j, workers)
+            brute, dual = record.scans(params, j)
             res.check(
                 m_j == brute == dual.m,
                 lambda: f"{params} j={j}: closed form {m_j} vs brute {brute} vs dual {dual.m}",
@@ -634,15 +636,16 @@ SUITES = {
 
 
 # The keyword arguments of run_suites that each suite takes; a suite that
-# builds codes or scans takes the call's record.
+# builds codes or scans takes the call's record, which holds its worker
+# count.
 _SUITE_ARGS = {
     "gf": (),
     "codes": ("record",),
     "subspaces": ("seed", "record"),
-    "weights": ("seed", "workers", "record"),
+    "weights": ("seed", "record"),
     "gauss": ("seed",),
     "charsum": ("seed", "samples", "record"),
-    "closed_forms": ("workers", "record"),
+    "closed_forms": ("record",),
 }
 
 
@@ -662,5 +665,5 @@ def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
     for name in names:
         if name not in SUITES:
             raise RangeError(f"unknown suite {name!r}")
-    given = {"seed": seed, "samples": samples, "workers": workers, "record": _RunRecord()}
+    given = {"seed": seed, "samples": samples, "record": _RunRecord(workers)}
     return [SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}) for name in names]

@@ -57,12 +57,14 @@ from .subspaces import (
 )
 
 DEFAULT_ENUM_CAP = 10**8
-# Bound on the arrays a scan holds at once: the mask tables (rows of
+# Bound on the arrays one scan holds at once: the mask tables (rows of
 # ceil(N/64) 64-bit words, N the points scored), its one table or with a
 # W-worker pool the W largest chunk tables, each table's (q, K, N) int16
 # scaled values and scoring arrays, the (N, K) int16 scored points in the
 # parent and in each busy worker, and the route's (n, K) int16 point
-# matrix, which the confirmation reads.
+# matrix, which the confirmation reads.  The bound is per scan, and a
+# CodeSpec keeps every n-row matrix it builds: a table of both scan routes
+# holds F and g together, which no one scan's count adds up.
 TABLE_CAP_BYTES = 1 << 26
 # A batch scores at most BATCH subspaces and ORs at most BATCH_BYTES of
 # masks (subspaces times row bytes); a mask-table slice holds about
@@ -110,7 +112,7 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 #
 # The kernel counts points: the rows x of an (N, K) point matrix outside a
 # subspace D, D x != 0.  F = g G counts the support of D, the group points
-# g count n minus the points inside H = D^perp; _plan_scan picks the
+# g count n minus the points inside H = D^perp; _plan_scans picks the
 # points and anchors of a route and its shape the pivot sets, and it
 # refuses every bad request first, so the kernel has no refusal path: a
 # valid j leaves every chunk at least one pivot set.
@@ -163,9 +165,10 @@ def zero_counts(spec: CodeSpec, stack: np.ndarray) -> np.ndarray:
 # is gathered per subspace.  Each row's free entries are consecutive
 # digits, so at most one row, the one straddling the split, is gathered.
 #
-# Everything but the masks depends on small integers only: q, K, k1, j,
-# relative or not, the number of anchors the scan walks (0 unanchored),
-# the worker count and the batch size.  _plan_scans picks the anchoring
+# Everything but the masks depends on small integers only: q, K, j, the
+# columns the pivots lie in (top: the first k1 for a relative scan, all K
+# for GHW), the number of anchors the scan walks (0 unanchored), the
+# worker count and the batch size.  _plan_scans picks the anchoring
 # and the subspace total (_scan_count), and _scan_shape computes the rest
 # once per such key and caches it: the chunks of pivot sets, each with
 # its layout and each pivot set's index plan (_IndexPlan: its weights,
@@ -516,19 +519,19 @@ def _chunks(sets, work: Sequence[int], nchunks: int) -> list[list]:
     return list(runs.values())
 
 
-def _scan_count(q: int, K: int, k1: int, dim: int, relative: bool, reps: int
-                ) -> tuple[bool, int]:
+def _scan_count(q: int, K: int, top: int, dim: int, reps: int) -> tuple[bool, int]:
     """Whether a scan is anchored and how many subspaces it scores, from
-    its parameters alone: [K, dim]_q for GHW; for a relative scan the
-    smaller of [k1, dim]_q q^(dim k2) unanchored and
-    reps [k1-1, dim-1]_q q^((dim-1) k2) through the reps anchors (anchored
-    on a tie).  These are the sums of q^P over the pivot sets scanned."""
-    if not relative:
-        return False, gaussian_binomial(K, dim, q)
-    k2 = K - k1
-    full = gaussian_binomial(k1, dim, q) * q ** (dim * k2)
-    through = reps * gaussian_binomial(k1 - 1, dim - 1, q) * q ** ((dim - 1) * k2)
-    return (True, through) if through <= full else (False, full)
+    its parameters alone, for pivots in the first top columns (k1 for a
+    relative scan, K for GHW): the smaller of [top, dim]_q q^(dim (K-top))
+    unanchored and reps [top-1, dim-1]_q q^((dim-1) (K-top)) through the
+    reps anchors (anchored on a tie; none without anchors).  These are the
+    sums of q^P over the pivot sets scanned."""
+    full = gaussian_binomial(top, dim, q) * q ** (dim * (K - top))
+    if reps:
+        through = reps * gaussian_binomial(top - 1, dim - 1, q) * q ** ((dim - 1) * (K - top))
+        if through <= full:
+            return True, through
+    return False, full
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -543,23 +546,23 @@ class _ScanShape:
 
 
 @functools.cache
-def _scan_shape(q: int, K: int, k1: int, dim: int, relative: bool, reps: int, workers: int,
+def _scan_shape(q: int, K: int, top: int, dim: int, reps: int, workers: int,
                 batch: int) -> _ScanShape:
-    """The _ScanShape of a scan of dim-dimensional subspaces of GF(q)^K, on
-    the relative family of k1 or on every subspace, through reps anchors
-    (0 for a scan _plan_scan leaves unanchored), with workers processes
-    (after the CPU clamp) and batches of batch subspaces.
+    """The _ScanShape of a scan of dim-dimensional subspaces of GF(q)^K
+    with pivots in the first top columns, through reps anchors (0 for a
+    scan _plan_scans leaves unanchored), with workers processes (after the
+    CPU clamp) and batches of batch subspaces.
 
     Cached, as subspaces.counter is: both routes of a j have one shape,
     since |R G| = |R| and both score N points, and every table of
     the same parameters in a process reuses it.  It holds nothing derived
-    from the points or n, and _plan_scan checks the subspace cap
+    from the points or n, and _plan_scans checks the subspace cap
     (_scan_count) before the first call for a shape.
     """
     if reps:
-        sets = [ps for ps in pivot_sets(k1, dim - 1) if 0 not in ps]
+        sets = [ps for ps in pivot_sets(top, dim - 1) if 0 not in ps]
     else:
-        sets = pivot_sets(k1 if relative else K, dim)
+        sets = pivot_sets(top, dim)
     work = [count_for_pivots(ps, K, q) for ps in sets]
     runs = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
     layouts = [_block_starts(q, K, run, reps) for run in runs]
@@ -585,28 +588,23 @@ class ScanPlan:
     shape: _ScanShape
 
 
-def _plan_scan(spec: CodeSpec, dim: int, mode: str, cap: int, workers: int) -> ScanPlan:
-    """The plan of a scan, or its refusal: the cap and worker floors, j, the
-    subspace cap and the byte bound are checked here, in that order, and no
-    n-row point matrix is read (_plan_scans of the one mode).
+def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
+                workers: int) -> list[ScanPlan]:
+    """The plan of a scan of each of some modes, all relative or all GHW,
+    or their refusal: the cap and worker floors, j, the subspace cap and
+    the byte bound are checked once, in that order, and no n-row point
+    matrix is read.  No mode (a closed form alone, whose refusals
+    check_request makes) checks nothing.
 
     "min_support" counts the support of the subspaces D with injective
     first projection, "min_support_all" of every subspace (plain GHW), and
     "max_group" the group points outside the same D as "min_support": its
     first minimizer is the first D whose complement H = D^perp holds the
-    most points.
+    most points.  The two relative modes differ only in their points and
+    anchors.  The shape comes from the cache (_scan_shape); this picks the
+    spec's anchors, the map from the count to the value and the byte count
+    over the points the scan scores.
     """
-    return _plan_scans(spec, dim, (mode,), cap, workers)[0]
-
-
-def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
-                workers: int) -> list[ScanPlan]:
-    """The _plan_scan of each of some modes, all relative or all GHW, from
-    one set of checks: the two relative modes differ only in their points
-    and anchors.  The shape comes from the cache (_scan_shape); this picks
-    the spec's anchors, the map from the count to the value and the byte
-    count over the points the scan scores.  No mode (a closed form alone,
-    whose refusals check_request makes) checks nothing."""
     if not modes:
         return []
     check_floors(cap=cap, workers=workers)
@@ -621,7 +619,7 @@ def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
         raise RangeError(f"j={dim} outside 1..{top}")
     # |R G| = |R|, so both scans anchor under one rule
     reps = len(spec.orbit_anchors[0]) if relative else 0
-    anchored, total = _scan_count(q, K, spec.k1, dim, relative, reps)
+    anchored, total = _scan_count(q, K, top, dim, reps)
     if total > cap:
         raise CapExceeded(
             f"{total} admissible subspaces of dimension {dim} exceed the cap {cap}"
@@ -637,7 +635,7 @@ def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     batch = _batch_rows(-(-scored // 64))
-    shape = _scan_shape(q, K, spec.k1, dim, relative, reps if anchored else 0, workers, batch)
+    shape = _scan_shape(q, K, top, dim, reps if anchored else 0, workers, batch)
     # each chunk builds its own table and scores it, and each of the
     # workers holds one
     live = [_table_bytes(layout, scored) for layout in shape.live]
@@ -700,23 +698,23 @@ def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
 
 # -- public routes ----------------------------------------------------------
 #
-# Each scan route plans its scan from (cap, workers), or runs a plan made
-# for the same spec and j (plan_report) and ignores both.
+# Each scan route plans its scan in process from cap, or runs a plan made
+# for the same spec and j (plan_report) and ignores cap.  Only a report
+# request sets a worker count, so only it can start a pool.
 
 
 def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
-                    workers: int = 1, plan: Optional[ScanPlan] = None) -> int:
+                    plan: Optional[ScanPlan] = None) -> int:
     """Definition-level minimum support over subspaces meeting C' trivially."""
     if plan is None:
-        plan = _plan_scan(spec, j, "min_support", cap, workers)
+        plan = _plan_scans(spec, j, ("min_support",), cap, 1)[0]
     val, _ = _run_scan(spec, plan)
     return val
 
 
-def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
-                   workers: int = 1) -> int:
+def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Plain generalized Hamming weight (no subcode restriction)."""
-    val, _ = _run_scan(spec, _plan_scan(spec, j, "min_support_all", cap, workers))
+    val, _ = _run_scan(spec, _plan_scans(spec, j, ("min_support_all",), cap, 1)[0])
     return val
 
 
@@ -747,7 +745,7 @@ class DualCountResult:
 
 
 def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
-                  workers: int = 1, plan: Optional[ScanPlan] = None) -> DualCountResult:
+                  plan: Optional[ScanPlan] = None) -> DualCountResult:
     """Weight via the dual-side maximization: m = n - max |H meet group|.
 
     H ranges over (k1+k2-j)-dimensional subspaces of the pair space whose
@@ -758,7 +756,7 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     first D in the scan's order, and argmax is the RREF basis of its H.
     """
     if plan is None:
-        plan = _plan_scan(spec, j, "max_group", cap, workers)
+        plan = _plan_scans(spec, j, ("max_group",), cap, 1)[0]
     outside, rows = _run_scan(spec, plan)
     return DualCountResult(outside, spec.n - outside, _complement_rref(spec.ops, rows))
 
@@ -806,7 +804,7 @@ def _closed_form_route(spec: CodeSpec, j: int, plan: None):
     return m, n_j, None
 
 
-# name -> (runner, the _plan_scan mode of its scan, None for no scan)
+# name -> (runner, the _plan_scans mode of its scan, None for no scan)
 _ROUTES = {
     "bruteforce": (_bruteforce_route, "min_support"),
     "dual_count": (_dual_count_route, "max_group"),

@@ -8,11 +8,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rghw import closed_forms
 from rghw.closed_forms import detect_family, evaluate_closed_form
 from rghw.codes import build_code, orbit_representatives
 from rghw.errors import DegenerateOrder, HypothesisViolated, RangeError, RghwError
 from rghw.subspaces import cyclic_group_counts, project_stack, stack_dims
-from rghw.weights import mj_dual_count, rghw_bruteforce
+from rghw.weights import compute_report, mj_dual_count, rghw_bruteforce
 
 from helpers import padded_stack
 
@@ -261,3 +262,19 @@ def test_closed_form_matches_bruteforce_beyond_the_printed_families(params, valu
         n_j, m_j = evaluate_closed_form(*params, j)
         assert m_j == m == rghw_bruteforce(spec, j)
         assert n_j == spec.n - m
+
+
+def test_the_family_is_decided_once_per_parameter_tuple(monkeypatch):
+    """detect_family is cached, so a closed-form report at every j, the
+    refusal check of each request and CodeSpec.structural share one
+    decision: the factorizations of q and of q - 1."""
+    spec = build_code(3, 2, 3, 1, 2)
+    detect_family.cache_clear()
+    calls = []
+    factor = closed_forms._prime_factors
+    monkeypatch.setattr(closed_forms, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    for j in range(1, spec.k1 + 1):
+        report = compute_report(spec, j, ("closed_form",))
+        assert report.closed_form.m == evaluate_closed_form(3, 2, 3, 1, 2, j)[1]
+    assert spec.structural
+    assert len(calls) <= 2, calls

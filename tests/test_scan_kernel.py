@@ -32,14 +32,18 @@ from rghw.linalg import table_ops
 from rghw.weights import ghw_bruteforce, mj_dual_count, rghw_bruteforce
 
 
+def plan_scan(spec, dim, mode, workers=1):
+    """The plan of one scan under the default cap."""
+    return weights._plan_scans(spec, dim, (mode,), weights.DEFAULT_ENUM_CAP, workers)[0]
+
+
 def run_scan(spec, dim, mode):
     """Plan a scan of one worker under the default cap and run it."""
-    plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
-    return weights._run_scan(spec, plan)
+    return weights._run_scan(spec, plan_scan(spec, dim, mode))
 
 
 def kernel_args(spec, dim, mode):
-    """What _plan_scan hands the kernel for an unanchored scan of a mode: the
+    """What _plan_scans hands the kernel for an unanchored scan of a mode: the
     pivot sets and the point matrix."""
     sets = pivot_sets(spec.ambient_dim if mode == "min_support_all" else spec.k1, dim)
     points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
@@ -47,7 +51,7 @@ def kernel_args(spec, dim, mode):
 
 
 def layout(spec, sets, anchors):
-    """The _block_starts layout _plan_scan computes for these pivot sets."""
+    """The _block_starts layout _plan_scans computes for these pivot sets."""
     return weights._block_starts(spec.q, spec.ambient_dim, sets, nanchors(anchors))
 
 
@@ -261,7 +265,7 @@ def test_scored_points_give_the_n_point_count(spec_grid, data):
     red, pivots = spec.ops.rref(rows)
     if not pivots:
         return
-    plan = weights._plan_scan(spec, len(pivots), "min_support_all", weights.DEFAULT_ENUM_CAP, 1)
+    plan = plan_scan(spec, len(pivots), "min_support_all")
     assert plan.slope == (-1 if spec.structural else spec.multiplicity)
     for dual in (False, True):
         route, points = weights._scan_points(spec, dataclasses.replace(plan, dual=dual))
@@ -281,7 +285,7 @@ def test_reduced_scans_match_the_n_point_scan(spec_grid):
         for mode, top in (("min_support", spec.k1), ("min_support_all", spec.ambient_dim),
                           ("max_group", spec.k1)):
             for j in range(1, top + 1):
-                plan = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, 1)
+                plan = plan_scan(spec, j, mode)
                 val, rows = weights._run_scan(spec, plan)
                 full, full_rows = n_point_scan(spec, plan)
                 assert val == full and np.array_equal(rows, full_rows), (spec, mode, j)
@@ -441,7 +445,7 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     arrays = (2 * 5 * N * (2 * 2 + 3) + 2 * 5 * 21
               + 2 * weights._score_bytes(5, N, 2, 2 * 3, weights._batch_rows(-(-N // 64))))
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
-    assert ghw_bruteforce(spec, 2, workers=2) == 15
+    assert weights._run_scan(spec, plan_scan(spec, 2, "min_support_all", 2))[0] == 15
     assert recording_pool == [2]
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays - 1)
 
@@ -450,12 +454,12 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
 
     monkeypatch.setattr(weights, "_mask_table", no_table)
     with pytest.raises(CapExceeded):
-        ghw_bruteforce(spec, 2, workers=2)
+        weights._run_scan(spec, plan_scan(spec, 2, "min_support_all", 2))
     assert recording_pool == [2]  # no second pool started
 
 
 def counted_bytes(spec, dim, mode, monkeypatch):
-    """The bytes _plan_scan counts for a scan, as its refusal names them under a
+    """The bytes _plan_scans counts for a scan, as its refusal names them under a
     bound of 0."""
     with monkeypatch.context() as m:
         m.setattr(weights, "TABLE_CAP_BYTES", 0)
@@ -471,7 +475,7 @@ def counted_bytes(spec, dim, mode, monkeypatch):
 ])
 def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch):
     """The traced peak of a table build, with the point matrix built in the
-    same trace, stays within the bytes _plan_scan counts plus the builder's own
+    same trace, stays within the bytes _plan_scans counts plus the builder's own
     temporaries: a few value slices (the larger of SLICE_BYTES and q rows
     of n int16 values) and one n-row per column of a block."""
     spec = build_code(*params)
@@ -505,10 +509,10 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
 ])
 def test_scoring_holds_what_the_bound_counts(params, dim, mode):
     """The traced peak of scoring every pivot set of a scan on its table
-    stays within the scoring bytes _plan_scan counts once per table."""
+    stays within the scoring bytes _plan_scans counts once per table."""
     spec = build_code(*params)
     K = spec.ambient_dim
-    plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+    plan = plan_scan(spec, dim, mode)
     _, points = weights._scan_points(spec, plan)
     lay, chunk = plan.shape.chunks[0]
     masks = weights._mask_table(spec.ops, points, plan.anchors, lay)
@@ -792,7 +796,7 @@ def test_one_elimination_gives_every_dual_argmax(spec_grid):
     scans = {True: 0, False: 0}
     for spec in property_specs(spec_grid):
         for j in range(1, spec.k1 + 1):
-            plan = weights._plan_scan(spec, j, "max_group", weights.DEFAULT_ENUM_CAP, 1)
+            plan = plan_scan(spec, j, "max_group")
             _, rows = weights._run_scan(spec, plan)
             assert_complement(spec.ops, rows)
             scans[plan.anchors is not None] += 1
@@ -830,7 +834,7 @@ def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
         K, q = spec.ambient_dim, spec.q
         for mode, top in (("min_support", spec.k1), ("min_support_all", K)):
             for j in range(1, top + 1):
-                plan = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, 1)
+                plan = plan_scan(spec, j, mode)
                 if plan.shape in shapes:
                     continue
                 shapes.add(plan.shape)
@@ -898,17 +902,17 @@ def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool)
             top = spec.ambient_dim if mode == "min_support_all" else spec.k1
             for j in range(1, top + 1):
                 for workers in (1, 2):
-                    first = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
-                    warm = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
+                    first = plan_scan(spec, j, mode, workers)
+                    warm = plan_scan(spec, j, mode, workers)
                     assert warm.shape is first.shape
                     weights._scan_shape.cache_clear()
-                    cold = weights._plan_scan(spec, j, mode, weights.DEFAULT_ENUM_CAP, workers)
+                    cold = plan_scan(spec, j, mode, workers)
                     assert cold.shape is not warm.shape
                     assert_same(cold, warm)
                     shape = cold.shape
                     relative = mode != "min_support_all"
                     reps = len(spec.orbit_anchors[mode == "max_group"]) if relative else 0
-                    assert weights._scan_count(spec.q, spec.ambient_dim, spec.k1, j, relative,
+                    assert weights._scan_count(spec.q, spec.ambient_dim, top, j,
                                                reps) == (cold.anchors is not None, sum(
                         len(index.bases) * spec.q ** len(index.positions)
                         for _, chunk in shape.chunks for index in chunk))
@@ -933,9 +937,9 @@ def test_the_index_plan_follows_the_batch(batch):
              ((3, 2, 3, 1, 2), "max_group", 2), ((5, 2, 3, 1, 4), "min_support_all", 2)]
     for params, mode, dim in cases:
         spec = build_code(*params)
-        weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)  # the default batch
+        plan_scan(spec, dim, mode)  # the default batch
         with mock.patch.object(weights, "BATCH", batch):
-            plan = weights._plan_scan(spec, dim, mode, weights.DEFAULT_ENUM_CAP, 1)
+            plan = plan_scan(spec, dim, mode)
         for _, chunk in plan.shape.chunks:
             for index in chunk:
                 width = len(index.positions)

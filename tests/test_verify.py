@@ -99,7 +99,7 @@ def _counting(monkeypatch, name):
 
 def test_a_run_equals_its_suites_run_alone_and_shares_its_work_within_the_call(monkeypatch):
     builds = _counting(monkeypatch, "build_code")
-    scans = _counting(monkeypatch, "rghw_bruteforce")
+    scans = _counting(monkeypatch, "compute_report")
     whole = [r.as_dict() for r in run_suites(**RUN_ARGS)]
     # 6 distinct specs among the 18 the suites name, and 15 distinct
     # (spec, j) cells among the 22 that weights and closed_forms check
@@ -116,19 +116,45 @@ def test_a_run_equals_its_suites_run_alone_and_shares_its_work_within_the_call(m
 def test_a_wrong_argmax_fails_its_own_j(monkeypatch):
     # j = 2 of (2, 3, 2, 1, 1) reports the argmax of j = 3, a subspace of
     # another dimension; the stacked check must fail that j alone
-    original = verify.mj_dual_count
+    original = weights.mj_dual_count
 
     def wrong_argmax(spec, j, **kwargs):
         result = original(spec, j, **kwargs)
         if (_params(spec), j) == ((2, 3, 2, 1, 1), 2):
-            return dataclasses.replace(result, argmax=original(spec, 3, **kwargs).argmax)
+            return dataclasses.replace(result, argmax=original(spec, 3).argmax)
         return result
 
     clean = verify.weights_suite()
-    monkeypatch.setattr(verify, "mj_dual_count", wrong_argmax)
+    monkeypatch.setattr(weights, "mj_dual_count", wrong_argmax)
     res = verify.weights_suite()
     assert clean.failures == [] and res.checks == clean.checks
     assert res.failures == ["(2, 3, 2, 1, 1) j=2: argmax does not reproduce N_j"]
+
+
+def test_a_pooled_run_equals_an_in_process_one_and_pools_only_in_reports(monkeypatch,
+                                                                         recording_pool):
+    """run_suites hands its worker count to the scan pairs' report
+    requests alone: with two workers on two CPUs the weights and
+    closed_forms suites print what one worker prints, and every pool they
+    start is started inside a report run (run_report), none by the GHW
+    scans or by a route called on its own."""
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
+    in_reports = []
+    run_report = weights.run_report
+
+    def counted(plan):
+        before = len(recording_pool)
+        report = run_report(plan)
+        in_reports.append(len(recording_pool) - before)
+        return report
+
+    monkeypatch.setattr(weights, "run_report", counted)
+    names = ["weights", "closed_forms"]
+    in_process = [r.as_dict() for r in run_suites(names, workers=1)]
+    assert recording_pool == []
+    pooled = [r.as_dict() for r in run_suites(names, workers=2)]
+    assert pooled == in_process and all(r["passed"] for r in pooled)
+    assert recording_pool and sum(in_reports) == len(recording_pool), in_reports
 
 
 def test_orthogonality_failures_name_each_divisor_in_order(monkeypatch):

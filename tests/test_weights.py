@@ -218,13 +218,31 @@ def test_weights_strictly_increase():
         assert values == sorted(set(values))
 
 
+SCAN_PAIR = ("bruteforce", "dual_count")
+
+
+def scan_pair(report):
+    """The bruteforce value and the dual_count (m, n_j, argmax) of a report."""
+    dual = report.dual_count
+    return report.bruteforce.m, (dual.m, dual.n_j, dual.argmax_rows.tolist())
+
+
+def routes_pair(spec, j):
+    """scan_pair of the two routes called on their own, in process."""
+    dual = mj_dual_count(spec, j)
+    return rghw_bruteforce(spec, j), (dual.m, dual.n_j, dual.argmax.tolist())
+
+
+def ghw_scan(spec, j, workers):
+    """GHW at j through a pool of workers: only a planned scan takes one."""
+    plan = weights._plan_scans(spec, j, ("min_support_all",), weights.DEFAULT_ENUM_CAP, workers)
+    return weights._run_scan(spec, plan[0])[0]
+
+
 def test_workers_do_not_change_results():
     spec = build_code(2, 3, 2, 1, 1)
     for j in (1, 2, 3):
-        assert rghw_bruteforce(spec, j, workers=2) == rghw_bruteforce(spec, j)
-        a = mj_dual_count(spec, j, workers=2)
-        b = mj_dual_count(spec, j)
-        assert (a.m, a.n_j, a.argmax.tolist()) == (b.m, b.n_j, b.argmax.tolist())
+        assert scan_pair(compute_report(spec, j, SCAN_PAIR, workers=2)) == routes_pair(spec, j)
 
 
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
@@ -234,21 +252,19 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # j=2: at j=1 the anchored scan has a single pivot set and starts no
     # pool; at j=2 it has two chunks, and the pool starts one process per
     # live table, not one per CPU
-    plan = weights._plan_scan(spec, 2, "min_support", weights.DEFAULT_ENUM_CAP, 10**6)
+    plan = plan_report(spec, 2, ("bruteforce",), workers=10**6).scans[0]
     assert len(plan.shape.chunks) == len(plan.shape.live) == 2
-    assert rghw_bruteforce(spec, 2, workers=10**6) == rghw_bruteforce(spec, 2)
+    report = compute_report(spec, 2, ("bruteforce",), workers=10**6)
+    assert report.bruteforce.m == rghw_bruteforce(spec, 2)
     # GHW j=2 walks 10 pivot sets, in more chunks than CPUs
-    assert ghw_bruteforce(spec, 2, workers=10**6) == ghw_bruteforce(spec, 2)
+    assert ghw_scan(spec, 2, 10**6) == ghw_bruteforce(spec, 2)
     assert recording_pool == [2, 3]
 
 
 def test_one_cpu_scans_in_process(monkeypatch, recording_pool):
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 1)
     spec = build_code(2, 3, 2, 1, 1)
-    assert rghw_bruteforce(spec, 2, workers=2) == rghw_bruteforce(spec, 2)
-    a = mj_dual_count(spec, 2, workers=2)
-    b = mj_dual_count(spec, 2)
-    assert (a.m, a.n_j, a.argmax.tolist()) == (b.m, b.n_j, b.argmax.tolist())
+    assert scan_pair(compute_report(spec, 2, SCAN_PAIR, workers=2)) == routes_pair(spec, 2)
     assert recording_pool == []
 
 
@@ -257,16 +273,13 @@ def test_pool_tasks_build_no_code_spec(monkeypatch, recording_pool):
     field ops of GF(q) and builds no CodeSpec."""
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
     spec = build_code(2, 3, 2, 1, 1)
-    brute = rghw_bruteforce(spec, 2)
-    dual = mj_dual_count(spec, 2)
+    want = routes_pair(spec, 2)
 
     def no_spec(*args):
         raise AssertionError("a pool task built a CodeSpec")
 
     monkeypatch.setattr(CodeSpec, "__init__", no_spec)
-    assert rghw_bruteforce(spec, 2, workers=2) == brute
-    got = mj_dual_count(spec, 2, workers=2)
-    assert (got.m, got.n_j, got.argmax.tolist()) == (dual.m, dual.n_j, dual.argmax.tolist())
+    assert scan_pair(compute_report(spec, 2, SCAN_PAIR, workers=2)) == want
     assert recording_pool == [2, 2]
 
 
@@ -276,11 +289,34 @@ def test_fewer_than_one_worker_is_a_range_error(monkeypatch):
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", 64)
     spec = build_code(2, 3, 4, 1, 1)
     with pytest.raises(CapExceeded):
-        rghw_bruteforce(spec, 2, workers=1)
+        rghw_bruteforce(spec, 2)
     for workers in (0, -3):
-        for route in (rghw_bruteforce, ghw_bruteforce, mj_dual_count):
+        for route in SCAN_PAIR:
             with pytest.raises(RangeError, match=f"workers={workers}"):
-                route(spec, 2, workers=workers)
+                plan_report(spec, 2, (route,), workers=workers)
+        with pytest.raises(RangeError, match=f"workers={workers}"):
+            ghw_scan(spec, 2, workers)
+
+
+def test_the_scan_routes_start_no_pool(small_grid, monkeypatch, recording_pool):
+    """Only a report request takes a worker count: on every spec with
+    q^K <= 81, at every j, the three scan routes scan in process where a
+    report request of two workers on the same CPUs starts pools, and they
+    find what it finds."""
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
+    pooled = 0
+    for params in small_grid:
+        spec = build_code(*params)
+        for j in range(1, spec.ambient_dim + 1):
+            ghw_bruteforce(spec, j)
+            want = routes_pair(spec, j) if j <= spec.k1 else None
+            assert recording_pool == [], (params, j)
+            if want is not None:
+                report = compute_report(spec, j, SCAN_PAIR, workers=2)
+                assert scan_pair(report) == want, (params, j)
+                pooled += len(recording_pool)
+                recording_pool.clear()
+    assert pooled > 0
 
 
 def test_pool_chunks_follow_the_work():
