@@ -22,7 +22,8 @@ from .codes import build_code
 from .errors import CapExceeded, OutputError, RangeError, RghwError, UsageError
 from .gf import build_field, prime_power
 from .verify import SUITES, run_suites
-from .weights import DEFAULT_ENUM_CAP, ROUTE_NAMES, check_request, plan_report, run_report
+from .weights import (DEFAULT_ENUM_CAP, ROUTE_NAMES, check_floors, check_request, plan_report,
+                      run_report)
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -109,14 +110,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.agree for r in reports) else EXIT_DISAGREE
 
 
-_CSV_SPEC_COLS = ("q", "k1", "k2", "e1", "e2", "n1", "n2", "n")
-
-
 def _table_csv(document: dict, timings: bool) -> str:
-    """One row per route of each j; with timings, a trailing millis column."""
-    spec_cols = [document["spec"][c] for c in _CSV_SPEC_COLS]
+    """One row per route of each j, led by the spec's columns in the order
+    CodeSpec.summary() gives them; with timings, a trailing millis column."""
+    spec_cols = list(document["spec"].values())
     return _csv_text(
-        _CSV_SPEC_COLS + ("j", "route", "m", "n_j", "agree") + (("millis",) if timings else ()),
+        (*document["spec"], "j", "route", "m", "n_j", "agree") + (("millis",) if timings else ()),
         (spec_cols + [row["j"], route, payload["m"], payload.get("n_j", ""), row["agree"]]
          + ([payload["millis"]] if timings else [])
          for row in document["results"] for route, payload in row["routes"].items()),
@@ -350,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_args(args: argparse.Namespace) -> None:
-    """The route tuple, None for --routes all, and the --repeat floor: the
-    library checks every other flag (check_request, run_suites)."""
+    """The route tuple, None for --routes all, and the --repeat floor
+    (check_floors): the library checks every other flag (check_request,
+    run_suites)."""
     routes = getattr(args, "routes", "all")
     args.routes = None if routes == "all" else tuple(
         r.strip() for r in routes.split(",") if r.strip())
-    if getattr(args, "repeat", 1) < 1:
-        raise RangeError(f"repeat={args.repeat} must be >= 1")
+    check_floors(repeat=getattr(args, "repeat", 1))
 
 
 COMMANDS = {

@@ -8,6 +8,7 @@ exhaustive at desk scale.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional, Sequence
@@ -635,27 +636,15 @@ SUITES = {
 }
 
 
-# The keyword arguments of run_suites that each suite takes; a suite that
-# builds codes or scans takes the call's record, which holds its worker
-# count.
-_SUITE_ARGS = {
-    "gf": (),
-    "codes": ("record",),
-    "subspaces": ("seed", "record"),
-    "weights": ("seed", "record"),
-    "gauss": ("seed",),
-    "charsum": ("seed", "samples", "record"),
-    "closed_forms": ("record",),
-}
-
-
 def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
                samples: int = 100, workers: int = 1) -> list[SuiteResult]:
     """Run the named suites, all for names=None, in order.  The sample,
     seed and worker floors, the names (one or more, each known and named
     once: a RangeError otherwise) and the sample cap are checked before any
     suite runs.  One record of the call shares each CodeSpec and each scan
-    pair among its suites; a second call builds and scans again."""
+    pair among its suites; a second call builds and scans again.  Each
+    suite gets the arguments its signature names among seed, samples and
+    the record, which holds the worker count."""
     check_floors(samples=samples, seed=seed, workers=workers)
     names = list(SUITES) if names is None else list(names)
     if not names or len(set(names)) < len(names):
@@ -666,4 +655,9 @@ def run_suites(names: Optional[Iterable[str]] = None, seed: int = 2024,
         if name not in SUITES:
             raise RangeError(f"unknown suite {name!r}")
     given = {"seed": seed, "samples": samples, "record": _RunRecord(workers)}
-    return [SUITES[name](**{arg: given[arg] for arg in _SUITE_ARGS[name]}) for name in names]
+    results = []
+    for name in names:
+        takes = inspect.signature(SUITES[name]).parameters
+        results.append(SUITES[name](**{arg: value for arg, value in given.items()
+                                       if arg in takes}))
+    return results

@@ -534,24 +534,15 @@ def _scan_count(q: int, K: int, top: int, dim: int, reps: int) -> tuple[bool, in
     return False, full
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class _ScanShape:
-    """What the parameters of a scan fix, before any point: its chunks in
-    enumeration order, each a table layout and the index plans of its
-    pivot sets; live are the layouts of the tables alive at once, the
-    workers largest, one per pool process."""
-
-    chunks: tuple[tuple[tuple[dict, int, bool], tuple[_IndexPlan, ...]], ...]
-    live: tuple[tuple[dict, int, bool], ...]
-
-
 @functools.cache
 def _scan_shape(q: int, K: int, top: int, dim: int, reps: int, workers: int,
-                batch: int) -> _ScanShape:
-    """The _ScanShape of a scan of dim-dimensional subspaces of GF(q)^K
-    with pivots in the first top columns, through reps anchors (0 for a
-    scan _plan_scans leaves unanchored), with workers processes (after the
-    CPU clamp) and batches of batch subspaces.
+                batch: int) -> tuple[tuple[tuple[dict, int, bool], tuple[_IndexPlan, ...]], ...]:
+    """What the parameters of a scan of dim-dimensional subspaces of GF(q)^K
+    fix, before any point: its chunks in enumeration order, each a table
+    layout and the index plans of its pivot sets, for pivots in the first
+    top columns, through reps anchors (0 for a scan _plan_scans leaves
+    unanchored), with workers processes (after the CPU clamp) and batches
+    of batch subspaces.
 
     Cached, as subspaces.counter is: both routes of a j have one shape,
     since |R G| = |R| and both score N points, and every table of
@@ -566,10 +557,8 @@ def _scan_shape(q: int, K: int, top: int, dim: int, reps: int, workers: int,
     work = [count_for_pivots(ps, K, q) for ps in sets]
     runs = _chunks(sets, work, workers * 4) if workers > 1 else [sets]
     layouts = [_block_starts(q, K, run, reps) for run in runs]
-    chunks = tuple((layout, tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run))
-                   for run, layout in zip(runs, layouts))
-    live = tuple(sorted(layouts, key=lambda layout: layout[1], reverse=True)[:workers])
-    return _ScanShape(chunks, live)
+    return tuple((layout, tuple(_index_plan(q, K, ps, layout, reps, batch) for ps in run))
+                 for run, layout in zip(runs, layouts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -578,34 +567,36 @@ class ScanPlan:
     exists: its route's point matrix (the group points g on the dual side,
     the coordinate functionals F otherwise), the map
     value = offset + slope * count from the count of the points it scores
-    (_scan_points), the spec's anchors when the scan is anchored, and the
-    shape (_scan_shape)."""
+    (_scan_points), the spec's anchors when the scan is anchored, its
+    chunks (_scan_shape) and the number of processes that score them,
+    1 for a scan in process."""
 
     dual: bool
     offset: int
     slope: int
     anchors: Optional[np.ndarray]
-    shape: _ScanShape
+    chunks: tuple[tuple[tuple[dict, int, bool], tuple[_IndexPlan, ...]], ...]
+    workers: int
 
 
-def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
+def _plan_scans(spec: CodeSpec, dim: int, names: Sequence[str], cap: int,
                 workers: int) -> list[ScanPlan]:
-    """The plan of a scan of each of some modes, all relative or all GHW,
+    """The plan of a scan of each of some routes, all relative or all GHW,
     or their refusal: the cap and worker floors, j, the subspace cap and
     the byte bound are checked once, in that order, and no n-row point
-    matrix is read.  No mode (a closed form alone, whose refusals
+    matrix is read.  No route (a closed form alone, whose refusals
     check_request makes) checks nothing.
 
-    "min_support" counts the support of the subspaces D with injective
-    first projection, "min_support_all" of every subspace (plain GHW), and
-    "max_group" the group points outside the same D as "min_support": its
+    "bruteforce" counts the support of the subspaces D with injective
+    first projection, "ghw" of every subspace (plain GHW), and
+    "dual_count" the group points outside the same D as "bruteforce": its
     first minimizer is the first D whose complement H = D^perp holds the
-    most points.  The two relative modes differ only in their points and
-    anchors.  The shape comes from the cache (_scan_shape); this picks the
+    most points.  The two relative routes differ only in their points and
+    anchors.  The chunks come from the cache (_scan_shape); this picks the
     spec's anchors, the map from the count to the value and the byte count
     over the points the scan scores.
     """
-    if not modes:
+    if not names:
         return []
     check_floors(cap=cap, workers=workers)
     K, q = spec.ambient_dim, spec.q
@@ -613,7 +604,7 @@ def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
     # of D is injective exactly when every pivot is below k1; H = D^perp is
     # onto GF(Q2) exactly when D meets {0} x F_q^k2 trivially, the same
     # family.  GHW admits every pivot set.
-    relative = modes[0] != "min_support_all"
+    relative = names[0] != "ghw"
     top = spec.k1 if relative else K
     if not 1 <= dim <= top:
         raise RangeError(f"j={dim} outside 1..{top}")
@@ -635,11 +626,11 @@ def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)  # the pool starts them all at once
     batch = _batch_rows(-(-scored // 64))
-    shape = _scan_shape(q, K, top, dim, reps if anchored else 0, workers, batch)
+    chunks = _scan_shape(q, K, top, dim, reps if anchored else 0, workers, batch)
     # each chunk builds its own table and scores it, and each of the
-    # workers holds one
-    live = [_table_bytes(layout, scored) for layout in shape.live]
-    copies = 1 + (len(live) if len(shape.chunks) > 1 else 0)
+    # workers holds one: the W largest tables are alive at once
+    live = sorted((_table_bytes(layout, scored) for layout, _ in chunks), reverse=True)[:workers]
+    copies = 1 + (len(live) if len(chunks) > 1 else 0)
     # a subspace has at most dim (K - dim) free entries, those of pivots
     # 0..dim-1
     width = dim * (K - dim)
@@ -652,10 +643,10 @@ def _plan_scans(spec: CodeSpec, dim: int, modes: Sequence[str], cap: int,
             f"scan arrays of {scan_bytes} bytes exceed the bound {TABLE_CAP_BYTES}"
         )
     plans = []
-    for mode in modes:
-        dual = mode == "max_group"
+    for name in names:
+        dual = name == "dual_count"
         plans.append(ScanPlan(dual, offset, slope, spec.orbit_anchors[dual] if anchored else None,
-                              shape))
+                              chunks, len(live)))
     return plans
 
 
@@ -681,11 +672,11 @@ def _run_scan(spec: CodeSpec, plan: ScanPlan) -> tuple[int, np.ndarray]:
     attaining it, confirmed on the route's own n points."""
     route, points = _scan_points(spec, plan)
     tasks = [(spec.q, points, plan.anchors, layout, chunk, plan.slope)
-             for layout, chunk in plan.shape.chunks]
-    if len(tasks) == 1:
+             for layout, chunk in plan.chunks]
+    if plan.workers == 1:
         best, rows = _scan_chunk(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=len(plan.shape.live)) as pool:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             # chunk order is enumeration order, and min keeps the first minimum
             best, rows = min(pool.map(_scan_chunk, tasks), key=lambda result: result[0])
     value = plan.offset + best
@@ -707,14 +698,14 @@ def rghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
                     plan: Optional[ScanPlan] = None) -> int:
     """Definition-level minimum support over subspaces meeting C' trivially."""
     if plan is None:
-        plan = _plan_scans(spec, j, ("min_support",), cap, 1)[0]
+        plan = _plan_scans(spec, j, ("bruteforce",), cap, 1)[0]
     val, _ = _run_scan(spec, plan)
     return val
 
 
 def ghw_bruteforce(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Plain generalized Hamming weight (no subcode restriction)."""
-    val, _ = _run_scan(spec, _plan_scans(spec, j, ("min_support_all",), cap, 1)[0])
+    val, _ = _run_scan(spec, _plan_scans(spec, j, ("ghw",), cap, 1)[0])
     return val
 
 
@@ -756,7 +747,7 @@ def mj_dual_count(spec: CodeSpec, j: int, cap: int = DEFAULT_ENUM_CAP,
     first D in the scan's order, and argmax is the RREF basis of its H.
     """
     if plan is None:
-        plan = _plan_scans(spec, j, ("max_group",), cap, 1)[0]
+        plan = _plan_scans(spec, j, ("dual_count",), cap, 1)[0]
     outside, rows = _run_scan(spec, plan)
     return DualCountResult(outside, spec.n - outside, _complement_rref(spec.ops, rows))
 
@@ -804,22 +795,21 @@ def _closed_form_route(spec: CodeSpec, j: int, plan: None):
     return m, n_j, None
 
 
-# name -> (runner, the _plan_scans mode of its scan, None for no scan)
 _ROUTES = {
-    "bruteforce": (_bruteforce_route, "min_support"),
-    "dual_count": (_dual_count_route, "max_group"),
-    "closed_form": (_closed_form_route, None),
+    "bruteforce": _bruteforce_route,
+    "dual_count": _dual_count_route,
+    "closed_form": _closed_form_route,
 }
 ROUTE_NAMES = tuple(_ROUTES)
-# the routes of a non-structural spec
-_SCAN_ROUTES = tuple(name for name, (_, mode) in _ROUTES.items() if mode)
+# the routes that scan (_plan_scans), the routes of a non-structural spec
+_SCAN_ROUTES = ("bruteforce", "dual_count")
 # the least value of each numeric parameter of a request
-_FLOORS = {"cap": 0, "workers": 1, "samples": 1, "seed": 0}
+_FLOORS = {"cap": 0, "workers": 1, "samples": 1, "seed": 0, "repeat": 1}
 
 
 def check_floors(**values: int) -> None:
     """RangeError for the first of the given values below its floor: the
-    one check of the cap, worker, sample and seed floors."""
+    one check of the cap, worker, sample, seed and repeat floors."""
     for name, value in values.items():
         if value < _FLOORS[name]:
             raise RangeError(f"{name}={value} must be >= {_FLOORS[name]}")
@@ -911,10 +901,9 @@ def plan_report(spec: CodeSpec, j: int,
         raise RangeError(f"j={j} outside 1..{spec.k1}")
     if routes is None:
         routes = ROUTE_NAMES if spec.structural else _SCAN_ROUTES
-    modes = [_ROUTES[name][1] for name in routes]
-    scans = iter(_plan_scans(spec, j, [mode for mode in modes if mode], cap, workers))
-    return ReportPlan(spec, j, tuple(routes),
-                      tuple(next(scans) if mode else None for mode in modes))
+    scanned = [name for name in routes if name in _SCAN_ROUTES]
+    scans = dict(zip(scanned, _plan_scans(spec, j, scanned, cap, workers)))
+    return ReportPlan(spec, j, tuple(routes), tuple(scans.get(name) for name in routes))
 
 
 def run_report(plan: ReportPlan) -> RghwReport:
@@ -922,7 +911,7 @@ def run_report(plan: ReportPlan) -> RghwReport:
     report = RghwReport(plan.j, plan.order)
     for name, scan in zip(plan.order, plan.scans):
         t0 = time.perf_counter()
-        m, n_j, argmax_rows = _ROUTES[name][0](plan.spec, plan.j, scan)
+        m, n_j, argmax_rows = _ROUTES[name](plan.spec, plan.j, scan)
         setattr(report, name,
                 RouteOutcome(m, (time.perf_counter() - t0) * 1e3, n_j, argmax_rows))
     return report

@@ -411,6 +411,60 @@ def test_bench_runs(capsys):
     assert doc["rows"][0]["m"] == 10 and doc["rows"][0]["best_ms"] >= 0
 
 
+BENCH_ARGS = ("bench", "--q", "2", "--k1", "2", "--k2", "3", "--workers", "1")
+BENCH_ROW = re.compile(r"j=(\d+) (\S+) +M=(\d+) +best=\d+\.\dms mean=\d+\.\dms")
+
+
+def _bench_rows(capsys):
+    """(j, route, m) of each row of the bench of BENCH_ARGS, from its JSON."""
+    code, out, _ = run_cli(capsys, *BENCH_ARGS, "--format", "json")
+    assert code == 0
+    return [(r["j"], r["route"], r["m"]) for r in json.loads(out)["rows"]]
+
+
+def test_bench_csv_has_one_row_per_j_and_route(capsys):
+    # timings vary, so the shape is checked and the numbers other than
+    # the timings against the JSON document
+    want = _bench_rows(capsys)
+    assert len(want) == 6  # j = 1, 2 by the three routes of a structural spec
+    code, out, err = run_cli(capsys, *BENCH_ARGS, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["j", "route", "m", "best_ms", "mean_ms"]
+    assert [(int(j), route, int(m)) for j, route, m, _, _ in rows] == want
+    for *_, best, mean in rows:
+        assert 0 <= float(best) <= float(mean)
+
+
+def test_bench_pretty_has_a_header_and_one_line_per_row(capsys):
+    want = _bench_rows(capsys)
+    code, out, err = run_cli(capsys, *BENCH_ARGS, "--format", "pretty")
+    assert (code, err) == (0, "")
+    head, *lines = out.splitlines()
+    assert head == f"bench {build_code(2, 2, 3, 1, 1)!r} repeat=3"
+    rows = [BENCH_ROW.fullmatch(line) for line in lines]
+    assert all(rows), lines
+    assert [(int(r[1]), r[2], int(r[3])) for r in rows] == want
+
+
+def test_a_repeat_below_one_is_refused_by_the_floor_table(capsys):
+    code, out, err = run_cli(capsys, *BENCH_ARGS, "--repeat", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "RangeError",
+                                        "message": "repeat=0 must be >= 1"}
+
+
+def test_verify_pretty_lists_the_first_five_failures(capsys, monkeypatch):
+    failing = verify.SuiteResult("gf", checks=7, failures=[f"broken {i}" for i in range(7)])
+    monkeypatch.setitem(verify.SUITES, "gf", lambda: failing)
+    code, out, err = run_cli(capsys, "verify", "--suite", "gf", "--format", "pretty",
+                             "--workers", "1")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["gf: FAIL (7 checks)",
+                                *(f"    broken {i}" for i in range(5)),
+                                "FAILURES present"]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, _ = run_cli(capsys, *TABLE_ARGS, "--format", "json", "--out", str(target))
@@ -493,6 +547,7 @@ BAD_INPUTS = [
     ("workers-zero", ("table", *SPEC_ARGS, "--workers", "0"), 2, "RangeError"),
     ("workers-negative", ("verify", "--workers", "-5"), 2, "RangeError"),
     ("lam-not-an-integer", ("gauss", "--size", "5", "--lam", "x"), 2, "RangeError"),
+    ("beta-outside-field", ("gauss", "--size", "9", "--beta", "9"), 2, "RangeError"),
     ("out-in-missing-directory",
      ("table", *SPEC_ARGS, "--out", str(MISSING_DIR / "table.json")), 2, "OutputError"),
     ("k1-huge", ("table", "--q", "3", "--k1", "10000000", "--k2", "1"), 3, "SizeCapExceeded"),
@@ -631,6 +686,8 @@ PARITY = [
      lambda: _table(*SPEC, j=2, cap=1), CapExceeded),
     ("workers-zero", ("table", *SPEC_ARGS, "--workers", "0"),
      lambda: _table(*SPEC, workers=0), RangeError),
+    ("repeat-zero", ("bench", *SPEC_ARGS, "--repeat", "0"),
+     lambda: weights.check_floors(repeat=0), RangeError),
     ("workers-zero-verify", ("verify", "--workers", "0"),
      lambda: verify.run_suites(workers=0), RangeError),
     ("seed-negative", ("verify", "--seed", "-1"),

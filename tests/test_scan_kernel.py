@@ -32,21 +32,32 @@ from rghw.linalg import table_ops
 from rghw.weights import ghw_bruteforce, mj_dual_count, rghw_bruteforce
 
 
-def plan_scan(spec, dim, mode, workers=1):
+# The label each scan route had when the pinned digests below were taken:
+# the digests hash it, and the parametrized test ids show it, so both stay
+# as they were.
+SCAN_LABELS = {"bruteforce": "min_support", "ghw": "min_support_all", "dual_count": "max_group"}
+
+
+def scan_id(value):
+    """A parametrize id: a scan route's label, the default id otherwise."""
+    return SCAN_LABELS.get(value) if isinstance(value, str) else None
+
+
+def plan_scan(spec, dim, route, workers=1):
     """The plan of one scan under the default cap."""
-    return weights._plan_scans(spec, dim, (mode,), weights.DEFAULT_ENUM_CAP, workers)[0]
+    return weights._plan_scans(spec, dim, (route,), weights.DEFAULT_ENUM_CAP, workers)[0]
 
 
-def run_scan(spec, dim, mode):
+def run_scan(spec, dim, route):
     """Plan a scan of one worker under the default cap and run it."""
-    return weights._run_scan(spec, plan_scan(spec, dim, mode))
+    return weights._run_scan(spec, plan_scan(spec, dim, route))
 
 
-def kernel_args(spec, dim, mode):
-    """What _plan_scans hands the kernel for an unanchored scan of a mode: the
+def kernel_args(spec, dim, route):
+    """What _plan_scans hands the kernel for an unanchored scan of a route: the
     pivot sets and the point matrix."""
-    sets = pivot_sets(spec.ambient_dim if mode == "min_support_all" else spec.k1, dim)
-    points = spec.group_vectors if mode == "max_group" else spec.coordinate_functionals
+    sets = pivot_sets(spec.ambient_dim if route == "ghw" else spec.k1, dim)
+    points = spec.group_vectors if route == "dual_count" else spec.coordinate_functionals
     return sets, points
 
 
@@ -77,18 +88,18 @@ def chunk_task(spec, points, sets, anchors):
 def test_pivot_set_admissibility_matches_rank_conditions(q, k1, k2):
     ops = table_ops(field_for_size(q))
     K = k1 + k2
-    for mode in ("min_support", "max_group"):
+    for route in ("bruteforce", "dual_count"):
         for dim in range(K + 1):
             admissible = set(pivot_sets(k1, dim))
             for rref in rref_stack(K, dim, q):
-                if mode == "min_support":
+                if route == "bruteforce":
                     want = len(ops.rref(rref[:, :k1])[1]) == dim
                 else:
                     # the dual scan walks D, admissible when H = D^perp is onto
                     h = kernel_rows(rref[None], ops)[0]
                     want = len(ops.rref(h[:, k1:])[1]) == k2
                 pivots = tuple((rref != 0).argmax(axis=1).tolist())
-                assert (pivots in admissible) == want, (mode, rref.tolist())
+                assert (pivots in admissible) == want, (route, rref.tolist())
 
 
 def definition_reference(spec):
@@ -213,7 +224,7 @@ def test_anchored_dual_matches_the_unanchored_scan(spec_grid):
         spec = build_code(*params)
         K, k1 = spec.ambient_dim, spec.k1
         for j in range(1, k1 + 1):
-            sets, points = kernel_args(spec, j, "max_group")
+            sets, points = kernel_args(spec, j, "dual_count")
             full, _ = weights._scan_chunk(chunk_task(spec, points, sets, None))
             dual = mj_dual_count(spec, j)
             assert dual.m == full, (params, j)
@@ -230,7 +241,7 @@ def test_bruteforce_argmax_maps_through_the_gram_matrix(spec_grid):
     for params in spec_grid(PROPERTY_GRID):
         spec = build_code(*params)
         for j in range(1, spec.k1 + 1):
-            m, rows = run_scan(spec, j, "min_support")
+            m, rows = run_scan(spec, j, "bruteforce")
             image = spec.ops.matmul(rows, spec.gram)
             assert len(spec.ops.rref(image[:, :spec.k1])[1]) == j, (params, j)
             outside = spec.ops.matmul(image, spec.group_vectors.T).any(axis=0).sum()
@@ -248,7 +259,7 @@ def n_point_scan(spec, plan):
     value: (value, basis) of the first optimum, chunk by chunk."""
     route, _ = weights._scan_points(spec, plan)
     return min((weights._scan_chunk((spec.q, route, plan.anchors, lay, chunk, 1))
-                for lay, chunk in plan.shape.chunks), key=lambda r: r[0])
+                for lay, chunk in plan.chunks), key=lambda r: r[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,7 +276,7 @@ def test_scored_points_give_the_n_point_count(spec_grid, data):
     red, pivots = spec.ops.rref(rows)
     if not pivots:
         return
-    plan = plan_scan(spec, len(pivots), "min_support_all")
+    plan = plan_scan(spec, len(pivots), "ghw")
     assert plan.slope == (-1 if spec.structural else spec.multiplicity)
     for dual in (False, True):
         route, points = weights._scan_points(spec, dataclasses.replace(plan, dual=dual))
@@ -275,20 +286,20 @@ def test_scored_points_give_the_n_point_count(spec_grid, data):
 
 
 def test_reduced_scans_match_the_n_point_scan(spec_grid):
-    """On every spec with q^K <= PROPERTY_GRID, every mode and every j, the
+    """On every spec with q^K <= PROPERTY_GRID, every route and every j, the
     scan over the points it scores finds the value and the first optimum
     of the same scan over the route's n points."""
     specs = property_specs(spec_grid)
     assert {spec.structural for spec in specs} == {True, False}
     assert max(spec.multiplicity for spec in specs) > 1
     for spec in specs:
-        for mode, top in (("min_support", spec.k1), ("min_support_all", spec.ambient_dim),
-                          ("max_group", spec.k1)):
+        for route, top in (("bruteforce", spec.k1), ("ghw", spec.ambient_dim),
+                           ("dual_count", spec.k1)):
             for j in range(1, top + 1):
-                plan = plan_scan(spec, j, mode)
+                plan = plan_scan(spec, j, route)
                 val, rows = weights._run_scan(spec, plan)
                 full, full_rows = n_point_scan(spec, plan)
-                assert val == full and np.array_equal(rows, full_rows), (spec, mode, j)
+                assert val == full and np.array_equal(rows, full_rows), (spec, route, j)
 
 
 @pytest.mark.parametrize("params", [(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (2, 3, 4, 1, 1)])
@@ -445,7 +456,7 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
     arrays = (2 * 5 * N * (2 * 2 + 3) + 2 * 5 * 21
               + 2 * weights._score_bytes(5, N, 2, 2 * 3, weights._batch_rows(-(-N // 64))))
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays)
-    assert weights._run_scan(spec, plan_scan(spec, 2, "min_support_all", 2))[0] == 15
+    assert weights._run_scan(spec, plan_scan(spec, 2, "ghw", 2))[0] == 15
     assert recording_pool == [2]
     monkeypatch.setattr(weights, "TABLE_CAP_BYTES", (15 + 16) * width + arrays - 1)
 
@@ -454,33 +465,33 @@ def test_table_bound_counts_the_tables_a_pool_holds(monkeypatch, recording_pool)
 
     monkeypatch.setattr(weights, "_mask_table", no_table)
     with pytest.raises(CapExceeded):
-        weights._run_scan(spec, plan_scan(spec, 2, "min_support_all", 2))
+        weights._run_scan(spec, plan_scan(spec, 2, "ghw", 2))
     assert recording_pool == [2]  # no second pool started
 
 
-def counted_bytes(spec, dim, mode, monkeypatch):
+def counted_bytes(spec, dim, route, monkeypatch):
     """The bytes _plan_scans counts for a scan, as its refusal names them under a
     bound of 0."""
     with monkeypatch.context() as m:
         m.setattr(weights, "TABLE_CAP_BYTES", 0)
         with pytest.raises(CapExceeded) as exc:
-            run_scan(spec, dim, mode)
+            run_scan(spec, dim, route)
     return int(re.match(r"scan arrays of (\d+) bytes", str(exc.value)).group(1))
 
 
-@pytest.mark.parametrize("params,dim,mode", [
-    ((2, 7, 8, 1, 1), 1, "min_support"),  # anchor rows only, n = 32385
-    ((4, 3, 5, 1, 3), 2, "min_support"),  # GF(4) blocks and anchors
-    ((3, 3, 5, 1, 2), 2, "max_group"),    # mod-3 blocks
-])
-def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch):
+@pytest.mark.parametrize("params,dim,route", [
+    ((2, 7, 8, 1, 1), 1, "bruteforce"),  # anchor rows only, n = 32385
+    ((4, 3, 5, 1, 3), 2, "bruteforce"),  # GF(4) blocks and anchors
+    ((3, 3, 5, 1, 2), 2, "dual_count"),  # mod-3 blocks
+], ids=scan_id)
+def test_table_build_holds_what_the_bound_counts(params, dim, route, monkeypatch):
     """The traced peak of a table build, with the point matrix built in the
     same trace, stays within the bytes _plan_scans counts plus the builder's own
     temporaries: a few value slices (the larger of SLICE_BYTES and q rows
     of n int16 values) and one n-row per column of a block."""
     spec = build_code(*params)
     q, K, n = spec.q, spec.ambient_dim, spec.n
-    counted = counted_bytes(spec, dim, mode, monkeypatch)
+    counted = counted_bytes(spec, dim, route, monkeypatch)
     slack = 4 * max(weights.SLICE_BYTES, 2 * q * n) + 2 * K * n
     peaks = []
     table_class = weights._mask_table
@@ -494,27 +505,27 @@ def test_table_build_holds_what_the_bound_counts(params, dim, mode, monkeypatch)
     monkeypatch.setattr(weights, "_mask_table", traced_table)
     tracemalloc.start()
     try:
-        run_scan(spec, dim, mode)
+        run_scan(spec, dim, route)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] <= counted + slack, (peaks, counted, slack)
 
 
-@pytest.mark.parametrize("params,dim,mode", [
-    ((2, 4, 7, 1, 1), 3, "min_support"),  # short masks: index arrays dominate
-    ((3, 3, 5, 1, 2), 2, "max_group"),
-    ((2, 7, 8, 1, 1), 1, "min_support"),  # anchors only, no free entry
-    ((5, 2, 3, 1, 4), 2, "min_support_all"),  # a run of q > 2 rows
-    ((4, 3, 4, 1, 3), 2, "max_group"),
-])
-def test_scoring_holds_what_the_bound_counts(params, dim, mode):
+@pytest.mark.parametrize("params,dim,route", [
+    ((2, 4, 7, 1, 1), 3, "bruteforce"),  # short masks: index arrays dominate
+    ((3, 3, 5, 1, 2), 2, "dual_count"),
+    ((2, 7, 8, 1, 1), 1, "bruteforce"),  # anchors only, no free entry
+    ((5, 2, 3, 1, 4), 2, "ghw"),  # a run of q > 2 rows
+    ((4, 3, 4, 1, 3), 2, "dual_count"),
+], ids=scan_id)
+def test_scoring_holds_what_the_bound_counts(params, dim, route):
     """The traced peak of scoring every pivot set of a scan on its table
     stays within the scoring bytes _plan_scans counts once per table."""
     spec = build_code(*params)
     K = spec.ambient_dim
-    plan = plan_scan(spec, dim, mode)
+    plan = plan_scan(spec, dim, route)
     _, points = weights._scan_points(spec, plan)
-    lay, chunk = plan.shape.chunks[0]
+    lay, chunk = plan.chunks[0]
     masks = weights._mask_table(spec.ops, points, plan.anchors, lay)
     tracemalloc.start()
     try:
@@ -530,14 +541,14 @@ def test_scoring_holds_what_the_bound_counts(params, dim, mode):
 def test_mask_table_holds_each_block_once(monkeypatch):
     spec = build_code(2, 2, 3, 1, 1)
     reps = orbit_representatives(spec)
-    for mode, dim, anchors in (("min_support", 1, reps), ("min_support", 2, None),
-                               ("min_support_all", 2, None), ("max_group", 1, None)):
-        sets, points = kernel_args(spec, dim, mode)
+    for route, dim, anchors in (("bruteforce", 1, reps), ("bruteforce", 2, None),
+                                ("ghw", 2, None), ("dual_count", 1, None)):
+        sets, points = kernel_args(spec, dim, route)
         if anchors is not None:
             sets = [ps for ps in sets if 0 not in ps]
         lay = layout(spec, sets, anchors)
         masks = weights._mask_table(spec.ops, points, anchors, lay)
-        assert weights._table_bytes(lay, spec.n) == masks.nbytes, mode
+        assert weights._table_bytes(lay, spec.n) == masks.nbytes, route
     # (2,3,2,1,1) dual j=2: the pivot sets (0,1), (0,2), (1,2) have 6
     # (pivot set, row) pairs and 5 distinct blocks over the rows' free
     # columns (32 rows), but 3 over every later column (28 rows), which the
@@ -558,9 +569,9 @@ def test_mask_table_holds_each_block_once(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3),
                                (5, 2, 3, 1, 4)]),
-       mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+       route=st.sampled_from(["bruteforce", "ghw", "dual_count"]),
        anchored=st.booleans(), slice_rows=st.integers(1, 40), data=st.data())
-def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows, data):
+def test_mask_table_rows_match_the_definition(params, route, anchored, slice_rows, data):
     """Every row of every block is packbits((a @ funcs[cols]) != target[lead])
     through the field's matmul in its first ceil(n/8) bytes and zero after
     them, for characteristic 2, odd primes and GF(4), whatever the slice
@@ -569,7 +580,7 @@ def test_mask_table_rows_match_the_definition(params, mode, anchored, slice_rows
     spec = build_code(*params)
     q, K = spec.q, spec.ambient_dim
     dim = data.draw(st.integers(1, K))
-    sets, points = kernel_args(spec, dim, mode)
+    sets, points = kernel_args(spec, dim, route)
     anchors = orbit_representatives(spec) if anchored else None
     lay = layout(spec, sets, anchors)
     with mock.patch.object(weights, "SLICE_BYTES", slice_rows * 2 * spec.n):
@@ -599,8 +610,8 @@ def test_anchor_rows_are_the_anchor_products(params, slice_bytes):
     GF(4) and GF(5), whatever slices of anchors and of points (n = 105
     leaves a partial byte) the products are taken in."""
     spec = build_code(*params)
-    for mode, gram in (("min_support", False), ("max_group", True)):
-        _, points = kernel_args(spec, 1, mode)
+    for route, gram in (("bruteforce", False), ("dual_count", True)):
+        _, points = kernel_args(spec, 1, route)
         anchors = spec.orbit_anchors[gram]
         lay = layout(spec, [()], anchors)
         assert lay[:2] == ({}, len(anchors))
@@ -614,7 +625,7 @@ def test_anchor_rows_are_the_anchor_products(params, slice_bytes):
 
 def test_every_ladder_scan_argmax_is_pinned(ladder):
     """(value, argmax rows) of every scan of the benchmark's ladder specs,
-    every dimension and mode: a change in the argmax tie order fails here.
+    every dimension and route: a change in the argmax tie order fails here.
     The support scans are pinned against a digest of the code before the
     kernel built its rows and indices by linearity, the dual scan against
     a digest taken when it was first anchored on the Gram images r G."""
@@ -623,13 +634,14 @@ def test_every_ladder_scan_argmax_is_pinned(ladder):
     for params in ladder:
         spec = build_code(*params)
         K, k1 = spec.ambient_dim, spec.k1
-        for mode, dims in (("min_support", range(1, k1 + 1)),
-                           ("min_support_all", range(1, K + 1)),
-                           ("max_group", range(1, k1 + 1))):
-            digest = digests["dual" if mode == "max_group" else "support"]
+        for route, dims in (("bruteforce", range(1, k1 + 1)),
+                            ("ghw", range(1, K + 1)),
+                            ("dual_count", range(1, k1 + 1))):
+            digest = digests["dual" if route == "dual_count" else "support"]
             for dim in dims:
-                val, rows = run_scan(spec, dim, mode)
-                digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
+                val, rows = run_scan(spec, dim, route)
+                label = SCAN_LABELS[route]
+                digest.update(f"{params} {label} {dim} {val} {rows.tolist()}\n".encode())
                 scans += 1
     assert scans == 45
     assert digests["support"].hexdigest() == (
@@ -685,10 +697,10 @@ def plain_first_minimum(masks, q, plan, slope=1):
 @settings(max_examples=150, deadline=None)
 @given(params=st.sampled_from([(2, 2, 3, 1, 1), (3, 2, 3, 1, 2), (4, 2, 3, 1, 3),
                                (2, 3, 4, 1, 1), (3, 2, 1, 2, 1)]),
-       mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+       route=st.sampled_from(["bruteforce", "ghw", "dual_count"]),
        anchored=st.booleans(), batch=st.integers(1, 40), slope=st.sampled_from([1, 3, -1]),
        data=st.data())
-def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, slope, data):
+def test_shared_ors_find_the_plain_first_minimum(params, route, anchored, batch, slope, data):
     """The batch loop ORs head masks once per head, low masks once per pivot
     set and gathers only straddling rows; with batches of a few subspaces
     (several heads per batch at q > 2, rows split across the low/high
@@ -696,10 +708,10 @@ def test_shared_ors_find_the_plain_first_minimum(params, mode, anchored, batch, 
     for a count scaled by c or negated (the first maximum of the count)."""
     spec = build_code(*params)
     K = spec.ambient_dim
-    anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
+    anchors = orbit_representatives(spec) if anchored and route != "dual_count" else None
     # an unanchored subspace has at least one row
     dim = data.draw(st.integers(0 if anchors is not None else 1, K))
-    sets, points = kernel_args(spec, dim, mode)
+    sets, points = kernel_args(spec, dim, route)
     sets = [ps for ps in sets if anchors is None or 0 not in ps]
     if not sets:
         return
@@ -723,18 +735,18 @@ def rule_layout(q, K, sets, anchors, free):
 
 
 @settings(max_examples=100, deadline=None)
-@given(mode=st.sampled_from(["min_support", "min_support_all", "max_group"]),
+@given(route=st.sampled_from(["bruteforce", "ghw", "dual_count"]),
        anchored=st.booleans(), data=st.data())
-def test_block_key_rule_moves_no_value_or_argmax(small_grid, mode, anchored, data):
+def test_block_key_rule_moves_no_value_or_argmax(small_grid, route, anchored, data):
     """A table laid out under either block-key rule gives every pivot set
     the same least count and first t, so _block_starts may keep the smaller
     layout (every later column on a tie)."""
     spec = build_code(*data.draw(st.sampled_from(small_grid)))
     q, K = spec.q, spec.ambient_dim
-    anchors = orbit_representatives(spec) if anchored and mode != "max_group" else None
-    top = K if mode == "min_support_all" else spec.k1
+    anchors = orbit_representatives(spec) if anchored and route != "dual_count" else None
+    top = K if route == "ghw" else spec.k1
     dim = data.draw(st.integers(0 if anchors is not None else 1, top))
-    sets, points = kernel_args(spec, dim, mode)
+    sets, points = kernel_args(spec, dim, route)
     sets = [ps for ps in sets if anchors is None or 0 not in ps]
     if not sets:
         return
@@ -743,7 +755,7 @@ def test_block_key_rule_moves_no_value_or_argmax(small_grid, mode, anchored, dat
     for pivots in sets:
         later, free = (weights._first_minimum(t, q, index_plan(spec, pivots, lay, anchors, points))
                        for t, lay in zip(tables, layouts))
-        assert later == free, (spec, mode, pivots)
+        assert later == free, (spec, route, pivots)
     kept = weights._block_starts(q, K, sets, nanchors(anchors))
     assert kept == layouts[layouts[1][1] < layouts[0][1]]
 
@@ -756,10 +768,11 @@ def test_straddling_rows_keep_the_pinned_argmax():
     params = (4, 3, 4, 1, 3)
     spec = build_code(*params)
     digest = hashlib.sha256()
-    for mode, dims in (("min_support", (1, 2, 3)), ("min_support_all", (1, 2, 6))):
+    for route, dims in (("bruteforce", (1, 2, 3)), ("ghw", (1, 2, 6))):
         for dim in dims:
-            val, rows = run_scan(spec, dim, mode)
-            digest.update(f"{params} {mode} {dim} {val} {rows.tolist()}\n".encode())
+            val, rows = run_scan(spec, dim, route)
+            label = SCAN_LABELS[route]
+            digest.update(f"{params} {label} {dim} {val} {rows.tolist()}\n".encode())
     assert digest.hexdigest() == "e8ab5c79ed1765773ec113e9b1262097a69c6ece86d8d051aea426370d46c25d"
 
 
@@ -772,8 +785,8 @@ def test_the_byte_bound_keeps_bit_counts_exact_in_float32(monkeypatch):
     assert weights.TABLE_CAP_BYTES < 12 * 2**24
     assert weights.TABLE_CAP_BYTES <= 4 * 2**24
     spec = build_code(2, 2, 3, 1, 1)
-    for mode in ("min_support", "min_support_all", "max_group"):
-        assert counted_bytes(spec, 1, mode, monkeypatch) >= 12 * spec.n
+    for route in ("bruteforce", "ghw", "dual_count"):
+        assert counted_bytes(spec, 1, route, monkeypatch) >= 12 * spec.n
 
 
 def assert_complement(ops, rows):
@@ -796,7 +809,7 @@ def test_one_elimination_gives_every_dual_argmax(spec_grid):
     scans = {True: 0, False: 0}
     for spec in property_specs(spec_grid):
         for j in range(1, spec.k1 + 1):
-            plan = plan_scan(spec, j, "max_group")
+            plan = plan_scan(spec, j, "dual_count")
             _, rows = weights._run_scan(spec, plan)
             assert_complement(spec.ops, rows)
             scans[plan.anchors is not None] += 1
@@ -832,14 +845,14 @@ def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
     shapes = set()
     for spec in property_specs(spec_grid):
         K, q = spec.ambient_dim, spec.q
-        for mode, top in (("min_support", spec.k1), ("min_support_all", K)):
+        for route, top in (("bruteforce", spec.k1), ("ghw", K)):
             for j in range(1, top + 1):
-                plan = plan_scan(spec, j, mode)
-                if plan.shape in shapes:
+                plan = plan_scan(spec, j, route)
+                if id(plan.chunks) in shapes:
                     continue
-                shapes.add(plan.shape)
+                shapes.add(id(plan.chunks))
                 points = np.zeros((1, K), dtype=np.int16)
-                for index in plan.shape.chunks[0][1]:
+                for index in plan.chunks[0][1]:
                     width = len(index.positions)
                     per = q ** width
                     total = len(index.bases) * per
@@ -853,7 +866,7 @@ def test_the_winner_is_read_off_its_index_plan(spec_grid, monkeypatch):
                         if plan.anchors is not None:
                             want = np.vstack([plan.anchors[t // per], want])
                         assert rows.dtype == np.int16 and np.array_equal(rows, want), (
-                            spec, mode, j, index.pivots, t)
+                            spec, route, j, index.pivots, t)
     assert len(shapes) > 100
 
 
@@ -877,9 +890,9 @@ def assert_same(a, b, path="plan"):
         assert a == b, path
 
 
-def shape_arrays(shape):
-    """Every array a scan shape holds."""
-    for _, chunk in shape.chunks:
+def shape_arrays(chunks):
+    """Every array the chunks of a scan shape hold."""
+    for _, chunk in chunks:
         for index in chunk:
             for f in dataclasses.fields(index):
                 if isinstance(getattr(index, f.name), np.ndarray):
@@ -887,36 +900,36 @@ def shape_arrays(shape):
 
 
 def test_a_cold_shape_equals_a_warm_one(small_grid, monkeypatch, recording_pool):
-    """For every spec with q^K <= 81, every mode, j and workers in {1, 2},
+    """For every spec with q^K <= 81, every route, j and workers in {1, 2},
     the plan made from the cached shape equals the one made after the cache
     is cleared; the shape's arrays are read-only, and the subspace count
     the cap is checked against (_scan_count) is the sum over its pivot sets
     of the anchors times q^P.  Every report is
     the same from a cold cache and from a warm one."""
     monkeypatch.setattr(weights.os, "cpu_count", lambda: 2)
-    modes = ("min_support", "min_support_all", "max_group")
+    routes = ("bruteforce", "ghw", "dual_count")
     shapes = 0
     for params in small_grid:
         spec = build_code(*params)
-        for mode in modes:
-            top = spec.ambient_dim if mode == "min_support_all" else spec.k1
+        for route in routes:
+            top = spec.ambient_dim if route == "ghw" else spec.k1
             for j in range(1, top + 1):
                 for workers in (1, 2):
-                    first = plan_scan(spec, j, mode, workers)
-                    warm = plan_scan(spec, j, mode, workers)
-                    assert warm.shape is first.shape
+                    first = plan_scan(spec, j, route, workers)
+                    warm = plan_scan(spec, j, route, workers)
+                    assert warm.chunks is first.chunks
                     weights._scan_shape.cache_clear()
-                    cold = plan_scan(spec, j, mode, workers)
-                    assert cold.shape is not warm.shape
+                    cold = plan_scan(spec, j, route, workers)
+                    assert cold.chunks is not warm.chunks
                     assert_same(cold, warm)
-                    shape = cold.shape
-                    relative = mode != "min_support_all"
-                    reps = len(spec.orbit_anchors[mode == "max_group"]) if relative else 0
+                    chunks = cold.chunks
+                    relative = route != "ghw"
+                    reps = len(spec.orbit_anchors[route == "dual_count"]) if relative else 0
                     assert weights._scan_count(spec.q, spec.ambient_dim, top, j,
                                                reps) == (cold.anchors is not None, sum(
                         len(index.bases) * spec.q ** len(index.positions)
-                        for _, chunk in shape.chunks for index in chunk))
-                    assert not any(array.flags.writeable for array in shape_arrays(shape))
+                        for _, chunk in chunks for index in chunk))
+                    assert not any(array.flags.writeable for array in shape_arrays(chunks))
                     shapes += 1
         for workers in (1, 2):
             warm = [weights.compute_report(spec, j, workers=workers).as_dict()
@@ -933,14 +946,14 @@ def test_the_index_plan_follows_the_batch(batch):
     """The shape is keyed by the batch size, so a plan made under a patched
     BATCH splits every pivot set's digits for that batch, not for a batch
     cached earlier; masks of one word leave the batch at BATCH."""
-    cases = [((2, 3, 4, 1, 1), "min_support_all", 3), ((4, 2, 3, 1, 3), "min_support", 2),
-             ((3, 2, 3, 1, 2), "max_group", 2), ((5, 2, 3, 1, 4), "min_support_all", 2)]
-    for params, mode, dim in cases:
+    cases = [((2, 3, 4, 1, 1), "ghw", 3), ((4, 2, 3, 1, 3), "bruteforce", 2),
+             ((3, 2, 3, 1, 2), "dual_count", 2), ((5, 2, 3, 1, 4), "ghw", 2)]
+    for params, route, dim in cases:
         spec = build_code(*params)
-        plan_scan(spec, dim, mode)  # the default batch
+        plan_scan(spec, dim, route)  # the default batch
         with mock.patch.object(weights, "BATCH", batch):
-            plan = plan_scan(spec, dim, mode)
-        for _, chunk in plan.shape.chunks:
+            plan = plan_scan(spec, dim, route)
+        for _, chunk in plan.chunks:
             for index in chunk:
                 width = len(index.positions)
                 assert index.batch == batch, params

@@ -1,6 +1,7 @@
 """The verify suites as run_suites dispatches them."""
 
 import dataclasses
+import inspect
 import json
 import math
 from collections import Counter
@@ -108,8 +109,9 @@ def test_a_run_equals_its_suites_run_alone_and_shares_its_work_within_the_call(m
     run_suites(**RUN_ARGS)  # nothing is kept from the first call
     assert sorted(builds.values()) == [2] * 6
     assert sum(scans.values()) == 30
-    alone = [SUITES[name](**{arg: RUN_ARGS[arg] for arg in verify._SUITE_ARGS[name]
-                             if arg != "record"}).as_dict() for name in SUITES]
+    alone = [suite(**{arg: value for arg, value in RUN_ARGS.items()
+                      if arg in inspect.signature(suite).parameters}).as_dict()
+             for suite in SUITES.values()]
     assert whole == alone
 
 

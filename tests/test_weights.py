@@ -235,7 +235,7 @@ def routes_pair(spec, j):
 
 def ghw_scan(spec, j, workers):
     """GHW at j through a pool of workers: only a planned scan takes one."""
-    plan = weights._plan_scans(spec, j, ("min_support_all",), weights.DEFAULT_ENUM_CAP, workers)
+    plan = weights._plan_scans(spec, j, ("ghw",), weights.DEFAULT_ENUM_CAP, workers)
     return weights._run_scan(spec, plan[0])[0]
 
 
@@ -253,7 +253,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, recording_pool):
     # pool; at j=2 it has two chunks, and the pool starts one process per
     # live table, not one per CPU
     plan = plan_report(spec, 2, ("bruteforce",), workers=10**6).scans[0]
-    assert len(plan.shape.chunks) == len(plan.shape.live) == 2
+    assert len(plan.chunks) == plan.workers == 2
     report = compute_report(spec, 2, ("bruteforce",), workers=10**6)
     assert report.bruteforce.m == rghw_bruteforce(spec, 2)
     # GHW j=2 walks 10 pivot sets, in more chunks than CPUs
