@@ -15,7 +15,7 @@ import functools
 import io
 import json
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .charsum import CharacterHandle, gauss_sum
 from .codes import build_code
@@ -62,23 +62,23 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise OutputError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _render(args: argparse.Namespace, document: dict,
-            to_csv: Optional[Callable[[dict], str]],
+            csv_rows: Optional[Callable[[dict], list[dict]]],
             to_pretty: Callable[[dict], str]) -> None:
     """Emit the document in the chosen format: JSON for every command,
-    csv and pretty through the command's own renderers."""
+    pretty through the command's own renderer, and csv from the command's
+    rows, flat dicts whose keys are the header."""
     if args.format == "json":
         text = json.dumps(document, indent=2) + "\n"
+    elif args.format == "csv":
+        rows = csv_rows(document)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+        text = buf.getvalue()
     else:
-        text = (to_csv if args.format == "csv" else to_pretty)(document)
+        text = to_pretty(document)
     _emit(args, text)
 
 
@@ -105,21 +105,20 @@ def cmd_table(args: argparse.Namespace) -> int:
         "spec": spec.summary(),
         "results": [r.as_dict(args.timings) for r in reports],
     }
-    _render(args, document, lambda doc: _table_csv(doc, args.timings),
+    _render(args, document, lambda doc: _table_rows(doc, args.timings),
             lambda doc: _table_pretty(doc, args.timings))
     return EXIT_OK if all(r.agree for r in reports) else EXIT_DISAGREE
 
 
-def _table_csv(document: dict, timings: bool) -> str:
+def _table_rows(document: dict, timings: bool) -> list[dict]:
     """One row per route of each j, led by the spec's columns in the order
     CodeSpec.summary() gives them; with timings, a trailing millis column."""
-    spec_cols = list(document["spec"].values())
-    return _csv_text(
-        (*document["spec"], "j", "route", "m", "n_j", "agree") + (("millis",) if timings else ()),
-        (spec_cols + [row["j"], route, payload["m"], payload.get("n_j", ""), row["agree"]]
-         + ([payload["millis"]] if timings else [])
-         for row in document["results"] for route, payload in row["routes"].items()),
-    )
+    return [
+        {**document["spec"], "j": row["j"], "route": route, "m": payload["m"],
+         "n_j": payload.get("n_j", ""), "agree": row["agree"]}
+        | ({"millis": payload["millis"]} if timings else {})
+        for row in document["results"] for route, payload in row["routes"].items()
+    ]
 
 
 def _table_pretty(document: dict, timings: bool) -> str:
@@ -171,17 +170,9 @@ def cmd_gauss(args: argparse.Namespace) -> int:
             }
         )
     document = {"field": {"size": field.size, "p": field.p, "m": field.m}, "rows": rows}
-    _render(args, document, _gauss_csv, _gauss_pretty)
+    _render(args, document,
+            lambda doc: [{"size": field.size, **r} for r in doc["rows"]], _gauss_pretty)
     return EXIT_OK
-
-
-def _gauss_csv(document: dict) -> str:
-    size = document["field"]["size"]
-    return _csv_text(
-        ("size", "lam", "beta", "re", "im", "modulus"),
-        ((size, r["lam"], r["beta"], r["re"], r["im"], r["modulus"])
-         for r in document["rows"]),
-    )
 
 
 def _gauss_pretty(document: dict) -> str:
@@ -245,15 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
     document = {"spec": spec.summary(), "repeat": args.repeat, "rows": rows}
-    _render(args, document, _bench_csv, lambda doc: _bench_pretty(doc, repr(spec)))
+    _render(args, document, lambda doc: doc["rows"],
+            lambda doc: _bench_pretty(doc, repr(spec)))
     return EXIT_OK
-
-
-def _bench_csv(document: dict) -> str:
-    return _csv_text(
-        ("j", "route", "m", "best_ms", "mean_ms"),
-        ((r["j"], r["route"], r["m"], r["best_ms"], r["mean_ms"]) for r in document["rows"]),
-    )
 
 
 def _bench_pretty(document: dict, spec_repr: str) -> str:

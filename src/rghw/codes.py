@@ -36,14 +36,16 @@ from .gf import (
     FieldTable,
     Polynomial,
     build_field,
+    check_size,
     element_order,
     embed_subfield,
     field_for_size,
     frobenius_orbit,
     minimal_polynomial,
+    prime_power,
     trace_table,
 )
-from .linalg import TableOps, table_ops
+from .linalg import TableOps, check_table_size, table_ops
 from .subspaces import counter
 
 
@@ -110,6 +112,26 @@ def _build_factor(base: FieldTable, field: FieldTable, k: int, e: int,
                   np.array(gram, dtype=np.int16), decompose, compose)
 
 
+def check_parameters(q: int, k1: int, k2: int, e1: int, e2: int) -> None:
+    """Every refusal of build_code that the five integers decide, in this
+    order and before any field or table is built; CodeSpec is left the two
+    that need the fields, NotAFieldGenerator and ConjugateNonzeros."""
+    if k1 < 1 or k2 < 1:
+        raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
+    for e, label in ((e1, "e1"), (e2, "e2")):
+        if e < 1:
+            raise RangeError(f"{label}={e} must be >= 1")
+    p, s = prime_power(q)
+    check_table_size(q)
+    for k in (k1, k2):
+        check_size(p, s * k)
+    for k, e, label in ((k1, e1, "e1"), (k2, e2, "e2")):
+        if (q**k - 1) % e:
+            raise BadIndex(f"{label}={e} does not divide {q**k - 1}")
+    if e1 == q**k1 - 1 or e2 == q**k2 - 1:  # (q^k - 1) / e = 1
+        raise DegenerateOrder("a nonzero of order 1 gives a degenerate code")
+
+
 class CodeSpec:
     """Immutable parameter bundle for the code pair (C, C').
 
@@ -118,30 +140,19 @@ class CodeSpec:
     """
 
     def __init__(self, q: int, k1: int, k2: int, e1: int, e2: int):
-        if k1 < 1 or k2 < 1:
-            raise RangeError(f"k1={k1} and k2={k2} must both be >= 1")
-        for e, label in ((e1, "e1"), (e2, "e2")):
-            if e < 1:
-                raise RangeError(f"{label}={e} must be >= 1")
+        check_parameters(q, k1, k2, e1, e2)
         self.q = q
         self.k1 = k1
         self.k2 = k2
         self.e1 = e1
         self.e2 = e2
         self.field_q = field_for_size(q)
-        # TableOps bounds q before any table of an extension is built
         self.ops: TableOps = table_ops(self.field_q)
         p, s = self.field_q.p, self.field_q.m
         fields = (build_field(p, s * k1), build_field(p, s * k2))
         self.Q1, self.Q2 = fields[0].size, fields[1].size
-
-        for e, Q, label in ((e1, self.Q1, "e1"), (e2, self.Q2, "e2")):
-            if (Q - 1) % e:
-                raise BadIndex(f"{label}={e} does not divide {Q - 1}")
         self.n1 = (self.Q1 - 1) // e1
         self.n2 = (self.Q2 - 1) // e2
-        if self.n1 == 1 or self.n2 == 1:
-            raise DegenerateOrder("a nonzero of order 1 gives a degenerate code")
 
         # delta, the norm of the table generator of GF(Q1), is a GF(q) code
         g1 = fields[0].exp_table[1]
@@ -327,22 +338,26 @@ def _power_cycle(field: FieldTable, a: int, count: int) -> list[int]:
 
 
 def build_code(q: int, k1: int, k2: int, e1: int, e2: int) -> CodeSpec:
-    """Validate parameters and assemble the full CodeSpec."""
+    """check_parameters, then the CodeSpec of the parameters."""
     return CodeSpec(q, k1, k2, e1, e2)
 
 
 def codewords(spec: CodeSpec, beta1, beta2) -> np.ndarray:
     """(B, n): row b is the codeword tr1(b1*a1^i) + tr2(b2*a2^i), i < n, of
     the b-th pair of element codes; beta1 and beta2 are codes or arrays of
-    codes, broadcast against each other, and one matmul serves them all."""
+    codes, broadcast against each other, and one matmul serves them all.
+    A code that is not an integer is refused, as one out of range is."""
     f1, f2 = spec.factors
-    b1, b2 = np.broadcast_arrays(np.asarray(beta1, dtype=np.int64),
-                                 np.asarray(beta2, dtype=np.int64))
+    b1, b2 = np.broadcast_arrays(np.asarray(beta1), np.asarray(beta2))
     for f, codes in ((f1, b1), (f2, b2)):
-        if codes.size:  # an element code out of range is the least or the greatest
+        if codes.size:
+            if codes.dtype.kind not in "biu":
+                raise FieldMismatch(f"element codes of dtype {codes.dtype} are not integers")
+            # an element code out of range is the least or the greatest
             f.field.check(codes.min())
             f.field.check(codes.max())
-    u = np.hstack([f1.decompose[b1.reshape(-1)], f2.decompose[b2.reshape(-1)]])
+    u = np.hstack([f1.decompose[b1.reshape(-1).astype(np.int64)],
+                   f2.decompose[b2.reshape(-1).astype(np.int64)]])
     return spec.ops.matmul(u, spec.coordinate_functionals.T)
 
 

@@ -126,12 +126,18 @@ def build_field(p: int, m: int) -> FieldTable:
 def _field(p: int, m: int) -> FieldTable:
     if not is_prime(p):
         raise NonPrime(f"p={p} is not prime")
+    check_size(p, m)
+    return _construct(p, m)
+
+
+def check_size(p: int, m: int) -> None:
+    """The size rule of GF(p^m), p >= 2: SizeCapExceeded unless
+    1 <= m and p^m <= DEFAULT_SIZE_CAP."""
     if m < 1:
         raise SizeCapExceeded(f"extension degree m={m} must be >= 1")
     # p^m >= 2^m > DEFAULT_SIZE_CAP once m reaches its bit length: no power needed
     if m >= DEFAULT_SIZE_CAP.bit_length() or p ** m > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"{p}^{m} exceeds the size cap {DEFAULT_SIZE_CAP}")
-    return _construct(p, m)
 
 
 def prime_power(size: int) -> tuple[int, int]:

@@ -33,11 +33,17 @@ def last_axis_first(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
+def check_table_size(q: int) -> None:
+    """The one bound on the base field of TableOps: SizeCapExceeded for
+    q > 4096, whose q x q tables would be too large."""
+    if q > 4096:
+        raise SizeCapExceeded(f"lookup tables for GF({q}) would be too large")
+
+
 class TableOps:
     def __init__(self, field: FieldTable):
         q = field.size
-        if q > 4096:
-            raise SizeCapExceeded(f"lookup tables for GF({q}) would be too large")
+        check_table_size(q)
         self.field = field
         self.q = q
         self.prime = field.m == 1  # codes are plain residues: modular fast path

@@ -23,10 +23,17 @@ from .gf import field_for_size
 from .linalg import TableOps, last_axis_first, table_ops
 
 
-def gaussian_binomial(k: int, j: int, q: int) -> int:
-    """Number of j-dimensional subspaces of F_q^k, exact."""
+def _check_dims(k: int, j: int, q: int) -> None:
+    """RangeError unless 0 <= j <= k and q >= 2, the size of a field."""
     if not 0 <= j <= k:
         raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
+    if q < 2:
+        raise RangeError(f"q={q} must be >= 2")
+
+
+def gaussian_binomial(k: int, j: int, q: int) -> int:
+    """Number of j-dimensional subspaces of F_q^k, exact."""
+    _check_dims(k, j, q)
     num = 1
     den = 1
     for i in range(j):
@@ -92,8 +99,7 @@ def rref_stack(k: int, j: int, q: int) -> np.ndarray:
     """(N, j, k): the RREF basis of every j-dimensional subspace of F_q^k
     exactly once, lexicographic in the pivot sets, then in the free entries
     (row-major, counting in base q), built one pivot set at a time."""
-    if not 0 <= j <= k:
-        raise RangeError(f"need 0 <= j <= k, got j={j}, k={k}")
+    _check_dims(k, j, q)
     return np.concatenate([
         pivot_bases(pivots, k, counter(len(free_positions(pivots, k)), q))
         for pivots in pivot_sets(k, j)])

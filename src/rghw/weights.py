@@ -39,9 +39,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .closed_forms import _theta, evaluate_closed_form, require_structural
-from .codes import CodeSpec
+from .codes import CodeSpec, check_parameters
 from .errors import CapExceeded, InvariantViolated, RangeError
-from .gf import DEFAULT_SIZE_CAP, field_for_size
+from .gf import field_for_size
 from .linalg import TableOps, table_ops
 from .subspaces import (
     check_stack_ambient,
@@ -820,17 +820,18 @@ def check_request(q: int, k1: int, k2: int, e1: int, e2: int,
     """The refusals of a table request that need no code (plan_report and
     the CLI both call it), in order: routes None (every route that applies)
     or known and each named once (RangeError), a closed form only on a
-    structural spec (HypothesisViolated), then the cap and worker floors."""
+    structural spec (HypothesisViolated), then the cap and worker floors.
+    A named closed form first meets check_parameters, so parameters that
+    build_code refuses get its error, and HypothesisViolated is left for
+    accepted parameters."""
     if routes is not None:
         if not routes or len(set(routes)) < len(routes):
             raise RangeError(f"routes {tuple(routes)} must name one route or more, each once")
         for name in routes:
             if name not in _ROUTES:
                 raise RangeError(f"unknown route {name!r}")
-        # beyond these bounds build_code refuses the field sizes at once,
-        # and detect_family would compute an absurd power first
-        if ("closed_form" in routes and q <= DEFAULT_SIZE_CAP
-                and max(k1, k2) < DEFAULT_SIZE_CAP.bit_length()):
+        if "closed_form" in routes:
+            check_parameters(q, k1, k2, e1, e2)
             require_structural(q, k1, k2, e1, e2)
     check_floors(cap=cap, workers=workers)
 

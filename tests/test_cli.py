@@ -20,8 +20,8 @@ import rghw.cli
 from rghw.cli import main
 from rghw import errors, gf, verify, weights
 from rghw.codes import build_code
-from rghw.errors import (CapExceeded, HypothesisViolated, InvariantViolated, PrecisionFailure,
-                         RangeError)
+from rghw.errors import (CapExceeded, HypothesisViolated, InvariantViolated, NonPrime,
+                         PrecisionFailure, RangeError)
 
 SRC = Path(rghw.__file__).resolve().parent
 
@@ -554,6 +554,13 @@ BAD_INPUTS = [
     # the size refusal comes first: the closed-form test would power 3^(10^7)
     ("k1-huge-closed-form", ("table", "--q", "3", "--k1", "10000000", "--k2", "1",
                              "--e2", "2", "--routes", "closed_form"), 3, "SizeCapExceeded"),
+    # a named closed form on parameters build_code refuses gets its error
+    ("closed-form-beyond-size-cap", ("table", "--q", "3", "--k1", "13", "--k2", "2",
+                                     "--e2", "2", "--routes", "closed_form"), 3,
+     "SizeCapExceeded"),
+    # refused before GF(2^19) is built
+    ("q-prime-power-beyond-table-ops",
+     ("table", "--q", "524288", "--k1", "1", "--k2", "1", "--e2", "3"), 3, "SizeCapExceeded"),
     ("q-beyond-table-ops",
      ("table", "--q", "4099", "--k1", "1", "--k2", "1", "--e2", "2"), 3, "SizeCapExceeded"),
     ("q-beyond-int16",
@@ -678,6 +685,10 @@ PARITY = [
      lambda: _plan(*SPEC, routes=("bruteforce", "nope")), RangeError),
     ("closed-form-foreign", ("table", *ODD_ARGS, "--routes", "bruteforce,closed_form"),
      lambda: _table(*ODD, routes=("bruteforce", "closed_form")), HypothesisViolated),
+    ("closed-form-non-prime-power", ("table", "--q", "6", "--k1", "2", "--k2", "3",
+                                     "--routes", "closed_form"),
+     lambda: weights.check_request(6, 2, 3, 1, 1, ("closed_form",), weights.DEFAULT_ENUM_CAP, 1),
+     NonPrime),
     ("cap-negative", ("table", *SPEC_ARGS, "--cap", "-1"),
      lambda: _table(*SPEC, cap=-1), RangeError),
     ("cap-negative-closed-form", ("bench", *SPEC_ARGS, "--cap", "-1", "--routes", "closed_form"),

@@ -5,16 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
+from rghw import codes
 from rghw.codes import build_code, codewords, parity_check_polynomial
 from rghw.errors import (
     BadIndex,
     ConjugateNonzeros,
     DegenerateOrder,
     FieldMismatch,
+    NonPrime,
     NotAFieldGenerator,
     RangeError,
+    SizeCapExceeded,
 )
 from rghw.gf import element_order, trace_table
+from rghw.weights import DEFAULT_ENUM_CAP, check_request
 
 from helpers import basis
 
@@ -56,6 +60,35 @@ def test_build_code_rejections():
         build_code(2, 2, 3, 1, 7)  # alpha2 = 1
     with pytest.raises(NotAFieldGenerator):
         build_code(2, 3, 4, 1, 5)  # order-3 alpha2 lives in GF(4)
+
+
+# each refusal check_parameters decides from the five integers, in its order
+PARAMETER_REFUSALS = [
+    ((2, 0, 3, 1, 1), RangeError),
+    ((2, 2, 3, 1, 0), RangeError),
+    ((6, 2, 3, 1, 1), NonPrime),
+    ((2**21, 1, 1, 1, 1), SizeCapExceeded),  # beyond the size cap: prime_power
+    ((15625, 1, 1, 1, 2), SizeCapExceeded),  # 5^6 > 4096: no lookup tables
+    ((4096, 1, 2, 1, 1), SizeCapExceeded),  # GF(4096^2) beyond the size cap
+    ((2, 20, 19, 7, 1), BadIndex),  # 7 does not divide 2^20 - 1
+    ((2, 20, 19, 2**20 - 1, 1), DegenerateOrder),
+]
+
+
+@pytest.mark.parametrize("params,error", PARAMETER_REFUSALS,
+                         ids=[",".join(map(str, params)) for params, _ in PARAMETER_REFUSALS])
+def test_parameter_refusals_come_before_any_field_or_table(monkeypatch, params, error):
+    """build_code refuses each of these from the integers alone, and a named
+    closed form on them gets the same error from check_request."""
+    def no_build(*args):
+        raise AssertionError("a field or a table was built before the refusal")
+
+    for name in ("build_field", "field_for_size", "table_ops"):
+        monkeypatch.setattr(codes, name, no_build)
+    with pytest.raises(error):
+        build_code(*params)
+    with pytest.raises(error):
+        check_request(*params, ("closed_form",), DEFAULT_ENUM_CAP, 1)
 
 
 def test_same_degree_pair_can_be_valid():
@@ -197,6 +230,12 @@ def test_codeword_field_mismatch():
     with pytest.raises(FieldMismatch):
         codewords(spec, [0, 1, 2], [3, 8, 1])  # one bad code among good ones
     assert codewords(spec, [], []).shape == (0, spec.n)
+    # a code that is not an integer is refused, not truncated
+    for beta1 in (1.5, 2.9, "1", [0, 1.0]):
+        with pytest.raises(FieldMismatch):
+            codewords(spec, beta1, 0)
+    with pytest.raises(FieldMismatch):
+        codewords(spec, 0, np.array([1.5]))
 
 
 def test_factor_tables_invert_each_other_on_the_small_grid(small_grid):

@@ -51,6 +51,9 @@ def test_gaussian_binomial_values():
         gaussian_binomial(3, 4, 2)
     with pytest.raises(RangeError):
         gaussian_binomial(3, -1, 2)
+    for q in (1, 0, -2):  # no field of fewer than two elements
+        with pytest.raises(RangeError):
+            gaussian_binomial(3, 1, q)
 
 
 def test_enumerate_smallest_cases():
@@ -98,6 +101,9 @@ def test_rref_stack_edges():
         rref_stack(3, 4, 2)
     with pytest.raises(RangeError):
         rref_stack(3, -1, 2)
+    for q in (1, 0):
+        with pytest.raises(RangeError):
+            rref_stack(3, 1, q)
 
 
 def _is_rref(basis: np.ndarray) -> bool:
